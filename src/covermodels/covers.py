@@ -219,6 +219,8 @@ class KdTreeCover(CoverSequence):
             raise BadConfig(
                 f"query has dimension {x.shape[0]}, cover expects {self.root_box.dim}"
             )
+        if not np.isfinite(x).all():
+            raise BadConfig(f"query {x.tolist()} is not finite")
         if not self.root_box.contains(x, closed=True):
             if self.on_outside == "reject":
                 raise QueryOutOfRootRegion(x.tolist(), self.root_box)

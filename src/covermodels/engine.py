@@ -31,6 +31,12 @@ g per context and updating it multiplicatively; the closed form per
 context updates are the same, only the global evidence bookkeeping is
 approximate there.
 
+One absorb scores every matched context once. A local's ``update``
+returns its predictive from before the update, which is the pi above,
+so the pass that updates the locals also supplies every pi. The
+subtree predictives psi are then computed from the stop posteriors
+still in force, and only after that are m, trunc and lambda committed.
+
 Growth comes in two flavours. Covers that report ``replay`` (kd trees)
 hand back the buffered block of each new child so its state is rebuilt
 as if the child had always existed. Covers that report ``truncate``
@@ -46,22 +52,13 @@ import json
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .covers import cover_from_state
 from .errors import BadConfig
 from .local import local_from_state
+from .logspace import log1mexp, logaddexp, logsumexp
 
 SNAPSHOT_FORMAT = "covermodels-snapshot"
-
-
-def _log1mexp(a: float) -> float:
-    """log(1 - exp(a)) for a <= 0, stable on both ends."""
-    if a >= 0.0:
-        return -math.inf
-    if a > -math.log(2.0):
-        return math.log(-math.expm1(a))
-    return math.log1p(-math.exp(a))
 
 
 def parse_depth_weight(spec):
@@ -188,9 +185,7 @@ class CoverModelPosterior:
         for d in ctx.child_ids:
             log_sub += self.states[d].log_lambda
         lw = math.log(st.w0)
-        st.log_lambda = float(
-            np.logaddexp(lw + st.log_m, _log1mexp(lw) + st.log_trunc + log_sub)
-        )
+        st.log_lambda = logaddexp(lw + st.log_m, log1mexp(lw) + st.log_trunc + log_sub)
 
     def _log_g(self, cid) -> float:
         st = self.states[cid]
@@ -217,58 +212,86 @@ class CoverModelPosterior:
     def _terminal(self, lg, lp, virtual):
         if virtual is None or lg >= 0.0:
             return lp
-        return float(np.logaddexp(lg + lp, _log1mexp(lg) + virtual))
+        return logaddexp(lg + lp, log1mexp(lg) + virtual)
 
-    def _phi(self, levels, xq, y):
+    def _virtual(self, n_levels, xq, y):
+        """Log predictive of the virtual continuation past a chain that
+        ends above the maximum depth of a truncating cover, else None."""
+        if self.cover.growth_mode == "truncate" and n_levels < self.cover.max_depth:
+            return float(self._fresh_local().log_predictive(y, xq))
+        return None
+
+    def _lattice_continue(self, cid, below, logphi):
+        """Log continuation value of cid over the matched contexts one
+        cover finer that it overlaps, weighted by their transition
+        weights; None when there are none."""
+        kid_set = set(self.cover.contexts[cid].child_ids)
+        cands = [d for d in below if d in kid_set]
+        if not cands:
+            return None
+        w = [self.states[d].v.get(cid, 0.0) for d in cands]
+        total = sum(w)
+        if total <= 0.0:
+            w = [1.0] * len(cands)
+            total = float(len(cands))
+        # a weight that underflowed to 0 contributes exp(-inf)
+        return logsumexp(
+            [math.log(wd / total) + logphi[d] for wd, d in zip(w, cands) if wd > 0.0]
+        )
+
+    def _phi(self, levels, logpi, virtual):
         """Subtree predictive per matched context, deepest first.
 
-        Returns (log marginal, log pi by cid, log psi by cid) where pi
-        is the local predictive and psi the subtree mixture value used
-        by the walk.
+        ``logpi`` holds each matched context's local log predictive and
+        ``virtual`` the virtual continuation's (see ``_virtual``).
+        Returns (log marginal, log psi by cid) where psi is the subtree
+        mixture value used by the walk. Reads the stop posteriors in
+        force, so an absorb calls it before committing anything.
         """
         n_levels = len(levels)
-        logpi = {}
-        for lvl in levels:
-            for cid in lvl:
-                logpi[cid] = float(self.states[cid].local.log_predictive(y, xq))
-        virtual = None
-        if self.cover.growth_mode == "truncate" and n_levels < self.cover.max_depth:
-            virtual = float(self._fresh_local().log_predictive(y, xq))
+        exact = self.cover.exact
         logphi = {}
         for k in range(n_levels - 1, -1, -1):
             for cid in levels[k]:
                 lp = logpi[cid]
                 lg = self._log_g(cid)
                 if k == n_levels - 1:
+                    cont = None
+                elif exact:
+                    # a partition tree matches one child of cid per cover
+                    cont = logphi[levels[k + 1][0]]
+                else:
+                    cont = self._lattice_continue(cid, levels[k + 1], logphi)
+                if cont is None:
                     logphi[cid] = self._terminal(lg, lp, virtual)
-                    continue
-                kid_set = set(self.cover.contexts[cid].child_ids)
-                cands = [d for d in levels[k + 1] if d in kid_set]
-                if not cands:
-                    logphi[cid] = self._terminal(lg, lp, virtual)
-                    continue
-                w = np.array([self.states[d].v.get(cid, 0.0) for d in cands])
-                total = w.sum()
-                if total <= 0.0:
-                    w = np.ones(len(cands))
-                    total = float(len(cands))
-                cont = float(
-                    logsumexp(np.log(w / total) + np.array([logphi[d] for d in cands]))
-                )
-                if lg >= 0.0:
+                elif lg >= 0.0:
                     logphi[cid] = lp
                 else:
-                    logphi[cid] = float(np.logaddexp(lg + lp, _log1mexp(lg) + cont))
+                    logphi[cid] = logaddexp(lg + lp, log1mexp(lg) + cont)
         roots = levels[0]
-        logmarg = float(logsumexp([logphi[c] for c in roots]) - math.log(len(roots)))
-        return logmarg, logpi, logphi
+        if len(roots) == 1:
+            return logphi[roots[0]], logphi
+        logmarg = logsumexp([logphi[c] for c in roots]) - math.log(len(roots))
+        return logmarg, logphi
+
+    def _query(self, x, y):
+        """Score y at x without changing anything.
+
+        Returns (levels, log pi by cid, log psi by cid, log marginal).
+        """
+        xq = self.cover.prepare_query(x)
+        levels = self.cover.match_levels(xq)
+        logpi = {
+            cid: float(self.states[cid].local.log_predictive(y, xq))
+            for lvl in levels
+            for cid in lvl
+        }
+        logmarg, logphi = self._phi(levels, logpi, self._virtual(len(levels), xq, y))
+        return levels, logpi, logphi, logmarg
 
     def predict_logdensity(self, x, y) -> float:
         """Log predictive density (or mass) of y at x. Does not mutate."""
-        xq = self.cover.prepare_query(x)
-        levels = self.cover.match_levels(xq)
-        logmarg, _, _ = self._phi(levels, xq, y)
-        return logmarg
+        return self._query(x, y)[3]
 
     def psi_table(self, x, y):
         """Introspection: per matched context predictive decomposition.
@@ -278,9 +301,7 @@ class CoverModelPosterior:
         terminal context log_psi equals log_local unless a virtual
         continuation applies.
         """
-        xq = self.cover.prepare_query(x)
-        levels = self.cover.match_levels(xq)
-        logmarg, logpi, logphi = self._phi(levels, xq, y)
+        levels, logpi, logphi, logmarg = self._query(x, y)
         rows = []
         for k, lvl in enumerate(levels):
             for cid in lvl:
@@ -312,46 +333,36 @@ class CoverModelPosterior:
 
         Returns the log predictive that was in force before the update,
         so summing returns over a stream gives the prequential log
-        evidence.
+        evidence. An observation that raises leaves the posterior as it
+        was.
         """
         xq = self.cover.prepare_query(x)
-        if self.grow and self.cover.growth_mode == "truncate":
-            _, new = self.cover.extend(xq)
-            for cid in new:
-                self._init_state(self.cover.contexts[cid])
         levels = self.cover.match_levels(xq)
-        logmarg, logpi, logphi = self._phi(levels, xq, y)
-
-        # transition reweighting first, with the pre-update psi values
-        for k in range(1, len(levels)):
-            matched_parents = set(levels[k - 1])
-            for d in levels[k]:
-                st = self.states[d]
-                if len(st.v) <= 1:
-                    continue
-                bf = math.exp(min(logphi[d], 500.0))
-                for p in st.v:
-                    if p in matched_parents:
-                        st.v[p] *= bf
-                z = sum(st.v.values())
-                if z > 0.0:
-                    st.v = {p: val / z for p, val in st.v.items()}
+        # Every local checks y before it changes, and the locals of one
+        # model share one support, so only the first update can reject
+        # y, and it does so before anything has changed.
+        logpi = {}
+        for lvl in levels:
+            for cid in lvl:
+                logpi[cid] = self.states[cid].local.update(y, xq)
+        if self.grow and self.cover.growth_mode == "truncate":
+            path, new = self.cover.extend(xq)
+            if new:
+                for cid in new:
+                    st = self._init_state(self.cover.contexts[cid])
+                    logpi[cid] = st.local.update(y, xq)
+                levels = [[cid] for cid in path]
+        # the stop posteriors read by _phi change only below
+        logmarg, logphi = self._phi(levels, logpi, self._virtual(len(levels), xq, y))
 
         if not self.cover.exact:
-            for lvl in levels:
-                for cid in lvl:
-                    st = self.states[cid]
-                    st.log_g = min(0.0, st.log_g + logpi[cid] - logphi[cid])
-
+            self._reweight(levels, logpi, logphi)
         for lvl in levels:
             for cid in lvl:
                 self.states[cid].log_m += logpi[cid]
         if self.cover.growth_mode == "truncate" and len(levels) < self.cover.max_depth:
             anchor = levels[-1][0]
             self.states[anchor].log_trunc += logpi[anchor]
-        for lvl in levels:
-            for cid in lvl:
-                self.states[cid].local.update(y, xq)
 
         if self.cover.exact:
             for k in range(len(levels) - 1, -1, -1):
@@ -366,8 +377,7 @@ class CoverModelPosterior:
                     for cid, block in kids:
                         st = self._init_state(self.cover.contexts[cid])
                         for xb, yb in block:
-                            st.log_m += st.local.log_predictive(yb, xb)
-                            st.local.update(yb, xb)
+                            st.log_m += st.local.update(yb, xb)
                         st.log_lambda = st.log_m
                 dirty = sorted(
                     {p for p, _ in events},
@@ -382,6 +392,28 @@ class CoverModelPosterior:
         self.n_obs += 1
         self.log_evidence += logmarg
         return logmarg
+
+    def _reweight(self, levels, logpi, logphi):
+        """Lattice bookkeeping of one absorb, from the pre-update values:
+        transition weights of contexts with several parents, then the
+        stored stop posteriors."""
+        for k in range(1, len(levels)):
+            matched_parents = set(levels[k - 1])
+            for d in levels[k]:
+                st = self.states[d]
+                if len(st.v) <= 1:
+                    continue
+                bf = math.exp(min(logphi[d], 500.0))
+                for p in st.v:
+                    if p in matched_parents:
+                        st.v[p] *= bf
+                z = sum(st.v.values())
+                if z > 0.0:
+                    st.v = {p: val / z for p, val in st.v.items()}
+        for lvl in levels:
+            for cid in lvl:
+                st = self.states[cid]
+                st.log_g = min(0.0, st.log_g + logpi[cid] - logphi[cid])
 
     # ---- sampling ---------------------------------------------------------
 

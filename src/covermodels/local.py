@@ -6,7 +6,11 @@ of the observations that land in one context. The shared duck type:
 * ``log_predictive(y, x=None)``: log posterior predictive density or
   mass at y. ``x`` is accepted for interface uniformity and ignored by
   the models here.
-* ``update(y, x=None)``: absorb one observation.
+* ``update(y, x=None)``: absorb one observation and return the log
+  predictive that was in force before it, equal to what
+  ``log_predictive(y, x)`` returned just before the call. It scores and
+  updates in one pass, and it checks y before it changes any state: an
+  invalid or unsupported y raises and leaves the model as it was.
 * ``sample(rng)``: draw y from the posterior predictive.
 * ``state_dict()`` / ``local_from_state``: plain-data round trip.
 
@@ -20,9 +24,9 @@ import math
 import warnings
 
 import numpy as np
-from scipy.special import betaln, gammaln, logsumexp
 
 from .errors import BadConfig, OutOfSupport, UnknownSymbol
+from .logspace import logaddexp, logsumexp
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -56,13 +60,18 @@ class DirichletMultinomial:
             raise UnknownSymbol(y, self.alphabet_size)
         return y
 
-    def log_predictive(self, y, x=None) -> float:
-        y = self._check(y)
+    def _score(self, y: int) -> float:
         a = self.alpha + self.counts
         return float(np.log(a[y]) - np.log(a.sum()))
 
-    def update(self, y, x=None):
-        self.counts[self._check(y)] += 1.0
+    def log_predictive(self, y, x=None) -> float:
+        return self._score(self._check(y))
+
+    def update(self, y, x=None) -> float:
+        y = self._check(y)
+        lp = self._score(y)
+        self.counts[y] += 1.0
+        return lp
 
     def sample(self, rng):
         a = self.alpha + self.counts
@@ -120,6 +129,8 @@ class NormalWishart:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if y.shape != (self.dim,):
             raise BadConfig(f"observation has shape {y.shape}, expected ({self.dim},)")
+        if not all(map(math.isfinite, y.tolist())):
+            raise BadConfig(f"observation {y.tolist()} is not finite")
         return y
 
     def posterior_params(self):
@@ -134,44 +145,79 @@ class NormalWishart:
         return mun, kn, vn, self.T0 + scatter + shift
 
     def _refresh(self):
+        """Student t parameters (mean, df, scale, log normaliser).
+
+        In dim 1 the mean and the squared scale are floats. Above, the
+        scale is the Cholesky factor of the scale matrix.
+        """
         if self._cache is not None:
             return self._cache
-        mun, kn, vn, Tn = self.posterior_params()
-        df = vn - self.dim + 1.0
-        sigma = Tn * (kn + 1.0) / (kn * df)
-        # symmetrise before factoring; scatter accumulation is not exact
-        sigma = 0.5 * (sigma + sigma.T)
-        chol = np.linalg.cholesky(sigma)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        m = self.dim
+        if m == 1:
+            kn = self.kappa0 + self.n
+            df = self.nu0 + self.n
+            mu0 = float(self.mu0[0])
+            mun, tn = mu0, float(self.T0[0, 0])
+            if self.n:
+                s = float(self.sum_y[0])
+                ybar = s / self.n
+                mun = (self.kappa0 * mu0 + s) / kn
+                scatter = float(self.sum_yy[0, 0]) - self.n * ybar * ybar
+                tn += scatter + (self.kappa0 * self.n / kn) * (ybar - mu0) ** 2
+            scale = tn * (kn + 1.0) / (kn * df)
+            logdet = math.log(scale)
+        else:
+            mun, kn, vn, Tn = self.posterior_params()
+            df = vn - m + 1.0
+            sigma = Tn * (kn + 1.0) / (kn * df)
+            # symmetrise before factoring; scatter accumulation is not exact
+            sigma = 0.5 * (sigma + sigma.T)
+            scale = np.linalg.cholesky(sigma)
+            logdet = 2.0 * float(np.sum(np.log(np.diag(scale))))
         const = (
-            gammaln(0.5 * (df + self.dim))
-            - gammaln(0.5 * df)
-            - 0.5 * self.dim * math.log(df * math.pi)
+            math.lgamma(0.5 * (df + m))
+            - math.lgamma(0.5 * df)
+            - 0.5 * m * math.log(df * math.pi)
             - 0.5 * logdet
         )
-        self._cache = (mun, df, chol, const)
+        self._cache = (mun, df, scale, const)
         return self._cache
 
-    def log_predictive(self, y, x=None) -> float:
-        y = self._as_obs(y)
-        mun, df, chol, const = self._refresh()
-        u = np.linalg.solve(chol, y - mun)
-        q = float(u @ u)
-        return float(const - 0.5 * (df + self.dim) * math.log1p(q / df))
+    def _score(self, y) -> float:
+        mun, df, scale, const = self._refresh()
+        if self.dim == 1:
+            d = float(y[0]) - mun
+            q = d * d / scale
+        else:
+            u = np.linalg.solve(scale, y - mun)
+            q = float(u @ u)
+        return const - 0.5 * (df + self.dim) * math.log1p(q / df)
 
-    def update(self, y, x=None):
+    def log_predictive(self, y, x=None) -> float:
+        return self._score(self._as_obs(y))
+
+    def update(self, y, x=None) -> float:
         y = self._as_obs(y)
+        lp = self._score(y)
         self.n += 1
-        self.sum_y += y
-        self.sum_yy += np.outer(y, y)
+        if self.dim == 1:
+            # elementwise, without the array temporaries of the general form
+            v = float(y[0])
+            self.sum_y[0] += v
+            self.sum_yy[0, 0] += v * v
+        else:
+            self.sum_y += y
+            self.sum_yy += np.outer(y, y)
         self._cache = None
+        return lp
 
     def sample(self, rng):
-        mun, df, chol, _ = self._refresh()
+        mun, df, scale, _ = self._refresh()
         z = rng.standard_normal(self.dim)
         u = rng.chisquare(df)
-        y = mun + (chol @ z) / math.sqrt(u / df)
-        return y if self.dim > 1 else float(y[0])
+        if self.dim == 1:
+            return float(mun + (math.sqrt(scale) * z[0]) / math.sqrt(u / df))
+        return mun + (scale @ z) / math.sqrt(u / df)
 
     def state_dict(self):
         return {
@@ -214,24 +260,29 @@ class HistogramDensity:
 
     def _bin(self, y):
         y = float(np.asarray(y).reshape(()))
+        if not math.isfinite(y):
+            raise BadConfig(f"observation {y!r} is not finite")
         if y < self.edges[0] or y > self.edges[-1]:
             return None
         i = int(np.searchsorted(self.edges, y, side="right") - 1)
         return min(i, self.counts.shape[0] - 1)  # top edge closed
 
-    def log_predictive(self, y, x=None) -> float:
-        i = self._bin(y)
-        if i is None:
-            return -np.inf
+    def _score(self, i) -> float:
         a = self.counts + self.alpha
         width = self.edges[i + 1] - self.edges[i]
         return float(np.log(a[i]) - np.log(a.sum()) - np.log(width))
 
-    def update(self, y, x=None):
+    def log_predictive(self, y, x=None) -> float:
+        i = self._bin(y)
+        return -math.inf if i is None else self._score(i)
+
+    def update(self, y, x=None) -> float:
         i = self._bin(y)
         if i is None:
             raise OutOfSupport(f"{y!r} outside histogram support")
+        lp = self._score(i)
         self.counts[i] += 1.0
+        return lp
 
     def sample(self, rng):
         a = self.counts + self.alpha
@@ -253,10 +304,6 @@ class HistogramDensity:
         return obj
 
 
-def _fresh_node():
-    return {"n": 0, "kids": None, "loglam": 0.0}
-
-
 class BayesTreeDensity:
     """Dyadic tree density on a box.
 
@@ -270,6 +317,16 @@ class BayesTreeDensity:
 
     is cached in log space. Nodes at ``max_depth`` are forced uniform.
     Volumes halve per level, so vol at depth k is vol(root) / 2^k.
+
+    ``_loglam`` is the only statement of that recursion. Scoring,
+    updating and rebuilding from a snapshot all go through it with the
+    same operands in the same order, so they agree bit for bit.
+
+    Nodes live in three flat lists indexed by node id, root at 0:
+    ``_n`` (count), ``_lam`` (cached log value) and ``_kid`` (id of the
+    left child, the right one follows it; 0 for a leaf, since the root
+    is nobody's child). A node per dict would leave tens of thousands
+    of small containers per model for the garbage collector to walk.
     """
 
     def __init__(self, lower, upper, gamma=0.5, branch_pseudo=0.5, max_depth=12):
@@ -285,138 +342,164 @@ class BayesTreeDensity:
         self.gamma = float(gamma)
         self.branch_pseudo = float(branch_pseudo)
         self.max_depth = int(max_depth)
-        self._root = _fresh_node()
-        self._log_vol0 = math.log(self.box.volume())
-        self._log_beta0 = betaln(self.branch_pseudo, self.branch_pseudo)
+        self._n = [0]
+        self._lam = [0.0]
+        self._kid = [0]
+        self._lower = self.box.lower.tolist()
+        self._upper = self.box.upper.tolist()
+        log_vol0 = math.log(self.box.volume())
+        self._log_vol = [log_vol0 - k * math.log(2.0) for k in range(self.max_depth + 1)]
+        self._log_gamma = math.log(self.gamma)
+        self._log_split = math.log1p(-self.gamma)
+        a = self.branch_pseudo
+        self._log_beta0 = 2.0 * math.lgamma(a) - math.lgamma(2.0 * a)
 
-    def _log_vol(self, depth):
-        return self._log_vol0 - depth * math.log(2.0)
+    def _loglam(self, depth, n, nl, left, right):
+        """Log mixture value of a node at ``depth`` that holds n points, nl
+        of them in its left child; ``left`` and ``right`` are the
+        children's log values."""
+        uniform = -n * self._log_vol[depth]
+        if depth == self.max_depth:
+            return uniform
+        a = self.branch_pseudo
+        log_beta = math.lgamma(a + nl) + math.lgamma(a + (n - nl)) - math.lgamma(2.0 * a + n)
+        return logaddexp(
+            self._log_gamma + uniform,
+            self._log_split + log_beta - self._log_beta0 + left + right,
+        )
 
-    def _route(self, y, lo, hi):
-        """Split (lo, hi) in place, return 0 or 1 for the side holding y."""
-        d = int(np.argmax(hi - lo))
-        mid = 0.5 * (lo[d] + hi[d])
-        if y[d] < mid:
-            hi[d] = mid
-            return 0
-        lo[d] = mid
-        return 1
+    @property
+    def log_evidence(self) -> float:
+        """Log marginal density of the points absorbed so far."""
+        return self._lam[0]
+
+    def _split(self, node):
+        """Materialise two empty children of ``node``; returns the left id."""
+        left = len(self._n)
+        self._n += (0, 0)
+        self._lam += (0.0, 0.0)
+        self._kid += (0, 0)
+        self._kid[node] = left
+        return left
+
+    def _path_values(self, y, grow):
+        """Log values of the nodes on y's root to leaf path once y is added.
+
+        Returns ``(nodes, values)``, root first. ``nodes[k]`` is the id
+        of the depth k node, or None below the materialised tree;
+        ``grow`` materialises the path instead. Each node splits the
+        largest side of its box, the lowest dimension on ties, as
+        ``np.argmax`` would.
+        """
+        lo = list(self._lower)
+        hi = list(self._upper)
+        dim = len(lo)
+        counts, lams, kid = self._n, self._lam, self._kid
+        node = 0
+        nodes = [node]
+        steps = []
+        for _ in range(self.max_depth):
+            d = 0
+            if dim > 1:
+                best = hi[0] - lo[0]
+                for i in range(1, dim):
+                    w = hi[i] - lo[i]
+                    if w > best:
+                        d, best = i, w
+            mid = 0.5 * (lo[d] + hi[d])
+            if y[d] < mid:
+                hi[d] = mid
+                side = 0
+            else:
+                lo[d] = mid
+                side = 1
+            left = 0
+            if node is not None:
+                left = kid[node]
+                if not left and grow:
+                    left = self._split(node)
+            steps.append((left, side))
+            node = left + side if left else None
+            nodes.append(node)
+        n = 1 if node is None else counts[node] + 1
+        new = self._loglam(self.max_depth, n, 0, 0.0, 0.0)
+        values = [new]
+        for depth in range(self.max_depth - 1, -1, -1):
+            left, side = steps[depth]
+            node = nodes[depth]
+            n = 1 if node is None else counts[node] + 1
+            nl, other = (counts[left], lams[left + 1 - side]) if left else (0, 0.0)
+            if side == 0:
+                new = self._loglam(depth, n, nl + 1, new, other)
+            else:
+                new = self._loglam(depth, n, nl, other, new)
+            values.append(new)
+        values.reverse()
+        return nodes, values
 
     def _obs(self, y):
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if y.shape != (self.box.dim,):
             raise BadConfig(f"observation has shape {y.shape}, expected ({self.box.dim},)")
+        y = y.tolist()
+        if not all(map(math.isfinite, y)):
+            raise BadConfig(f"observation {y} is not finite")
         return y
 
-    def update(self, y, x=None):
-        y = self._obs(y)
-        if not self.box.contains(y, closed=True):
-            raise OutOfSupport(f"{y!r} outside {self.box!r}")
-        lo = self.box.lower.copy()
-        hi = self.box.upper.copy()
-        node = self._root
-        path = [node]
-        for _ in range(self.max_depth):
-            if node["kids"] is None:
-                node["kids"] = [_fresh_node(), _fresh_node()]
-            node = node["kids"][self._route(y, lo, hi)]
-            path.append(node)
-        for node in path:
-            node["n"] += 1
-        a = self.branch_pseudo
-        for depth in range(self.max_depth, -1, -1):
-            node = path[depth]
-            if depth == self.max_depth:
-                node["loglam"] = -node["n"] * self._log_vol(depth)
-            else:
-                kl, kr = node["kids"]
-                node["loglam"] = np.logaddexp(
-                    math.log(self.gamma) - node["n"] * self._log_vol(depth),
-                    math.log1p(-self.gamma)
-                    + betaln(a + kl["n"], a + kr["n"])
-                    - self._log_beta0
-                    + kl["loglam"]
-                    + kr["loglam"],
-                )
+    def _inside(self, y) -> bool:
+        return all(lo <= v <= hi for lo, v, hi in zip(self._lower, y, self._upper))
 
     def log_predictive(self, y, x=None) -> float:
         y = self._obs(y)
-        if not self.box.contains(y, closed=True):
-            return -np.inf
-        lo = self.box.lower.copy()
-        hi = self.box.upper.copy()
-        # simulate the would-be update and return the evidence ratio
-        node = self._root
-        path = [node]
-        sides = []
-        for _ in range(self.max_depth):
-            kids = None if node is None else node["kids"]
-            side = self._route(y, lo, hi)
-            sides.append(side)
-            node = kids[side] if kids is not None else None
-            path.append(node)
-        a = self.branch_pseudo
-        new = 0.0
-        for depth in range(self.max_depth, -1, -1):
-            node = path[depth]
-            n = 0 if node is None else node["n"]
-            if depth == self.max_depth:
-                new = -(n + 1) * self._log_vol(depth)
-                continue
-            kids = None if node is None else node["kids"]
-            if kids is None:
-                nl = nr = 0
-                other = 0.0
-            else:
-                nl, nr = kids[0]["n"], kids[1]["n"]
-                other = kids[1 - sides[depth]]["loglam"]
-            if sides[depth] == 0:
-                nl += 1
-            else:
-                nr += 1
-            new = np.logaddexp(
-                math.log(self.gamma) - (n + 1) * self._log_vol(depth),
-                math.log1p(-self.gamma)
-                + betaln(a + nl, a + nr)
-                - self._log_beta0
-                + new
-                + other,
-            )
-        return float(new - self._root["loglam"])
+        if not self._inside(y):
+            return -math.inf
+        # the evidence ratio of the would-be update
+        _, values = self._path_values(y, grow=False)
+        return values[0] - self._lam[0]
+
+    def update(self, y, x=None) -> float:
+        y = self._obs(y)
+        if not self._inside(y):
+            raise OutOfSupport(f"{y!r} outside {self.box!r}")
+        old = self._lam[0]
+        nodes, values = self._path_values(y, grow=True)
+        counts, lams = self._n, self._lam
+        for node, value in zip(nodes, values):
+            counts[node] += 1
+            lams[node] = value
+        return values[0] - old
 
     def sample(self, rng):
         lo = self.box.lower.copy()
         hi = self.box.upper.copy()
-        node = self._root
+        node = 0  # None below the materialised tree: an empty node
         a = self.branch_pseudo
         for depth in range(self.max_depth):
-            stop = math.exp(
-                math.log(self.gamma) - node["n"] * self._log_vol(depth) - node["loglam"]
+            n, lam, left = (0, 0.0, 0) if node is None else (
+                self._n[node], self._lam[node], self._kid[node]
             )
+            stop = math.exp(self._log_gamma - n * self._log_vol[depth] - lam)
             if rng.uniform() < min(stop, 1.0):
                 break
-            if node["kids"] is None:
-                p_hi = 0.5
-            else:
-                p_hi = (a + node["kids"][1]["n"]) / (2 * a + node["n"])
+            p_hi = (a + self._n[left + 1]) / (2 * a + n) if left else 0.5
             d = int(np.argmax(hi - lo))
             mid = 0.5 * (lo[d] + hi[d])
             if rng.uniform() < p_hi:
                 lo[d] = mid
-                node = node["kids"][1] if node["kids"] is not None else _fresh_node()
+                node = left + 1 if left else None
             else:
                 hi[d] = mid
-                node = node["kids"][0] if node["kids"] is not None else _fresh_node()
+                node = left if left else None
         y = rng.uniform(lo, hi)
         return y if self.box.dim > 1 else float(y[0])
 
     def _strip(self, node):
-        if node is None or (node["n"] == 0 and node["kids"] is None):
+        n, left = self._n[node], self._kid[node]
+        if n == 0 and not left:
             return None
-        kids = node["kids"]
-        out = {"n": node["n"]}
-        if kids is not None:
-            out["kids"] = [self._strip(kids[0]), self._strip(kids[1])]
+        out = {"n": n}
+        if left:
+            out["kids"] = [self._strip(left), self._strip(left + 1)]
         return out
 
     def state_dict(self):
@@ -427,35 +510,24 @@ class BayesTreeDensity:
             "gamma": self.gamma,
             "branch_pseudo": self.branch_pseudo,
             "max_depth": self.max_depth,
-            "tree": self._strip(self._root),
+            "tree": self._strip(0),
         }
 
-    def _rebuild(self, rec, depth):
-        node = _fresh_node()
+    def _rebuild(self, rec, node, depth):
+        """Fill the empty ``node`` at ``depth`` from its snapshot record."""
         if rec is None:
-            return node
-        node["n"] = int(rec["n"])
-        if "kids" in rec and rec["kids"] is not None:
-            node["kids"] = [
-                self._rebuild(rec["kids"][0], depth + 1),
-                self._rebuild(rec["kids"][1], depth + 1),
-            ]
-        a = self.branch_pseudo
-        if depth == self.max_depth:
-            node["loglam"] = -node["n"] * self._log_vol(depth)
-        elif node["kids"] is None:
-            node["loglam"] = 0.0  # only empty nodes are serialised without kids
-        else:
-            kl, kr = node["kids"]
-            node["loglam"] = np.logaddexp(
-                math.log(self.gamma) - node["n"] * self._log_vol(depth),
-                math.log1p(-self.gamma)
-                + betaln(a + kl["n"], a + kr["n"])
-                - self._log_beta0
-                + kl["loglam"]
-                + kr["loglam"],
-            )
-        return node
+            return
+        self._n[node] = n = int(rec["n"])
+        kids = rec.get("kids")
+        if kids is not None:
+            left = self._split(node)
+            self._rebuild(kids[0], left, depth + 1)
+            self._rebuild(kids[1], left + 1, depth + 1)
+            lams = self._lam
+            lams[node] = self._loglam(depth, n, self._n[left], lams[left], lams[left + 1])
+        elif depth == self.max_depth:
+            self._lam[node] = self._loglam(depth, n, 0, 0.0, 0.0)
+        # else the node is empty: only those are serialised without kids
 
     @classmethod
     def from_state(cls, state):
@@ -466,7 +538,7 @@ class BayesTreeDensity:
             branch_pseudo=state["branch_pseudo"],
             max_depth=state["max_depth"],
         )
-        obj._root = obj._rebuild(state["tree"], 0)
+        obj._rebuild(state["tree"], 0, 0)
         return obj
 
 
@@ -475,8 +547,9 @@ class MixtureLocal:
 
     The weight over components is itself updated by Bayes rule using
     each component's predictive for the incoming observation, then the
-    components update. A component whose predictive is -inf (outside
-    its support) keeps its state and loses all weight on that point.
+    components update. A component that rejects the observation as
+    outside its support keeps its state and loses all weight on that
+    point. ``log_w`` holds the log weights as a list of floats.
     """
 
     def __init__(self, components, log_weights=None):
@@ -485,36 +558,41 @@ class MixtureLocal:
         self.components = list(components)
         k = len(self.components)
         if log_weights is None:
-            self.log_w = np.full(k, -math.log(k))
+            self.log_w = [-math.log(k)] * k
         else:
             lw = np.asarray(log_weights, dtype=float)
             if lw.shape != (k,):
                 raise BadConfig("log_weights length must match components")
-            self.log_w = lw - logsumexp(lw)
+            total = logsumexp(lw.tolist())
+            self.log_w = [v - total for v in lw.tolist()]
         self._warned_skip = False
 
-    def _component_lps(self, y, x):
-        return np.array([c.log_predictive(y, x) for c in self.components])
-
     def log_predictive(self, y, x=None) -> float:
-        return float(logsumexp(self.log_w + self._component_lps(y, x)))
+        return logsumexp(
+            [w + c.log_predictive(y, x) for w, c in zip(self.log_w, self.components)]
+        )
 
-    def update(self, y, x=None):
-        lps = self._component_lps(y, x)
-        joint = self.log_w + lps
+    def update(self, y, x=None) -> float:
+        joint = []
+        skipped = False
+        for w, comp in zip(self.log_w, self.components):
+            try:
+                joint.append(w + comp.update(y, x))
+            except OutOfSupport:
+                # the component raised before changing: it scores -inf
+                joint.append(-math.inf)
+                skipped = True
         total = logsumexp(joint)
-        if not np.isfinite(total):
+        if total == -math.inf:
             raise OutOfSupport(f"{y!r} outside the support of every component")
-        self.log_w = joint - total
-        for comp, lp in zip(self.components, lps):
-            if np.isfinite(lp):
-                comp.update(y, x)
-            elif not self._warned_skip:
-                warnings.warn(
-                    "mixture component skipped an out-of-support observation",
-                    RuntimeWarning,
-                )
-                self._warned_skip = True
+        self.log_w = [j - total for j in joint]
+        if skipped and not self._warned_skip:
+            warnings.warn(
+                "mixture component skipped an out-of-support observation",
+                RuntimeWarning,
+            )
+            self._warned_skip = True
+        return total
 
     def sample(self, rng):
         k = rng.choice(len(self.components), p=np.exp(self.log_w))
@@ -523,7 +601,7 @@ class MixtureLocal:
     def state_dict(self):
         return {
             "kind": "mixture",
-            "log_w": self.log_w.tolist(),
+            "log_w": list(self.log_w),
             "components": [c.state_dict() for c in self.components],
         }
 
@@ -534,7 +612,7 @@ class MixtureLocal:
         # verbatim, not through __init__: renormalising an already
         # normalised vector can move it by an ulp and break bit-exact
         # snapshot resume
-        obj.log_w = np.asarray(state["log_w"], dtype=float)
+        obj.log_w = [float(v) for v in state["log_w"]]
         return obj
 
 

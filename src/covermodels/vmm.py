@@ -81,14 +81,15 @@ class VmmModel:
 
     @property
     def context(self):
-        """The conditioning suffix currently in force."""
+        """The conditioning suffix currently in force: the last depth-1
+        symbols, all the suffix cover ever reads of the history."""
         k = min(len(self.history), self.depth - 1)
         return tuple(self.history[len(self.history) - k:])
 
     def observe(self, symbol) -> float:
         """Score the symbol against the current predictive, then learn it."""
         s = self._check(symbol)
-        lp = self.posterior.absorb(tuple(self.history), s)
+        lp = self.posterior.absorb(self.context, s)
         self.history.append(s)
         return lp
 
@@ -96,7 +97,7 @@ class VmmModel:
         return float(sum(self.observe(s) for s in seq))
 
     def next_symbol_logprobs(self) -> np.ndarray:
-        h = tuple(self.history)
+        h = self.context
         return np.array(
             [self.posterior.predict_logdensity(h, a) for a in range(self.alphabet_size)]
         )
@@ -119,7 +120,7 @@ class VmmModel:
         clone = self.copy()
         out = []
         for _ in range(int(n)):
-            s = clone.posterior.sample_y(tuple(clone.history), rng)
+            s = clone.posterior.sample_y(clone.context, rng)
             clone.observe(int(s))
             out.append(int(s))
         return out

@@ -98,6 +98,37 @@ class TestStreaming:
         assert np.isfinite(model.predict_logdensity(ds.x[0], [1e4]))
 
 
+class TestRejectedInput:
+    """A rejected observation leaves the posterior byte-identical."""
+
+    def test_out_of_support_absorb_changes_nothing(self):
+        model, ds = small_model(components=("tree",))
+        model.fit_stream(ds.x[:50], ds.y[:50])
+        before = model.to_text()
+        with pytest.raises(OutOfSupport):
+            model.absorb(ds.x[0], [model.config.y_upper[0] + 1.0])
+        assert model.to_text() == before
+        assert np.isfinite(model.absorb(ds.x[50], ds.y[50]))
+        assert model.n_obs == 51
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["x", "y"])
+    @pytest.mark.parametrize("components", [("nw",), ("tree",), ("nw", "tree")])
+    def test_non_finite_input_is_rejected(self, components, where, value):
+        model, ds = small_model(n=60, components=components)
+        model.fit_stream(ds.x[:50], ds.y[:50])
+        x, y = ds.x[50].copy(), ds.y[50].copy()
+        (x if where == "x" else y)[0] = value
+        before = model.to_text()
+        with pytest.raises(BadConfig):
+            model.predict_logdensity(x, y)
+        with pytest.raises(BadConfig):
+            model.absorb(x, y)
+        assert model.to_text() == before
+        assert np.isfinite(model.absorb(ds.x[51], ds.y[51]))
+        assert np.isfinite(model.posterior.log_evidence)
+
+
 class TestNormalization:
     @pytest.mark.parametrize("components", [("nw",), ("tree",), ("nw", "tree")])
     def test_conditional_integrates_to_one(self, components):

@@ -1,5 +1,6 @@
 """Conjugate local models against closed forms and quadrature."""
 
+import gc
 import math
 import warnings
 
@@ -168,7 +169,7 @@ class TestBayesTree:
             for p in pts:
                 bt.update(p)
             want = enum_stopped_trees(lo, hi, 0, 3, 0.4, 0.7, pts)
-            got = math.exp(bt._root["loglam"])
+            got = math.exp(bt.log_evidence)
             assert got == pytest.approx(want, rel=1e-10)
             # predictive is the evidence ratio of the enumerations
             q = rng.uniform(lo, hi)
@@ -183,7 +184,17 @@ class TestBayesTree:
         for y in [0.1, 0.2, 0.9, 0.15]:
             total += bt.log_predictive([y])
             bt.update([y])
-        assert total == pytest.approx(bt._root["loglam"], abs=1e-12)
+        assert total == pytest.approx(bt.log_evidence, abs=1e-12)
+
+    def test_growth_adds_no_collector_tracked_objects(self):
+        # a container per node left a trained CDE model with ~40k objects
+        # for every full collection to walk, pauses of tens of ms
+        bt = BayesTreeDensity([0.0, 0.0], [1.0, 1.0], max_depth=8)
+        pts = np.random.default_rng(3).uniform(size=(300, 2))
+        before = len(gc.get_objects())
+        for p in pts:
+            bt.update(p)
+        assert len(gc.get_objects()) - before < 10
 
     def test_normalization_1d(self):
         bt = BayesTreeDensity([0.0], [1.0], max_depth=5)
@@ -298,3 +309,87 @@ class TestMixtureLocal:
     def test_needs_components(self):
         with pytest.raises(BadConfig):
             MixtureLocal([])
+
+
+# One factory and one observation sampler per local model kind. The
+# mixture's tree box is narrower than its data, so some updates take the
+# out-of-support skip path.
+FUSED_CASES = {
+    "dirichlet": (
+        lambda: DirichletMultinomial(3, concentration=0.5),
+        lambda rng: int(rng.integers(3)),
+    ),
+    "histogram": (
+        lambda: HistogramDensity(np.linspace(-2.0, 2.0, 9), concentration=1.0),
+        lambda rng: float(rng.uniform(-2.0, 2.0)),
+    ),
+    "nw-dim1": (
+        lambda: NormalWishart([0.3], kappa0=2.0, nu0=3.0, scale=[[1.5]]),
+        lambda rng: rng.normal(0.5, 1.2, size=1),
+    ),
+    "nw-dim2": (
+        lambda: NormalWishart([0.0, 1.0], kappa0=1.0, nu0=4.0, scale=np.eye(2)),
+        lambda rng: rng.normal(size=2),
+    ),
+    "tree-dim1": (
+        lambda: BayesTreeDensity([0.0], [1.0], max_depth=8),
+        lambda rng: rng.beta(2.0, 5.0, size=1),
+    ),
+    "tree-dim2": (
+        lambda: BayesTreeDensity([0.0, 0.0], [1.0, 2.0], max_depth=8),
+        lambda rng: rng.uniform([0.0, 0.0], [1.0, 2.0]),
+    ),
+    "mixture": (
+        lambda: MixtureLocal(
+            [
+                NormalWishart([0.0], kappa0=1.0, nu0=3.0, scale=[[1.0]]),
+                BayesTreeDensity([-2.0], [2.0], max_depth=6),
+            ]
+        ),
+        lambda rng: rng.normal(0.0, 1.5, size=1),
+    ),
+}
+
+
+class TestFusedUpdate:
+    @pytest.mark.parametrize("kind", sorted(FUSED_CASES))
+    def test_update_returns_the_pre_update_predictive(self, kind):
+        make, draw = FUSED_CASES[kind]
+        model = make()
+        rng = np.random.default_rng(21)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for _ in range(60):
+                y = draw(rng)
+                before = model.log_predictive(y)
+                assert model.update(y) == before
+
+    @pytest.mark.parametrize("kind", ["histogram", "tree-dim1", "mixture"])
+    def test_rejected_update_changes_nothing(self, kind):
+        make, draw = FUSED_CASES[kind]
+        model = make()
+        rng = np.random.default_rng(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for _ in range(20):
+                model.update(draw(rng))
+        before = model.state_dict()
+        with pytest.raises(BadConfig):
+            model.update(float("nan"))
+        if kind != "mixture":  # the normal component supports every y
+            with pytest.raises(OutOfSupport):
+                model.update(50.0)
+        assert model.state_dict() == before
+
+    @pytest.mark.parametrize("upper", [[2.0], [1.0, 2.0]])
+    def test_tree_rebuilt_from_state_is_bit_identical(self, upper):
+        lo = np.zeros(len(upper))
+        bt = BayesTreeDensity(lo, upper, max_depth=10)
+        rng = np.random.default_rng(13)
+        for u in rng.beta(2.0, 5.0, size=(200, len(upper))):
+            bt.update(u * np.asarray(upper))
+        clone = BayesTreeDensity.from_state(bt.state_dict())
+        assert clone.log_evidence == bt.log_evidence
+        axes = [np.linspace(0.0, hi, 9) for hi in upper]
+        for q in np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, len(upper)):
+            assert clone.log_predictive(q) == bt.log_predictive(q)

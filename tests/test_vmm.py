@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from covermodels import CtwOracle, UnknownSymbol, VmmModel, ctw_logprob
+from covermodels import CtwOracle, SuffixTreeCover, UnknownSymbol, VmmModel, ctw_logprob
 
 
 def kt_steps(symbols, assignments):
@@ -167,3 +167,22 @@ class TestSnapshot:
         m2 = VmmModel.from_text(m.to_text())
         probe = [1, 0, 1]
         assert m2.sequence_logprob(probe) == m.sequence_logprob(probe)
+
+
+def test_cover_reads_only_the_context_window(monkeypatch):
+    """Per-symbol cost must not grow with the stream: the suffix cover
+    gets at most depth-1 symbols of history, never the whole stream."""
+    seen = []
+    prepare = SuffixTreeCover.prepare_query
+
+    def spy(self, history):
+        seen.append(len(tuple(history)))
+        return prepare(self, history)
+
+    monkeypatch.setattr(SuffixTreeCover, "prepare_query", spy)
+    m = VmmModel(alphabet_size=2, depth=4)
+    rng = np.random.default_rng(3)
+    m.fit_sequence(rng.integers(2, size=500))
+    m.next_symbol_logprobs()
+    m.generate(5, rng)
+    assert max(seen) == m.depth - 1
