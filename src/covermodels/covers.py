@@ -170,10 +170,14 @@ class CoverSequence:
         return max(c.depth for c in self.contexts.values())
 
     def prepare_query(self, query):
+        """Validate and normalise a raw query. ``match_levels``,
+        ``extend`` and ``observe_and_refine`` take its result, so a
+        caller prepares each query once."""
         return query
 
     def match_levels(self, query):
-        """Matched context ids per depth, contiguous from depth 1."""
+        """Matched context ids per depth, contiguous from depth 1, for a
+        prepared query."""
         raise NotImplementedError
 
     def state_dict(self):
@@ -238,7 +242,7 @@ class KdTreeCover(CoverSequence):
         return path
 
     def match_levels(self, query):
-        return [[cid] for cid in self.descend(self.prepare_query(query))]
+        return [[cid] for cid in self.descend(query)]
 
     def threshold(self, depth) -> float:
         return self.alpha ** depth
@@ -403,8 +407,7 @@ class SuffixTreeCover(CoverSequence):
                 raise UnknownSymbol(s, self.alphabet_size)
         return h
 
-    def match_levels(self, history):
-        h = self.prepare_query(history)
+    def match_levels(self, h):
         levels = [[self.root_id]]
         for k in range(1, min(len(h), self.max_depth - 1) + 1):
             cid = self._by_suffix.get(h[len(h) - k:])
@@ -413,12 +416,11 @@ class SuffixTreeCover(CoverSequence):
             levels.append([cid])
         return levels
 
-    def extend(self, history):
-        """Materialise the suffix chain for ``history``.
+    def extend(self, h):
+        """Materialise the suffix chain for the prepared history ``h``.
 
         Returns ``(path, new_cids)`` where path runs root to deepest.
         """
-        h = self.prepare_query(history)
         path = [self.root_id]
         new = []
         for k in range(1, min(len(h), self.max_depth - 1) + 1):

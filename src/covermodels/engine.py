@@ -59,6 +59,9 @@ from .local import local_from_state
 from .logspace import log1mexp, logaddexp, logsumexp
 
 SNAPSHOT_FORMAT = "covermodels-snapshot"
+# Version 2 stores a tree density's one-point subtrees as singleton
+# leaves, which version-1 readers would take for empty nodes.
+SNAPSHOT_VERSION = 2
 
 
 def parse_depth_weight(spec):
@@ -457,7 +460,7 @@ class CoverModelPosterior:
         """Serialise to a line oriented text snapshot (JSON records)."""
         meta = {
             "format": SNAPSHOT_FORMAT,
-            "version": 1,
+            "version": SNAPSHOT_VERSION,
             "depth_weight": self.depth_weight_spec,
             "grow": self.grow,
             "n_obs": self.n_obs,
@@ -493,7 +496,7 @@ class CoverModelPosterior:
         meta = json.loads(lines[0])
         if meta.get("format") != SNAPSHOT_FORMAT:
             raise BadConfig("not a covermodels snapshot")
-        if meta.get("version") != 1:
+        if meta.get("version") not in (1, SNAPSHOT_VERSION):
             raise BadConfig(f"unsupported snapshot version {meta.get('version')!r}")
         obj = cls.__new__(cls)
         obj.cover = cover_from_state(meta["cover"])

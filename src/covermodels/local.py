@@ -304,8 +304,43 @@ class HistogramDensity:
         return obj
 
 
+_LGAMMA_TABLES: dict = {}
+
+
+def _lgamma_tables(a, n):
+    """Lists of lgamma(a + k) and lgamma(2a + k) for k = 0 .. n at least.
+
+    One pair per branch pseudo-count a, shared by every tree that uses
+    it. A longer pair, twice as long as the last, replaces a pair that
+    is too short instead of extending it, so no tree ever reads a list
+    that another thread is filling.
+    """
+    tables = _LGAMMA_TABLES.get(a)
+    if tables is None or len(tables[0]) <= n:
+        size = max(n + 1, 2 * len(tables[0])) if tables else n + 1
+        tables = (
+            [math.lgamma(a + k) for k in range(size)],
+            [math.lgamma(2.0 * a + k) for k in range(size)],
+        )
+        _LGAMMA_TABLES[a] = tables
+    return tables
+
+
+def _cut(lo, hi):
+    """Split dimension and midpoint of the box [lo, hi]: its largest
+    side, the lowest dimension on ties, as ``np.argmax`` would pick."""
+    d = 0
+    if len(lo) > 1:
+        best = hi[0] - lo[0]
+        for i in range(1, len(lo)):
+            w = hi[i] - lo[i]
+            if w > best:
+                d, best = i, w
+    return d, 0.5 * (lo[d] + hi[d])
+
+
 class BayesTreeDensity:
-    """Dyadic tree density on a box.
+    """Dyadic tree density on a box, an optional Pólya tree.
 
     Every node mixes "points here are uniform on my box" (weight gamma)
     against "split at the midpoint of my largest side and send points
@@ -320,13 +355,30 @@ class BayesTreeDensity:
 
     ``_loglam`` is the only statement of that recursion. Scoring,
     updating and rebuilding from a snapshot all go through it with the
-    same operands in the same order, so they agree bit for bit.
+    same operands in the same order, so they agree bit for bit. Its
+    log-Beta terms come from ``_lgamma_tables``.
 
-    Nodes live in three flat lists indexed by node id, root at 0:
-    ``_n`` (count), ``_lam`` (cached log value) and ``_kid`` (id of the
-    left child, the right one follows it; 0 for a leaf, since the root
-    is nobody's child). A node per dict would leave tens of thousands
-    of small containers per model for the garbage collector to walk.
+    The tree stores only the nodes its points distinguish:
+
+    * An empty node has no children; its value is 0.
+    * A *singleton* is a childless node above ``max_depth`` that holds
+      one point and keeps that point rather than a chain of one-point
+      nodes below it. ``_one[k]``, built from ``_loglam`` at
+      construction, is the value of any depth-k node that holds one
+      point: a singleton, or the empty node a new point lands in.
+    * A second point pushes a singleton's point down one level at a
+      time while the two share a cell, so the chain ends where they
+      part or at ``max_depth``. No point is stored at ``max_depth``.
+      ``log_predictive`` scores the same pair without materialising it
+      (``_join``), with the same operands.
+
+    Nodes live in flat lists indexed by node id, root at 0: ``_n``
+    (count), ``_lam`` (cached log value), ``_kid`` (id of the left
+    child, the right one follows it; 0 for a leaf, since the root is
+    nobody's child) and ``_pt`` (a singleton's point, ``dim`` floats per
+    node). A container per node or per point would leave tens of
+    thousands of small objects per model for the garbage collector to
+    walk.
     """
 
     def __init__(self, lower, upper, gamma=0.5, branch_pseudo=0.5, max_depth=12):
@@ -335,7 +387,7 @@ class BayesTreeDensity:
         self.box = Box(lower, upper)
         if not 0 < gamma < 1:
             raise BadConfig("gamma must be strictly between 0 and 1")
-        if branch_pseudo <= 0:
+        if not branch_pseudo > 0:  # NaN too: it would key its own lgamma tables
             raise BadConfig("branch_pseudo must be positive")
         if max_depth < 0:
             raise BadConfig("max_depth must be nonnegative")
@@ -345,6 +397,8 @@ class BayesTreeDensity:
         self._n = [0]
         self._lam = [0.0]
         self._kid = [0]
+        self._dim = self.box.dim
+        self._pt = [0.0] * self._dim
         self._lower = self.box.lower.tolist()
         self._upper = self.box.upper.tolist()
         log_vol0 = math.log(self.box.volume())
@@ -353,6 +407,14 @@ class BayesTreeDensity:
         self._log_split = math.log1p(-self.gamma)
         a = self.branch_pseudo
         self._log_beta0 = 2.0 * math.lgamma(a) - math.lgamma(2.0 * a)
+        self._lg_a, self._lg_2a = _lgamma_tables(a, 2)
+        # the chain of one point: the same _loglam calls the recursion
+        # makes, since x + 0.0 == 0.0 + x and the two lgamma terms commute
+        one = [self._loglam(self.max_depth, 1, 0, 0.0, 0.0)]
+        for depth in range(self.max_depth - 1, -1, -1):
+            one.append(self._loglam(depth, 1, 1, one[-1], 0.0))
+        one.reverse()
+        self._one = one
 
     def _loglam(self, depth, n, nl, left, right):
         """Log mixture value of a node at ``depth`` that holds n points, nl
@@ -361,8 +423,8 @@ class BayesTreeDensity:
         uniform = -n * self._log_vol[depth]
         if depth == self.max_depth:
             return uniform
-        a = self.branch_pseudo
-        log_beta = math.lgamma(a + nl) + math.lgamma(a + (n - nl)) - math.lgamma(2.0 * a + n)
+        lg_a = self._lg_a
+        log_beta = lg_a[nl] + lg_a[n - nl] - self._lg_2a[n]
         return logaddexp(
             self._log_gamma + uniform,
             self._log_split + log_beta - self._log_beta0 + left + right,
@@ -379,56 +441,71 @@ class BayesTreeDensity:
         self._n += (0, 0)
         self._lam += (0.0, 0.0)
         self._kid += (0, 0)
+        self._pt += (0.0,) * (2 * self._dim)
         self._kid[node] = left
         return left
 
-    def _path_values(self, y, grow):
-        """Log values of the nodes on y's root to leaf path once y is added.
+    def _point(self, node):
+        dim = self._dim
+        return self._pt[node * dim:(node + 1) * dim]
 
-        Returns ``(nodes, values)``, root first. ``nodes[k]`` is the id
-        of the depth k node, or None below the materialised tree;
-        ``grow`` materialises the path instead. Each node splits the
-        largest side of its box, the lowest dimension on ties, as
-        ``np.argmax`` would.
+    def _put(self, node, y):
+        dim = self._dim
+        self._pt[node * dim:(node + 1) * dim] = y
+
+    def _path_values(self, y, grow):
+        """Log values of the materialised nodes on y's path once y is added.
+
+        Returns ``(nodes, values)``, root first. The path ends at
+        ``max_depth``, at an empty node or at a singleton. ``grow``
+        pushes a singleton's point one level down and goes on routing,
+        so the path then ends where y leaves every stored point;
+        without it, ``_join`` scores y and the singleton's point.
         """
         lo = list(self._lower)
         hi = list(self._upper)
-        dim = len(lo)
         counts, lams, kid = self._n, self._lam, self._kid
+        if len(self._lg_2a) <= counts[0] + 1:
+            self._lg_a, self._lg_2a = _lgamma_tables(self.branch_pseudo, counts[0] + 1)
+        max_depth = self.max_depth
         node = 0
         nodes = [node]
         steps = []
-        for _ in range(self.max_depth):
-            d = 0
-            if dim > 1:
-                best = hi[0] - lo[0]
-                for i in range(1, dim):
-                    w = hi[i] - lo[i]
-                    if w > best:
-                        d, best = i, w
-            mid = 0.5 * (lo[d] + hi[d])
+        new = None
+        for depth in range(max_depth):
+            left = kid[node]
+            if not left and counts[node] != 1:
+                break  # empty
+            d, mid = _cut(lo, hi)
+            if not left:  # a singleton
+                p = self._point(node)
+                if not grow:
+                    new = self._join(depth, p, y, lo, hi)
+                    break
+                left = self._split(node)
+                q = left if p[d] < mid else left + 1
+                counts[q] = 1
+                lams[q] = self._one[depth + 1]
+                if depth + 1 < max_depth:
+                    self._put(q, p)
             if y[d] < mid:
                 hi[d] = mid
                 side = 0
             else:
                 lo[d] = mid
                 side = 1
-            left = 0
-            if node is not None:
-                left = kid[node]
-                if not left and grow:
-                    left = self._split(node)
             steps.append((left, side))
-            node = left + side if left else None
+            node = left + side
             nodes.append(node)
-        n = 1 if node is None else counts[node] + 1
-        new = self._loglam(self.max_depth, n, 0, 0.0, 0.0)
+        if new is None:
+            # y alone below an empty node, or at max_depth
+            n = counts[node] + 1
+            new = self._one[len(steps)] if n == 1 else self._loglam(max_depth, n, 0, 0.0, 0.0)
         values = [new]
-        for depth in range(self.max_depth - 1, -1, -1):
+        for depth in range(len(steps) - 1, -1, -1):
             left, side = steps[depth]
-            node = nodes[depth]
-            n = 1 if node is None else counts[node] + 1
-            nl, other = (counts[left], lams[left + 1 - side]) if left else (0, 0.0)
+            n = counts[nodes[depth]] + 1
+            nl, other = counts[left], lams[left + 1 - side]
             if side == 0:
                 new = self._loglam(depth, n, nl + 1, new, other)
             else:
@@ -436,6 +513,38 @@ class BayesTreeDensity:
             values.append(new)
         values.reverse()
         return nodes, values
+
+    def _join(self, depth, p, y, lo, hi):
+        """Log value of the singleton at ``depth`` holding p once y is
+        added; ``lo`` and ``hi`` bound its box and are overwritten.
+
+        p and y share every cell down to the depth where they part,
+        below which each is alone, or down to ``max_depth``.
+        """
+        max_depth = self.max_depth
+        sides = []
+        while depth < max_depth:
+            d, mid = _cut(lo, hi)
+            side = 0 if y[d] < mid else 1
+            if side != (0 if p[d] < mid else 1):
+                one = self._one[depth + 1]
+                new = self._loglam(depth, 2, 1, one, one)
+                break
+            sides.append(side)
+            if side:
+                lo[d] = mid
+            else:
+                hi[d] = mid
+            depth += 1
+        else:
+            new = self._loglam(max_depth, 2, 0, 0.0, 0.0)
+        for side in reversed(sides):
+            depth -= 1
+            if side == 0:
+                new = self._loglam(depth, 2, 2, new, 0.0)
+            else:
+                new = self._loglam(depth, 2, 0, 0.0, new)
+        return new
 
     def _obs(self, y):
         y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -467,39 +576,59 @@ class BayesTreeDensity:
         for node, value in zip(nodes, values):
             counts[node] += 1
             lams[node] = value
+        leaf = nodes[-1]
+        if counts[leaf] == 1 and len(nodes) <= self.max_depth:
+            self._put(leaf, y)  # an empty node turned singleton
         return values[0] - old
 
     def sample(self, rng):
-        lo = self.box.lower.copy()
-        hi = self.box.upper.copy()
+        lo = list(self._lower)
+        hi = list(self._upper)
         node = 0  # None below the materialised tree: an empty node
+        p = None  # a singleton's point, whose one-point chain the walk is on
         a = self.branch_pseudo
         for depth in range(self.max_depth):
-            n, lam, left = (0, 0.0, 0) if node is None else (
-                self._n[node], self._lam[node], self._kid[node]
-            )
+            left = 0
+            if p is not None:
+                n, lam = 1, self._one[depth]
+            elif node is None:
+                n, lam = 0, 0.0
+            else:
+                n, lam, left = self._n[node], self._lam[node], self._kid[node]
+                if n == 1 and not left:
+                    p, node = self._point(node), None
             stop = math.exp(self._log_gamma - n * self._log_vol[depth] - lam)
             if rng.uniform() < min(stop, 1.0):
                 break
-            p_hi = (a + self._n[left + 1]) / (2 * a + n) if left else 0.5
-            d = int(np.argmax(hi - lo))
-            mid = 0.5 * (lo[d] + hi[d])
+            d, mid = _cut(lo, hi)
+            if left:
+                p_hi = (a + self._n[left + 1]) / (2 * a + n)
+            elif p is not None:
+                p_side = 0 if p[d] < mid else 1
+                p_hi = (a + p_side) / (2 * a + n)
+            else:
+                p_hi = 0.5
             if rng.uniform() < p_hi:
                 lo[d] = mid
-                node = left + 1 if left else None
+                side = 1
             else:
                 hi[d] = mid
-                node = left if left else None
+                side = 0
+            node = left + side if left else None
+            if p is not None and side != p_side:
+                p = None
         y = rng.uniform(lo, hi)
         return y if self.box.dim > 1 else float(y[0])
 
-    def _strip(self, node):
+    def _strip(self, node, depth):
         n, left = self._n[node], self._kid[node]
         if n == 0 and not left:
             return None
         out = {"n": n}
         if left:
-            out["kids"] = [self._strip(left), self._strip(left + 1)]
+            out["kids"] = [self._strip(left, depth + 1), self._strip(left + 1, depth + 1)]
+        elif n == 1 and depth < self.max_depth:
+            out["y"] = self._point(node)
         return out
 
     def state_dict(self):
@@ -510,11 +639,16 @@ class BayesTreeDensity:
             "gamma": self.gamma,
             "branch_pseudo": self.branch_pseudo,
             "max_depth": self.max_depth,
-            "tree": self._strip(0),
+            "tree": self._strip(0, 0),
         }
 
     def _rebuild(self, rec, node, depth):
-        """Fill the empty ``node`` at ``depth`` from its snapshot record."""
+        """Fill the empty ``node`` at ``depth`` from its snapshot record.
+
+        Records of trees saved before singleton leaves existed carry a
+        chain of one-point nodes instead of ``"y"``; those load as
+        materialised nodes and score and update the same.
+        """
         if rec is None:
             return
         self._n[node] = n = int(rec["n"])
@@ -527,7 +661,11 @@ class BayesTreeDensity:
             lams[node] = self._loglam(depth, n, self._n[left], lams[left], lams[left + 1])
         elif depth == self.max_depth:
             self._lam[node] = self._loglam(depth, n, 0, 0.0, 0.0)
-        # else the node is empty: only those are serialised without kids
+        elif n == 1 and "y" in rec:
+            self._put(node, [float(v) for v in rec["y"]])
+            self._lam[node] = self._one[depth]
+        else:
+            raise BadConfig(f"tree node at depth {depth} holds {n} points and no children")
 
     @classmethod
     def from_state(cls, state):
@@ -538,6 +676,8 @@ class BayesTreeDensity:
             branch_pseudo=state["branch_pseudo"],
             max_depth=state["max_depth"],
         )
+        if state["tree"] is not None:
+            obj._lg_a, obj._lg_2a = _lgamma_tables(obj.branch_pseudo, int(state["tree"]["n"]))
         obj._rebuild(state["tree"], 0, 0)
         return obj
 

@@ -185,5 +185,5 @@ class VmmMethod:
     def holdout_loglik(self, x, y):
         seq = [int(v) for v in np.asarray(y, dtype=float).reshape(-1)]
         clone = self.model.copy()
-        clone.history = []
+        clone.history.clear()
         return np.array([clone.observe(s) for s in seq])

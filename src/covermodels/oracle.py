@@ -86,7 +86,7 @@ class ExactEnumerator:
     def _blocks(self, data):
         blocks = {cid: [] for cid in self.cover.contexts}
         for x, y in data:
-            for lvl in self.cover.match_levels(x):
+            for lvl in self.cover.match_levels(self.cover.prepare_query(x)):
                 for cid in lvl:
                     blocks[cid].append((x, y))
         return blocks
@@ -107,7 +107,7 @@ class ExactEnumerator:
         """Posterior predictive log density of y at x given data."""
         blocks, logm, scored = self._scores(data)
         on_path = set()
-        for lvl in self.cover.match_levels(x):
+        for lvl in self.cover.match_levels(self.cover.prepare_query(x)):
             on_path.update(lvl)
         num = []
         den = []

@@ -16,6 +16,7 @@ check each other.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 from scipy.special import logsumexp
@@ -71,7 +72,9 @@ class VmmModel:
         self.posterior = CoverModelPosterior(
             cover, factory, depth_weight=f"const:{self.stop_weight!r}"
         )
-        self.history: list[int] = []
+        # only the last depth-1 symbols are ever read
+        self.history: deque = deque(maxlen=self.depth - 1)
+        self.n_seen = 0
 
     def _check(self, symbol) -> int:
         s = int(symbol)
@@ -83,14 +86,14 @@ class VmmModel:
     def context(self):
         """The conditioning suffix currently in force: the last depth-1
         symbols, all the suffix cover ever reads of the history."""
-        k = min(len(self.history), self.depth - 1)
-        return tuple(self.history[len(self.history) - k:])
+        return tuple(self.history)
 
     def observe(self, symbol) -> float:
         """Score the symbol against the current predictive, then learn it."""
         s = self._check(symbol)
         lp = self.posterior.absorb(self.context, s)
         self.history.append(s)
+        self.n_seen += 1
         return lp
 
     def fit_sequence(self, seq) -> float:
@@ -107,7 +110,7 @@ class VmmModel:
         posterior, starting from an empty conditioning history. Does
         not mutate the model."""
         clone = self.copy()
-        clone.history = []
+        clone.history.clear()
         return clone.fit_sequence(seq)
 
     def generate(self, n, rng) -> list:
@@ -135,15 +138,14 @@ class VmmModel:
     def to_text(self) -> str:
         import json
 
-        keep = self.depth - 1
         meta = {
             "kind": "vmm",
             "alphabet_size": self.alphabet_size,
             "depth": self.depth,
             "concentration": self.concentration,
             "stop_weight": self.stop_weight,
-            "history_tail": self.history[len(self.history) - keep:] if keep else [],
-            "n_seen": len(self.history),
+            "history_tail": list(self.history),
+            "n_seen": self.n_seen,
         }
         return json.dumps(meta, sort_keys=True) + "\n" + self.posterior.to_text()
 
@@ -167,7 +169,8 @@ class VmmModel:
             return DirichletMultinomial(n, conc)
 
         obj.posterior = CoverModelPosterior.from_text(rest, factory)
-        obj.history = [int(s) for s in meta["history_tail"]]
+        obj.history = deque((int(s) for s in meta["history_tail"]), maxlen=obj.depth - 1)
+        obj.n_seen = int(meta["n_seen"])
         return obj
 
 

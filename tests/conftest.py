@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from hypothesis import settings
 from scipy.special import betaln
 
 from covermodels import (
@@ -15,6 +16,14 @@ from covermodels import (
     dirichlet_block_marginal,
     histogram_block_marginal,
 )
+
+# Property tests draw the same examples on every run and are not timed
+# per example, so they cannot flake on a loaded host; no example
+# database is written.
+settings.register_profile(
+    "covermodels", derandomize=True, deadline=None, max_examples=50, database=None
+)
+settings.load_profile("covermodels")
 
 
 def random_static_tree(rng, max_extra_splits=6, dim=None, depth_cap=3):

@@ -1,5 +1,6 @@
 """Posterior engine against brute-force enumeration over stopped covers."""
 
+import json
 import math
 
 import numpy as np
@@ -168,6 +169,26 @@ class TestSnapshot:
             assert clone.absorb(x, y) == post.absorb(x, y)
         xq = rng.uniform(0, 1, size=1)
         assert clone.predict_logdensity(xq, 0) == post.predict_logdensity(xq, 0)
+
+    def test_reads_version_1_and_refuses_newer(self):
+        rng = np.random.default_rng(4)
+        cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0, max_depth=6)
+        factory = lambda depth, region: DirichletMultinomial(2, 0.5)
+        post = CoverModelPosterior(cov, factory, depth_weight="2^-k", grow=True)
+        for _ in range(20):
+            post.absorb(rng.uniform(0, 1, size=1), int(rng.integers(2)))
+        text = post.to_text()
+        meta, _, rest = text.partition("\n")
+        assert json.loads(meta)["version"] == 2
+        # no tree density here, so the records read the same in version 1
+        for version, ok in ((1, True), (3, False)):
+            old = json.dumps({**json.loads(meta), "version": version}, sort_keys=True)
+            if ok:
+                clone = CoverModelPosterior.from_text(old + "\n" + rest, factory)
+                assert clone.to_text() == text
+            else:
+                with pytest.raises(BadConfig):
+                    CoverModelPosterior.from_text(old + "\n" + rest, factory)
 
     def test_snapshot_is_plain_text(self):
         rng = np.random.default_rng(1)

@@ -12,6 +12,7 @@ from conftest import enum_stopped_trees
 from covermodels import (
     BadConfig,
     BayesTreeDensity,
+    Box,
     DirichletMultinomial,
     HistogramDensity,
     MixtureLocal,
@@ -20,6 +21,7 @@ from covermodels import (
     UnknownSymbol,
     local_from_state,
 )
+from covermodels.logspace import logaddexp
 
 
 class TestDirichletMultinomial:
@@ -211,6 +213,11 @@ class TestBayesTree:
         with pytest.raises(OutOfSupport):
             bt.update([-0.1])
 
+    @pytest.mark.parametrize("kw", [{"branch_pseudo": math.nan}, {"gamma": math.nan}])
+    def test_rejects_nan_parameters(self, kw):
+        with pytest.raises(BadConfig):
+            BayesTreeDensity([0.0], [1.0], **kw)
+
     def test_max_depth_zero_is_plain_uniform(self):
         bt = BayesTreeDensity([0.0], [4.0], max_depth=0)
         for y in [0.1, 3.9, 2.0]:
@@ -393,3 +400,195 @@ class TestFusedUpdate:
         axes = [np.linspace(0.0, hi, 9) for hi in upper]
         for q in np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, len(upper)):
             assert clone.log_predictive(q) == bt.log_predictive(q)
+
+
+class MaterialisedTree:
+    """The tree density as it was before singleton leaves, kept as a
+    reference: every point materialises its whole chain of nodes down
+    to max_depth, every node routes by its own box with ``np.argmax``,
+    and ``math.lgamma`` is called at every node. Nodes are dicts."""
+
+    def __init__(self, lower, upper, gamma=0.5, branch_pseudo=0.5, max_depth=12):
+        box = Box(lower, upper)
+        self.lower, self.upper = box.lower.tolist(), box.upper.tolist()
+        self.gamma, self.a, self.max_depth = float(gamma), float(branch_pseudo), max_depth
+        log_vol0 = math.log(box.volume())
+        self.log_vol = [log_vol0 - k * math.log(2.0) for k in range(max_depth + 1)]
+        self.log_gamma = math.log(self.gamma)
+        self.log_split = math.log1p(-self.gamma)
+        self.log_beta0 = 2.0 * math.lgamma(self.a) - math.lgamma(2.0 * self.a)
+        self.root = {"n": 0, "lam": 0.0, "kids": None}
+
+    def _loglam(self, depth, n, nl, left, right):
+        uniform = -n * self.log_vol[depth]
+        if depth == self.max_depth:
+            return uniform
+        a = self.a
+        log_beta = math.lgamma(a + nl) + math.lgamma(a + (n - nl)) - math.lgamma(2.0 * a + n)
+        return logaddexp(
+            self.log_gamma + uniform,
+            self.log_split + log_beta - self.log_beta0 + left + right,
+        )
+
+    def _value(self, node, depth, lo, hi, y, grow):
+        """Log value of ``node`` (None: not materialised) with y added;
+        ``grow`` adds y to the nodes on its path."""
+        n = (node["n"] if node else 0) + 1
+        if depth == self.max_depth:
+            value = self._loglam(depth, n, 0, 0.0, 0.0)
+        else:
+            d = int(np.argmax(np.subtract(hi, lo)))
+            mid = 0.5 * (lo[d] + hi[d])
+            side = 0 if y[d] < mid else 1
+            lo, hi = list(lo), list(hi)
+            (lo if side else hi)[d] = mid
+            if grow and node["kids"] is None:
+                node["kids"] = [{"n": 0, "lam": 0.0, "kids": None} for _ in range(2)]
+            kids = node["kids"] if node else None
+            nl, other = (kids[0]["n"], kids[1 - side]["lam"]) if kids else (0, 0.0)
+            new = self._value(kids[side] if kids else None, depth + 1, lo, hi, y, grow)
+            if side == 0:
+                value = self._loglam(depth, n, nl + 1, new, other)
+            else:
+                value = self._loglam(depth, n, nl, other, new)
+        if grow:
+            node["n"], node["lam"] = n, value
+        return value
+
+    @property
+    def log_evidence(self):
+        return self.root["lam"]
+
+    def log_predictive(self, y):
+        return self._value(self.root, 0, self.lower, self.upper, list(y), False) - self.root["lam"]
+
+    def update(self, y):
+        old = self.root["lam"]
+        return self._value(self.root, 0, self.lower, self.upper, list(y), True) - old
+
+    def sample(self, rng):
+        lo, hi = np.array(self.lower), np.array(self.upper)
+        node = self.root
+        for depth in range(self.max_depth):
+            n, lam = (node["n"], node["lam"]) if node else (0, 0.0)
+            stop = math.exp(self.log_gamma - n * self.log_vol[depth] - lam)
+            if rng.uniform() < min(stop, 1.0):
+                break
+            kids = node["kids"] if node else None
+            p_hi = (self.a + kids[1]["n"]) / (2 * self.a + n) if kids else 0.5
+            d = int(np.argmax(hi - lo))
+            mid = 0.5 * (lo[d] + hi[d])
+            side = int(rng.uniform() < p_hi)
+            (lo if side else hi)[d] = mid
+            node = kids[side] if kids else None
+        y = rng.uniform(lo, hi)
+        return y if len(lo) > 1 else float(y[0])
+
+    def _strip(self, node):
+        if node is None or (node["n"] == 0 and node["kids"] is None):
+            return None
+        out = {"n": node["n"]}
+        if node["kids"]:
+            out["kids"] = [self._strip(k) for k in node["kids"]]
+        return out
+
+    def state_dict(self):
+        return {
+            "kind": "bayes_tree",
+            "lower": self.lower,
+            "upper": self.upper,
+            "gamma": self.gamma,
+            "branch_pseudo": self.a,
+            "max_depth": self.max_depth,
+            "tree": self._strip(self.root),
+        }
+
+
+def tree_points(rng, lo, hi, n):
+    """n points in the box [lo, hi]: uniform ones, repeats of earlier
+    ones, points on the box's faces and on dyadic split midpoints."""
+    out = []
+    for _ in range(n):
+        kind = rng.integers(4)
+        if kind == 1 and out:
+            y = out[int(rng.integers(len(out)))]
+        elif kind == 2:
+            y = rng.uniform(lo, hi)
+            k = int(rng.integers(len(lo)))
+            y[k] = (lo, hi)[int(rng.integers(2))][k]
+        elif kind == 3:
+            levels = 2 ** rng.integers(1, 6, size=len(lo))
+            y = lo + (hi - lo) * rng.integers(0, levels + 1) / levels
+        else:
+            y = rng.uniform(lo, hi)
+        out.append(np.array(y, dtype=float))
+    return out
+
+
+DIFF_CASES = [(dim, depth) for dim in (1, 2, 3) for depth in (0, 1, 3, 12)]
+
+
+def tree_pair(dim, max_depth, seed):
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-2.0, 0.0, size=dim)
+    hi = lo + rng.uniform(0.5, 3.0, size=dim)
+    kw = dict(gamma=float(rng.uniform(0.2, 0.8)), branch_pseudo=0.7, max_depth=max_depth)
+    return rng, lo, hi, MaterialisedTree(lo, hi, **kw), BayesTreeDensity(lo, hi, **kw)
+
+
+class TestTreeAgainstMaterialised:
+    """Singleton leaves, the one-point table and the lgamma tables change
+    how the tree stores and computes, never a value: every comparison is
+    ``==``."""
+
+    @pytest.mark.parametrize("dim,max_depth", DIFF_CASES)
+    def test_updates_and_predictives_are_identical(self, dim, max_depth):
+        rng, lo, hi, ref, bt = tree_pair(dim, max_depth, 100 * dim + max_depth)
+        queries = tree_points(rng, lo, hi, 150)
+        for y, q in zip(tree_points(rng, lo, hi, 150), queries):
+            assert bt.log_predictive(q) == ref.log_predictive(q)
+            assert bt.update(y) == ref.update(y)
+        assert bt.log_evidence == ref.log_evidence
+
+    @pytest.mark.parametrize("dim,max_depth", DIFF_CASES)
+    def test_samples_are_identical(self, dim, max_depth):
+        rng, lo, hi, ref, bt = tree_pair(dim, max_depth, 7 + dim + max_depth)
+        for y in tree_points(rng, lo, hi, 40):
+            ref.update(y)
+            bt.update(y)
+        draws_ref, draws_bt = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(200):
+            assert np.array_equal(bt.sample(draws_bt), ref.sample(draws_ref))
+
+    @pytest.mark.parametrize("dim,max_depth", DIFF_CASES)
+    def test_state_round_trip_is_bit_identical(self, dim, max_depth):
+        rng, lo, hi, ref, bt = tree_pair(dim, max_depth, 31 * dim + max_depth)
+        for y in tree_points(rng, lo, hi, 80):
+            bt.update(y)
+        clone = local_from_state(bt.state_dict())
+        assert clone.state_dict() == bt.state_dict()
+        assert clone.log_evidence == bt.log_evidence
+        for y in tree_points(rng, lo, hi, 60):
+            assert clone.log_predictive(y) == bt.log_predictive(y)
+            assert clone.update(y) == bt.update(y)
+
+    @pytest.mark.parametrize("dim,max_depth", DIFF_CASES)
+    def test_materialised_snapshots_load_and_keep_updating(self, dim, max_depth):
+        rng, lo, hi, ref, _ = tree_pair(dim, max_depth, 17 * dim + max_depth)
+        for y in tree_points(rng, lo, hi, 80):
+            ref.update(y)
+        bt = local_from_state(ref.state_dict())
+        assert bt.log_evidence == ref.log_evidence
+        for y in tree_points(rng, lo, hi, 60):
+            assert bt.log_predictive(y) == ref.log_predictive(y)
+            assert bt.update(y) == ref.update(y)
+
+    def test_nodes_follow_what_points_distinguish(self):
+        bt = BayesTreeDensity([0.0], [1.0], max_depth=12)
+        bt.update([0.3])
+        assert len(bt._n) == 1  # the root keeps the point
+        bt.update([0.8])  # parts from 0.3 at the root
+        assert len(bt._n) == 3
+        bt.update([0.8])  # a duplicate shares every cell down to max_depth
+        assert len(bt._n) == 3 + 2 * 11
+        assert bt.state_dict()["tree"]["kids"][0] == {"n": 1, "y": [0.3]}

@@ -1,5 +1,6 @@
 """Suffix-context sequence model against hand values and a reference mixer."""
 
+import json
 import math
 
 import numpy as np
@@ -167,6 +168,24 @@ class TestSnapshot:
         m2 = VmmModel.from_text(m.to_text())
         probe = [1, 0, 1]
         assert m2.sequence_logprob(probe) == m.sequence_logprob(probe)
+
+    def test_symbol_count_survives_save_load_save(self):
+        m = VmmModel(alphabet_size=2, depth=4)
+        m.fit_sequence(np.random.default_rng(8).integers(2, size=100))
+        text = m.to_text()
+        assert json.loads(text.partition("\n")[0])["n_seen"] == 100
+        m2 = VmmModel.from_text(text)
+        assert m2.n_seen == 100
+        assert m2.to_text() == text
+
+
+def test_history_keeps_only_the_context_window():
+    m = VmmModel(alphabet_size=3, depth=4)
+    seq = np.random.default_rng(6).integers(3, size=500).tolist()
+    m.fit_sequence(seq)
+    assert len(m.history) <= m.depth - 1
+    assert m.context == tuple(seq[-3:])
+    assert m.n_seen == 500
 
 
 def test_cover_reads_only_the_context_window(monkeypatch):
