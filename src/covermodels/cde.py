@@ -50,6 +50,14 @@ class CdeConfig:
     nw_scale: float = 1.0
     mixture_weights: list | None = None
 
+    def __post_init__(self):
+        # bounds given as arrays or tuples become the plain lists that a
+        # snapshot's JSON header can hold
+        for name in ("x_lower", "x_upper", "y_lower", "y_upper"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, list):
+                setattr(self, name, [float(v) for v in value])
+
     def validate(self):
         if self.alpha <= 1.0:
             raise BadConfig("alpha must exceed 1")
@@ -181,24 +189,23 @@ class CdeModel:
     @classmethod
     def from_text(cls, text) -> "CdeModel":
         head, _, rest = text.partition("\n")
-        meta = json.loads(head)
-        if meta.get("kind") != "cde":
-            raise BadConfig("not a cde snapshot")
-        cfg = dict(meta["config"])
-        cfg["components"] = tuple(cfg["components"])
+        try:
+            meta = json.loads(head)
+            if meta.get("kind") != "cde":
+                raise BadConfig("not a cde snapshot")
+            cfg = dict(meta["config"])
+            cfg["components"] = tuple(cfg["components"])
+            config = CdeConfig(**cfg)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BadConfig(f"malformed cde snapshot header: {exc!r}") from exc
         obj = cls.__new__(cls)
-        obj.config = CdeConfig(**cfg).validate()
+        obj.config = config.validate()
         obj.posterior = CoverModelPosterior.from_text(rest, obj._make_local)
+        if not isinstance(obj.posterior.cover, KdTreeCover):
+            raise BadConfig("a cde snapshot must hold a kd cover")
         return obj
 
 
 def new_cde(x_lower, x_upper, y_lower=None, y_upper=None, **kw) -> CdeModel:
-    return CdeModel(
-        CdeConfig(
-            x_lower=list(x_lower),
-            x_upper=list(x_upper),
-            y_lower=None if y_lower is None else list(y_lower),
-            y_upper=None if y_upper is None else list(y_upper),
-            **kw,
-        )
-    )
+    """``CdeModel(CdeConfig(...))`` with the bounds as positional arguments."""
+    return CdeModel(CdeConfig(x_lower, x_upper, y_lower, y_upper, **kw))

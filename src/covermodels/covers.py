@@ -255,16 +255,20 @@ class KdTreeCover(CoverSequence):
         """Number of split levels below the root."""
         return self.deepest_depth - 1
 
-    def observe_and_refine(self, x, y):
+    def observe_and_refine(self, x, y, leaf=None):
         """Buffer (x, y) at the containing leaf, splitting as needed.
 
-        ``x`` must already be prepared. Returns the list of split
-        events in creation order; each event is ``(parent_cid,
-        [(child_cid, block), (child_cid, block)])`` where block lists
-        the (x, y) pairs that fell inside that child, oldest first.
+        ``x`` must already be prepared; ``leaf``, when given, is the
+        leaf it descends to, the last context ``match_levels`` returned
+        for it. Returns the list of split events in creation order; each
+        event is ``(parent_cid, [(child_cid, block), (child_cid,
+        block)])`` where block lists the (x, y) pairs that fell inside
+        that child, oldest first.
         """
-        leaf = self.descend(x)[-1]
-        self._buffer[leaf].append((x, np.asarray(y, dtype=float).reshape(-1)))
+        if leaf is None:
+            leaf = self.descend(x)[-1]
+        # copies: the caller may reuse the arrays it passed
+        self._buffer[leaf].append((x.copy(), np.array(y, dtype=float).reshape(-1)))
         events = []
         self._maybe_split(leaf, events)
         return events
@@ -314,24 +318,36 @@ class KdTreeCover(CoverSequence):
         self._buffer[hi.cid] = [(xx, yy) for xx, yy in buf if xx[d] >= mid]
         return lo.cid, hi.cid
 
+    def points_under(self):
+        """Number of buffered points in the leaves under each context."""
+        under = {}
+        for cid in sorted(self.contexts, reverse=True):  # children first
+            sp = self._split.get(cid)
+            under[cid] = len(self._buffer[cid]) if sp is None else under[sp[2]] + under[sp[3]]
+        return under
+
     def state_dict(self):
-        ctxs = []
-        for c in self.contexts.values():
-            sp = self._split.get(c.cid)
-            ctxs.append(
-                {
-                    "cid": c.cid,
-                    "depth": c.depth,
-                    "lower": c.region.lower.tolist(),
-                    "upper": c.region.upper.tolist(),
-                    "parents": list(c.parent_ids),
-                    "split": list(sp) if sp is not None else None,
-                }
-            )
-        buffers = {
-            str(cid): [[x.tolist(), y.tolist()] for x, y in buf]
-            for cid, buf in self._buffer.items()
-        }
+        """Split records and flat leaf buffers; the contexts' boxes,
+        depths and parents follow from the root box.
+
+        ``splits`` lists ``[cid, dim, mid]`` in the order the splits
+        happened, so the i-th split made contexts 2i+1 and 2i+2.
+        ``buffers`` maps each leaf to one float list holding every
+        buffered pair, oldest first, as x's floats then ``y_dim`` y
+        floats.
+        """
+        y_dim = 0
+        buffers = {}
+        for cid, buf in self._buffer.items():
+            flat = []
+            for x, y in buf:
+                if not y_dim:
+                    y_dim = len(y)
+                if len(y) != y_dim:
+                    raise BadConfig("buffered y values differ in length")
+                flat += x.tolist()
+                flat += y.tolist()
+            buffers[str(cid)] = flat
         return {
             "kind": "kdtree",
             "alpha": self.alpha,
@@ -339,40 +355,89 @@ class KdTreeCover(CoverSequence):
             "on_outside": self.on_outside,
             "root_lower": self.root_box.lower.tolist(),
             "root_upper": self.root_box.upper.tolist(),
-            "next_cid": self._next_cid,
-            "root_id": self.root_id,
-            "contexts": ctxs,
+            "splits": [[cid, d, mid] for cid, (d, mid, _, _) in self._split.items()],
+            "y_dim": y_dim,
             "buffers": buffers,
         }
 
     @classmethod
     def from_state(cls, state):
-        cover = cls.__new__(cls)
-        CoverSequence.__init__(cover)
-        cover.alpha = float(state["alpha"])
-        cover.max_depth = int(state["max_depth"])
-        cover.on_outside = state["on_outside"]
-        cover.root_box = Box(state["root_lower"], state["root_upper"])
-        cover.root_id = state["root_id"]
-        cover._split = {}
+        """Rebuild from ``state_dict``, or from the context records of
+        snapshot versions 1 and 2.
+
+        Raises ``BadConfig`` unless every split record splits a leaf
+        above ``max_depth`` at ``Box.split_largest`` of its box, every
+        leaf and only leaves have a buffer, and every buffered x lies in
+        its leaf's box.
+        """
+        if "contexts" in state:
+            state = _kd_state_from_records(state)
+        cover = cls(
+            Box(state["root_lower"], state["root_upper"]),
+            alpha=float(state["alpha"]),
+            max_depth=int(state["max_depth"]),
+            on_outside=state["on_outside"],
+        )
+        for rec in state["splits"]:
+            if len(rec) != 3:
+                raise BadConfig(f"split record {rec} is not [cid, dim, mid]")
+            cid, d, mid = rec
+            ctx = cover.contexts.get(cid)
+            if ctx is None or cid in cover._split or ctx.depth >= cover.max_depth:
+                raise BadConfig(f"split record {rec} names no splittable leaf")
+            try:
+                d0, mid0, (box_lo, box_hi) = ctx.region.split_largest()
+            except BadConfig:
+                raise BadConfig(f"split record {rec} splits a box too thin to split") from None
+            if d != d0 or mid != mid0:
+                raise BadConfig(f"split record {rec} differs from its box's {[cid, d0, mid0]}")
+            lo = cover._new_context(ctx.depth + 1, box_lo, (cid,))
+            hi = cover._new_context(ctx.depth + 1, box_hi, (cid,))
+            cover._split[cid] = (d0, mid0, lo.cid, hi.cid)
+        top = cover.root_box.upper.tolist()
+        dim = len(top)
+        y_dim = int(state["y_dim"])
+        if y_dim < 0:
+            raise BadConfig("y_dim must be nonnegative")
+        width = dim + y_dim
+        buffers = state["buffers"]
+        if len(buffers) != len(cover.contexts) - len(cover._split):
+            raise BadConfig("buffers must be given for the leaves and only for them")
         cover._buffer = {}
-        for rec in state["contexts"]:
-            ctx = Context(
-                rec["cid"], rec["depth"], Box(rec["lower"], rec["upper"]), rec["parents"]
-            )
-            cover.contexts[ctx.cid] = ctx
-            if rec["split"] is not None:
-                d, mid, lo, hi = rec["split"]
-                cover._split[ctx.cid] = (int(d), float(mid), int(lo), int(hi))
-        for ctx in cover.contexts.values():
-            for p in ctx.parent_ids:
-                cover.contexts[p].child_ids.append(ctx.cid)
-        for key, buf in state["buffers"].items():
-            cover._buffer[int(key)] = [
-                (np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in buf
-            ]
-        cover._next_cid = int(state["next_cid"])
+        for key, flat in buffers.items():
+            cid = int(key)
+            if cid not in cover.contexts or cid in cover._split:
+                raise BadConfig(f"buffer for context {key}, which is not a leaf")
+            if len(flat) % width:
+                raise BadConfig(f"buffer of leaf {key} does not hold whole points")
+            box = cover.contexts[cid].region
+            lower, upper = box.lower.tolist(), box.upper.tolist()
+            buf = []
+            for i in range(0, len(flat), width):
+                x = flat[i:i + dim]
+                # half open, closed on the root box's upper faces
+                for lo, v, hi, t in zip(lower, x, upper, top):
+                    if not (lo <= v < hi or v == hi == t):
+                        raise BadConfig(f"buffered x {x} outside its leaf {box!r}")
+                buf.append((np.array(x), np.array(flat[i + dim:i + width])))
+            cover._buffer[cid] = buf
         return cover
+
+
+def _kd_state_from_records(state):
+    """Version-3 kd cover state from the context records and
+    ``[[x, y], ...]`` buffers of snapshot versions 1 and 2."""
+    recs = [rec for rec in state["contexts"] if rec["split"] is not None]
+    recs.sort(key=lambda rec: rec["split"][2])  # lo ids grow in the order splits happened
+    if [rec["split"][2:] for rec in recs] != [[2 * i + 1, 2 * i + 2] for i in range(len(recs))]:
+        raise BadConfig("kd context ids do not follow the order of the splits")
+    y_dims = {len(y) for buf in state["buffers"].values() for _, y in buf}
+    return {
+        **state,
+        "splits": [[rec["cid"], *rec["split"][:2]] for rec in recs],
+        "y_dim": y_dims.pop() if len(y_dims) == 1 else 0,
+        "buffers": {k: [v for x, y in buf for v in x + y] for k, buf in state["buffers"].items()},
+    }
 
 
 class SuffixTreeCover(CoverSequence):
@@ -435,41 +500,47 @@ class SuffixTreeCover(CoverSequence):
         return path, new
 
     def state_dict(self):
-        ctxs = [
-            {
-                "cid": c.cid,
-                "depth": c.depth,
-                "suffix": list(c.region.suffix),
-                "parents": list(c.parent_ids),
-            }
-            for c in self.contexts.values()
-        ]
+        """The suffix of every context in id order, root first; depths
+        and parents follow from the suffixes."""
         return {
             "kind": "suffix",
             "alphabet_size": self.alphabet_size,
             "max_depth": self.max_depth,
-            "next_cid": self._next_cid,
-            "root_id": self.root_id,
-            "contexts": ctxs,
+            "suffixes": [list(c.region.suffix) for c in self.contexts.values()],
         }
 
     @classmethod
     def from_state(cls, state):
-        cover = cls.__new__(cls)
-        CoverSequence.__init__(cover)
-        cover.alphabet_size = int(state["alphabet_size"])
-        cover.max_depth = int(state["max_depth"])
-        cover.root_id = state["root_id"]
-        cover._by_suffix = {}
-        for rec in state["contexts"]:
-            region = SuffixRegion(rec["suffix"])
-            ctx = Context(rec["cid"], rec["depth"], region, rec["parents"])
-            cover.contexts[ctx.cid] = ctx
-            cover._by_suffix[region.suffix] = ctx.cid
-        for ctx in cover.contexts.values():
-            for p in ctx.parent_ids:
-                cover.contexts[p].child_ids.append(ctx.cid)
-        cover._next_cid = int(state["next_cid"])
+        """Rebuild from ``state_dict``, or from the context records of
+        snapshot versions 1 and 2.
+
+        Raises ``BadConfig`` unless the root comes first, and every
+        other suffix is new, shorter than ``max_depth``, over the
+        alphabet, and follows its parent (the suffix without its
+        oldest symbol).
+        """
+        if "contexts" in state:
+            recs = sorted(state["contexts"], key=lambda rec: rec["cid"])
+            if [rec["cid"] for rec in recs] != list(range(len(recs))):
+                raise BadConfig("suffix context ids must run from 0 without gaps")
+            state = {**state, "suffixes": [rec["suffix"] for rec in recs]}
+        cover = cls(int(state["alphabet_size"]), int(state["max_depth"]))
+        suffixes = state["suffixes"]
+        if not suffixes or suffixes[0]:
+            raise BadConfig("the first suffix context must be the root")
+        for suffix in suffixes[1:]:
+            region = SuffixRegion(suffix)
+            suffix = region.suffix
+            parent = cover._by_suffix.get(suffix[1:])
+            if (
+                parent is None
+                or suffix in cover._by_suffix
+                or len(suffix) >= cover.max_depth
+                or not all(0 <= s < cover.alphabet_size for s in suffix)
+            ):
+                raise BadConfig(f"suffix context {list(suffix)} cannot follow the ones before it")
+            ctx = cover._new_context(len(suffix) + 1, region, (parent,))
+            cover._by_suffix[suffix] = ctx.cid
         return cover
 
 

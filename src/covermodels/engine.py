@@ -43,6 +43,12 @@ as if the child had always existed. Covers that report ``truncate``
 (suffix trees) materialise contexts lazily; a chain that ends above
 the maximum depth leaves a truncation factor behind and predictions
 mix in a virtual continuation drawn from a fresh local model.
+
+A snapshot (format version 3) holds only sufficient statistics: per
+context its stop weight, ``log_m``, ``log_trunc`` and local counts and
+sums, plus the cover's split records and buffered points. ``log_lambda``
+is recomputed bottom-up on load, bit for bit, and the structure is
+checked (``from_text``). Versions 1 and 2 still load.
 """
 
 from __future__ import annotations
@@ -55,13 +61,14 @@ import numpy as np
 
 from .covers import cover_from_state
 from .errors import BadConfig
-from .local import local_from_state
+from .local import check_nested, check_seen, local_from_state
 from .logspace import log1mexp, logaddexp, logsumexp
 
 SNAPSHOT_FORMAT = "covermodels-snapshot"
 # Version 2 stores a tree density's one-point subtrees as singleton
-# leaves, which version-1 readers would take for empty nodes.
-SNAPSHOT_VERSION = 2
+# leaves, which version-1 readers would take for empty nodes. Version 3
+# stores no derived state and flat trees, buffers and cover records.
+SNAPSHOT_VERSION = 3
 
 
 def parse_depth_weight(spec):
@@ -130,6 +137,8 @@ class CoverModelPosterior:
         self._fresh = None
         for ctx in sorted(cover.contexts.values(), key=lambda c: c.cid):
             self._init_state(ctx)
+        if cover.exact:
+            self._refresh_all()
 
     # ---- state management -------------------------------------------------
 
@@ -189,6 +198,11 @@ class CoverModelPosterior:
             log_sub += self.states[d].log_lambda
         lw = math.log(st.w0)
         st.log_lambda = logaddexp(lw + st.log_m, log1mexp(lw) + st.log_trunc + log_sub)
+
+    def _refresh_all(self):
+        # a context is made after its parents, so children have larger ids
+        for cid in sorted(self.states, reverse=True):
+            self._refresh_lambda(cid)
 
     def _log_g(self, cid) -> float:
         st = self.states[cid]
@@ -374,7 +388,7 @@ class CoverModelPosterior:
 
         if self.grow and self.cover.growth_mode == "replay":
             y_arr = np.asarray(y, dtype=float).reshape(-1)
-            events = self.cover.observe_and_refine(xq, y_arr)
+            events = self.cover.observe_and_refine(xq, y_arr, levels[-1][0])
             if events:
                 for _, kids in events:
                     for cid, block in kids:
@@ -457,7 +471,13 @@ class CoverModelPosterior:
         return _copy.deepcopy(self)
 
     def to_text(self) -> str:
-        """Serialise to a line oriented text snapshot (JSON records)."""
+        """Serialise to a line oriented text snapshot (JSON records).
+
+        A context's record holds its stop weight, ``log_m``,
+        ``log_trunc`` and local model. ``log_lambda`` is recomputed on
+        load, and ``log_g`` and ``v`` are the values ``_init_state``
+        gives, since every cover that serialises is an exact tree.
+        """
         meta = {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
@@ -475,9 +495,6 @@ class CoverModelPosterior:
                 "w0": st.w0,
                 "log_m": st.log_m,
                 "log_trunc": st.log_trunc,
-                "log_lambda": st.log_lambda,
-                "log_g": st.log_g,
-                "v": [[p, val] for p, val in sorted(st.v.items())],
                 "local": st.local.state_dict(),
             }
             lines.append(json.dumps(rec, sort_keys=True))
@@ -485,19 +502,40 @@ class CoverModelPosterior:
 
     @classmethod
     def from_text(cls, text, local_factory):
-        """Rebuild a posterior from ``to_text`` output.
+        """Rebuild a posterior from ``to_text`` output, of version 1 to 3.
 
         The local factory is not serialised and must be supplied again;
         it is only consulted for contexts created after the restore.
+        Version-1 and version-2 records keep their stored ``log_lambda``,
+        ``log_g`` and ``v``.
+
+        Raises ``BadConfig`` on a snapshot whose structure does not hold
+        together: the checks of the cover's and the locals'
+        ``from_state``, a state for each context and for no other, and
+        counts that agree with what the cover routed. The root's local
+        was offered every observation; on a growing kd cover each
+        context's local was offered the points buffered in the leaves
+        under it, and those add up to ``n_obs``; elsewhere children hold
+        no more points than their parent. Not checked, because that would
+        take a refit: ``log_m``, ``log_trunc``, the Normal-Wishart sums,
+        and a tree density's singleton against its cell below the root.
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise BadConfig("empty snapshot")
-        meta = json.loads(lines[0])
-        if meta.get("format") != SNAPSHOT_FORMAT:
-            raise BadConfig("not a covermodels snapshot")
-        if meta.get("version") not in (1, SNAPSHOT_VERSION):
-            raise BadConfig(f"unsupported snapshot version {meta.get('version')!r}")
+        try:
+            meta = json.loads(lines[0])
+            if meta.get("format") != SNAPSHOT_FORMAT:
+                raise BadConfig("not a covermodels snapshot")
+            version = meta.get("version")
+            if version not in (1, 2, SNAPSHOT_VERSION):
+                raise BadConfig(f"unsupported snapshot version {version!r}")
+            return cls._load(meta, lines[1:], local_factory, version)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise BadConfig(f"malformed snapshot: {exc!r}") from exc
+
+    @classmethod
+    def _load(cls, meta, records, local_factory, version):
         obj = cls.__new__(cls)
         obj.cover = cover_from_state(meta["cover"])
         obj.local_factory = local_factory
@@ -506,19 +544,46 @@ class CoverModelPosterior:
         obj.n_obs = int(meta["n_obs"])
         obj.log_evidence = float(meta["log_evidence"])
         obj._fresh = None
-        obj.states = {}
-        for line in lines[1:]:
-            rec = json.loads(line)
+        obj.states = states = {}
+        contexts = obj.cover.contexts
+        # one parse for every record is faster than one per line
+        for rec in json.loads("[" + ",".join(records) + "]"):
+            cid = rec["cid"]
+            if cid not in contexts or cid in states:
+                raise BadConfig(f"state record for context {cid!r}, unknown or repeated")
             st = ContextState.__new__(ContextState)
             st.local = local_from_state(rec["local"])
             st.w0 = float(rec["w0"])
+            if not 0.0 < st.w0 <= 1.0:
+                raise BadConfig(f"stop weight {st.w0} of context {cid} not in (0, 1]")
             st.log_m = float(rec["log_m"])
             st.log_trunc = float(rec["log_trunc"])
-            st.log_lambda = float(rec["log_lambda"])
-            st.log_g = float(rec["log_g"])
-            st.v = {int(p): float(val) for p, val in rec["v"]}
-            obj.states[int(rec["cid"])] = st
-        missing = set(obj.cover.contexts) - set(obj.states)
-        if missing:
-            raise BadConfig(f"snapshot lacks state for contexts {sorted(missing)}")
+            if version < 3:
+                st.log_lambda = float(rec["log_lambda"])
+                st.log_g = float(rec["log_g"])
+                st.v = {int(p): float(val) for p, val in rec["v"]}
+            else:
+                st.log_g = math.log(st.w0)
+                st.v = {p: 1.0 for p in contexts[cid].parent_ids}
+            states[cid] = st
+        if len(states) != len(contexts):
+            missing = sorted(set(contexts) - set(states))
+            raise BadConfig(f"snapshot lacks state for contexts {missing}")
+        if version == SNAPSHOT_VERSION:
+            obj._refresh_all()
+        obj._check_counts()
         return obj
+
+    def _check_counts(self):
+        cover, states, root = self.cover, self.states, self.cover.root_id
+        if self.grow and cover.growth_mode == "replay":
+            under = cover.points_under()
+            if under[root] != self.n_obs:
+                raise BadConfig(f"leaf buffers hold {under[root]} points, n_obs is {self.n_obs}")
+            for cid, n in under.items():
+                check_seen(states[cid].local, n)
+        else:
+            check_seen(states[root].local, self.n_obs)
+            for cid, ctx in cover.contexts.items():
+                if ctx.child_ids:
+                    check_nested(states[cid].local, [states[d].local for d in ctx.child_ids])

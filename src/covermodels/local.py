@@ -13,6 +13,11 @@ of the observations that land in one context. The shared duck type:
   invalid or unsupported y raises and leaves the model as it was.
 * ``sample(rng)``: draw y from the posterior predictive.
 * ``state_dict()`` / ``local_from_state``: plain-data round trip.
+  Loading checks what it can check cheaply and raises ``BadConfig``
+  on a malformed record.
+* ``n_seen`` (leaf models): the number of observations absorbed.
+  ``check_seen`` and ``check_nested`` compare it with what the cover
+  routed to the context.
 
 All are exchangeable in y, so sequential products of predictives equal
 batch marginal likelihoods, which the exact posterior engine relies on.
@@ -73,6 +78,10 @@ class DirichletMultinomial:
         self.counts[y] += 1.0
         return lp
 
+    @property
+    def n_seen(self) -> float:
+        return sum(self.counts.tolist())
+
     def sample(self, rng):
         a = self.alpha + self.counts
         return int(rng.choice(self.alphabet_size, p=a / a.sum()))
@@ -86,8 +95,15 @@ class DirichletMultinomial:
 
     @classmethod
     def from_state(cls, state):
-        obj = cls(len(state["alpha"]), np.asarray(state["alpha"]))
-        obj.counts = np.asarray(state["counts"], dtype=float)
+        # the constructor's checks, on plain floats
+        alpha, counts = state["alpha"], state["counts"]
+        if len(alpha) < 2 or not all(a > 0 for a in alpha):
+            raise BadConfig("concentration must be positive, one per symbol")
+        if len(counts) != len(alpha) or not all(c >= 0 for c in counts):
+            raise BadConfig("Dirichlet counts must be nonnegative, one per symbol")
+        obj = cls.__new__(cls)
+        obj.alpha = np.array(alpha, dtype=float)
+        obj.counts = np.array(counts, dtype=float)
         return obj
 
 
@@ -211,6 +227,10 @@ class NormalWishart:
         self._cache = None
         return lp
 
+    @property
+    def n_seen(self) -> int:
+        return self.n
+
     def sample(self, rng):
         mun, df, scale, _ = self._refresh()
         z = rng.standard_normal(self.dim)
@@ -240,6 +260,8 @@ class NormalWishart:
             scale=np.asarray(state["T0"]),
         )
         obj.n = int(state["n"])
+        if obj.n < 0:
+            raise BadConfig("Normal-Wishart count must be nonnegative")
         obj.sum_y = np.asarray(state["sum_y"], dtype=float)
         obj.sum_yy = np.asarray(state["sum_yy"], dtype=float)
         return obj
@@ -284,6 +306,10 @@ class HistogramDensity:
         self.counts[i] += 1.0
         return lp
 
+    @property
+    def n_seen(self) -> float:
+        return sum(self.counts.tolist())
+
     def sample(self, rng):
         a = self.counts + self.alpha
         i = rng.choice(a.shape[0], p=a / a.sum())
@@ -299,8 +325,11 @@ class HistogramDensity:
 
     @classmethod
     def from_state(cls, state):
+        counts = state["counts"]
+        if len(counts) != len(state["edges"]) - 1 or not all(c >= 0 for c in counts):
+            raise BadConfig("histogram counts must be nonnegative, one per bin")
         obj = cls(np.asarray(state["edges"]), state["alpha"])
-        obj.counts = np.asarray(state["counts"], dtype=float)
+        obj.counts = np.asarray(counts, dtype=float)
         return obj
 
 
@@ -379,6 +408,11 @@ class BayesTreeDensity:
     node). A container per node or per point would leave tens of
     thousands of small objects per model for the garbage collector to
     walk.
+
+    A snapshot (format 3) stores only counts and singleton points, as
+    two flat lists in preorder; ``_load`` checks their structure and
+    recomputes every value. Nested node records from formats 1 and 2
+    still load.
     """
 
     def __init__(self, lower, upper, gamma=0.5, branch_pseudo=0.5, max_depth=12):
@@ -620,18 +654,32 @@ class BayesTreeDensity:
         y = rng.uniform(lo, hi)
         return y if self.box.dim > 1 else float(y[0])
 
-    def _strip(self, node, depth):
-        n, left = self._n[node], self._kid[node]
-        if n == 0 and not left:
-            return None
-        out = {"n": n}
-        if left:
-            out["kids"] = [self._strip(left, depth + 1), self._strip(left + 1, depth + 1)]
-        elif n == 1 and depth < self.max_depth:
-            out["y"] = self._point(node)
-        return out
+    @property
+    def n_seen(self) -> int:
+        return self._n[0]
 
     def state_dict(self):
+        """The tree as two flat lists, both in preorder.
+
+        ``counts`` holds every materialised node's count, negated for a
+        node that has children, so a one-point chain from a version-1
+        snapshot still encodes. ``points`` holds every singleton's
+        point, ``dim`` floats each. Node values are not stored.
+        """
+        counts, points = [], []
+        n, kid, pt, dim, top = self._n, self._kid, self._pt, self._dim, self.max_depth
+        stack, depths = [0], [0]
+        while stack:
+            node, depth = stack.pop(), depths.pop()
+            left = kid[node]
+            if left:
+                counts.append(-n[node])
+                stack += (left + 1, left)
+                depths += (depth + 1, depth + 1)
+            else:
+                counts.append(n[node])
+                if n[node] == 1 and depth < top:
+                    points += pt[node * dim:(node + 1) * dim]
         return {
             "kind": "bayes_tree",
             "lower": self.box.lower.tolist(),
@@ -639,33 +687,80 @@ class BayesTreeDensity:
             "gamma": self.gamma,
             "branch_pseudo": self.branch_pseudo,
             "max_depth": self.max_depth,
-            "tree": self._strip(0, 0),
+            "counts": counts,
+            "points": points,
         }
 
-    def _rebuild(self, rec, node, depth):
-        """Fill the empty ``node`` at ``depth`` from its snapshot record.
+    def _load(self, counts, points):
+        """Fill the empty tree from ``state_dict``'s flat lists.
 
-        Records of trees saved before singleton leaves existed carry a
-        chain of one-point nodes instead of ``"y"``; those load as
-        materialised nodes and score and update the same.
+        One forward pass lays out the nodes, each pair of children
+        after their parent, so a backward pass over node ids computes
+        every value after its children's, with the operands
+        ``_path_values`` would use. Raises ``BadConfig`` on a list that
+        is short or long, a count that is not an int or exceeds the
+        root's, a split at
+        ``max_depth``, a childless node above ``max_depth`` with two or
+        more points, a singleton point outside the box, or a node whose
+        count is not the sum of its children's. A singleton point is not
+        checked against its own cell below the root.
         """
-        if rec is None:
-            return
-        self._n[node] = n = int(rec["n"])
-        kids = rec.get("kids")
-        if kids is not None:
-            left = self._split(node)
-            self._rebuild(kids[0], left, depth + 1)
-            self._rebuild(kids[1], left + 1, depth + 1)
-            lams = self._lam
-            lams[node] = self._loglam(depth, n, self._n[left], lams[left], lams[left + 1])
-        elif depth == self.max_depth:
-            self._lam[node] = self._loglam(depth, n, 0, 0.0, 0.0)
-        elif n == 1 and "y" in rec:
-            self._put(node, [float(v) for v in rec["y"]])
-            self._lam[node] = self._one[depth]
-        else:
-            raise BadConfig(f"tree node at depth {depth} holds {n} points and no children")
+        size = len(counts)
+        if not size or set(map(type, counts)) != {int}:
+            raise BadConfig("tree counts must be a nonempty list of ints")
+        dim, top = self._dim, self.max_depth
+        n, kid, depth = [0] * size, [0] * size, [0] * size
+        pt = [0.0] * (dim * size)
+        stack = [0]  # ids of the nodes whose counts come next
+        pop = stack.pop
+        free = 1
+        j = 0
+        for c in counts:
+            if not stack:
+                raise BadConfig("tree counts list is too long")
+            node = pop()
+            if c < 0:
+                if depth[node] >= top or free + 2 > size:
+                    raise BadConfig("tree counts describe a split that cannot exist")
+                kid[node] = free
+                depth[free] = depth[free + 1] = depth[node] + 1
+                stack += (free + 1, free)
+                free += 2
+                c = -c
+            elif c and depth[node] < top:
+                if c > 1:
+                    raise BadConfig(f"childless tree node at depth {depth[node]} holds {c} points")
+                pt[node * dim:(node + 1) * dim] = points[j:j + dim]
+                j += dim
+            n[node] = c
+        if stack:
+            raise BadConfig("tree counts list is too short")
+        if j != len(points):
+            raise BadConfig("tree points list does not hold one point per singleton")
+        for d in range(dim):
+            col = points[d::dim]
+            if any(map(math.isnan, col)) or col and not (
+                self._lower[d] <= min(col) and max(col) <= self._upper[d]
+            ):
+                raise BadConfig(f"a tree point lies outside {self.box!r}")
+        root = n[0]
+        if max(n) > root:
+            raise BadConfig("a tree node holds more points than the root")
+        self._lg_a, self._lg_2a = _lgamma_tables(self.branch_pseudo, root)
+        lam = [0.0] * size
+        one = self._one
+        for node in range(size - 1, -1, -1):
+            c, left = n[node], kid[node]
+            if left:
+                nl = n[left]
+                if c != nl + n[left + 1]:
+                    raise BadConfig(f"tree node count {c} is not the sum of its children's")
+                lam[node] = self._loglam(depth[node], c, nl, lam[left], lam[left + 1])
+            elif c and depth[node] == top:
+                lam[node] = self._loglam(top, c, 0, 0.0, 0.0)
+            elif c:
+                lam[node] = one[depth[node]]
+        self._n, self._kid, self._lam, self._pt = n, kid, lam, pt
 
     @classmethod
     def from_state(cls, state):
@@ -676,10 +771,30 @@ class BayesTreeDensity:
             branch_pseudo=state["branch_pseudo"],
             max_depth=state["max_depth"],
         )
-        if state["tree"] is not None:
-            obj._lg_a, obj._lg_2a = _lgamma_tables(obj.branch_pseudo, int(state["tree"]["n"]))
-        obj._rebuild(state["tree"], 0, 0)
+        if "tree" in state:
+            obj._load(*_flatten_nested(state["tree"]))
+        else:
+            obj._load(state["counts"], state["points"])
         return obj
+
+
+def _flatten_nested(rec):
+    """``state_dict``'s flat lists from the nested node records of
+    snapshot versions 1 and 2: ``{"n": k, "kids": [left, right]}``, a
+    singleton's ``"y"`` in place of kids, ``None`` for an empty node."""
+    counts, points = [], []
+    stack = [rec]
+    while stack:
+        rec = stack.pop()
+        if rec is None:
+            counts.append(0)
+        elif rec.get("kids") is not None:
+            counts.append(-rec["n"])
+            stack += reversed(rec["kids"])
+        else:
+            counts.append(rec["n"])
+            points += rec.get("y", ())
+    return counts, points
 
 
 class MixtureLocal:
@@ -770,3 +885,34 @@ def local_from_state(state):
     if kind not in _LOCAL_KINDS:
         raise BadConfig(f"unknown local model kind {kind!r}")
     return _LOCAL_KINDS[kind].from_state(state)
+
+
+# A density on a bounded support rejects y outside it, and a mixture
+# then skips it for that component alone.
+_BOUNDED = (BayesTreeDensity, HistogramDensity)
+
+
+def check_seen(local, n):
+    """Raise ``BadConfig`` unless ``local`` can have been offered exactly
+    n observations: a bounded density may have skipped some of them
+    inside a mixture, every other model absorbed all n."""
+    if isinstance(local, MixtureLocal):
+        for comp in local.components:
+            check_seen(comp, n)
+        return
+    seen = local.n_seen
+    if seen > n or (seen < n and not isinstance(local, _BOUNDED)):
+        raise BadConfig(f"a {type(local).__name__} local holds {seen} points, expected {n}")
+
+
+def check_nested(parent, kids):
+    """Raise ``BadConfig`` unless the locals ``kids``, offered disjoint
+    subsets of what ``parent`` was offered, hold no more observations
+    than ``parent``, component by component."""
+    if any(type(kid) is not type(parent) for kid in kids):
+        raise BadConfig("a context's local differs in kind from its parent's")
+    if isinstance(parent, MixtureLocal):
+        for i, comp in enumerate(parent.components):
+            check_nested(comp, [kid.components[i] for kid in kids])
+    elif sum(kid.n_seen for kid in kids) > parent.n_seen:
+        raise BadConfig(f"children of a {type(parent).__name__} local hold more points than it")

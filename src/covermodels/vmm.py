@@ -15,6 +15,7 @@ check each other.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 
@@ -154,14 +155,19 @@ class VmmModel:
         import json
 
         head, _, rest = text.partition("\n")
-        meta = json.loads(head)
-        if meta.get("kind") != "vmm":
-            raise BadConfig("not a vmm snapshot")
         obj = cls.__new__(cls)
-        obj.alphabet_size = int(meta["alphabet_size"])
-        obj.depth = int(meta["depth"])
-        obj.concentration = float(meta["concentration"])
-        obj.stop_weight = float(meta["stop_weight"])
+        try:
+            meta = json.loads(head)
+            if meta.get("kind") != "vmm":
+                raise BadConfig("not a vmm snapshot")
+            obj.alphabet_size = int(meta["alphabet_size"])
+            obj.depth = int(meta["depth"])
+            obj.concentration = float(meta["concentration"])
+            obj.stop_weight = float(meta["stop_weight"])
+            history = [obj._check(s) for s in meta["history_tail"]]
+            obj.n_seen = int(meta["n_seen"])
+        except (KeyError, TypeError, ValueError, UnknownSymbol) as exc:
+            raise BadConfig(f"malformed vmm snapshot header: {exc!r}") from exc
         n = obj.alphabet_size
         conc = obj.concentration
 
@@ -169,8 +175,15 @@ class VmmModel:
             return DirichletMultinomial(n, conc)
 
         obj.posterior = CoverModelPosterior.from_text(rest, factory)
-        obj.history = deque((int(s) for s in meta["history_tail"]), maxlen=obj.depth - 1)
-        obj.n_seen = int(meta["n_seen"])
+        cover = obj.posterior.cover
+        if (
+            not isinstance(cover, SuffixTreeCover)
+            or (cover.alphabet_size, cover.max_depth) != (n, obj.depth)
+            or obj.n_seen != obj.posterior.n_obs
+            or len(history) > min(obj.n_seen, obj.depth - 1)
+        ):
+            raise BadConfig("vmm snapshot header disagrees with its posterior")
+        obj.history = deque(history, maxlen=obj.depth - 1)
         return obj
 
 
@@ -205,6 +218,14 @@ class CtwOracle:
         if count > max_prunings:
             raise TooLargeToEnumerate(f"{count} prunings exceed cap {max_prunings}")
         self.prunings = self._enumerate(())
+        # the same cut sets over small ints, which hash faster than tuples
+        self._ids = {}
+        for cut, _ in self.prunings:
+            for suffix in cut:
+                self._ids.setdefault(suffix, len(self._ids))
+        self._cut_ids = [
+            (frozenset(self._ids[suffix] for suffix in cut), lp) for cut, lp in self.prunings
+        ]
 
     def _count(self, remaining) -> int:
         if remaining == 0:
@@ -237,27 +258,39 @@ class CtwOracle:
                 raise UnknownSymbol(s, self.n)
         if not seq:
             return 0.0
+        # each symbol's candidate contexts, shortest first, are the same
+        # under every pruning; a suffix in no cut keeps its tuple as key
+        ids = self._ids
+        suffixes = [
+            [ids.get(s, s) for s in (tuple(seq[t - k:t]) for k in range(min(t, self.depth) + 1))]
+            for t in range(len(seq))
+        ]
+        conc, total_conc = self.conc, self.conc * self.n
         totals = []
-        for cut, log_prior in self.prunings:
-            counts: dict = {}
+        for cut, log_prior in self._cut_ids:
+            counts: dict = {}  # node -> [count per symbol..., total]
             ll = 0.0
-            for t, y in enumerate(seq):
-                avail = min(t, self.depth)
-                node = None
-                for k in range(avail + 1):
-                    suffix = tuple(seq[t - k:t])
-                    if suffix in cut:
-                        node = suffix
+            for cands, y in zip(suffixes, seq):
+                for node in cands:
+                    if node in cut:
                         break
-                if node is None:
-                    node = tuple(seq[t - avail:t])  # ran out of history
-                c = counts.setdefault(node, np.zeros(self.n))
-                ll += math.log((c[y] + self.conc) / (c.sum() + self.conc * self.n))
+                else:
+                    node = cands[-1]  # ran out of history
+                c = counts.get(node)
+                if c is None:
+                    c = counts[node] = [0.0] * (self.n + 1)
+                ll += math.log((c[y] + conc) / (c[-1] + total_conc))
                 c[y] += 1.0
+                c[-1] += 1.0
             totals.append(log_prior + ll)
         return float(logsumexp(totals))
 
 
+@functools.lru_cache(maxsize=16)
+def _oracle(alphabet_size, max_context, concentration, stop_weight):
+    # read-only once built, so one per configuration serves every call
+    return CtwOracle(alphabet_size, max_context, concentration, stop_weight)
+
+
 def ctw_logprob(seq, alphabet_size=2, max_context=1, concentration=0.5, stop_weight=0.5):
-    oracle = CtwOracle(alphabet_size, max_context, concentration, stop_weight)
-    return oracle.sequence_logprob(seq)
+    return _oracle(alphabet_size, max_context, concentration, stop_weight).sequence_logprob(seq)

@@ -162,6 +162,11 @@ class TestSnapshot:
         with pytest.raises(BadConfig):
             CdeModel.from_text('{"kind": "vmm"}\n')
 
+    @pytest.mark.parametrize("head", ['{"kind": "cde", "config": {"bogus": 1}}', "not json"])
+    def test_rejects_malformed_headers(self, head):
+        with pytest.raises(BadConfig):
+            CdeModel.from_text(head + "\n")
+
 
 class TestSampling:
     def test_samples_follow_the_conditional(self):
@@ -178,3 +183,21 @@ def test_new_cde_helper():
     model = new_cde([0.0], [1.0], [0.0], [1.0], alpha=3.0)
     assert isinstance(model, CdeModel)
     assert model.config.alpha == 3.0
+
+
+def test_buffered_points_do_not_alias_the_callers_arrays():
+    x = np.random.default_rng(0).uniform(0, 1, size=(50, 1))
+    y = np.random.default_rng(1).uniform(0, 1, size=(50, 1))
+    model = CdeModel(CdeConfig([0.0], [1.0], [0.0], [1.0]))
+    model.fit_stream(x, y)
+    text = model.to_text()
+    x[:], y[:] = 0.99, 0.01  # the caller reuses its arrays
+    assert model.to_text() == text
+
+
+def test_array_bounds_become_lists_and_serialise():
+    cfg = CdeConfig(np.zeros(1), np.ones(1), (0.0,), np.array([2.0]))
+    assert cfg.x_lower == [0.0] and cfg.y_upper == [2.0]
+    model = CdeModel(cfg)
+    model.absorb([0.5], [1.0])
+    assert CdeModel.from_text(model.to_text()).to_text() == model.to_text()

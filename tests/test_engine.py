@@ -2,6 +2,8 @@
 
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,16 +12,21 @@ from scipy.stats import chisquare
 from covermodels import (
     BadConfig,
     Box,
+    CdeConfig,
+    CdeModel,
     CoverModelPosterior,
     DirichletMultinomial,
     ExactEnumerator,
     ExplicitCover,
     HistogramDensity,
     KdTreeCover,
+    VmmModel,
     dirichlet_block_marginal,
     parse_depth_weight,
 )
 from conftest import attach_random_engine, random_static_tree, random_xy
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestDepthWeight:
@@ -150,6 +157,21 @@ class TestReplayGrowth:
                 )
         assert cov.refinement_depth >= 2  # the cascade actually fired
 
+    def test_absorb_descends_the_tree_once(self, monkeypatch):
+        """The leaf that buffers a point is the end of its matched path."""
+        calls = []
+        descend = KdTreeCover.descend
+        monkeypatch.setattr(
+            KdTreeCover, "descend", lambda self, x: calls.append(1) or descend(self, x)
+        )
+        rng = np.random.default_rng(8)
+        cov = KdTreeCover(Box([0.0, 0.0], [1.0, 1.0]), alpha=2.0, max_depth=6)
+        post = CoverModelPosterior(cov, lambda depth, region: DirichletMultinomial(2, 0.5))
+        for _ in range(50):
+            post.absorb(rng.uniform(0, 1, size=2), int(rng.integers(2)))
+        assert len(calls) == 50
+        assert sum(map(len, cov._buffer.values())) == 50
+
 
 class TestSnapshot:
     def test_text_round_trip_continues_exactly(self):
@@ -170,7 +192,9 @@ class TestSnapshot:
         xq = rng.uniform(0, 1, size=1)
         assert clone.predict_logdensity(xq, 0) == post.predict_logdensity(xq, 0)
 
-    def test_reads_version_1_and_refuses_newer(self):
+    def test_reads_versions_1_and_2_and_refuses_4(self):
+        # The fixture is this stream saved in format version 2. Without a
+        # tree density its records read the same in version 1.
         rng = np.random.default_rng(4)
         cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0, max_depth=6)
         factory = lambda depth, region: DirichletMultinomial(2, 0.5)
@@ -179,16 +203,64 @@ class TestSnapshot:
             post.absorb(rng.uniform(0, 1, size=1), int(rng.integers(2)))
         text = post.to_text()
         meta, _, rest = text.partition("\n")
-        assert json.loads(meta)["version"] == 2
-        # no tree density here, so the records read the same in version 1
-        for version, ok in ((1, True), (3, False)):
-            old = json.dumps({**json.loads(meta), "version": version}, sort_keys=True)
-            if ok:
-                clone = CoverModelPosterior.from_text(old + "\n" + rest, factory)
-                assert clone.to_text() == text
-            else:
-                with pytest.raises(BadConfig):
-                    CoverModelPosterior.from_text(old + "\n" + rest, factory)
+        assert json.loads(meta)["version"] == 3
+        v2 = (FIXTURES / "kd_dirichlet_v2.txt").read_text()
+        head, _, records = v2.partition("\n")
+        v1 = json.dumps({**json.loads(head), "version": 1}, sort_keys=True) + "\n" + records
+        for old in (v1, v2):
+            clone = CoverModelPosterior.from_text(old, factory)
+            assert clone.to_text() == text
+            for cid, st in post.states.items():
+                assert clone.states[cid].log_lambda == st.log_lambda
+        newer = json.dumps({**json.loads(meta), "version": 4}, sort_keys=True)
+        with pytest.raises(BadConfig):
+            CoverModelPosterior.from_text(newer + "\n" + rest, factory)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_static_tree_reloads_every_log_lambda_bit_for_bit(self, seed):
+        """A split context no point has reached still has the value the
+        recursion gives it, as a reload recomputes it."""
+        rng = np.random.default_rng(seed)
+        cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0, max_depth=6)
+        cov.split_leaf(cov.split_leaf(cov.roots()[0])[1])
+        factory = lambda depth, region: DirichletMultinomial(2, 0.5)
+        w0 = float(rng.uniform(0.05, 0.95))
+        post = CoverModelPosterior(cov, factory, depth_weight=f"const:{w0!r}", grow=False)
+        for _ in range(3):
+            post.absorb([rng.uniform(0.0, 0.5)], int(rng.integers(2)))
+        clone = CoverModelPosterior.from_text(post.to_text(), factory)
+        for cid, st in post.states.items():
+            assert clone.states[cid].log_lambda == st.log_lambda
+
+    @pytest.mark.parametrize("kind", ["cde", "vmm"])
+    def test_version_2_snapshots_load_and_continue_exactly(self, kind):
+        """Each fixture is the stream below saved in format version 2."""
+        if kind == "cde":
+            rng = np.random.default_rng(12)
+            cfg = CdeConfig(
+                x_lower=[0.0], x_upper=[1.0], y_lower=[0.0], y_upper=[1.0], tree_max_depth=6
+            )
+            model, load, rows = CdeModel(cfg), CdeModel.from_text, []
+            for _ in range(60):
+                x = rng.uniform(0, 1)
+                rows.append(([x], [min(1.0, abs(x - 0.5) + 0.1 * rng.standard_normal())]))
+            feed = lambda m, row: m.absorb(*row)
+        else:
+            model, load = VmmModel(alphabet_size=3, depth=3), VmmModel.from_text
+            rows = np.random.default_rng(13).integers(3, size=60).tolist()
+            feed = lambda m, row: m.observe(row)
+        with warnings.catch_warnings():
+            # some y fall below the tree's box, which the mixture skips
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for row in rows[:40]:
+                feed(model, row)
+            clone = load((FIXTURES / f"{kind}_v2.txt").read_text())
+            assert clone.to_text() == model.to_text()
+            for cid, st in model.posterior.states.items():
+                assert clone.posterior.states[cid].log_lambda == st.log_lambda
+            for row in rows[40:]:
+                assert feed(clone, row) == feed(model, row)
+        assert clone.to_text() == model.to_text()
 
     def test_snapshot_is_plain_text(self):
         rng = np.random.default_rng(1)

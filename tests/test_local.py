@@ -591,4 +591,8 @@ class TestTreeAgainstMaterialised:
         assert len(bt._n) == 3
         bt.update([0.8])  # a duplicate shares every cell down to max_depth
         assert len(bt._n) == 3 + 2 * 11
-        assert bt.state_dict()["tree"]["kids"][0] == {"n": 1, "y": [0.3]}
+        # the root's count negated, as it has children, then the left
+        # child: a singleton whose point is the only one stored
+        sd = bt.state_dict()
+        assert sd["counts"][:2] == [-3, 1] and sd["points"] == [0.3]
+        assert len(sd["counts"]) == len(bt._n)

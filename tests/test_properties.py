@@ -1,14 +1,17 @@
 """The streaming contract of ``CdeModel`` as properties of random streams:
-a rejected row changes nothing, and a snapshot resumes exactly."""
+a rejected row changes nothing, a snapshot resumes exactly, and a
+snapshot whose structure was corrupted is refused."""
 
+import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covermodels import BadConfig, CdeConfig, CdeModel, OutOfSupport
+from covermodels import BadConfig, CdeConfig, CdeModel, OutOfSupport, VmmModel
 
 COMPONENTS = [("tree",), ("nw", "tree")]
 KINDS = ["ok", "ok", "ok", "nan_x", "nan_y", "y_outside"]
@@ -79,3 +82,86 @@ def test_resume_from_a_snapshot_matches_continuing(components, stream, cut):
     assert feed(resumed, stream[cut:]) == feed(model, stream[cut:])
     assert resumed.to_text() == model.to_text()
     assert resumed.posterior.log_evidence == model.posterior.log_evidence
+
+
+@given(st.sampled_from(COMPONENTS), streams)
+def test_reload_recomputes_every_log_lambda_bit_for_bit(components, stream):
+    model = make(components)
+    feed(model, stream)
+    text = model.to_text()
+    loaded = CdeModel.from_text(text)
+    assert loaded.to_text() == text
+    for cid, state in model.posterior.states.items():
+        assert loaded.posterior.states[cid].log_lambda == state.log_lambda
+
+
+def saved_models():
+    cde = make(("nw", "tree"))
+    rng = np.random.default_rng(5)
+    feed(cde, [("ok", float(x), float(y)) for x, y in rng.uniform(0.0, 1.0, size=(40, 2))])
+    vmm = VmmModel(alphabet_size=3, depth=4)
+    vmm.fit_sequence(rng.integers(3, size=60).tolist())
+    return {"cde": cde.to_text(), "vmm": vmm.to_text()}
+
+
+SAVED = saved_models()
+CDE_FIELDS = ["tree_count", "tree_point", "split", "buffered_x", "buffer_length", "nw_count"]
+VMM_FIELDS = ["dirichlet_count", "suffix", "n_seen"]
+
+
+def sites(field, lines):
+    """(container, key) of every value of one kind of structural field
+    in a parsed snapshot: lines[0] is the model's header, lines[1] holds
+    the cover, lines[2:] the context records."""
+    cover = lines[1]["cover"]
+    locals_ = [rec["local"] for rec in lines[2:]]
+    trees = [c["components"][1] for c in locals_ if c["kind"] == "mixture"]  # CDE only
+    if field == "tree_count":
+        return [(t["counts"], i) for t in trees for i in range(len(t["counts"]))]
+    if field == "tree_point":
+        return [(t["points"], i) for t in trees for i in range(len(t["points"]))]
+    if field == "split":
+        return [(rec, i) for rec in cover["splits"] for i in (1, 2)]
+    if field == "buffered_x":
+        width = len(cover["root_lower"]) + cover["y_dim"]
+        return [(b, i) for b in cover["buffers"].values() for i in range(0, len(b), width)]
+    if field == "buffer_length":
+        return [(cover["buffers"], k) for k, b in cover["buffers"].items() if b]
+    if field == "nw_count":
+        return [(c["components"][0], "n") for c in locals_]
+    if field == "dirichlet_count":
+        return [(c["counts"], i) for c in locals_ for i in range(len(c["counts"]))]
+    if field == "n_seen":
+        return [(lines[0], "n_seen")]
+    return [(cover["suffixes"], i) for i in range(1, len(cover["suffixes"]))]
+
+
+def corrupt(field, value, pick, lines):
+    if field == "tree_count":
+        return value - 1 if value < 0 else value + 1
+    if field == "tree_point":
+        return 1.0 + (pick % 7 + 1) / 8  # outside the tree's box [0, 1]
+    if field == "split":
+        return value + 1 if isinstance(value, int) else value + 2.0**-20
+    if field == "buffered_x":
+        return -(pick % 7 + 1) / 8  # below the root box, in no leaf
+    if field == "buffer_length":
+        # one float too few, or one whole point (x and y) too few
+        return value[:-1] if pick % 2 else value[:-2]
+    if field in ("nw_count", "n_seen"):
+        return value + 1
+    if field == "dirichlet_count":
+        return value + lines[1]["n_obs"] + 1  # more than any parent holds
+    return value + [3]  # a symbol outside the alphabet
+
+
+@given(st.sampled_from(CDE_FIELDS + VMM_FIELDS), st.integers(0, 10**6))
+def test_a_corrupted_structural_field_is_refused(field, pick):
+    kind, load = ("vmm", VmmModel.from_text) if field in VMM_FIELDS else ("cde", CdeModel.from_text)
+    lines = [json.loads(line) for line in SAVED[kind].splitlines()]
+    found = sites(field, lines)
+    container, key = found[pick % len(found)]
+    container[key] = corrupt(field, container[key], pick, lines)
+    text = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+    with pytest.raises(BadConfig):
+        load(text)
