@@ -2,9 +2,10 @@
 
 A cover sequence is an ordered list of covers C_1 .. C_K, coarsest
 first. Each cover is a collection of contexts; a context owns a region
-of query space. A query matches one or more contexts per cover, and
-matching is contiguous from the top: once some cover has no matching
-context the chain ends there.
+of query space. The covers nest as one partition tree: C_1 is a single
+root context, and the children of a context tile its region. A query
+therefore matches one chain of contexts, at most one per cover, from
+the root down to the deepest context that contains it.
 
 Three concrete builders:
 
@@ -12,8 +13,8 @@ Three concrete builders:
   of the largest side, driven by occupancy counts.
 * ``SuffixTreeCover``: contexts are suffixes of a symbol history,
   materialised lazily as histories are seen.
-* ``ExplicitCover``: hand built levels over hashable atoms, intended
-  for tests and small fixtures.
+* ``ExplicitCover``: hand built partition trees over hashable atoms,
+  intended for tests and small fixtures.
 
 Depths are 1-based; depth 1 is the coarsest cover.
 """
@@ -119,13 +120,13 @@ class SuffixRegion:
 class Context:
     """One set in one cover of the sequence."""
 
-    __slots__ = ("cid", "depth", "region", "parent_ids", "child_ids")
+    __slots__ = ("cid", "depth", "region", "parent", "child_ids")
 
-    def __init__(self, cid, depth, region, parent_ids=()):
+    def __init__(self, cid, depth, region, parent=None):
         self.cid = cid
         self.depth = depth
         self.region = region
-        self.parent_ids = list(parent_ids)
+        self.parent = parent
         self.child_ids = []
 
     def __repr__(self):
@@ -133,33 +134,29 @@ class Context:
 
 
 class CoverSequence:
-    """Base class holding the context graph.
+    """Base class holding the context tree.
 
-    Subclasses set ``growth_mode`` to one of "static", "replay" or
-    "truncate" and implement ``match_levels``. ``exact`` declares that
-    every context has at most one parent and regions at each depth
-    partition their parent, which is what the exact posterior
-    bookkeeping in the engine relies on.
+    Every context but the root (``root_id``, at depth 1) has one
+    parent, and the children of a context tile its region, so a query
+    matches one chain of contexts. The engine's closed form posterior
+    relies on exactly that. Subclasses set ``growth_mode`` to one of
+    "static", "replay" or "truncate" and implement ``match_levels``.
     """
 
     growth_mode = "static"
-    exact = True
 
     def __init__(self):
         self.contexts: dict[int, Context] = {}
         self._next_cid = 0
 
-    def _new_context(self, depth, region, parent_ids=()) -> Context:
+    def _new_context(self, depth, region, parent=None) -> Context:
         cid = self._next_cid
         self._next_cid += 1
-        ctx = Context(cid, depth, region, parent_ids)
+        ctx = Context(cid, depth, region, parent)
         self.contexts[cid] = ctx
-        for p in ctx.parent_ids:
-            self.contexts[p].child_ids.append(cid)
+        if parent is not None:
+            self.contexts[parent].child_ids.append(cid)
         return ctx
-
-    def roots(self):
-        return [c.cid for c in self.contexts.values() if c.depth == 1]
 
     @property
     def n_contexts(self) -> int:
@@ -176,8 +173,8 @@ class CoverSequence:
         return query
 
     def match_levels(self, query):
-        """Matched context ids per depth, contiguous from depth 1, for a
-        prepared query."""
+        """Ids of the contexts a prepared query matches, one per depth
+        from the root down to the deepest."""
         raise NotImplementedError
 
     def state_dict(self):
@@ -242,7 +239,7 @@ class KdTreeCover(CoverSequence):
         return path
 
     def match_levels(self, query):
-        return [[cid] for cid in self.descend(query)]
+        return self.descend(query)
 
     def threshold(self, depth) -> float:
         return self.alpha ** depth
@@ -284,8 +281,8 @@ class KdTreeCover(CoverSequence):
             d, mid, (box_lo, box_hi) = ctx.region.split_largest()
         except BadConfig:
             return  # float resolution exhausted, leaf keeps absorbing
-        lo = self._new_context(ctx.depth + 1, box_lo, (cid,))
-        hi = self._new_context(ctx.depth + 1, box_hi, (cid,))
+        lo = self._new_context(ctx.depth + 1, box_lo, cid)
+        hi = self._new_context(ctx.depth + 1, box_hi, cid)
         self._split[cid] = (d, mid, lo.cid, hi.cid)
         buf_lo = [(xx, yy) for xx, yy in buf if xx[d] < mid]
         buf_hi = [(xx, yy) for xx, yy in buf if xx[d] >= mid]
@@ -310,8 +307,8 @@ class KdTreeCover(CoverSequence):
                 f"cannot split leaf at depth {ctx.depth}, max_depth={self.max_depth}"
             )
         d, mid, (box_lo, box_hi) = ctx.region.split_largest()
-        lo = self._new_context(ctx.depth + 1, box_lo, (cid,))
-        hi = self._new_context(ctx.depth + 1, box_hi, (cid,))
+        lo = self._new_context(ctx.depth + 1, box_lo, cid)
+        hi = self._new_context(ctx.depth + 1, box_hi, cid)
         self._split[cid] = (d, mid, lo.cid, hi.cid)
         buf = self._buffer.pop(cid)
         self._buffer[lo.cid] = [(xx, yy) for xx, yy in buf if xx[d] < mid]
@@ -391,8 +388,8 @@ class KdTreeCover(CoverSequence):
                 raise BadConfig(f"split record {rec} splits a box too thin to split") from None
             if d != d0 or mid != mid0:
                 raise BadConfig(f"split record {rec} differs from its box's {[cid, d0, mid0]}")
-            lo = cover._new_context(ctx.depth + 1, box_lo, (cid,))
-            hi = cover._new_context(ctx.depth + 1, box_hi, (cid,))
+            lo = cover._new_context(ctx.depth + 1, box_lo, cid)
+            hi = cover._new_context(ctx.depth + 1, box_hi, cid)
             cover._split[cid] = (d0, mid0, lo.cid, hi.cid)
         top = cover.root_box.upper.tolist()
         dim = len(top)
@@ -473,13 +470,13 @@ class SuffixTreeCover(CoverSequence):
         return h
 
     def match_levels(self, h):
-        levels = [[self.root_id]]
+        path = [self.root_id]
         for k in range(1, min(len(h), self.max_depth - 1) + 1):
             cid = self._by_suffix.get(h[len(h) - k:])
             if cid is None:
                 break
-            levels.append([cid])
-        return levels
+            path.append(cid)
+        return path
 
     def extend(self, h):
         """Materialise the suffix chain for the prepared history ``h``.
@@ -492,7 +489,7 @@ class SuffixTreeCover(CoverSequence):
             suffix = h[len(h) - k:]
             cid = self._by_suffix.get(suffix)
             if cid is None:
-                ctx = self._new_context(k + 1, SuffixRegion(suffix), (path[-1],))
+                ctx = self._new_context(k + 1, SuffixRegion(suffix), path[-1])
                 self._by_suffix[suffix] = ctx.cid
                 cid = ctx.cid
                 new.append(cid)
@@ -539,7 +536,7 @@ class SuffixTreeCover(CoverSequence):
                 or not all(0 <= s < cover.alphabet_size for s in suffix)
             ):
                 raise BadConfig(f"suffix context {list(suffix)} cannot follow the ones before it")
-            ctx = cover._new_context(len(suffix) + 1, region, (parent,))
+            ctx = cover._new_context(len(suffix) + 1, region, parent)
             cover._by_suffix[suffix] = ctx.cid
         return cover
 
@@ -554,23 +551,23 @@ def cover_from_state(state):
 
 
 class ExplicitCover(CoverSequence):
-    """Hand built cover sequence over hashable atoms.
+    """Hand built partition tree over hashable atoms.
 
     ``levels`` is a list over depths; each entry lists the contexts at
-    that depth as iterables of atoms. Parents of a depth k context are
-    the depth k-1 contexts it intersects. The cover is static: no
-    growth, no serialisation. ``exact`` is inferred: True only when
-    every context has at most one parent (a tree).
+    that depth as iterables of atoms. Depth 1 holds the root alone, the
+    parent of a deeper context is the one context one depth up that it
+    intersects, and the children of a context tile it. Raises
+    ``BadConfig`` on anything else. The cover is static: no growth, no
+    serialisation.
     """
 
     growth_mode = "static"
 
     def __init__(self, levels):
         super().__init__()
-        if not levels or not levels[0]:
-            raise BadConfig("need at least one context at depth 1")
+        if not levels or len(levels[0]) != 1:
+            raise BadConfig("need exactly one context at depth 1")
         self.max_depth = len(levels)
-        tree = True
         prev = []
         for k, level in enumerate(levels, start=1):
             current = []
@@ -578,38 +575,29 @@ class ExplicitCover(CoverSequence):
                 region = frozenset(atoms)
                 if not region:
                     raise BadConfig("empty context region")
-                parents = [c.cid for c in prev if self.contexts[c.cid].region & region]
-                if k > 1 and not parents:
-                    raise BadConfig("context at depth %d overlaps no parent" % k)
-                if len(parents) > 1:
-                    tree = False
-                current.append(self._new_context(k, region, parents))
+                parents = [c.cid for c in prev if c.region & region]
+                if k > 1 and len(parents) != 1:
+                    raise BadConfig(f"context at depth {k} overlaps {len(parents)} parents, not one")
+                current.append(self._new_context(k, region, parents[0] if parents else None))
             prev = current
-        if tree:
-            # exactness needs a recursive partition: the children of a
-            # context must tile it without overlap, or the engine's
-            # product factorisation over subtrees does not hold
-            for ctx in self.contexts.values():
-                kids = [self.contexts[d].region for d in ctx.child_ids]
-                if not kids:
-                    continue
-                union = frozenset().union(*kids)
-                if union != ctx.region or sum(map(len, kids)) != len(union):
-                    tree = False
-                    break
-        self.exact = tree
+        self.root_id = 0
+        # a query must match one child of every context with children
+        for ctx in self.contexts.values():
+            kids = [self.contexts[d].region for d in ctx.child_ids]
+            if kids and (
+                frozenset().union(*kids) != ctx.region or sum(map(len, kids)) != len(ctx.region)
+            ):
+                raise BadConfig(f"the children of context {ctx.cid} do not tile it")
 
     def match_levels(self, query):
-        levels = []
-        for depth in range(1, self.max_depth + 1):
-            hit = [
-                c.cid
-                for c in self.contexts.values()
-                if c.depth == depth and query in c.region
-            ]
-            if not hit:
+        path = []
+        kids = [self.root_id]
+        while True:
+            cid = next((d for d in kids if query in self.contexts[d].region), None)
+            if cid is None:
                 break
-            levels.append(hit)
-        if not levels:
-            raise EmptyPath(f"no depth-1 context contains {query!r}")
-        return levels
+            path.append(cid)
+            kids = self.contexts[cid].child_ids
+        if not path:
+            raise EmptyPath(f"the root context does not contain {query!r}")
+        return path

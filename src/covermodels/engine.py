@@ -1,14 +1,14 @@
 """Exact incremental posterior inference over cover models.
 
 A cover model generates y given x by walking down the covers: enter at
-the coarsest cover (uniform over the contexts containing x), at each
-context stop with some probability and emit y from that context's
-local model, otherwise move to a matching context one cover finer. The
-walk is forced to stop at the deepest matching context.
+the root, at each context stop with some probability and emit y from
+that context's local model, otherwise move to the context one cover
+finer that contains x. The walk is forced to stop at the deepest
+matching context. Covers are partition trees, so x matches one chain
+of contexts, its path.
 
-For partition trees the posterior over the latent stop structure is
-tracked exactly and in closed form. Per context c three log quantities
-suffice:
+The posterior over the latent stop structure is tracked exactly and in
+closed form. Per context c three log quantities suffice:
 
 * ``log_m``: joint marginal of every observation whose chain passed
   through or ended at c, under c's local model.
@@ -25,11 +25,6 @@ suffice:
   walk stops at c given it got there is g_c = w0 * m_c / lambda_c, and
   it obeys the per observation update g' = g * pi / psi where pi is
   c's local predictive and psi its subtree predictive.
-
-Non-tree covers (a context with several parents) fall back to storing
-g per context and updating it multiplicatively; the closed form per
-context updates are the same, only the global evidence bookkeeping is
-approximate there.
 
 One absorb scores every matched context once. A local's ``update``
 returns its predictive from before the update, which is the pi above,
@@ -48,7 +43,8 @@ A snapshot (format version 3) holds only sufficient statistics: per
 context its stop weight, ``log_m``, ``log_trunc`` and local counts and
 sums, plus the cover's split records and buffered points. ``log_lambda``
 is recomputed bottom-up on load, bit for bit, and the structure is
-checked (``from_text``). Versions 1 and 2 still load.
+checked (``from_text``). Versions 1 and 2 still load, and their stored
+``log_lambda`` is recomputed the same way.
 """
 
 from __future__ import annotations
@@ -62,7 +58,7 @@ import numpy as np
 from .covers import cover_from_state
 from .errors import BadConfig
 from .local import check_nested, check_seen, local_from_state
-from .logspace import log1mexp, logaddexp, logsumexp
+from .logspace import log1mexp, logaddexp
 
 SNAPSHOT_FORMAT = "covermodels-snapshot"
 # Version 2 stores a tree density's one-point subtrees as singleton
@@ -98,16 +94,14 @@ def parse_depth_weight(spec):
 class ContextState:
     """Per context posterior state."""
 
-    __slots__ = ("local", "w0", "log_m", "log_trunc", "log_lambda", "log_g", "v")
+    __slots__ = ("local", "w0", "log_m", "log_trunc", "log_lambda")
 
-    def __init__(self, local, w0, v):
+    def __init__(self, local, w0):
         self.local = local
         self.w0 = w0
         self.log_m = 0.0
         self.log_trunc = 0.0
         self.log_lambda = 0.0
-        self.log_g = math.log(w0)
-        self.v = v
 
 
 class CoverModelPosterior:
@@ -137,8 +131,7 @@ class CoverModelPosterior:
         self._fresh = None
         for ctx in sorted(cover.contexts.values(), key=lambda c: c.cid):
             self._init_state(ctx)
-        if cover.exact:
-            self._refresh_all()
+        self._refresh_all()
 
     # ---- state management -------------------------------------------------
 
@@ -146,12 +139,7 @@ class CoverModelPosterior:
         w0 = float(self._w0_fn(ctx.depth))
         if not 0.0 < w0 <= 1.0:
             raise BadConfig(f"stop weight {w0} at depth {ctx.depth} not in (0, 1]")
-        if ctx.parent_ids:
-            share = 1.0 / len(ctx.parent_ids)
-            v = {p: share for p in ctx.parent_ids}
-        else:
-            v = {}
-        st = ContextState(self.local_factory(ctx.depth, ctx.region), w0, v)
+        st = ContextState(self.local_factory(ctx.depth, ctx.region), w0)
         self.states[ctx.cid] = st
         return st
 
@@ -167,25 +155,10 @@ class CoverModelPosterior:
         """
         if not 0.0 < w0 <= 1.0:
             raise BadConfig("stop weight must be in (0, 1]")
-        st = self.states[cid]
-        st.w0 = float(w0)
-        if self.cover.exact:
-            self._refresh_ancestry(cid)
-            st.log_g = math.log(st.w0) + st.log_m - st.log_lambda
-        else:
-            st.log_g = math.log(st.w0)
-
-    def _refresh_ancestry(self, cid):
-        affected = {cid}
-        frontier = [cid]
-        while frontier:
-            c = frontier.pop()
-            for p in self.cover.contexts[c].parent_ids:
-                if p not in affected:
-                    affected.add(p)
-                    frontier.append(p)
-        for c in sorted(affected, key=lambda k: -self.cover.contexts[k].depth):
-            self._refresh_lambda(c)
+        self.states[cid].w0 = float(w0)
+        while cid is not None:
+            self._refresh_lambda(cid)
+            cid = self.cover.contexts[cid].parent
 
     def _refresh_lambda(self, cid):
         ctx = self.cover.contexts[cid]
@@ -206,9 +179,7 @@ class CoverModelPosterior:
 
     def _log_g(self, cid) -> float:
         st = self.states[cid]
-        if self.cover.exact:
-            return min(0.0, math.log(st.w0) + st.log_m - st.log_lambda)
-        return min(0.0, st.log_g)
+        return min(0.0, math.log(st.w0) + st.log_m - st.log_lambda)
 
     def stop_posterior(self, cid) -> float:
         """Posterior probability that the walk stops at cid given reach.
@@ -226,89 +197,52 @@ class CoverModelPosterior:
 
     # ---- prediction -------------------------------------------------------
 
-    def _terminal(self, lg, lp, virtual):
-        if virtual is None or lg >= 0.0:
-            return lp
-        return logaddexp(lg + lp, log1mexp(lg) + virtual)
+    def _truncated(self, path) -> bool:
+        """Whether a matched path ends above the maximum depth of a
+        truncating cover, which can still refine past its end."""
+        return self.cover.growth_mode == "truncate" and len(path) < self.cover.max_depth
 
-    def _virtual(self, n_levels, xq, y):
-        """Log predictive of the virtual continuation past a chain that
-        ends above the maximum depth of a truncating cover, else None."""
-        if self.cover.growth_mode == "truncate" and n_levels < self.cover.max_depth:
+    def _virtual(self, path, xq, y):
+        """Log predictive of the virtual continuation past a truncated
+        path (see ``_truncated``), else None."""
+        if self._truncated(path):
             return float(self._fresh_local().log_predictive(y, xq))
         return None
 
-    def _lattice_continue(self, cid, below, logphi):
-        """Log continuation value of cid over the matched contexts one
-        cover finer that it overlaps, weighted by their transition
-        weights; None when there are none."""
-        kid_set = set(self.cover.contexts[cid].child_ids)
-        cands = [d for d in below if d in kid_set]
-        if not cands:
-            return None
-        w = [self.states[d].v.get(cid, 0.0) for d in cands]
-        total = sum(w)
-        if total <= 0.0:
-            w = [1.0] * len(cands)
-            total = float(len(cands))
-        # a weight that underflowed to 0 contributes exp(-inf)
-        return logsumexp(
-            [math.log(wd / total) + logphi[d] for wd, d in zip(w, cands) if wd > 0.0]
-        )
+    def _phi(self, path, logpi, virtual):
+        """Subtree predictive of each context on a matched path.
 
-    def _phi(self, levels, logpi, virtual):
-        """Subtree predictive per matched context, deepest first.
-
-        ``logpi`` holds each matched context's local log predictive and
+        ``logpi`` holds each context's local log predictive and
         ``virtual`` the virtual continuation's (see ``_virtual``).
-        Returns (log marginal, log psi by cid) where psi is the subtree
-        mixture value used by the walk. Reads the stop posteriors in
-        force, so an absorb calls it before committing anything.
+        Returns log psi per context, root first, where psi is the
+        subtree mixture value used by the walk; the root's is the log
+        marginal. Reads the stop posteriors in force, so an absorb
+        calls it before committing anything.
         """
-        n_levels = len(levels)
-        exact = self.cover.exact
-        logphi = {}
-        for k in range(n_levels - 1, -1, -1):
-            for cid in levels[k]:
-                lp = logpi[cid]
-                lg = self._log_g(cid)
-                if k == n_levels - 1:
-                    cont = None
-                elif exact:
-                    # a partition tree matches one child of cid per cover
-                    cont = logphi[levels[k + 1][0]]
-                else:
-                    cont = self._lattice_continue(cid, levels[k + 1], logphi)
-                if cont is None:
-                    logphi[cid] = self._terminal(lg, lp, virtual)
-                elif lg >= 0.0:
-                    logphi[cid] = lp
-                else:
-                    logphi[cid] = logaddexp(lg + lp, log1mexp(lg) + cont)
-        roots = levels[0]
-        if len(roots) == 1:
-            return logphi[roots[0]], logphi
-        logmarg = logsumexp([logphi[c] for c in roots]) - math.log(len(roots))
-        return logmarg, logphi
+        logpsi = [0.0] * len(path)
+        psi = virtual  # what the deepest context continues to, if anything
+        for k in range(len(path) - 1, -1, -1):
+            lg, lp = self._log_g(path[k]), logpi[k]
+            if psi is None or lg >= 0.0:
+                psi = lp
+            else:
+                psi = logaddexp(lg + lp, log1mexp(lg) + psi)
+            logpsi[k] = psi
+        return logpsi
 
     def _query(self, x, y):
         """Score y at x without changing anything.
 
-        Returns (levels, log pi by cid, log psi by cid, log marginal).
+        Returns (path, log pi per context, log psi per context).
         """
         xq = self.cover.prepare_query(x)
-        levels = self.cover.match_levels(xq)
-        logpi = {
-            cid: float(self.states[cid].local.log_predictive(y, xq))
-            for lvl in levels
-            for cid in lvl
-        }
-        logmarg, logphi = self._phi(levels, logpi, self._virtual(len(levels), xq, y))
-        return levels, logpi, logphi, logmarg
+        path = self.cover.match_levels(xq)
+        logpi = [float(self.states[cid].local.log_predictive(y, xq)) for cid in path]
+        return path, logpi, self._phi(path, logpi, self._virtual(path, xq, y))
 
     def predict_logdensity(self, x, y) -> float:
         """Log predictive density (or mass) of y at x. Does not mutate."""
-        return self._query(x, y)[3]
+        return self._query(x, y)[2][0]
 
     def psi_table(self, x, y):
         """Introspection: per matched context predictive decomposition.
@@ -318,30 +252,20 @@ class CoverModelPosterior:
         terminal context log_psi equals log_local unless a virtual
         continuation applies.
         """
-        levels, logpi, logphi, logmarg = self._query(x, y)
-        rows = []
-        for k, lvl in enumerate(levels):
-            for cid in lvl:
-                rows.append(
-                    {
-                        "cid": cid,
-                        "depth": k + 1,
-                        "log_local": logpi[cid],
-                        "log_psi": logphi[cid],
-                    }
-                )
-        return rows, logmarg
+        path, logpi, logpsi = self._query(x, y)
+        rows = [
+            {"cid": cid, "depth": k + 1, "log_local": logpi[k], "log_psi": logpsi[k]}
+            for k, cid in enumerate(path)
+        ]
+        return rows, logpsi[0]
 
     def log_marginal_likelihood(self) -> float:
         """Exact log evidence of everything absorbed so far.
 
-        Only defined for exact single root covers; equals the running
-        sum of absorb() returns when the cover did not replay blocks.
+        Equals the running sum of absorb() returns when the cover did
+        not replay blocks.
         """
-        roots = self.cover.roots()
-        if not self.cover.exact or len(roots) != 1:
-            raise BadConfig("exact evidence needs a single root partition tree")
-        return self.states[roots[0]].log_lambda
+        return self.states[self.cover.root_id].log_lambda
 
     # ---- learning ---------------------------------------------------------
 
@@ -354,41 +278,30 @@ class CoverModelPosterior:
         was.
         """
         xq = self.cover.prepare_query(x)
-        levels = self.cover.match_levels(xq)
+        path = self.cover.match_levels(xq)
+        states = self.states
         # Every local checks y before it changes, and the locals of one
         # model share one support, so only the first update can reject
         # y, and it does so before anything has changed.
-        logpi = {}
-        for lvl in levels:
-            for cid in lvl:
-                logpi[cid] = self.states[cid].local.update(y, xq)
+        logpi = [states[cid].local.update(y, xq) for cid in path]
         if self.grow and self.cover.growth_mode == "truncate":
+            # a new context's parent exists, so new ones extend the path
             path, new = self.cover.extend(xq)
-            if new:
-                for cid in new:
-                    st = self._init_state(self.cover.contexts[cid])
-                    logpi[cid] = st.local.update(y, xq)
-                levels = [[cid] for cid in path]
+            for cid in new:
+                logpi.append(self._init_state(self.cover.contexts[cid]).local.update(y, xq))
         # the stop posteriors read by _phi change only below
-        logmarg, logphi = self._phi(levels, logpi, self._virtual(len(levels), xq, y))
+        logmarg = self._phi(path, logpi, self._virtual(path, xq, y))[0]
 
-        if not self.cover.exact:
-            self._reweight(levels, logpi, logphi)
-        for lvl in levels:
-            for cid in lvl:
-                self.states[cid].log_m += logpi[cid]
-        if self.cover.growth_mode == "truncate" and len(levels) < self.cover.max_depth:
-            anchor = levels[-1][0]
-            self.states[anchor].log_trunc += logpi[anchor]
-
-        if self.cover.exact:
-            for k in range(len(levels) - 1, -1, -1):
-                for cid in levels[k]:
-                    self._refresh_lambda(cid)
+        for cid, lp in zip(path, logpi):
+            states[cid].log_m += lp
+        if self._truncated(path):
+            states[path[-1]].log_trunc += logpi[-1]
+        for cid in reversed(path):
+            self._refresh_lambda(cid)
 
         if self.grow and self.cover.growth_mode == "replay":
             y_arr = np.asarray(y, dtype=float).reshape(-1)
-            events = self.cover.observe_and_refine(xq, y_arr, levels[-1][0])
+            events = self.cover.observe_and_refine(xq, y_arr, path[-1])
             if events:
                 for _, kids in events:
                     for cid, block in kids:
@@ -402,68 +315,27 @@ class CoverModelPosterior:
                 )
                 for cid in dirty:
                     self._refresh_lambda(cid)
-                for k in range(len(levels) - 1, -1, -1):
-                    for cid in levels[k]:
-                        self._refresh_lambda(cid)
+                for cid in reversed(path):
+                    self._refresh_lambda(cid)
 
         self.n_obs += 1
         self.log_evidence += logmarg
         return logmarg
 
-    def _reweight(self, levels, logpi, logphi):
-        """Lattice bookkeeping of one absorb, from the pre-update values:
-        transition weights of contexts with several parents, then the
-        stored stop posteriors."""
-        for k in range(1, len(levels)):
-            matched_parents = set(levels[k - 1])
-            for d in levels[k]:
-                st = self.states[d]
-                if len(st.v) <= 1:
-                    continue
-                bf = math.exp(min(logphi[d], 500.0))
-                for p in st.v:
-                    if p in matched_parents:
-                        st.v[p] *= bf
-                z = sum(st.v.values())
-                if z > 0.0:
-                    st.v = {p: val / z for p, val in st.v.items()}
-        for lvl in levels:
-            for cid in lvl:
-                st = self.states[cid]
-                st.log_g = min(0.0, st.log_g + logpi[cid] - logphi[cid])
-
     # ---- sampling ---------------------------------------------------------
 
     def sample_y(self, x, rng):
-        """Draw y from the posterior predictive at x."""
+        """Draw y from the posterior predictive at x: walk down the
+        matched path, stopping at each context with its stop posterior."""
         xq = self.cover.prepare_query(x)
-        levels = self.cover.match_levels(xq)
-        virtual = (
-            self.cover.growth_mode == "truncate"
-            and len(levels) < self.cover.max_depth
-        )
-        k = 0
-        cid = levels[0][int(rng.integers(len(levels[0])))]
-        while True:
-            st = self.states[cid]
-            terminal = k == len(levels) - 1
-            if not terminal:
-                kid_set = set(self.cover.contexts[cid].child_ids)
-                cands = [d for d in levels[k + 1] if d in kid_set]
-                terminal = not cands
-            if terminal:
-                if virtual and rng.uniform() >= math.exp(self._log_g(cid)):
-                    return self._fresh_local().sample(rng)
-                return st.local.sample(rng)
+        path = self.cover.match_levels(xq)
+        for cid in path[:-1]:
             if rng.uniform() < math.exp(self._log_g(cid)):
-                return st.local.sample(rng)
-            w = np.array([self.states[d].v.get(cid, 0.0) for d in cands])
-            total = w.sum()
-            if total <= 0.0:
-                w = np.ones(len(cands))
-                total = float(len(cands))
-            cid = cands[int(rng.choice(len(cands), p=w / total))]
-            k += 1
+                return self.states[cid].local.sample(rng)
+        cid = path[-1]
+        if self._truncated(path) and rng.uniform() >= math.exp(self._log_g(cid)):
+            return self._fresh_local().sample(rng)
+        return self.states[cid].local.sample(rng)
 
     # ---- persistence ------------------------------------------------------
 
@@ -474,9 +346,8 @@ class CoverModelPosterior:
         """Serialise to a line oriented text snapshot (JSON records).
 
         A context's record holds its stop weight, ``log_m``,
-        ``log_trunc`` and local model. ``log_lambda`` is recomputed on
-        load, and ``log_g`` and ``v`` are the values ``_init_state``
-        gives, since every cover that serialises is an exact tree.
+        ``log_trunc`` and local model. ``log_lambda`` is derived from
+        those and recomputed on load.
         """
         meta = {
             "format": SNAPSHOT_FORMAT,
@@ -506,12 +377,15 @@ class CoverModelPosterior:
 
         The local factory is not serialised and must be supplied again;
         it is only consulted for contexts created after the restore.
-        Version-1 and version-2 records keep their stored ``log_lambda``,
-        ``log_g`` and ``v``.
+        Every version recomputes ``log_lambda`` bottom-up; the derived
+        values that version-1 and version-2 records also store are not
+        read.
 
         Raises ``BadConfig`` on a snapshot whose structure does not hold
         together: the checks of the cover's and the locals'
-        ``from_state``, a state for each context and for no other, and
+        ``from_state``, which take ``n_obs`` as the bound on a tree
+        density's counts before those size anything, a state for each
+        context and for no other, and
         counts that agree with what the cover routed. The root's local
         was offered every observation; on a growing kd cover each
         context's local was offered the points buffered in the leaves
@@ -530,12 +404,12 @@ class CoverModelPosterior:
             version = meta.get("version")
             if version not in (1, 2, SNAPSHOT_VERSION):
                 raise BadConfig(f"unsupported snapshot version {version!r}")
-            return cls._load(meta, lines[1:], local_factory, version)
+            return cls._load(meta, lines[1:], local_factory)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BadConfig(f"malformed snapshot: {exc!r}") from exc
 
     @classmethod
-    def _load(cls, meta, records, local_factory, version):
+    def _load(cls, meta, records, local_factory):
         obj = cls.__new__(cls)
         obj.cover = cover_from_state(meta["cover"])
         obj.local_factory = local_factory
@@ -551,26 +425,17 @@ class CoverModelPosterior:
             cid = rec["cid"]
             if cid not in contexts or cid in states:
                 raise BadConfig(f"state record for context {cid!r}, unknown or repeated")
-            st = ContextState.__new__(ContextState)
-            st.local = local_from_state(rec["local"])
-            st.w0 = float(rec["w0"])
+            # no local can have seen more than every observation
+            st = ContextState(local_from_state(rec["local"], obj.n_obs), float(rec["w0"]))
             if not 0.0 < st.w0 <= 1.0:
                 raise BadConfig(f"stop weight {st.w0} of context {cid} not in (0, 1]")
             st.log_m = float(rec["log_m"])
             st.log_trunc = float(rec["log_trunc"])
-            if version < 3:
-                st.log_lambda = float(rec["log_lambda"])
-                st.log_g = float(rec["log_g"])
-                st.v = {int(p): float(val) for p, val in rec["v"]}
-            else:
-                st.log_g = math.log(st.w0)
-                st.v = {p: 1.0 for p in contexts[cid].parent_ids}
             states[cid] = st
         if len(states) != len(contexts):
             missing = sorted(set(contexts) - set(states))
             raise BadConfig(f"snapshot lacks state for contexts {missing}")
-        if version == SNAPSHOT_VERSION:
-            obj._refresh_all()
+        obj._refresh_all()
         obj._check_counts()
         return obj
 

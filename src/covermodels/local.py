@@ -691,7 +691,7 @@ class BayesTreeDensity:
             "points": points,
         }
 
-    def _load(self, counts, points):
+    def _load(self, counts, points, max_seen=None):
         """Fill the empty tree from ``state_dict``'s flat lists.
 
         One forward pass lays out the nodes, each pair of children
@@ -699,11 +699,12 @@ class BayesTreeDensity:
         every value after its children's, with the operands
         ``_path_values`` would use. Raises ``BadConfig`` on a list that
         is short or long, a count that is not an int or exceeds the
-        root's, a split at
-        ``max_depth``, a childless node above ``max_depth`` with two or
-        more points, a singleton point outside the box, or a node whose
-        count is not the sum of its children's. A singleton point is not
-        checked against its own cell below the root.
+        root's, a root count above ``max_seen`` (checked before any
+        table is sized by it), a split at ``max_depth``, a childless
+        node above ``max_depth`` with two or more points, a singleton
+        point outside the box, or a node whose count is not the sum of
+        its children's. A singleton point is not checked against its own
+        cell below the root.
         """
         size = len(counts)
         if not size or set(map(type, counts)) != {int}:
@@ -744,6 +745,8 @@ class BayesTreeDensity:
             ):
                 raise BadConfig(f"a tree point lies outside {self.box!r}")
         root = n[0]
+        if max_seen is not None and root > max_seen:
+            raise BadConfig(f"tree root holds {root} points, more than {max_seen} observed")
         if max(n) > root:
             raise BadConfig("a tree node holds more points than the root")
         self._lg_a, self._lg_2a = _lgamma_tables(self.branch_pseudo, root)
@@ -763,7 +766,7 @@ class BayesTreeDensity:
         self._n, self._kid, self._lam, self._pt = n, kid, lam, pt
 
     @classmethod
-    def from_state(cls, state):
+    def from_state(cls, state, max_seen=None):
         obj = cls(
             np.asarray(state["lower"]),
             np.asarray(state["upper"]),
@@ -772,9 +775,9 @@ class BayesTreeDensity:
             max_depth=state["max_depth"],
         )
         if "tree" in state:
-            obj._load(*_flatten_nested(state["tree"]))
+            obj._load(*_flatten_nested(state["tree"]), max_seen)
         else:
-            obj._load(state["counts"], state["points"])
+            obj._load(state["counts"], state["points"], max_seen)
         return obj
 
 
@@ -861,8 +864,8 @@ class MixtureLocal:
         }
 
     @classmethod
-    def from_state(cls, state):
-        comps = [local_from_state(c) for c in state["components"]]
+    def from_state(cls, state, max_seen=None):
+        comps = [local_from_state(c, max_seen) for c in state["components"]]
         obj = cls(comps)
         # verbatim, not through __init__: renormalising an already
         # normalised vector can move it by an ulp and break bit-exact
@@ -880,10 +883,16 @@ _LOCAL_KINDS = {
 }
 
 
-def local_from_state(state):
+def local_from_state(state, max_seen=None):
+    """Rebuild a local model from ``state_dict``. ``max_seen``, when
+    given, bounds the observations the model can have been offered; a
+    tree density checks its root count against it before it sizes its
+    log-Beta tables by that count."""
     kind = state.get("kind")
     if kind not in _LOCAL_KINDS:
         raise BadConfig(f"unknown local model kind {kind!r}")
+    if kind in ("bayes_tree", "mixture"):
+        return _LOCAL_KINDS[kind].from_state(state, max_seen)
     return _LOCAL_KINDS[kind].from_state(state)
 
 

@@ -31,8 +31,8 @@ class ExactEnumerator:
     Parameters
     ----------
     cover : CoverSequence
-        Must be exact (a tree) with a single root. The structure is
-        frozen at construction; rebuild the enumerator if it grows.
+        A partition tree, as every cover is. The structure is frozen at
+        construction; rebuild the enumerator if it grows.
     w0_by_cid : dict
         Prior stop weight per context id.
     log_block_marginal : callable (cid, block) -> float
@@ -43,13 +43,8 @@ class ExactEnumerator:
     """
 
     def __init__(self, cover, w0_by_cid, log_block_marginal, max_cuts=200000):
-        if not cover.exact:
-            raise BadConfig("enumeration needs a partition tree cover")
-        roots = cover.roots()
-        if len(roots) != 1:
-            raise BadConfig("enumeration needs a single root")
         self.cover = cover
-        self.root = roots[0]
+        self.root = cover.root_id
         self.w0 = dict(w0_by_cid)
         self.marginal = log_block_marginal
         n = self._count_cuts(self.root)
@@ -86,9 +81,8 @@ class ExactEnumerator:
     def _blocks(self, data):
         blocks = {cid: [] for cid in self.cover.contexts}
         for x, y in data:
-            for lvl in self.cover.match_levels(self.cover.prepare_query(x)):
-                for cid in lvl:
-                    blocks[cid].append((x, y))
+            for cid in self.cover.match_levels(self.cover.prepare_query(x)):
+                blocks[cid].append((x, y))
         return blocks
 
     def _scores(self, data):
@@ -106,9 +100,7 @@ class ExactEnumerator:
     def log_predictive(self, data, x, y) -> float:
         """Posterior predictive log density of y at x given data."""
         blocks, logm, scored = self._scores(data)
-        on_path = set()
-        for lvl in self.cover.match_levels(self.cover.prepare_query(x)):
-            on_path.update(lvl)
+        on_path = set(self.cover.match_levels(self.cover.prepare_query(x)))
         num = []
         den = []
         for cut, base in scored:
@@ -130,13 +122,10 @@ class ExactEnumerator:
         """
         _, _, scored = self._scores(data)
         ancestors = set()
-        c = cid
-        while True:
-            parents = self.cover.contexts[c].parent_ids
-            if not parents:
-                break
-            c = parents[0]
+        c = self.cover.contexts[cid].parent
+        while c is not None:
             ancestors.add(c)
+            c = self.cover.contexts[c].parent
         at = [s for cut, s in scored if cid in cut]
         reach = [s for cut, s in scored if ancestors.isdisjoint(cut)]
         if not at:

@@ -31,7 +31,7 @@ def random_static_tree(rng, max_extra_splits=6, dim=None, depth_cap=3):
     dim = dim or int(rng.integers(1, 3))
     box = Box(np.zeros(dim), rng.uniform(0.5, 2.0, size=dim))
     cov = KdTreeCover(box, alpha=2.0, max_depth=depth_cap + 1)
-    leaves = [cov.roots()[0]]
+    leaves = [cov.root_id]
     for _ in range(int(rng.integers(1, max_extra_splits + 1))):
         # only leaves below the depth cap stay splittable
         open_leaves = [c for c in leaves if cov.contexts[c].depth <= depth_cap]

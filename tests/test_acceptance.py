@@ -216,6 +216,31 @@ def test_kd_depth_and_update_cost_stay_bounded():
     )
 
 
+def test_vmm_update_cost_stays_flat():
+    """Once every context is materialised a symbol costs the same no
+    matter how long the stream is: the second 10^4 symbols cost on
+    average no more than 1.5 times the first 10^4."""
+    t0 = time.perf_counter()
+    n = 20_000
+    seq = np.random.default_rng(11).integers(4, size=n).tolist()
+    model = VmmModel(alphabet_size=4, depth=5)
+    spent = 0.0
+    cum_half = None
+    for i, sym in enumerate(seq):
+        s = time.perf_counter()
+        model.observe(sym)
+        spent += time.perf_counter() - s
+        if i + 1 == n // 2:
+            cum_half = spent
+    ratio = ((spent - cum_half) / (n - n // 2)) / (cum_half / (n // 2))
+    dt = time.perf_counter() - t0
+    _report(
+        ratio <= 1.5,
+        f"vmm cost stays flat: mean observe cost 1e4-2e4 / 0-1e4 = {ratio:.3f} "
+        f"(cap 1.5), {model.posterior.cover.n_contexts} contexts, {dt:.0f}s",
+    )
+
+
 def test_density_estimator_learns_and_rivals_kernel_baseline():
     """Held-out loss must fall with data on both smooth and hard-edged
     mixtures, and the final loss must be within a whisker of a tuned

@@ -60,10 +60,8 @@ class TestKdTreeCover:
         assert cov.refinement_depth >= 2
         # every line of descent halves the box and matches the query
         q = cov.prepare_query([0.3])
-        levels = cov.match_levels(q)
-        assert all(len(lvl) == 1 for lvl in levels)
-        for lvl in levels:
-            assert cov.contexts[lvl[0]].region.contains(q)
+        for cid in cov.match_levels(q):
+            assert cov.contexts[cid].region.contains(q)
 
     def test_split_events_carry_blocks(self):
         cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0)
@@ -73,7 +71,7 @@ class TestKdTreeCover:
         # threshold at depth 1 is 2, so the third point triggers the split
         assert len(events) == 1
         parent, kids = events[0]
-        assert parent == cov.roots()[0]
+        assert parent == cov.root_id
         moved = sorted(float(x[0]) for _, blk in kids for x, _ in blk)
         assert moved == [0.1, 0.2, 0.8]
         # the y payload rides along with its x
@@ -92,7 +90,7 @@ class TestKdTreeCover:
 
     def test_depth_cap(self):
         cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0, max_depth=2)
-        lo, _ = cov.split_leaf(cov.roots()[0])
+        lo, _ = cov.split_leaf(cov.root_id)
         with pytest.raises(DepthLimitExceeded):
             cov.split_leaf(lo)
 
@@ -119,15 +117,14 @@ class TestSuffixTreeCover:
         cov = SuffixTreeCover(alphabet_size=2, max_depth=3)
         path, new = cov.extend((0, 1))
         assert len(path) == 3 and len(new) == 2
-        levels = cov.match_levels(cov.prepare_query((0, 1)))
-        assert [lvl[0] for lvl in levels] == path
+        assert cov.match_levels(cov.prepare_query((0, 1))) == path
 
     def test_suffix_identity(self):
         cov = SuffixTreeCover(alphabet_size=2, max_depth=3)
         cov.extend((1, 0))
         # (0, 1, 0) shares the suffix chain of (1, 0)
-        levels = cov.match_levels(cov.prepare_query((0, 1, 0)))
-        regions = [cov.contexts[lvl[0]].region.suffix for lvl in levels]
+        path = cov.match_levels(cov.prepare_query((0, 1, 0)))
+        regions = [cov.contexts[cid].region.suffix for cid in path]
         assert regions == [(), (0,), (1, 0)]
 
     def test_extend_is_idempotent(self):
@@ -153,29 +150,41 @@ class TestSuffixTreeCover:
 
 
 class TestExplicitCover:
-    def lattice(self):
-        # two coarse sets overlap on {2, 3}: contexts may have 2 parents
+    def tree(self):
         return ExplicitCover(
             [
                 [{0, 1, 2, 3, 4, 5}],
-                [{0, 1, 2, 3}, {2, 3, 4, 5}],
-                [{2, 3}],
+                [{0, 1, 2, 3}, {4, 5}],
+                [{2, 3}, {0, 1}],
             ]
         )
 
-    def test_exactness_detection(self):
-        assert not self.lattice().exact
-        tree = ExplicitCover([[{0, 1, 2, 3}], [{0, 1}, {2, 3}]])
-        assert tree.exact
+    @pytest.mark.parametrize(
+        "levels",
+        [
+            [],
+            [[{0, 1}, {2, 3}]],  # two roots
+            [[{0, 1, 2, 3}], [{0, 1, 2}, {1, 2, 3}]],  # siblings overlap
+            [[{0, 1, 2, 3, 4, 5}], [{0, 1, 2, 3}, {2, 3, 4, 5}], [{2, 3}]],
+            [[{0, 1, 2, 3, 4, 5}], [{0, 1, 2}, {3, 4, 5}], [{2, 3}]],  # two parents
+            [[{0, 1, 2, 3}], [{0, 1}]],  # children leave part of the root
+            [[{0, 1}], [{0, 1, 2}]],  # a child reaches past its parent
+            [[{0, 1}], [{0}, {1}], [{7}]],  # a context under no parent
+            [[{0, 1}], [set()]],
+        ],
+    )
+    def test_rejects_anything_but_a_partition_tree(self, levels):
+        with pytest.raises(BadConfig):
+            ExplicitCover(levels)
 
     def test_match_levels(self):
-        cov = self.lattice()
-        levels = cov.match_levels(cov.prepare_query(2))
-        assert [len(lvl) for lvl in levels] == [1, 2, 1]
-        levels = cov.match_levels(cov.prepare_query(0))
-        assert [len(lvl) for lvl in levels] == [1, 1]
+        cov = self.tree()
+        assert cov.root_id == 0
+        assert cov.match_levels(cov.prepare_query(2)) == [0, 1, 3]
+        assert cov.match_levels(cov.prepare_query(5)) == [0, 2]
+        assert [cov.contexts[c].parent for c in range(5)] == [None, 0, 0, 1, 1]
 
     def test_no_match_raises(self):
-        cov = self.lattice()
+        cov = self.tree()
         with pytest.raises(EmptyPath):
             cov.match_levels(cov.prepare_query(99))

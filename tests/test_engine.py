@@ -17,7 +17,6 @@ from covermodels import (
     CoverModelPosterior,
     DirichletMultinomial,
     ExactEnumerator,
-    ExplicitCover,
     HistogramDensity,
     KdTreeCover,
     VmmModel,
@@ -123,7 +122,7 @@ class TestLocality:
         for _ in range(6):
             post.absorb(*random_xy(rng, cov))
         x, y = random_xy(rng, cov)
-        on_path = {cid for lvl in cov.match_levels(x) for cid in lvl}
+        on_path = set(cov.match_levels(x))
         before = {c: post.states[c].log_m for c in cov.contexts}
         post.absorb(x, y)
         for c in cov.contexts:
@@ -222,7 +221,7 @@ class TestSnapshot:
         recursion gives it, as a reload recomputes it."""
         rng = np.random.default_rng(seed)
         cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0, max_depth=6)
-        cov.split_leaf(cov.split_leaf(cov.roots()[0])[1])
+        cov.split_leaf(cov.split_leaf(cov.root_id)[1])
         factory = lambda depth, region: DirichletMultinomial(2, 0.5)
         w0 = float(rng.uniform(0.05, 0.95))
         post = CoverModelPosterior(cov, factory, depth_weight=f"const:{w0!r}", grow=False)
@@ -282,8 +281,7 @@ class TestPsiTable:
         x, y = random_xy(rng, cov)
         rows, log_marginal = post.psi_table(x, y)
         assert log_marginal == pytest.approx(post.predict_logdensity(x, y), abs=1e-12)
-        path = [cid for lvl in cov.match_levels(x) for cid in lvl]
-        assert [r["cid"] for r in rows] == path
+        assert [r["cid"] for r in rows] == cov.match_levels(x)
         # psi is the subtree mixture value: the root row carries the
         # marginal, the terminal row its own local, and every level in
         # between mixes stop against continue at the posterior stop mass
@@ -315,56 +313,12 @@ class TestSampling:
         assert pval > 1e-4
 
 
-class TestLatticeCovers:
-    """Overlapping covers drop exactness but keep the machinery running."""
-
-    def lattice_engine(self):
-        cov = ExplicitCover(
-            [
-                [{0, 1, 2, 3, 4, 5}],
-                [{0, 1, 2, 3}, {2, 3, 4, 5}],
-                [{2, 3}],
-            ]
-        )
-        factory = lambda depth, region: DirichletMultinomial(2, 0.5)
-        return cov, CoverModelPosterior(cov, factory, grow=False)
-
-    def test_not_exact(self):
-        cov, post = self.lattice_engine()
-        assert not cov.exact
-        with pytest.raises(BadConfig):
-            post.log_marginal_likelihood()
-
-    def test_absorb_and_predict(self):
-        cov, post = self.lattice_engine()
-        rng = np.random.default_rng(13)
-        total = 0.0
-        for _ in range(25):
-            q = int(rng.integers(6))
-            y = int(rng.integers(2))
-            total += post.absorb(q, y)
-        assert np.isfinite(total)
-        p = [math.exp(post.predict_logdensity(2, k)) for k in range(2)]
-        assert sum(p) == pytest.approx(1.0, abs=1e-9)
-
-    def test_transition_rows_stay_normalized(self):
-        cov, post = self.lattice_engine()
-        rng = np.random.default_rng(29)
-        for _ in range(30):
-            post.absorb(int(rng.integers(6)), int(rng.integers(2)))
-        # the deepest context overlaps both mid-level sets
-        deep = [c for c in cov.contexts.values() if c.depth == 3][0]
-        v = post.states[deep.cid].v
-        assert len(v) == 2
-        assert sum(v.values()) == pytest.approx(1.0, abs=1e-12)
-
-
 class TestValidation:
     def test_set_w0_range(self):
         rng = np.random.default_rng(0)
         cov = random_static_tree(rng)
         post, _ = attach_random_engine(rng, cov)
-        root = cov.roots()[0]
+        root = cov.root_id
         with pytest.raises(BadConfig):
             post.set_w0(root, 0.0)
         with pytest.raises(BadConfig):

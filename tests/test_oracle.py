@@ -5,10 +5,8 @@ import pytest
 from scipy.special import logsumexp
 
 from covermodels import (
-    BadConfig,
     DirichletMultinomial,
     ExactEnumerator,
-    ExplicitCover,
     HistogramDensity,
     NormalWishart,
     TooLargeToEnumerate,
@@ -44,7 +42,7 @@ class TestCutEnumeration:
         ]
         for cut, _ in enum.cuts:
             for p in probes:
-                path = [cid for lvl in cov.match_levels(p) for cid in lvl]
+                path = cov.match_levels(p)
                 # each root-to-leaf chain crosses the cut exactly once
                 assert sum(1 for c in path if c in cut) == 1
 
@@ -54,13 +52,6 @@ class TestCutEnumeration:
             ExactEnumerator(
                 cov, flat_w0(cov), dirichlet_block_marginal(2, 0.5), max_cuts=2
             )
-
-    def test_rejects_overlapping_covers(self):
-        cov = ExplicitCover(
-            [[{0, 1, 2, 3}], [{0, 1, 2}, {1, 2, 3}]]
-        )
-        with pytest.raises(BadConfig):
-            ExactEnumerator(cov, {}, dirichlet_block_marginal(2, 0.5))
 
 
 class TestBlockMarginals:

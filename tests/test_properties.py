@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covermodels import BadConfig, CdeConfig, CdeModel, OutOfSupport, VmmModel
+from covermodels import BadConfig, CdeConfig, CdeModel, OutOfSupport, VmmModel, local
 
 COMPONENTS = [("tree",), ("nw", "tree")]
 KINDS = ["ok", "ok", "ok", "nan_x", "nan_y", "y_outside"]
@@ -165,3 +165,44 @@ def test_a_corrupted_structural_field_is_refused(field, pick):
     text = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
     with pytest.raises(BadConfig):
         load(text)
+
+
+def test_a_huge_tree_count_is_refused_before_it_sizes_any_table(monkeypatch):
+    """A tree count raised to 10**9 along one root-to-leaf chain keeps
+    every node the sum of its children, so only the header's ``n_obs``
+    can refute it. It must do so before the count sizes the log-Beta
+    tables that every tree with the same pseudo-count shares."""
+    a = 0.4375  # a pseudo-count of its own, so its tables start unsized
+    cfg = CdeConfig(
+        x_lower=[0.0], x_upper=[1.0], y_lower=[0.0], y_upper=[1.0],
+        tree_max_depth=3, tree_branch_pseudo=a,
+    )
+    model = CdeModel(cfg)
+    rng = np.random.default_rng(2)
+    for x, y in rng.uniform(0.0, 0.1, size=(30, 2)):
+        model.absorb([x], [y])
+    lines = [json.loads(line) for line in model.to_text().splitlines()]
+    n_obs = lines[1]["n_obs"]
+    counts = lines[2]["local"]["components"][1]["counts"]  # the root context's tree
+    raise_by = 10**9 + counts[0]  # counts of split nodes are negated
+    # preorder: a split node's left child comes right after it
+    depth = 0
+    while counts[depth] < 0:
+        counts[depth] -= raise_by
+        depth += 1
+    counts[depth] += raise_by
+    assert counts[0] == -(10**9) and depth == cfg.tree_max_depth  # any count is legal there
+    text = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+
+    real = local._lgamma_tables
+
+    def guarded(pseudo, n):
+        if n > n_obs + 1:
+            pytest.fail(f"log-Beta tables sized for {n} points, n_obs is {n_obs}")
+        return real(pseudo, n)
+
+    monkeypatch.setattr(local, "_lgamma_tables", guarded)
+    del local._LGAMMA_TABLES[a]
+    with pytest.raises(BadConfig):
+        CdeModel.from_text(text)
+    assert all(len(t) <= n_obs + 1 for t in local._LGAMMA_TABLES.get(a, ()))

@@ -150,6 +150,38 @@ class TestStreamingApi:
         assert m.context == (0, 0, 1)[-2:]
 
 
+class TestSampling:
+    """``sample_y`` draws from the predictive it would score, both where
+    the matched path stops short of ``max_depth`` and a virtual
+    continuation is mixed in, and where it reaches ``max_depth``."""
+
+    @pytest.mark.parametrize("n_history", [1, 3])
+    def test_draws_match_next_symbol_probs(self, n_history):
+        from scipy.stats import chisquare
+
+        rng = np.random.default_rng(25)
+        m = VmmModel(alphabet_size=3, depth=4)
+        # a short noisy run of 0 1 1 leaves the stop posteriors undecided
+        m.fit_sequence([s if rng.uniform() < 0.9 else int(rng.integers(3)) for s in [0, 1, 1] * 7])
+        tail = m.context[-n_history:]
+        m.history.clear()
+        m.history.extend(tail)
+        post = m.posterior
+        path = [row["cid"] for row in post.psi_table(m.context, 0)[0]]
+        if n_history == 1:
+            # the virtual continuation takes a fair share of the mass
+            assert len(path) < post.cover.max_depth
+            assert 0.2 < post.stop_posterior(path[-1]) < 0.8
+        else:
+            assert len(path) == post.cover.max_depth
+        probs = np.exp(m.next_symbol_logprobs())
+        n = 4000
+        draws = [int(post.sample_y(m.context, rng)) for _ in range(n)]
+        counts = np.bincount(draws, minlength=3)
+        _, pval = chisquare(counts, probs * n)
+        assert pval > 1e-4
+
+
 class TestSnapshot:
     def test_round_trip_preserves_predictions(self):
         rng = np.random.default_rng(21)
