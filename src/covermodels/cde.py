@@ -11,16 +11,32 @@ update with no refitting.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .covers import Box, KdTreeCover
-from .engine import CoverModelPosterior
+from .engine import CoverModelPosterior, parse_depth_weight
 from .errors import BadConfig
 from .local import BayesTreeDensity, MixtureLocal, NormalWishart
 
 _COMPONENTS = ("nw", "tree")
+# the hyperparameters a config sets in each kind of local
+_HYPER = {
+    NormalWishart: lambda c: (c.mu0.tolist(), c.kappa0, c.nu0, c.T0.tolist()),
+    BayesTreeDensity: lambda c: (
+        c.box.lower.tolist(), c.box.upper.tolist(), c.gamma, c.branch_pseudo, c.max_depth
+    ),
+}
+
+
+def _prior(local):
+    """A local's kind and hyperparameters, per mixture component in order."""
+    if isinstance(local, MixtureLocal):
+        return [_prior(c) for c in local.components]
+    # a kind that no config makes differs by its type alone
+    return type(local), _HYPER.get(type(local), lambda c: None)(local)
 
 
 @dataclass
@@ -59,7 +75,7 @@ class CdeConfig:
                 setattr(self, name, [float(v) for v in value])
 
     def validate(self):
-        if self.alpha <= 1.0:
+        if not self.alpha > 1.0:  # NaN too: every leaf would split
             raise BadConfig("alpha must exceed 1")
         comps = tuple(self.components)
         if not comps or any(c not in _COMPONENTS for c in comps):
@@ -76,9 +92,13 @@ class CdeConfig:
             if self.y_dim is not None and self.y_dim != ybox.dim:
                 raise BadConfig("y_dim disagrees with y bounds")
         Box(self.x_lower, self.x_upper)
-        if self.mixture_weights is not None and len(self.mixture_weights) != len(comps):
-            raise BadConfig("mixture_weights length must match components")
-        if self.max_depth_x < 1:
+        weights = self.mixture_weights
+        if weights is not None:
+            if len(weights) != len(comps):
+                raise BadConfig("mixture_weights length must match components")
+            if not (all(0.0 <= w < math.inf for w in weights) and sum(weights) > 0.0):
+                raise BadConfig("mixture_weights must be finite, nonnegative and not all zero")
+        if not self.max_depth_x >= 1:
             raise BadConfig("max_depth_x must be at least 1")
         return self
 
@@ -188,6 +208,10 @@ class CdeModel:
 
     @classmethod
     def from_text(cls, text) -> "CdeModel":
+        """Rebuild a model from ``to_text`` output. Raises ``BadConfig``
+        unless the header's config is the one the posterior was built
+        with, as far as its cover, stop weights and root local show:
+        contexts made after the restore take their locals from it."""
         head, _, rest = text.partition("\n")
         try:
             meta = json.loads(head)
@@ -200,9 +224,19 @@ class CdeModel:
             raise BadConfig(f"malformed cde snapshot header: {exc!r}") from exc
         obj = cls.__new__(cls)
         obj.config = config.validate()
-        obj.posterior = CoverModelPosterior.from_text(rest, obj._make_local)
-        if not isinstance(obj.posterior.cover, KdTreeCover):
+        obj.posterior = post = CoverModelPosterior.from_text(rest, obj._make_local)
+        cover = post.cover
+        if not isinstance(cover, KdTreeCover):
             raise BadConfig("a cde snapshot must hold a kd cover")
+        box = cover.root_box
+        if (
+            (box.lower.tolist(), box.upper.tolist()) != (config.x_lower, config.x_upper)
+            or (cover.alpha, cover.max_depth, cover.on_outside)
+            != (config.alpha, config.max_depth_x, config.on_outside)
+            or parse_depth_weight(config.depth_weight)[0] != post.depth_weight_spec
+            or _prior(post.states[cover.root_id].local) != _prior(obj._make_local(1, box))
+        ):
+            raise BadConfig("cde snapshot header disagrees with its posterior")
         return obj
 
 

@@ -183,6 +183,20 @@ def _checkpoints(spec):
     return cps
 
 
+def _eval_meta(args, cfg, **extra):
+    """The .meta payload of fit-eval and compare: their shared
+    arguments and the effective configuration, plus ``extra``."""
+    return {
+        "config": cfg,
+        "train": args.train,
+        "holdout": args.holdout,
+        "checkpoints": _checkpoints(args.checkpoints),
+        "seed": args.seed,
+        "record_timing": not args.no_timing,
+        **extra,
+    }
+
+
 def _write_meta(out_path, payload):
     with open(out_path + ".meta", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -244,18 +258,14 @@ def cmd_fit_eval(args) -> int:
     write_records_csv(out, records)
     _write_meta(
         out,
-        {
-            "command": "fit-eval",
-            "method": args.method,
-            "config": cfg,
-            "train": args.train,
-            "holdout": args.holdout,
-            "checkpoints": _checkpoints(args.checkpoints),
-            "seed": args.seed,
-            "record_timing": not args.no_timing,
-            "resume": args.resume,
-            "snapshot_at": snapshot_at,
-        },
+        _eval_meta(
+            args,
+            cfg,
+            command="fit-eval",
+            method=args.method,
+            resume=args.resume,
+            snapshot_at=snapshot_at,
+        ),
     )
     for r in records:
         print(f"t={r.t:<8d} {r.method:<12s} loss={r.loss:.6f}")
@@ -286,19 +296,7 @@ def cmd_compare(args) -> int:
             print(f"t={r.t:<8d} {r.method:<12s} loss={r.loss:.6f}")
     out = _out_path(args.out)
     write_records_csv(out, all_records)
-    _write_meta(
-        out,
-        {
-            "command": "compare",
-            "methods": names,
-            "config": cfg,
-            "train": args.train,
-            "holdout": args.holdout,
-            "checkpoints": _checkpoints(args.checkpoints),
-            "seed": args.seed,
-            "record_timing": not args.no_timing,
-        },
-    )
+    _write_meta(out, _eval_meta(args, cfg, command="compare", methods=names))
     best = min(finals, key=finals.get)
     print(f"best final loss: {best} ({finals[best]:.6f})")
     print(f"wrote {out}")
@@ -348,6 +346,20 @@ def cmd_sample(args) -> int:
     raise BadConfig("snapshot kind not recognised")
 
 
+def _add_eval_arguments(parser):
+    """The data, config and output arguments of fit-eval and compare."""
+    parser.add_argument("--train", required=True)
+    parser.add_argument("--holdout")
+    parser.add_argument("--x-cols")
+    parser.add_argument("--y-cols")
+    parser.add_argument("--config")
+    parser.add_argument("--set", action="append", metavar="KEY=VALUE")
+    parser.add_argument("--checkpoints")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--no-timing", action="store_true")
+    parser.add_argument("--out", required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="covermodels",
@@ -364,16 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("fit-eval", help="stream one method, record held out loss")
     f.add_argument("--method", required=True, choices=METHODS)
-    f.add_argument("--train", required=True)
-    f.add_argument("--holdout")
-    f.add_argument("--x-cols")
-    f.add_argument("--y-cols")
-    f.add_argument("--config")
-    f.add_argument("--set", action="append", metavar="KEY=VALUE")
-    f.add_argument("--checkpoints")
-    f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--no-timing", action="store_true")
-    f.add_argument("--out", required=True)
+    _add_eval_arguments(f)
     f.add_argument("--snapshot-at", type=int)
     f.add_argument("--snapshot-out")
     f.add_argument("--resume")
@@ -381,16 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compare", help="fit-eval several methods")
     c.add_argument("--methods", default="cover-cde,kernel-cde,global-nw")
-    c.add_argument("--train", required=True)
-    c.add_argument("--holdout")
-    c.add_argument("--x-cols")
-    c.add_argument("--y-cols")
-    c.add_argument("--config")
-    c.add_argument("--set", action="append", metavar="KEY=VALUE")
-    c.add_argument("--checkpoints")
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--no-timing", action="store_true")
-    c.add_argument("--out", required=True)
+    _add_eval_arguments(c)
     c.set_defaults(func=cmd_compare)
 
     s = sub.add_parser("score", help="log probability of a symbol file")

@@ -21,6 +21,8 @@ Depths are 1-based; depth 1 is the coarsest cover.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -32,8 +34,23 @@ from .errors import (
 )
 
 
+def cut(lo, hi):
+    """Split dimension and midpoint of the box [lo, hi], the one split
+    rule of kd covers and tree densities: its largest side, the lowest
+    dimension on ties, as ``np.argmax`` would pick."""
+    d = 0
+    if len(lo) > 1:
+        best = hi[0] - lo[0]
+        for i in range(1, len(lo)):
+            w = hi[i] - lo[i]
+            if w > best:
+                d, best = i, w
+    return d, 0.5 * (lo[d] + hi[d])
+
+
 class Box:
-    """Axis aligned box with half open membership [lower, upper)."""
+    """Axis aligned box with half open membership [lower, upper) and
+    finite bounds, which splits and volumes need."""
 
     __slots__ = ("lower", "upper")
 
@@ -42,7 +59,10 @@ class Box:
         self.upper = np.asarray(upper, dtype=float)
         if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
             raise BadConfig("box bounds must be 1-d arrays of equal length")
-        if not np.all(self.lower < self.upper):
+        lower, upper = self.lower.tolist(), self.upper.tolist()
+        if not all(map(math.isfinite, lower + upper)):
+            raise BadConfig("box bounds must be finite")
+        if not all(lo < hi for lo, hi in zip(lower, upper)):
             raise BadConfig("box must have positive width in every dimension")
 
     @property
@@ -70,15 +90,14 @@ class Box:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
 
     def split_largest(self):
-        """Split at the midpoint of the largest side.
+        """Split where ``cut`` says: the midpoint of the largest side.
 
-        Ties pick the lowest dimension. Returns ``(dim, mid, (lo, hi))``
-        where ``lo`` keeps the half open convention x[dim] < mid.
-        Raises BadConfig once float resolution is exhausted and the
-        midpoint is no longer strictly interior.
+        Returns ``(dim, mid, (lo, hi))`` where ``lo`` keeps the half
+        open convention x[dim] < mid. Raises BadConfig once float
+        resolution is exhausted and the midpoint is no longer strictly
+        interior.
         """
-        d = int(np.argmax(self.widths))
-        mid = 0.5 * (self.lower[d] + self.upper[d])
+        d, mid = cut(self.lower.tolist(), self.upper.tolist())
         if not (self.lower[d] < mid < self.upper[d]):
             raise BadConfig("box too thin to split")
         lo_upper = self.upper.copy()
@@ -199,9 +218,9 @@ class KdTreeCover(CoverSequence):
 
     def __init__(self, root_box: Box, alpha=2.0, max_depth=24, on_outside="clamp"):
         super().__init__()
-        if alpha <= 1.0:
+        if not alpha > 1.0:  # NaN too: every leaf would split
             raise BadConfig("alpha must exceed 1")
-        if max_depth < 1:
+        if not max_depth >= 1:
             raise BadConfig("max_depth must be at least 1")
         if on_outside not in ("clamp", "reject"):
             raise BadConfig("on_outside must be 'clamp' or 'reject'")
@@ -274,24 +293,30 @@ class KdTreeCover(CoverSequence):
         ctx = self.contexts[cid]
         if ctx.depth >= self.max_depth:
             return
-        buf = self._buffer[cid]
-        if len(buf) <= self.threshold(ctx.depth):
+        if len(self._buffer[cid]) <= self.threshold(ctx.depth):
             return
         try:
-            d, mid, (box_lo, box_hi) = ctx.region.split_largest()
+            lo, hi = self._split_leaf(cid)
         except BadConfig:
             return  # float resolution exhausted, leaf keeps absorbing
-        lo = self._new_context(ctx.depth + 1, box_lo, cid)
-        hi = self._new_context(ctx.depth + 1, box_hi, cid)
-        self._split[cid] = (d, mid, lo.cid, hi.cid)
-        buf_lo = [(xx, yy) for xx, yy in buf if xx[d] < mid]
-        buf_hi = [(xx, yy) for xx, yy in buf if xx[d] >= mid]
-        self._buffer[lo.cid] = buf_lo
-        self._buffer[hi.cid] = buf_hi
-        del self._buffer[cid]
-        events.append((cid, [(lo.cid, list(buf_lo)), (hi.cid, list(buf_hi))]))
-        self._maybe_split(lo.cid, events)
-        self._maybe_split(hi.cid, events)
+        events.append((cid, [(lo, list(self._buffer[lo])), (hi, list(self._buffer[hi]))]))
+        self._maybe_split(lo, events)
+        self._maybe_split(hi, events)
+
+    def _split_leaf(self, cid):
+        """Split leaf cid at ``Box.split_largest``: make both children,
+        record the split and share out the buffer. Returns the child
+        ids, low side first; raises BadConfig, changing nothing, on a
+        box too thin to split."""
+        ctx = self.contexts[cid]
+        d, mid, (box_lo, box_hi) = ctx.region.split_largest()
+        lo = self._new_context(ctx.depth + 1, box_lo, cid).cid
+        hi = self._new_context(ctx.depth + 1, box_hi, cid).cid
+        self._split[cid] = (d, mid, lo, hi)
+        buf = self._buffer.pop(cid)
+        self._buffer[lo] = [(xx, yy) for xx, yy in buf if xx[d] < mid]
+        self._buffer[hi] = [(xx, yy) for xx, yy in buf if xx[d] >= mid]
+        return lo, hi
 
     def split_leaf(self, cid):
         """Split a leaf unconditionally (fixture construction).
@@ -306,14 +331,7 @@ class KdTreeCover(CoverSequence):
             raise DepthLimitExceeded(
                 f"cannot split leaf at depth {ctx.depth}, max_depth={self.max_depth}"
             )
-        d, mid, (box_lo, box_hi) = ctx.region.split_largest()
-        lo = self._new_context(ctx.depth + 1, box_lo, cid)
-        hi = self._new_context(ctx.depth + 1, box_hi, cid)
-        self._split[cid] = (d, mid, lo.cid, hi.cid)
-        buf = self._buffer.pop(cid)
-        self._buffer[lo.cid] = [(xx, yy) for xx, yy in buf if xx[d] < mid]
-        self._buffer[hi.cid] = [(xx, yy) for xx, yy in buf if xx[d] >= mid]
-        return lo.cid, hi.cid
+        return self._split_leaf(cid)
 
     def points_under(self):
         """Number of buffered points in the leaves under each context."""
@@ -383,14 +401,12 @@ class KdTreeCover(CoverSequence):
             if ctx is None or cid in cover._split or ctx.depth >= cover.max_depth:
                 raise BadConfig(f"split record {rec} names no splittable leaf")
             try:
-                d0, mid0, (box_lo, box_hi) = ctx.region.split_largest()
+                cover._split_leaf(cid)
             except BadConfig:
                 raise BadConfig(f"split record {rec} splits a box too thin to split") from None
+            d0, mid0 = cover._split[cid][:2]
             if d != d0 or mid != mid0:
                 raise BadConfig(f"split record {rec} differs from its box's {[cid, d0, mid0]}")
-            lo = cover._new_context(ctx.depth + 1, box_lo, cid)
-            hi = cover._new_context(ctx.depth + 1, box_hi, cid)
-            cover._split[cid] = (d0, mid0, lo.cid, hi.cid)
         top = cover.root_box.upper.tolist()
         dim = len(top)
         y_dim = int(state["y_dim"])

@@ -49,7 +49,6 @@ checked (``from_text``). Versions 1 and 2 still load, and their stored
 
 from __future__ import annotations
 
-import copy as _copy
 import json
 import math
 
@@ -115,16 +114,12 @@ class CoverModelPosterior:
         Builds the local observation model for a new context.
     depth_weight : str
         Prior stop weight rule, see ``parse_depth_weight``.
-    grow : bool
-        When False the cover is left untouched even if it supports
-        refinement, which makes fixtures exactly enumerable.
     """
 
-    def __init__(self, cover, local_factory, depth_weight="const:0.5", grow=True):
+    def __init__(self, cover, local_factory, depth_weight="const:0.5"):
         self.cover = cover
         self.local_factory = local_factory
         self.depth_weight_spec, self._w0_fn = parse_depth_weight(depth_weight)
-        self.grow = bool(grow)
         self.states: dict[int, ContextState] = {}
         self.n_obs = 0
         self.log_evidence = 0.0
@@ -284,10 +279,10 @@ class CoverModelPosterior:
         # model share one support, so only the first update can reject
         # y, and it does so before anything has changed.
         logpi = [states[cid].local.update(y, xq) for cid in path]
-        if self.grow and self.cover.growth_mode == "truncate":
+        if self.cover.growth_mode == "truncate":
             # a new context's parent exists, so new ones extend the path
-            path, new = self.cover.extend(xq)
-            for cid in new:
+            path, made = self.cover.extend(xq)
+            for cid in made:
                 logpi.append(self._init_state(self.cover.contexts[cid]).local.update(y, xq))
         # the stop posteriors read by _phi change only below
         logmarg = self._phi(path, logpi, self._virtual(path, xq, y))[0]
@@ -296,27 +291,19 @@ class CoverModelPosterior:
             states[cid].log_m += lp
         if self._truncated(path):
             states[path[-1]].log_trunc += logpi[-1]
-        for cid in reversed(path):
-            self._refresh_lambda(cid)
-
-        if self.grow and self.cover.growth_mode == "replay":
+        new = []
+        if self.cover.growth_mode == "replay":
             y_arr = np.asarray(y, dtype=float).reshape(-1)
-            events = self.cover.observe_and_refine(xq, y_arr, path[-1])
-            if events:
-                for _, kids in events:
-                    for cid, block in kids:
-                        st = self._init_state(self.cover.contexts[cid])
-                        for xb, yb in block:
-                            st.log_m += st.local.update(yb, xb)
-                        st.log_lambda = st.log_m
-                dirty = sorted(
-                    {p for p, _ in events},
-                    key=lambda c: -self.cover.contexts[c].depth,
-                )
-                for cid in dirty:
-                    self._refresh_lambda(cid)
-                for cid in reversed(path):
-                    self._refresh_lambda(cid)
+            for _, kids in self.cover.observe_and_refine(xq, y_arr, path[-1]):
+                for cid, block in kids:
+                    st = self._init_state(self.cover.contexts[cid])
+                    for xb, yb in block:
+                        st.log_m += st.local.update(yb, xb)
+                    new.append(cid)
+        # a split makes its children after their parent, and every new
+        # context lies below the path, so this refreshes children first
+        for cid in reversed(path + new):
+            self._refresh_lambda(cid)
 
         self.n_obs += 1
         self.log_evidence += logmarg
@@ -339,9 +326,6 @@ class CoverModelPosterior:
 
     # ---- persistence ------------------------------------------------------
 
-    def copy(self):
-        return _copy.deepcopy(self)
-
     def to_text(self) -> str:
         """Serialise to a line oriented text snapshot (JSON records).
 
@@ -353,7 +337,6 @@ class CoverModelPosterior:
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
             "depth_weight": self.depth_weight_spec,
-            "grow": self.grow,
             "n_obs": self.n_obs,
             "log_evidence": self.log_evidence,
             "cover": self.cover.state_dict(),
@@ -387,7 +370,7 @@ class CoverModelPosterior:
         density's counts before those size anything, a state for each
         context and for no other, and
         counts that agree with what the cover routed. The root's local
-        was offered every observation; on a growing kd cover each
+        was offered every observation; on a kd cover each
         context's local was offered the points buffered in the leaves
         under it, and those add up to ``n_obs``; elsewhere children hold
         no more points than their parent. Not checked, because that would
@@ -414,7 +397,6 @@ class CoverModelPosterior:
         obj.cover = cover_from_state(meta["cover"])
         obj.local_factory = local_factory
         obj.depth_weight_spec, obj._w0_fn = parse_depth_weight(meta["depth_weight"])
-        obj.grow = bool(meta["grow"])
         obj.n_obs = int(meta["n_obs"])
         obj.log_evidence = float(meta["log_evidence"])
         obj._fresh = None
@@ -441,7 +423,7 @@ class CoverModelPosterior:
 
     def _check_counts(self):
         cover, states, root = self.cover, self.states, self.cover.root_id
-        if self.grow and cover.growth_mode == "replay":
+        if cover.growth_mode == "replay":
             under = cover.points_under()
             if under[root] != self.n_obs:
                 raise BadConfig(f"leaf buffers hold {under[root]} points, n_obs is {self.n_obs}")

@@ -30,6 +30,7 @@ import warnings
 
 import numpy as np
 
+from .covers import Box, cut
 from .errors import BadConfig, OutOfSupport, UnknownSymbol
 from .logspace import logaddexp, logsumexp
 
@@ -49,7 +50,7 @@ class DirichletMultinomial:
         alpha = np.asarray(concentration, dtype=float)
         if alpha.ndim == 0:
             alpha = np.full(alphabet_size, float(alpha))
-        if alpha.shape != (alphabet_size,) or np.any(alpha <= 0):
+        if alpha.shape != (alphabet_size,) or not np.all(alpha > 0):
             raise BadConfig("concentration must be positive, scalar or length n")
         self.alpha = alpha
         self.counts = np.zeros(alphabet_size, dtype=float)
@@ -125,12 +126,14 @@ class NormalWishart:
         scale = np.asarray(scale, dtype=float)
         if scale.ndim == 0:
             scale = float(scale) * np.eye(m)
-        if kappa0 <= 0:
+        if not kappa0 > 0:
             raise BadConfig("kappa0 must be positive")
-        if nu0 <= m - 1:
+        if not nu0 > m - 1:
             raise BadConfig("nu0 must exceed dim - 1")
         if scale.shape != (m, m):
             raise BadConfig("scale matrix has wrong shape")
+        if not all(map(math.isfinite, scale.ravel().tolist())):
+            raise BadConfig("scale matrix must be finite")
         self.mu0 = mu0
         self.kappa0 = float(kappa0)
         self.nu0 = float(nu0)
@@ -274,7 +277,7 @@ class HistogramDensity:
         edges = np.asarray(edges, dtype=float)
         if edges.ndim != 1 or edges.shape[0] < 2 or np.any(np.diff(edges) <= 0):
             raise BadConfig("edges must be strictly increasing, length >= 2")
-        if concentration <= 0:
+        if not concentration > 0:
             raise BadConfig("concentration must be positive")
         self.edges = edges
         self.alpha = float(concentration)
@@ -355,19 +358,6 @@ def _lgamma_tables(a, n):
     return tables
 
 
-def _cut(lo, hi):
-    """Split dimension and midpoint of the box [lo, hi]: its largest
-    side, the lowest dimension on ties, as ``np.argmax`` would pick."""
-    d = 0
-    if len(lo) > 1:
-        best = hi[0] - lo[0]
-        for i in range(1, len(lo)):
-            w = hi[i] - lo[i]
-            if w > best:
-                d, best = i, w
-    return d, 0.5 * (lo[d] + hi[d])
-
-
 class BayesTreeDensity:
     """Dyadic tree density on a box, an optional Pólya tree.
 
@@ -416,14 +406,12 @@ class BayesTreeDensity:
     """
 
     def __init__(self, lower, upper, gamma=0.5, branch_pseudo=0.5, max_depth=12):
-        from .covers import Box
-
         self.box = Box(lower, upper)
         if not 0 < gamma < 1:
             raise BadConfig("gamma must be strictly between 0 and 1")
         if not branch_pseudo > 0:  # NaN too: it would key its own lgamma tables
             raise BadConfig("branch_pseudo must be positive")
-        if max_depth < 0:
+        if not max_depth >= 0:
             raise BadConfig("max_depth must be nonnegative")
         self.gamma = float(gamma)
         self.branch_pseudo = float(branch_pseudo)
@@ -487,11 +475,11 @@ class BayesTreeDensity:
         dim = self._dim
         self._pt[node * dim:(node + 1) * dim] = y
 
-    def _path_values(self, y, grow):
+    def _path_values(self, y, push):
         """Log values of the materialised nodes on y's path once y is added.
 
         Returns ``(nodes, values)``, root first. The path ends at
-        ``max_depth``, at an empty node or at a singleton. ``grow``
+        ``max_depth``, at an empty node or at a singleton. ``push``
         pushes a singleton's point one level down and goes on routing,
         so the path then ends where y leaves every stored point;
         without it, ``_join`` scores y and the singleton's point.
@@ -510,10 +498,10 @@ class BayesTreeDensity:
             left = kid[node]
             if not left and counts[node] != 1:
                 break  # empty
-            d, mid = _cut(lo, hi)
+            d, mid = cut(lo, hi)
             if not left:  # a singleton
                 p = self._point(node)
-                if not grow:
+                if not push:
                     new = self._join(depth, p, y, lo, hi)
                     break
                 left = self._split(node)
@@ -558,7 +546,7 @@ class BayesTreeDensity:
         max_depth = self.max_depth
         sides = []
         while depth < max_depth:
-            d, mid = _cut(lo, hi)
+            d, mid = cut(lo, hi)
             side = 0 if y[d] < mid else 1
             if side != (0 if p[d] < mid else 1):
                 one = self._one[depth + 1]
@@ -597,7 +585,7 @@ class BayesTreeDensity:
         if not self._inside(y):
             return -math.inf
         # the evidence ratio of the would-be update
-        _, values = self._path_values(y, grow=False)
+        _, values = self._path_values(y, push=False)
         return values[0] - self._lam[0]
 
     def update(self, y, x=None) -> float:
@@ -605,7 +593,7 @@ class BayesTreeDensity:
         if not self._inside(y):
             raise OutOfSupport(f"{y!r} outside {self.box!r}")
         old = self._lam[0]
-        nodes, values = self._path_values(y, grow=True)
+        nodes, values = self._path_values(y, push=True)
         counts, lams = self._n, self._lam
         for node, value in zip(nodes, values):
             counts[node] += 1
@@ -634,7 +622,7 @@ class BayesTreeDensity:
             stop = math.exp(self._log_gamma - n * self._log_vol[depth] - lam)
             if rng.uniform() < min(stop, 1.0):
                 break
-            d, mid = _cut(lo, hi)
+            d, mid = cut(lo, hi)
             if left:
                 p_hi = (a + self._n[left + 1]) / (2 * a + n)
             elif p is not None:

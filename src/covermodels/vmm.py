@@ -37,7 +37,7 @@ def _resolve_prior(prior) -> float:
         except KeyError:
             raise BadConfig(f"unknown prior {prior!r}, expected kt or laplace") from None
     conc = float(prior)
-    if conc <= 0:
+    if not conc > 0:
         raise BadConfig("prior concentration must be positive")
     return conc
 

@@ -27,10 +27,15 @@ settings.load_profile("covermodels")
 
 
 def random_static_tree(rng, max_extra_splits=6, dim=None, depth_cap=3):
-    """A kd partition tree grown by unconditional splits, no data yet."""
+    """A kd partition tree grown by unconditional splits, no data yet.
+
+    With ``alpha`` infinite a leaf's split threshold alpha**k is
+    infinite, so no leaf ever splits on data and the tree stays the one
+    built here, which the enumeration oracle needs.
+    """
     dim = dim or int(rng.integers(1, 3))
     box = Box(np.zeros(dim), rng.uniform(0.5, 2.0, size=dim))
-    cov = KdTreeCover(box, alpha=2.0, max_depth=depth_cap + 1)
+    cov = KdTreeCover(box, alpha=math.inf, max_depth=depth_cap + 1)
     leaves = [cov.root_id]
     for _ in range(int(rng.integers(1, max_extra_splits + 1))):
         # only leaves below the depth cap stay splittable
@@ -52,7 +57,7 @@ def attach_random_engine(rng, cov, kind="dirichlet", alphabet=3):
         edges = np.linspace(-1.0, 1.0, 5)
         factory = lambda depth, region: HistogramDensity(edges, 1.0)
         marginal = histogram_block_marginal(edges, 1.0)
-    post = CoverModelPosterior(cov, factory, depth_weight="const:0.5", grow=False)
+    post = CoverModelPosterior(cov, factory, depth_weight="const:0.5")
     w0 = {}
     for cid in cov.contexts:
         w = float(rng.uniform(0.05, 0.95))

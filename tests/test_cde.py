@@ -1,16 +1,58 @@
 """Streaming conditional density estimator, end to end."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
 from covermodels import (
     BadConfig,
+    Box,
     CdeConfig,
     CdeModel,
+    DirichletMultinomial,
+    HistogramDensity,
+    KdTreeCover,
+    NormalWishart,
     OutOfSupport,
+    VmmModel,
     gen_mixture,
     new_cde,
 )
+
+_NAN = math.nan
+_UNIT = dict(x_lower=[0.0], x_upper=[1.0], y_lower=[0.0], y_upper=[1.0])
+
+# Each builds an object or validates a config that must be refused: a
+# NaN passes a check written as `x <= bound`, and an infinite box has no
+# midpoint to split at and no finite volume.
+_UNUSABLE = {
+    "kd-alpha-nan": lambda: KdTreeCover(Box([0.0], [1.0]), alpha=_NAN),
+    "kd-max-depth-nan": lambda: KdTreeCover(Box([0.0], [1.0]), max_depth=_NAN),
+    "cde-alpha-nan": lambda: CdeConfig(alpha=_NAN, **_UNIT).validate(),
+    "cde-tree-max-depth-nan": lambda: CdeModel(CdeConfig(tree_max_depth=_NAN, **_UNIT)),
+    "nw-kappa0-nan": lambda: NormalWishart([0.0], kappa0=_NAN),
+    "nw-nu0-nan": lambda: NormalWishart([0.0], nu0=_NAN),
+    "nw-scale-nan": lambda: NormalWishart([0.0], scale=_NAN),
+    "cde-nw-kappa0-nan": lambda: CdeModel(CdeConfig(nw_kappa0=_NAN, **_UNIT)),
+    "cde-nw-nu0-nan": lambda: CdeModel(CdeConfig(nw_nu0=_NAN, **_UNIT)),
+    "cde-nw-scale-nan": lambda: CdeModel(CdeConfig(nw_scale=_NAN, **_UNIT)),
+    "dirichlet-concentration-nan": lambda: DirichletMultinomial(3, _NAN),
+    "histogram-concentration-nan": lambda: HistogramDensity([0.0, 1.0], _NAN),
+    "vmm-prior-nan": lambda: VmmModel(3, 3, prior=_NAN),
+    "cde-mixture-weight-negative": lambda: CdeConfig(
+        mixture_weights=[-1.0, 2.0], **_UNIT
+    ).validate(),
+    "cde-mixture-weight-nan": lambda: CdeConfig(mixture_weights=[_NAN, 1.0], **_UNIT).validate(),
+    "box-upper-inf": lambda: Box([0.0], [math.inf]),
+    "cde-y-upper-inf": lambda: CdeConfig(
+        x_lower=[0.0], x_upper=[1.0], y_lower=[0.0], y_upper=[math.inf], components=("tree",)
+    ).validate(),
+    "cde-x-upper-inf": lambda: CdeConfig(
+        x_lower=[0.0], x_upper=[math.inf], y_lower=[0.0], y_upper=[1.0]
+    ).validate(),
+}
 
 
 def small_model(n=300, seed=5, **overrides):
@@ -50,6 +92,14 @@ class TestConfig:
             x_lower=[0.0], x_upper=[1.0], y_dim=2, components=("nw",)
         ).validate()
         assert ok.y_dim == 2
+
+    @pytest.mark.parametrize("build", list(_UNUSABLE.values()), ids=list(_UNUSABLE))
+    def test_unusable_settings_are_rejected(self, build):
+        with pytest.raises(BadConfig):
+            build()
+
+    def test_infinite_alpha_is_accepted(self):
+        assert CdeConfig(alpha=math.inf, **_UNIT).validate().alpha == math.inf
 
 
 class TestStreaming:
@@ -166,6 +216,37 @@ class TestSnapshot:
     def test_rejects_malformed_headers(self, head):
         with pytest.raises(BadConfig):
             CdeModel.from_text(head + "\n")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("alpha", 3.0),
+            ("x_upper", [5.0]),
+            ("y_upper", [9.0]),
+            ("max_depth_x", 2),
+            ("tree_max_depth", 3),
+            ("tree_gamma", 0.25),
+            ("tree_branch_pseudo", 1.0),
+            ("nw_kappa0", 2.0),
+            ("nw_nu0", 7.0),
+            ("nw_scale", 2.0),
+            ("on_outside", "reject"),
+            ("depth_weight", "const:0.5"),
+            ("components", ["tree", "nw"]),
+            ("components", ["nw"]),
+        ],
+    )
+    def test_rejects_headers_that_disagree_with_the_posterior(self, key, value):
+        """Contexts made after a restore take the header's config, so
+        it must be the config the stored posterior was built with."""
+        model, ds = small_model(n=80)
+        model.fit_stream(ds.x, ds.y)
+        head, _, rest = model.to_text().partition("\n")
+        meta = json.loads(head)
+        assert meta["config"][key] != value
+        meta["config"][key] = value
+        with pytest.raises(BadConfig):
+            CdeModel.from_text(json.dumps(meta, sort_keys=True) + "\n" + rest)
 
 
 class TestSampling:

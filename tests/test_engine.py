@@ -1,5 +1,6 @@
 """Posterior engine against brute-force enumeration over stopped covers."""
 
+import copy
 import json
 import math
 import warnings
@@ -137,7 +138,7 @@ class TestReplayGrowth:
         rng = np.random.default_rng(3)
         cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0, max_depth=5)
         factory = lambda depth, region: DirichletMultinomial(2, 0.5)
-        post = CoverModelPosterior(cov, factory, depth_weight="2^-k", grow=True)
+        post = CoverModelPosterior(cov, factory, depth_weight="2^-k")
         data = []
         for i in range(40):
             x = rng.uniform(0, 1, size=1)
@@ -172,12 +173,46 @@ class TestReplayGrowth:
         assert sum(map(len, cov._buffer.values())) == 50
 
 
+def _assert_lambdas_equal_a_full_refresh(post):
+    fresh = copy.deepcopy(post)
+    fresh._refresh_all()
+    for cid, st in post.states.items():
+        assert st.log_lambda == fresh.states[cid].log_lambda, cid
+
+
+class TestRefreshAfterAbsorb:
+    """One absorb refreshes exactly the subtree evidence a full
+    bottom-up pass would give, children before parents."""
+
+    def test_kd_stream_with_cascading_splits(self):
+        rng = np.random.default_rng(6)
+        cov = KdTreeCover(Box([0.0, 0.0], [1.0, 1.0]), alpha=1.2, max_depth=12)
+        post = CoverModelPosterior(
+            cov, lambda depth, region: DirichletMultinomial(2, 0.5), depth_weight="2^-k"
+        )
+        jumps = []
+        for _ in range(60):
+            # clustered near one corner, so one split can force the next
+            x = rng.uniform(0.0, 0.05, size=2)
+            before = cov.deepest_depth
+            post.absorb(x, int(rng.integers(2)))
+            jumps.append(cov.deepest_depth - before)
+            _assert_lambdas_equal_a_full_refresh(post)
+        assert max(jumps) >= 2  # some absorb split two levels at once
+
+    def test_vmm_stream(self):
+        model = VmmModel(alphabet_size=3, depth=4)
+        for s in np.random.default_rng(7).integers(3, size=120).tolist():
+            model.observe(s)
+            _assert_lambdas_equal_a_full_refresh(model.posterior)
+
+
 class TestSnapshot:
     def test_text_round_trip_continues_exactly(self):
         rng = np.random.default_rng(31)
         cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0, max_depth=6)
         factory = lambda depth, region: DirichletMultinomial(2, 0.5)
-        post = CoverModelPosterior(cov, factory, depth_weight="2^-k", grow=True)
+        post = CoverModelPosterior(cov, factory, depth_weight="2^-k")
         for _ in range(30):
             post.absorb(rng.uniform(0, 1, size=1), int(rng.integers(2)))
         text = post.to_text()
@@ -197,7 +232,7 @@ class TestSnapshot:
         rng = np.random.default_rng(4)
         cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0, max_depth=6)
         factory = lambda depth, region: DirichletMultinomial(2, 0.5)
-        post = CoverModelPosterior(cov, factory, depth_weight="2^-k", grow=True)
+        post = CoverModelPosterior(cov, factory, depth_weight="2^-k")
         for _ in range(20):
             post.absorb(rng.uniform(0, 1, size=1), int(rng.integers(2)))
         text = post.to_text()
@@ -220,16 +255,54 @@ class TestSnapshot:
         """A split context no point has reached still has the value the
         recursion gives it, as a reload recomputes it."""
         rng = np.random.default_rng(seed)
-        cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0, max_depth=6)
+        cov = KdTreeCover(Box([0.0], [1.0]), alpha=math.inf, max_depth=6)
         cov.split_leaf(cov.split_leaf(cov.root_id)[1])
         factory = lambda depth, region: DirichletMultinomial(2, 0.5)
         w0 = float(rng.uniform(0.05, 0.95))
-        post = CoverModelPosterior(cov, factory, depth_weight=f"const:{w0!r}", grow=False)
+        post = CoverModelPosterior(cov, factory, depth_weight=f"const:{w0!r}")
         for _ in range(3):
             post.absorb([rng.uniform(0.0, 0.5)], int(rng.integers(2)))
         clone = CoverModelPosterior.from_text(post.to_text(), factory)
         for cid, st in post.states.items():
             assert clone.states[cid].log_lambda == st.log_lambda
+
+    def test_infinite_alpha_never_splits_and_round_trips(self):
+        rng = np.random.default_rng(21)
+        cov = KdTreeCover(Box([0.0], [1.0]), alpha=math.inf, max_depth=6)
+        factory = lambda depth, region: DirichletMultinomial(2, 0.5)
+        post = CoverModelPosterior(cov, factory, depth_weight="2^-k")
+        for _ in range(50):
+            post.absorb(rng.uniform(0, 1, size=1), int(rng.integers(2)))
+        assert cov.n_contexts == 1 and cov.occupancy(cov.root_id) == 50
+        text = post.to_text()
+        clone = CoverModelPosterior.from_text(text, factory)
+        assert clone.to_text() == text
+        for _ in range(10):
+            x, y = rng.uniform(0, 1, size=1), int(rng.integers(2))
+            assert clone.absorb(x, y) == post.absorb(x, y)
+        assert clone.cover.n_contexts == 1
+
+    def test_header_with_a_grow_key_loads_and_continues_exactly(self):
+        """Snapshots written while the engine had a ``grow`` option
+        carry it in their header; it is ignored."""
+        rng = np.random.default_rng(22)
+        cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0, max_depth=6)
+        factory = lambda depth, region: DirichletMultinomial(2, 0.5)
+        post = CoverModelPosterior(cov, factory, depth_weight="2^-k")
+        for _ in range(30):
+            post.absorb(rng.uniform(0, 1, size=1), int(rng.integers(2)))
+        text = post.to_text()
+        meta, _, rest = text.partition("\n")
+        assert "grow" not in json.loads(meta)
+        old = json.dumps({**json.loads(meta), "grow": True}, sort_keys=True) + "\n" + rest
+        clone = CoverModelPosterior.from_text(old, factory)
+        assert clone.to_text() == text
+        for cid, st in post.states.items():
+            assert clone.states[cid].log_lambda == st.log_lambda
+        for _ in range(30):
+            x, y = rng.uniform(0, 1, size=1), int(rng.integers(2))
+            assert clone.absorb(x, y) == post.absorb(x, y)
+        assert clone.to_text() == post.to_text()
 
     @pytest.mark.parametrize("kind", ["cde", "vmm"])
     def test_version_2_snapshots_load_and_continue_exactly(self, kind):
