@@ -122,16 +122,6 @@ class SuffixRegion:
     def __init__(self, suffix):
         self.suffix = tuple(int(s) for s in suffix)
 
-    def __len__(self):
-        return len(self.suffix)
-
-    def matches(self, history) -> bool:
-        k = len(self.suffix)
-        if k == 0:
-            return True
-        h = tuple(history)
-        return len(h) >= k and h[-k:] == self.suffix
-
     def __repr__(self):
         return f"SuffixRegion({self.suffix!r})"
 

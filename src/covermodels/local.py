@@ -134,6 +134,15 @@ class NormalWishart:
             raise BadConfig("scale matrix has wrong shape")
         if not all(map(math.isfinite, scale.ravel().tolist())):
             raise BadConfig("scale matrix must be finite")
+        if m == 1:
+            # a float test: every new context builds one of these
+            if not scale[0, 0] > 0:
+                raise BadConfig("scale must be positive")
+        else:
+            try:
+                np.linalg.cholesky(scale)
+            except np.linalg.LinAlgError:
+                raise BadConfig("scale matrix must be positive definite") from None
         self.mu0 = mu0
         self.kappa0 = float(kappa0)
         self.nu0 = float(nu0)
@@ -388,8 +397,8 @@ class BayesTreeDensity:
     * A second point pushes a singleton's point down one level at a
       time while the two share a cell, so the chain ends where they
       part or at ``max_depth``. No point is stored at ``max_depth``.
-      ``log_predictive`` scores the same pair without materialising it
-      (``_join``), with the same operands.
+      ``log_predictive`` walks the same chain without materialising it,
+      with the same operands: ``_path_values`` routes y for both.
 
     Nodes live in flat lists indexed by node id, root at 0: ``_n``
     (count), ``_lam`` (cached log value), ``_kid`` (id of the left
@@ -476,97 +485,68 @@ class BayesTreeDensity:
         self._pt[node * dim:(node + 1) * dim] = y
 
     def _path_values(self, y, push):
-        """Log values of the materialised nodes on y's path once y is added.
+        """Log values of the nodes on y's path once y is added.
 
-        Returns ``(nodes, values)``, root first. The path ends at
-        ``max_depth``, at an empty node or at a singleton. ``push``
-        pushes a singleton's point one level down and goes on routing,
-        so the path then ends where y leaves every stored point;
-        without it, ``_join`` scores y and the singleton's point.
+        Returns ``(nodes, values)``, root first; ``nodes`` lists the
+        materialised ones. The path ends at ``max_depth`` or at the
+        empty node where y leaves every point. At a singleton, ``push``
+        pushes its point one level down; otherwise the walk follows
+        the singleton's one-point chain without materialising it.
         """
         lo = list(self._lower)
         hi = list(self._upper)
-        counts, lams, kid = self._n, self._lam, self._kid
+        counts, lams, kid, one = self._n, self._lam, self._kid, self._one
         if len(self._lg_2a) <= counts[0] + 1:
             self._lg_a, self._lg_2a = _lgamma_tables(self.branch_pseudo, counts[0] + 1)
         max_depth = self.max_depth
         node = 0
         nodes = [node]
-        steps = []
-        new = None
+        n = counts[node]
+        p = None  # a singleton's point, whose one-point chain the walk is on
+        steps = []  # per level: count, left child's count, off-path value, y's side
         for depth in range(max_depth):
-            left = kid[node]
-            if not left and counts[node] != 1:
-                break  # empty
+            if not n:
+                break
             d, mid = cut(lo, hi)
-            if not left:  # a singleton
+            left = kid[node] if p is None else 0
+            if not left and p is None:  # a singleton
                 p = self._point(node)
-                if not push:
-                    new = self._join(depth, p, y, lo, hi)
-                    break
-                left = self._split(node)
-                q = left if p[d] < mid else left + 1
-                counts[q] = 1
-                lams[q] = self._one[depth + 1]
-                if depth + 1 < max_depth:
-                    self._put(q, p)
+                if push:
+                    left = self._split(node)
+                    q = left if p[d] < mid else left + 1
+                    counts[q] = 1
+                    lams[q] = one[depth + 1]
+                    if depth + 1 < max_depth:
+                        self._put(q, p)
+                    p = None
             if y[d] < mid:
                 hi[d] = mid
                 side = 0
             else:
                 lo[d] = mid
                 side = 1
-            steps.append((left, side))
-            node = left + side
-            nodes.append(node)
-        if new is None:
-            # y alone below an empty node, or at max_depth
-            n = counts[node] + 1
-            new = self._one[len(steps)] if n == 1 else self._loglam(max_depth, n, 0, 0.0, 0.0)
+            if p is None:
+                steps.append((n, counts[left], lams[left + 1 - side], side))
+                node = left + side
+                nodes.append(node)
+                n = counts[node]
+            else:
+                nl = 1 if p[d] < mid else 0
+                parted = side == nl  # y takes the side p does not
+                steps.append((n, nl, one[depth + 1] if parted else 0.0, side))
+                n = 0 if parted else 1
+        # y alone below an empty node, or at max_depth
+        new = one[len(steps)] if not n else self._loglam(max_depth, n + 1, 0, 0.0, 0.0)
         values = [new]
         for depth in range(len(steps) - 1, -1, -1):
-            left, side = steps[depth]
-            n = counts[nodes[depth]] + 1
-            nl, other = counts[left], lams[left + 1 - side]
+            n, nl, other, side = steps[depth]
             if side == 0:
-                new = self._loglam(depth, n, nl + 1, new, other)
+                new = self._loglam(depth, n + 1, nl + 1, new, other)
             else:
-                new = self._loglam(depth, n, nl, other, new)
+                new = self._loglam(depth, n + 1, nl, other, new)
             values.append(new)
         values.reverse()
         return nodes, values
-
-    def _join(self, depth, p, y, lo, hi):
-        """Log value of the singleton at ``depth`` holding p once y is
-        added; ``lo`` and ``hi`` bound its box and are overwritten.
-
-        p and y share every cell down to the depth where they part,
-        below which each is alone, or down to ``max_depth``.
-        """
-        max_depth = self.max_depth
-        sides = []
-        while depth < max_depth:
-            d, mid = cut(lo, hi)
-            side = 0 if y[d] < mid else 1
-            if side != (0 if p[d] < mid else 1):
-                one = self._one[depth + 1]
-                new = self._loglam(depth, 2, 1, one, one)
-                break
-            sides.append(side)
-            if side:
-                lo[d] = mid
-            else:
-                hi[d] = mid
-            depth += 1
-        else:
-            new = self._loglam(max_depth, 2, 0, 0.0, 0.0)
-        for side in reversed(sides):
-            depth -= 1
-            if side == 0:
-                new = self._loglam(depth, 2, 2, new, 0.0)
-            else:
-                new = self._loglam(depth, 2, 0, 0.0, new)
-        return new
 
     def _obs(self, y):
         y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -624,20 +604,17 @@ class BayesTreeDensity:
                 break
             d, mid = cut(lo, hi)
             if left:
-                p_hi = (a + self._n[left + 1]) / (2 * a + n)
-            elif p is not None:
-                p_side = 0 if p[d] < mid else 1
-                p_hi = (a + p_side) / (2 * a + n)
-            else:
-                p_hi = 0.5
-            if rng.uniform() < p_hi:
+                n_hi = self._n[left + 1]
+            else:  # p's side on its chain, 0 below an empty node
+                n_hi = 0 if p is None or p[d] < mid else 1
+            if rng.uniform() < (a + n_hi) / (2 * a + n):
                 lo[d] = mid
                 side = 1
             else:
                 hi[d] = mid
                 side = 0
             node = left + side if left else None
-            if p is not None and side != p_side:
+            if p is not None and side != n_hi:
                 p = None
         y = rng.uniform(lo, hi)
         return y if self.box.dim > 1 else float(y[0])
@@ -855,10 +832,16 @@ class MixtureLocal:
     def from_state(cls, state, max_seen=None):
         comps = [local_from_state(c, max_seen) for c in state["components"]]
         obj = cls(comps)
+        log_w = [float(v) for v in state["log_w"]]
+        if len(log_w) != len(comps):
+            raise BadConfig("mixture log_w length must match components")
+        # a NaN or +inf weight makes the log-sum-exp NaN or +inf
+        if not abs(logsumexp(log_w)) <= 1e-9:
+            raise BadConfig("mixture log_w must be normalised, with no NaN or +inf")
         # verbatim, not through __init__: renormalising an already
         # normalised vector can move it by an ulp and break bit-exact
         # snapshot resume
-        obj.log_w = [float(v) for v in state["log_w"]]
+        obj.log_w = log_w
         return obj
 
 

@@ -174,13 +174,18 @@ class VmmModel:
         def factory(depth_k, region):
             return DirichletMultinomial(n, conc)
 
-        obj.posterior = CoverModelPosterior.from_text(rest, factory)
-        cover = obj.posterior.cover
+        obj.posterior = post = CoverModelPosterior.from_text(rest, factory)
+        cover = post.cover
+        root = post.states[cover.root_id].local
         if (
             not isinstance(cover, SuffixTreeCover)
             or (cover.alphabet_size, cover.max_depth) != (n, obj.depth)
-            or obj.n_seen != obj.posterior.n_obs
+            or obj.n_seen != post.n_obs
             or len(history) > min(obj.n_seen, obj.depth - 1)
+            # contexts made after the restore take their prior from the header
+            or not isinstance(root, DirichletMultinomial)
+            or root.alpha.tolist() != [conc] * n
+            or post.depth_weight_spec != f"const:{obj.stop_weight!r}"
         ):
             raise BadConfig("vmm snapshot header disagrees with its posterior")
         obj.history = deque(history, maxlen=obj.depth - 1)

@@ -25,8 +25,9 @@ _NAN = math.nan
 _UNIT = dict(x_lower=[0.0], x_upper=[1.0], y_lower=[0.0], y_upper=[1.0])
 
 # Each builds an object or validates a config that must be refused: a
-# NaN passes a check written as `x <= bound`, and an infinite box has no
-# midpoint to split at and no finite volume.
+# NaN passes a check written as `x <= bound`, an infinite box has no
+# midpoint to split at and no finite volume, and a Normal-Wishart scale
+# that is not positive definite has no Student t predictive.
 _UNUSABLE = {
     "kd-alpha-nan": lambda: KdTreeCover(Box([0.0], [1.0]), alpha=_NAN),
     "kd-max-depth-nan": lambda: KdTreeCover(Box([0.0], [1.0]), max_depth=_NAN),
@@ -38,6 +39,11 @@ _UNUSABLE = {
     "cde-nw-kappa0-nan": lambda: CdeModel(CdeConfig(nw_kappa0=_NAN, **_UNIT)),
     "cde-nw-nu0-nan": lambda: CdeModel(CdeConfig(nw_nu0=_NAN, **_UNIT)),
     "cde-nw-scale-nan": lambda: CdeModel(CdeConfig(nw_scale=_NAN, **_UNIT)),
+    "cde-nw-scale-negative": lambda: CdeModel(
+        CdeConfig(nw_scale=-1.0, components=("nw",), **_UNIT)
+    ),
+    "cde-nw-scale-zero": lambda: CdeModel(CdeConfig(nw_scale=0.0, components=("nw",), **_UNIT)),
+    "nw-scale-indefinite": lambda: NormalWishart([0.0, 0.0], scale=[[1.0, 2.0], [2.0, 1.0]]),
     "dirichlet-concentration-nan": lambda: DirichletMultinomial(3, _NAN),
     "histogram-concentration-nan": lambda: HistogramDensity([0.0, 1.0], _NAN),
     "vmm-prior-nan": lambda: VmmModel(3, 3, prior=_NAN),

@@ -545,9 +545,15 @@ class TestTreeAgainstMaterialised:
     def test_updates_and_predictives_are_identical(self, dim, max_depth):
         rng, lo, hi, ref, bt = tree_pair(dim, max_depth, 100 * dim + max_depth)
         queries = tree_points(rng, lo, hi, 150)
+        held = []
         for y, q in zip(tree_points(rng, lo, hi, 150), queries):
             assert bt.log_predictive(q) == ref.log_predictive(q)
+            if held:
+                # a point the tree holds shares a singleton's whole chain
+                h = held[int(rng.integers(len(held)))]
+                assert bt.log_predictive(h) == ref.log_predictive(h)
             assert bt.update(y) == ref.update(y)
+            held.append(y)
         assert bt.log_evidence == ref.log_evidence
 
     @pytest.mark.parametrize("dim,max_depth", DIFF_CASES)

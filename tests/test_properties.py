@@ -105,7 +105,9 @@ def saved_models():
 
 
 SAVED = saved_models()
-CDE_FIELDS = ["tree_count", "tree_point", "split", "buffered_x", "buffer_length", "nw_count"]
+CDE_FIELDS = [
+    "tree_count", "tree_point", "split", "buffered_x", "buffer_length", "nw_count", "mixture_log_w",
+]
 VMM_FIELDS = ["dirichlet_count", "suffix", "n_seen"]
 
 
@@ -129,6 +131,8 @@ def sites(field, lines):
         return [(cover["buffers"], k) for k, b in cover["buffers"].items() if b]
     if field == "nw_count":
         return [(c["components"][0], "n") for c in locals_]
+    if field == "mixture_log_w":
+        return [(c, "log_w") for c in locals_ if c["kind"] == "mixture"]
     if field == "dirichlet_count":
         return [(c["counts"], i) for c in locals_ for i in range(len(c["counts"]))]
     if field == "n_seen":
@@ -150,6 +154,12 @@ def corrupt(field, value, pick, lines):
         return value[:-1] if pick % 2 else value[:-2]
     if field in ("nw_count", "n_seen"):
         return value + 1
+    if field == "mixture_log_w":
+        # one weight too few, or one NaN or +inf, or all shifted off normal
+        k = pick % len(value)
+        bad = [value[:-1], value[:k] + [math.nan] + value[k + 1:]]
+        bad += [value[:k] + [math.inf] + value[k + 1:], [v + 1e-6 for v in value]]
+        return bad[pick % 4]
     if field == "dirichlet_count":
         return value + lines[1]["n_obs"] + 1  # more than any parent holds
     return value + [3]  # a symbol outside the alphabet

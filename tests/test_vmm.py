@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from covermodels import CtwOracle, SuffixTreeCover, UnknownSymbol, VmmModel, ctw_logprob
+from covermodels import (
+    BadConfig,
+    CtwOracle,
+    SuffixTreeCover,
+    UnknownSymbol,
+    VmmModel,
+    ctw_logprob,
+)
 
 
 def kt_steps(symbols, assignments):
@@ -209,6 +216,17 @@ class TestSnapshot:
         m2 = VmmModel.from_text(text)
         assert m2.n_seen == 100
         assert m2.to_text() == text
+
+    @pytest.mark.parametrize("key,value", [("concentration", 5.0), ("stop_weight", 0.9)])
+    def test_a_header_that_disagrees_with_its_posterior_is_refused(self, key, value):
+        """Contexts made after a restore take their prior from the header."""
+        m = VmmModel(alphabet_size=3, depth=3)
+        m.fit_sequence([0, 1, 2, 2, 1, 0, 1])
+        head, _, rest = m.to_text().partition("\n")
+        meta = json.loads(head)
+        meta[key] = value
+        with pytest.raises(BadConfig):
+            VmmModel.from_text(json.dumps(meta) + "\n" + rest)
 
 
 def test_history_keeps_only_the_context_window():
