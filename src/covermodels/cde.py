@@ -22,21 +22,6 @@ from .errors import BadConfig
 from .local import BayesTreeDensity, MixtureLocal, NormalWishart
 
 _COMPONENTS = ("nw", "tree")
-# the hyperparameters a config sets in each kind of local
-_HYPER = {
-    NormalWishart: lambda c: (c.mu0.tolist(), c.kappa0, c.nu0, c.T0.tolist()),
-    BayesTreeDensity: lambda c: (
-        c.box.lower.tolist(), c.box.upper.tolist(), c.gamma, c.branch_pseudo, c.max_depth
-    ),
-}
-
-
-def _prior(local):
-    """A local's kind and hyperparameters, per mixture component in order."""
-    if isinstance(local, MixtureLocal):
-        return [_prior(c) for c in local.components]
-    # a kind that no config makes differs by its type alone
-    return type(local), _HYPER.get(type(local), lambda c: None)(local)
 
 
 @dataclass
@@ -136,7 +121,7 @@ class CdeModel:
             cover, self._make_local, depth_weight=config.depth_weight
         )
 
-    def _make_local(self, depth, region):
+    def _make_local(self):
         cfg = self.config
         has_ybox = cfg.y_lower is not None and cfg.y_upper is not None
         if has_ybox:
@@ -210,7 +195,7 @@ class CdeModel:
     def from_text(cls, text) -> "CdeModel":
         """Rebuild a model from ``to_text`` output. Raises ``BadConfig``
         unless the header's config is the one the posterior was built
-        with, as far as its cover, stop weights and root local show:
+        with, as far as its cover, stop weights and locals' priors show:
         contexts made after the restore take their locals from it."""
         head, _, rest = text.partition("\n")
         try:
@@ -234,7 +219,6 @@ class CdeModel:
             or (cover.alpha, cover.max_depth, cover.on_outside)
             != (config.alpha, config.max_depth_x, config.on_outside)
             or parse_depth_weight(config.depth_weight)[0] != post.depth_weight_spec
-            or _prior(post.states[cover.root_id].local) != _prior(obj._make_local(1, box))
         ):
             raise BadConfig("cde snapshot header disagrees with its posterior")
         return obj

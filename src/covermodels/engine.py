@@ -39,6 +39,10 @@ as if the child had always existed. Covers that report ``truncate``
 the maximum depth leaves a truncation factor behind and predictions
 mix in a virtual continuation drawn from a fresh local model.
 
+One prior serves every context. The local factory takes no arguments;
+its first product is kept empty and serves both as that fresh local
+and as the prior that every context of a loaded snapshot must have.
+
 A snapshot (format version 3) holds only sufficient statistics: per
 context its stop weight, ``log_m``, ``log_trunc`` and local counts and
 sums, plus the cover's split records and buffered points. ``log_lambda``
@@ -51,8 +55,6 @@ from __future__ import annotations
 
 import json
 import math
-
-import numpy as np
 
 from .covers import cover_from_state
 from .errors import BadConfig
@@ -110,8 +112,14 @@ class CoverModelPosterior:
     ----------
     cover : CoverSequence
         Context structure. May grow while absorbing.
-    local_factory : callable (depth, region) -> local model
-        Builds the local observation model for a new context.
+    local_factory : callable () -> local model
+        Called with no arguments, builds the local model of y for a new
+        context, every time with the same prior. A local offers
+        ``log_predictive(y)``, ``update(y)``, ``sample(rng)`` and
+        ``prior()`` (see ``local.py``). The factory's first product
+        stays empty: it is the virtual continuation past a truncated
+        path and the reference prior a snapshot is checked against on
+        load.
     depth_weight : str
         Prior stop weight rule, see ``parse_depth_weight``.
     """
@@ -123,7 +131,7 @@ class CoverModelPosterior:
         self.states: dict[int, ContextState] = {}
         self.n_obs = 0
         self.log_evidence = 0.0
-        self._fresh = None
+        self._fresh = local_factory()
         for ctx in sorted(cover.contexts.values(), key=lambda c: c.cid):
             self._init_state(ctx)
         self._refresh_all()
@@ -134,14 +142,9 @@ class CoverModelPosterior:
         w0 = float(self._w0_fn(ctx.depth))
         if not 0.0 < w0 <= 1.0:
             raise BadConfig(f"stop weight {w0} at depth {ctx.depth} not in (0, 1]")
-        st = ContextState(self.local_factory(ctx.depth, ctx.region), w0)
+        st = ContextState(self.local_factory(), w0)
         self.states[ctx.cid] = st
         return st
-
-    def _fresh_local(self):
-        if self._fresh is None:
-            self._fresh = self.local_factory(self.cover.max_depth, None)
-        return self._fresh
 
     def set_w0(self, cid, w0):
         """Override one context's prior stop weight.
@@ -197,11 +200,11 @@ class CoverModelPosterior:
         truncating cover, which can still refine past its end."""
         return self.cover.growth_mode == "truncate" and len(path) < self.cover.max_depth
 
-    def _virtual(self, path, xq, y):
+    def _virtual(self, path, y):
         """Log predictive of the virtual continuation past a truncated
         path (see ``_truncated``), else None."""
         if self._truncated(path):
-            return float(self._fresh_local().log_predictive(y, xq))
+            return float(self._fresh.log_predictive(y))
         return None
 
     def _phi(self, path, logpi, virtual):
@@ -230,10 +233,9 @@ class CoverModelPosterior:
 
         Returns (path, log pi per context, log psi per context).
         """
-        xq = self.cover.prepare_query(x)
-        path = self.cover.match_levels(xq)
-        logpi = [float(self.states[cid].local.log_predictive(y, xq)) for cid in path]
-        return path, logpi, self._phi(path, logpi, self._virtual(path, xq, y))
+        path = self.cover.match_levels(self.cover.prepare_query(x))
+        logpi = [float(self.states[cid].local.log_predictive(y)) for cid in path]
+        return path, logpi, self._phi(path, logpi, self._virtual(path, y))
 
     def predict_logdensity(self, x, y) -> float:
         """Log predictive density (or mass) of y at x. Does not mutate."""
@@ -278,14 +280,14 @@ class CoverModelPosterior:
         # Every local checks y before it changes, and the locals of one
         # model share one support, so only the first update can reject
         # y, and it does so before anything has changed.
-        logpi = [states[cid].local.update(y, xq) for cid in path]
+        logpi = [states[cid].local.update(y) for cid in path]
         if self.cover.growth_mode == "truncate":
             # a new context's parent exists, so new ones extend the path
             path, made = self.cover.extend(xq)
             for cid in made:
-                logpi.append(self._init_state(self.cover.contexts[cid]).local.update(y, xq))
+                logpi.append(self._init_state(self.cover.contexts[cid]).local.update(y))
         # the stop posteriors read by _phi change only below
-        logmarg = self._phi(path, logpi, self._virtual(path, xq, y))[0]
+        logmarg = self._phi(path, logpi, self._virtual(path, y))[0]
 
         for cid, lp in zip(path, logpi):
             states[cid].log_m += lp
@@ -293,12 +295,11 @@ class CoverModelPosterior:
             states[path[-1]].log_trunc += logpi[-1]
         new = []
         if self.cover.growth_mode == "replay":
-            y_arr = np.asarray(y, dtype=float).reshape(-1)
-            for _, kids in self.cover.observe_and_refine(xq, y_arr, path[-1]):
+            for _, kids in self.cover.observe_and_refine(xq, y, path[-1]):
                 for cid, block in kids:
                     st = self._init_state(self.cover.contexts[cid])
-                    for xb, yb in block:
-                        st.log_m += st.local.update(yb, xb)
+                    for _, yb in block:
+                        st.log_m += st.local.update(yb)
                     new.append(cid)
         # a split makes its children after their parent, and every new
         # context lies below the path, so this refreshes children first
@@ -321,7 +322,7 @@ class CoverModelPosterior:
                 return self.states[cid].local.sample(rng)
         cid = path[-1]
         if self._truncated(path) and rng.uniform() >= math.exp(self._log_g(cid)):
-            return self._fresh_local().sample(rng)
+            return self._fresh.sample(rng)
         return self.states[cid].local.sample(rng)
 
     # ---- persistence ------------------------------------------------------
@@ -358,8 +359,7 @@ class CoverModelPosterior:
     def from_text(cls, text, local_factory):
         """Rebuild a posterior from ``to_text`` output, of version 1 to 3.
 
-        The local factory is not serialised and must be supplied again;
-        it is only consulted for contexts created after the restore.
+        The local factory is not serialised and must be supplied again.
         Every version recomputes ``log_lambda`` bottom-up; the derived
         values that version-1 and version-2 records also store are not
         read.
@@ -376,6 +376,7 @@ class CoverModelPosterior:
         no more points than their parent. Not checked, because that would
         take a refit: ``log_m``, ``log_trunc``, the Normal-Wishart sums,
         and a tree density's singleton against its cell below the root.
+        Every context's local must have the prior of the factory's.
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
@@ -399,7 +400,7 @@ class CoverModelPosterior:
         obj.depth_weight_spec, obj._w0_fn = parse_depth_weight(meta["depth_weight"])
         obj.n_obs = int(meta["n_obs"])
         obj.log_evidence = float(meta["log_evidence"])
-        obj._fresh = None
+        obj._fresh = local_factory()
         obj.states = states = {}
         contexts = obj.cover.contexts
         # one parse for every record is faster than one per line
@@ -417,6 +418,10 @@ class CoverModelPosterior:
         if len(states) != len(contexts):
             missing = sorted(set(contexts) - set(states))
             raise BadConfig(f"snapshot lacks state for contexts {missing}")
+        prior = obj._fresh.prior()
+        for cid, st in states.items():
+            if st.local.prior() != prior:
+                raise BadConfig(f"context {cid}'s local has another prior than the model's")
         obj._refresh_all()
         obj._check_counts()
         return obj

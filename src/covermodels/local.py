@@ -1,20 +1,23 @@
 """Local observation models attached to contexts.
 
 Each local model is a conjugate (or conjugate-mixture) Bayesian model
-of the observations that land in one context. The shared duck type:
+of the y of the observations that land in one context; the cover has
+already placed their x. The shared duck type:
 
-* ``log_predictive(y, x=None)``: log posterior predictive density or
-  mass at y. ``x`` is accepted for interface uniformity and ignored by
-  the models here.
-* ``update(y, x=None)``: absorb one observation and return the log
-  predictive that was in force before it, equal to what
-  ``log_predictive(y, x)`` returned just before the call. It scores and
-  updates in one pass, and it checks y before it changes any state: an
-  invalid or unsupported y raises and leaves the model as it was.
+* ``log_predictive(y)``: log posterior predictive density or mass
+  at y.
+* ``update(y)``: absorb one observation and return the log predictive
+  that was in force before it, equal to what ``log_predictive(y)``
+  returned just before the call. It scores and updates in one pass,
+  and it checks y before it changes any state: an invalid or
+  unsupported y raises and leaves the model as it was.
 * ``sample(rng)``: draw y from the posterior predictive.
-* ``state_dict()`` / ``local_from_state``: plain-data round trip.
-  Loading checks what it can check cheaply and raises ``BadConfig``
-  on a malformed record.
+* ``prior()``: the model's kind and hyperparameters as plain data,
+  none of what it has learnt. Every context of one cover model has the
+  same prior, which a snapshot's loader checks.
+* ``state_dict()`` / ``local_from_state``: plain-data round trip. A
+  leaf model's state extends its prior. Loading checks what it can
+  check cheaply and raises ``BadConfig`` on a malformed record.
 * ``n_seen`` (leaf models): the number of observations absorbed.
   ``check_seen`` and ``check_nested`` compare it with what the cover
   routed to the context.
@@ -70,10 +73,10 @@ class DirichletMultinomial:
         a = self.alpha + self.counts
         return float(np.log(a[y]) - np.log(a.sum()))
 
-    def log_predictive(self, y, x=None) -> float:
+    def log_predictive(self, y) -> float:
         return self._score(self._check(y))
 
-    def update(self, y, x=None) -> float:
+    def update(self, y) -> float:
         y = self._check(y)
         lp = self._score(y)
         self.counts[y] += 1.0
@@ -87,12 +90,11 @@ class DirichletMultinomial:
         a = self.alpha + self.counts
         return int(rng.choice(self.alphabet_size, p=a / a.sum()))
 
+    def prior(self):
+        return {"kind": "dirichlet", "alpha": self.alpha.tolist()}
+
     def state_dict(self):
-        return {
-            "kind": "dirichlet",
-            "alpha": self.alpha.tolist(),
-            "counts": self.counts.tolist(),
-        }
+        return {**self.prior(), "counts": self.counts.tolist()}
 
     @classmethod
     def from_state(cls, state):
@@ -221,10 +223,10 @@ class NormalWishart:
             q = float(u @ u)
         return const - 0.5 * (df + self.dim) * math.log1p(q / df)
 
-    def log_predictive(self, y, x=None) -> float:
+    def log_predictive(self, y) -> float:
         return self._score(self._as_obs(y))
 
-    def update(self, y, x=None) -> float:
+    def update(self, y) -> float:
         y = self._as_obs(y)
         lp = self._score(y)
         self.n += 1
@@ -251,13 +253,18 @@ class NormalWishart:
             return float(mun + (math.sqrt(scale) * z[0]) / math.sqrt(u / df))
         return mun + (scale @ z) / math.sqrt(u / df)
 
-    def state_dict(self):
+    def prior(self):
         return {
             "kind": "normal_wishart",
             "mu0": self.mu0.tolist(),
             "kappa0": self.kappa0,
             "nu0": self.nu0,
             "T0": self.T0.tolist(),
+        }
+
+    def state_dict(self):
+        return {
+            **self.prior(),
             "n": self.n,
             "sum_y": self.sum_y.tolist(),
             "sum_yy": self.sum_yy.tolist(),
@@ -306,11 +313,11 @@ class HistogramDensity:
         width = self.edges[i + 1] - self.edges[i]
         return float(np.log(a[i]) - np.log(a.sum()) - np.log(width))
 
-    def log_predictive(self, y, x=None) -> float:
+    def log_predictive(self, y) -> float:
         i = self._bin(y)
         return -math.inf if i is None else self._score(i)
 
-    def update(self, y, x=None) -> float:
+    def update(self, y) -> float:
         i = self._bin(y)
         if i is None:
             raise OutOfSupport(f"{y!r} outside histogram support")
@@ -327,13 +334,11 @@ class HistogramDensity:
         i = rng.choice(a.shape[0], p=a / a.sum())
         return float(rng.uniform(self.edges[i], self.edges[i + 1]))
 
+    def prior(self):
+        return {"kind": "histogram", "edges": self.edges.tolist(), "alpha": self.alpha}
+
     def state_dict(self):
-        return {
-            "kind": "histogram",
-            "edges": self.edges.tolist(),
-            "alpha": self.alpha,
-            "counts": self.counts.tolist(),
-        }
+        return {**self.prior(), "counts": self.counts.tolist()}
 
     @classmethod
     def from_state(cls, state):
@@ -420,8 +425,11 @@ class BayesTreeDensity:
             raise BadConfig("gamma must be strictly between 0 and 1")
         if not branch_pseudo > 0:  # NaN too: it would key its own lgamma tables
             raise BadConfig("branch_pseudo must be positive")
-        if not max_depth >= 0:
-            raise BadConfig("max_depth must be nonnegative")
+        # widths run from about 2^1024 down to 2^-1074, so no side of a
+        # float box halves more than about 2100 times; checked before
+        # max_depth sizes the tables below
+        if not 0 <= max_depth <= 2100 * self.box.dim:
+            raise BadConfig(f"max_depth must be in [0, {2100 * self.box.dim}]")
         self.gamma = float(gamma)
         self.branch_pseudo = float(branch_pseudo)
         self.max_depth = int(max_depth)
@@ -560,7 +568,7 @@ class BayesTreeDensity:
     def _inside(self, y) -> bool:
         return all(lo <= v <= hi for lo, v, hi in zip(self._lower, y, self._upper))
 
-    def log_predictive(self, y, x=None) -> float:
+    def log_predictive(self, y) -> float:
         y = self._obs(y)
         if not self._inside(y):
             return -math.inf
@@ -568,7 +576,7 @@ class BayesTreeDensity:
         _, values = self._path_values(y, push=False)
         return values[0] - self._lam[0]
 
-    def update(self, y, x=None) -> float:
+    def update(self, y) -> float:
         y = self._obs(y)
         if not self._inside(y):
             raise OutOfSupport(f"{y!r} outside {self.box!r}")
@@ -623,6 +631,16 @@ class BayesTreeDensity:
     def n_seen(self) -> int:
         return self._n[0]
 
+    def prior(self):
+        return {
+            "kind": "bayes_tree",
+            "lower": self.box.lower.tolist(),
+            "upper": self.box.upper.tolist(),
+            "gamma": self.gamma,
+            "branch_pseudo": self.branch_pseudo,
+            "max_depth": self.max_depth,
+        }
+
     def state_dict(self):
         """The tree as two flat lists, both in preorder.
 
@@ -645,16 +663,7 @@ class BayesTreeDensity:
                 counts.append(n[node])
                 if n[node] == 1 and depth < top:
                     points += pt[node * dim:(node + 1) * dim]
-        return {
-            "kind": "bayes_tree",
-            "lower": self.box.lower.tolist(),
-            "upper": self.box.upper.tolist(),
-            "gamma": self.gamma,
-            "branch_pseudo": self.branch_pseudo,
-            "max_depth": self.max_depth,
-            "counts": counts,
-            "points": points,
-        }
+        return {**self.prior(), "counts": counts, "points": points}
 
     def _load(self, counts, points, max_seen=None):
         """Fill the empty tree from ``state_dict``'s flat lists.
@@ -790,17 +799,17 @@ class MixtureLocal:
             self.log_w = [v - total for v in lw.tolist()]
         self._warned_skip = False
 
-    def log_predictive(self, y, x=None) -> float:
+    def log_predictive(self, y) -> float:
         return logsumexp(
-            [w + c.log_predictive(y, x) for w, c in zip(self.log_w, self.components)]
+            [w + c.log_predictive(y) for w, c in zip(self.log_w, self.components)]
         )
 
-    def update(self, y, x=None) -> float:
+    def update(self, y) -> float:
         joint = []
         skipped = False
         for w, comp in zip(self.log_w, self.components):
             try:
-                joint.append(w + comp.update(y, x))
+                joint.append(w + comp.update(y))
             except OutOfSupport:
                 # the component raised before changing: it scores -inf
                 joint.append(-math.inf)
@@ -820,6 +829,12 @@ class MixtureLocal:
     def sample(self, rng):
         k = rng.choice(len(self.components), p=np.exp(self.log_w))
         return self.components[k].sample(rng)
+
+    def prior(self):
+        """The components' priors in order. The weights are left out: a
+        context's weights are a posterior, whose prior a snapshot does
+        not keep."""
+        return {"kind": "mixture", "components": [c.prior() for c in self.components]}
 
     def state_dict(self):
         return {
@@ -888,9 +903,8 @@ def check_seen(local, n):
 def check_nested(parent, kids):
     """Raise ``BadConfig`` unless the locals ``kids``, offered disjoint
     subsets of what ``parent`` was offered, hold no more observations
-    than ``parent``, component by component."""
-    if any(type(kid) is not type(parent) for kid in kids):
-        raise BadConfig("a context's local differs in kind from its parent's")
+    than ``parent``, component by component. All have one prior, so
+    their components match."""
     if isinstance(parent, MixtureLocal):
         for i, comp in enumerate(parent.components):
             check_nested(comp, [kid.components[i] for kid in kids])

@@ -63,19 +63,17 @@ class VmmModel:
         self.depth = int(depth)
         self.concentration = _resolve_prior(prior)
         self.stop_weight = float(stop_weight)
-        cover = SuffixTreeCover(self.alphabet_size, self.depth)
-        conc = self.concentration
-        n = self.alphabet_size
-
-        def factory(depth_k, region):
-            return DirichletMultinomial(n, conc)
-
         self.posterior = CoverModelPosterior(
-            cover, factory, depth_weight=f"const:{self.stop_weight!r}"
+            SuffixTreeCover(self.alphabet_size, self.depth),
+            self._factory(),
+            depth_weight=f"const:{self.stop_weight!r}",
         )
         # only the last depth-1 symbols are ever read
         self.history: deque = deque(maxlen=self.depth - 1)
         self.n_seen = 0
+
+    def _factory(self):
+        return functools.partial(DirichletMultinomial, self.alphabet_size, self.concentration)
 
     def _check(self, symbol) -> int:
         s = int(symbol)
@@ -168,23 +166,14 @@ class VmmModel:
             obj.n_seen = int(meta["n_seen"])
         except (KeyError, TypeError, ValueError, UnknownSymbol) as exc:
             raise BadConfig(f"malformed vmm snapshot header: {exc!r}") from exc
-        n = obj.alphabet_size
-        conc = obj.concentration
-
-        def factory(depth_k, region):
-            return DirichletMultinomial(n, conc)
-
-        obj.posterior = post = CoverModelPosterior.from_text(rest, factory)
+        # the posterior checks every context's prior against the header's
+        obj.posterior = post = CoverModelPosterior.from_text(rest, obj._factory())
         cover = post.cover
-        root = post.states[cover.root_id].local
         if (
             not isinstance(cover, SuffixTreeCover)
-            or (cover.alphabet_size, cover.max_depth) != (n, obj.depth)
+            or (cover.alphabet_size, cover.max_depth) != (obj.alphabet_size, obj.depth)
             or obj.n_seen != post.n_obs
             or len(history) > min(obj.n_seen, obj.depth - 1)
-            # contexts made after the restore take their prior from the header
-            or not isinstance(root, DirichletMultinomial)
-            or root.alpha.tolist() != [conc] * n
             or post.depth_weight_spec != f"const:{obj.stop_weight!r}"
         ):
             raise BadConfig("vmm snapshot header disagrees with its posterior")

@@ -51,11 +51,11 @@ def random_static_tree(rng, max_extra_splits=6, dim=None, depth_cap=3):
 def attach_random_engine(rng, cov, kind="dirichlet", alphabet=3):
     """Engine over a static tree with per-context random stop weights."""
     if kind == "dirichlet":
-        factory = lambda depth, region: DirichletMultinomial(alphabet, 0.5)
+        factory = lambda: DirichletMultinomial(alphabet, 0.5)
         marginal = dirichlet_block_marginal(alphabet, 0.5)
     else:
         edges = np.linspace(-1.0, 1.0, 5)
-        factory = lambda depth, region: HistogramDensity(edges, 1.0)
+        factory = lambda: HistogramDensity(edges, 1.0)
         marginal = histogram_block_marginal(edges, 1.0)
     post = CoverModelPosterior(cov, factory, depth_weight="const:0.5")
     w0 = {}

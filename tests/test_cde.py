@@ -33,6 +33,7 @@ _UNUSABLE = {
     "kd-max-depth-nan": lambda: KdTreeCover(Box([0.0], [1.0]), max_depth=_NAN),
     "cde-alpha-nan": lambda: CdeConfig(alpha=_NAN, **_UNIT).validate(),
     "cde-tree-max-depth-nan": lambda: CdeModel(CdeConfig(tree_max_depth=_NAN, **_UNIT)),
+    "cde-tree-max-depth-huge": lambda: CdeModel(CdeConfig(tree_max_depth=10**9, **_UNIT)),
     "nw-kappa0-nan": lambda: NormalWishart([0.0], kappa0=_NAN),
     "nw-nu0-nan": lambda: NormalWishart([0.0], nu0=_NAN),
     "nw-scale-nan": lambda: NormalWishart([0.0], scale=_NAN),
@@ -253,6 +254,33 @@ class TestSnapshot:
         meta["config"][key] = value
         with pytest.raises(BadConfig):
             CdeModel.from_text(json.dumps(meta, sort_keys=True) + "\n" + rest)
+
+
+class TestConfigPaths:
+    def test_mixture_weights_set_the_prior_and_survive_a_snapshot(self):
+        model, ds = small_model(n=120, mixture_weights=[3.0, 1.0])
+        root = model.posterior.states[model.posterior.cover.root_id].local
+        np.testing.assert_allclose(np.exp(root.log_w), [0.75, 0.25], rtol=0, atol=1e-12)
+        model.fit_stream(ds.x[:60], ds.y[:60])
+        clone = CdeModel.from_text(model.to_text())
+        for i in range(60, 120):
+            assert clone.absorb(ds.x[i], ds.y[i]) == model.absorb(ds.x[i], ds.y[i])
+        assert clone.to_text() == model.to_text()
+
+    def test_nw_alone_needs_no_y_bounds(self):
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0.0, 1.0, size=(80, 1))
+        y = np.hstack([x, 1.0 - x]) + rng.normal(0.0, 0.1, size=(80, 2))
+        model = CdeModel(CdeConfig(x_lower=[0.0], x_upper=[1.0], y_dim=2, components=("nw",)))
+        assert np.all(np.isfinite(model.fit_stream(x[:60], y[:60])))
+        assert model.n_contexts > 1
+        assert np.isfinite(model.predict_logdensity([0.5], [0.5, 0.5]))
+        text = model.to_text()
+        clone = CdeModel.from_text(text)
+        assert clone.to_text() == text
+        for i in range(60, 80):
+            assert clone.absorb(x[i], y[i]) == model.absorb(x[i], y[i])
+        assert clone.to_text() == model.to_text()
 
 
 class TestSampling:

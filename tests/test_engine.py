@@ -137,7 +137,7 @@ class TestReplayGrowth:
         """Splits triggered by data must look as if they always existed."""
         rng = np.random.default_rng(3)
         cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0, max_depth=5)
-        factory = lambda depth, region: DirichletMultinomial(2, 0.5)
+        factory = lambda: DirichletMultinomial(2, 0.5)
         post = CoverModelPosterior(cov, factory, depth_weight="2^-k")
         data = []
         for i in range(40):
@@ -166,7 +166,7 @@ class TestReplayGrowth:
         )
         rng = np.random.default_rng(8)
         cov = KdTreeCover(Box([0.0, 0.0], [1.0, 1.0]), alpha=2.0, max_depth=6)
-        post = CoverModelPosterior(cov, lambda depth, region: DirichletMultinomial(2, 0.5))
+        post = CoverModelPosterior(cov, lambda: DirichletMultinomial(2, 0.5))
         for _ in range(50):
             post.absorb(rng.uniform(0, 1, size=2), int(rng.integers(2)))
         assert len(calls) == 50
@@ -188,7 +188,7 @@ class TestRefreshAfterAbsorb:
         rng = np.random.default_rng(6)
         cov = KdTreeCover(Box([0.0, 0.0], [1.0, 1.0]), alpha=1.2, max_depth=12)
         post = CoverModelPosterior(
-            cov, lambda depth, region: DirichletMultinomial(2, 0.5), depth_weight="2^-k"
+            cov, lambda: DirichletMultinomial(2, 0.5), depth_weight="2^-k"
         )
         jumps = []
         for _ in range(60):
@@ -211,7 +211,7 @@ class TestSnapshot:
     def test_text_round_trip_continues_exactly(self):
         rng = np.random.default_rng(31)
         cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0, max_depth=6)
-        factory = lambda depth, region: DirichletMultinomial(2, 0.5)
+        factory = lambda: DirichletMultinomial(2, 0.5)
         post = CoverModelPosterior(cov, factory, depth_weight="2^-k")
         for _ in range(30):
             post.absorb(rng.uniform(0, 1, size=1), int(rng.integers(2)))
@@ -231,7 +231,7 @@ class TestSnapshot:
         # tree density its records read the same in version 1.
         rng = np.random.default_rng(4)
         cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0, max_depth=6)
-        factory = lambda depth, region: DirichletMultinomial(2, 0.5)
+        factory = lambda: DirichletMultinomial(2, 0.5)
         post = CoverModelPosterior(cov, factory, depth_weight="2^-k")
         for _ in range(20):
             post.absorb(rng.uniform(0, 1, size=1), int(rng.integers(2)))
@@ -257,7 +257,7 @@ class TestSnapshot:
         rng = np.random.default_rng(seed)
         cov = KdTreeCover(Box([0.0], [1.0]), alpha=math.inf, max_depth=6)
         cov.split_leaf(cov.split_leaf(cov.root_id)[1])
-        factory = lambda depth, region: DirichletMultinomial(2, 0.5)
+        factory = lambda: DirichletMultinomial(2, 0.5)
         w0 = float(rng.uniform(0.05, 0.95))
         post = CoverModelPosterior(cov, factory, depth_weight=f"const:{w0!r}")
         for _ in range(3):
@@ -269,7 +269,7 @@ class TestSnapshot:
     def test_infinite_alpha_never_splits_and_round_trips(self):
         rng = np.random.default_rng(21)
         cov = KdTreeCover(Box([0.0], [1.0]), alpha=math.inf, max_depth=6)
-        factory = lambda depth, region: DirichletMultinomial(2, 0.5)
+        factory = lambda: DirichletMultinomial(2, 0.5)
         post = CoverModelPosterior(cov, factory, depth_weight="2^-k")
         for _ in range(50):
             post.absorb(rng.uniform(0, 1, size=1), int(rng.integers(2)))
@@ -287,7 +287,7 @@ class TestSnapshot:
         carry it in their header; it is ignored."""
         rng = np.random.default_rng(22)
         cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0, max_depth=6)
-        factory = lambda depth, region: DirichletMultinomial(2, 0.5)
+        factory = lambda: DirichletMultinomial(2, 0.5)
         post = CoverModelPosterior(cov, factory, depth_weight="2^-k")
         for _ in range(30):
             post.absorb(rng.uniform(0, 1, size=1), int(rng.integers(2)))

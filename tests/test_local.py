@@ -218,6 +218,19 @@ class TestBayesTree:
         with pytest.raises(BadConfig):
             BayesTreeDensity([0.0], [1.0], **kw)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_max_depth_is_bounded_by_float_halvings(self, dim):
+        """Deeper than 2100 levels per side no float box splits, so such
+        a max_depth is refused before it sizes the per-level tables."""
+        top = 2100 * dim
+        assert len(BayesTreeDensity([0.0] * dim, [1.0] * dim, max_depth=top)._one) == top + 1
+        for depth in (top + 1, 10**9, math.inf):
+            with pytest.raises(BadConfig):
+                BayesTreeDensity([0.0] * dim, [1.0] * dim, max_depth=depth)
+        record = {**BayesTreeDensity([0.0] * dim, [1.0] * dim).state_dict(), "max_depth": 10**9}
+        with pytest.raises(BadConfig):
+            local_from_state(record)
+
     def test_max_depth_zero_is_plain_uniform(self):
         bt = BayesTreeDensity([0.0], [4.0], max_depth=0)
         for y in [0.1, 3.9, 2.0]:

@@ -177,6 +177,52 @@ def test_a_corrupted_structural_field_is_refused(field, pick):
         load(text)
 
 
+def edit_prior(field, local):
+    """Change one prior field of a context's local record in place."""
+    if field == "dirichlet_alpha":
+        local["alpha"][0] += 0.5
+        return
+    nw, tree = local["components"]
+    if field == "component_kind":  # the components trade places
+        local["components"].reverse()
+        local["log_w"].reverse()
+    elif field == "tree_gamma":
+        tree["gamma"] = 0.25
+    elif field == "tree_branch_pseudo":
+        tree["branch_pseudo"] = 1.0
+    elif field == "tree_bounds":  # a wider box still holds every point
+        tree["lower"] = [v - 1.0 for v in tree["lower"]]
+        tree["upper"] = [v + 1.0 for v in tree["upper"]]
+    elif field == "nw_kappa0":
+        nw["kappa0"] = 2.0
+    else:
+        nw["T0"] = [[2.0 * v for v in row] for row in nw["T0"]]
+
+
+PRIOR_FIELDS = [
+    "tree_gamma", "tree_branch_pseudo", "tree_bounds", "nw_kappa0", "nw_T0", "component_kind",
+]
+
+
+@pytest.mark.parametrize("field", PRIOR_FIELDS + ["dirichlet_alpha"])
+def test_a_context_with_another_prior_is_refused(field):
+    """Every context has the model's one prior, so a snapshot in which
+    one context below the root has another does not load, whichever
+    context it is."""
+    if field == "dirichlet_alpha":
+        kind, load = "vmm", VmmModel.from_text
+    else:
+        kind, load = "cde", CdeModel.from_text
+    records = SAVED[kind].splitlines()[2:]
+    assert json.loads(records[0])["cid"] == 0  # the root; each record after it is edited in turn
+    for i in range(1, len(records)):
+        lines = [json.loads(line) for line in SAVED[kind].splitlines()]
+        edit_prior(field, lines[2 + i]["local"])
+        text = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+        with pytest.raises(BadConfig):
+            load(text)
+
+
 def test_a_huge_tree_count_is_refused_before_it_sizes_any_table(monkeypatch):
     """A tree count raised to 10**9 along one root-to-leaf chain keeps
     every node the sum of its children, so only the header's ``n_obs``
