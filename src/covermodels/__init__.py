@@ -11,7 +11,6 @@ from .covers import (
     Box,
     Context,
     CoverSequence,
-    ExplicitCover,
     KdTreeCover,
     SuffixRegion,
     SuffixTreeCover,
@@ -33,7 +32,6 @@ from .errors import (
     CoverModelError,
     DegenerateData,
     DepthLimitExceeded,
-    EmptyPath,
     MissingColumn,
     OutOfSupport,
     ParseError,
@@ -53,7 +51,6 @@ from .kernel import CvReport, DoubleKernelCde, fit_cv
 from .local import (
     BayesTreeDensity,
     DirichletMultinomial,
-    HistogramDensity,
     MixtureLocal,
     NormalWishart,
     local_from_state,
@@ -61,7 +58,6 @@ from .local import (
 from .oracle import (
     ExactEnumerator,
     dirichlet_block_marginal,
-    histogram_block_marginal,
     normal_wishart_block_marginal,
 )
 from .vmm import CtwOracle, VmmModel, ctw_logprob
@@ -86,11 +82,8 @@ __all__ = [
     "DepthLimitExceeded",
     "DirichletMultinomial",
     "DoubleKernelCde",
-    "EmptyPath",
     "EvalRecord",
     "ExactEnumerator",
-    "ExplicitCover",
-    "HistogramDensity",
     "KdTreeCover",
     "MissingColumn",
     "MixtureLocal",
@@ -112,7 +105,6 @@ __all__ = [
     "gen_gaussian_ring",
     "gen_markov",
     "gen_mixture",
-    "histogram_block_marginal",
     "load_csv",
     "load_symbols",
     "local_from_state",

@@ -72,6 +72,8 @@ class CdeConfig:
             raise BadConfig("the tree component needs y bounds")
         if not has_ybox and self.y_dim is None:
             raise BadConfig("need y bounds or y_dim")
+        if self.y_dim is not None and not (type(self.y_dim) is int and self.y_dim >= 1):
+            raise BadConfig(f"y_dim must be a positive int, got {self.y_dim!r}")
         if has_ybox:
             ybox = Box(self.y_lower, self.y_upper)
             if self.y_dim is not None and self.y_dim != ybox.dim:

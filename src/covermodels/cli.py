@@ -328,18 +328,25 @@ def cmd_score(args) -> int:
 def cmd_sample(args) -> int:
     with open(args.snapshot) as fh:
         text = fh.read()
-    head = json.loads(text.splitlines()[0])
+    try:
+        head = json.loads(text.partition("\n")[0])
+    except ValueError:
+        head = None  # not JSON, or empty
+    kind = head.get("kind") if isinstance(head, dict) else None
     rng = np.random.default_rng(args.seed)
-    if head.get("kind") == "cde":
+    if kind == "cde":
         if args.x is None:
             raise BadConfig("sampling from a cde snapshot needs --x")
-        x = np.array([float(v) for v in args.x.split(",")])
+        try:
+            x = np.array([float(v) for v in args.x.split(",")])
+        except ValueError:
+            raise BadConfig(f"bad --x {args.x!r}: expected comma separated numbers") from None
         model = CdeModel.from_text(text)
         for _ in range(args.n):
             y = np.atleast_1d(model.sample_y(x, rng))
             print(",".join(repr(float(v)) for v in y))
         return 0
-    if head.get("kind") == "vmm":
+    if kind == "vmm":
         model = VmmModel.from_text(text)
         print(" ".join(str(s) for s in model.generate(args.n, rng)))
         return 0

@@ -7,14 +7,12 @@ root context, and the children of a context tile its region. A query
 therefore matches one chain of contexts, at most one per cover, from
 the root down to the deepest context that contains it.
 
-Three concrete builders:
+Two concrete builders, one per shipped model:
 
-* ``KdTreeCover``: axis aligned boxes refined online by midpoint splits
-  of the largest side, driven by occupancy counts.
-* ``SuffixTreeCover``: contexts are suffixes of a symbol history,
-  materialised lazily as histories are seen.
-* ``ExplicitCover``: hand built partition trees over hashable atoms,
-  intended for tests and small fixtures.
+* ``KdTreeCover`` (``CdeModel``): axis aligned boxes refined online by
+  midpoint splits of the largest side, driven by occupancy counts.
+* ``SuffixTreeCover`` (``VmmModel``): contexts are suffixes of a symbol
+  history, materialised lazily as histories are seen.
 
 Depths are 1-based; depth 1 is the coarsest cover.
 """
@@ -25,13 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    BadConfig,
-    DepthLimitExceeded,
-    EmptyPath,
-    QueryOutOfRootRegion,
-    UnknownSymbol,
-)
+from .errors import BadConfig, DepthLimitExceeded, QueryOutOfRootRegion, UnknownSymbol
 
 
 def cut(lo, hi):
@@ -148,11 +140,21 @@ class CoverSequence:
     Every context but the root (``root_id``, at depth 1) has one
     parent, and the children of a context tile its region, so a query
     matches one chain of contexts. The engine's closed form posterior
-    relies on exactly that. Subclasses set ``growth_mode`` to one of
-    "static", "replay" or "truncate" and implement ``match_levels``.
-    """
+    relies on exactly that.
 
-    growth_mode = "static"
+    A subclass sets ``growth_mode`` to "replay" (it hands back the
+    buffered block of each new child, ``observe_and_refine``) or
+    "truncate" (it materialises contexts lazily, ``extend``), and
+    implements:
+
+    * ``prepare_query(query)``: validate and normalise a raw query.
+      ``match_levels``, ``extend`` and ``observe_and_refine`` take its
+      result, so a caller prepares each query once.
+    * ``match_levels(query)``: ids of the contexts a prepared query
+      matches, one per depth from the root down to the deepest.
+    * ``state_dict()`` and ``from_state``: the plain-data round trip
+      that ``cover_from_state`` dispatches on.
+    """
 
     def __init__(self):
         self.contexts: dict[int, Context] = {}
@@ -174,20 +176,6 @@ class CoverSequence:
     @property
     def deepest_depth(self) -> int:
         return max(c.depth for c in self.contexts.values())
-
-    def prepare_query(self, query):
-        """Validate and normalise a raw query. ``match_levels``,
-        ``extend`` and ``observe_and_refine`` take its result, so a
-        caller prepares each query once."""
-        return query
-
-    def match_levels(self, query):
-        """Ids of the contexts a prepared query matches, one per depth
-        from the root down to the deepest."""
-        raise NotImplementedError
-
-    def state_dict(self):
-        raise BadConfig(f"{type(self).__name__} does not support serialisation")
 
 
 class KdTreeCover(CoverSequence):
@@ -367,16 +355,13 @@ class KdTreeCover(CoverSequence):
 
     @classmethod
     def from_state(cls, state):
-        """Rebuild from ``state_dict``, or from the context records of
-        snapshot versions 1 and 2.
+        """Rebuild from ``state_dict``.
 
         Raises ``BadConfig`` unless every split record splits a leaf
         above ``max_depth`` at ``Box.split_largest`` of its box, every
         leaf and only leaves have a buffer, and every buffered x lies in
         its leaf's box.
         """
-        if "contexts" in state:
-            state = _kd_state_from_records(state)
         cover = cls(
             Box(state["root_lower"], state["root_upper"]),
             alpha=float(state["alpha"]),
@@ -425,22 +410,6 @@ class KdTreeCover(CoverSequence):
                 buf.append((np.array(x), np.array(flat[i + dim:i + width])))
             cover._buffer[cid] = buf
         return cover
-
-
-def _kd_state_from_records(state):
-    """Version-3 kd cover state from the context records and
-    ``[[x, y], ...]`` buffers of snapshot versions 1 and 2."""
-    recs = [rec for rec in state["contexts"] if rec["split"] is not None]
-    recs.sort(key=lambda rec: rec["split"][2])  # lo ids grow in the order splits happened
-    if [rec["split"][2:] for rec in recs] != [[2 * i + 1, 2 * i + 2] for i in range(len(recs))]:
-        raise BadConfig("kd context ids do not follow the order of the splits")
-    y_dims = {len(y) for buf in state["buffers"].values() for _, y in buf}
-    return {
-        **state,
-        "splits": [[rec["cid"], *rec["split"][:2]] for rec in recs],
-        "y_dim": y_dims.pop() if len(y_dims) == 1 else 0,
-        "buffers": {k: [v for x, y in buf for v in x + y] for k, buf in state["buffers"].items()},
-    }
 
 
 class SuffixTreeCover(CoverSequence):
@@ -514,19 +483,13 @@ class SuffixTreeCover(CoverSequence):
 
     @classmethod
     def from_state(cls, state):
-        """Rebuild from ``state_dict``, or from the context records of
-        snapshot versions 1 and 2.
+        """Rebuild from ``state_dict``.
 
         Raises ``BadConfig`` unless the root comes first, and every
         other suffix is new, shorter than ``max_depth``, over the
         alphabet, and follows its parent (the suffix without its
         oldest symbol).
         """
-        if "contexts" in state:
-            recs = sorted(state["contexts"], key=lambda rec: rec["cid"])
-            if [rec["cid"] for rec in recs] != list(range(len(recs))):
-                raise BadConfig("suffix context ids must run from 0 without gaps")
-            state = {**state, "suffixes": [rec["suffix"] for rec in recs]}
         cover = cls(int(state["alphabet_size"]), int(state["max_depth"]))
         suffixes = state["suffixes"]
         if not suffixes or suffixes[0]:
@@ -555,55 +518,3 @@ def cover_from_state(state):
         return SuffixTreeCover.from_state(state)
     raise BadConfig(f"unknown cover kind {kind!r}")
 
-
-class ExplicitCover(CoverSequence):
-    """Hand built partition tree over hashable atoms.
-
-    ``levels`` is a list over depths; each entry lists the contexts at
-    that depth as iterables of atoms. Depth 1 holds the root alone, the
-    parent of a deeper context is the one context one depth up that it
-    intersects, and the children of a context tile it. Raises
-    ``BadConfig`` on anything else. The cover is static: no growth, no
-    serialisation.
-    """
-
-    growth_mode = "static"
-
-    def __init__(self, levels):
-        super().__init__()
-        if not levels or len(levels[0]) != 1:
-            raise BadConfig("need exactly one context at depth 1")
-        self.max_depth = len(levels)
-        prev = []
-        for k, level in enumerate(levels, start=1):
-            current = []
-            for atoms in level:
-                region = frozenset(atoms)
-                if not region:
-                    raise BadConfig("empty context region")
-                parents = [c.cid for c in prev if c.region & region]
-                if k > 1 and len(parents) != 1:
-                    raise BadConfig(f"context at depth {k} overlaps {len(parents)} parents, not one")
-                current.append(self._new_context(k, region, parents[0] if parents else None))
-            prev = current
-        self.root_id = 0
-        # a query must match one child of every context with children
-        for ctx in self.contexts.values():
-            kids = [self.contexts[d].region for d in ctx.child_ids]
-            if kids and (
-                frozenset().union(*kids) != ctx.region or sum(map(len, kids)) != len(ctx.region)
-            ):
-                raise BadConfig(f"the children of context {ctx.cid} do not tile it")
-
-    def match_levels(self, query):
-        path = []
-        kids = [self.root_id]
-        while True:
-            cid = next((d for d in kids if query in self.contexts[d].region), None)
-            if cid is None:
-                break
-            path.append(cid)
-            kids = self.contexts[cid].child_ids
-        if not path:
-            raise EmptyPath(f"the root context does not contain {query!r}")
-        return path

@@ -47,8 +47,7 @@ A snapshot (format version 3) holds only sufficient statistics: per
 context its stop weight, ``log_m``, ``log_trunc`` and local counts and
 sums, plus the cover's split records and buffered points. ``log_lambda``
 is recomputed bottom-up on load, bit for bit, and the structure is
-checked (``from_text``). Versions 1 and 2 still load, and their stored
-``log_lambda`` is recomputed the same way.
+checked (``from_text``). Versions 1 and 2 are refused.
 """
 
 from __future__ import annotations
@@ -62,9 +61,8 @@ from .local import check_nested, check_seen, local_from_state
 from .logspace import log1mexp, logaddexp
 
 SNAPSHOT_FORMAT = "covermodels-snapshot"
-# Version 2 stores a tree density's one-point subtrees as singleton
-# leaves, which version-1 readers would take for empty nodes. Version 3
-# stores no derived state and flat trees, buffers and cover records.
+# Version 3 stores no derived state and flat trees, buffers and cover
+# records. It is the only version that loads.
 SNAPSHOT_VERSION = 3
 
 
@@ -182,9 +180,10 @@ class CoverModelPosterior:
     def stop_posterior(self, cid) -> float:
         """Posterior probability that the walk stops at cid given reach.
 
-        A childless context in a static or replayed cover is a forced
-        terminal, so its value is 1; under truncation growth the cover
-        can still refine past it and the unforced posterior applies.
+        A childless context in a replayed cover is a forced terminal, so
+        its value is 1; under truncation growth the cover can still
+        refine past it, above its maximum depth, and the unforced
+        posterior applies.
         """
         ctx = self.cover.contexts[cid]
         if not ctx.child_ids and (
@@ -357,26 +356,25 @@ class CoverModelPosterior:
 
     @classmethod
     def from_text(cls, text, local_factory):
-        """Rebuild a posterior from ``to_text`` output, of version 1 to 3.
+        """Rebuild a posterior from ``to_text`` output, format version 3.
 
         The local factory is not serialised and must be supplied again.
-        Every version recomputes ``log_lambda`` bottom-up; the derived
-        values that version-1 and version-2 records also store are not
-        read.
+        ``log_lambda`` is recomputed bottom-up.
 
-        Raises ``BadConfig`` on a snapshot whose structure does not hold
-        together: the checks of the cover's and the locals'
-        ``from_state``, which take ``n_obs`` as the bound on a tree
-        density's counts before those size anything, a state for each
-        context and for no other, and
-        counts that agree with what the cover routed. The root's local
-        was offered every observation; on a kd cover each
-        context's local was offered the points buffered in the leaves
-        under it, and those add up to ``n_obs``; elsewhere children hold
-        no more points than their parent. Not checked, because that would
-        take a refit: ``log_m``, ``log_trunc``, the Normal-Wishart sums,
-        and a tree density's singleton against its cell below the root.
-        Every context's local must have the prior of the factory's.
+        Raises ``BadConfig`` on a snapshot of another version, or one
+        whose structure does not hold together: the checks of the
+        cover's and the locals' ``from_state``, which take ``n_obs`` as
+        the bound on a tree density's counts before those size anything,
+        a state for each context and for no other, and counts that agree
+        with what the cover routed. The root's local was offered every
+        observation; on a kd cover each context's local was offered the
+        points buffered in the leaves under it, and those add up to
+        ``n_obs``; elsewhere children hold no more points than their
+        parent. Not checked, because that would take a refit: ``log_m``,
+        ``log_trunc``, the values of the Normal-Wishart sums (their
+        shapes and finiteness are checked), and a tree density's
+        singleton against its cell below the root. Every context's local
+        must have the prior of the factory's.
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
@@ -386,7 +384,7 @@ class CoverModelPosterior:
             if meta.get("format") != SNAPSHOT_FORMAT:
                 raise BadConfig("not a covermodels snapshot")
             version = meta.get("version")
-            if version not in (1, 2, SNAPSHOT_VERSION):
+            if version != SNAPSHOT_VERSION:
                 raise BadConfig(f"unsupported snapshot version {version!r}")
             return cls._load(meta, lines[1:], local_factory)
         except (KeyError, IndexError, TypeError, ValueError) as exc:

@@ -28,10 +28,6 @@ class OutOfSupport(CoverModelError):
     """Observation lies outside the support of a local model."""
 
 
-class EmptyPath(CoverModelError):
-    """No context at any depth matches the query."""
-
-
 class TooLargeToEnumerate(CoverModelError):
     """Exact enumeration oracle refused: state space too large."""
 

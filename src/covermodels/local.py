@@ -281,72 +281,16 @@ class NormalWishart:
         obj.n = int(state["n"])
         if obj.n < 0:
             raise BadConfig("Normal-Wishart count must be nonnegative")
-        obj.sum_y = np.asarray(state["sum_y"], dtype=float)
-        obj.sum_yy = np.asarray(state["sum_yy"], dtype=float)
-        return obj
-
-
-class HistogramDensity:
-    """Piecewise constant density on fixed bins with a Dirichlet prior."""
-
-    def __init__(self, edges, concentration=1.0):
-        edges = np.asarray(edges, dtype=float)
-        if edges.ndim != 1 or edges.shape[0] < 2 or np.any(np.diff(edges) <= 0):
-            raise BadConfig("edges must be strictly increasing, length >= 2")
-        if not concentration > 0:
-            raise BadConfig("concentration must be positive")
-        self.edges = edges
-        self.alpha = float(concentration)
-        self.counts = np.zeros(edges.shape[0] - 1, dtype=float)
-
-    def _bin(self, y):
-        y = float(np.asarray(y).reshape(()))
-        if not math.isfinite(y):
-            raise BadConfig(f"observation {y!r} is not finite")
-        if y < self.edges[0] or y > self.edges[-1]:
-            return None
-        i = int(np.searchsorted(self.edges, y, side="right") - 1)
-        return min(i, self.counts.shape[0] - 1)  # top edge closed
-
-    def _score(self, i) -> float:
-        a = self.counts + self.alpha
-        width = self.edges[i + 1] - self.edges[i]
-        return float(np.log(a[i]) - np.log(a.sum()) - np.log(width))
-
-    def log_predictive(self, y) -> float:
-        i = self._bin(y)
-        return -math.inf if i is None else self._score(i)
-
-    def update(self, y) -> float:
-        i = self._bin(y)
-        if i is None:
-            raise OutOfSupport(f"{y!r} outside histogram support")
-        lp = self._score(i)
-        self.counts[i] += 1.0
-        return lp
-
-    @property
-    def n_seen(self) -> float:
-        return sum(self.counts.tolist())
-
-    def sample(self, rng):
-        a = self.counts + self.alpha
-        i = rng.choice(a.shape[0], p=a / a.sum())
-        return float(rng.uniform(self.edges[i], self.edges[i + 1]))
-
-    def prior(self):
-        return {"kind": "histogram", "edges": self.edges.tolist(), "alpha": self.alpha}
-
-    def state_dict(self):
-        return {**self.prior(), "counts": self.counts.tolist()}
-
-    @classmethod
-    def from_state(cls, state):
-        counts = state["counts"]
-        if len(counts) != len(state["edges"]) - 1 or not all(c >= 0 for c in counts):
-            raise BadConfig("histogram counts must be nonnegative, one per bin")
-        obj = cls(np.asarray(state["edges"]), state["alpha"])
-        obj.counts = np.asarray(counts, dtype=float)
+        # shapes and finiteness, on plain floats
+        m, sum_y, sum_yy = obj.dim, state["sum_y"], state["sum_yy"]
+        if len(sum_y) != m or not all(map(math.isfinite, sum_y)):
+            raise BadConfig(f"Normal-Wishart sum_y must have length {m} and be finite")
+        if len(sum_yy) != m or not all(
+            len(row) == m and all(map(math.isfinite, row)) for row in sum_yy
+        ):
+            raise BadConfig(f"Normal-Wishart sum_yy must be {m} by {m} and finite")
+        obj.sum_y = np.array(sum_y, dtype=float)
+        obj.sum_yy = np.array(sum_yy, dtype=float)
         return obj
 
 
@@ -415,8 +359,7 @@ class BayesTreeDensity:
 
     A snapshot (format 3) stores only counts and singleton points, as
     two flat lists in preorder; ``_load`` checks their structure and
-    recomputes every value. Nested node records from formats 1 and 2
-    still load.
+    recomputes every value.
     """
 
     def __init__(self, lower, upper, gamma=0.5, branch_pseudo=0.5, max_depth=12):
@@ -645,9 +588,12 @@ class BayesTreeDensity:
         """The tree as two flat lists, both in preorder.
 
         ``counts`` holds every materialised node's count, negated for a
-        node that has children, so a one-point chain from a version-1
-        snapshot still encodes. ``points`` holds every singleton's
-        point, ``dim`` floats each. Node values are not stored.
+        node that has children. The sign alone tells a node with
+        children from a leaf: a version-1 snapshot re-saved in this
+        format can hold one-point chains, whose nodes hold one point and
+        have children, unlike a singleton. ``points`` holds every
+        singleton's point, ``dim`` floats each. Node values are not
+        stored.
         """
         counts, points = [], []
         n, kid, pt, dim, top = self._n, self._kid, self._pt, self._dim, self.max_depth
@@ -748,30 +694,8 @@ class BayesTreeDensity:
             branch_pseudo=state["branch_pseudo"],
             max_depth=state["max_depth"],
         )
-        if "tree" in state:
-            obj._load(*_flatten_nested(state["tree"]), max_seen)
-        else:
-            obj._load(state["counts"], state["points"], max_seen)
+        obj._load(state["counts"], state["points"], max_seen)
         return obj
-
-
-def _flatten_nested(rec):
-    """``state_dict``'s flat lists from the nested node records of
-    snapshot versions 1 and 2: ``{"n": k, "kids": [left, right]}``, a
-    singleton's ``"y"`` in place of kids, ``None`` for an empty node."""
-    counts, points = [], []
-    stack = [rec]
-    while stack:
-        rec = stack.pop()
-        if rec is None:
-            counts.append(0)
-        elif rec.get("kids") is not None:
-            counts.append(-rec["n"])
-            stack += reversed(rec["kids"])
-        else:
-            counts.append(rec["n"])
-            points += rec.get("y", ())
-    return counts, points
 
 
 class MixtureLocal:
@@ -863,7 +787,6 @@ class MixtureLocal:
 _LOCAL_KINDS = {
     "dirichlet": DirichletMultinomial,
     "normal_wishart": NormalWishart,
-    "histogram": HistogramDensity,
     "bayes_tree": BayesTreeDensity,
     "mixture": MixtureLocal,
 }
@@ -882,21 +805,17 @@ def local_from_state(state, max_seen=None):
     return _LOCAL_KINDS[kind].from_state(state)
 
 
-# A density on a bounded support rejects y outside it, and a mixture
-# then skips it for that component alone.
-_BOUNDED = (BayesTreeDensity, HistogramDensity)
-
-
 def check_seen(local, n):
     """Raise ``BadConfig`` unless ``local`` can have been offered exactly
-    n observations: a bounded density may have skipped some of them
-    inside a mixture, every other model absorbed all n."""
+    n observations: a tree density rejects y outside its box, so inside
+    a mixture it may have skipped some of them; every other model
+    absorbed all n."""
     if isinstance(local, MixtureLocal):
         for comp in local.components:
             check_seen(comp, n)
         return
     seen = local.n_seen
-    if seen > n or (seen < n and not isinstance(local, _BOUNDED)):
+    if seen > n or (seen < n and not isinstance(local, BayesTreeDensity)):
         raise BadConfig(f"a {type(local).__name__} local holds {seen} points, expected {n}")
 
 

@@ -153,30 +153,6 @@ def dirichlet_block_marginal(alphabet_size, concentration=0.5):
     return marginal
 
 
-def histogram_block_marginal(edges, concentration=1.0):
-    """Batch marginal for the fixed-bin histogram density."""
-    edges = np.asarray(edges, dtype=float)
-    widths = np.diff(edges)
-    k = widths.shape[0]
-    alpha = np.full(k, float(concentration))
-
-    def marginal(cid, block):
-        counts = np.zeros(k)
-        logw = 0.0
-        for _, y in block:
-            i = min(int(np.searchsorted(edges, float(y), side="right")) - 1, k - 1)
-            counts[i] += 1.0
-            logw += math.log(widths[i])
-        return float(
-            np.sum(gammaln(alpha + counts) - gammaln(alpha))
-            + gammaln(alpha.sum())
-            - gammaln(alpha.sum() + counts.sum())
-            - logw
-        )
-
-    return marginal
-
-
 def normal_wishart_block_marginal(mu0, kappa0=1.0, nu0=None, scale=None):
     """Batch Normal-Wishart evidence of a block of vectors.
 

@@ -11,10 +11,10 @@ from covermodels import (
     CoverModelPosterior,
     DirichletMultinomial,
     ExactEnumerator,
-    HistogramDensity,
     KdTreeCover,
+    NormalWishart,
     dirichlet_block_marginal,
-    histogram_block_marginal,
+    normal_wishart_block_marginal,
 )
 
 # Property tests draw the same examples on every run and are not timed
@@ -49,14 +49,16 @@ def random_static_tree(rng, max_extra_splits=6, dim=None, depth_cap=3):
 
 
 def attach_random_engine(rng, cov, kind="dirichlet", alphabet=3):
-    """Engine over a static tree with per-context random stop weights."""
+    """Engine over a static tree with per-context random stop weights.
+
+    ``kind`` is "dirichlet" (symbols) or "nw" (scalar y under a
+    Normal-Wishart)."""
     if kind == "dirichlet":
         factory = lambda: DirichletMultinomial(alphabet, 0.5)
         marginal = dirichlet_block_marginal(alphabet, 0.5)
     else:
-        edges = np.linspace(-1.0, 1.0, 5)
-        factory = lambda: HistogramDensity(edges, 1.0)
-        marginal = histogram_block_marginal(edges, 1.0)
+        factory = lambda: NormalWishart([0.0])
+        marginal = normal_wishart_block_marginal([0.0])
     post = CoverModelPosterior(cov, factory, depth_weight="const:0.5")
     w0 = {}
     for cid in cov.contexts:

@@ -12,7 +12,6 @@ from covermodels import (
     CdeConfig,
     CdeModel,
     DirichletMultinomial,
-    HistogramDensity,
     KdTreeCover,
     NormalWishart,
     OutOfSupport,
@@ -26,8 +25,9 @@ _UNIT = dict(x_lower=[0.0], x_upper=[1.0], y_lower=[0.0], y_upper=[1.0])
 
 # Each builds an object or validates a config that must be refused: a
 # NaN passes a check written as `x <= bound`, an infinite box has no
-# midpoint to split at and no finite volume, and a Normal-Wishart scale
-# that is not positive definite has no Student t predictive.
+# midpoint to split at and no finite volume, a Normal-Wishart scale
+# that is not positive definite has no Student t predictive, and a y_dim
+# that is not a positive int sizes no Normal-Wishart.
 _UNUSABLE = {
     "kd-alpha-nan": lambda: KdTreeCover(Box([0.0], [1.0]), alpha=_NAN),
     "kd-max-depth-nan": lambda: KdTreeCover(Box([0.0], [1.0]), max_depth=_NAN),
@@ -46,7 +46,6 @@ _UNUSABLE = {
     "cde-nw-scale-zero": lambda: CdeModel(CdeConfig(nw_scale=0.0, components=("nw",), **_UNIT)),
     "nw-scale-indefinite": lambda: NormalWishart([0.0, 0.0], scale=[[1.0, 2.0], [2.0, 1.0]]),
     "dirichlet-concentration-nan": lambda: DirichletMultinomial(3, _NAN),
-    "histogram-concentration-nan": lambda: HistogramDensity([0.0, 1.0], _NAN),
     "vmm-prior-nan": lambda: VmmModel(3, 3, prior=_NAN),
     "cde-mixture-weight-negative": lambda: CdeConfig(
         mixture_weights=[-1.0, 2.0], **_UNIT
@@ -59,6 +58,15 @@ _UNUSABLE = {
     "cde-x-upper-inf": lambda: CdeConfig(
         x_lower=[0.0], x_upper=[math.inf], y_lower=[0.0], y_upper=[1.0]
     ).validate(),
+    "cde-y-dim-zero": lambda: CdeModel(
+        CdeConfig([0.0], [1.0], y_dim=0, components=("nw",))
+    ),
+    "cde-y-dim-negative": lambda: CdeModel(
+        CdeConfig([0.0], [1.0], y_dim=-1, components=("nw",))
+    ),
+    "cde-y-dim-fractional": lambda: CdeModel(
+        CdeConfig([0.0], [1.0], y_dim=1.5, components=("nw",))
+    ),
 }
 
 

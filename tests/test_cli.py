@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from covermodels import new_cde
 from covermodels.cli import main, parse_config_file
 from covermodels.evaluate import read_records_csv
 
@@ -175,6 +176,21 @@ class TestSample:
         rows = capsys.readouterr().out.strip().splitlines()
         assert len(rows) == 3
         float(rows[0])  # parses as a number
+
+    @pytest.mark.parametrize("case", ["x-not-a-number", "snapshot-not-json", "snapshot-empty"])
+    def test_bad_input_exits_2(self, case, tmp_path, capsys):
+        model = new_cde([0.0], [1.0], [0.0], [1.0])
+        model.absorb([0.5], [0.5])
+        text, x = {
+            "x-not-a-number": (model.to_text(), "abc"),
+            "snapshot-not-json": ("not json\n", "0.5"),
+            "snapshot-empty": ("", "0.5"),
+        }[case]
+        snap = tmp_path / "m.snap"
+        snap.write_text(text)
+        assert run("sample", "--snapshot", snap, "--x", x) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestConfigPlumbing:

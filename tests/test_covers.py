@@ -7,8 +7,6 @@ from covermodels import (
     BadConfig,
     Box,
     DepthLimitExceeded,
-    EmptyPath,
-    ExplicitCover,
     KdTreeCover,
     QueryOutOfRootRegion,
     SuffixTreeCover,
@@ -148,43 +146,3 @@ class TestSuffixTreeCover:
         q = clone.prepare_query((1, 0))
         assert clone.match_levels(q) == cov.match_levels(q)
 
-
-class TestExplicitCover:
-    def tree(self):
-        return ExplicitCover(
-            [
-                [{0, 1, 2, 3, 4, 5}],
-                [{0, 1, 2, 3}, {4, 5}],
-                [{2, 3}, {0, 1}],
-            ]
-        )
-
-    @pytest.mark.parametrize(
-        "levels",
-        [
-            [],
-            [[{0, 1}, {2, 3}]],  # two roots
-            [[{0, 1, 2, 3}], [{0, 1, 2}, {1, 2, 3}]],  # siblings overlap
-            [[{0, 1, 2, 3, 4, 5}], [{0, 1, 2, 3}, {2, 3, 4, 5}], [{2, 3}]],
-            [[{0, 1, 2, 3, 4, 5}], [{0, 1, 2}, {3, 4, 5}], [{2, 3}]],  # two parents
-            [[{0, 1, 2, 3}], [{0, 1}]],  # children leave part of the root
-            [[{0, 1}], [{0, 1, 2}]],  # a child reaches past its parent
-            [[{0, 1}], [{0}, {1}], [{7}]],  # a context under no parent
-            [[{0, 1}], [set()]],
-        ],
-    )
-    def test_rejects_anything_but_a_partition_tree(self, levels):
-        with pytest.raises(BadConfig):
-            ExplicitCover(levels)
-
-    def test_match_levels(self):
-        cov = self.tree()
-        assert cov.root_id == 0
-        assert cov.match_levels(cov.prepare_query(2)) == [0, 1, 3]
-        assert cov.match_levels(cov.prepare_query(5)) == [0, 2]
-        assert [cov.contexts[c].parent for c in range(5)] == [None, 0, 0, 1, 1]
-
-    def test_no_match_raises(self):
-        cov = self.tree()
-        with pytest.raises(EmptyPath):
-            cov.match_levels(cov.prepare_query(99))

@@ -3,8 +3,6 @@
 import copy
 import json
 import math
-import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,20 +11,15 @@ from scipy.stats import chisquare
 from covermodels import (
     BadConfig,
     Box,
-    CdeConfig,
-    CdeModel,
     CoverModelPosterior,
     DirichletMultinomial,
     ExactEnumerator,
-    HistogramDensity,
     KdTreeCover,
     VmmModel,
     dirichlet_block_marginal,
     parse_depth_weight,
 )
 from conftest import attach_random_engine, random_static_tree, random_xy
-
-FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestDepthWeight:
@@ -76,8 +69,8 @@ class TestAgainstEnumeration:
         self.run_one(seed, "dirichlet")
 
     @pytest.mark.parametrize("seed", range(6, 12))
-    def test_histogram_locals(self, seed):
-        self.run_one(seed, "histogram")
+    def test_normal_wishart_locals(self, seed):
+        self.run_one(seed, "nw")
 
     def test_stop_posteriors(self):
         rng = np.random.default_rng(42)
@@ -226,9 +219,7 @@ class TestSnapshot:
         xq = rng.uniform(0, 1, size=1)
         assert clone.predict_logdensity(xq, 0) == post.predict_logdensity(xq, 0)
 
-    def test_reads_versions_1_and_2_and_refuses_4(self):
-        # The fixture is this stream saved in format version 2. Without a
-        # tree density its records read the same in version 1.
+    def test_refuses_every_version_but_3(self):
         rng = np.random.default_rng(4)
         cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0, max_depth=6)
         factory = lambda: DirichletMultinomial(2, 0.5)
@@ -238,17 +229,17 @@ class TestSnapshot:
         text = post.to_text()
         meta, _, rest = text.partition("\n")
         assert json.loads(meta)["version"] == 3
-        v2 = (FIXTURES / "kd_dirichlet_v2.txt").read_text()
-        head, _, records = v2.partition("\n")
-        v1 = json.dumps({**json.loads(head), "version": 1}, sort_keys=True) + "\n" + records
-        for old in (v1, v2):
-            clone = CoverModelPosterior.from_text(old, factory)
-            assert clone.to_text() == text
-            for cid, st in post.states.items():
-                assert clone.states[cid].log_lambda == st.log_lambda
-        newer = json.dumps({**json.loads(meta), "version": 4}, sort_keys=True)
-        with pytest.raises(BadConfig):
-            CoverModelPosterior.from_text(newer + "\n" + rest, factory)
+        clone = CoverModelPosterior.from_text(text, factory)
+        assert clone.to_text() == text
+        for cid, st in post.states.items():
+            assert clone.states[cid].log_lambda == st.log_lambda
+        for version in (1, 2, 4, None):
+            head = {**json.loads(meta), "version": version}
+            if version is None:
+                del head["version"]
+            other = json.dumps(head, sort_keys=True) + "\n" + rest
+            with pytest.raises(BadConfig, match="unsupported snapshot version"):
+                CoverModelPosterior.from_text(other, factory)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_static_tree_reloads_every_log_lambda_bit_for_bit(self, seed):
@@ -303,36 +294,6 @@ class TestSnapshot:
             x, y = rng.uniform(0, 1, size=1), int(rng.integers(2))
             assert clone.absorb(x, y) == post.absorb(x, y)
         assert clone.to_text() == post.to_text()
-
-    @pytest.mark.parametrize("kind", ["cde", "vmm"])
-    def test_version_2_snapshots_load_and_continue_exactly(self, kind):
-        """Each fixture is the stream below saved in format version 2."""
-        if kind == "cde":
-            rng = np.random.default_rng(12)
-            cfg = CdeConfig(
-                x_lower=[0.0], x_upper=[1.0], y_lower=[0.0], y_upper=[1.0], tree_max_depth=6
-            )
-            model, load, rows = CdeModel(cfg), CdeModel.from_text, []
-            for _ in range(60):
-                x = rng.uniform(0, 1)
-                rows.append(([x], [min(1.0, abs(x - 0.5) + 0.1 * rng.standard_normal())]))
-            feed = lambda m, row: m.absorb(*row)
-        else:
-            model, load = VmmModel(alphabet_size=3, depth=3), VmmModel.from_text
-            rows = np.random.default_rng(13).integers(3, size=60).tolist()
-            feed = lambda m, row: m.observe(row)
-        with warnings.catch_warnings():
-            # some y fall below the tree's box, which the mixture skips
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for row in rows[:40]:
-                feed(model, row)
-            clone = load((FIXTURES / f"{kind}_v2.txt").read_text())
-            assert clone.to_text() == model.to_text()
-            for cid, st in model.posterior.states.items():
-                assert clone.posterior.states[cid].log_lambda == st.log_lambda
-            for row in rows[40:]:
-                assert feed(clone, row) == feed(model, row)
-        assert clone.to_text() == model.to_text()
 
     def test_snapshot_is_plain_text(self):
         rng = np.random.default_rng(1)

@@ -14,7 +14,6 @@ from covermodels import (
     BayesTreeDensity,
     Box,
     DirichletMultinomial,
-    HistogramDensity,
     MixtureLocal,
     NormalWishart,
     OutOfSupport,
@@ -51,27 +50,6 @@ class TestDirichletMultinomial:
         d2 = local_from_state(d.state_dict())
         for k in range(3):
             assert d2.log_predictive(k) == d.log_predictive(k)
-
-
-class TestHistogramDensity:
-    def test_bin_probabilities(self):
-        h = HistogramDensity([0.0, 1.0, 3.0], concentration=1.0)
-        # equal pseudo mass per bin, bin widths 1 and 2
-        assert math.exp(h.log_predictive(0.5)) == pytest.approx(0.5)
-        assert math.exp(h.log_predictive(2.0)) == pytest.approx(0.25)
-        h.update(0.3)
-        assert math.exp(h.log_predictive(0.5)) == pytest.approx(2 / 3)
-
-    def test_top_edge_closed(self):
-        h = HistogramDensity([0.0, 1.0], concentration=1.0)
-        h.update(1.0)  # exactly on the last edge
-        assert np.isfinite(h.log_predictive(1.0))
-
-    def test_outside_support(self):
-        h = HistogramDensity([0.0, 1.0], concentration=1.0)
-        assert h.log_predictive(2.0) == -np.inf
-        with pytest.raises(OutOfSupport):
-            h.update(2.0)
 
 
 class TestNormalWishart:
@@ -264,16 +242,17 @@ class TestMixtureLocal:
     def test_posterior_weights_track_evidence(self):
         comps = [
             NormalWishart([0.0], kappa0=1.0, nu0=3.0, scale=[[1.0]]),
-            HistogramDensity(np.linspace(-3, 3, 13), concentration=1.0),
+            BayesTreeDensity([-3.0], [3.0], max_depth=6),
         ]
         refs = [
             NormalWishart([0.0], kappa0=1.0, nu0=3.0, scale=[[1.0]]),
-            HistogramDensity(np.linspace(-3, 3, 13), concentration=1.0),
+            BayesTreeDensity([-3.0], [3.0], max_depth=6),
         ]
         mix = MixtureLocal(comps)
         ev = np.zeros(2)
-        rng = np.random.default_rng(0)
-        for y in rng.normal(0, 0.8, size=12):
+        ys = np.random.default_rng(0).normal(0, 0.8, size=12)
+        assert np.all(np.abs(ys) < 3.0)  # no component skips a point
+        for y in ys:
             mix.update(y)
             for j, r in enumerate(refs):
                 ev[j] += r.log_predictive(y)
@@ -286,7 +265,7 @@ class TestMixtureLocal:
         mix = MixtureLocal(
             [
                 NormalWishart([0.0], kappa0=1.0, nu0=3.0, scale=[[1.0]]),
-                HistogramDensity([-2.0, 0.0, 2.0], concentration=1.0),
+                BayesTreeDensity([-2.0], [2.0], max_depth=4),
             ]
         )
         mix.update(0.5)
@@ -300,17 +279,17 @@ class TestMixtureLocal:
         mix = MixtureLocal(
             [
                 NormalWishart([0.0], kappa0=1.0, nu0=3.0, scale=[[1.0]]),
-                HistogramDensity([-1.0, 1.0], concentration=1.0),
+                BayesTreeDensity([-1.0], [1.0], max_depth=4),
             ]
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            mix.update(5.0)  # outside the histogram, inside the normal
+            mix.update(5.0)  # outside the tree's box, inside the normal
         np.testing.assert_allclose(np.exp(mix.log_w), [1.0, 0.0], atol=1e-300)
         assert np.isfinite(mix.log_predictive(0.0))
 
     def test_all_out_of_support(self):
-        mix = MixtureLocal([HistogramDensity([-1.0, 1.0], concentration=1.0)])
+        mix = MixtureLocal([BayesTreeDensity([-1.0], [1.0], max_depth=4)])
         with pytest.raises(OutOfSupport):
             mix.update(5.0)
 
@@ -338,10 +317,6 @@ FUSED_CASES = {
     "dirichlet": (
         lambda: DirichletMultinomial(3, concentration=0.5),
         lambda rng: int(rng.integers(3)),
-    ),
-    "histogram": (
-        lambda: HistogramDensity(np.linspace(-2.0, 2.0, 9), concentration=1.0),
-        lambda rng: float(rng.uniform(-2.0, 2.0)),
     ),
     "nw-dim1": (
         lambda: NormalWishart([0.3], kappa0=2.0, nu0=3.0, scale=[[1.5]]),
@@ -384,7 +359,7 @@ class TestFusedUpdate:
                 before = model.log_predictive(y)
                 assert model.update(y) == before
 
-    @pytest.mark.parametrize("kind", ["histogram", "tree-dim1", "mixture"])
+    @pytest.mark.parametrize("kind", ["tree-dim1", "mixture"])
     def test_rejected_update_changes_nothing(self, kind):
         make, draw = FUSED_CASES[kind]
         model = make()
@@ -497,15 +472,20 @@ class MaterialisedTree:
         y = rng.uniform(lo, hi)
         return y if len(lo) > 1 else float(y[0])
 
-    def _strip(self, node):
-        if node is None or (node["n"] == 0 and node["kids"] is None):
-            return None
-        out = {"n": node["n"]}
-        if node["kids"]:
-            out["kids"] = [self._strip(k) for k in node["kids"]]
-        return out
-
     def state_dict(self):
+        """The format-3 record: counts in preorder, negated where a node
+        has children. Every point's chain reaches ``max_depth``, so there
+        are no singletons and no points, and a node that holds one point
+        above ``max_depth`` has children."""
+        counts = []
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if node["kids"]:
+                counts.append(-node["n"])
+                stack += reversed(node["kids"])
+            else:
+                counts.append(node["n"])
         return {
             "kind": "bayes_tree",
             "lower": self.lower,
@@ -513,7 +493,8 @@ class MaterialisedTree:
             "gamma": self.gamma,
             "branch_pseudo": self.a,
             "max_depth": self.max_depth,
-            "tree": self._strip(self.root),
+            "counts": counts,
+            "points": [],
         }
 
 
@@ -593,6 +574,8 @@ class TestTreeAgainstMaterialised:
 
     @pytest.mark.parametrize("dim,max_depth", DIFF_CASES)
     def test_materialised_snapshots_load_and_keep_updating(self, dim, max_depth):
+        """Counts with one-point chains, as a version-1 snapshot re-saved
+        in format 3 holds them, load and keep the reference's values."""
         rng, lo, hi, ref, _ = tree_pair(dim, max_depth, 17 * dim + max_depth)
         for y in tree_points(rng, lo, hi, 80):
             ref.update(y)

@@ -7,11 +7,9 @@ from scipy.special import logsumexp
 from covermodels import (
     DirichletMultinomial,
     ExactEnumerator,
-    HistogramDensity,
     NormalWishart,
     TooLargeToEnumerate,
     dirichlet_block_marginal,
-    histogram_block_marginal,
     normal_wishart_block_marginal,
 )
 from conftest import random_static_tree
@@ -62,18 +60,6 @@ class TestBlockMarginals:
         marg = dirichlet_block_marginal(3, 0.5)
         block = [(None, int(s)) for s in rng.integers(0, 3, size=9)]
         seq = DirichletMultinomial(3, 0.5)
-        want = 0.0
-        for _, y in block:
-            want += seq.log_predictive(y)
-            seq.update(y)
-        assert marg(None, block) == pytest.approx(want, abs=1e-12)
-
-    def test_histogram(self):
-        rng = np.random.default_rng(4)
-        edges = np.linspace(-1, 1, 6)
-        marg = histogram_block_marginal(edges, 1.0)
-        block = [(None, float(v)) for v in rng.uniform(-1, 1, size=7)]
-        seq = HistogramDensity(edges, 1.0)
         want = 0.0
         for _, y in block:
             want += seq.log_predictive(y)

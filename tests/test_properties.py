@@ -106,7 +106,8 @@ def saved_models():
 
 SAVED = saved_models()
 CDE_FIELDS = [
-    "tree_count", "tree_point", "split", "buffered_x", "buffer_length", "nw_count", "mixture_log_w",
+    "tree_count", "tree_point", "split", "buffered_x", "buffer_length", "nw_count", "nw_sums",
+    "mixture_log_w",
 ]
 VMM_FIELDS = ["dirichlet_count", "suffix", "n_seen"]
 
@@ -131,6 +132,8 @@ def sites(field, lines):
         return [(cover["buffers"], k) for k, b in cover["buffers"].items() if b]
     if field == "nw_count":
         return [(c["components"][0], "n") for c in locals_]
+    if field == "nw_sums":
+        return [(c["components"][0], key) for c in locals_ for key in ("sum_y", "sum_yy")]
     if field == "mixture_log_w":
         return [(c, "log_w") for c in locals_ if c["kind"] == "mixture"]
     if field == "dirichlet_count":
@@ -154,6 +157,13 @@ def corrupt(field, value, pick, lines):
         return value[:-1] if pick % 2 else value[:-2]
     if field in ("nw_count", "n_seen"):
         return value + 1
+    if field == "nw_sums":
+        # a NaN, or one float too many: in sum_yy a row too long to be
+        # square. pick's parity already chose sum_y or sum_yy.
+        nan = (pick // 2) % 2
+        if isinstance(value[0], list):  # sum_yy
+            return [[math.nan] + r[1:] for r in value] if nan else [r + [0.0] for r in value]
+        return [math.nan] + value[1:] if nan else value + [0.0]
     if field == "mixture_log_w":
         # one weight too few, or one NaN or +inf, or all shifted off normal
         k = pick % len(value)
