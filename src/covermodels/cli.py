@@ -76,17 +76,26 @@ def _parse_value(raw: str):
         return raw
 
 
+def _read_text(path, what) -> str:
+    """The contents of a UTF-8 text file. Bytes that do not decode raise
+    ``ParseError`` naming ``what`` the file was meant to be."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} {path} is not UTF-8 text: byte {exc.start} does not decode") from None
+
+
 def parse_config_file(path) -> dict:
     cfg = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ParseError(f"expected key = value, got {stripped!r}", line=lineno)
-            key, _, value = stripped.partition("=")
-            cfg[key.strip()] = _parse_value(value)
+    for lineno, line in enumerate(_read_text(path, "config file").split("\n"), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ParseError(f"expected key = value, got {stripped!r}", line=lineno)
+        key, _, value = stripped.partition("=")
+        cfg[key.strip()] = _parse_value(value)
     return cfg
 
 
@@ -227,8 +236,7 @@ def cmd_fit_eval(args) -> int:
     resume_text = None
     start_at = 0
     if args.resume:
-        with open(args.resume) as fh:
-            resume_text = fh.read()
+        resume_text = _read_text(args.resume, "snapshot")
     train, holdout = _load_train_holdout(args, args.method)
     method = _build_method(args.method, cfg, train, resume_text=resume_text)
     if resume_text is not None:
@@ -326,8 +334,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    with open(args.snapshot) as fh:
-        text = fh.read()
+    text = _read_text(args.snapshot, "snapshot")
     try:
         head = json.loads(text.partition("\n")[0])
     except ValueError:

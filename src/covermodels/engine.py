@@ -91,16 +91,25 @@ def parse_depth_weight(spec):
 
 
 class ContextState:
-    """Per context posterior state."""
+    """Per context posterior state.
 
-    __slots__ = ("local", "w0", "log_m", "log_trunc", "log_lambda")
+    ``log_w0`` and ``log1m_w0`` are log(w0) and log(1 - w0), kept with
+    w0 by ``set_w0`` because every recursion step reads them.
+    """
+
+    __slots__ = ("local", "w0", "log_w0", "log1m_w0", "log_m", "log_trunc", "log_lambda")
 
     def __init__(self, local, w0):
         self.local = local
-        self.w0 = w0
+        self.set_w0(w0)
         self.log_m = 0.0
         self.log_trunc = 0.0
         self.log_lambda = 0.0
+
+    def set_w0(self, w0):
+        self.w0 = w0
+        self.log_w0 = math.log(w0)
+        self.log1m_w0 = log1mexp(self.log_w0)
 
 
 class CoverModelPosterior:
@@ -151,7 +160,7 @@ class CoverModelPosterior:
         """
         if not 0.0 < w0 <= 1.0:
             raise BadConfig("stop weight must be in (0, 1]")
-        self.states[cid].w0 = float(w0)
+        self.states[cid].set_w0(float(w0))
         while cid is not None:
             self._refresh_lambda(cid)
             cid = self.cover.contexts[cid].parent
@@ -165,8 +174,7 @@ class CoverModelPosterior:
         log_sub = 0.0
         for d in ctx.child_ids:
             log_sub += self.states[d].log_lambda
-        lw = math.log(st.w0)
-        st.log_lambda = logaddexp(lw + st.log_m, log1mexp(lw) + st.log_trunc + log_sub)
+        st.log_lambda = logaddexp(st.log_w0 + st.log_m, st.log1m_w0 + st.log_trunc + log_sub)
 
     def _refresh_all(self):
         # a context is made after its parents, so children have larger ids
@@ -175,7 +183,7 @@ class CoverModelPosterior:
 
     def _log_g(self, cid) -> float:
         st = self.states[cid]
-        return min(0.0, math.log(st.w0) + st.log_m - st.log_lambda)
+        return min(0.0, st.log_w0 + st.log_m - st.log_lambda)
 
     def stop_posterior(self, cid) -> float:
         """Posterior probability that the walk stops at cid given reach.
@@ -206,39 +214,57 @@ class CoverModelPosterior:
             return float(self._fresh.log_predictive(y))
         return None
 
-    def _phi(self, path, logpi, virtual):
+    def _stops(self, path):
+        """Per context on a path, its log stop posterior and the log of
+        its complement: (log g, log(1 - g))."""
+        return [(lg, log1mexp(lg)) for lg in map(self._log_g, path)]
+
+    def _phi(self, stops, logpi, virtual):
         """Subtree predictive of each context on a matched path.
 
-        ``logpi`` holds each context's local log predictive and
-        ``virtual`` the virtual continuation's (see ``_virtual``).
-        Returns log psi per context, root first, where psi is the
-        subtree mixture value used by the walk; the root's is the log
-        marginal. Reads the stop posteriors in force, so an absorb
-        calls it before committing anything.
+        ``stops`` holds each context's ``_stops`` pair, ``logpi`` its
+        local log predictive and ``virtual`` the virtual continuation's
+        (see ``_virtual``). Returns log psi per context, root first,
+        where psi is the subtree mixture value used by the walk; the
+        root's is the log marginal. The stop posteriors must be those in
+        force, so an absorb reads them before committing anything.
         """
-        logpsi = [0.0] * len(path)
+        logpsi = [0.0] * len(logpi)
         psi = virtual  # what the deepest context continues to, if anything
-        for k in range(len(path) - 1, -1, -1):
-            lg, lp = self._log_g(path[k]), logpi[k]
+        for k in range(len(logpi) - 1, -1, -1):
+            (lg, lmg), lp = stops[k], logpi[k]
             if psi is None or lg >= 0.0:
                 psi = lp
             else:
-                psi = logaddexp(lg + lp, log1mexp(lg) + psi)
+                psi = logaddexp(lg + lp, lmg + psi)
             logpsi[k] = psi
         return logpsi
 
-    def _query(self, x, y):
-        """Score y at x without changing anything.
+    def _query(self, x, ys):
+        """Score every y of ys at x without changing anything.
 
-        Returns (path, log pi per context, log psi per context).
+        x is prepared and matched once, and each context's stop
+        posterior is read once for all of ys. Returns the path and, per
+        y, (log pi per context, log psi per context).
         """
         path = self.cover.match_levels(self.cover.prepare_query(x))
-        logpi = [float(self.states[cid].local.log_predictive(y)) for cid in path]
-        return path, logpi, self._phi(path, logpi, self._virtual(path, y))
+        locals_ = [self.states[cid].local for cid in path]
+        stops = self._stops(path)
+        out = []
+        for y in ys:
+            logpi = [float(local.log_predictive(y)) for local in locals_]
+            out.append((logpi, self._phi(stops, logpi, self._virtual(path, y))))
+        return path, out
+
+    def log_predictives(self, x, ys):
+        """Log predictive density (or mass) of each y of ys at x, as a
+        list. Does not mutate. One call costs one match and one stop
+        posterior per context however many ys it scores."""
+        return [logpsi[0] for _, logpsi in self._query(x, ys)[1]]
 
     def predict_logdensity(self, x, y) -> float:
         """Log predictive density (or mass) of y at x. Does not mutate."""
-        return self._query(x, y)[2][0]
+        return self.log_predictives(x, (y,))[0]
 
     def psi_table(self, x, y):
         """Introspection: per matched context predictive decomposition.
@@ -248,7 +274,7 @@ class CoverModelPosterior:
         terminal context log_psi equals log_local unless a virtual
         continuation applies.
         """
-        path, logpi, logpsi = self._query(x, y)
+        path, [(logpi, logpsi)] = self._query(x, (y,))
         rows = [
             {"cid": cid, "depth": k + 1, "log_local": logpi[k], "log_psi": logpsi[k]}
             for k, cid in enumerate(path)
@@ -285,8 +311,8 @@ class CoverModelPosterior:
             path, made = self.cover.extend(xq)
             for cid in made:
                 logpi.append(self._init_state(self.cover.contexts[cid]).local.update(y))
-        # the stop posteriors read by _phi change only below
-        logmarg = self._phi(path, logpi, self._virtual(path, y))[0]
+        # the stop posteriors read here change only below
+        logmarg = self._phi(self._stops(path), logpi, self._virtual(path, y))[0]
 
         for cid, lp in zip(path, logpi):
             states[cid].log_m += lp
@@ -371,10 +397,10 @@ class CoverModelPosterior:
         points buffered in the leaves under it, and those add up to
         ``n_obs``; elsewhere children hold no more points than their
         parent. Not checked, because that would take a refit: ``log_m``,
-        ``log_trunc``, the values of the Normal-Wishart sums (their
-        shapes and finiteness are checked), and a tree density's
-        singleton against its cell below the root. Every context's local
-        must have the prior of the factory's.
+        ``log_trunc``, the values of the Normal-Wishart sums beyond
+        their shapes, finiteness and positive posterior scale, and a
+        tree density's singleton against its cell below the root. Every
+        context's local must have the prior of the factory's.
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
@@ -406,10 +432,11 @@ class CoverModelPosterior:
             cid = rec["cid"]
             if cid not in contexts or cid in states:
                 raise BadConfig(f"state record for context {cid!r}, unknown or repeated")
+            w0 = float(rec["w0"])
+            if not 0.0 < w0 <= 1.0:
+                raise BadConfig(f"stop weight {w0} of context {cid} not in (0, 1]")
             # no local can have seen more than every observation
-            st = ContextState(local_from_state(rec["local"], obj.n_obs), float(rec["w0"]))
-            if not 0.0 < st.w0 <= 1.0:
-                raise BadConfig(f"stop weight {st.w0} of context {cid} not in (0, 1]")
+            st = ContextState(local_from_state(rec["local"], obj.n_obs), w0)
             st.log_m = float(rec["log_m"])
             st.log_trunc = float(rec["log_trunc"])
             states[cid] = st

@@ -44,8 +44,13 @@ class DirichletMultinomial:
     """Dirichlet prior over a finite alphabet.
 
     concentration 0.5 gives the Krichevsky-Trofimov estimator, 1.0 the
-    Laplace rule.
+    Laplace rule. ``alpha`` and ``counts`` are lists of floats, and the
+    number of symbols seen is kept as a running count, so a score is
+    log(alpha[y] + counts[y]) - log(sum(alpha) + seen) in ``math``
+    floats, with no array built per call.
     """
+
+    __slots__ = ("alpha", "counts", "_alpha_sum", "_seen")
 
     def __init__(self, alphabet_size: int, concentration=0.5):
         if alphabet_size < 2:
@@ -55,23 +60,28 @@ class DirichletMultinomial:
             alpha = np.full(alphabet_size, float(alpha))
         if alpha.shape != (alphabet_size,) or not np.all(alpha > 0):
             raise BadConfig("concentration must be positive, scalar or length n")
+        self._set(alpha.tolist(), [0.0] * alphabet_size)
+
+    def _set(self, alpha, counts):
         self.alpha = alpha
-        self.counts = np.zeros(alphabet_size, dtype=float)
+        self.counts = counts
+        self._alpha_sum = sum(alpha)
+        self._seen = sum(counts)
 
     @property
     def alphabet_size(self):
-        return self.alpha.shape[0]
+        return len(self.alpha)
 
     def _check(self, y) -> int:
-        # item() also unwraps the size-1 arrays replayed blocks arrive as
-        y = int(np.asarray(y).item())
-        if not 0 <= y < self.alphabet_size:
-            raise UnknownSymbol(y, self.alphabet_size)
+        if type(y) is not int:
+            # item() also unwraps the size-1 arrays replayed blocks arrive as
+            y = int(np.asarray(y).item())
+        if not 0 <= y < len(self.alpha):
+            raise UnknownSymbol(y, len(self.alpha))
         return y
 
     def _score(self, y: int) -> float:
-        a = self.alpha + self.counts
-        return float(np.log(a[y]) - np.log(a.sum()))
+        return math.log(self.alpha[y] + self.counts[y]) - math.log(self._alpha_sum + self._seen)
 
     def log_predictive(self, y) -> float:
         return self._score(self._check(y))
@@ -80,21 +90,22 @@ class DirichletMultinomial:
         y = self._check(y)
         lp = self._score(y)
         self.counts[y] += 1.0
+        self._seen += 1.0
         return lp
 
     @property
     def n_seen(self) -> float:
-        return sum(self.counts.tolist())
+        return self._seen
 
     def sample(self, rng):
-        a = self.alpha + self.counts
-        return int(rng.choice(self.alphabet_size, p=a / a.sum()))
+        a = np.array(self.alpha) + np.array(self.counts)
+        return int(rng.choice(len(self.alpha), p=a / a.sum()))
 
     def prior(self):
-        return {"kind": "dirichlet", "alpha": self.alpha.tolist()}
+        return {"kind": "dirichlet", "alpha": list(self.alpha)}
 
     def state_dict(self):
-        return {**self.prior(), "counts": self.counts.tolist()}
+        return {**self.prior(), "counts": list(self.counts)}
 
     @classmethod
     def from_state(cls, state):
@@ -105,8 +116,7 @@ class DirichletMultinomial:
         if len(counts) != len(alpha) or not all(c >= 0 for c in counts):
             raise BadConfig("Dirichlet counts must be nonnegative, one per symbol")
         obj = cls.__new__(cls)
-        obj.alpha = np.array(alpha, dtype=float)
-        obj.counts = np.array(counts, dtype=float)
+        obj._set([float(a) for a in alpha], [float(c) for c in counts])
         return obj
 
 
@@ -174,6 +184,20 @@ class NormalWishart:
         shift = (self.kappa0 * self.n / kn) * np.outer(ybar - self.mu0, ybar - self.mu0)
         return mun, kn, vn, self.T0 + scatter + shift
 
+    def _student_1d(self):
+        """Dim 1 Student t mean, df and squared scale, in plain floats."""
+        kn = self.kappa0 + self.n
+        df = self.nu0 + self.n
+        mu0 = float(self.mu0[0])
+        mun, tn = mu0, float(self.T0[0, 0])
+        if self.n:
+            s = float(self.sum_y[0])
+            ybar = s / self.n
+            mun = (self.kappa0 * mu0 + s) / kn
+            scatter = float(self.sum_yy[0, 0]) - self.n * ybar * ybar
+            tn += scatter + (self.kappa0 * self.n / kn) * (ybar - mu0) ** 2
+        return mun, df, tn * (kn + 1.0) / (kn * df)
+
     def _refresh(self):
         """Student t parameters (mean, df, scale, log normaliser).
 
@@ -184,17 +208,7 @@ class NormalWishart:
             return self._cache
         m = self.dim
         if m == 1:
-            kn = self.kappa0 + self.n
-            df = self.nu0 + self.n
-            mu0 = float(self.mu0[0])
-            mun, tn = mu0, float(self.T0[0, 0])
-            if self.n:
-                s = float(self.sum_y[0])
-                ybar = s / self.n
-                mun = (self.kappa0 * mu0 + s) / kn
-                scatter = float(self.sum_yy[0, 0]) - self.n * ybar * ybar
-                tn += scatter + (self.kappa0 * self.n / kn) * (ybar - mu0) ** 2
-            scale = tn * (kn + 1.0) / (kn * df)
+            mun, df, scale = self._student_1d()
             logdet = math.log(scale)
         else:
             mun, kn, vn, Tn = self.posterior_params()
@@ -289,8 +303,23 @@ class NormalWishart:
             len(row) == m and all(map(math.isfinite, row)) for row in sum_yy
         ):
             raise BadConfig(f"Normal-Wishart sum_yy must be {m} by {m} and finite")
+        if obj.n == 0 and (any(sum_y) or any(map(any, sum_yy))):
+            raise BadConfig("Normal-Wishart sums must be zero before any observation")
         obj.sum_y = np.array(sum_y, dtype=float)
         obj.sum_yy = np.array(sum_yy, dtype=float)
+        # Data only ever grows the posterior scale T0 + scatter + shift
+        # from the positive definite T0, so sums that leave it otherwise
+        # came from no data, and would fail the first predict.
+        if m == 1:
+            scale_ok = 0.0 < obj._student_1d()[2] < math.inf
+        else:
+            try:
+                obj._refresh()
+                scale_ok = True
+            except np.linalg.LinAlgError:
+                scale_ok = False
+        if not scale_ok:
+            raise BadConfig("Normal-Wishart sums give a posterior scale that is not positive")
         return obj
 
 

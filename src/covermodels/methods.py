@@ -177,13 +177,13 @@ class VmmMethod:
         return 0 if self.model is None else self.model.posterior.n_obs
 
     def observe(self, x, y):
-        self.model.observe(int(np.asarray(y).reshape(-1)[0]))
+        self.model.observe(np.asarray(y).reshape(-1)[0])
 
     def prepare(self, t):
         pass
 
     def holdout_loglik(self, x, y):
-        seq = [int(v) for v in np.asarray(y, dtype=float).reshape(-1)]
+        seq = np.asarray(y, dtype=float).reshape(-1).tolist()
         clone = self.model.copy()
         clone.history.clear()
         return np.array([clone.observe(s) for s in seq])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections import deque
 
 import numpy as np
@@ -76,9 +77,16 @@ class VmmModel:
         return functools.partial(DirichletMultinomial, self.alphabet_size, self.concentration)
 
     def _check(self, symbol) -> int:
-        s = int(symbol)
+        """The symbol as an int. An integer, or an integral float such
+        as 2.0 from a float data column, passes; anything else, or a
+        symbol outside the alphabet, raises ``UnknownSymbol``."""
+        s = symbol
+        if type(s) is not int:
+            if not (isinstance(s, numbers.Real) and float(s).is_integer()):
+                raise UnknownSymbol(symbol, self.alphabet_size)
+            s = int(s)
         if not 0 <= s < self.alphabet_size:
-            raise UnknownSymbol(s, self.alphabet_size)
+            raise UnknownSymbol(symbol, self.alphabet_size)
         return s
 
     @property
@@ -99,10 +107,9 @@ class VmmModel:
         return float(sum(self.observe(s) for s in seq))
 
     def next_symbol_logprobs(self) -> np.ndarray:
-        h = self.context
-        return np.array(
-            [self.posterior.predict_logdensity(h, a) for a in range(self.alphabet_size)]
-        )
+        """Log probability of each symbol coming next, from one match of
+        the current context."""
+        return np.array(self.posterior.log_predictives(self.context, range(self.alphabet_size)))
 
     def sequence_logprob(self, seq) -> float:
         """Log probability of a separate sequence under the learned

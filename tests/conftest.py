@@ -48,14 +48,14 @@ def random_static_tree(rng, max_extra_splits=6, dim=None, depth_cap=3):
     return cov
 
 
-def attach_random_engine(rng, cov, kind="dirichlet", alphabet=3):
+def attach_random_engine(rng, cov, kind="dirichlet", alphabet=3, concentration=0.5):
     """Engine over a static tree with per-context random stop weights.
 
     ``kind`` is "dirichlet" (symbols) or "nw" (scalar y under a
     Normal-Wishart)."""
     if kind == "dirichlet":
-        factory = lambda: DirichletMultinomial(alphabet, 0.5)
-        marginal = dirichlet_block_marginal(alphabet, 0.5)
+        factory = lambda: DirichletMultinomial(alphabet, concentration)
+        marginal = dirichlet_block_marginal(alphabet, concentration)
     else:
         factory = lambda: NormalWishart([0.0])
         marginal = normal_wishart_block_marginal([0.0])

@@ -193,6 +193,45 @@ class TestSample:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+class TestUndecodableFiles:
+    """A file that is not UTF-8 text is a usage error: exit 2 with one
+    ``error:`` line, for every file the CLI reads as text."""
+
+    @pytest.fixture
+    def garbage(self, tmp_path):
+        path = tmp_path / "garbage.bin"
+        path.write_bytes(b"\xff\xfe\x00")
+        return path
+
+    @pytest.fixture
+    def symbols(self, tmp_path):
+        train, hold = tmp_path / "train.txt", tmp_path / "hold.txt"
+        assert run("gen", "--dataset", "markov", "--n", 40, "--out", train) == 0
+        assert run("gen", "--dataset", "markov", "--n", 20, "--seed", 1, "--out", hold) == 0
+        return train, hold
+
+    def _assert_usage_error(self, code, capsys, garbage):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and str(garbage) in err
+
+    def test_sample_snapshot(self, garbage, capsys):
+        code = run("sample", "--snapshot", garbage)
+        self._assert_usage_error(code, capsys, garbage)
+
+    def test_fit_eval_resume(self, garbage, symbols, tmp_path, capsys):
+        train, hold = symbols
+        code = run("fit-eval", "--method", "vmm", "--train", train, "--holdout", hold,
+                   "--resume", garbage, "--out", tmp_path / "r.csv")
+        self._assert_usage_error(code, capsys, garbage)
+
+    def test_config_file(self, garbage, symbols, tmp_path, capsys):
+        train, hold = symbols
+        code = run("fit-eval", "--method", "vmm", "--train", train, "--holdout", hold,
+                   "--config", garbage, "--out", tmp_path / "r.csv")
+        self._assert_usage_error(code, capsys, garbage)
+
+
 class TestConfigPlumbing:
     def test_config_file_and_overrides(self, mix_files, tmp_path):
         train, hold = mix_files

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from covermodels import (
@@ -71,6 +73,29 @@ class TestAgainstEnumeration:
     @pytest.mark.parametrize("seed", range(6, 12))
     def test_normal_wishart_locals(self, seed):
         self.run_one(seed, "nw")
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        alphabet=st.integers(2, 5),
+        concentration=st.sampled_from([0.5, 1.0, 0.3]),
+    )
+    def test_stop_weights_set_before_a_stream(self, seed, alphabet, concentration):
+        """``set_w0`` moves the cached log(w0) and log(1 - w0) with w0:
+        every context's weight is redrawn before a stream, and the
+        engine agrees with enumeration under the new weights."""
+        rng = np.random.default_rng(seed)
+        cov = random_static_tree(rng)
+        post, oracle = attach_random_engine(rng, cov, "dirichlet", alphabet, concentration)
+        data = []
+        for _ in range(int(rng.integers(1, 9))):
+            x, y = random_xy(rng, cov, "dirichlet", alphabet)
+            data.append((x, y))
+            post.absorb(x, y)
+        xq, yq = random_xy(rng, cov, "dirichlet", alphabet)
+        assert post.predict_logdensity(xq, yq) == pytest.approx(
+            oracle.log_predictive(data, xq, yq), abs=1e-10
+        )
+        assert post.log_marginal_likelihood() == pytest.approx(oracle.log_evidence(data), abs=1e-10)
 
     def test_stop_posteriors(self):
         rng = np.random.default_rng(42)

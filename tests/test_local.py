@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import enum_stopped_trees
@@ -18,6 +20,7 @@ from covermodels import (
     NormalWishart,
     OutOfSupport,
     UnknownSymbol,
+    dirichlet_block_marginal,
     local_from_state,
 )
 from covermodels.logspace import logaddexp
@@ -50,6 +53,21 @@ class TestDirichletMultinomial:
         d2 = local_from_state(d.state_dict())
         for k in range(3):
             assert d2.log_predictive(k) == d.log_predictive(k)
+
+    @given(
+        alphabet=st.integers(2, 5),
+        concentration=st.sampled_from([0.5, 1.0, 0.3]),
+        stream=st.lists(st.integers(0, 4), max_size=60),
+    )
+    def test_summed_updates_are_the_block_marginal(self, alphabet, concentration, stream):
+        """The float counts with a running total score a stream as the
+        batch Dirichlet-multinomial marginal does."""
+        d = DirichletMultinomial(alphabet, concentration)
+        ys = [s % alphabet for s in stream]
+        got = sum(d.update(y) for y in ys)
+        want = dirichlet_block_marginal(alphabet, concentration)(None, [(None, y) for y in ys])
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert d.n_seen == len(ys)
 
 
 class TestNormalWishart:
@@ -115,6 +133,33 @@ class TestNormalWishart:
         assert kappan == pytest.approx(k0 + n)
         assert nun == pytest.approx(v0 + n)
         np.testing.assert_allclose(Tn, want_T, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "mu0,key,value",
+        [
+            ([0.0], "sum_yy", [[-100.0]]),
+            ([0.0], "sum_y", [1e6]),
+            ([0.0, 0.0], "sum_yy", [[-100.0, 0.0], [0.0, 1.0]]),
+        ],
+    )
+    def test_sums_no_data_can_give_are_refused_on_load(self, mu0, key, value):
+        """Data only grows the posterior scale T0 + scatter + shift, so
+        sums that leave it not positive came from no data."""
+        nw = NormalWishart(mu0)
+        rng = np.random.default_rng(4)
+        for y in rng.normal(size=(3, len(mu0))):
+            nw.update(y)
+        state = nw.state_dict()
+        assert local_from_state(state).log_predictive(mu0) == nw.log_predictive(mu0)
+        state[key] = value
+        with pytest.raises(BadConfig):
+            local_from_state(state)
+
+    def test_sums_before_any_observation_must_be_zero(self):
+        state = NormalWishart([0.0]).state_dict()
+        state["sum_yy"] = [[2.0]]
+        with pytest.raises(BadConfig):
+            local_from_state(state)
 
     def test_round_trip(self):
         nw = NormalWishart([0.0], kappa0=1.0, nu0=3.0, scale=[[1.0]])

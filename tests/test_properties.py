@@ -158,12 +158,15 @@ def corrupt(field, value, pick, lines):
     if field in ("nw_count", "n_seen"):
         return value + 1
     if field == "nw_sums":
-        # a NaN, or one float too many: in sum_yy a row too long to be
-        # square. pick's parity already chose sum_y or sum_yy.
-        nan = (pick // 2) % 2
-        if isinstance(value[0], list):  # sum_yy
-            return [[math.nan] + r[1:] for r in value] if nan else [r + [0.0] for r in value]
-        return [math.nan] + value[1:] if nan else value + [0.0]
+        # one float too many (in sum_yy a row too long to be square), a
+        # NaN, or a sum no data can give: a negative sum of squares or a
+        # mean far beyond it. pick's parity already chose sum_y or sum_yy.
+        how = (pick // 2) % 3
+        matrix = isinstance(value[0], list)  # sum_yy
+        if how == 0:
+            return [r + [0.0] for r in value] if matrix else value + [0.0]
+        bad = math.nan if how == 1 else (-100.0 if matrix else 1e6)
+        return [[bad] + r[1:] for r in value] if matrix else [bad] + value[1:]
     if field == "mixture_log_w":
         # one weight too few, or one NaN or +inf, or all shifted off normal
         k = pick % len(value)

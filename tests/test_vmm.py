@@ -1,10 +1,13 @@
 """Suffix-context sequence model against hand values and a reference mixer."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from covermodels import (
     BadConfig,
@@ -13,7 +16,9 @@ from covermodels import (
     UnknownSymbol,
     VmmModel,
     ctw_logprob,
+    gen_markov,
 )
+from covermodels.methods import VmmMethod
 
 
 def kt_steps(symbols, assignments):
@@ -146,6 +151,36 @@ class TestStreamingApi:
         with pytest.raises(UnknownSymbol):
             m.observe(2)
 
+    @pytest.mark.parametrize(
+        "symbol", [1.5, np.float64(2.7), "1", float("nan"), float("inf"), None]
+    )
+    def test_a_symbol_that_is_not_an_integer_is_refused_before_any_change(self, symbol):
+        m = VmmModel(alphabet_size=3, depth=3)
+        m.fit_sequence([0, 2, 1, 1])
+        before = m.to_text()
+        with pytest.raises(UnknownSymbol):
+            m.observe(symbol)
+        assert m.to_text() == before
+
+    def test_integral_floats_are_their_symbols(self):
+        """A float data column holds symbols as 2.0, 1.0, ..."""
+        seq = [2, 0, 1, 1, 2]
+        as_ints, as_floats = VmmModel(3, 3), VmmModel(3, 3)
+        assert as_ints.fit_sequence(seq) == as_floats.fit_sequence(
+            [float(s) if k % 2 else np.float64(s) for k, s in enumerate(seq)]
+        )
+        assert as_ints.to_text() == as_floats.to_text()
+
+    def test_the_method_passes_raw_symbols_to_the_check(self):
+        method = VmmMethod(alphabet_size=3, depth=3)
+        method.begin(0)
+        method.observe(None, np.array([2.0]))
+        with pytest.raises(UnknownSymbol):
+            method.observe(None, np.array([1.5]))
+        with pytest.raises(UnknownSymbol):
+            method.holdout_loglik(None, np.array([[1.0], [0.5]]))
+        assert method.n_absorbed == 1
+
     def test_generate_roundtrips_through_observe(self):
         m = VmmModel(alphabet_size=2, depth=3)
         m.fit_sequence([0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1])
@@ -255,3 +290,33 @@ def test_cover_reads_only_the_context_window(monkeypatch):
     m.next_symbol_logprobs()
     m.generate(5, rng)
     assert max(seen) == m.depth - 1
+
+
+PRIORS = st.sampled_from(["kt", "laplace", 0.3])
+
+
+@given(
+    alphabet=st.integers(2, 5),
+    depth=st.integers(1, 6),
+    prior=PRIORS,
+    stream=st.lists(st.integers(0, 4), max_size=40),
+)
+def test_next_symbol_logprobs_are_the_one_symbol_predictives(alphabet, depth, prior, stream):
+    """The one-match query of every symbol equals one predict per
+    symbol, bit for bit, after every observation."""
+    m = VmmModel(alphabet, depth, prior=prior)
+    for s in [None] + stream:
+        if s is not None:
+            m.observe(s % alphabet)
+        got = m.next_symbol_logprobs()
+        for a in range(alphabet):
+            assert got[a] == m.posterior.predict_logdensity(m.context, a)
+
+
+def test_snapshot_text_is_pinned():
+    """The snapshot text of a fixed stream, recorded before the Dirichlet
+    locals kept plain float counts and the engine cached log w0."""
+    m = VmmModel(3, 5)
+    m.fit_sequence(gen_markov(500, seed=41, alphabet_size=3, order=2))
+    digest = hashlib.sha256(m.to_text().encode()).hexdigest()
+    assert digest == "7e30a999be194ee10c0ae2ecd058d1356967d8dfd5026ca34df9b36ecfff0b45"
