@@ -197,8 +197,14 @@ class CdeModel:
     def from_text(cls, text) -> "CdeModel":
         """Rebuild a model from ``to_text`` output. Raises ``BadConfig``
         unless the header's config is the one the posterior was built
-        with, as far as its cover, stop weights and locals' priors show:
-        contexts made after the restore take their locals from it."""
+        with, as far as its cover, stop weights and locals show:
+        contexts made after the restore take their locals from it.
+
+        A mixture's weights are a posterior, so only a context whose
+        components have all seen no point still holds the prior weights
+        the header's ``mixture_weights`` give, and each such context
+        must hold exactly those. A trained context's weights are not
+        checked, because that would take a refit."""
         head, _, rest = text.partition("\n")
         try:
             meta = json.loads(head)
@@ -223,6 +229,15 @@ class CdeModel:
             or parse_depth_weight(config.depth_weight)[0] != post.depth_weight_spec
         ):
             raise BadConfig("cde snapshot header disagrees with its posterior")
+        prior = obj._make_local()
+        if isinstance(prior, MixtureLocal):
+            for cid, st in post.states.items():
+                local = st.local
+                if local.log_w != prior.log_w and not any(c.n_seen for c in local.components):
+                    raise BadConfig(
+                        f"context {cid} has seen no point but holds other mixture "
+                        "weights than the header's mixture_weights give"
+                    )
         return obj
 
 

@@ -38,6 +38,7 @@ from .data import (
     gen_markov,
     load_csv,
     load_symbols,
+    read_text,
     save_csv,
     save_symbols,
 )
@@ -76,19 +77,9 @@ def _parse_value(raw: str):
         return raw
 
 
-def _read_text(path, what) -> str:
-    """The contents of a UTF-8 text file. Bytes that do not decode raise
-    ``ParseError`` naming ``what`` the file was meant to be."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{what} {path} is not UTF-8 text: byte {exc.start} does not decode") from None
-
-
 def parse_config_file(path) -> dict:
     cfg = {}
-    for lineno, line in enumerate(_read_text(path, "config file").split("\n"), start=1):
+    for lineno, line in enumerate(read_text(path, "config file").split("\n"), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -236,7 +227,7 @@ def cmd_fit_eval(args) -> int:
     resume_text = None
     start_at = 0
     if args.resume:
-        resume_text = _read_text(args.resume, "snapshot")
+        resume_text = read_text(args.resume, "snapshot")
     train, holdout = _load_train_holdout(args, args.method)
     method = _build_method(args.method, cfg, train, resume_text=resume_text)
     if resume_text is not None:
@@ -334,7 +325,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    text = _read_text(args.snapshot, "snapshot")
+    text = read_text(args.snapshot, "snapshot")
     try:
         head = json.loads(text.partition("\n")[0])
     except ValueError:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,43 +130,55 @@ def save_csv(path, dataset: Dataset):
             w.writerow([repr(float(v)) for v in xi] + [repr(float(v)) for v in yi])
 
 
+def read_text(path, what, newline=None) -> str:
+    """The contents of a UTF-8 text file, read with ``open``'s
+    ``newline``. Bytes that do not decode raise ``ParseError`` naming
+    ``what`` the file was meant to be."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} {path} is not UTF-8 text: byte {exc.start} does not decode") from None
+
+
 def load_csv(path, x_cols=None, y_cols=None) -> Dataset:
     """Load a dataset from CSV with a header row.
 
     When column names are not given, every column named x* is a
     covariate and every column named y* a response, in header order.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    # newline="" leaves line ends to the csv reader, as its docs ask
+    text = read_text(path, "CSV file", newline="")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty file", line=1) from None
+    header = [h.strip() for h in header]
+    if x_cols is None:
+        x_cols = [h for h in header if h.startswith("x")]
+    if y_cols is None:
+        y_cols = [h for h in header if h.startswith("y")]
+    if not x_cols or not y_cols:
+        raise ParseError("could not infer x and y columns from header", line=1)
+    idx = {}
+    for name in list(x_cols) + list(y_cols):
+        if name not in header:
+            raise MissingColumn(name)
+        idx[name] = header.index(name)
+    xs, ys = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise ParseError(
+                f"expected {len(header)} fields, got {len(row)}", line=lineno
+            )
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line=1) from None
-        header = [h.strip() for h in header]
-        if x_cols is None:
-            x_cols = [h for h in header if h.startswith("x")]
-        if y_cols is None:
-            y_cols = [h for h in header if h.startswith("y")]
-        if not x_cols or not y_cols:
-            raise ParseError("could not infer x and y columns from header", line=1)
-        idx = {}
-        for name in list(x_cols) + list(y_cols):
-            if name not in header:
-                raise MissingColumn(name)
-            idx[name] = header.index(name)
-        xs, ys = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(row)}", line=lineno
-                )
-            try:
-                xs.append([float(row[idx[c]]) for c in x_cols])
-                ys.append([float(row[idx[c]]) for c in y_cols])
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
+            xs.append([float(row[idx[c]]) for c in x_cols])
+            ys.append([float(row[idx[c]]) for c in y_cols])
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
     if not xs:
         raise ParseError("no data rows", line=2)
     return Dataset(np.asarray(xs), np.asarray(ys))
@@ -175,20 +188,19 @@ def load_symbols(path) -> list:
     """Whitespace separated integer symbols, or one contiguous string
     of single digit symbols per line."""
     out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+    for lineno, line in enumerate(read_text(path, "symbol file").split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        sep = " " in line or "," in line
+        tokens = line.replace(",", " ").split() if sep else list(line)
+        for tok in tokens:
+            if not tok:
                 continue
-            sep = " " in line or "," in line
-            tokens = line.replace(",", " ").split() if sep else list(line)
-            for tok in tokens:
-                if not tok:
-                    continue
-                try:
-                    out.append(int(tok))
-                except ValueError:
-                    raise ParseError(f"bad symbol {tok!r}", line=lineno) from None
+            try:
+                out.append(int(tok))
+            except ValueError:
+                raise ParseError(f"bad symbol {tok!r}", line=lineno) from None
     return out
 
 

@@ -40,8 +40,10 @@ the maximum depth leaves a truncation factor behind and predictions
 mix in a virtual continuation drawn from a fresh local model.
 
 One prior serves every context. The local factory takes no arguments;
-its first product is kept empty and serves both as that fresh local
-and as the prior that every context of a loaded snapshot must have.
+its first product is kept empty and serves as that fresh local, as
+the prior that every context of a loaded snapshot must have, and as
+the one place y is prepared (checked, and routed through a tree
+density's partition) for every local on the path.
 
 A snapshot (format version 3) holds only sufficient statistics: per
 context its stop weight, ``log_m``, ``log_trunc`` and local counts and
@@ -122,11 +124,14 @@ class CoverModelPosterior:
     local_factory : callable () -> local model
         Called with no arguments, builds the local model of y for a new
         context, every time with the same prior. A local offers
-        ``log_predictive(y)``, ``update(y)``, ``sample(rng)`` and
-        ``prior()`` (see ``local.py``). The factory's first product
-        stays empty: it is the virtual continuation past a truncated
-        path and the reference prior a snapshot is checked against on
-        load.
+        ``prepare(y)``, ``log_predictive(py)``, ``update(py)``,
+        ``sample(rng)`` and ``prior()`` (see ``local.py``). The
+        factory's first product stays empty: it is the virtual
+        continuation past a truncated path and the reference prior a
+        snapshot is checked against on load. Its ``prepare`` checks y,
+        and routes it through a tree density's partition, once per
+        absorb, per queried y and per replayed point, and every local on
+        the path reads that one prepared y.
     depth_weight : str
         Prior stop weight rule, see ``parse_depth_weight``.
     """
@@ -207,11 +212,11 @@ class CoverModelPosterior:
         truncating cover, which can still refine past its end."""
         return self.cover.growth_mode == "truncate" and len(path) < self.cover.max_depth
 
-    def _virtual(self, path, y):
+    def _virtual(self, path, py):
         """Log predictive of the virtual continuation past a truncated
-        path (see ``_truncated``), else None."""
+        path (see ``_truncated``) at the prepared y ``py``, else None."""
         if self._truncated(path):
-            return float(self._fresh.log_predictive(y))
+            return float(self._fresh.log_predictive(py))
         return None
 
     def _stops(self, path):
@@ -252,8 +257,9 @@ class CoverModelPosterior:
         stops = self._stops(path)
         out = []
         for y in ys:
-            logpi = [float(local.log_predictive(y)) for local in locals_]
-            out.append((logpi, self._phi(stops, logpi, self._virtual(path, y))))
+            py = self._fresh.prepare(y)
+            logpi = [float(local.log_predictive(py)) for local in locals_]
+            out.append((logpi, self._phi(stops, logpi, self._virtual(path, py))))
         return path, out
 
     def log_predictives(self, x, ys):
@@ -302,17 +308,18 @@ class CoverModelPosterior:
         xq = self.cover.prepare_query(x)
         path = self.cover.match_levels(xq)
         states = self.states
-        # Every local checks y before it changes, and the locals of one
-        # model share one support, so only the first update can reject
-        # y, and it does so before anything has changed.
-        logpi = [states[cid].local.update(y) for cid in path]
+        py = self._fresh.prepare(y)
+        # prepare checked y, and a local rejects a y outside its support
+        # before it changes; the locals of one model share one support,
+        # so only the first update can reject y, before anything changed
+        logpi = [states[cid].local.update(py) for cid in path]
         if self.cover.growth_mode == "truncate":
             # a new context's parent exists, so new ones extend the path
             path, made = self.cover.extend(xq)
             for cid in made:
-                logpi.append(self._init_state(self.cover.contexts[cid]).local.update(y))
+                logpi.append(self._init_state(self.cover.contexts[cid]).local.update(py))
         # the stop posteriors read here change only below
-        logmarg = self._phi(self._stops(path), logpi, self._virtual(path, y))[0]
+        logmarg = self._phi(self._stops(path), logpi, self._virtual(path, py))[0]
 
         for cid, lp in zip(path, logpi):
             states[cid].log_m += lp
@@ -324,7 +331,7 @@ class CoverModelPosterior:
                 for cid, block in kids:
                     st = self._init_state(self.cover.contexts[cid])
                     for _, yb in block:
-                        st.log_m += st.local.update(yb)
+                        st.log_m += st.local.update(self._fresh.prepare(yb))
                     new.append(cid)
         # a split makes its children after their parent, and every new
         # context lies below the path, so this refreshes children first

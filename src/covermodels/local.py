@@ -4,13 +4,21 @@ Each local model is a conjugate (or conjugate-mixture) Bayesian model
 of the y of the observations that land in one context; the cover has
 already placed their x. The shared duck type:
 
-* ``log_predictive(y)``: log posterior predictive density or mass
-  at y.
-* ``update(y)``: absorb one observation and return the log predictive
-  that was in force before it, equal to what ``log_predictive(y)``
-  returned just before the call. It scores and updates in one pass,
-  and it checks y before it changes any state: an invalid or
-  unsupported y raises and leaves the model as it was.
+* ``prepare(y)``: the one place y is checked. Returns y in the form
+  the model scores it in, the *prepared* y, or raises on an invalid y
+  (``BadConfig``, or ``UnknownSymbol`` for a Dirichlet). It reads only
+  the prior, so one model's prepared y serves every model with the
+  same prior: the engine prepares y once per call and hands the result
+  to every local on x's path.
+* ``log_predictive(py)``: log posterior predictive density or mass at
+  the prepared y ``py``.
+* ``update(py)``: absorb one prepared observation and return the log
+  predictive that was in force before it, equal to what
+  ``log_predictive(py)`` returned just before the call. It scores and
+  updates in one pass. A y outside the model's support raises
+  ``OutOfSupport`` before any state changes.
+
+  A caller with a raw y writes ``local.update(local.prepare(y))``.
 * ``sample(rng)``: draw y from the posterior predictive.
 * ``prior()``: the model's kind and hyperparameters as plain data,
   none of what it has learnt. Every context of one cover model has the
@@ -29,15 +37,34 @@ batch marginal likelihoods, which the exact posterior engine relies on.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 
 import numpy as np
 
 from .covers import Box, cut
 from .errors import BadConfig, OutOfSupport, UnknownSymbol
-from .logspace import logaddexp, logsumexp
+from .logspace import LOG2, logsumexp
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+
+def as_symbol(y, alphabet_size) -> int:
+    """y as an int symbol of an alphabet of ``alphabet_size``. An
+    integer, an integral float such as 2.0 from a float data column, or
+    a size-1 array holding one, as replayed blocks hold y, passes;
+    anything else, or a symbol outside the alphabet, raises
+    ``UnknownSymbol``."""
+    s = y
+    if type(s) is not int:
+        if isinstance(s, np.ndarray) and s.size == 1:
+            s = s.item()
+        if not (isinstance(s, numbers.Real) and float(s).is_integer()):
+            raise UnknownSymbol(y, alphabet_size)
+        s = int(s)
+    if not 0 <= s < alphabet_size:
+        raise UnknownSymbol(y, alphabet_size)
+    return s
 
 
 class DirichletMultinomial:
@@ -72,22 +99,16 @@ class DirichletMultinomial:
     def alphabet_size(self):
         return len(self.alpha)
 
-    def _check(self, y) -> int:
-        if type(y) is not int:
-            # item() also unwraps the size-1 arrays replayed blocks arrive as
-            y = int(np.asarray(y).item())
-        if not 0 <= y < len(self.alpha):
-            raise UnknownSymbol(y, len(self.alpha))
-        return y
+    def prepare(self, y) -> int:
+        return as_symbol(y, len(self.alpha))
 
     def _score(self, y: int) -> float:
         return math.log(self.alpha[y] + self.counts[y]) - math.log(self._alpha_sum + self._seen)
 
-    def log_predictive(self, y) -> float:
-        return self._score(self._check(y))
+    def log_predictive(self, y: int) -> float:
+        return self._score(y)
 
-    def update(self, y) -> float:
-        y = self._check(y)
+    def update(self, y: int) -> float:
         lp = self._score(y)
         self.counts[y] += 1.0
         self._seen += 1.0
@@ -165,7 +186,9 @@ class NormalWishart:
         self.sum_yy = np.zeros((m, m))
         self._cache = None
 
-    def _as_obs(self, y):
+    def prepare(self, y):
+        """y as a float vector of length ``dim``; a wrong shape or a value
+        that is not finite raises ``BadConfig``."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if y.shape != (self.dim,):
             raise BadConfig(f"observation has shape {y.shape}, expected ({self.dim},)")
@@ -238,10 +261,9 @@ class NormalWishart:
         return const - 0.5 * (df + self.dim) * math.log1p(q / df)
 
     def log_predictive(self, y) -> float:
-        return self._score(self._as_obs(y))
+        return self._score(y)
 
     def update(self, y) -> float:
-        y = self._as_obs(y)
         lp = self._score(y)
         self.n += 1
         if self.dim == 1:
@@ -376,7 +398,12 @@ class BayesTreeDensity:
       time while the two share a cell, so the chain ends where they
       part or at ``max_depth``. No point is stored at ``max_depth``.
       ``log_predictive`` walks the same chain without materialising it,
-      with the same operands: ``_path_values`` routes y for both.
+      with the same operands: ``_path_values`` walks y's path for both.
+
+    The partition is fixed by the box and ``max_depth``, as a Pólya
+    tree's is, so y's route through it (split dimension, midpoint and
+    side at each depth) depends on y alone. ``prepare`` computes the
+    route once, and every tree with the same prior walks it.
 
     Nodes live in flat lists indexed by node id, root at 0: ``_n``
     (count), ``_lam`` (cached log value), ``_kid`` (id of the left
@@ -436,10 +463,18 @@ class BayesTreeDensity:
             return uniform
         lg_a = self._lg_a
         log_beta = lg_a[nl] + lg_a[n - nl] - self._lg_2a[n]
-        return logaddexp(
-            self._log_gamma + uniform,
-            self._log_split + log_beta - self._log_beta0 + left + right,
-        )
+        # logaddexp(a, b), inline to save a call per level: the same
+        # branches and operations, so the same values
+        a = self._log_gamma + uniform
+        b = self._log_split + log_beta - self._log_beta0 + left + right
+        if a == b:
+            return a + LOG2
+        d = a - b
+        if d > 0:
+            return a + math.log1p(math.exp(-d))
+        if d <= 0:
+            return b + math.log1p(math.exp(d))
+        return d  # a or b is nan
 
     @property
     def log_evidence(self) -> float:
@@ -464,17 +499,16 @@ class BayesTreeDensity:
         dim = self._dim
         self._pt[node * dim:(node + 1) * dim] = y
 
-    def _path_values(self, y, push):
+    def _path_values(self, route, push):
         """Log values of the nodes on y's path once y is added.
 
-        Returns ``(nodes, values)``, root first; ``nodes`` lists the
-        materialised ones. The path ends at ``max_depth`` or at the
-        empty node where y leaves every point. At a singleton, ``push``
-        pushes its point one level down; otherwise the walk follows
-        the singleton's one-point chain without materialising it.
+        ``route`` is y's route from ``prepare``. Returns ``(nodes,
+        values)``, root first; ``nodes`` lists the materialised ones.
+        The path ends at ``max_depth`` or at the empty node where y
+        leaves every point. At a singleton, ``push`` pushes its point
+        one level down; otherwise the walk follows the singleton's
+        one-point chain without materialising it.
         """
-        lo = list(self._lower)
-        hi = list(self._upper)
         counts, lams, kid, one = self._n, self._lam, self._kid, self._one
         if len(self._lg_2a) <= counts[0] + 1:
             self._lg_a, self._lg_2a = _lgamma_tables(self.branch_pseudo, counts[0] + 1)
@@ -484,10 +518,9 @@ class BayesTreeDensity:
         n = counts[node]
         p = None  # a singleton's point, whose one-point chain the walk is on
         steps = []  # per level: count, left child's count, off-path value, y's side
-        for depth in range(max_depth):
+        for depth, (d, mid, side) in enumerate(route):
             if not n:
                 break
-            d, mid = cut(lo, hi)
             left = kid[node] if p is None else 0
             if not left and p is None:  # a singleton
                 p = self._point(node)
@@ -499,12 +532,6 @@ class BayesTreeDensity:
                     if depth + 1 < max_depth:
                         self._put(q, p)
                     p = None
-            if y[d] < mid:
-                hi[d] = mid
-                side = 0
-            else:
-                lo[d] = mid
-                side = 1
             if p is None:
                 steps.append((n, counts[left], lams[left + 1 - side], side))
                 node = left + side
@@ -528,32 +555,50 @@ class BayesTreeDensity:
         values.reverse()
         return nodes, values
 
-    def _obs(self, y):
+    def prepare(self, y):
+        """``(floats, inside, route)`` for y: its checked floats, whether
+        it lies in the box, and, when it does, its route down the
+        partition, one ``(d, mid, side)`` per depth below ``max_depth``:
+        the split dimension and midpoint of y's cell at that depth, and
+        y's side of it (0 below ``mid``). The partition depends on the
+        box and ``max_depth`` alone, so every tree with this prior
+        follows the same route. A wrong shape or a value that is not
+        finite raises ``BadConfig``."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        if y.shape != (self.box.dim,):
-            raise BadConfig(f"observation has shape {y.shape}, expected ({self.box.dim},)")
+        if y.shape != (self._dim,):
+            raise BadConfig(f"observation has shape {y.shape}, expected ({self._dim},)")
         y = y.tolist()
         if not all(map(math.isfinite, y)):
             raise BadConfig(f"observation {y} is not finite")
-        return y
-
-    def _inside(self, y) -> bool:
-        return all(lo <= v <= hi for lo, v, hi in zip(self._lower, y, self._upper))
+        if not all(lo <= v <= hi for lo, v, hi in zip(self._lower, y, self._upper)):
+            return y, False, None
+        lo = list(self._lower)
+        hi = list(self._upper)
+        route = []
+        for _ in range(self.max_depth):
+            d, mid = cut(lo, hi)
+            if y[d] < mid:
+                hi[d] = mid
+                route.append((d, mid, 0))
+            else:
+                lo[d] = mid
+                route.append((d, mid, 1))
+        return y, True, route
 
     def log_predictive(self, y) -> float:
-        y = self._obs(y)
-        if not self._inside(y):
+        _, inside, route = y
+        if not inside:
             return -math.inf
         # the evidence ratio of the would-be update
-        _, values = self._path_values(y, push=False)
+        _, values = self._path_values(route, push=False)
         return values[0] - self._lam[0]
 
     def update(self, y) -> float:
-        y = self._obs(y)
-        if not self._inside(y):
+        y, inside, route = y
+        if not inside:
             raise OutOfSupport(f"{y!r} outside {self.box!r}")
         old = self._lam[0]
-        nodes, values = self._path_values(y, push=True)
+        nodes, values = self._path_values(route, push=True)
         counts, lams = self._n, self._lam
         for node, value in zip(nodes, values):
             counts[node] += 1
@@ -752,26 +797,30 @@ class MixtureLocal:
             self.log_w = [v - total for v in lw.tolist()]
         self._warned_skip = False
 
+    def prepare(self, y):
+        """The components' prepared ys, in order."""
+        return [c.prepare(y) for c in self.components]
+
     def log_predictive(self, y) -> float:
         return logsumexp(
-            [w + c.log_predictive(y) for w, c in zip(self.log_w, self.components)]
+            [w + c.log_predictive(py) for w, c, py in zip(self.log_w, self.components, y)]
         )
 
     def update(self, y) -> float:
         joint = []
-        skipped = False
-        for w, comp in zip(self.log_w, self.components):
+        skipped = None
+        for w, comp, py in zip(self.log_w, self.components, y):
             try:
-                joint.append(w + comp.update(y))
-            except OutOfSupport:
+                joint.append(w + comp.update(py))
+            except OutOfSupport as exc:
                 # the component raised before changing: it scores -inf
                 joint.append(-math.inf)
-                skipped = True
+                skipped = exc
         total = logsumexp(joint)
         if total == -math.inf:
-            raise OutOfSupport(f"{y!r} outside the support of every component")
+            raise OutOfSupport(f"no component supports the observation: {skipped}")
         self.log_w = [j - total for j in joint]
-        if skipped and not self._warned_skip:
+        if skipped is not None and not self._warned_skip:
             warnings.warn(
                 "mixture component skipped an out-of-support observation",
                 RuntimeWarning,

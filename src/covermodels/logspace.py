@@ -11,14 +11,14 @@ from __future__ import annotations
 import math
 from functools import reduce
 
-_LOG2 = math.log(2.0)
+LOG2 = math.log(2.0)
 
 
 def logaddexp(a: float, b: float) -> float:
     """log(exp(a) + exp(b)) for floats a and b."""
     if a == b:
         # also equal infinities, which the difference would turn into nan
-        return a + _LOG2
+        return a + LOG2
     d = a - b
     if d > 0:
         return a + math.log1p(math.exp(-d))
@@ -36,6 +36,6 @@ def log1mexp(a: float) -> float:
     """log(1 - exp(a)) for a <= 0, stable on both ends."""
     if a >= 0.0:
         return -math.inf
-    if a > -_LOG2:
+    if a > -LOG2:
         return math.log(-math.expm1(a))
     return math.log1p(-math.exp(a))

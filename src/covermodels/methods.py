@@ -108,7 +108,7 @@ class GlobalNormalWishartMethod:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if self.local is None:
             self.local = NormalWishart(np.zeros(y.shape[0]))
-        self.local.update(y)
+        self.local.update(self.local.prepare(y))
 
     def prepare(self, t):
         pass
@@ -117,7 +117,8 @@ class GlobalNormalWishartMethod:
         if self.local is None:
             raise BadConfig("no data observed")
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        return np.array([self.local.log_predictive(y[i]) for i in range(y.shape[0])])
+        local = self.local
+        return np.array([local.log_predictive(local.prepare(y[i])) for i in range(y.shape[0])])
 
 
 class ConstantMethod:

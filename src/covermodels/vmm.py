@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from collections import deque
 
 import numpy as np
@@ -26,7 +25,7 @@ from scipy.special import logsumexp
 from .covers import SuffixTreeCover
 from .engine import CoverModelPosterior
 from .errors import BadConfig, TooLargeToEnumerate, UnknownSymbol
-from .local import DirichletMultinomial
+from .local import DirichletMultinomial, as_symbol
 
 _PRIORS = {"kt": 0.5, "laplace": 1.0}
 
@@ -76,19 +75,6 @@ class VmmModel:
     def _factory(self):
         return functools.partial(DirichletMultinomial, self.alphabet_size, self.concentration)
 
-    def _check(self, symbol) -> int:
-        """The symbol as an int. An integer, or an integral float such
-        as 2.0 from a float data column, passes; anything else, or a
-        symbol outside the alphabet, raises ``UnknownSymbol``."""
-        s = symbol
-        if type(s) is not int:
-            if not (isinstance(s, numbers.Real) and float(s).is_integer()):
-                raise UnknownSymbol(symbol, self.alphabet_size)
-            s = int(s)
-        if not 0 <= s < self.alphabet_size:
-            raise UnknownSymbol(symbol, self.alphabet_size)
-        return s
-
     @property
     def context(self):
         """The conditioning suffix currently in force: the last depth-1
@@ -97,7 +83,7 @@ class VmmModel:
 
     def observe(self, symbol) -> float:
         """Score the symbol against the current predictive, then learn it."""
-        s = self._check(symbol)
+        s = as_symbol(symbol, self.alphabet_size)
         lp = self.posterior.absorb(self.context, s)
         self.history.append(s)
         self.n_seen += 1
@@ -169,7 +155,7 @@ class VmmModel:
             obj.depth = int(meta["depth"])
             obj.concentration = float(meta["concentration"])
             obj.stop_weight = float(meta["stop_weight"])
-            history = [obj._check(s) for s in meta["history_tail"]]
+            history = [as_symbol(s, obj.alphabet_size) for s in meta["history_tail"]]
             obj.n_seen = int(meta["n_seen"])
         except (KeyError, TypeError, ValueError, UnknownSymbol) as exc:
             raise BadConfig(f"malformed vmm snapshot header: {exc!r}") from exc

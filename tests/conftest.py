@@ -26,6 +26,16 @@ settings.register_profile(
 settings.load_profile("covermodels")
 
 
+def score(local, y):
+    """A local model's log predictive at a raw y."""
+    return local.log_predictive(local.prepare(y))
+
+
+def learn(local, y):
+    """Absorb a raw y into a local model; returns its update's value."""
+    return local.update(local.prepare(y))
+
+
 def random_static_tree(rng, max_extra_splits=6, dim=None, depth_cap=3):
     """A kd partition tree grown by unconditional splits, no data yet.
 

@@ -19,8 +19,10 @@ from scipy.integrate import quad
 from conftest import (
     attach_random_engine,
     enum_stopped_trees,
+    learn,
     random_static_tree,
     random_xy,
+    score,
 )
 from covermodels import (
     BayesTreeDensity,
@@ -123,19 +125,19 @@ def test_conjugate_locals_normalize_and_match_batch_forms():
 
     nw = NormalWishart([0.25], kappa0=1.5, nu0=3.0, scale=[[0.8]])
     for v in (0.1, -0.4, 0.9, 0.3):
-        nw.update([v])
-    mass_nw, _ = quad(lambda v: math.exp(nw.log_predictive([v])), -60.0, 60.0, limit=200)
+        learn(nw, [v])
+    mass_nw, _ = quad(lambda v: math.exp(score(nw, [v])), -60.0, 60.0, limit=200)
     err_nw = abs(mass_nw - 1.0)
 
     bt = BayesTreeDensity([0.0], [1.0], gamma=0.4, branch_pseudo=0.5, max_depth=8)
     rng = np.random.default_rng(31)
     for v in rng.beta(2.0, 5.0, size=40):
-        bt.update([v])
+        learn(bt, [v])
     # the density is constant on dyadic cells at resolution 2^-8, so a
     # midpoint sum on a finer dyadic grid integrates it exactly
     k = 4096
     mids = (np.arange(k) + 0.5) / k
-    mass_bt = float(np.mean([math.exp(bt.log_predictive([v])) for v in mids]))
+    mass_bt = float(np.mean([math.exp(score(bt, [v])) for v in mids]))
     err_bt = abs(mass_bt - 1.0)
 
     # streaming sufficient statistics against the one-shot batch formulas
@@ -143,7 +145,7 @@ def test_conjugate_locals_normalize_and_match_batch_forms():
     ys = rng.normal([0.5, -1.0], [1.2, 0.7], size=(30, 2))
     seq = NormalWishart([0.5, -0.2], kappa0=1.5, nu0=4.0, scale=np.eye(2) * 0.9)
     for y in ys:
-        seq.update(y)
+        learn(seq, y)
     mun, kn, vn, Tn = seq.posterior_params()
     n = len(ys)
     ybar = ys.mean(axis=0)
@@ -172,14 +174,14 @@ def test_conjugate_locals_normalize_and_match_batch_forms():
         pts = [rng.uniform(lo, hi) for _ in range(5)]
         ev = 0.0
         for p in pts:
-            ev += tree.log_predictive(p)
-            tree.update(p)
+            ev += score(tree, p)
+            learn(tree, p)
         want_ev = enum_stopped_trees(lo, hi, 0, 3, 0.4, 0.7, pts)
         err_enum = max(err_enum, abs(math.exp(ev) / want_ev - 1.0))
         q = rng.uniform(lo, hi)
         want_pred = enum_stopped_trees(lo, hi, 0, 3, 0.4, 0.7, pts + [q]) / want_ev
         err_enum = max(
-            err_enum, abs(math.exp(tree.log_predictive(q)) / want_pred - 1.0)
+            err_enum, abs(math.exp(score(tree, q)) / want_pred - 1.0)
         )
 
     dt = time.perf_counter() - t0

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from covermodels import local
 from covermodels import (
     BadConfig,
     Box,
@@ -194,6 +195,35 @@ class TestRejectedInput:
         assert np.isfinite(model.posterior.log_evidence)
 
 
+class TestPreparedRoute:
+    def test_y_is_routed_once_per_call(self, monkeypatch):
+        """Every context's tree density shares one partition, so one
+        predict and one absorb each route y once, at most
+        ``tree_max_depth`` cuts, however many contexts x's path holds."""
+        model = new_cde([0.0], [1.0], [0.0], [1.0], tree_max_depth=10)
+        rng = np.random.default_rng(8)
+        n = 400
+        model.fit_stream(0.3 + rng.normal(0.0, 0.01, size=(n, 1)), rng.uniform(size=(n, 1)))
+        x, y = [0.3], [0.6]
+        cover = model.posterior.cover
+        assert len(cover.match_levels(cover.prepare_query(x))) >= 5
+        calls = []
+        real_cut = local.cut
+
+        def counting_cut(lo, hi):
+            calls.append(1)
+            return real_cut(lo, hi)
+
+        monkeypatch.setattr(local, "cut", counting_cut)
+        model.predict_logdensity(x, y)
+        assert 0 < len(calls) <= 10
+        calls.clear()
+        n_contexts = model.n_contexts
+        model.absorb(x, y)
+        assert model.n_contexts == n_contexts  # no split, so nothing replayed
+        assert 0 < len(calls) <= 10
+
+
 class TestNormalization:
     @pytest.mark.parametrize("components", [("nw",), ("tree",), ("nw", "tree")])
     def test_conditional_integrates_to_one(self, components):
@@ -274,6 +304,37 @@ class TestConfigPaths:
         for i in range(60, 120):
             assert clone.absorb(ds.x[i], ds.y[i]) == model.absorb(ds.x[i], ds.y[i])
         assert clone.to_text() == model.to_text()
+
+    @staticmethod
+    def _swap_weights(text):
+        head, _, rest = text.partition("\n")
+        meta = json.loads(head)
+        assert meta["config"]["mixture_weights"] == [3.0, 1.0]
+        meta["config"]["mixture_weights"] = [1.0, 3.0]
+        return json.dumps(meta, sort_keys=True) + "\n" + rest
+
+    def test_edited_mixture_weights_are_refused_on_an_empty_model(self):
+        model = new_cde([0.0], [1.0], [0.0], [1.0], mixture_weights=[3.0, 1.0])
+        text = model.to_text()
+        assert CdeModel.from_text(text).to_text() == text
+        with pytest.raises(BadConfig):
+            CdeModel.from_text(self._swap_weights(text))
+
+    def test_edited_mixture_weights_are_refused_by_an_empty_split_child(self):
+        """Every x lies left of the root's midpoint, so the root's right
+        child holds no point and still holds the prior weights, which
+        the edited header contradicts; the trained contexts alone would
+        pass."""
+        model = new_cde([0.0], [1.0], [0.0], [1.0], mixture_weights=[3.0, 1.0])
+        rng = np.random.default_rng(6)
+        model.fit_stream(rng.uniform(0.0, 0.4, size=(40, 1)), rng.uniform(size=(40, 1)))
+        states = model.posterior.states
+        empty = [c for c, st in states.items() if not st.local.components[0].n_seen]
+        assert empty and len(empty) < len(states)
+        text = model.to_text()
+        assert CdeModel.from_text(text).to_text() == text
+        with pytest.raises(BadConfig):
+            CdeModel.from_text(self._swap_weights(text))
 
     def test_nw_alone_needs_no_y_bounds(self):
         rng = np.random.default_rng(4)

@@ -232,6 +232,23 @@ class TestUndecodableFiles:
         self._assert_usage_error(code, capsys, garbage)
 
 
+    @pytest.mark.parametrize("flag", ["--train", "--holdout"])
+    @pytest.mark.parametrize("method, dataset", [("vmm", "markov"), ("constant", "gauss-mix")])
+    def test_data_files(self, method, dataset, flag, garbage, tmp_path, capsys):
+        files = {}
+        for seed, name in enumerate(("--train", "--holdout")):
+            path = tmp_path / f"{name[2:]}.data"
+            assert run("gen", "--dataset", dataset, "--n", 40, "--seed", seed, "--out", path) == 0
+            files[name] = garbage if name == flag else path
+        code = run("fit-eval", "--method", method, "--train", files["--train"],
+                   "--holdout", files["--holdout"], "--out", tmp_path / "r.csv")
+        self._assert_usage_error(code, capsys, garbage)
+
+    def test_score_file(self, garbage, capsys):
+        code = run("score", "--file", garbage)
+        self._assert_usage_error(code, capsys, garbage)
+
+
 class TestConfigPlumbing:
     def test_config_file_and_overrides(self, mix_files, tmp_path):
         train, hold = mix_files
