@@ -130,6 +130,17 @@ class Context:
         self.parent = parent
         self.child_ids = []
 
+    def copy(self) -> "Context":
+        """A copy with its own ``child_ids`` list; the region is shared,
+        since no cover changes a region once made."""
+        ctx = Context.__new__(Context)
+        ctx.cid = self.cid
+        ctx.depth = self.depth
+        ctx.region = self.region
+        ctx.parent = self.parent
+        ctx.child_ids = self.child_ids[:]
+        return ctx
+
     def __repr__(self):
         return f"Context(cid={self.cid}, depth={self.depth}, region={self.region!r})"
 
@@ -453,23 +464,36 @@ class SuffixTreeCover(CoverSequence):
             path.append(cid)
         return path
 
-    def extend(self, h):
+    def extend(self, h, path):
         """Materialise the suffix chain for the prepared history ``h``.
 
-        Returns ``(path, new_cids)`` where path runs root to deepest.
+        ``path`` is what ``match_levels(h)`` returned, so the existing
+        chain is not walked again: a suffix's parent exists before it
+        does, so every missing context lies below that path. Returns
+        ``(path, new_cids)`` where path runs root to deepest; the path
+        given is not changed.
         """
-        path = [self.root_id]
         new = []
-        for k in range(1, min(len(h), self.max_depth - 1) + 1):
+        parent = path[-1]
+        for k in range(len(path), min(len(h), self.max_depth - 1) + 1):
             suffix = h[len(h) - k:]
-            cid = self._by_suffix.get(suffix)
-            if cid is None:
-                ctx = self._new_context(k + 1, SuffixRegion(suffix), path[-1])
-                self._by_suffix[suffix] = ctx.cid
-                cid = ctx.cid
-                new.append(cid)
-            path.append(cid)
-        return path, new
+            parent = self._new_context(k + 1, SuffixRegion(suffix), parent).cid
+            self._by_suffix[suffix] = parent
+            new.append(parent)
+        return path + new, new
+
+    def copy(self) -> "SuffixTreeCover":
+        """An independent copy: new ``Context`` records, each with its
+        own ``child_ids``, and a new suffix index. The regions, which
+        never change, are shared."""
+        obj = SuffixTreeCover.__new__(SuffixTreeCover)
+        obj.alphabet_size = self.alphabet_size
+        obj.max_depth = self.max_depth
+        obj.root_id = self.root_id
+        obj._next_cid = self._next_cid
+        obj.contexts = {cid: ctx.copy() for cid, ctx in self.contexts.items()}
+        obj._by_suffix = self._by_suffix.copy()
+        return obj
 
     def state_dict(self):
         """The suffix of every context in id order, root first; depths

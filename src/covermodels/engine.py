@@ -113,6 +113,18 @@ class ContextState:
         self.log_w0 = math.log(w0)
         self.log1m_w0 = log1mexp(self.log_w0)
 
+    def copy(self) -> "ContextState":
+        """A copy holding ``local.copy()``."""
+        st = ContextState.__new__(ContextState)
+        st.local = self.local.copy()
+        st.w0 = self.w0
+        st.log_w0 = self.log_w0
+        st.log1m_w0 = self.log1m_w0
+        st.log_m = self.log_m
+        st.log_trunc = self.log_trunc
+        st.log_lambda = self.log_lambda
+        return st
+
 
 class CoverModelPosterior:
     """Posterior over cover models, updated one observation at a time.
@@ -147,6 +159,24 @@ class CoverModelPosterior:
         for ctx in sorted(cover.contexts.values(), key=lambda c: c.cid):
             self._init_state(ctx)
         self._refresh_all()
+
+    def copy(self) -> "CoverModelPosterior":
+        """An independent copy of the posterior: ``cover.copy()``, every
+        context's state with ``local.copy()``, ``n_obs`` and
+        ``log_evidence``. It shares the local factory, the stop weight
+        rule and the fresh local, which nothing changes. The cover and
+        the locals must offer ``copy``, as ``SuffixTreeCover`` and
+        ``DirichletMultinomial`` do."""
+        obj = CoverModelPosterior.__new__(CoverModelPosterior)
+        obj.cover = self.cover.copy()
+        obj.local_factory = self.local_factory
+        obj.depth_weight_spec = self.depth_weight_spec
+        obj._w0_fn = self._w0_fn
+        obj._fresh = self._fresh
+        obj.states = {cid: st.copy() for cid, st in self.states.items()}
+        obj.n_obs = self.n_obs
+        obj.log_evidence = self.log_evidence
+        return obj
 
     # ---- state management -------------------------------------------------
 
@@ -315,7 +345,7 @@ class CoverModelPosterior:
         logpi = [states[cid].local.update(py) for cid in path]
         if self.cover.growth_mode == "truncate":
             # a new context's parent exists, so new ones extend the path
-            path, made = self.cover.extend(xq)
+            path, made = self.cover.extend(xq, path)
             for cid in made:
                 logpi.append(self._init_state(self.cover.contexts[cid]).local.update(py))
         # the stop posteriors read here change only below

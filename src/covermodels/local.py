@@ -29,6 +29,9 @@ already placed their x. The shared duck type:
 * ``n_seen`` (leaf models): the number of observations absorbed.
   ``check_seen`` and ``check_nested`` compare it with what the cover
   routed to the context.
+* ``copy()`` (``DirichletMultinomial``, the VMM's local): an
+  independent copy, which ``CoverModelPosterior.copy`` takes of every
+  context's local.
 
 All are exchangeable in y, so sequential products of predictives equal
 batch marginal likelihoods, which the exact posterior engine relies on.
@@ -65,6 +68,19 @@ def as_symbol(y, alphabet_size) -> int:
     if not 0 <= s < alphabet_size:
         raise UnknownSymbol(y, alphabet_size)
     return s
+
+
+def _as_vector(y, dim):
+    """y as a float array of shape ``(dim,)`` and as a list of its
+    floats, the checked y of a vector local; a wrong shape or a value
+    that is not finite raises ``BadConfig``."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.shape != (dim,):
+        raise BadConfig(f"observation has shape {y.shape}, expected ({dim},)")
+    floats = y.tolist()
+    if not all(map(math.isfinite, floats)):
+        raise BadConfig(f"observation {floats} is not finite")
+    return y, floats
 
 
 class DirichletMultinomial:
@@ -117,6 +133,15 @@ class DirichletMultinomial:
     @property
     def n_seen(self) -> float:
         return self._seen
+
+    def copy(self) -> "DirichletMultinomial":
+        """An independent copy: new alpha and count lists."""
+        obj = DirichletMultinomial.__new__(DirichletMultinomial)
+        obj.alpha = self.alpha[:]
+        obj.counts = self.counts[:]
+        obj._alpha_sum = self._alpha_sum
+        obj._seen = self._seen
+        return obj
 
     def sample(self, rng):
         a = np.array(self.alpha) + np.array(self.counts)
@@ -189,12 +214,12 @@ class NormalWishart:
     def prepare(self, y):
         """y as a float vector of length ``dim``; a wrong shape or a value
         that is not finite raises ``BadConfig``."""
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if y.shape != (self.dim,):
-            raise BadConfig(f"observation has shape {y.shape}, expected ({self.dim},)")
-        if not all(map(math.isfinite, y.tolist())):
-            raise BadConfig(f"observation {y.tolist()} is not finite")
-        return y
+        return _as_vector(y, self.dim)[0]
+
+    def _prepare_checked(self, v, _):
+        """``prepare`` of a y that ``_as_vector`` has checked, from its
+        array v."""
+        return v
 
     def posterior_params(self):
         kn = self.kappa0 + self.n
@@ -435,8 +460,8 @@ class BayesTreeDensity:
         self._n = [0]
         self._lam = [0.0]
         self._kid = [0]
-        self._dim = self.box.dim
-        self._pt = [0.0] * self._dim
+        self.dim = self.box.dim
+        self._pt = [0.0] * self.dim
         self._lower = self.box.lower.tolist()
         self._upper = self.box.upper.tolist()
         log_vol0 = math.log(self.box.volume())
@@ -487,16 +512,16 @@ class BayesTreeDensity:
         self._n += (0, 0)
         self._lam += (0.0, 0.0)
         self._kid += (0, 0)
-        self._pt += (0.0,) * (2 * self._dim)
+        self._pt += (0.0,) * (2 * self.dim)
         self._kid[node] = left
         return left
 
     def _point(self, node):
-        dim = self._dim
+        dim = self.dim
         return self._pt[node * dim:(node + 1) * dim]
 
     def _put(self, node, y):
-        dim = self._dim
+        dim = self.dim
         self._pt[node * dim:(node + 1) * dim] = y
 
     def _path_values(self, route, push):
@@ -564,12 +589,11 @@ class BayesTreeDensity:
         box and ``max_depth`` alone, so every tree with this prior
         follows the same route. A wrong shape or a value that is not
         finite raises ``BadConfig``."""
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if y.shape != (self._dim,):
-            raise BadConfig(f"observation has shape {y.shape}, expected ({self._dim},)")
-        y = y.tolist()
-        if not all(map(math.isfinite, y)):
-            raise BadConfig(f"observation {y} is not finite")
+        return self._prepare_checked(*_as_vector(y, self.dim))
+
+    def _prepare_checked(self, _, y):
+        """``prepare`` of a y that ``_as_vector`` has checked, from its
+        floats y."""
         if not all(lo <= v <= hi for lo, v, hi in zip(self._lower, y, self._upper)):
             return y, False, None
         lo = list(self._lower)
@@ -670,7 +694,7 @@ class BayesTreeDensity:
         stored.
         """
         counts, points = [], []
-        n, kid, pt, dim, top = self._n, self._kid, self._pt, self._dim, self.max_depth
+        n, kid, pt, dim, top = self._n, self._kid, self._pt, self.dim, self.max_depth
         stack, depths = [0], [0]
         while stack:
             node, depth = stack.pop(), depths.pop()
@@ -703,7 +727,7 @@ class BayesTreeDensity:
         size = len(counts)
         if not size or set(map(type, counts)) != {int}:
             raise BadConfig("tree counts must be a nonempty list of ints")
-        dim, top = self._dim, self.max_depth
+        dim, top = self.dim, self.max_depth
         n, kid, depth = [0] * size, [0] * size, [0] * size
         pt = [0.0] * (dim * size)
         stack = [0]  # ids of the nodes whose counts come next
@@ -796,10 +820,23 @@ class MixtureLocal:
             total = logsumexp(lw.tolist())
             self.log_w = [v - total for v in lw.tolist()]
         self._warned_skip = False
+        # the y dimension of every component, when all are vector locals
+        # of one dimension, as a CDE model's are; else None
+        dims = {
+            c.dim if isinstance(c, (NormalWishart, BayesTreeDensity)) else None
+            for c in self.components
+        }
+        self._dim = dims.pop() if len(dims) == 1 else None
 
     def prepare(self, y):
-        """The components' prepared ys, in order."""
-        return [c.prepare(y) for c in self.components]
+        """The components' prepared ys, in order. When the components
+        are vector locals of one dimension, y is converted and checked
+        once for all of them, with the errors their own ``prepare``
+        raises."""
+        if self._dim is None:
+            return [c.prepare(y) for c in self.components]
+        checked = _as_vector(y, self._dim)
+        return [c._prepare_checked(*checked) for c in self.components]
 
     def log_predictive(self, y) -> float:
         return logsumexp(

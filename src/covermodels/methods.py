@@ -149,7 +149,9 @@ class VmmMethod:
     """Symbol stream model; x columns are ignored.
 
     Held out sequences are scored from an empty conditioning history
-    on a throwaway copy, so evaluation never perturbs training state.
+    on a throwaway ``VmmModel.copy``, so evaluation never perturbs
+    training state. The copy is structural, linear in the number of
+    contexts, and the scoring itself is one observe per held-out symbol.
     """
 
     name = "vmm"

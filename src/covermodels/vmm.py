@@ -3,7 +3,9 @@
 ``VmmModel`` wires a lazily materialised suffix cover into the exact
 posterior engine with Dirichlet locals: the result is a Bayesian
 mixture over all context trees up to a maximum order, learned online
-in O(order) per symbol.
+in O(order) per symbol. Scoring a separate sequence and sampling run
+the same update on ``VmmModel.copy``, a structural copy whose cost is
+a few list and dict copies per context.
 
 ``CtwOracle`` computes the same mixture by brute force: enumerate every
 complete pruning of the full suffix tree, score each as a product of
@@ -100,7 +102,8 @@ class VmmModel:
     def sequence_logprob(self, seq) -> float:
         """Log probability of a separate sequence under the learned
         posterior, starting from an empty conditioning history. Does
-        not mutate the model."""
+        not mutate the model: it learns the sequence into a ``copy``,
+        the exact sequential update that training runs."""
         clone = self.copy()
         clone.history.clear()
         return clone.fit_sequence(seq)
@@ -121,9 +124,24 @@ class VmmModel:
         return out
 
     def copy(self) -> "VmmModel":
-        import copy as _copy
+        """An independent copy, which scoring and sampling learn into.
 
-        return _copy.deepcopy(self)
+        It copies the header fields, the history (a new deque with the
+        same ``maxlen``) and the posterior (``CoverModelPosterior.copy``:
+        new contexts, suffix index, stop posteriors and Dirichlet
+        counts). It shares what nothing changes: the suffix regions, the
+        local factory and the fresh local. It costs a few list and dict
+        copies per context.
+        """
+        obj = VmmModel.__new__(VmmModel)
+        obj.alphabet_size = self.alphabet_size
+        obj.depth = self.depth
+        obj.concentration = self.concentration
+        obj.stop_weight = self.stop_weight
+        obj.posterior = self.posterior.copy()
+        obj.history = self.history.copy()
+        obj.n_seen = self.n_seen
+        return obj
 
     # ---- persistence -----------------------------------------------------
 

@@ -110,16 +110,22 @@ class TestKdTreeCover:
         assert clone.n_contexts == cov.n_contexts
 
 
+def extend(cov, history):
+    """Materialise a history's suffix chain, as an absorb does."""
+    h = cov.prepare_query(history)
+    return cov.extend(h, cov.match_levels(h))
+
+
 class TestSuffixTreeCover:
     def test_match_walks_materialized_chain(self):
         cov = SuffixTreeCover(alphabet_size=2, max_depth=3)
-        path, new = cov.extend((0, 1))
+        path, new = extend(cov, (0, 1))
         assert len(path) == 3 and len(new) == 2
         assert cov.match_levels(cov.prepare_query((0, 1))) == path
 
     def test_suffix_identity(self):
         cov = SuffixTreeCover(alphabet_size=2, max_depth=3)
-        cov.extend((1, 0))
+        extend(cov, (1, 0))
         # (0, 1, 0) shares the suffix chain of (1, 0)
         path = cov.match_levels(cov.prepare_query((0, 1, 0)))
         regions = [cov.contexts[cid].region.suffix for cid in path]
@@ -127,20 +133,29 @@ class TestSuffixTreeCover:
 
     def test_extend_is_idempotent(self):
         cov = SuffixTreeCover(alphabet_size=2, max_depth=4)
-        cov.extend((1, 1, 0))
+        extend(cov, (1, 1, 0))
         n = cov.n_contexts
-        _, new = cov.extend((0, 1, 1, 0))
+        _, new = extend(cov, (0, 1, 1, 0))
         assert cov.n_contexts == n and new == []
+
+    def test_extend_makes_only_the_levels_below_the_matched_path(self):
+        cov = SuffixTreeCover(alphabet_size=2, max_depth=4)
+        extend(cov, (1, 0))
+        matched = cov.match_levels((0, 1, 0))
+        path, new = cov.extend((0, 1, 0), matched)
+        assert len(matched) == 3 and path[:3] == matched
+        assert [cov.contexts[cid].region.suffix for cid in new] == [(0, 1, 0)]
+        assert path[3:] == new and cov.contexts[new[0]].parent == matched[-1]
 
     def test_depth_capped_by_history(self):
         cov = SuffixTreeCover(alphabet_size=3, max_depth=5)
-        path, _ = cov.extend((2,))
+        path, _ = extend(cov, (2,))
         assert len(path) == 2  # root plus one symbol of history
 
     def test_state_round_trip(self):
         cov = SuffixTreeCover(alphabet_size=2, max_depth=3)
-        cov.extend((0, 0))
-        cov.extend((1, 0))
+        extend(cov, (0, 0))
+        extend(cov, (1, 0))
         clone = cover_from_state(cov.state_dict())
         assert clone.n_contexts == cov.n_contexts
         q = clone.prepare_query((1, 0))

@@ -1,5 +1,6 @@
 """Suffix-context sequence model against hand values and a reference mixer."""
 
+import copy
 import hashlib
 import json
 import math
@@ -320,3 +321,79 @@ def test_snapshot_text_is_pinned():
     m.fit_sequence(gen_markov(500, seed=41, alphabet_size=3, order=2))
     digest = hashlib.sha256(m.to_text().encode()).hexdigest()
     assert digest == "7e30a999be194ee10c0ae2ecd058d1356967d8dfd5026ca34df9b36ecfff0b45"
+
+
+def deepcopy_scoring(m, held, n, seed):
+    """The reference path of ``sequence_logprob``, ``holdout_loglik`` and
+    ``generate``: the same steps, each on a ``copy.deepcopy`` of m."""
+    ref = copy.deepcopy(m)
+    ref.history.clear()
+    steps = [ref.observe(s) for s in held]
+    ref = copy.deepcopy(m)
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(n):
+        s = int(ref.posterior.sample_y(ref.context, rng))
+        ref.observe(s)
+        draws.append(s)
+    return float(sum(steps)), np.array(steps), draws
+
+
+SYMBOLS = st.lists(st.integers(0, 3), max_size=60)
+
+
+@given(
+    alphabet=st.integers(2, 4),
+    depth=st.integers(1, 6),
+    train=SYMBOLS,
+    held=SYMBOLS,
+    n=st.integers(0, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scoring_on_a_copy_equals_the_deepcopy_path(alphabet, depth, train, held, n, seed):
+    """``sequence_logprob``, ``VmmMethod.holdout_loglik`` and ``generate``
+    return bit for bit what they return on a deep copy, and leave the
+    model's snapshot text byte for byte as it was."""
+    m = VmmModel(alphabet, depth)
+    m.fit_sequence([s % alphabet for s in train])
+    held = [s % alphabet for s in held]
+    text = m.to_text()
+    logprob, steps, draws = deepcopy_scoring(m, held, n, seed)
+    assert m.to_text() == text
+
+    assert m.sequence_logprob(held) == logprob
+    assert m.to_text() == text
+    method = VmmMethod(alphabet, depth)
+    method.model = m
+    got = method.holdout_loglik(None, np.array(held, dtype=float))
+    assert got.tolist() == steps.tolist()
+    assert m.to_text() == text
+    assert m.generate(n, np.random.default_rng(seed)) == draws
+    assert m.to_text() == text
+
+
+@given(
+    alphabet=st.integers(2, 4),
+    depth=st.integers(1, 6),
+    train=SYMBOLS,
+    more=SYMBOLS,
+    other=SYMBOLS,
+)
+def test_a_copy_and_its_original_learn_apart(alphabet, depth, train, more, other):
+    """Observing into a copy leaves the original's snapshot text as it
+    was, and the reverse; the copy learns what a deep copy would."""
+    m = VmmModel(alphabet, depth)
+    m.fit_sequence([s % alphabet for s in train])
+    text = m.to_text()
+    clone = m.copy()
+    assert clone.to_text() == text
+
+    more = [s % alphabet for s in more]
+    ref = copy.deepcopy(m)
+    assert clone.fit_sequence(more) == ref.fit_sequence(more)
+    assert clone.to_text() == ref.to_text()
+    assert m.to_text() == text
+
+    clone_text = clone.to_text()
+    m.fit_sequence([s % alphabet for s in other])
+    assert clone.to_text() == clone_text
