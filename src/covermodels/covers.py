@@ -19,6 +19,7 @@ Depths are 1-based; depth 1 is the coarsest cover.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -467,30 +468,30 @@ class SuffixTreeCover(CoverSequence):
     def extend(self, h, path):
         """Materialise the suffix chain for the prepared history ``h``.
 
-        ``path`` is what ``match_levels(h)`` returned, so the existing
-        chain is not walked again: a suffix's parent exists before it
-        does, so every missing context lies below that path. Returns
-        ``(path, new_cids)`` where path runs root to deepest; the path
-        given is not changed.
+        ``path`` is a root-first start of that chain, ``[root_id]`` or
+        longer; the walk resumes below it. Given what ``match_levels(h)``
+        returned, the existing chain is not walked again: a suffix's
+        parent exists before it does, so every missing context lies
+        below that path. Returns ``(path, new_cids)`` where path runs
+        root to deepest; the path given is not changed.
         """
+        path = path[:]
         new = []
-        parent = path[-1]
         for k in range(len(path), min(len(h), self.max_depth - 1) + 1):
             suffix = h[len(h) - k:]
-            parent = self._new_context(k + 1, SuffixRegion(suffix), parent).cid
-            self._by_suffix[suffix] = parent
-            new.append(parent)
-        return path + new, new
+            cid = self._by_suffix.get(suffix)
+            if cid is None:
+                cid = self._new_context(k + 1, SuffixRegion(suffix), path[-1]).cid
+                self._by_suffix[suffix] = cid
+                new.append(cid)
+            path.append(cid)
+        return path, new
 
     def copy(self) -> "SuffixTreeCover":
         """An independent copy: new ``Context`` records, each with its
         own ``child_ids``, and a new suffix index. The regions, which
         never change, are shared."""
-        obj = SuffixTreeCover.__new__(SuffixTreeCover)
-        obj.alphabet_size = self.alphabet_size
-        obj.max_depth = self.max_depth
-        obj.root_id = self.root_id
-        obj._next_cid = self._next_cid
+        obj = copy.copy(self)
         obj.contexts = {cid: ctx.copy() for cid, ctx in self.contexts.items()}
         obj._by_suffix = self._by_suffix.copy()
         return obj

@@ -54,6 +54,7 @@ checked (``from_text``). Versions 1 and 2 are refused.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 
@@ -161,21 +162,18 @@ class CoverModelPosterior:
         self._refresh_all()
 
     def copy(self) -> "CoverModelPosterior":
-        """An independent copy of the posterior: ``cover.copy()``, every
-        context's state with ``local.copy()``, ``n_obs`` and
-        ``log_evidence``. It shares the local factory, the stop weight
-        rule and the fresh local, which nothing changes. The cover and
-        the locals must offer ``copy``, as ``SuffixTreeCover`` and
-        ``DirichletMultinomial`` do."""
-        obj = CoverModelPosterior.__new__(CoverModelPosterior)
+        """An independent copy of a VMM's posterior, the one kind whose
+        cover and locals (``SuffixTreeCover``, ``DirichletMultinomial``)
+        offer ``copy``.
+
+        It holds ``cover.copy()`` and every context's state with
+        ``local.copy()``; ``n_obs`` and ``log_evidence`` are numbers. It
+        shares the local factory, the stop weight rule and the fresh
+        local, which nothing changes.
+        """
+        obj = copy.copy(self)
         obj.cover = self.cover.copy()
-        obj.local_factory = self.local_factory
-        obj.depth_weight_spec = self.depth_weight_spec
-        obj._w0_fn = self._w0_fn
-        obj._fresh = self._fresh
         obj.states = {cid: st.copy() for cid, st in self.states.items()}
-        obj.n_obs = self.n_obs
-        obj.log_evidence = self.log_evidence
         return obj
 
     # ---- state management -------------------------------------------------

@@ -14,12 +14,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
 from .errors import BadConfig, DegenerateData, ZeroDenominator
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _sqdist(a, b):
+    """Squared Euclidean distances between the rows of a and b. Only
+    this baseline needs ``scipy.spatial``, a large import, so it is
+    imported on first use rather than with the package."""
+    from scipy.spatial.distance import cdist
+
+    return cdist(a, b, "sqeuclidean")
 
 
 def _as_matrix(a, name):
@@ -60,11 +68,11 @@ class DoubleKernelCde:
         out = np.empty(xq.shape[0])
         for s in range(0, xq.shape[0], block):
             e = min(s + block, xq.shape[0])
-            a = -cdist(xq[s:e], self.x, "sqeuclidean") / (2.0 * self.hx**2)
+            a = -_sqdist(xq[s:e], self.x) / (2.0 * self.hx**2)
             den = logsumexp(a, axis=1)
             if not np.all(np.isfinite(den)):
                 raise ZeroDenominator("covariate kernel sum underflowed")
-            b = -cdist(yq[s:e], self.y, "sqeuclidean") / (2.0 * self.hy**2)
+            b = -_sqdist(yq[s:e], self.y) / (2.0 * self.hy**2)
             num = logsumexp(a + b, axis=1)
             out[s:e] = num - den - norm
         return out
@@ -128,8 +136,8 @@ def fit_cv(
     grid_hy = np.geomspace(grid_lo, grid_hi, grid_size) * scale_y
     dy = ys.shape[1]
 
-    dx2 = cdist(xs, xs, "sqeuclidean")
-    dy2 = cdist(ys, ys, "sqeuclidean")
+    dx2 = _sqdist(xs, xs)
+    dy2 = _sqdist(ys, ys)
     scores = np.zeros((grid_size, grid_size))
     for f in range(folds):
         test = fold_id == f

@@ -135,9 +135,10 @@ class DirichletMultinomial:
         return self._seen
 
     def copy(self) -> "DirichletMultinomial":
-        """An independent copy: new alpha and count lists."""
+        """An independent copy: a new count list. ``alpha``, which no
+        update changes, is shared."""
         obj = DirichletMultinomial.__new__(DirichletMultinomial)
-        obj.alpha = self.alpha[:]
+        obj.alpha = self.alpha
         obj.counts = self.counts[:]
         obj._alpha_sum = self._alpha_sum
         obj._seen = self._seen
@@ -215,11 +216,6 @@ class NormalWishart:
         """y as a float vector of length ``dim``; a wrong shape or a value
         that is not finite raises ``BadConfig``."""
         return _as_vector(y, self.dim)[0]
-
-    def _prepare_checked(self, v, _):
-        """``prepare`` of a y that ``_as_vector`` has checked, from its
-        array v."""
-        return v
 
     def posterior_params(self):
         kn = self.kappa0 + self.n
@@ -460,8 +456,8 @@ class BayesTreeDensity:
         self._n = [0]
         self._lam = [0.0]
         self._kid = [0]
-        self.dim = self.box.dim
-        self._pt = [0.0] * self.dim
+        self._dim = self.box.dim
+        self._pt = [0.0] * self._dim
         self._lower = self.box.lower.tolist()
         self._upper = self.box.upper.tolist()
         log_vol0 = math.log(self.box.volume())
@@ -512,16 +508,16 @@ class BayesTreeDensity:
         self._n += (0, 0)
         self._lam += (0.0, 0.0)
         self._kid += (0, 0)
-        self._pt += (0.0,) * (2 * self.dim)
+        self._pt += (0.0,) * (2 * self._dim)
         self._kid[node] = left
         return left
 
     def _point(self, node):
-        dim = self.dim
+        dim = self._dim
         return self._pt[node * dim:(node + 1) * dim]
 
     def _put(self, node, y):
-        dim = self.dim
+        dim = self._dim
         self._pt[node * dim:(node + 1) * dim] = y
 
     def _path_values(self, route, push):
@@ -589,11 +585,7 @@ class BayesTreeDensity:
         box and ``max_depth`` alone, so every tree with this prior
         follows the same route. A wrong shape or a value that is not
         finite raises ``BadConfig``."""
-        return self._prepare_checked(*_as_vector(y, self.dim))
-
-    def _prepare_checked(self, _, y):
-        """``prepare`` of a y that ``_as_vector`` has checked, from its
-        floats y."""
+        y = _as_vector(y, self._dim)[1]
         if not all(lo <= v <= hi for lo, v, hi in zip(self._lower, y, self._upper)):
             return y, False, None
         lo = list(self._lower)
@@ -694,7 +686,7 @@ class BayesTreeDensity:
         stored.
         """
         counts, points = [], []
-        n, kid, pt, dim, top = self._n, self._kid, self._pt, self.dim, self.max_depth
+        n, kid, pt, dim, top = self._n, self._kid, self._pt, self._dim, self.max_depth
         stack, depths = [0], [0]
         while stack:
             node, depth = stack.pop(), depths.pop()
@@ -727,7 +719,7 @@ class BayesTreeDensity:
         size = len(counts)
         if not size or set(map(type, counts)) != {int}:
             raise BadConfig("tree counts must be a nonempty list of ints")
-        dim, top = self.dim, self.max_depth
+        dim, top = self._dim, self.max_depth
         n, kid, depth = [0] * size, [0] * size, [0] * size
         pt = [0.0] * (dim * size)
         stack = [0]  # ids of the nodes whose counts come next
@@ -820,23 +812,10 @@ class MixtureLocal:
             total = logsumexp(lw.tolist())
             self.log_w = [v - total for v in lw.tolist()]
         self._warned_skip = False
-        # the y dimension of every component, when all are vector locals
-        # of one dimension, as a CDE model's are; else None
-        dims = {
-            c.dim if isinstance(c, (NormalWishart, BayesTreeDensity)) else None
-            for c in self.components
-        }
-        self._dim = dims.pop() if len(dims) == 1 else None
 
     def prepare(self, y):
-        """The components' prepared ys, in order. When the components
-        are vector locals of one dimension, y is converted and checked
-        once for all of them, with the errors their own ``prepare``
-        raises."""
-        if self._dim is None:
-            return [c.prepare(y) for c in self.components]
-        checked = _as_vector(y, self._dim)
-        return [c._prepare_checked(*checked) for c in self.components]
+        """The components' prepared ys, in order."""
+        return [c.prepare(y) for c in self.components]
 
     def log_predictive(self, y) -> float:
         return logsumexp(

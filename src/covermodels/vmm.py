@@ -17,6 +17,7 @@ check each other.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from collections import deque
@@ -130,17 +131,12 @@ class VmmModel:
         same ``maxlen``) and the posterior (``CoverModelPosterior.copy``:
         new contexts, suffix index, stop posteriors and Dirichlet
         counts). It shares what nothing changes: the suffix regions, the
-        local factory and the fresh local. It costs a few list and dict
-        copies per context.
+        Dirichlet priors, the local factory and the fresh local. It costs
+        a few list and dict copies per context.
         """
-        obj = VmmModel.__new__(VmmModel)
-        obj.alphabet_size = self.alphabet_size
-        obj.depth = self.depth
-        obj.concentration = self.concentration
-        obj.stop_weight = self.stop_weight
+        obj = copy.copy(self)
         obj.posterior = self.posterior.copy()
         obj.history = self.history.copy()
-        obj.n_seen = self.n_seen
         return obj
 
     # ---- persistence -----------------------------------------------------

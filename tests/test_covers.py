@@ -111,9 +111,8 @@ class TestKdTreeCover:
 
 
 def extend(cov, history):
-    """Materialise a history's suffix chain, as an absorb does."""
-    h = cov.prepare_query(history)
-    return cov.extend(h, cov.match_levels(h))
+    """Materialise a history's suffix chain, walking it from the root."""
+    return cov.extend(cov.prepare_query(history), [cov.root_id])
 
 
 class TestSuffixTreeCover:
@@ -137,6 +136,10 @@ class TestSuffixTreeCover:
         n = cov.n_contexts
         _, new = extend(cov, (0, 1, 1, 0))
         assert cov.n_contexts == n and new == []
+        # a start shorter than the existing chain reuses it too
+        path, new = cov.extend((0, 1, 1, 0), cov.match_levels((0, 1, 1, 0))[:2])
+        assert new == [] and path == cov.match_levels((0, 1, 1, 0))
+        assert cover_from_state(cov.state_dict()).n_contexts == n
 
     def test_extend_makes_only_the_levels_below_the_matched_path(self):
         cov = SuffixTreeCover(alphabet_size=2, max_depth=4)

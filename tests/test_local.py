@@ -371,29 +371,6 @@ class TestMixtureLocal:
         with pytest.raises(BadConfig):
             MixtureLocal([])
 
-    def test_prepare_gives_the_components_own_forms_and_errors(self):
-        comps = [
-            NormalWishart([0.0, 1.0], kappa0=1.0, nu0=4.0, scale=np.eye(2)),
-            BayesTreeDensity([0.0, 0.0], [1.0, 2.0], max_depth=5),
-        ]
-        mix = MixtureLocal(comps)
-        for y in ([0.3, 0.5], np.array([0.2, 5.0]), (1.0, 2.0)):
-            got, want = mix.prepare(y), [c.prepare(y) for c in comps]
-            assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
-        for bad in ([0.1], [0.1, math.nan], [[0.1, 0.2]], "ab"):
-            with pytest.raises((BadConfig, ValueError)) as want:
-                comps[0].prepare(bad)
-            with pytest.raises(want.type) as got:
-                mix.prepare(bad)
-            assert str(got.value) == str(want.value)
-
-    def test_components_that_are_not_vector_locals_prepare_their_own_y(self):
-        mix = MixtureLocal([DirichletMultinomial(3), DirichletMultinomial(3, concentration=1.0)])
-        assert mix.prepare(2.0) == [2, 2]
-        assert math.isfinite(learn(mix, 1))
-        with pytest.raises(UnknownSymbol):
-            mix.prepare(3)
-
 
 # One factory and one observation sampler per local model kind. The
 # mixture's tree box is narrower than its data, so some updates take the
