@@ -12,7 +12,6 @@ from .covers import (
     Context,
     CoverSequence,
     KdTreeCover,
-    SuffixRegion,
     SuffixTreeCover,
     cover_from_state,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "OutOfSupport",
     "ParseError",
     "QueryOutOfRootRegion",
-    "SuffixRegion",
     "SuffixTreeCover",
     "TooLargeToEnumerate",
     "UnknownSymbol",

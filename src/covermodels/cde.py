@@ -127,10 +127,9 @@ class CdeModel:
         cfg = self.config
         has_ybox = cfg.y_lower is not None and cfg.y_upper is not None
         if has_ybox:
-            ybox = Box(cfg.y_lower, cfg.y_upper)
-            mu0 = ybox.center
+            mu0 = Box(cfg.y_lower, cfg.y_upper).center
         else:
-            mu0 = np.zeros(cfg.y_dim)
+            mu0 = [0.0] * cfg.y_dim
         comps = []
         for name in cfg.components:
             if name == "nw":
@@ -223,7 +222,7 @@ class CdeModel:
             raise BadConfig("a cde snapshot must hold a kd cover")
         box = cover.root_box
         if (
-            (box.lower.tolist(), box.upper.tolist()) != (config.x_lower, config.x_upper)
+            (list(box.lower), list(box.upper)) != (config.x_lower, config.x_upper)
             or (cover.alpha, cover.max_depth, cover.on_outside)
             != (config.alpha, config.max_depth_x, config.on_outside)
             or parse_depth_weight(config.depth_weight)[0] != post.depth_weight_spec

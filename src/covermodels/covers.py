@@ -30,7 +30,7 @@ from .errors import BadConfig, DepthLimitExceeded, QueryOutOfRootRegion, Unknown
 def cut(lo, hi):
     """Split dimension and midpoint of the box [lo, hi], the one split
     rule of kd covers and tree densities: its largest side, the lowest
-    dimension on ties, as ``np.argmax`` would pick."""
+    dimension on ties, as numpy's ``argmax`` would pick."""
     d = 0
     if len(lo) > 1:
         best = hi[0] - lo[0]
@@ -43,44 +43,47 @@ def cut(lo, hi):
 
 class Box:
     """Axis aligned box with half open membership [lower, upper) and
-    finite bounds, which splits and volumes need."""
+    finite bounds, which splits and volumes need. The bounds are tuples
+    of floats."""
 
     __slots__ = ("lower", "upper")
 
     def __init__(self, lower, upper):
-        self.lower = np.asarray(lower, dtype=float)
-        self.upper = np.asarray(upper, dtype=float)
-        if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
+        lower = np.asarray(lower, dtype=float)
+        upper = np.asarray(upper, dtype=float)
+        if lower.shape != upper.shape or lower.ndim != 1:
             raise BadConfig("box bounds must be 1-d arrays of equal length")
-        lower, upper = self.lower.tolist(), self.upper.tolist()
-        if not all(map(math.isfinite, lower + upper)):
+        self.lower, self.upper = tuple(lower.tolist()), tuple(upper.tolist())
+        if not all(map(math.isfinite, self.lower + self.upper)):
             raise BadConfig("box bounds must be finite")
-        if not all(lo < hi for lo, hi in zip(lower, upper)):
+        if not all(lo < hi for lo, hi in zip(self.lower, self.upper)):
             raise BadConfig("box must have positive width in every dimension")
 
     @property
     def dim(self) -> int:
-        return self.lower.shape[0]
-
-    @property
-    def widths(self):
-        return self.upper - self.lower
+        return len(self.lower)
 
     @property
     def center(self):
-        return 0.5 * (self.lower + self.upper)
+        return tuple(0.5 * (lo + hi) for lo, hi in zip(self.lower, self.upper))
 
     def volume(self) -> float:
-        return float(np.prod(self.widths))
+        return math.prod(hi - lo for lo, hi in zip(self.lower, self.upper))
 
     def contains(self, x, closed=False) -> bool:
-        x = np.asarray(x, dtype=float)
         if closed:
-            return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
-        return bool(np.all(x >= self.lower) and np.all(x < self.upper))
+            return all(lo <= v <= hi for lo, v, hi in zip(self.lower, x, self.upper))
+        return all(lo <= v < hi for lo, v, hi in zip(self.lower, x, self.upper))
 
     def clamp(self, x):
-        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
+        """x as a tuple moved into the box as numpy's ``clip`` moves it:
+        a coordinate on a bound takes the bound, so -0.0 against a bound
+        0.0 becomes 0.0."""
+        out = []
+        for lo, v, hi in zip(self.lower, x, self.upper):
+            v = v if v > lo else lo
+            out.append(v if v < hi else hi)
+        return tuple(out)
 
     def split_largest(self):
         """Split where ``cut`` says: the midpoint of the largest side.
@@ -90,33 +93,16 @@ class Box:
         resolution is exhausted and the midpoint is no longer strictly
         interior.
         """
-        d, mid = cut(self.lower.tolist(), self.upper.tolist())
-        if not (self.lower[d] < mid < self.upper[d]):
+        lower, upper = self.lower, self.upper
+        d, mid = cut(lower, upper)
+        if not (lower[d] < mid < upper[d]):
             raise BadConfig("box too thin to split")
-        lo_upper = self.upper.copy()
-        lo_upper[d] = mid
-        hi_lower = self.lower.copy()
-        hi_lower[d] = mid
-        return d, mid, (Box(self.lower, lo_upper), Box(hi_lower, self.upper))
+        lo_upper = upper[:d] + (mid,) + upper[d + 1:]
+        hi_lower = lower[:d] + (mid,) + lower[d + 1:]
+        return d, mid, (Box(lower, lo_upper), Box(hi_lower, upper))
 
     def __repr__(self):
-        return f"Box({self.lower.tolist()}, {self.upper.tolist()})"
-
-
-class SuffixRegion:
-    """Histories whose most recent symbols equal ``suffix``.
-
-    The suffix is stored in chronological order, so ``SuffixRegion((0, 1))``
-    matches any history ending ... 0, 1.
-    """
-
-    __slots__ = ("suffix",)
-
-    def __init__(self, suffix):
-        self.suffix = tuple(int(s) for s in suffix)
-
-    def __repr__(self):
-        return f"SuffixRegion({self.suffix!r})"
+        return f"Box({list(self.lower)}, {list(self.upper)})"
 
 
 class Context:
@@ -200,8 +186,8 @@ class KdTreeCover(CoverSequence):
     when the points are clustered enough that a child immediately
     exceeds its own threshold.
 
-    Buffered payloads are (x, y) pairs of float vectors; they are what
-    a split event hands back so the caller can rebuild per child state.
+    Buffered payloads are (x, y) pairs of float tuples; they are what a
+    split event hands back so the caller can rebuild per child state.
     """
 
     growth_mode = "replay"
@@ -224,18 +210,19 @@ class KdTreeCover(CoverSequence):
         self._buffer = {root.cid: []}  # leaves only
 
     def prepare_query(self, x):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != self.root_box.dim:
-            raise BadConfig(
-                f"query has dimension {x.shape[0]}, cover expects {self.root_box.dim}"
-            )
-        if not np.isfinite(x).all():
-            raise BadConfig(f"query {x.tolist()} is not finite")
-        if not self.root_box.contains(x, closed=True):
+        """x as a tuple of floats in the root box, clamped into it or
+        refused per ``on_outside``."""
+        box = self.root_box
+        x = np.asarray(x, dtype=float).reshape(-1).tolist()
+        if len(x) != box.dim:
+            raise BadConfig(f"query has dimension {len(x)}, cover expects {box.dim}")
+        if not all(map(math.isfinite, x)):
+            raise BadConfig(f"query {x} is not finite")
+        if not box.contains(x, closed=True):
             if self.on_outside == "reject":
-                raise QueryOutOfRootRegion(x.tolist(), self.root_box)
-            x = self.root_box.clamp(x)
-        return x
+                raise QueryOutOfRootRegion(x, box)
+            return box.clamp(x)
+        return tuple(x)
 
     def descend(self, x):
         """Context ids along the root to leaf chain for a prepared query."""
@@ -264,17 +251,17 @@ class KdTreeCover(CoverSequence):
     def observe_and_refine(self, x, y, leaf=None):
         """Buffer (x, y) at the containing leaf, splitting as needed.
 
-        ``x`` must already be prepared; ``leaf``, when given, is the
-        leaf it descends to, the last context ``match_levels`` returned
-        for it. Returns the list of split events in creation order; each
-        event is ``(parent_cid, [(child_cid, block), (child_cid,
-        block)])`` where block lists the (x, y) pairs that fell inside
-        that child, oldest first.
+        ``x`` must already be prepared, and is kept as it is: a tuple,
+        which no caller can change. y is kept as a tuple of its floats.
+        ``leaf``, when given, is the leaf x descends to, the last
+        context ``match_levels`` returned for it. Returns the list of
+        split events in creation order; each event is ``(parent_cid,
+        [(child_cid, block), (child_cid, block)])`` where block lists the
+        (x, y) pairs that fell inside that child, oldest first.
         """
         if leaf is None:
             leaf = self.descend(x)[-1]
-        # copies: the caller may reuse the arrays it passed
-        self._buffer[leaf].append((x.copy(), np.array(y, dtype=float).reshape(-1)))
+        self._buffer[leaf].append((x, tuple(np.asarray(y, dtype=float).reshape(-1).tolist())))
         events = []
         self._maybe_split(leaf, events)
         return events
@@ -350,16 +337,16 @@ class KdTreeCover(CoverSequence):
                     y_dim = len(y)
                 if len(y) != y_dim:
                     raise BadConfig("buffered y values differ in length")
-                flat += x.tolist()
-                flat += y.tolist()
+                flat += x
+                flat += y
             buffers[str(cid)] = flat
         return {
             "kind": "kdtree",
             "alpha": self.alpha,
             "max_depth": self.max_depth,
             "on_outside": self.on_outside,
-            "root_lower": self.root_box.lower.tolist(),
-            "root_upper": self.root_box.upper.tolist(),
+            "root_lower": list(self.root_box.lower),
+            "root_upper": list(self.root_box.upper),
             "splits": [[cid, d, mid] for cid, (d, mid, _, _) in self._split.items()],
             "y_dim": y_dim,
             "buffers": buffers,
@@ -394,7 +381,7 @@ class KdTreeCover(CoverSequence):
             d0, mid0 = cover._split[cid][:2]
             if d != d0 or mid != mid0:
                 raise BadConfig(f"split record {rec} differs from its box's {[cid, d0, mid0]}")
-        top = cover.root_box.upper.tolist()
+        top = cover.root_box.upper
         dim = len(top)
         y_dim = int(state["y_dim"])
         if y_dim < 0:
@@ -411,15 +398,14 @@ class KdTreeCover(CoverSequence):
             if len(flat) % width:
                 raise BadConfig(f"buffer of leaf {key} does not hold whole points")
             box = cover.contexts[cid].region
-            lower, upper = box.lower.tolist(), box.upper.tolist()
             buf = []
             for i in range(0, len(flat), width):
                 x = flat[i:i + dim]
                 # half open, closed on the root box's upper faces
-                for lo, v, hi, t in zip(lower, x, upper, top):
+                for lo, v, hi, t in zip(box.lower, x, box.upper, top):
                     if not (lo <= v < hi or v == hi == t):
                         raise BadConfig(f"buffered x {x} outside its leaf {box!r}")
-                buf.append((np.array(x), np.array(flat[i + dim:i + width])))
+                buf.append((tuple(x), tuple(flat[i + dim:i + width])))
             cover._buffer[cid] = buf
         return cover
 
@@ -432,6 +418,10 @@ class SuffixTreeCover(CoverSequence):
     the current history down to cover min(len(history) + 1, max_depth),
     creating missing contexts with no attached state. The parent of a
     suffix drops its oldest symbol.
+
+    A context's region is its suffix, a tuple of int symbols in
+    chronological order, so the suffix (0, 1) matches any history ending
+    ... 0, 1.
     """
 
     growth_mode = "truncate"
@@ -444,7 +434,7 @@ class SuffixTreeCover(CoverSequence):
             raise BadConfig("max_depth must be at least 1")
         self.alphabet_size = int(alphabet_size)
         self.max_depth = int(max_depth)
-        root = self._new_context(1, SuffixRegion(()))
+        root = self._new_context(1, ())
         self.root_id = root.cid
         self._by_suffix = {(): root.cid}
 
@@ -481,7 +471,7 @@ class SuffixTreeCover(CoverSequence):
             suffix = h[len(h) - k:]
             cid = self._by_suffix.get(suffix)
             if cid is None:
-                cid = self._new_context(k + 1, SuffixRegion(suffix), path[-1]).cid
+                cid = self._new_context(k + 1, suffix, path[-1]).cid
                 self._by_suffix[suffix] = cid
                 new.append(cid)
             path.append(cid)
@@ -503,7 +493,7 @@ class SuffixTreeCover(CoverSequence):
             "kind": "suffix",
             "alphabet_size": self.alphabet_size,
             "max_depth": self.max_depth,
-            "suffixes": [list(c.region.suffix) for c in self.contexts.values()],
+            "suffixes": [list(c.region) for c in self.contexts.values()],
         }
 
     @classmethod
@@ -511,17 +501,18 @@ class SuffixTreeCover(CoverSequence):
         """Rebuild from ``state_dict``.
 
         Raises ``BadConfig`` unless the root comes first, and every
-        other suffix is new, shorter than ``max_depth``, over the
-        alphabet, and follows its parent (the suffix without its
-        oldest symbol).
+        other suffix holds only ints (no float or bool stands in for a
+        symbol), is new, shorter than ``max_depth``, over the alphabet,
+        and follows its parent (the suffix without its oldest symbol).
         """
         cover = cls(int(state["alphabet_size"]), int(state["max_depth"]))
         suffixes = state["suffixes"]
         if not suffixes or suffixes[0]:
             raise BadConfig("the first suffix context must be the root")
         for suffix in suffixes[1:]:
-            region = SuffixRegion(suffix)
-            suffix = region.suffix
+            suffix = tuple(suffix)
+            if not all(type(s) is int for s in suffix):
+                raise BadConfig(f"suffix context {list(suffix)} holds a symbol that is not an int")
             parent = cover._by_suffix.get(suffix[1:])
             if (
                 parent is None
@@ -530,7 +521,7 @@ class SuffixTreeCover(CoverSequence):
                 or not all(0 <= s < cover.alphabet_size for s in suffix)
             ):
                 raise BadConfig(f"suffix context {list(suffix)} cannot follow the ones before it")
-            ctx = cover._new_context(len(suffix) + 1, region, parent)
+            ctx = cover._new_context(len(suffix) + 1, suffix, parent)
             cover._by_suffix[suffix] = ctx.cid
         return cover
 

@@ -54,14 +54,16 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 def as_symbol(y, alphabet_size) -> int:
     """y as an int symbol of an alphabet of ``alphabet_size``. An
-    integer, an integral float such as 2.0 from a float data column, or
-    a size-1 array holding one, as replayed blocks hold y, passes;
-    anything else, or a symbol outside the alphabet, raises
-    ``UnknownSymbol``."""
+    integer, an integral float such as 2.0 from a float data column, a
+    size-1 array holding one, or the one-float tuple a kd cover's
+    replayed block holds, passes; anything else, or a symbol outside
+    the alphabet, raises ``UnknownSymbol``."""
     s = y
     if type(s) is not int:
         if isinstance(s, np.ndarray) and s.size == 1:
             s = s.item()
+        elif type(s) is tuple and len(s) == 1:
+            s = s[0]
         if not (isinstance(s, numbers.Real) and float(s).is_integer()):
             raise UnknownSymbol(y, alphabet_size)
         s = int(s)
@@ -71,16 +73,15 @@ def as_symbol(y, alphabet_size) -> int:
 
 
 def _as_vector(y, dim):
-    """y as a float array of shape ``(dim,)`` and as a list of its
-    floats, the checked y of a vector local; a wrong shape or a value
-    that is not finite raises ``BadConfig``."""
+    """y as a list of ``dim`` floats, the checked y of a vector local; a
+    wrong shape or a value that is not finite raises ``BadConfig``."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (dim,):
         raise BadConfig(f"observation has shape {y.shape}, expected ({dim},)")
-    floats = y.tolist()
-    if not all(map(math.isfinite, floats)):
-        raise BadConfig(f"observation {floats} is not finite")
-    return y, floats
+    y = y.tolist()
+    if not all(map(math.isfinite, y)):
+        raise BadConfig(f"observation {y} is not finite")
+    return y
 
 
 class DirichletMultinomial:
@@ -173,6 +174,10 @@ class NormalWishart:
     Prior: precision ~ Wishart(nu0, T0^-1), mean | precision ~
     Normal(mu0, (kappa0 * precision)^-1). The posterior predictive is a
     multivariate Student t with nu_n - m + 1 degrees of freedom.
+
+    ``mu0`` and ``sum_y`` are lists of floats, ``T0`` and ``sum_yy``
+    lists of rows of floats. Arrays are built only for the linear
+    algebra of dim m > 1, in ``posterior_params`` and ``_score``.
     """
 
     def __init__(self, mu0, kappa0=1.0, nu0=None, scale=None):
@@ -202,43 +207,46 @@ class NormalWishart:
                 np.linalg.cholesky(scale)
             except np.linalg.LinAlgError:
                 raise BadConfig("scale matrix must be positive definite") from None
-        self.mu0 = mu0
+        self.mu0 = mu0.tolist()
         self.kappa0 = float(kappa0)
         self.nu0 = float(nu0)
-        self.T0 = scale
+        self.T0 = scale.tolist()
         self.dim = m
         self.n = 0
-        self.sum_y = np.zeros(m)
-        self.sum_yy = np.zeros((m, m))
+        self.sum_y = [0.0] * m
+        self.sum_yy = [[0.0] * m for _ in range(m)]
         self._cache = None
 
     def prepare(self, y):
-        """y as a float vector of length ``dim``; a wrong shape or a value
-        that is not finite raises ``BadConfig``."""
-        return _as_vector(y, self.dim)[0]
+        """y as a list of ``dim`` floats; a wrong shape or a value that
+        is not finite raises ``BadConfig``."""
+        return _as_vector(y, self.dim)
 
     def posterior_params(self):
+        """Posterior mean, kappa, nu and scale matrix, as arrays."""
         kn = self.kappa0 + self.n
         vn = self.nu0 + self.n
+        mu0, T0 = np.array(self.mu0), np.array(self.T0)
         if self.n == 0:
-            return self.mu0, kn, vn, self.T0.copy()
-        ybar = self.sum_y / self.n
-        mun = (self.kappa0 * self.mu0 + self.sum_y) / kn
-        scatter = self.sum_yy - self.n * np.outer(ybar, ybar)
-        shift = (self.kappa0 * self.n / kn) * np.outer(ybar - self.mu0, ybar - self.mu0)
-        return mun, kn, vn, self.T0 + scatter + shift
+            return mu0, kn, vn, T0
+        sum_y = np.array(self.sum_y)
+        ybar = sum_y / self.n
+        mun = (self.kappa0 * mu0 + sum_y) / kn
+        scatter = np.array(self.sum_yy) - self.n * np.outer(ybar, ybar)
+        shift = (self.kappa0 * self.n / kn) * np.outer(ybar - mu0, ybar - mu0)
+        return mun, kn, vn, T0 + scatter + shift
 
     def _student_1d(self):
-        """Dim 1 Student t mean, df and squared scale, in plain floats."""
+        """Dim 1 Student t mean, df and squared scale."""
         kn = self.kappa0 + self.n
         df = self.nu0 + self.n
-        mu0 = float(self.mu0[0])
-        mun, tn = mu0, float(self.T0[0, 0])
+        mu0 = self.mu0[0]
+        mun, tn = mu0, self.T0[0][0]
         if self.n:
-            s = float(self.sum_y[0])
+            s = self.sum_y[0]
             ybar = s / self.n
             mun = (self.kappa0 * mu0 + s) / kn
-            scatter = float(self.sum_yy[0, 0]) - self.n * ybar * ybar
+            scatter = self.sum_yy[0][0] - self.n * ybar * ybar
             tn += scatter + (self.kappa0 * self.n / kn) * (ybar - mu0) ** 2
         return mun, df, tn * (kn + 1.0) / (kn * df)
 
@@ -274,10 +282,10 @@ class NormalWishart:
     def _score(self, y) -> float:
         mun, df, scale, const = self._refresh()
         if self.dim == 1:
-            d = float(y[0]) - mun
+            d = y[0] - mun
             q = d * d / scale
         else:
-            u = np.linalg.solve(scale, y - mun)
+            u = np.linalg.solve(scale, np.subtract(y, mun))
             q = float(u @ u)
         return const - 0.5 * (df + self.dim) * math.log1p(q / df)
 
@@ -287,14 +295,11 @@ class NormalWishart:
     def update(self, y) -> float:
         lp = self._score(y)
         self.n += 1
-        if self.dim == 1:
-            # elementwise, without the array temporaries of the general form
-            v = float(y[0])
-            self.sum_y[0] += v
-            self.sum_yy[0, 0] += v * v
-        else:
-            self.sum_y += y
-            self.sum_yy += np.outer(y, y)
+        sum_y = self.sum_y
+        for i, (v, row) in enumerate(zip(y, self.sum_yy)):
+            sum_y[i] += v
+            for j, w in enumerate(y):
+                row[j] += v * w
         self._cache = None
         return lp
 
@@ -313,28 +318,23 @@ class NormalWishart:
     def prior(self):
         return {
             "kind": "normal_wishart",
-            "mu0": self.mu0.tolist(),
+            "mu0": self.mu0[:],
             "kappa0": self.kappa0,
             "nu0": self.nu0,
-            "T0": self.T0.tolist(),
+            "T0": [row[:] for row in self.T0],
         }
 
     def state_dict(self):
         return {
             **self.prior(),
             "n": self.n,
-            "sum_y": self.sum_y.tolist(),
-            "sum_yy": self.sum_yy.tolist(),
+            "sum_y": self.sum_y[:],
+            "sum_yy": [row[:] for row in self.sum_yy],
         }
 
     @classmethod
     def from_state(cls, state):
-        obj = cls(
-            np.asarray(state["mu0"]),
-            kappa0=state["kappa0"],
-            nu0=state["nu0"],
-            scale=np.asarray(state["T0"]),
-        )
+        obj = cls(state["mu0"], kappa0=state["kappa0"], nu0=state["nu0"], scale=state["T0"])
         obj.n = int(state["n"])
         if obj.n < 0:
             raise BadConfig("Normal-Wishart count must be nonnegative")
@@ -348,8 +348,8 @@ class NormalWishart:
             raise BadConfig(f"Normal-Wishart sum_yy must be {m} by {m} and finite")
         if obj.n == 0 and (any(sum_y) or any(map(any, sum_yy))):
             raise BadConfig("Normal-Wishart sums must be zero before any observation")
-        obj.sum_y = np.array(sum_y, dtype=float)
-        obj.sum_yy = np.array(sum_yy, dtype=float)
+        obj.sum_y = [float(v) for v in sum_y]
+        obj.sum_yy = [[float(v) for v in row] for row in sum_yy]
         # Data only ever grows the posterior scale T0 + scatter + shift
         # from the positive definite T0, so sums that leave it otherwise
         # came from no data, and would fail the first predict.
@@ -458,8 +458,6 @@ class BayesTreeDensity:
         self._kid = [0]
         self._dim = self.box.dim
         self._pt = [0.0] * self._dim
-        self._lower = self.box.lower.tolist()
-        self._upper = self.box.upper.tolist()
         log_vol0 = math.log(self.box.volume())
         self._log_vol = [log_vol0 - k * math.log(2.0) for k in range(self.max_depth + 1)]
         self._log_gamma = math.log(self.gamma)
@@ -585,11 +583,11 @@ class BayesTreeDensity:
         box and ``max_depth`` alone, so every tree with this prior
         follows the same route. A wrong shape or a value that is not
         finite raises ``BadConfig``."""
-        y = _as_vector(y, self._dim)[1]
-        if not all(lo <= v <= hi for lo, v, hi in zip(self._lower, y, self._upper)):
+        y = _as_vector(y, self._dim)
+        if not self.box.contains(y, closed=True):
             return y, False, None
-        lo = list(self._lower)
-        hi = list(self._upper)
+        lo = list(self.box.lower)
+        hi = list(self.box.upper)
         route = []
         for _ in range(self.max_depth):
             d, mid = cut(lo, hi)
@@ -625,8 +623,8 @@ class BayesTreeDensity:
         return values[0] - old
 
     def sample(self, rng):
-        lo = list(self._lower)
-        hi = list(self._upper)
+        lo = list(self.box.lower)
+        hi = list(self.box.upper)
         node = 0  # None below the materialised tree: an empty node
         p = None  # a singleton's point, whose one-point chain the walk is on
         a = self.branch_pseudo
@@ -667,8 +665,8 @@ class BayesTreeDensity:
     def prior(self):
         return {
             "kind": "bayes_tree",
-            "lower": self.box.lower.tolist(),
-            "upper": self.box.upper.tolist(),
+            "lower": list(self.box.lower),
+            "upper": list(self.box.upper),
             "gamma": self.gamma,
             "branch_pseudo": self.branch_pseudo,
             "max_depth": self.max_depth,
@@ -751,7 +749,7 @@ class BayesTreeDensity:
         for d in range(dim):
             col = points[d::dim]
             if any(map(math.isnan, col)) or col and not (
-                self._lower[d] <= min(col) and max(col) <= self._upper[d]
+                self.box.lower[d] <= min(col) and max(col) <= self.box.upper[d]
             ):
                 raise BadConfig(f"a tree point lies outside {self.box!r}")
         root = n[0]
@@ -778,8 +776,8 @@ class BayesTreeDensity:
     @classmethod
     def from_state(cls, state, max_seen=None):
         obj = cls(
-            np.asarray(state["lower"]),
-            np.asarray(state["upper"]),
+            state["lower"],
+            state["upper"],
             gamma=state["gamma"],
             branch_pseudo=state["branch_pseudo"],
             max_depth=state["max_depth"],

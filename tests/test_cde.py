@@ -1,5 +1,6 @@
 """Streaming conditional density estimator, end to end."""
 
+import hashlib
 import json
 import math
 
@@ -17,6 +18,7 @@ from covermodels import (
     NormalWishart,
     OutOfSupport,
     VmmModel,
+    gen_gaussian_ring,
     gen_mixture,
     new_cde,
 )
@@ -385,3 +387,81 @@ def test_array_bounds_become_lists_and_serialise():
     model = CdeModel(cfg)
     model.absorb([0.5], [1.0])
     assert CdeModel.from_text(model.to_text()).to_text() == model.to_text()
+
+
+def _pinned_model(name):
+    """A trained model and three (x, y) queries, the last outside the x
+    box, so it is clamped."""
+    if name == "nw+tree, 1-d y":
+        data = gen_mixture(300, "uniform", seed=5)
+        cfg = CdeConfig.from_data(data.x, data.y)
+        queries = [([0.5], [1.0]), ([-3.0], [-2.5]), ([100.0], [0.25])]
+    elif name == "nw+tree, 2-d y":
+        data = gen_gaussian_ring(200, seed=7)
+        cfg = CdeConfig.from_data(data.x, data.y)
+        queries = [([0.1], [1.0, 0.1]), ([3.0], [-0.9, 0.2]), ([-50.0], [0.0, -1.0])]
+    else:
+        data = gen_gaussian_ring(200, seed=8)
+        cfg = CdeConfig(x_lower=[-2.0], x_upper=[7.0], y_dim=2, components=("nw",))
+        queries = [([0.1], [1.0, 0.1]), ([4.7], [0.0, -1.0]), ([9.0], [5.0, 5.0])]
+    model = CdeModel(cfg)
+    model.fit_stream(data.x, data.y)
+    return model, queries
+
+
+_PINNED = {
+    "nw+tree, 1-d y": (
+        "9227d1ce43a4a2b5b5a37e892bb9c44a9501a6f1a35f17f03020f66edf9e6328",
+        33,
+        ["-5.689046075763888", "-0.7938001664585482", "-1.7797129424724072"],
+        [
+            "[2.4715626412188967]",
+            "[1.8305881329342828]",
+            "[-2.157337859966203]",
+            "[-2.305968958958263]",
+            "[-1.7495466158782937]",
+            "[-2.26174897790969]",
+        ],
+    ),
+    "nw+tree, 2-d y": (
+        "4ee80381c71204f24cfde489016f554ee345dec4522eea7176c384a01dd425ab",
+        29,
+        ["1.1737811607264241", "0.24622690863988037", "-1.7203047570668766"],
+        [
+            "[0.9793848079067666, 0.08918797403611559]",
+            "[0.9415735019014586, 0.12295814083158876]",
+            "[-0.8909831906717536, 0.09742307454511445]",
+            "[-0.679535168555693, 0.13899691920528465]",
+            "[0.8296686092417022, -1.15640444885526]",
+            "[1.2925520862174362, 1.0631459848578486]",
+        ],
+    ),
+    "nw only, y_dim 2": (
+        "294c77f9759decbea1018d743f4cb1d427feddf7d89f9edc9fee3385b464a71a",
+        25,
+        ["0.5094509230271821", "0.25792781611914634", "-9.71118469597062"],
+        [
+            "[1.2415892377290454, 0.07870709825205312]",
+            "[0.8622818806461101, 0.15872851588379802]",
+            "[0.202359036143761, -0.9362120232889223]",
+            "[-0.5345498660597983, -0.4010300782148639]",
+            "[-0.48933187422520114, -0.20823149683501524]",
+            "[-1.9742234169289201, -0.7228395223401541]",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_outputs_are_pinned(name):
+    """Snapshot text, log densities and seeded draws of three fixed
+    models, recorded before the kd cover and the Normal-Wishart local
+    kept plain floats: storage changes must leave every one bit-equal."""
+    model, queries = _pinned_model(name)
+    digest, n_contexts, logdens, draws = _PINNED[name]
+    assert model.n_contexts == n_contexts
+    assert hashlib.sha256(model.to_text().encode()).hexdigest() == digest
+    assert [repr(model.predict_logdensity(x, y)) for x, y in queries] == logdens
+    rng = np.random.default_rng(13)
+    got = [repr(np.atleast_1d(model.sample_y(x, rng)).tolist()) for x, _ in queries for _ in "ab"]
+    assert got == draws

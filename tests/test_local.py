@@ -88,6 +88,16 @@ class TestDirichletMultinomial:
 
 
 class TestNormalWishart:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_prepared_y_and_sums_are_float_lists(self, dim):
+        nw = NormalWishart([0.0] * dim)
+        py = nw.prepare(np.arange(dim) + 0.5)
+        assert type(py) is list and py == [0.5, 1.5][:dim]
+        assert all(type(v) is float for v in py)
+        nw.update(py)
+        assert nw.sum_y == py
+        assert nw.sum_yy == [[v * w for w in py] for v in py]
+
     def test_univariate_matches_quadrature(self):
         """Frozen dblquad integrals over the (mean, precision) posterior.
 
@@ -502,7 +512,7 @@ class MaterialisedTree:
 
     def __init__(self, lower, upper, gamma=0.5, branch_pseudo=0.5, max_depth=12):
         box = Box(lower, upper)
-        self.lower, self.upper = box.lower.tolist(), box.upper.tolist()
+        self.lower, self.upper = list(box.lower), list(box.upper)
         self.gamma, self.a, self.max_depth = float(gamma), float(branch_pseudo), max_depth
         log_vol0 = math.log(box.volume())
         self.log_vol = [log_vol0 - k * math.log(2.0) for k in range(max_depth + 1)]

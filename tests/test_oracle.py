@@ -33,11 +33,8 @@ class TestCutEnumeration:
     def test_every_cut_is_an_antichain_hitting_all_leaves(self):
         cov = random_static_tree(np.random.default_rng(8))
         enum = ExactEnumerator(cov, flat_w0(cov), dirichlet_block_marginal(2, 0.5))
-        box = cov.root_box
-        probes = [
-            box.lower + (box.upper - box.lower) * f
-            for f in np.linspace(0.01, 0.99, 23)
-        ]
+        lower, upper = np.array(cov.root_box.lower), np.array(cov.root_box.upper)
+        probes = [lower + (upper - lower) * f for f in np.linspace(0.01, 0.99, 23)]
         for cut, _ in enum.cuts:
             for p in probes:
                 path = cov.match_levels(p)

@@ -314,6 +314,20 @@ def test_next_symbol_logprobs_are_the_one_symbol_predictives(alphabet, depth, pr
             assert got[a] == m.posterior.predict_logdensity(m.context, a)
 
 
+def test_load_refuses_a_float_suffix_symbol():
+    """A suffix symbol 1.9 once loaded as 1, truncated, and the model
+    predicted as if nothing had been edited."""
+    m = VmmModel(2, 3)
+    m.fit_sequence([0, 1, 1, 0, 1])
+    head, posterior, rest = m.to_text().split("\n", 2)
+    meta = json.loads(posterior)
+    suffixes = meta["cover"]["suffixes"]
+    meta["cover"]["suffixes"] = [[1.9 if s == 1 else s for s in suf] for suf in suffixes]
+    edited = "\n".join([head, json.dumps(meta, sort_keys=True), rest])
+    with pytest.raises(BadConfig, match="not an int"):
+        VmmModel.from_text(edited)
+
+
 def test_snapshot_text_is_pinned():
     """The snapshot text of a fixed stream, recorded before the Dirichlet
     locals kept plain float counts and the engine cached log w0."""
