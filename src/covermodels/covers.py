@@ -310,6 +310,10 @@ class KdTreeCover(CoverSequence):
             )
         return self._split_leaf(cid)
 
+    def buffered_ys(self):
+        """Every buffered y, leaf by leaf, oldest first."""
+        return (y for buf in self._buffer.values() for _, y in buf)
+
     def points_under(self):
         """Number of buffered points in the leaves under each context."""
         under = {}
@@ -358,8 +362,10 @@ class KdTreeCover(CoverSequence):
 
         Raises ``BadConfig`` unless every split record splits a leaf
         above ``max_depth`` at ``Box.split_largest`` of its box, every
-        leaf and only leaves have a buffer, and every buffered x lies in
-        its leaf's box.
+        leaf and only leaves have a buffer, every buffered x lies in its
+        leaf's box and every buffered y value is a float, as
+        ``observe_and_refine`` keeps it. A y may be NaN here: a cover
+        used alone buffers whatever y it is given.
         """
         cover = cls(
             Box(state["root_lower"], state["root_upper"]),
@@ -405,7 +411,11 @@ class KdTreeCover(CoverSequence):
                 for lo, v, hi, t in zip(box.lower, x, box.upper, top):
                     if not (lo <= v < hi or v == hi == t):
                         raise BadConfig(f"buffered x {x} outside its leaf {box!r}")
-                buf.append((tuple(x), tuple(flat[i + dim:i + width])))
+                y = flat[i + dim:i + width]
+                for v in y:
+                    if type(v) is not float:
+                        raise BadConfig(f"buffered y {y} in leaf {key} is not all floats")
+                buf.append((tuple(x), tuple(y)))
             cover._buffer[cid] = buf
         return cover
 

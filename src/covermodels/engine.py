@@ -26,6 +26,11 @@ closed form. Per context c three log quantities suffice:
   it obeys the per observation update g' = g * pi / psi where pi is
   c's local predictive and psi its subtree predictive.
 
+Each context also keeps the pair (log g, log(1 - g)), which changes
+only with m or lambda. ``_refresh_lambda`` sets it right after lambda,
+and ``_init_state`` for a new context; every query, absorb and sample
+reads the kept pair and recomputes nothing.
+
 One absorb scores every matched context once. A local's ``update``
 returns its predictive from before the update, which is the pi above,
 so the pass that updates the locals also supplies every pi. The
@@ -48,8 +53,8 @@ density's partition) for every local on the path.
 A snapshot (format version 3) holds only sufficient statistics: per
 context its stop weight, ``log_m``, ``log_trunc`` and local counts and
 sums, plus the cover's split records and buffered points. ``log_lambda``
-is recomputed bottom-up on load, bit for bit, and the structure is
-checked (``from_text``). Versions 1 and 2 are refused.
+and the stop pair are recomputed bottom-up on load, bit for bit, and
+the structure is checked (``from_text``). Versions 1 and 2 are refused.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ import math
 from .covers import cover_from_state
 from .errors import BadConfig
 from .local import check_nested, check_seen, local_from_state
-from .logspace import log1mexp, logaddexp
+from .logspace import LOG2, log1mexp, logaddexp
 
 SNAPSHOT_FORMAT = "covermodels-snapshot"
 # Version 3 stores no derived state and flat trees, buffers and cover
@@ -98,9 +103,19 @@ class ContextState:
 
     ``log_w0`` and ``log1m_w0`` are log(w0) and log(1 - w0), kept with
     w0 by ``set_w0`` because every recursion step reads them.
+
+    ``log_g`` and ``log1m_g`` are the stop posterior's log g =
+    min(0, log_w0 + log_m - log_lambda) and log(1 - g). The posterior
+    sets them (``set_stop``) in ``_refresh_lambda``, right after
+    ``log_lambda``, and in ``_init_state``; ``_phi``, ``stop_posterior``
+    and ``sample_y`` read them. The constructor leaves them unset, so a
+    load computes them once per context, in its bottom-up refresh.
     """
 
-    __slots__ = ("local", "w0", "log_w0", "log1m_w0", "log_m", "log_trunc", "log_lambda")
+    __slots__ = (
+        "local", "w0", "log_w0", "log1m_w0", "log_m", "log_trunc", "log_lambda",
+        "log_g", "log1m_g",
+    )
 
     def __init__(self, local, w0):
         self.local = local
@@ -114,6 +129,13 @@ class ContextState:
         self.log_w0 = math.log(w0)
         self.log1m_w0 = log1mexp(self.log_w0)
 
+    def set_stop(self):
+        """Set the kept pair (log g, log(1 - g)) from ``log_w0``,
+        ``log_m`` and ``log_lambda``."""
+        lg = min(0.0, self.log_w0 + self.log_m - self.log_lambda)
+        self.log_g = lg
+        self.log1m_g = log1mexp(lg)
+
     def copy(self) -> "ContextState":
         """A copy holding ``local.copy()``."""
         st = ContextState.__new__(ContextState)
@@ -124,6 +146,8 @@ class ContextState:
         st.log_m = self.log_m
         st.log_trunc = self.log_trunc
         st.log_lambda = self.log_lambda
+        st.log_g = self.log_g
+        st.log1m_g = self.log1m_g
         return st
 
 
@@ -183,6 +207,7 @@ class CoverModelPosterior:
         if not 0.0 < w0 <= 1.0:
             raise BadConfig(f"stop weight {w0} at depth {ctx.depth} not in (0, 1]")
         st = ContextState(self.local_factory(), w0)
+        st.set_stop()
         self.states[ctx.cid] = st
         return st
 
@@ -203,20 +228,17 @@ class CoverModelPosterior:
         st = self.states[cid]
         if not ctx.child_ids:
             st.log_lambda = st.log_m
-            return
-        log_sub = 0.0
-        for d in ctx.child_ids:
-            log_sub += self.states[d].log_lambda
-        st.log_lambda = logaddexp(st.log_w0 + st.log_m, st.log1m_w0 + st.log_trunc + log_sub)
+        else:
+            log_sub = 0.0
+            for d in ctx.child_ids:
+                log_sub += self.states[d].log_lambda
+            st.log_lambda = logaddexp(st.log_w0 + st.log_m, st.log1m_w0 + st.log_trunc + log_sub)
+        st.set_stop()
 
     def _refresh_all(self):
         # a context is made after its parents, so children have larger ids
         for cid in sorted(self.states, reverse=True):
             self._refresh_lambda(cid)
-
-    def _log_g(self, cid) -> float:
-        st = self.states[cid]
-        return min(0.0, st.log_w0 + st.log_m - st.log_lambda)
 
     def stop_posterior(self, cid) -> float:
         """Posterior probability that the walk stops at cid given reach.
@@ -231,7 +253,7 @@ class CoverModelPosterior:
             self.cover.growth_mode != "truncate" or ctx.depth >= self.cover.max_depth
         ):
             return 1.0
-        return math.exp(self._log_g(cid))
+        return math.exp(self.states[cid].log_g)
 
     # ---- prediction -------------------------------------------------------
 
@@ -244,56 +266,65 @@ class CoverModelPosterior:
         """Log predictive of the virtual continuation past a truncated
         path (see ``_truncated``) at the prepared y ``py``, else None."""
         if self._truncated(path):
-            return float(self._fresh.log_predictive(py))
+            return self._fresh.log_predictive(py)
         return None
 
-    def _stops(self, path):
-        """Per context on a path, its log stop posterior and the log of
-        its complement: (log g, log(1 - g))."""
-        return [(lg, log1mexp(lg)) for lg in map(self._log_g, path)]
-
-    def _phi(self, stops, logpi, virtual):
+    def _phi(self, states, logpi, virtual):
         """Subtree predictive of each context on a matched path.
 
-        ``stops`` holds each context's ``_stops`` pair, ``logpi`` its
-        local log predictive and ``virtual`` the virtual continuation's
-        (see ``_virtual``). Returns log psi per context, root first,
-        where psi is the subtree mixture value used by the walk; the
-        root's is the log marginal. The stop posteriors must be those in
-        force, so an absorb reads them before committing anything.
+        ``states`` holds each context's state, whose kept stop pair
+        (``log_g``, ``log1m_g``) is read here, ``logpi`` its local log
+        predictive and ``virtual`` the virtual continuation's (see
+        ``_virtual``). Returns log psi per context, root first, where
+        psi is the subtree mixture value used by the walk; the root's is
+        the log marginal. The stop posteriors must be those in force, so
+        an absorb reads them before committing anything.
         """
         logpsi = [0.0] * len(logpi)
         psi = virtual  # what the deepest context continues to, if anything
         for k in range(len(logpi) - 1, -1, -1):
-            (lg, lmg), lp = stops[k], logpi[k]
+            st, lp = states[k], logpi[k]
+            lg = st.log_g
             if psi is None or lg >= 0.0:
                 psi = lp
             else:
-                psi = logaddexp(lg + lp, lmg + psi)
+                # logaddexp(a, b), inline to save a call per context: the
+                # same branches and operations, so the same values
+                a = lg + lp
+                b = st.log1m_g + psi
+                if a == b:
+                    psi = a + LOG2
+                else:
+                    d = a - b
+                    if d > 0:
+                        psi = a + math.log1p(math.exp(-d))
+                    elif d <= 0:
+                        psi = b + math.log1p(math.exp(d))
+                    else:
+                        psi = d  # a or b is nan
             logpsi[k] = psi
         return logpsi
 
     def _query(self, x, ys):
         """Score every y of ys at x without changing anything.
 
-        x is prepared and matched once, and each context's stop
-        posterior is read once for all of ys. Returns the path and, per
-        y, (log pi per context, log psi per context).
+        x is prepared and matched once for all of ys. Returns the path
+        and, per y, (log pi per context, log psi per context).
         """
         path = self.cover.match_levels(self.cover.prepare_query(x))
-        locals_ = [self.states[cid].local for cid in path]
-        stops = self._stops(path)
+        states = [self.states[cid] for cid in path]
+        locals_ = [st.local for st in states]
         out = []
         for y in ys:
             py = self._fresh.prepare(y)
-            logpi = [float(local.log_predictive(py)) for local in locals_]
-            out.append((logpi, self._phi(stops, logpi, self._virtual(path, py))))
+            logpi = [local.log_predictive(py) for local in locals_]
+            out.append((logpi, self._phi(states, logpi, self._virtual(path, py))))
         return path, out
 
     def log_predictives(self, x, ys):
         """Log predictive density (or mass) of each y of ys at x, as a
-        list. Does not mutate. One call costs one match and one stop
-        posterior per context however many ys it scores."""
+        list. Does not mutate. One call costs one match however many ys
+        it scores, and reads each context's kept stop posterior."""
         return [logpsi[0] for _, logpsi in self._query(x, ys)[1]]
 
     def predict_logdensity(self, x, y) -> float:
@@ -347,7 +378,7 @@ class CoverModelPosterior:
             for cid in made:
                 logpi.append(self._init_state(self.cover.contexts[cid]).local.update(py))
         # the stop posteriors read here change only below
-        logmarg = self._phi(self._stops(path), logpi, self._virtual(path, py))[0]
+        logmarg = self._phi([states[cid] for cid in path], logpi, self._virtual(path, py))[0]
 
         for cid, lp in zip(path, logpi):
             states[cid].log_m += lp
@@ -377,13 +408,14 @@ class CoverModelPosterior:
         matched path, stopping at each context with its stop posterior."""
         xq = self.cover.prepare_query(x)
         path = self.cover.match_levels(xq)
-        for cid in path[:-1]:
-            if rng.uniform() < math.exp(self._log_g(cid)):
-                return self.states[cid].local.sample(rng)
-        cid = path[-1]
-        if self._truncated(path) and rng.uniform() >= math.exp(self._log_g(cid)):
+        states = [self.states[cid] for cid in path]
+        for st in states[:-1]:
+            if rng.uniform() < math.exp(st.log_g):
+                return st.local.sample(rng)
+        st = states[-1]
+        if self._truncated(path) and rng.uniform() >= math.exp(st.log_g):
             return self._fresh.sample(rng)
-        return self.states[cid].local.sample(rng)
+        return st.local.sample(rng)
 
     # ---- persistence ------------------------------------------------------
 
@@ -420,7 +452,7 @@ class CoverModelPosterior:
         """Rebuild a posterior from ``to_text`` output, format version 3.
 
         The local factory is not serialised and must be supplied again.
-        ``log_lambda`` is recomputed bottom-up.
+        ``log_lambda`` and the stop pairs are recomputed bottom-up.
 
         Raises ``BadConfig`` on a snapshot of another version, or one
         whose structure does not hold together: the checks of the
@@ -429,13 +461,14 @@ class CoverModelPosterior:
         a state for each context and for no other, and counts that agree
         with what the cover routed. The root's local was offered every
         observation; on a kd cover each context's local was offered the
-        points buffered in the leaves under it, and those add up to
-        ``n_obs``; elsewhere children hold no more points than their
-        parent. Not checked, because that would take a refit: ``log_m``,
-        ``log_trunc``, the values of the Normal-Wishart sums beyond
-        their shapes, finiteness and positive posterior scale, and a
-        tree density's singleton against its cell below the root. Every
-        context's local must have the prior of the factory's.
+        points buffered in the leaves under it, those add up to
+        ``n_obs``, and every buffered y is finite; elsewhere children
+        hold no more points than their parent. Not checked, because
+        that would take a refit: ``log_m``, ``log_trunc``, the values of
+        the Normal-Wishart sums beyond their shapes, finiteness and
+        positive posterior scale, and a tree density's singleton against
+        its cell below the root. Every context's local must have the
+        prior of the factory's.
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
@@ -482,6 +515,12 @@ class CoverModelPosterior:
         for cid, st in states.items():
             if st.local.prior() != prior:
                 raise BadConfig(f"context {cid}'s local has another prior than the model's")
+        if obj.cover.growth_mode == "replay":
+            # every buffered y passed the fresh local's prepare when it was
+            # absorbed, and the next split replays it
+            for y in obj.cover.buffered_ys():
+                if not all(map(math.isfinite, y)):
+                    raise BadConfig(f"buffered y {list(y)} is not finite")
         obj._refresh_all()
         obj._check_counts()
         return obj

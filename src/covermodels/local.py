@@ -119,14 +119,13 @@ class DirichletMultinomial:
     def prepare(self, y) -> int:
         return as_symbol(y, len(self.alpha))
 
-    def _score(self, y: int) -> float:
+    def log_predictive(self, y: int) -> float:
         return math.log(self.alpha[y] + self.counts[y]) - math.log(self._alpha_sum + self._seen)
 
-    def log_predictive(self, y: int) -> float:
-        return self._score(y)
-
     def update(self, y: int) -> float:
-        lp = self._score(y)
+        # log_predictive's score, inline: a log_predictive call is a query,
+        # which profiles count apart from updates
+        lp = math.log(self.alpha[y] + self.counts[y]) - math.log(self._alpha_sum + self._seen)
         self.counts[y] += 1.0
         self._seen += 1.0
         return lp

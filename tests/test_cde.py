@@ -259,6 +259,23 @@ class TestSnapshot:
         with pytest.raises(BadConfig):
             CdeModel.from_text('{"kind": "vmm"}\n')
 
+    @pytest.mark.parametrize("value", [math.nan, "0.5"], ids=["nan", "string"])
+    def test_a_buffered_y_that_is_not_a_finite_float_is_refused(self, value):
+        """A buffered NaN once loaded, and the absorb that split its leaf
+        raised from the replay after the path's locals had changed; a
+        string loaded, was replayed as 0.5 and was written back as a
+        string."""
+        model = CdeModel(CdeConfig(**_UNIT))
+        model.absorb([0.2], [0.1])
+        model.absorb([0.7], [0.9])
+        head, posterior, rest = model.to_text().split("\n", 2)
+        meta = json.loads(posterior)
+        assert meta["cover"]["buffers"] == {"0": [0.2, 0.1, 0.7, 0.9]}
+        meta["cover"]["buffers"]["0"][1] = value
+        edited = "\n".join([head, json.dumps(meta, sort_keys=True), rest])
+        with pytest.raises(BadConfig, match="buffered y"):
+            CdeModel.from_text(edited)
+
     @pytest.mark.parametrize("head", ['{"kind": "cde", "config": {"bogus": 1}}', "not json"])
     def test_rejects_malformed_headers(self, head):
         with pytest.raises(BadConfig):

@@ -21,6 +21,7 @@ from covermodels import (
     dirichlet_block_marginal,
     parse_depth_weight,
 )
+from covermodels.logspace import log1mexp
 from conftest import attach_random_engine, random_static_tree, random_xy
 
 
@@ -223,6 +224,81 @@ class TestRefreshAfterAbsorb:
         for s in np.random.default_rng(7).integers(3, size=120).tolist():
             model.observe(s)
             _assert_lambdas_equal_a_full_refresh(model.posterior)
+
+
+def _assert_stop_pairs_kept(post):
+    """Every context keeps the (log g, log(1 - g)) recomputed from its
+    log_w0, log_m and log_lambda, bit for bit."""
+    for cid, st in post.states.items():
+        lg = min(0.0, st.log_w0 + st.log_m - st.log_lambda)
+        assert (st.log_g, st.log1m_g) == (lg, log1mexp(lg)), cid
+
+
+def _assert_same_stop_pairs(post, other):
+    assert other.states.keys() == post.states.keys()
+    for cid, st in post.states.items():
+        assert (other.states[cid].log_g, other.states[cid].log1m_g) == (st.log_g, st.log1m_g)
+
+
+class TestKeptStopPairs:
+    """The stop pair each context keeps is the one its evidence gives,
+    after every absorb, split, suffix extension, load, copy and
+    ``set_w0``."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), cut=st.integers(0, 40))
+    def test_kd_replay_splits_and_load(self, seed, n, cut):
+        rng = np.random.default_rng(seed)
+        cov = KdTreeCover(Box([0.0, 0.0], [1.0, 1.0]), alpha=1.5, max_depth=8)
+        factory = lambda: DirichletMultinomial(2, 0.5)
+        post = CoverModelPosterior(cov, factory, depth_weight="2^-k")
+        _assert_stop_pairs_kept(post)
+        stream = [(rng.uniform(0.0, 1.0, size=2), int(rng.integers(2))) for _ in range(n)]
+        for i, (x, y) in enumerate(stream):
+            if i == cut:
+                # a loaded copy keeps the same pairs, and continues to
+                post = CoverModelPosterior.from_text(post.to_text(), factory)
+                _assert_stop_pairs_kept(post)
+            post.absorb(x, y)
+            _assert_stop_pairs_kept(post)
+        loaded = CoverModelPosterior.from_text(post.to_text(), factory)
+        _assert_same_stop_pairs(post, loaded)
+
+    @given(
+        alphabet=st.integers(2, 4),
+        depth=st.integers(1, 6),
+        stream=st.lists(st.integers(0, 3), max_size=40),
+        more=st.lists(st.integers(0, 3), max_size=20),
+    )
+    def test_suffix_extension_copy_and_load(self, alphabet, depth, stream, more):
+        model = VmmModel(alphabet, depth)
+        _assert_stop_pairs_kept(model.posterior)
+        for s in stream:
+            model.observe(s % alphabet)
+            _assert_stop_pairs_kept(model.posterior)
+        clone = model.copy()
+        loaded = VmmModel.from_text(model.to_text())
+        _assert_same_stop_pairs(model.posterior, clone.posterior)
+        _assert_same_stop_pairs(model.posterior, loaded.posterior)
+        # a cleared history truncates paths above the maximum depth
+        clone.history.clear()
+        for m in (clone, loaded):
+            for s in more:
+                m.observe(s % alphabet)
+                _assert_stop_pairs_kept(m.posterior)
+        _assert_stop_pairs_kept(model.posterior)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_set_w0_before_and_during_a_stream(self, seed):
+        rng = np.random.default_rng(seed)
+        cov = random_static_tree(rng)
+        post, _ = attach_random_engine(rng, cov)  # set_w0 on every context
+        _assert_stop_pairs_kept(post)
+        for _ in range(int(rng.integers(1, 9))):
+            post.absorb(*random_xy(rng, cov))
+            _assert_stop_pairs_kept(post)
+            cid = int(rng.choice(sorted(cov.contexts)))
+            post.set_w0(cid, float(rng.uniform(0.05, 1.0)))
+            _assert_stop_pairs_kept(post)
 
 
 class TestSnapshot:
