@@ -54,11 +54,6 @@ from .local import (
     NormalWishart,
     local_from_state,
 )
-from .oracle import (
-    ExactEnumerator,
-    dirichlet_block_marginal,
-    normal_wishart_block_marginal,
-)
 from .vmm import CtwOracle, VmmModel, ctw_logprob
 
 __version__ = "0.1.0"
@@ -82,7 +77,6 @@ __all__ = [
     "DirichletMultinomial",
     "DoubleKernelCde",
     "EvalRecord",
-    "ExactEnumerator",
     "KdTreeCover",
     "MissingColumn",
     "MixtureLocal",
@@ -98,7 +92,6 @@ __all__ = [
     "cover_from_state",
     "ctw_logprob",
     "default_checkpoints",
-    "dirichlet_block_marginal",
     "fit_cv",
     "gen_gaussian_ring",
     "gen_markov",
@@ -107,7 +100,6 @@ __all__ = [
     "load_symbols",
     "local_from_state",
     "new_cde",
-    "normal_wishart_block_marginal",
     "parse_depth_weight",
     "read_records_csv",
     "run_eval",

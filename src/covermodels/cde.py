@@ -228,6 +228,13 @@ class CdeModel:
             or parse_depth_weight(config.depth_weight)[0] != post.depth_weight_spec
         ):
             raise BadConfig("cde snapshot header disagrees with its posterior")
+        if config.components == ("tree",):
+            # the split that replays such a y would raise after changing
+            # the path's locals; a mixture with nw skips it instead
+            ybox = Box(config.y_lower, config.y_upper)
+            for y in cover.buffered_ys():
+                if not ybox.contains(y, closed=True):
+                    raise BadConfig(f"buffered y {list(y)} is outside the tree's y box")
         prior = obj._make_local()
         if isinstance(prior, MixtureLocal):
             for cid, st in post.states.items():

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import BadConfig, DegenerateData, ZeroDenominator
 
@@ -22,12 +21,33 @@ LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _sqdist(a, b):
-    """Squared Euclidean distances between the rows of a and b. Only
-    this baseline needs ``scipy.spatial``, a large import, so it is
-    imported on first use rather than with the package."""
-    from scipy.spatial.distance import cdist
+    """Squared Euclidean distances between the rows of a and b.
 
-    return cdist(a, b, "sqeuclidean")
+    Squared differences are added one dimension at a time, the order
+    in which ``scipy.spatial.distance.cdist`` sums them, so the two
+    agree bit for bit. Only two n x m arrays are live at once; a
+    broadcast n x m x d difference would hold d of them.
+    """
+    out = np.zeros((a.shape[0], b.shape[0]))
+    d = np.empty_like(out)
+    for k in range(a.shape[1]):
+        np.subtract(a[:, k, None], b[None, :, k], out=d)
+        d *= d
+        out += d
+    return out
+
+
+def _logsumexp_rows(a):
+    """log(sum(exp(a))) along each row of a 2-d array.
+
+    Each row's max is shifted out first. A max that is not finite is
+    replaced by 0, so a row of -inf gives -inf, not nan, and without a
+    divide warning.
+    """
+    m = np.max(a, axis=1)
+    m[~np.isfinite(m)] = 0.0
+    with np.errstate(divide="ignore"):
+        return m + np.log(np.sum(np.exp(a - m[:, None]), axis=1))
 
 
 def _as_matrix(a, name):
@@ -69,11 +89,11 @@ class DoubleKernelCde:
         for s in range(0, xq.shape[0], block):
             e = min(s + block, xq.shape[0])
             a = -_sqdist(xq[s:e], self.x) / (2.0 * self.hx**2)
-            den = logsumexp(a, axis=1)
+            den = _logsumexp_rows(a)
             if not np.all(np.isfinite(den)):
                 raise ZeroDenominator("covariate kernel sum underflowed")
             b = -_sqdist(yq[s:e], self.y) / (2.0 * self.hy**2)
-            num = logsumexp(a + b, axis=1)
+            num = _logsumexp_rows(a + b)
             out[s:e] = num - den - norm
         return out
 
@@ -146,9 +166,9 @@ def fit_cv(
         dyt = dy2[np.ix_(test, train)]
         for a, hx in enumerate(grid_hx):
             ax = -dxt / (2.0 * hx**2)
-            den = logsumexp(ax, axis=1)
+            den = _logsumexp_rows(ax)
             for b, hy in enumerate(grid_hy):
-                num = logsumexp(ax - dyt / (2.0 * hy**2), axis=1)
+                num = _logsumexp_rows(ax - dyt / (2.0 * hy**2))
                 const = dy * (math.log(hy) + LOG_SQRT_2PI)
                 scores[a, b] += float(np.sum(num - den - const))
     best = int(np.argmax(scores))

@@ -23,12 +23,12 @@ import math
 from collections import deque
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .covers import SuffixTreeCover
 from .engine import CoverModelPosterior
 from .errors import BadConfig, TooLargeToEnumerate, UnknownSymbol
 from .local import DirichletMultinomial, as_symbol
+from .logspace import logsumexp
 
 _PRIORS = {"kt": 0.5, "laplace": 1.0}
 
@@ -284,7 +284,7 @@ class CtwOracle:
                 c[y] += 1.0
                 c[-1] += 1.0
             totals.append(log_prior + ll)
-        return float(logsumexp(totals))
+        return logsumexp(totals)
 
 
 @functools.lru_cache(maxsize=16)

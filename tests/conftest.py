@@ -10,12 +10,10 @@ from covermodels import (
     Box,
     CoverModelPosterior,
     DirichletMultinomial,
-    ExactEnumerator,
     KdTreeCover,
     NormalWishart,
-    dirichlet_block_marginal,
-    normal_wishart_block_marginal,
 )
+from oracle import ExactEnumerator, dirichlet_block_marginal, normal_wishart_block_marginal
 
 # Property tests draw the same examples on every run and are not timed
 # per example, so they cannot flake on a loaded host; no example

@@ -22,7 +22,7 @@ import math
 import numpy as np
 from scipy.special import gammaln, logsumexp, multigammaln
 
-from .errors import BadConfig, TooLargeToEnumerate
+from covermodels.errors import BadConfig, TooLargeToEnumerate
 
 
 class ExactEnumerator:

@@ -276,6 +276,28 @@ class TestSnapshot:
         with pytest.raises(BadConfig, match="buffered y"):
             CdeModel.from_text(edited)
 
+    def test_a_tree_only_snapshot_refuses_a_buffered_y_outside_the_y_box(self):
+        """It once loaded, and the absorb that split its leaf raised
+        OutOfSupport from the replay after the path's locals had
+        changed. A model with nw as well skips such a y in the tree and
+        loads it."""
+        texts = {}
+        for components in [("tree",), ("nw", "tree")]:
+            model = CdeModel(CdeConfig(**_UNIT, components=components))
+            model.absorb([0.2], [0.1])
+            model.absorb([0.7], [0.9])
+            head, posterior, rest = model.to_text().split("\n", 2)
+            meta = json.loads(posterior)
+            assert meta["cover"]["buffers"] == {"0": [0.2, 0.1, 0.7, 0.9]}
+            meta["cover"]["buffers"]["0"][1] = 5.0
+            texts[components] = "\n".join([head, json.dumps(meta, sort_keys=True), rest])
+        with pytest.raises(BadConfig, match="buffered y"):
+            CdeModel.from_text(texts[("tree",)])
+        both = CdeModel.from_text(texts[("nw", "tree")])
+        with pytest.warns(RuntimeWarning, match="skipped an out-of-support"):
+            both.absorb([0.3], [0.4])
+        assert both.n_obs == 3
+
     @pytest.mark.parametrize("head", ['{"kind": "cde", "config": {"bogus": 1}}', "not json"])
     def test_rejects_malformed_headers(self, head):
         with pytest.raises(BadConfig):

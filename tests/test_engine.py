@@ -15,14 +15,13 @@ from covermodels import (
     Box,
     CoverModelPosterior,
     DirichletMultinomial,
-    ExactEnumerator,
     KdTreeCover,
     VmmModel,
-    dirichlet_block_marginal,
     parse_depth_weight,
 )
 from covermodels.logspace import log1mexp
 from conftest import attach_random_engine, random_static_tree, random_xy
+from oracle import ExactEnumerator, dirichlet_block_marginal
 
 
 class TestDepthWeight:

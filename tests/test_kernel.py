@@ -1,11 +1,15 @@
 """Nadaraya-Watson style conditional density baseline."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
+from scipy.special import logsumexp
 
-from covermodels import BadConfig, DegenerateData, DoubleKernelCde, fit_cv
+from covermodels import BadConfig, DegenerateData, DoubleKernelCde, ZeroDenominator, fit_cv
+from covermodels.kernel import _logsumexp_rows, _sqdist
 
 
 def brute_log_density(x, y, hx, hy, xq, yq):
@@ -70,11 +74,45 @@ class TestDensity:
         dens = np.exp([model.log_density([0.2], [v]) for v in ys])
         assert np.trapezoid(dens, ys) == pytest.approx(1.0, abs=1e-6)
 
+    def test_an_underflowed_covariate_sum_is_refused(self):
+        model = DoubleKernelCde([0.0, 1.0], [0.0, 1.0], hx=1e-160, hy=1.0)
+        # 2 hx^2 is subnormal, so every scaled distance overflows to inf
+        with pytest.raises(ZeroDenominator), np.errstate(over="ignore"):
+            model.log_density_batch([0.5], [0.5])
+
     def test_shape_validation(self):
         with pytest.raises(BadConfig):
             DoubleKernelCde(np.zeros((3, 1)), np.zeros((4, 1)), 1.0, 1.0)
         with pytest.raises(BadConfig):
             DoubleKernelCde(np.zeros((3, 1)), np.zeros((3, 1)), -1.0, 1.0)
+
+
+class TestHelpers:
+    """The numpy helpers against the scipy calls they replace."""
+
+    def test_row_logsumexp_matches_scipy(self):
+        """Within a few ulps on rows with and without -inf entries; a
+        row of -inf gives -inf, without a warning."""
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(50, 300)) * 40.0
+        a[rng.random(a.shape) < 0.3] = -np.inf
+        a[7] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _logsumexp_rows(a)
+        want = logsumexp(a, axis=1)
+        assert got[7] == -np.inf and want[7] == -np.inf
+        finite = np.isfinite(want)
+        assert finite.sum() == 49
+        ulps = np.abs(got[finite] - want[finite]) / np.spacing(np.abs(want[finite]))
+        assert ulps.max() <= 4
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_squared_distances_equal_cdist_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(60, dim)) * 3.0
+        b = rng.normal(size=(45, dim))
+        np.testing.assert_array_equal(_sqdist(a, b), cdist(a, b, "sqeuclidean"))
 
 
 class TestCrossValidation:

@@ -20,11 +20,11 @@ from covermodels import (
     NormalWishart,
     OutOfSupport,
     UnknownSymbol,
-    dirichlet_block_marginal,
     local_from_state,
 )
 from covermodels.local import _lgamma_tables
 from covermodels.logspace import LOG2, logaddexp
+from oracle import dirichlet_block_marginal
 
 
 class TestDirichletMultinomial:

@@ -6,12 +6,10 @@ from scipy.special import logsumexp
 
 from covermodels import (
     DirichletMultinomial,
-    ExactEnumerator,
     NormalWishart,
     TooLargeToEnumerate,
-    dirichlet_block_marginal,
-    normal_wishart_block_marginal,
 )
+from oracle import ExactEnumerator, dirichlet_block_marginal, normal_wishart_block_marginal
 from conftest import learn, random_static_tree, score
 
 

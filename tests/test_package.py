@@ -10,16 +10,19 @@ def test_every_exported_name_resolves_once():
         assert getattr(covermodels, name, None) is not None, name
 
 
-def test_import_leaves_scipy_spatial_to_the_kernel_baseline():
+def test_the_package_runs_without_scipy():
+    """scipy is a test dependency: importing the package, fitting the
+    kernel baseline, the CTW oracle and both models' updates must work
+    with scipy unimportable."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     src = str(Path(covermodels.__file__).resolve().parents[1])
-    code = "import sys, covermodels; print('scipy.spatial' in sys.modules)"
+    smoke = str(Path(__file__).with_name("no_scipy_smoke.py"))
     out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
+        [sys.executable, smoke], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "ok"
