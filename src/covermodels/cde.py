@@ -199,6 +199,10 @@ class CdeModel:
         with, as far as its cover, stop weights and locals show:
         contexts made after the restore take their locals from it.
 
+        Every buffered y must have ``y_dim`` values, and for a tree-only
+        model lie in the y box: a split hands the buffered ys to the new
+        contexts' ``absorb_block`` without checking them again.
+
         A mixture's weights are a posterior, so only a context whose
         components have all seen no point still holds the prior weights
         the header's ``mixture_weights`` give, and each such context
@@ -228,9 +232,15 @@ class CdeModel:
             or parse_depth_weight(config.depth_weight)[0] != post.depth_weight_spec
         ):
             raise BadConfig("cde snapshot header disagrees with its posterior")
+        # the cover's record gives every buffered y one length, so one
+        # value checks them all
+        y_dim = config.y_dim if config.y_dim is not None else len(config.y_lower)
+        y = next(cover.buffered_ys(), None)
+        if y is not None and len(y) != y_dim:
+            raise BadConfig(f"buffered y {list(y)} has length {len(y)}, expected {y_dim}")
         if config.components == ("tree",):
-            # the split that replays such a y would raise after changing
-            # the path's locals; a mixture with nw skips it instead
+            # a split would leave a new context with -inf evidence; a
+            # mixture with nw skips such a y in its tree instead
             ybox = Box(config.y_lower, config.y_upper)
             for y in cover.buffered_ys():
                 if not ybox.contains(y, closed=True):

@@ -39,7 +39,12 @@ still in force, and only after that are m, trunc and lambda committed.
 
 Growth comes in two flavours. Covers that report ``replay`` (kd trees)
 hand back the buffered block of each new child so its state is rebuilt
-as if the child had always existed. Covers that report ``truncate``
+as if the child had always existed: the child's fresh local absorbs
+the block in one ``absorb_block`` call, whose closed-form block
+marginal is the child's ``log_m``. Every local is exchangeable, so
+that is the product of the block's sequential predictives, up to
+rounding. The buffered ys passed ``prepare`` when they were absorbed,
+so a replay prepares nothing. Covers that report ``truncate``
 (suffix trees) materialise contexts lazily; a chain that ends above
 the maximum depth leaves a truncation factor behind and predictions
 mix in a virtual continuation drawn from a fresh local model.
@@ -162,13 +167,15 @@ class CoverModelPosterior:
         Called with no arguments, builds the local model of y for a new
         context, every time with the same prior. A local offers
         ``prepare(y)``, ``log_predictive(py)``, ``update(py)``,
-        ``sample(rng)`` and ``prior()`` (see ``local.py``). The
+        ``sample(rng)`` and ``prior()``, and on a kd cover
+        ``absorb_block(ys)`` (see ``local.py``). The
         factory's first product stays empty: it is the virtual
         continuation past a truncated path and the reference prior a
         snapshot is checked against on load. Its ``prepare`` checks y,
         and routes it through a tree density's partition, once per
-        absorb, per queried y and per replayed point, and every local on
-        the path reads that one prepared y.
+        absorb and per queried y, and every local on the path reads that
+        one prepared y. A kd cover's replayed block goes to a new
+        context's ``absorb_block`` as buffered, unprepared.
     depth_weight : str
         Prior stop weight rule, see ``parse_depth_weight``.
     """
@@ -389,8 +396,7 @@ class CoverModelPosterior:
             for _, kids in self.cover.observe_and_refine(xq, y, path[-1]):
                 for cid, block in kids:
                     st = self._init_state(self.cover.contexts[cid])
-                    for _, yb in block:
-                        st.log_m += st.local.update(self._fresh.prepare(yb))
+                    st.log_m = st.local.absorb_block([yb for _, yb in block])
                     new.append(cid)
         # a split makes its children after their parent, and every new
         # context lies below the path, so this refreshes children first

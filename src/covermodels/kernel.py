@@ -88,11 +88,14 @@ class DoubleKernelCde:
         out = np.empty(xq.shape[0])
         for s in range(0, xq.shape[0], block):
             e = min(s + block, xq.shape[0])
-            a = -_sqdist(xq[s:e], self.x) / (2.0 * self.hx**2)
+            # a tiny bandwidth overflows a scaled distance to inf, which
+            # the finiteness check below turns into ZeroDenominator
+            with np.errstate(over="ignore"):
+                a = -_sqdist(xq[s:e], self.x) / (2.0 * self.hx**2)
+                b = -_sqdist(yq[s:e], self.y) / (2.0 * self.hy**2)
             den = _logsumexp_rows(a)
             if not np.all(np.isfinite(den)):
                 raise ZeroDenominator("covariate kernel sum underflowed")
-            b = -_sqdist(yq[s:e], self.y) / (2.0 * self.hy**2)
             num = _logsumexp_rows(a + b)
             out[s:e] = num - den - norm
         return out

@@ -19,6 +19,14 @@ already placed their x. The shared duck type:
   ``OutOfSupport`` before any state changes.
 
   A caller with a raw y writes ``local.update(local.prepare(y))``.
+* ``absorb_block(ys)``: absorb a whole block into a local that has
+  seen no point, and return the block's log marginal in closed form.
+  The state equals that of ``update`` on each y in turn, bit for bit;
+  the marginal equals the sum of ``update``'s returns up to rounding.
+  ``ys`` are y tuples as a kd cover buffers them, each of which passed
+  ``prepare`` when it was absorbed (and which a snapshot load checks
+  again), so they are not checked here: a wrong length or a value
+  that is not finite is the caller's fault.
 * ``sample(rng)``: draw y from the posterior predictive.
 * ``prior()``: the model's kind and hyperparameters as plain data,
   none of what it has learnt. Every context of one cover model has the
@@ -34,7 +42,8 @@ already placed their x. The shared duck type:
   context's local.
 
 All are exchangeable in y, so sequential products of predictives equal
-batch marginal likelihoods, which the exact posterior engine relies on.
+batch marginal likelihoods, which the exact posterior engine relies on,
+and which ``absorb_block`` computes directly.
 """
 
 from __future__ import annotations
@@ -129,6 +138,21 @@ class DirichletMultinomial:
         self.counts[y] += 1.0
         self._seen += 1.0
         return lp
+
+    def absorb_block(self, ys) -> float:
+        """Count the block's symbols (``as_symbol``, which takes the
+        one-float tuples a kd cover buffers) and return the Dirichlet
+        block marginal."""
+        if self._seen:
+            raise BadConfig("absorb_block needs a local that has seen no point")
+        counts, size = self.counts, len(self.counts)
+        for s in [as_symbol(y, size) for y in ys]:
+            counts[s] += 1.0
+            self._seen += 1.0
+        a_sum = self._alpha_sum
+        return sum(
+            math.lgamma(a + c) - math.lgamma(a) for a, c in zip(self.alpha, counts) if c
+        ) + (math.lgamma(a_sum) - math.lgamma(a_sum + self._seen))
 
     @property
     def n_seen(self) -> float:
@@ -235,10 +259,9 @@ class NormalWishart:
         shift = (self.kappa0 * self.n / kn) * np.outer(ybar - mu0, ybar - mu0)
         return mun, kn, vn, T0 + scatter + shift
 
-    def _student_1d(self):
-        """Dim 1 Student t mean, df and squared scale."""
+    def _posterior_1d(self):
+        """Dim 1 posterior mean, kappa, nu and scale, as floats."""
         kn = self.kappa0 + self.n
-        df = self.nu0 + self.n
         mu0 = self.mu0[0]
         mun, tn = mu0, self.T0[0][0]
         if self.n:
@@ -247,6 +270,11 @@ class NormalWishart:
             mun = (self.kappa0 * mu0 + s) / kn
             scatter = self.sum_yy[0][0] - self.n * ybar * ybar
             tn += scatter + (self.kappa0 * self.n / kn) * (ybar - mu0) ** 2
+        return mun, kn, self.nu0 + self.n, tn
+
+    def _student_1d(self):
+        """Dim 1 Student t mean, df and squared scale."""
+        mun, kn, df, tn = self._posterior_1d()
         return mun, df, tn * (kn + 1.0) / (kn * df)
 
     def _refresh(self):
@@ -291,8 +319,8 @@ class NormalWishart:
     def log_predictive(self, y) -> float:
         return self._score(y)
 
-    def update(self, y) -> float:
-        lp = self._score(y)
+    def _add(self, y):
+        """Count y and add it to the sums."""
         self.n += 1
         sum_y = self.sum_y
         for i, (v, row) in enumerate(zip(y, self.sum_yy)):
@@ -300,7 +328,46 @@ class NormalWishart:
             for j, w in enumerate(y):
                 row[j] += v * w
         self._cache = None
+
+    def update(self, y) -> float:
+        lp = self._score(y)
+        self._add(y)
         return lp
+
+    def absorb_block(self, ys) -> float:
+        """Add the block to the sums, as ``update`` does, and return the
+        conjugate block marginal
+
+            -(n m / 2) log pi + (m / 2) (log kappa0 - log kappa_n)
+            + logGamma_m(nu_n / 2) - logGamma_m(nu0 / 2)
+            + (nu0 / 2) log|T0| - (nu_n / 2) log|T_n|
+
+        in ``math`` floats; numpy computes the log determinants above
+        dim 1."""
+        if self.n:
+            raise BadConfig("absorb_block needs a local that has seen no point")
+        for y in ys:
+            self._add(y)
+        m = self.dim
+        if m == 1:
+            _, kn, vn, tn = self._posterior_1d()
+            logdet0, logdetn = math.log(self.T0[0][0]), math.log(tn)
+        else:
+            _, kn, vn, tn = self.posterior_params()
+            logdet0 = float(np.linalg.slogdet(np.array(self.T0))[1])
+            logdetn = float(np.linalg.slogdet(tn)[1])
+        # logGamma_m(a) = m (m - 1) / 4 log pi + sum_j lgamma(a - j / 2);
+        # the log pi terms of the two cancel
+        log_gammas = 0.0
+        for j in range(m):
+            log_gammas += math.lgamma(0.5 * (vn - j)) - math.lgamma(0.5 * (self.nu0 - j))
+        return (
+            -0.5 * self.n * m * math.log(math.pi)
+            + 0.5 * m * (math.log(self.kappa0) - math.log(kn))
+            + log_gammas
+            + 0.5 * self.nu0 * logdet0
+            - 0.5 * vn * logdetn
+        )
 
     @property
     def n_seen(self) -> int:
@@ -402,9 +469,9 @@ class BayesTreeDensity:
     Volumes halve per level, so vol at depth k is vol(root) / 2^k.
 
     ``_loglam`` is the only statement of that recursion. Scoring,
-    updating and rebuilding from a snapshot all go through it with the
-    same operands in the same order, so they agree bit for bit. Its
-    log-Beta terms come from ``_lgamma_tables``.
+    updating, absorbing a block and rebuilding from a snapshot all go
+    through it with the same operands in the same order, so they agree
+    bit for bit. Its log-Beta terms come from ``_lgamma_tables``.
 
     The tree stores only the nodes its points distinguish:
 
@@ -756,10 +823,22 @@ class BayesTreeDensity:
             raise BadConfig(f"tree root holds {root} points, more than {max_seen} observed")
         if max(n) > root:
             raise BadConfig("a tree node holds more points than the root")
-        self._lg_a, self._lg_2a = _lgamma_tables(self.branch_pseudo, root)
-        lam = [0.0] * size
-        one = self._one
-        for node in range(size - 1, -1, -1):
+        self._n, self._kid, self._pt = n, kid, pt
+        self._fill_values(depth)
+
+    def _fill_values(self, depth):
+        """Set every node value from the counts, in one backward pass
+        over node ids: a node's children have larger ids than it, so
+        each value comes after its children's, with the operands
+        ``_path_values`` would use. ``depth`` holds each node's depth.
+        Sizes the log-Beta tables by the root count first, and raises
+        ``BadConfig`` on a node whose count is not the sum of its
+        children's."""
+        n, kid = self._n, self._kid
+        self._lg_a, self._lg_2a = _lgamma_tables(self.branch_pseudo, n[0])
+        top, one = self.max_depth, self._one
+        lam = [0.0] * len(n)
+        for node in range(len(n) - 1, -1, -1):
             c, left = n[node], kid[node]
             if left:
                 nl = n[left]
@@ -770,7 +849,55 @@ class BayesTreeDensity:
                 lam[node] = self._loglam(top, c, 0, 0.0, 0.0)
             elif c:
                 lam[node] = one[depth[node]]
-        self._n, self._kid, self._lam, self._pt = n, kid, lam, pt
+        self._lam = lam
+
+    def absorb_block(self, ys) -> float:
+        """Absorb a block into the empty tree and return its log marginal,
+        the root's value (a Pólya tree marginal).
+
+        Each y inside the box goes in by counts alone, with the pushes
+        ``update`` makes, routed with ``cut`` only as deep as it goes;
+        ``_fill_values`` then computes every value once. Counts,
+        children, points and values equal those of ``update`` on each y
+        in turn, bit for bit. A y outside the box is skipped, and the
+        marginal is -inf.
+        """
+        counts, kid = self._n, self._kid
+        if counts[0]:
+            raise BadConfig("absorb_block needs a local that has seen no point")
+        top, box = self.max_depth, self.box
+        depth_of = [0]
+        skipped = False
+        for y in ys:
+            if not box.contains(y, closed=True):
+                skipped = True
+                continue
+            lo, hi = list(box.lower), list(box.upper)
+            node = depth = 0
+            while counts[node] and depth < top:
+                d, mid = cut(lo, hi)
+                counts[node] += 1
+                depth += 1
+                left = kid[node]
+                if not left:  # a singleton: push its point one level down
+                    left = self._split(node)
+                    depth_of += (depth, depth)
+                    p = self._point(node)
+                    q = left if p[d] < mid else left + 1
+                    counts[q] = 1
+                    if depth < top:
+                        self._put(q, p)
+                if y[d] < mid:
+                    hi[d] = mid
+                    node = left
+                else:
+                    lo[d] = mid
+                    node = left + 1
+            counts[node] += 1
+            if counts[node] == 1 and depth < top:  # an empty node turned singleton
+                self._put(node, y)
+        self._fill_values(depth_of)
+        return -math.inf if skipped else self._lam[0]
 
     @classmethod
     def from_state(cls, state, max_seen=None):
@@ -834,6 +961,30 @@ class MixtureLocal:
             raise OutOfSupport(f"no component supports the observation: {skipped}")
         self.log_w = [j - total for j in joint]
         if skipped is not None and not self._warned_skip:
+            warnings.warn(
+                "mixture component skipped an out-of-support observation",
+                RuntimeWarning,
+            )
+            self._warned_skip = True
+        return total
+
+    def absorb_block(self, ys) -> float:
+        """Absorb the block into every component. The log weights become
+        the prior's plus each component's block marginal, normalised,
+        and the normaliser is the block's log marginal. A component that
+        skipped an out-of-support y has marginal -inf and warns once, as
+        in ``update``; a block no component supports raises
+        ``OutOfSupport``. An empty block changes nothing, so the weights
+        stay the prior's, bit for bit."""
+        if not ys:
+            return 0.0
+        marg = [c.absorb_block(ys) for c in self.components]
+        joint = [w + e for w, e in zip(self.log_w, marg)]
+        total = logsumexp(joint)
+        if total == -math.inf:
+            raise OutOfSupport("no component supports the block")
+        self.log_w = [j - total for j in joint]
+        if -math.inf in marg and not self._warned_skip:
             warnings.warn(
                 "mixture component skipped an out-of-support observation",
                 RuntimeWarning,

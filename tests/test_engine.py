@@ -16,12 +16,13 @@ from covermodels import (
     CoverModelPosterior,
     DirichletMultinomial,
     KdTreeCover,
+    NormalWishart,
     VmmModel,
     parse_depth_weight,
 )
 from covermodels.logspace import log1mexp
 from conftest import attach_random_engine, random_static_tree, random_xy
-from oracle import ExactEnumerator, dirichlet_block_marginal
+from oracle import ExactEnumerator, dirichlet_block_marginal, normal_wishart_block_marginal
 
 
 class TestDepthWeight:
@@ -174,6 +175,34 @@ class TestReplayGrowth:
                     oracle.log_predictive(data, xq, 1), abs=1e-10
                 )
         assert cov.refinement_depth >= 2  # the cascade actually fired
+
+    @pytest.mark.parametrize("y_dim", [1, 2])
+    def test_grown_tree_with_normal_wishart_locals_equals_fresh_enumeration(self, y_dim):
+        """A split's children take their blocks as closed-form
+        Normal-Wishart marginals, which must give the enumeration's
+        evidence and predictives of the grown tree."""
+        rng = np.random.default_rng(11 + y_dim)
+        prior = dict(kappa0=0.7, nu0=y_dim + 1.5, scale=0.3 * np.eye(y_dim) + 0.1)
+        mu0 = [0.2] * y_dim
+        cov = KdTreeCover(Box([0.0, 0.0], [1.0, 1.0]), alpha=1.5, max_depth=5)
+        post = CoverModelPosterior(cov, lambda: NormalWishart(mu0, **prior), depth_weight="2^-k")
+        data = []
+        for i in range(40):
+            x = rng.uniform(0, 1, size=2)
+            y = x[:y_dim] + rng.normal(0.0, 0.2, size=y_dim)
+            data.append((x, y))
+            post.absorb(x, y)
+            if i in (4, 17, 39):
+                w0 = {c: post.states[c].w0 for c in cov.contexts}
+                oracle = ExactEnumerator(cov, w0, normal_wishart_block_marginal(mu0, **prior))
+                assert post.log_marginal_likelihood() == pytest.approx(
+                    oracle.log_evidence(data), abs=1e-10
+                )
+                xq, yq = rng.uniform(0, 1, size=2), rng.normal(0.5, 0.3, size=y_dim)
+                assert post.predict_logdensity(xq, yq) == pytest.approx(
+                    oracle.log_predictive(data, xq, yq), abs=1e-10
+                )
+        assert cov.refinement_depth >= 3  # splits, replays and a cascade fired
 
     def test_absorb_descends_the_tree_once(self, monkeypatch):
         """The leaf that buffers a point is the end of its matched path."""

@@ -76,8 +76,10 @@ class TestDensity:
 
     def test_an_underflowed_covariate_sum_is_refused(self):
         model = DoubleKernelCde([0.0, 1.0], [0.0, 1.0], hx=1e-160, hy=1.0)
-        # 2 hx^2 is subnormal, so every scaled distance overflows to inf
-        with pytest.raises(ZeroDenominator), np.errstate(over="ignore"):
+        # 2 hx^2 is subnormal, so every scaled distance overflows to inf,
+        # which must raise without a numpy warning first
+        with pytest.raises(ZeroDenominator), warnings.catch_warnings():
+            warnings.simplefilter("error")
             model.log_density_batch([0.5], [0.5])
 
     def test_shape_validation(self):

@@ -712,3 +712,142 @@ class TestTreeAgainstMaterialised:
         sd = bt.state_dict()
         assert sd["counts"][:2] == [-3, 1] and sd["points"] == [0.3]
         assert len(sd["counts"]) == len(bt._n)
+
+
+def _buffered(y):
+    """y as a kd cover buffers it: a tuple of floats."""
+    return tuple(np.asarray(y, dtype=float).reshape(-1).tolist())
+
+
+def _assert_marginal_close(block, sequential):
+    assert block == pytest.approx(sum(sequential), rel=1e-12, abs=1e-12)
+
+
+def _tree_state(bt):
+    return bt._n, bt._kid, bt._pt, bt._lam
+
+
+def _nw_tree_mixture(log_weights=None):
+    return MixtureLocal(
+        [
+            NormalWishart([0.0], kappa0=1.0, nu0=3.0, scale=[[1.0]]),
+            BayesTreeDensity([-3.0], [3.0], max_depth=6),
+        ],
+        log_weights,
+    )
+
+
+class TestAbsorbBlock:
+    """``absorb_block`` on a fresh local leaves the state ``update`` on
+    each y in turn leaves, bit for bit, and returns the sum of the
+    updates' returns up to rounding."""
+
+    @given(
+        alphabet=st.integers(2, 5),
+        concentration=st.sampled_from([0.5, 1.0, 0.3]),
+        stream=st.lists(st.integers(0, 4), max_size=60),
+    )
+    def test_dirichlet(self, alphabet, concentration, stream):
+        ys = [s % alphabet for s in stream]
+        seq = DirichletMultinomial(alphabet, concentration)
+        block = DirichletMultinomial(alphabet, concentration)
+        lps = [learn(seq, y) for y in ys]
+        _assert_marginal_close(block.absorb_block([_buffered(y) for y in ys]), lps)
+        assert (block.counts, block.n_seen) == (seq.counts, seq.n_seen)
+
+    @given(
+        dim=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 40),
+        repeats=st.booleans(),
+    )
+    def test_normal_wishart(self, dim, seed, n, repeats):
+        rng = np.random.default_rng(seed)
+        mu0 = rng.normal(size=dim).tolist()
+        a = rng.normal(size=(dim, dim))
+        kw = dict(
+            kappa0=float(rng.uniform(0.1, 3.0)),
+            nu0=dim + float(rng.uniform(0.0, 4.0)),
+            scale=(a @ a.T + 0.5 * np.eye(dim)).tolist(),
+        )
+        seq, block = NormalWishart(mu0, **kw), NormalWishart(mu0, **kw)
+        ys = rng.normal(size=(n, dim)) * rng.uniform(0.1, 5.0)
+        if repeats and n:
+            ys = ys[rng.integers(max(1, n // 4), size=n)]
+        lps = [learn(seq, y) for y in ys]
+        _assert_marginal_close(block.absorb_block([_buffered(y) for y in ys]), lps)
+        assert (block.n, block.sum_y, block.sum_yy) == (seq.n, seq.sum_y, seq.sum_yy)
+        for q in rng.normal(size=(3, dim)):
+            assert score(block, q) == score(seq, q)
+
+    @given(
+        dim=st.integers(1, 3),
+        max_depth=st.sampled_from([0, 1, 4, 12]),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 60),
+    )
+    def test_tree(self, dim, max_depth, seed, n):
+        """Repeated and dyadic-rounded points, and points on cell edges
+        (``tree_points``)."""
+        rng, lo, hi, _, seq = tree_pair(dim, max_depth, seed)
+        block = BayesTreeDensity(
+            lo, hi, gamma=seq.gamma, branch_pseudo=seq.branch_pseudo, max_depth=max_depth
+        )
+        ys = tree_points(rng, lo, hi, n)
+        lps = [learn(seq, y) for y in ys]
+        _assert_marginal_close(block.absorb_block([_buffered(y) for y in ys]), lps)
+        assert _tree_state(block) == _tree_state(seq)
+        for q in tree_points(rng, lo, hi, 5):
+            assert score(block, q) == score(seq, q)
+            assert learn(block, q) == learn(seq, q)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), outside=st.integers(0, 29))
+    def test_mixture_with_an_out_of_box_y(self, seed, n, outside):
+        """The tree skips the y outside its box and loses all weight; the
+        block warns once, as the updates do."""
+        rng = np.random.default_rng(seed)
+        ys = rng.uniform(-3.0, 3.0, size=n)
+        ys[outside % n] = 4.0 + rng.uniform()
+        seq, block = _nw_tree_mixture(), _nw_tree_mixture()
+        with warnings.catch_warnings(record=True) as seq_caught:
+            warnings.simplefilter("always")
+            lps = [learn(seq, y) for y in ys]
+        with warnings.catch_warnings(record=True) as block_caught:
+            warnings.simplefilter("always")
+            got = block.absorb_block([_buffered(y) for y in ys])
+        assert len(seq_caught) == len(block_caught) == 1
+        assert block_caught[0].category is RuntimeWarning
+        _assert_marginal_close(got, lps)
+        assert block.log_w[1] == seq.log_w[1] == -math.inf
+        assert block.log_w[0] == seq.log_w[0] == 0.0
+        (nw, tree), (seq_nw, seq_tree) = block.components, seq.components
+        assert (nw.n, nw.sum_y, nw.sum_yy) == (seq_nw.n, seq_nw.sum_y, seq_nw.sum_yy)
+        assert _tree_state(tree) == _tree_state(seq_tree)
+
+    def test_mixture_weights_follow_the_block_marginals(self):
+        ys = [_buffered(y) for y in np.random.default_rng(2).normal(0.0, 0.8, size=15)]
+        seq, block = _nw_tree_mixture([0.3, -0.2]), _nw_tree_mixture([0.3, -0.2])
+        lps = [learn(seq, y) for y in ys]
+        _assert_marginal_close(block.absorb_block(ys), lps)
+        assert block.log_w == pytest.approx(seq.log_w, rel=1e-12, abs=1e-12)
+
+    def test_an_empty_block_changes_nothing(self):
+        mix = MixtureLocal([NormalWishart([0.0]), BayesTreeDensity([0.0], [1.0])], [0.1, 0.7])
+        before = mix.state_dict()
+        assert mix.absorb_block([]) == 0.0
+        assert mix.state_dict() == before
+
+    def test_a_local_that_has_seen_a_point_is_refused(self):
+        for local, y in [
+            (DirichletMultinomial(2), (1.0,)),
+            (NormalWishart([0.0]), (0.5,)),
+            (BayesTreeDensity([0.0], [1.0]), (0.5,)),
+        ]:
+            local.absorb_block([y])
+            with pytest.raises(BadConfig):
+                local.absorb_block([y])
+
+    def test_a_block_no_component_supports_raises(self):
+        mix = MixtureLocal([BayesTreeDensity([0.0], [1.0])])
+        with pytest.raises(OutOfSupport):
+            mix.absorb_block([(2.0,)])
