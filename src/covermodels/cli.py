@@ -17,8 +17,8 @@ allowed) plus repeatable ``--set key=value`` overrides. Values parse
 as JSON when possible, else stay strings. Relative output paths are
 placed under $COVERMODELS_OUT when that is set.
 
-Exit codes: 0 success, 2 usage or configuration problems, 1 runtime
-failures.
+Exit codes: 0 success, 2 usage, configuration or input problems (a
+symbol outside the alphabet among them), 1 runtime failures.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .errors import (
     CoverModelError,
     MissingColumn,
     ParseError,
+    UnknownSymbol,
 )
 from .evaluate import run_eval, write_records_csv
 from .methods import (
@@ -419,7 +420,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (BadConfig, ParseError, MissingColumn) as exc:
+    except (BadConfig, ParseError, MissingColumn, UnknownSymbol) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CoverModelError as exc:

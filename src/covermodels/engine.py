@@ -469,12 +469,12 @@ class CoverModelPosterior:
         observation; on a kd cover each context's local was offered the
         points buffered in the leaves under it, those add up to
         ``n_obs``, and every buffered y is finite; elsewhere children
-        hold no more points than their parent. Not checked, because
-        that would take a refit: ``log_m``, ``log_trunc``, the values of
-        the Normal-Wishart sums beyond their shapes, finiteness and
-        positive posterior scale, and a tree density's singleton against
-        its cell below the root. Every context's local must have the
-        prior of the factory's.
+        hold no more points than their parent. ``log_evidence``, ``log_m``
+        and ``log_trunc`` are finite. Not checked, because that would take
+        a refit: their values, the Normal-Wishart sums beyond their
+        shapes, finiteness and positive posterior scale, and a tree
+        density's singleton against its cell below the root. Every
+        context's local must have the prior of the factory's.
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
@@ -498,6 +498,7 @@ class CoverModelPosterior:
         obj.depth_weight_spec, obj._w0_fn = parse_depth_weight(meta["depth_weight"])
         obj.n_obs = int(meta["n_obs"])
         obj.log_evidence = float(meta["log_evidence"])
+        logs = [obj.log_evidence]  # no model writes one that is not finite
         obj._fresh = local_factory()
         obj.states = states = {}
         contexts = obj.cover.contexts
@@ -513,7 +514,10 @@ class CoverModelPosterior:
             st = ContextState(local_from_state(rec["local"], obj.n_obs), w0)
             st.log_m = float(rec["log_m"])
             st.log_trunc = float(rec["log_trunc"])
+            logs += (st.log_m, st.log_trunc)
             states[cid] = st
+        if not all(map(math.isfinite, logs)):
+            raise BadConfig("snapshot log_evidence, log_m or log_trunc is not finite")
         if len(states) != len(contexts):
             missing = sorted(set(contexts) - set(states))
             raise BadConfig(f"snapshot lacks state for contexts {missing}")

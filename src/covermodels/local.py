@@ -23,6 +23,8 @@ already placed their x. The shared duck type:
   seen no point, and return the block's log marginal in closed form.
   The state equals that of ``update`` on each y in turn, bit for bit;
   the marginal equals the sum of ``update``'s returns up to rounding.
+  A tree density inserts with ``update``'s ``_insert``, then sets
+  every node value once with ``_refit``.
   ``ys`` are y tuples as a kd cover buffers them, each of which passed
   ``prepare`` when it was absorbed (and which a snapshot load checks
   again), so they are not checked here: a wrong length or a value
@@ -64,20 +66,20 @@ LOG_2PI = math.log(2.0 * math.pi)
 def as_symbol(y, alphabet_size) -> int:
     """y as an int symbol of an alphabet of ``alphabet_size``. An
     integer, an integral float such as 2.0 from a float data column, a
-    size-1 array holding one, or the one-float tuple a kd cover's
-    replayed block holds, passes; anything else, or a symbol outside
-    the alphabet, raises ``UnknownSymbol``."""
+    numpy scalar or size-1 array holding one, or the one-float tuple a
+    kd cover's replayed block holds, passes; anything else, or a symbol
+    outside the alphabet, raises ``UnknownSymbol`` with the plain value."""
     s = y
     if type(s) is not int:
-        if isinstance(s, np.ndarray) and s.size == 1:
+        if isinstance(s, (np.ndarray, np.generic)) and s.size == 1:
             s = s.item()
         elif type(s) is tuple and len(s) == 1:
             s = s[0]
         if not (isinstance(s, numbers.Real) and float(s).is_integer()):
-            raise UnknownSymbol(y, alphabet_size)
+            raise UnknownSymbol(s, alphabet_size)
         s = int(s)
     if not 0 <= s < alphabet_size:
-        raise UnknownSymbol(y, alphabet_size)
+        raise UnknownSymbol(s, alphabet_size)
     return s
 
 
@@ -184,8 +186,10 @@ class DirichletMultinomial:
         alpha, counts = state["alpha"], state["counts"]
         if len(alpha) < 2 or not all(a > 0 for a in alpha):
             raise BadConfig("concentration must be positive, one per symbol")
-        if len(counts) != len(alpha) or not all(c >= 0 for c in counts):
-            raise BadConfig("Dirichlet counts must be nonnegative, one per symbol")
+        if len(counts) != len(alpha) or not all(
+            type(c) in (int, float) and c >= 0 and float(c).is_integer() for c in counts
+        ):
+            raise BadConfig("Dirichlet counts must be nonnegative whole numbers, one per symbol")
         obj = cls.__new__(cls)
         obj._set([float(a) for a in alpha], [float(c) for c in counts])
         return obj
@@ -401,9 +405,9 @@ class NormalWishart:
     @classmethod
     def from_state(cls, state):
         obj = cls(state["mu0"], kappa0=state["kappa0"], nu0=state["nu0"], scale=state["T0"])
-        obj.n = int(state["n"])
-        if obj.n < 0:
-            raise BadConfig("Normal-Wishart count must be nonnegative")
+        obj.n = state["n"]
+        if type(obj.n) is not int or obj.n < 0:
+            raise BadConfig("Normal-Wishart count must be a nonnegative int")
         # shapes and finiteness, on plain floats
         m, sum_y, sum_yy = obj.dim, state["sum_y"], state["sum_yy"]
         if len(sum_y) != m or not all(map(math.isfinite, sum_y)):
@@ -484,8 +488,12 @@ class BayesTreeDensity:
     * A second point pushes a singleton's point down one level at a
       time while the two share a cell, so the chain ends where they
       part or at ``max_depth``. No point is stored at ``max_depth``.
-      ``log_predictive`` walks the same chain without materialising it,
-      with the same operands: ``_path_values`` walks y's path for both.
+
+    ``_insert``, which ``update`` and ``absorb_block`` share, is the one
+    insertion, pushes included. ``_refit`` is the one rule for a node's
+    value: ``update`` applies it up the path, ``_fill_values`` to every
+    node after a block or a load. ``_path_values`` (``log_predictive``)
+    only reads, with the operands those two would use.
 
     The partition is fixed by the box and ``max_depth``, as a Pólya
     tree's is, so y's route through it (split dimension, midpoint and
@@ -584,43 +592,85 @@ class BayesTreeDensity:
         dim = self._dim
         self._pt[node * dim:(node + 1) * dim] = y
 
-    def _path_values(self, route, push):
-        """Log values of the nodes on y's path once y is added.
+    def _insert(self, y, route=None):
+        """Count y in and return its path, root first, whose values are
+        left to ``_refit``. A singleton on the way pushes its point one
+        level down, into a child of value ``_one``. y ends at
+        ``max_depth`` or at an empty node, which turns singleton.
+        ``route`` is y's from ``prepare``; without one, y's cells are cut
+        only as deep as the walk goes."""
+        counts, kid, top = self._n, self._kid, self.max_depth
+        lo, hi = list(self.box.lower), list(self.box.upper)
+        node = depth = 0
+        path = [0]
+        while counts[node] and depth < top:
+            if route is None:
+                d, mid = cut(lo, hi)
+                if y[d] < mid:
+                    hi[d], side = mid, 0
+                else:
+                    lo[d], side = mid, 1
+            else:
+                d, mid, side = route[depth]
+            counts[node] += 1
+            depth += 1
+            left = kid[node]
+            if not left:  # a singleton: push its point one level down
+                left = self._split(node)
+                p = self._point(node)
+                q = left if p[d] < mid else left + 1
+                counts[q] = 1
+                self._lam[q] = self._one[depth]
+                if depth < top:
+                    self._put(q, p)
+            node = left + side
+            path.append(node)
+        counts[node] += 1
+        if counts[node] == 1 and depth < top:  # an empty node turned singleton
+            self._put(node, y)
+        return path
 
-        ``route`` is y's route from ``prepare``. Returns ``(nodes,
-        values)``, root first; ``nodes`` lists the materialised ones.
-        The path ends at ``max_depth`` or at the empty node where y
-        leaves every point. At a singleton, ``push`` pushes its point
-        one level down; otherwise the walk follows the singleton's
-        one-point chain without materialising it.
-        """
+    def _refit(self, nodes, depths):
+        """Set each node's value, at its depth in ``depths``, from its
+        count and its children's values, which come first. Raises
+        ``BadConfig`` on a count that is not the sum of its children's."""
+        n, kid, lam, top, one = self._n, self._kid, self._lam, self.max_depth, self._one
+        if len(self._lg_2a) <= n[0]:
+            self._lg_a, self._lg_2a = _lgamma_tables(self.branch_pseudo, n[0])
+        for node, depth in zip(nodes, depths):
+            c, left = n[node], kid[node]
+            if left:
+                nl = n[left]
+                if c != nl + n[left + 1]:
+                    raise BadConfig(f"tree node count {c} is not the sum of its children's")
+                lam[node] = self._loglam(depth, c, nl, lam[left], lam[left + 1])
+            elif c and depth == top:
+                lam[node] = self._loglam(top, c, 0, 0.0, 0.0)
+            elif c:
+                lam[node] = one[depth]
+
+    def _path_values(self, route):
+        """The root's log value were y, with route ``route``, added; a
+        read. The walk ends at ``max_depth`` or where y leaves every
+        point, follows a singleton's chain without materialising it, and
+        uses the operands ``_insert`` and ``_refit`` would."""
         counts, lams, kid, one = self._n, self._lam, self._kid, self._one
         if len(self._lg_2a) <= counts[0] + 1:
             self._lg_a, self._lg_2a = _lgamma_tables(self.branch_pseudo, counts[0] + 1)
-        max_depth = self.max_depth
         node = 0
-        nodes = [node]
         n = counts[node]
         p = None  # a singleton's point, whose one-point chain the walk is on
         steps = []  # per level: count, left child's count, off-path value, y's side
         for depth, (d, mid, side) in enumerate(route):
             if not n:
                 break
-            left = kid[node] if p is None else 0
-            if not left and p is None:  # a singleton
-                p = self._point(node)
-                if push:
-                    left = self._split(node)
-                    q = left if p[d] < mid else left + 1
-                    counts[q] = 1
-                    lams[q] = one[depth + 1]
-                    if depth + 1 < max_depth:
-                        self._put(q, p)
-                    p = None
+            if p is None:
+                left = kid[node]
+                if not left:  # a singleton
+                    p = self._point(node)
             if p is None:
                 steps.append((n, counts[left], lams[left + 1 - side], side))
                 node = left + side
-                nodes.append(node)
                 n = counts[node]
             else:
                 nl = 1 if p[d] < mid else 0
@@ -628,17 +678,14 @@ class BayesTreeDensity:
                 steps.append((n, nl, one[depth + 1] if parted else 0.0, side))
                 n = 0 if parted else 1
         # y alone below an empty node, or at max_depth
-        new = one[len(steps)] if not n else self._loglam(max_depth, n + 1, 0, 0.0, 0.0)
-        values = [new]
+        new = one[len(steps)] if not n else self._loglam(self.max_depth, n + 1, 0, 0.0, 0.0)
         for depth in range(len(steps) - 1, -1, -1):
             n, nl, other, side = steps[depth]
             if side == 0:
                 new = self._loglam(depth, n + 1, nl + 1, new, other)
             else:
                 new = self._loglam(depth, n + 1, nl, other, new)
-            values.append(new)
-        values.reverse()
-        return nodes, values
+        return new
 
     def prepare(self, y):
         """``(floats, inside, route)`` for y: its checked floats, whether
@@ -670,23 +717,16 @@ class BayesTreeDensity:
         if not inside:
             return -math.inf
         # the evidence ratio of the would-be update
-        _, values = self._path_values(route, push=False)
-        return values[0] - self._lam[0]
+        return self._path_values(route) - self._lam[0]
 
     def update(self, y) -> float:
         y, inside, route = y
         if not inside:
             raise OutOfSupport(f"{y!r} outside {self.box!r}")
         old = self._lam[0]
-        nodes, values = self._path_values(route, push=True)
-        counts, lams = self._n, self._lam
-        for node, value in zip(nodes, values):
-            counts[node] += 1
-            lams[node] = value
-        leaf = nodes[-1]
-        if counts[leaf] == 1 and len(nodes) <= self.max_depth:
-            self._put(leaf, y)  # an empty node turned singleton
-        return values[0] - old
+        path = self._insert(y, route)
+        self._refit(path[::-1], range(len(path) - 1, -1, -1))
+        return self._lam[0] - old
 
     def sample(self, rng):
         lo = list(self.box.lower)
@@ -769,15 +809,15 @@ class BayesTreeDensity:
         """Fill the empty tree from ``state_dict``'s flat lists.
 
         One forward pass lays out the nodes, each pair of children
-        after their parent, so a backward pass over node ids computes
-        every value after its children's, with the operands
-        ``_path_values`` would use. Raises ``BadConfig`` on a list that
-        is short or long, a count that is not an int or exceeds the
-        root's, a root count above ``max_seen`` (checked before any
-        table is sized by it), a split at ``max_depth``, a childless
-        node above ``max_depth`` with two or more points, a singleton
-        point outside the box, or a node whose count is not the sum of
-        its children's. A singleton point is not checked against its own
+        after their parent, and records their depths, so that
+        ``_fill_values`` computes every value after its children's.
+        Raises ``BadConfig`` on a list that is short or long, a count
+        that is not an int or exceeds the root's, a root count above
+        ``max_seen`` (checked before any table is sized by it), a split
+        at ``max_depth``, a childless node above ``max_depth`` with two
+        or more points, a singleton point that is not a float or lies
+        outside the box, or a node whose count is not the sum of its
+        children's. A singleton point is not checked against its own
         cell below the root.
         """
         size = len(counts)
@@ -812,6 +852,8 @@ class BayesTreeDensity:
             raise BadConfig("tree counts list is too short")
         if j != len(points):
             raise BadConfig("tree points list does not hold one point per singleton")
+        if not set(map(type, points)) <= {float}:
+            raise BadConfig("tree points must be floats")
         for d in range(dim):
             col = points[d::dim]
             if any(map(math.isnan, col)) or col and not (
@@ -826,77 +868,37 @@ class BayesTreeDensity:
         self._n, self._kid, self._pt = n, kid, pt
         self._fill_values(depth)
 
-    def _fill_values(self, depth):
-        """Set every node value from the counts, in one backward pass
-        over node ids: a node's children have larger ids than it, so
-        each value comes after its children's, with the operands
-        ``_path_values`` would use. ``depth`` holds each node's depth.
-        Sizes the log-Beta tables by the root count first, and raises
-        ``BadConfig`` on a node whose count is not the sum of its
-        children's."""
-        n, kid = self._n, self._kid
-        self._lg_a, self._lg_2a = _lgamma_tables(self.branch_pseudo, n[0])
-        top, one = self.max_depth, self._one
-        lam = [0.0] * len(n)
-        for node in range(len(n) - 1, -1, -1):
-            c, left = n[node], kid[node]
-            if left:
-                nl = n[left]
-                if c != nl + n[left + 1]:
-                    raise BadConfig(f"tree node count {c} is not the sum of its children's")
-                lam[node] = self._loglam(depth[node], c, nl, lam[left], lam[left + 1])
-            elif c and depth[node] == top:
-                lam[node] = self._loglam(top, c, 0, 0.0, 0.0)
-            elif c:
-                lam[node] = one[depth[node]]
-        self._lam = lam
+    def _fill_values(self, depth=None):
+        """``_refit`` every node, children (larger ids) first. ``depth``
+        holds each node's depth; without it, a forward pass finds them."""
+        kid = self._kid
+        if depth is None:
+            depth = [0] * len(kid)
+            for node, left in enumerate(kid):
+                if left:
+                    depth[left] = depth[left + 1] = depth[node] + 1
+        self._lam = [0.0] * len(kid)
+        self._refit(range(len(kid) - 1, -1, -1), reversed(depth))
 
     def absorb_block(self, ys) -> float:
         """Absorb a block into the empty tree and return its log marginal,
         the root's value (a Pólya tree marginal).
 
-        Each y inside the box goes in by counts alone, with the pushes
-        ``update`` makes, routed with ``cut`` only as deep as it goes;
-        ``_fill_values`` then computes every value once. Counts,
-        children, points and values equal those of ``update`` on each y
-        in turn, bit for bit. A y outside the box is skipped, and the
-        marginal is -inf.
+        Each y inside the box goes in through ``_insert`` with no route;
+        ``_fill_values`` then sets every value once. The state equals
+        that of ``update`` on each y in turn, bit for bit. A y outside
+        the box is skipped, and the marginal is -inf.
         """
-        counts, kid = self._n, self._kid
-        if counts[0]:
+        if self._n[0]:
             raise BadConfig("absorb_block needs a local that has seen no point")
-        top, box = self.max_depth, self.box
-        depth_of = [0]
+        box = self.box
         skipped = False
         for y in ys:
-            if not box.contains(y, closed=True):
+            if box.contains(y, closed=True):
+                self._insert(y)
+            else:
                 skipped = True
-                continue
-            lo, hi = list(box.lower), list(box.upper)
-            node = depth = 0
-            while counts[node] and depth < top:
-                d, mid = cut(lo, hi)
-                counts[node] += 1
-                depth += 1
-                left = kid[node]
-                if not left:  # a singleton: push its point one level down
-                    left = self._split(node)
-                    depth_of += (depth, depth)
-                    p = self._point(node)
-                    q = left if p[d] < mid else left + 1
-                    counts[q] = 1
-                    if depth < top:
-                        self._put(q, p)
-                if y[d] < mid:
-                    hi[d] = mid
-                    node = left
-                else:
-                    lo[d] = mid
-                    node = left + 1
-            counts[node] += 1
-            if counts[node] == 1 and depth < top:  # an empty node turned singleton
-                self._put(node, y)
-        self._fill_values(depth_of)
+        self._fill_values()
         return -math.inf if skipped else self._lam[0]
 
     @classmethod
@@ -946,6 +948,21 @@ class MixtureLocal:
             [w + c.log_predictive(py) for w, c, py in zip(self.log_w, self.components, y)]
         )
 
+    def _reweight(self, joint, skipped):
+        """Set the log weights to ``joint`` (prior log weight plus log
+        evidence, per component) normalised; return the normaliser.
+        ``skipped`` is why a component scored -inf, or None."""
+        total = logsumexp(joint)
+        if total == -math.inf:
+            raise OutOfSupport(f"no component supports the observation: {skipped}")
+        self.log_w = [j - total for j in joint]
+        if skipped is not None and not self._warned_skip:
+            warnings.warn(
+                "mixture component skipped an out-of-support observation", RuntimeWarning
+            )
+            self._warned_skip = True
+        return total
+
     def update(self, y) -> float:
         joint = []
         skipped = None
@@ -956,41 +973,17 @@ class MixtureLocal:
                 # the component raised before changing: it scores -inf
                 joint.append(-math.inf)
                 skipped = exc
-        total = logsumexp(joint)
-        if total == -math.inf:
-            raise OutOfSupport(f"no component supports the observation: {skipped}")
-        self.log_w = [j - total for j in joint]
-        if skipped is not None and not self._warned_skip:
-            warnings.warn(
-                "mixture component skipped an out-of-support observation",
-                RuntimeWarning,
-            )
-            self._warned_skip = True
-        return total
+        return self._reweight(joint, skipped)
 
     def absorb_block(self, ys) -> float:
-        """Absorb the block into every component. The log weights become
-        the prior's plus each component's block marginal, normalised,
-        and the normaliser is the block's log marginal. A component that
-        skipped an out-of-support y has marginal -inf and warns once, as
-        in ``update``; a block no component supports raises
-        ``OutOfSupport``. An empty block changes nothing, so the weights
-        stay the prior's, bit for bit."""
+        """Absorb the block into every component and reweight by their
+        block marginals, -inf for one that skipped an out-of-support y.
+        An empty block keeps the prior's weights, bit for bit."""
         if not ys:
             return 0.0
         marg = [c.absorb_block(ys) for c in self.components]
-        joint = [w + e for w, e in zip(self.log_w, marg)]
-        total = logsumexp(joint)
-        if total == -math.inf:
-            raise OutOfSupport("no component supports the block")
-        self.log_w = [j - total for j in joint]
-        if -math.inf in marg and not self._warned_skip:
-            warnings.warn(
-                "mixture component skipped an out-of-support observation",
-                RuntimeWarning,
-            )
-            self._warned_skip = True
-        return total
+        skipped = "a y of the block is out of support" if -math.inf in marg else None
+        return self._reweight([w + e for w, e in zip(self.log_w, marg)], skipped)
 
     def sample(self, rng):
         k = rng.choice(len(self.components), p=np.exp(self.log_w))

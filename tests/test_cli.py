@@ -145,6 +145,24 @@ class TestScore:
         diff = [l for l in text.splitlines() if l.startswith("difference=")]
         assert diff and abs(float(diff[0].split("=")[1])) < 1e-9
 
+    @pytest.mark.parametrize("flag", [None, "--train", "--holdout"])
+    def test_a_symbol_outside_the_alphabet_exits_2(self, flag, tmp_path, capsys):
+        """Like a token that is not a symbol, it is an input problem; the
+        message names the symbol, not its numpy form."""
+        bad, good = tmp_path / "bad.txt", tmp_path / "good.txt"
+        bad.write_text("0 1 5 1\n")
+        good.write_text("0 1 1 0 1\n")
+        if flag is None:
+            code = run("score", "--file", bad, "--alphabet", 2)
+        else:
+            files = {"--train": good, "--holdout": good, flag: bad}
+            code = run("fit-eval", "--method", "vmm", "--set", "alphabet_size=2",
+                       "--train", files["--train"], "--holdout", files["--holdout"],
+                       "--out", tmp_path / "r.csv")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: symbol 5 not in alphabet of size 2\n"
+
 
 class TestSample:
     def test_from_vmm_snapshot(self, tmp_path, capsys):

@@ -362,7 +362,7 @@ class TestMixtureLocal:
 
     def test_all_out_of_support(self):
         mix = MixtureLocal([BayesTreeDensity([-1.0], [1.0], max_depth=4)])
-        with pytest.raises(OutOfSupport):
+        with pytest.raises(OutOfSupport, match=r"\[5\.0\] outside"):  # the component's reason
             learn(mix, 5.0)
 
     def test_round_trip(self):
@@ -788,18 +788,21 @@ class TestAbsorbBlock:
     )
     def test_tree(self, dim, max_depth, seed, n):
         """Repeated and dyadic-rounded points, and points on cell edges
-        (``tree_points``)."""
-        rng, lo, hi, _, seq = tree_pair(dim, max_depth, seed)
+        (``tree_points``). The block and the updates share ``_insert``,
+        so both are also held to the independent ``MaterialisedTree``."""
+        rng, lo, hi, ref, seq = tree_pair(dim, max_depth, seed)
         block = BayesTreeDensity(
             lo, hi, gamma=seq.gamma, branch_pseudo=seq.branch_pseudo, max_depth=max_depth
         )
         ys = tree_points(rng, lo, hi, n)
         lps = [learn(seq, y) for y in ys]
+        assert [ref.update(y) for y in ys] == lps
         _assert_marginal_close(block.absorb_block([_buffered(y) for y in ys]), lps)
+        assert block.log_evidence == seq.log_evidence == ref.log_evidence
         assert _tree_state(block) == _tree_state(seq)
         for q in tree_points(rng, lo, hi, 5):
-            assert score(block, q) == score(seq, q)
-            assert learn(block, q) == learn(seq, q)
+            assert score(block, q) == score(seq, q) == ref.log_predictive(q)
+            assert learn(block, q) == learn(seq, q) == ref.update(q)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), outside=st.integers(0, 29))
     def test_mixture_with_an_out_of_box_y(self, seed, n, outside):
@@ -851,3 +854,38 @@ class TestAbsorbBlock:
         mix = MixtureLocal([BayesTreeDensity([0.0], [1.0])])
         with pytest.raises(OutOfSupport):
             mix.absorb_block([(2.0,)])
+
+
+def _trained_state(kind):
+    local = {
+        "dirichlet": lambda: DirichletMultinomial(2),
+        "nw": lambda: NormalWishart([0.0]),
+        "tree": lambda: BayesTreeDensity([0.0], [2.0], max_depth=4),
+    }[kind]()
+    ys = {"dirichlet": [0, 0, 1, 1, 1], "nw": np.linspace(-1.0, 1.0, 40), "tree": [1.0]}[kind]
+    for y in ys:
+        learn(local, y)
+    return local.state_dict()
+
+
+@pytest.mark.parametrize(
+    "kind,key,value",
+    [
+        ("dirichlet", "counts", [1.5, 3.5]),
+        ("dirichlet", "counts", [2.0, math.inf]),
+        ("nw", "n", 40.9),
+        ("nw", "n", "40"),
+        ("nw", "n", True),
+        ("tree", "points", [True]),
+        ("tree", "points", [1]),
+    ],
+)
+def test_a_local_record_of_the_wrong_type_is_refused(kind, key, value):
+    """Counts that sum right but are not whole, a Normal-Wishart count
+    that ``int()`` once truncated, and a singleton point that is not a
+    float all used to load."""
+    state = _trained_state(kind)
+    local_from_state(state)  # the untouched record loads
+    state[key] = value
+    with pytest.raises(BadConfig):
+        local_from_state(state)

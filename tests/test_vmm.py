@@ -264,6 +264,26 @@ class TestSnapshot:
         with pytest.raises(BadConfig):
             VmmModel.from_text(json.dumps(meta) + "\n" + rest)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["log_m", "log_trunc", "log_evidence"])
+    def test_a_log_number_that_is_not_finite_is_refused(self, key, value):
+        """No model writes one; a NaN log_m once loaded and made the log
+        marginal likelihood NaN, and an infinite one moved the next
+        symbol's probabilities."""
+        m = VmmModel(2, 3)
+        m.fit_sequence([0, 1, 1, 0, 1, 1, 1, 0])
+        head, posterior, *records = m.to_text().splitlines()
+        if key == "log_evidence":
+            meta = json.loads(posterior)
+            meta[key] = value
+            posterior = json.dumps(meta, sort_keys=True)
+        else:
+            rec = json.loads(records[1])
+            rec[key] = value
+            records[1] = json.dumps(rec, sort_keys=True)
+        with pytest.raises(BadConfig, match="not finite"):
+            VmmModel.from_text("\n".join([head, posterior, *records]) + "\n")
+
 
 def test_history_keeps_only_the_context_window():
     m = VmmModel(alphabet_size=3, depth=4)
