@@ -112,7 +112,7 @@ class CdeModel:
     """Streaming conditional density estimator p(y | x)."""
 
     def __init__(self, config: CdeConfig):
-        self.config = config.validate()
+        self._configure(config)
         cover = KdTreeCover(
             Box(config.x_lower, config.x_upper),
             alpha=config.alpha,
@@ -123,13 +123,20 @@ class CdeModel:
             cover, self._make_local, depth_weight=config.depth_weight
         )
 
-    def _make_local(self):
-        cfg = self.config
-        has_ybox = cfg.y_lower is not None and cfg.y_upper is not None
-        if has_ybox:
-            mu0 = Box(cfg.y_lower, cfg.y_upper).center
+    def _configure(self, config):
+        """Validate ``config`` and keep what every new context's local
+        reads: the Normal-Wishart prior mean, the y box's centre or 0."""
+        self.config = cfg = config.validate()
+        if cfg.y_lower is not None and cfg.y_upper is not None:
+            self._mu0 = Box(cfg.y_lower, cfg.y_upper).center
         else:
-            mu0 = [0.0] * cfg.y_dim
+            self._mu0 = [0.0] * cfg.y_dim
+
+    def _make_local(self):
+        """A new context's local. A tree density takes its prior's
+        tables from the cache the constructor keeps (``local.py``)."""
+        cfg = self.config
+        mu0 = self._mu0
         comps = []
         for name in cfg.components:
             if name == "nw":
@@ -219,7 +226,7 @@ class CdeModel:
         except (KeyError, TypeError, ValueError) as exc:
             raise BadConfig(f"malformed cde snapshot header: {exc!r}") from exc
         obj = cls.__new__(cls)
-        obj.config = config.validate()
+        obj._configure(config)
         obj.posterior = post = CoverModelPosterior.from_text(rest, obj._make_local)
         cover = post.cover
         if not isinstance(cover, KdTreeCover):

@@ -149,10 +149,15 @@ def _build_method(name, cfg, train, resume_text=None):
     raise BadConfig(f"unknown method {name!r}, expected one of {METHODS}")
 
 
-def _load_train_holdout(args, method_name):
+def _load_train_holdout(args, method_name, cfg):
     if method_name == "vmm":
-        train_seq = load_symbols(args.train)
-        holdout_seq = load_symbols(args.holdout) if args.holdout else []
+        # the model itself checks the symbols against an alphabet that is
+        # not an int option here, such as one a resumed snapshot brings
+        alphabet = cfg.get("alphabet_size")
+        if type(alphabet) is not int:
+            alphabet = None
+        train_seq = load_symbols(args.train, alphabet)
+        holdout_seq = load_symbols(args.holdout, alphabet) if args.holdout else []
         if not holdout_seq:
             raise BadConfig("vmm evaluation needs a --holdout symbol file")
         to_ds = lambda seq: Dataset(
@@ -229,7 +234,7 @@ def cmd_fit_eval(args) -> int:
     start_at = 0
     if args.resume:
         resume_text = read_text(args.resume, "snapshot")
-    train, holdout = _load_train_holdout(args, args.method)
+    train, holdout = _load_train_holdout(args, args.method, cfg)
     method = _build_method(args.method, cfg, train, resume_text=resume_text)
     if resume_text is not None:
         method.begin(args.seed)  # peek at how far the snapshot got
@@ -280,7 +285,7 @@ def cmd_compare(args) -> int:
     finals = {}
     for name in names:
         method_cfg = dict(cfg.get(name, {})) if name in cfg else {}
-        train, holdout = _load_train_holdout(args, name)
+        train, holdout = _load_train_holdout(args, name, method_cfg)
         method = _build_method(name, method_cfg, train)
         records = run_eval(
             method,
@@ -304,10 +309,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_score(args) -> int:
-    seq = load_symbols(args.file)
     model = VmmModel(
         args.alphabet, args.depth, prior=args.prior, stop_weight=args.stop_weight
     )
+    seq = load_symbols(args.file, model.alphabet_size)
     total = model.fit_sequence(seq)
     print(f"n={len(seq)} total_logprob={total!r}")
     if seq:

@@ -184,9 +184,11 @@ def load_csv(path, x_cols=None, y_cols=None) -> Dataset:
     return Dataset(np.asarray(xs), np.asarray(ys))
 
 
-def load_symbols(path) -> list:
+def load_symbols(path, alphabet_size=None) -> list:
     """Whitespace separated integer symbols, or one contiguous string
-    of single digit symbols per line."""
+    of single digit symbols per line. With ``alphabet_size``, a symbol
+    outside 0 .. alphabet_size - 1 raises ``ParseError`` naming its
+    line, as a token that is not an integer does."""
     out = []
     for lineno, line in enumerate(read_text(path, "symbol file").split("\n"), start=1):
         line = line.strip()
@@ -198,9 +200,14 @@ def load_symbols(path) -> list:
             if not tok:
                 continue
             try:
-                out.append(int(tok))
+                sym = int(tok)
             except ValueError:
                 raise ParseError(f"bad symbol {tok!r}", line=lineno) from None
+            if alphabet_size is not None and not 0 <= sym < alphabet_size:
+                raise ParseError(
+                    f"symbol {sym} not in alphabet of size {alphabet_size}", line=lineno
+                )
+            out.append(sym)
     return out
 
 

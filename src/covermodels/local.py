@@ -13,10 +13,13 @@ already placed their x. The shared duck type:
 * ``log_predictive(py)``: log posterior predictive density or mass at
   the prepared y ``py``.
 * ``update(py)``: absorb one prepared observation and return the log
-  predictive that was in force before it, equal to what
-  ``log_predictive(py)`` returned just before the call. It scores and
-  updates in one pass. A y outside the model's support raises
-  ``OutOfSupport`` before any state changes.
+  predictive that was in force before it. It scores and updates in one
+  pass. A y outside the model's support raises ``OutOfSupport`` before
+  any state changes. The return equals what ``log_predictive(py)``
+  returned just before the call, bit for bit, except for a tree
+  density: its update returns the change in the root's log value,
+  while its query walks the kept stop pairs, so the two agree up to
+  rounding (see ``BayesTreeDensity``).
 
   A caller with a raw y writes ``local.update(local.prepare(y))``.
 * ``absorb_block(ys)``: absorb a whole block into a local that has
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import warnings
 
 import numpy as np
@@ -458,6 +462,45 @@ def _lgamma_tables(a, n):
     return tables
 
 
+# One entry of prior-derived tables per tree prior (``_tree_prior_key``),
+# shared by every tree built with it, so a new context's tree and a
+# loaded one skip the box conversion and the ``_one`` chain. An entry is
+# never changed once stored; a process that builds many priors drops
+# them all now and then.
+_TREE_PRIORS: dict = {}
+_TREE_PRIORS_MAX = 64
+
+# A query walk scales its running product and sum down by _RESCALE, a
+# power of two and so exact, whenever the product passes _BIG, and adds
+# _LOG_RESCALE per scaling to the result: a product grows by less than 2
+# per level, and max_depth may reach 2100 * dim.
+_BIG = 1e300
+_RESCALE = 2.0**-1000
+_LOG_RESCALE = 1000.0 * LOG2
+
+
+def _tree_prior_key(lower, upper, gamma, branch_pseudo, max_depth):
+    """The ``_TREE_PRIORS`` key of a tree prior: every float by its hex
+    form, so -0.0 keys apart from 0.0. None, and no caching, unless the
+    bounds are lists or tuples of floats, the two settings floats and
+    ``max_depth`` an int: a key must not equate arguments that the
+    constructor's checks tell apart."""
+    if type(lower) not in (list, tuple) or type(upper) not in (list, tuple):
+        return None
+    if type(max_depth) is not int:
+        return None
+    try:
+        return (
+            tuple(map(float.hex, lower)),
+            tuple(map(float.hex, upper)),
+            float.hex(gamma),
+            float.hex(branch_pseudo),
+            max_depth,
+        )
+    except TypeError:
+        return None
+
+
 class BayesTreeDensity:
     """Dyadic tree density on a box, an optional Pólya tree.
 
@@ -472,10 +515,13 @@ class BayesTreeDensity:
     is cached in log space. Nodes at ``max_depth`` are forced uniform.
     Volumes halve per level, so vol at depth k is vol(root) / 2^k.
 
-    ``_loglam`` is the only statement of that recursion. Scoring,
-    updating, absorbing a block and rebuilding from a snapshot all go
-    through it with the same operands in the same order, so they agree
-    bit for bit. Its log-Beta terms come from ``_lgamma_tables``.
+    ``_loglam`` is the only statement of that recursion. Updating,
+    absorbing a block and rebuilding from a snapshot all go through it
+    with the same operands in the same order, so they agree bit for
+    bit. Its log-Beta terms come from ``_lgamma_tables``. It also
+    returns the node's *stop pair*: the posterior g that points at the
+    node are uniform on its box, and 1 - g, each computed directly
+    rather than as 1 minus the other.
 
     The tree stores only the nodes its points distinguish:
 
@@ -491,30 +537,78 @@ class BayesTreeDensity:
 
     ``_insert``, which ``update`` and ``absorb_block`` share, is the one
     insertion, pushes included. ``_refit`` is the one rule for a node's
-    value: ``update`` applies it up the path, ``_fill_values`` to every
-    node after a block or a load. ``_path_values`` (``log_predictive``)
-    only reads, with the operands those two would use.
+    value and stop pair: ``update`` applies it up the path,
+    ``_fill_values`` to every node after a block or a load.
+
+    ``log_predictive`` reads the kept stop pairs and never a value or a
+    log-Beta term. The predictive density of y at a node is
+
+        psi = g / vol + (1 - g) * (a + n_side) / (2a + n) * psi_child,
+
+    with n_side the count of the child on y's side, so the query is one
+    top-down multiply-add walk over y's route, in units of 1 / vol at
+    the root: per level, ``total += acc * g`` and
+    ``acc *= 2 (1 - g) (a + n_side) / (2a + n)``, one log at the end.
+    Two closed forms end the walk. A node that holds no point, and a
+    node at ``max_depth``, give y the uniform density of their box,
+    since B(a + 1, a) / B(a, a) = 1/2 makes the prior predictive
+    uniform at every depth: the walk adds ``acc``. On a singleton's
+    one-point chain, for the same reason, every node's stop posterior
+    is gamma, and ``acc`` takes one of two factors per level (``_chain``),
+    whether y stays in the point's cell or leaves it. ``acc`` and
+    ``total`` are scaled down by a power of two when ``acc`` passes
+    1e300, as it can over thousands of levels. Unlike the difference of
+    two root values, each of size n |log vol|, this keeps the query's
+    rounding near that of its last log; it equals the update's return
+    only up to that rounding.
 
     The partition is fixed by the box and ``max_depth``, as a Pólya
     tree's is, so y's route through it (split dimension, midpoint and
     side at each depth) depends on y alone. ``prepare`` computes the
-    route once, and every tree with the same prior walks it.
+    route once, and every tree with the same prior walks it. Trees with
+    the same prior also share its tables (``_TREE_PRIORS``).
 
     Nodes live in flat lists indexed by node id, root at 0: ``_n``
-    (count), ``_lam`` (cached log value), ``_kid`` (id of the left
-    child, the right one follows it; 0 for a leaf, since the root is
-    nobody's child) and ``_pt`` (a singleton's point, ``dim`` floats per
-    node). A container per node or per point would leave tens of
-    thousands of small objects per model for the garbage collector to
-    walk.
+    (count), ``_lam`` (cached log value), ``_g`` and ``_h`` (the stop
+    pair g and 1 - g, set for a node with children), ``_kid`` (id of
+    the left child, the right one follows it; 0 for a leaf, since the
+    root is nobody's child) and ``_pt`` (a singleton's point, ``dim``
+    floats per node). A container per node or per point would leave
+    tens of thousands of small objects per model for the garbage
+    collector to walk.
 
     A snapshot (format 3) stores only counts and singleton points, as
     two flat lists in preorder; ``_load`` checks their structure and
-    recomputes every value.
+    recomputes every value and pair.
     """
 
     def __init__(self, lower, upper, gamma=0.5, branch_pseudo=0.5, max_depth=12):
-        self.box = Box(lower, upper)
+        key = _tree_prior_key(lower, upper, gamma, branch_pseudo, max_depth)
+        prior = _TREE_PRIORS.get(key)
+        if prior is None:
+            prior = self._prior_tables(lower, upper, gamma, branch_pseudo, max_depth)
+            if key is not None:
+                if len(_TREE_PRIORS) >= _TREE_PRIORS_MAX:
+                    _TREE_PRIORS.clear()
+                _TREE_PRIORS[key] = prior
+        (
+            self.box, self.gamma, self.branch_pseudo, self.max_depth, self._log_vol,
+            self._log_gamma, self._log_split, self._log_beta0, self._one, self._chain,
+            self._pt_pair,
+        ) = prior
+        self._dim = self.box.dim
+        self._lg_a, self._lg_2a = _lgamma_tables(self.branch_pseudo, 2)
+        self._n = [0]
+        self._lam = [0.0]
+        self._g = [0.0]
+        self._h = [0.0]
+        self._kid = [0]
+        self._pt = [0.0] * self._dim
+
+    def _prior_tables(self, lower, upper, gamma, branch_pseudo, max_depth):
+        """Check the prior and return its tables, in ``__init__``'s
+        order; sets what ``_loglam`` reads on the way."""
+        box = Box(lower, upper)
         if not 0 < gamma < 1:
             raise BadConfig("gamma must be strictly between 0 and 1")
         if not branch_pseudo > 0:  # NaN too: it would key its own lgamma tables
@@ -522,52 +616,60 @@ class BayesTreeDensity:
         # widths run from about 2^1024 down to 2^-1074, so no side of a
         # float box halves more than about 2100 times; checked before
         # max_depth sizes the tables below
-        if not 0 <= max_depth <= 2100 * self.box.dim:
-            raise BadConfig(f"max_depth must be in [0, {2100 * self.box.dim}]")
-        self.gamma = float(gamma)
-        self.branch_pseudo = float(branch_pseudo)
-        self.max_depth = int(max_depth)
-        self._n = [0]
-        self._lam = [0.0]
-        self._kid = [0]
-        self._dim = self.box.dim
-        self._pt = [0.0] * self._dim
-        log_vol0 = math.log(self.box.volume())
-        self._log_vol = [log_vol0 - k * math.log(2.0) for k in range(self.max_depth + 1)]
-        self._log_gamma = math.log(self.gamma)
-        self._log_split = math.log1p(-self.gamma)
-        a = self.branch_pseudo
+        if not 0 <= max_depth <= 2100 * box.dim:
+            raise BadConfig(f"max_depth must be in [0, {2100 * box.dim}]")
+        g = float(gamma)
+        a = float(branch_pseudo)
+        self.max_depth = top = int(max_depth)
+        log_vol0 = math.log(box.volume())
+        self._log_vol = [log_vol0 - k * math.log(2.0) for k in range(top + 1)]
+        self._log_gamma = math.log(g)
+        self._log_split = math.log1p(-g)
         self._log_beta0 = 2.0 * math.lgamma(a) - math.lgamma(2.0 * a)
         self._lg_a, self._lg_2a = _lgamma_tables(a, 2)
         # the chain of one point: the same _loglam calls the recursion
         # makes, since x + 0.0 == 0.0 + x and the two lgamma terms commute
-        one = [self._loglam(self.max_depth, 1, 0, 0.0, 0.0)]
-        for depth in range(self.max_depth - 1, -1, -1):
-            one.append(self._loglam(depth, 1, 1, one[-1], 0.0))
+        one = [self._loglam(top, 1, 0, 0.0, 0.0)[0]]
+        for depth in range(top - 1, -1, -1):
+            one.append(self._loglam(depth, 1, 1, one[-1], 0.0)[0])
         one.reverse()
-        self._one = one
+        # the factors of the query's product on a one-point chain, whose
+        # stop posterior is gamma, for a y that stays in the point's cell
+        # or leaves it: 2 (1 - g) (a + 1) / (2a + 1) and 2 (1 - g) a / (2a + 1)
+        split = 2.0 * (1.0 - g) / (2.0 * a + 1.0)
+        chain = (split * (a + 1.0), split * a)
+        return (
+            box, g, a, top, self._log_vol, self._log_gamma, self._log_split,
+            self._log_beta0, one, chain, (0.0,) * (2 * box.dim),
+        )
 
     def _loglam(self, depth, n, nl, left, right):
-        """Log mixture value of a node at ``depth`` that holds n points, nl
-        of them in its left child; ``left`` and ``right`` are the
-        children's log values."""
+        """``(value, g, 1 - g)`` of a node at ``depth`` that holds n
+        points, nl of them in its left child: its log mixture value and
+        its stop pair. ``left`` and ``right`` are the children's log
+        values."""
         uniform = -n * self._log_vol[depth]
         if depth == self.max_depth:
-            return uniform
+            return uniform, 1.0, 0.0
         lg_a = self._lg_a
         log_beta = lg_a[nl] + lg_a[n - nl] - self._lg_2a[n]
         # logaddexp(a, b), inline to save a call per level: the same
-        # branches and operations, so the same values
+        # branches and operations, so the same values. The stop pair is
+        # exp(a - value) and exp(b - value), from the same exp.
         a = self._log_gamma + uniform
         b = self._log_split + log_beta - self._log_beta0 + left + right
         if a == b:
-            return a + LOG2
+            return a + LOG2, 0.5, 0.5
         d = a - b
         if d > 0:
-            return a + math.log1p(math.exp(-d))
+            e = math.exp(-d)
+            s = 1.0 / (1.0 + e)
+            return a + math.log1p(e), s, e * s
         if d <= 0:
-            return b + math.log1p(math.exp(d))
-        return d  # a or b is nan
+            e = math.exp(d)
+            s = 1.0 / (1.0 + e)
+            return b + math.log1p(e), e * s, s
+        return d, d, d  # a or b is nan
 
     @property
     def log_evidence(self) -> float:
@@ -578,9 +680,11 @@ class BayesTreeDensity:
         """Materialise two empty children of ``node``; returns the left id."""
         left = len(self._n)
         self._n += (0, 0)
-        self._lam += (0.0, 0.0)
         self._kid += (0, 0)
-        self._pt += (0.0,) * (2 * self._dim)
+        self._lam += (0.0, 0.0)
+        self._g += (0.0, 0.0)
+        self._h += (0.0, 0.0)
+        self._pt += self._pt_pair
         self._kid[node] = left
         return left
 
@@ -600,7 +704,8 @@ class BayesTreeDensity:
         ``route`` is y's from ``prepare``; without one, y's cells are cut
         only as deep as the walk goes."""
         counts, kid, top = self._n, self._kid, self.max_depth
-        lo, hi = list(self.box.lower), list(self.box.upper)
+        if route is None:
+            lo, hi = list(self.box.lower), list(self.box.upper)
         node = depth = 0
         path = [0]
         while counts[node] and depth < top:
@@ -631,61 +736,24 @@ class BayesTreeDensity:
         return path
 
     def _refit(self, nodes, depths):
-        """Set each node's value, at its depth in ``depths``, from its
-        count and its children's values, which come first. Raises
-        ``BadConfig`` on a count that is not the sum of its children's."""
-        n, kid, lam, top, one = self._n, self._kid, self._lam, self.max_depth, self._one
+        """Set each node's value, and a node with children's stop pair,
+        at its depth in ``depths``, from its count and its children's
+        values, which come first. Counts are taken as they are:
+        ``_insert`` keeps each the sum of its children's, and ``_load``
+        checks that of a snapshot's."""
+        n, kid, lam, stop, go = self._n, self._kid, self._lam, self._g, self._h
+        top, one, loglam = self.max_depth, self._one, self._loglam
         if len(self._lg_2a) <= n[0]:
             self._lg_a, self._lg_2a = _lgamma_tables(self.branch_pseudo, n[0])
         for node, depth in zip(nodes, depths):
-            c, left = n[node], kid[node]
+            left = kid[node]
             if left:
-                nl = n[left]
-                if c != nl + n[left + 1]:
-                    raise BadConfig(f"tree node count {c} is not the sum of its children's")
-                lam[node] = self._loglam(depth, c, nl, lam[left], lam[left + 1])
-            elif c and depth == top:
-                lam[node] = self._loglam(top, c, 0, 0.0, 0.0)
-            elif c:
-                lam[node] = one[depth]
-
-    def _path_values(self, route):
-        """The root's log value were y, with route ``route``, added; a
-        read. The walk ends at ``max_depth`` or where y leaves every
-        point, follows a singleton's chain without materialising it, and
-        uses the operands ``_insert`` and ``_refit`` would."""
-        counts, lams, kid, one = self._n, self._lam, self._kid, self._one
-        if len(self._lg_2a) <= counts[0] + 1:
-            self._lg_a, self._lg_2a = _lgamma_tables(self.branch_pseudo, counts[0] + 1)
-        node = 0
-        n = counts[node]
-        p = None  # a singleton's point, whose one-point chain the walk is on
-        steps = []  # per level: count, left child's count, off-path value, y's side
-        for depth, (d, mid, side) in enumerate(route):
-            if not n:
-                break
-            if p is None:
-                left = kid[node]
-                if not left:  # a singleton
-                    p = self._point(node)
-            if p is None:
-                steps.append((n, counts[left], lams[left + 1 - side], side))
-                node = left + side
-                n = counts[node]
-            else:
-                nl = 1 if p[d] < mid else 0
-                parted = side == nl  # y takes the side p does not
-                steps.append((n, nl, one[depth + 1] if parted else 0.0, side))
-                n = 0 if parted else 1
-        # y alone below an empty node, or at max_depth
-        new = one[len(steps)] if not n else self._loglam(self.max_depth, n + 1, 0, 0.0, 0.0)
-        for depth in range(len(steps) - 1, -1, -1):
-            n, nl, other, side = steps[depth]
-            if side == 0:
-                new = self._loglam(depth, n + 1, nl + 1, new, other)
-            else:
-                new = self._loglam(depth, n + 1, nl, other, new)
-        return new
+                lam[node], stop[node], go[node] = loglam(
+                    depth, n[node], n[left], lam[left], lam[left + 1]
+                )
+            elif n[node]:
+                # _loglam's value at max_depth, or a singleton's
+                lam[node] = -n[node] * self._log_vol[top] if depth == top else one[depth]
 
     def prepare(self, y):
         """``(floats, inside, route)`` for y: its checked floats, whether
@@ -713,11 +781,46 @@ class BayesTreeDensity:
         return y, True, route
 
     def log_predictive(self, y) -> float:
+        """The walk of the class docstring: stop pairs and counts down
+        y's route, to an empty node, a singleton's chain or
+        ``max_depth``."""
         _, inside, route = y
         if not inside:
             return -math.inf
-        # the evidence ratio of the would-be update
-        return self._path_values(route) - self._lam[0]
+        counts, kid, stop, go = self._n, self._kid, self._g, self._h
+        a = self.branch_pseudo
+        a2 = a + a
+        total, acc, shift = 0.0, 1.0, 0
+        node, n = 0, counts[0]
+        for depth, (d, mid, side) in enumerate(route):
+            if not n:
+                break
+            left = kid[node]
+            if not left:  # a singleton: y follows its point's chain
+                g, (stay, leave) = self.gamma, self._chain
+                pt, base = self._pt, node * self._dim
+                for d, mid, side in route[depth:]:
+                    total += acc * g
+                    if (pt[base + d] >= mid) != side:
+                        acc *= leave
+                        break
+                    acc *= stay
+                    if acc > _BIG:
+                        acc *= _RESCALE
+                        total *= _RESCALE
+                        shift += 1
+                break
+            m = counts[left + side]
+            total += acc * stop[node]
+            acc *= 2.0 * go[node] * (a + m) / (a2 + n)
+            if acc > _BIG:
+                acc *= _RESCALE
+                total *= _RESCALE
+                shift += 1
+            node, n = left + side, m
+        # an empty node, the end of a chain or max_depth: uniform
+        total += acc
+        return math.log(total) + shift * _LOG_RESCALE - self._log_vol[0]
 
     def update(self, y) -> float:
         y, inside, route = y
@@ -725,7 +828,7 @@ class BayesTreeDensity:
             raise OutOfSupport(f"{y!r} outside {self.box!r}")
         old = self._lam[0]
         path = self._insert(y, route)
-        self._refit(path[::-1], range(len(path) - 1, -1, -1))
+        self._refit(reversed(path), range(len(path) - 1, -1, -1))
         return self._lam[0] - old
 
     def sample(self, rng):
@@ -828,6 +931,7 @@ class BayesTreeDensity:
         pt = [0.0] * (dim * size)
         stack = [0]  # ids of the nodes whose counts come next
         pop = stack.pop
+        sums = []  # the count of each node with children, in the order of their ids
         free = 1
         j = 0
         for c in counts:
@@ -837,6 +941,7 @@ class BayesTreeDensity:
             if c < 0:
                 if depth[node] >= top or free + 2 > size:
                     raise BadConfig("tree counts describe a split that cannot exist")
+                sums.append(-c)
                 kid[node] = free
                 depth[free] = depth[free + 1] = depth[node] + 1
                 stack += (free + 1, free)
@@ -850,6 +955,9 @@ class BayesTreeDensity:
             n[node] = c
         if stack:
             raise BadConfig("tree counts list is too short")
+        # the k-th pair of children has ids 2k + 1 and 2k + 2
+        if sums != list(map(operator.add, n[1::2], n[2::2])):
+            raise BadConfig("a tree node's count is not the sum of its children's")
         if j != len(points):
             raise BadConfig("tree points list does not hold one point per singleton")
         if not set(map(type, points)) <= {float}:
@@ -877,8 +985,9 @@ class BayesTreeDensity:
             for node, left in enumerate(kid):
                 if left:
                     depth[left] = depth[left + 1] = depth[node] + 1
-        self._lam = [0.0] * len(kid)
-        self._refit(range(len(kid) - 1, -1, -1), reversed(depth))
+        size = len(kid)
+        self._lam, self._g, self._h = [0.0] * size, [0.0] * size, [0.0] * size
+        self._refit(range(size - 1, -1, -1), reversed(depth))
 
     def absorb_block(self, ys) -> float:
         """Absorb a block into the empty tree and return its log marginal,

@@ -148,7 +148,7 @@ class TestScore:
     @pytest.mark.parametrize("flag", [None, "--train", "--holdout"])
     def test_a_symbol_outside_the_alphabet_exits_2(self, flag, tmp_path, capsys):
         """Like a token that is not a symbol, it is an input problem; the
-        message names the symbol, not its numpy form."""
+        message names the line and the symbol, not its numpy form."""
         bad, good = tmp_path / "bad.txt", tmp_path / "good.txt"
         bad.write_text("0 1 5 1\n")
         good.write_text("0 1 1 0 1\n")
@@ -161,7 +161,7 @@ class TestScore:
                        "--out", tmp_path / "r.csv")
         err = capsys.readouterr().err
         assert code == 2
-        assert err == "error: symbol 5 not in alphabet of size 2\n"
+        assert err == "error: line 1: symbol 5 not in alphabet of size 2\n"
 
 
 class TestSample:

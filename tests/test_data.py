@@ -141,3 +141,13 @@ class TestSymbols:
         p.write_text("0 1 zebra\n")
         with pytest.raises(ParseError):
             load_symbols(p)
+
+    def test_a_symbol_outside_the_alphabet_names_its_line(self, tmp_path):
+        p = tmp_path / "s.txt"
+        p.write_text("0 1\n# comment\n1 2 0\n")
+        assert load_symbols(p, 3) == [0, 1, 1, 2, 0]
+        with pytest.raises(ParseError, match=r"^line 3: symbol 2 not in alphabet of size 2$"):
+            load_symbols(p, 2)
+        p.write_text("0 -1\n")
+        with pytest.raises(ParseError, match=r"^line 1: symbol -1 not in"):
+            load_symbols(p, 2)

@@ -2,7 +2,9 @@
 
 import gc
 import math
+import sys
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from covermodels import (
     UnknownSymbol,
     local_from_state,
 )
+from covermodels.covers import cut
 from covermodels.local import _lgamma_tables
 from covermodels.logspace import LOG2, logaddexp
 from oracle import dirichlet_block_marginal
@@ -281,6 +284,20 @@ class TestBayesTree:
         with pytest.raises(BadConfig):
             local_from_state(record)
 
+    def test_trees_of_one_prior_share_its_tables(self):
+        """Bounds that are lists of floats key the cache by their bits,
+        so a box with -0.0 keeps its own tables; an array builds its
+        own, with the same values."""
+        kw = dict(gamma=0.4, branch_pseudo=0.6, max_depth=7)
+        a = BayesTreeDensity([0.0, -1.0], [1.0, 1.0], **kw)
+        b = BayesTreeDensity([0.0, -1.0], (1.0, 1.0), **kw)
+        assert b._one is a._one and b.box is a.box
+        z = BayesTreeDensity([-0.0, -1.0], [1.0, 1.0], **kw)
+        assert z.box is not a.box and math.copysign(1.0, z.prior()["lower"][0]) == -1.0
+        c = BayesTreeDensity(np.array([0.0, -1.0]), [1.0, 1.0], **kw)
+        assert c._one is not a._one
+        assert (c._one, c._chain, c.prior()) == (a._one, a._chain, a.prior())
+
     def test_max_depth_zero_is_plain_uniform(self):
         bt = BayesTreeDensity([0.0], [4.0], max_depth=0)
         for y in [0.1, 3.9, 2.0]:
@@ -298,6 +315,18 @@ class TestBayesTree:
         learn(bt, [0.5, 0.5])
         learn(bt2, [0.5, 0.5])
         assert score(bt2, q) == score(bt, q)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [[-3, 1, 1], [-1, 1, 1], [-4, -2, 1, 2, -2, 1, 1], [-4, -2, 1, 1, -2, 1, 2]],
+    )
+    def test_a_count_that_is_not_its_childrens_sum_is_refused(self, counts):
+        """Counts within the root's that break one node's sum, at the
+        root or below it; ``[-4, -2, 1, 1, -2, 1, 1]`` loads."""
+        state = {**BayesTreeDensity([0.0], [1.0], max_depth=2).prior(), "points": []}
+        local_from_state({**state, "counts": [-4, -2, 1, 1, -2, 1, 1]})
+        with pytest.raises(BadConfig, match="not the sum of its children's"):
+            local_from_state({**state, "counts": counts})
 
     def test_samples_stay_in_box(self):
         bt = BayesTreeDensity([0.0], [1.0], max_depth=5)
@@ -429,7 +458,11 @@ class TestFusedUpdate:
             for _ in range(60):
                 y = draw(rng)
                 before = score(model, y)
-                assert learn(model, y) == before
+                if kind.startswith("tree") or kind == "mixture":
+                    tree = model if kind != "mixture" else model.components[1]
+                    assert learn(model, y) == pytest.approx(before, rel=0, abs=query_bound(tree))
+                else:
+                    assert learn(model, y) == before
 
     @pytest.mark.parametrize("kind", ["tree-dim1", "mixture"])
     def test_rejected_update_changes_nothing(self, kind):
@@ -462,16 +495,12 @@ class TestFusedUpdate:
             assert score(clone, q) == score(bt, q)
 
 
-def reference_loglam(bt, depth, n, nl, left, right):
-    """``BayesTreeDensity._loglam`` in its ``logspace.logaddexp`` form."""
+def reference_terms(bt, depth, n, nl, left, right):
+    """The stop and split terms of ``BayesTreeDensity._loglam``, in log
+    space, as the recursion states them; below ``max_depth``."""
     uniform = -n * bt._log_vol[depth]
-    if depth == bt.max_depth:
-        return uniform
     log_beta = bt._lg_a[nl] + bt._lg_a[n - nl] - bt._lg_2a[n]
-    return logaddexp(
-        bt._log_gamma + uniform,
-        bt._log_split + log_beta - bt._log_beta0 + left + right,
-    )
+    return bt._log_gamma + uniform, bt._log_split + log_beta - bt._log_beta0 + left + right
 
 
 class TestLoglam:
@@ -495,13 +524,22 @@ class TestLoglam:
         depth, nl = int(depth_frac * max_depth), int(nl_frac * n)
         if equal and depth < max_depth:
             # the two terms equal: the split term's prefix cancels to 0.0
-            uniform = -n * bt._log_vol[depth]
-            log_beta = bt._lg_a[nl] + bt._lg_a[n - nl] - bt._lg_2a[n]
-            left = -(bt._log_split + log_beta - bt._log_beta0)
-            right = bt._log_gamma + uniform
-            assert bt._loglam(depth, n, nl, left, right) == right + LOG2
-        got = bt._loglam(depth, n, nl, left, right)
-        assert got == reference_loglam(bt, depth, n, nl, left, right)
+            stop, prefix = reference_terms(bt, depth, n, nl, 0.0, 0.0)
+            left, right = -prefix, stop
+            assert bt._loglam(depth, n, nl, left, right) == (right + LOG2, 0.5, 0.5)
+        value, g, h = bt._loglam(depth, n, nl, left, right)
+        if depth == max_depth:
+            assert (value, g, h) == (-n * bt._log_vol[depth], 1.0, 0.0)
+            return
+        a, b = reference_terms(bt, depth, n, nl, left, right)
+        assert value == logaddexp(a, b)
+        # The pair to a relative 1e-14 beyond the rounding of the
+        # references' own exponents, a - value and b - value, which is
+        # an ulp of the larger operand; abs_tol covers subnormal results.
+        rel = 1e-14 + 2.0**-52 * (abs(a) + abs(b) + abs(value))
+        assert math.isclose(g, math.exp(a - value), rel_tol=rel, abs_tol=1e-300)
+        assert math.isclose(h, math.exp(b - value), rel_tol=rel, abs_tol=1e-300)
+        assert math.isclose(g + h, 1.0, rel_tol=1e-15)
 
 
 class MaterialisedTree:
@@ -612,6 +650,57 @@ class MaterialisedTree:
         }
 
 
+def query_bound(bt):
+    """How far a tree's query may lie from the log-difference form of
+    ``MaterialisedTree`` and of ``update``'s return. That form subtracts
+    two root values, each summed over max_depth + 1 levels from terms of
+    size up to (n + 1) (|log vol| + log(n + 2)) for n points (volume
+    and log-Beta terms), and keeps their rounding: 1e-15 per unit of
+    size per level here, while the most measured is 1.3e-16. The
+    query's own rounding is under 1e-13."""
+    n = bt.n_seen
+    size = (n + 1) * (max(abs(bt._log_vol[0]), abs(bt._log_vol[-1])) + math.log(n + 2))
+    return 1e-13 + 1e-15 * size * (bt.max_depth + 1)
+
+
+def decimal_lam(points, lo, hi, depth, top, vol, gamma):
+    """The value of a node with box [lo, hi] and volume ``vol`` at
+    ``depth`` that holds ``points``, in ``Decimal``, for branch_pseudo 1:
+    B(1 + nL, 1 + nR) / B(1, 1) = nL! nR! / (n + 1)!. The node's cells
+    are cut by ``cut`` on floats, as the tree cuts them."""
+    n = len(points)
+    if not n:
+        return Decimal(1)
+    uniform = vol**-n
+    if depth == top:
+        return uniform
+    d, mid = cut(lo, hi)
+    left = [p for p in points if p[d] < mid]
+    right = [p for p in points if not p[d] < mid]
+    llo, lhi, rlo, rhi = list(lo), list(hi), list(lo), list(hi)
+    lhi[d] = rlo[d] = mid
+    beta = Decimal(math.factorial(len(left)) * math.factorial(len(right)))
+    beta /= math.factorial(n + 1)
+    half = vol / 2
+    return gamma * uniform + (1 - gamma) * beta * decimal_lam(
+        left, llo, lhi, depth + 1, top, half, gamma
+    ) * decimal_lam(right, rlo, rhi, depth + 1, top, half, gamma)
+
+
+def decimal_log_predictive(points, q, lo, hi, gamma, max_depth):
+    """The log predictive at q of a tree with branch_pseudo 1 that holds
+    ``points``, as the ratio of two root values, to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lo, hi = [float(v) for v in lo], [float(v) for v in hi]
+        vol = math.prod(Decimal(b) - Decimal(a) for a, b in zip(lo, hi))
+        gamma = Decimal(gamma)
+        points = [[float(v) for v in p] for p in points]
+        before = decimal_lam(points, lo, hi, 0, max_depth, vol, gamma)
+        after = decimal_lam(points + [[float(v) for v in q]], lo, hi, 0, max_depth, vol, gamma)
+        return float((after / before).ln())
+
+
 def tree_points(rng, lo, hi, n):
     """n points in the box [lo, hi]: uniform ones, repeats of earlier
     ones, points on the box's faces and on dyadic split midpoints."""
@@ -644,10 +733,16 @@ def tree_pair(dim, max_depth, seed):
     return rng, lo, hi, MaterialisedTree(lo, hi, **kw), BayesTreeDensity(lo, hi, **kw)
 
 
+def assert_query_close(bt, got, want):
+    assert got == pytest.approx(want, rel=0, abs=query_bound(bt))
+
+
 class TestTreeAgainstMaterialised:
     """Singleton leaves, the one-point table and the lgamma tables change
-    how the tree stores and computes, never a value: every comparison is
-    ``==``."""
+    how the tree stores and computes, never a value: every update,
+    evidence, sample and state is ``==``. A query reads the kept stop
+    pairs instead of taking the reference's difference of two root
+    values, so it agrees with the reference to ``query_bound``."""
 
     @pytest.mark.parametrize("dim,max_depth", DIFF_CASES)
     def test_updates_and_predictives_are_identical(self, dim, max_depth):
@@ -655,11 +750,11 @@ class TestTreeAgainstMaterialised:
         queries = tree_points(rng, lo, hi, 150)
         held = []
         for y, q in zip(tree_points(rng, lo, hi, 150), queries):
-            assert score(bt, q) == ref.log_predictive(q)
+            assert_query_close(bt, score(bt, q), ref.log_predictive(q))
             if held:
                 # a point the tree holds shares a singleton's whole chain
                 h = held[int(rng.integers(len(held)))]
-                assert score(bt, h) == ref.log_predictive(h)
+                assert_query_close(bt, score(bt, h), ref.log_predictive(h))
             assert learn(bt, y) == ref.update(y)
             held.append(y)
         assert bt.log_evidence == ref.log_evidence
@@ -696,8 +791,52 @@ class TestTreeAgainstMaterialised:
         bt = local_from_state(ref.state_dict())
         assert bt.log_evidence == ref.log_evidence
         for y in tree_points(rng, lo, hi, 60):
-            assert score(bt, y) == ref.log_predictive(y)
+            assert_query_close(bt, score(bt, y), ref.log_predictive(y))
             assert learn(bt, y) == ref.update(y)
+
+    @pytest.mark.parametrize("dim,max_depth", [(d, t) for d in (1, 2, 3) for t in (0, 1, 4, 12)])
+    def test_queries_match_a_decimal_oracle(self, dim, max_depth):
+        """Against the recursion in 50-digit ``Decimal`` with
+        branch_pseudo 1, whose log-Beta terms are log-factorials: the
+        query to 1e-13, while the reference's difference of two root
+        values is allowed its own ``query_bound``. Repeated points,
+        points on the box's faces and on dyadic midpoints, held points
+        and fresh ones."""
+        rng = np.random.default_rng(dim * 100 + max_depth)
+        lo = rng.uniform(-2.0, 0.0, size=dim)
+        hi = lo + rng.uniform(0.5, 3.0, size=dim)
+        kw = dict(gamma=float(rng.uniform(0.2, 0.8)), branch_pseudo=1.0, max_depth=max_depth)
+        ref, bt = MaterialisedTree(lo, hi, **kw), BayesTreeDensity(lo, hi, **kw)
+        held = tree_points(rng, lo, hi, 60)
+        for y in held:
+            ref.update(y)
+            learn(bt, y)
+        for q in tree_points(rng, lo, hi, 15) + held[:5]:
+            want = decimal_log_predictive(held, q, lo, hi, kw["gamma"], max_depth)
+            assert abs(score(bt, q) - want) <= 1e-13
+            assert abs(ref.log_predictive(q) - want) <= query_bound(bt)
+
+    def test_a_query_at_the_deepest_max_depth_is_finite(self):
+        """At max_depth 2100 * dim many duplicates make the walk's product
+        grow by nearly 2 per level, past any float, so it is rescaled."""
+        lo, hi = [0.0], [1e308]
+        kw = dict(gamma=0.5, branch_pseudo=1.0, max_depth=2100)
+        ref, bt = MaterialisedTree(lo, hi, **kw), BayesTreeDensity(lo, hi, **kw)
+        held = [[0.0]] * 40 + [[1e300], [5.0], [2.0**-1000]]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 10_000))  # the reference recurses per level
+        try:
+            for y in held:
+                assert learn(bt, y) == ref.update(y)
+            for q in ([0.0], [2.0**-1000], [3.0], [1e300]):
+                got = score(bt, q)
+                assert math.isfinite(got)
+                assert_query_close(bt, got, ref.log_predictive(q))
+                want = decimal_log_predictive(held, q, lo, hi, kw["gamma"], kw["max_depth"])
+                # 1e-13, or an ulp or two of a result above 512
+                assert abs(got - want) <= 1e-13 + 2.0**-51 * abs(want)
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_nodes_follow_what_points_distinguish(self):
         bt = BayesTreeDensity([0.0], [1.0], max_depth=12)
@@ -724,7 +863,7 @@ def _assert_marginal_close(block, sequential):
 
 
 def _tree_state(bt):
-    return bt._n, bt._kid, bt._pt, bt._lam
+    return bt._n, bt._kid, bt._pt, bt._lam, bt._g, bt._h
 
 
 def _nw_tree_mixture(log_weights=None):
@@ -801,7 +940,8 @@ class TestAbsorbBlock:
         assert block.log_evidence == seq.log_evidence == ref.log_evidence
         assert _tree_state(block) == _tree_state(seq)
         for q in tree_points(rng, lo, hi, 5):
-            assert score(block, q) == score(seq, q) == ref.log_predictive(q)
+            assert score(block, q) == score(seq, q)
+            assert_query_close(seq, score(seq, q), ref.log_predictive(q))
             assert learn(block, q) == learn(seq, q) == ref.update(q)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), outside=st.integers(0, 29))
