@@ -207,7 +207,8 @@ class CdeModel:
         contexts made after the restore take their locals from it.
 
         Every buffered y must have ``y_dim`` values, and for a tree-only
-        model lie in the y box: a split hands the buffered ys to the new
+        model lie in the y box (the engine's load checks that as it
+        rebuilds the trees): a split hands the buffered ys to the new
         contexts' ``absorb_block`` without checking them again.
 
         A mixture's weights are a posterior, so only a context whose
@@ -242,16 +243,9 @@ class CdeModel:
         # the cover's record gives every buffered y one length, so one
         # value checks them all
         y_dim = config.y_dim if config.y_dim is not None else len(config.y_lower)
-        y = next(cover.buffered_ys(), None)
+        y = next((ys[0] for _, ys in cover.leaf_ys() if ys), None)
         if y is not None and len(y) != y_dim:
             raise BadConfig(f"buffered y {list(y)} has length {len(y)}, expected {y_dim}")
-        if config.components == ("tree",):
-            # a split would leave a new context with -inf evidence; a
-            # mixture with nw skips such a y in its tree instead
-            ybox = Box(config.y_lower, config.y_upper)
-            for y in cover.buffered_ys():
-                if not ybox.contains(y, closed=True):
-                    raise BadConfig(f"buffered y {list(y)} is outside the tree's y box")
         prior = obj._make_local()
         if isinstance(prior, MixtureLocal):
             for cid, st in post.states.items():

@@ -188,6 +188,10 @@ class KdTreeCover(CoverSequence):
 
     Buffered payloads are (x, y) pairs of float tuples; they are what a
     split event hands back so the caller can rebuild per child state.
+    They are also the only record of the tree densities of a CDE
+    snapshot, which a load rebuilds from the ys buffered under each
+    context. So a leaf that can never split still needs its buffer, or
+    else its context's and its ancestors' trees stored in its place.
     """
 
     growth_mode = "replay"
@@ -310,9 +314,10 @@ class KdTreeCover(CoverSequence):
             )
         return self._split_leaf(cid)
 
-    def buffered_ys(self):
-        """Every buffered y, leaf by leaf, oldest first."""
-        return (y for buf in self._buffer.values() for _, y in buf)
+    def leaf_ys(self):
+        """Each leaf's buffered ys, oldest first: ``(cid, [y, ...])``
+        pairs, one leaf at a time."""
+        return ((cid, [y for _, y in buf]) for cid, buf in self._buffer.items())
 
     def points_under(self):
         """Number of buffered points in the leaves under each context."""

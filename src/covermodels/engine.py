@@ -55,11 +55,17 @@ the prior that every context of a loaded snapshot must have, and as
 the one place y is prepared (checked, and routed through a tree
 density's partition) for every local on the path.
 
-A snapshot (format version 3) holds only sufficient statistics: per
-context its stop weight, ``log_m``, ``log_trunc`` and local counts and
-sums, plus the cover's split records and buffered points. ``log_lambda``
-and the stop pair are recomputed bottom-up on load, bit for bit, and
-the structure is checked (``from_text``). Versions 1 and 2 are refused.
+A snapshot (format version 4) holds only what the data do not give
+back: per context its stop weight, ``log_m``, ``log_trunc`` and local
+counts and sums, plus the cover's split records and buffered points. A
+tree density stores its prior alone. On load each context's tree is
+rebuilt from the kd cover's buffered ys under it, which routes every
+buffered y once (the fresh local's ``prepare_block``) and lays each
+tree out from its children's (``refill``); ``log_lambda`` and the stop
+pair are recomputed bottom-up. All of it equals the saved model bit for
+bit, and the structure is checked (``from_text``). Version 3, which
+also stored each tree's counts and singleton points, still loads, and
+those two fields are ignored; versions 1 and 2 are refused.
 """
 
 from __future__ import annotations
@@ -70,13 +76,15 @@ import math
 
 from .covers import cover_from_state
 from .errors import BadConfig
-from .local import check_nested, check_seen, local_from_state
+from .local import check_nested, check_seen, local_from_state, prepare_block
 from .logspace import LOG2, log1mexp, logaddexp
 
 SNAPSHOT_FORMAT = "covermodels-snapshot"
-# Version 3 stores no derived state and flat trees, buffers and cover
-# records. It is the only version that loads.
-SNAPSHOT_VERSION = 3
+# Version 4 stores no derived state, no tree density state and flat
+# buffers and cover records. Version 3 holds the same plus tree counts
+# and points, which a load ignores; both load, and a save writes 4.
+SNAPSHOT_VERSION = 4
+_LOADABLE_VERSIONS = (3, 4)
 
 
 def parse_depth_weight(spec):
@@ -430,8 +438,11 @@ class CoverModelPosterior:
 
         A context's record holds its stop weight, ``log_m``,
         ``log_trunc`` and local model. ``log_lambda`` is derived from
-        those and recomputed on load.
+        those and recomputed on load, and a tree density is rebuilt
+        from the kd cover's buffers, so raises ``BadConfig`` for a tree
+        density on a cover that keeps none.
         """
+        self._check_rebuildable()
         meta = {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
@@ -455,26 +466,29 @@ class CoverModelPosterior:
 
     @classmethod
     def from_text(cls, text, local_factory):
-        """Rebuild a posterior from ``to_text`` output, format version 3.
+        """Rebuild a posterior from ``to_text`` output, format version 4
+        or 3.
 
         The local factory is not serialised and must be supplied again.
-        ``log_lambda`` and the stop pairs are recomputed bottom-up.
+        Each context's tree density is laid out from the ys buffered
+        under it, and ``log_lambda`` and the stop pairs are recomputed
+        bottom-up, all bit for bit.
 
         Raises ``BadConfig`` on a snapshot of another version, or one
         whose structure does not hold together: the checks of the
-        cover's and the locals' ``from_state``, which take ``n_obs`` as
-        the bound on a tree density's counts before those size anything,
-        a state for each context and for no other, and counts that agree
-        with what the cover routed. The root's local was offered every
-        observation; on a kd cover each context's local was offered the
-        points buffered in the leaves under it, those add up to
-        ``n_obs``, and every buffered y is finite; elsewhere children
-        hold no more points than their parent. ``log_evidence``, ``log_m``
-        and ``log_trunc`` are finite. Not checked, because that would take
-        a refit: their values, the Normal-Wishart sums beyond their
-        shapes, finiteness and positive posterior scale, and a tree
-        density's singleton against its cell below the root. Every
-        context's local must have the prior of the factory's.
+        cover's and the locals' ``from_state``, a state for each context
+        and for no other, and counts that agree with what the cover
+        routed. The root's local was offered every observation; on a kd
+        cover each context's local was offered the points buffered in
+        the leaves under it, those add up to ``n_obs``, every buffered y
+        is finite and, for a tree density, ``dim`` long and, unless a
+        mixture holds the tree, which skips it, in the tree's box;
+        elsewhere children hold no more points than their parent, and no
+        local is a tree density. ``log_evidence``, ``log_m`` and
+        ``log_trunc`` are finite. Not checked, because that would take a
+        refit: their values, and the Normal-Wishart sums beyond their
+        shapes, finiteness and positive posterior scale. Every context's
+        local must have the prior of the factory's.
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
@@ -484,7 +498,7 @@ class CoverModelPosterior:
             if meta.get("format") != SNAPSHOT_FORMAT:
                 raise BadConfig("not a covermodels snapshot")
             version = meta.get("version")
-            if version != SNAPSHOT_VERSION:
+            if version not in _LOADABLE_VERSIONS:
                 raise BadConfig(f"unsupported snapshot version {version!r}")
             return cls._load(meta, lines[1:], local_factory)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -510,8 +524,7 @@ class CoverModelPosterior:
             w0 = float(rec["w0"])
             if not 0.0 < w0 <= 1.0:
                 raise BadConfig(f"stop weight {w0} of context {cid} not in (0, 1]")
-            # no local can have seen more than every observation
-            st = ContextState(local_from_state(rec["local"], obj.n_obs), w0)
+            st = ContextState(local_from_state(rec["local"]), w0)
             st.log_m = float(rec["log_m"])
             st.log_trunc = float(rec["log_trunc"])
             logs += (st.log_m, st.log_trunc)
@@ -525,15 +538,44 @@ class CoverModelPosterior:
         for cid, st in states.items():
             if st.local.prior() != prior:
                 raise BadConfig(f"context {cid}'s local has another prior than the model's")
-        if obj.cover.growth_mode == "replay":
-            # every buffered y passed the fresh local's prepare when it was
-            # absorbed, and the next split replays it
-            for y in obj.cover.buffered_ys():
-                if not all(map(math.isfinite, y)):
-                    raise BadConfig(f"buffered y {list(y)} is not finite")
-        obj._refresh_all()
         obj._check_counts()
+        obj._rebuild()
+        obj._refresh_all()
         return obj
+
+    def _check_rebuildable(self):
+        """Raise ``BadConfig`` if a local holds state that a snapshot
+        leaves out, a tree density's, and the cover keeps no buffers to
+        rebuild it from."""
+        if self.cover.growth_mode != "replay" and prepare_block(self._fresh, []) is not None:
+            raise BadConfig("a snapshot rebuilds tree densities from a kd cover's buffers")
+
+    def _rebuild(self):
+        """Check the kd cover's buffered ys and rebuild from them what the
+        locals' records leave out. Every buffered y passed the fresh
+        local's ``prepare`` when it was absorbed, and the next split
+        replays it, so it must be finite. The fresh local prepares them
+        all at once, then each context's local refills, children first,
+        from its leaf's slice of that block or from its children's
+        returns."""
+        if self.cover.growth_mode != "replay":
+            self._check_rebuildable()
+            return
+        ys, runs = [], {}
+        for cid, buf in self.cover.leaf_ys():
+            runs[cid] = slice(len(ys), len(ys) + len(buf))
+            ys += buf
+        for y in ys:
+            if not all(map(math.isfinite, y)):
+                raise BadConfig(f"buffered y {list(y)} is not finite")
+        block = prepare_block(self._fresh, ys)
+        if block is None:
+            return
+        contexts, done = self.cover.contexts, {}
+        for cid in sorted(self.states, reverse=True):  # children first
+            kids = contexts[cid].child_ids
+            under = [done.pop(k) for k in kids] if kids else runs[cid]
+            done[cid] = self.states[cid].local.refill(block, under)
 
     def _check_counts(self):
         cover, states, root = self.cover, self.states, self.cover.root_id

@@ -37,8 +37,18 @@ already placed their x. The shared duck type:
   none of what it has learnt. Every context of one cover model has the
   same prior, which a snapshot's loader checks.
 * ``state_dict()`` / ``local_from_state``: plain-data round trip. A
-  leaf model's state extends its prior. Loading checks what it can
-  check cheaply and raises ``BadConfig`` on a malformed record.
+  leaf model's state extends its prior, except a tree density's, which
+  is its prior alone: its state is a function of the points under its
+  context, which a kd cover keeps. Loading checks what it can check
+  cheaply and raises ``BadConfig`` on a malformed record.
+* ``prepare_block(ys, skip_outside=False)`` / ``refill(block, under)``:
+  how a snapshot load rebuilds what ``state_dict`` leaves out, through
+  the module's ``prepare_block``. The fresh local prepares every
+  buffered y of the cover once; a model with nothing to rebuild
+  (Normal-Wishart, Dirichlet) has no such method, or returns None, and
+  then no ``refill`` is called. Each context's local then refills from
+  ``under``: for a leaf, the slice of the block that its buffer holds;
+  otherwise, what its children's ``refill`` returned.
 * ``n_seen`` (leaf models): the number of observations absorbed.
   ``check_seen`` and ``check_nested`` compare it with what the cover
   routed to the context.
@@ -55,8 +65,9 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
+import struct
 import warnings
+from bisect import bisect_left
 
 import numpy as np
 
@@ -199,6 +210,96 @@ class DirichletMultinomial:
         return obj
 
 
+# One entry of checked prior values per prior, shared by every model
+# built with it, so a new context's local and a loaded one skip the
+# prior's conversion and checks. An entry's key starts with the model's
+# kind; an entry is never changed once stored, and neither is any list
+# in it. A process that builds many priors drops them all now and then.
+_PRIORS: dict = {}
+_PRIORS_MAX = 64
+
+
+def _shared_prior(key, build):
+    """The prior values ``build()`` returns, from ``_PRIORS`` when a
+    model with the same ``key`` built them before. A key of None is
+    never cached."""
+    prior = _PRIORS.get(key) if key is not None else None
+    if prior is None:
+        prior = build()
+        if key is not None:
+            if len(_PRIORS) >= _PRIORS_MAX:
+                _PRIORS.clear()
+            _PRIORS[key] = prior
+    return prior
+
+
+def _float_bytes(*values):
+    """``values`` as the bytes of their floats, the part of a ``_PRIORS``
+    key that holds a prior's numbers: bytes tell -0.0 from 0.0, and two
+    priors whose numbers have the same floats have the same values.
+    Raises ``struct.error`` on a value that is not a real number."""
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def _nw_prior_key(mu0, kappa0, nu0, scale):
+    """The ``_PRIORS`` key of a Normal-Wishart prior, or None unless
+    ``mu0`` is a list or tuple of numbers, ``kappa0`` a number, ``nu0``
+    None or a number and ``scale`` None, a number or a list or tuple of
+    such rows: a key must not equate arguments that the checks of
+    ``_nw_prior`` tell apart."""
+    if type(mu0) not in (list, tuple):
+        return None
+    if scale is None:
+        form, values = None, ()
+    elif type(scale) in (list, tuple):
+        if not all(type(row) in (list, tuple) and len(row) == len(scale) for row in scale):
+            return None
+        form, values = len(scale), [v for row in scale for v in row]
+    elif isinstance(scale, (int, float)):
+        form, values = -1, (scale,)
+    else:
+        return None
+    try:
+        return (
+            "normal_wishart", len(mu0), nu0 is None, form,
+            _float_bytes(*mu0, kappa0, *(() if nu0 is None else (nu0,)), *values),
+        )
+    except struct.error:
+        return None
+
+
+def _nw_prior(mu0, kappa0, nu0, scale):
+    """Check a Normal-Wishart prior and return ``(mu0, kappa0, nu0,
+    T0)``: the mean as a list of floats, the two settings as floats and
+    the scale matrix as a list of rows of floats."""
+    mu0 = np.atleast_1d(np.asarray(mu0, dtype=float))
+    m = mu0.shape[0]
+    if nu0 is None:
+        nu0 = m + 2.0
+    if scale is None:
+        scale = np.eye(m)
+    scale = np.asarray(scale, dtype=float)
+    if scale.ndim == 0:
+        scale = float(scale) * np.eye(m)
+    if not kappa0 > 0:
+        raise BadConfig("kappa0 must be positive")
+    if not nu0 > m - 1:
+        raise BadConfig("nu0 must exceed dim - 1")
+    if scale.shape != (m, m):
+        raise BadConfig("scale matrix has wrong shape")
+    if not all(map(math.isfinite, scale.ravel().tolist())):
+        raise BadConfig("scale matrix must be finite")
+    if m == 1:
+        if not scale[0, 0] > 0:
+            raise BadConfig("scale must be positive")
+    else:
+        try:
+            np.linalg.cholesky(scale)
+        except np.linalg.LinAlgError:
+            raise BadConfig("scale matrix must be positive definite") from None
+    return mu0.tolist(), float(kappa0), float(nu0), scale.tolist()
+
+
 class NormalWishart:
     """Normal-Wishart conjugate model for vector observations.
 
@@ -212,37 +313,10 @@ class NormalWishart:
     """
 
     def __init__(self, mu0, kappa0=1.0, nu0=None, scale=None):
-        mu0 = np.atleast_1d(np.asarray(mu0, dtype=float))
-        m = mu0.shape[0]
-        if nu0 is None:
-            nu0 = m + 2.0
-        if scale is None:
-            scale = np.eye(m)
-        scale = np.asarray(scale, dtype=float)
-        if scale.ndim == 0:
-            scale = float(scale) * np.eye(m)
-        if not kappa0 > 0:
-            raise BadConfig("kappa0 must be positive")
-        if not nu0 > m - 1:
-            raise BadConfig("nu0 must exceed dim - 1")
-        if scale.shape != (m, m):
-            raise BadConfig("scale matrix has wrong shape")
-        if not all(map(math.isfinite, scale.ravel().tolist())):
-            raise BadConfig("scale matrix must be finite")
-        if m == 1:
-            # a float test: every new context builds one of these
-            if not scale[0, 0] > 0:
-                raise BadConfig("scale must be positive")
-        else:
-            try:
-                np.linalg.cholesky(scale)
-            except np.linalg.LinAlgError:
-                raise BadConfig("scale matrix must be positive definite") from None
-        self.mu0 = mu0.tolist()
-        self.kappa0 = float(kappa0)
-        self.nu0 = float(nu0)
-        self.T0 = scale.tolist()
-        self.dim = m
+        self.mu0, self.kappa0, self.nu0, self.T0 = _shared_prior(
+            _nw_prior_key(mu0, kappa0, nu0, scale), lambda: _nw_prior(mu0, kappa0, nu0, scale)
+        )
+        self.dim = m = len(self.mu0)
         self.n = 0
         self.sum_y = [0.0] * m
         self.sum_yy = [[0.0] * m for _ in range(m)]
@@ -462,14 +536,6 @@ def _lgamma_tables(a, n):
     return tables
 
 
-# One entry of prior-derived tables per tree prior (``_tree_prior_key``),
-# shared by every tree built with it, so a new context's tree and a
-# loaded one skip the box conversion and the ``_one`` chain. An entry is
-# never changed once stored; a process that builds many priors drops
-# them all now and then.
-_TREE_PRIORS: dict = {}
-_TREE_PRIORS_MAX = 64
-
 # A query walk scales its running product and sum down by _RESCALE, a
 # power of two and so exact, whenever the product passes _BIG, and adds
 # _LOG_RESCALE per scaling to the result: a product grows by less than 2
@@ -480,10 +546,9 @@ _LOG_RESCALE = 1000.0 * LOG2
 
 
 def _tree_prior_key(lower, upper, gamma, branch_pseudo, max_depth):
-    """The ``_TREE_PRIORS`` key of a tree prior: every float by its hex
-    form, so -0.0 keys apart from 0.0. None, and no caching, unless the
-    bounds are lists or tuples of floats, the two settings floats and
-    ``max_depth`` an int: a key must not equate arguments that the
+    """The ``_PRIORS`` key of a tree prior. None, and no caching, unless
+    the bounds are lists or tuples of numbers, the two settings numbers
+    and ``max_depth`` an int: a key must not equate arguments that the
     constructor's checks tell apart."""
     if type(lower) not in (list, tuple) or type(upper) not in (list, tuple):
         return None
@@ -491,13 +556,10 @@ def _tree_prior_key(lower, upper, gamma, branch_pseudo, max_depth):
         return None
     try:
         return (
-            tuple(map(float.hex, lower)),
-            tuple(map(float.hex, upper)),
-            float.hex(gamma),
-            float.hex(branch_pseudo),
-            max_depth,
+            "bayes_tree", len(lower), max_depth,
+            _float_bytes(*lower, *upper, gamma, branch_pseudo),
         )
-    except TypeError:
+    except struct.error:
         return None
 
 
@@ -566,7 +628,7 @@ class BayesTreeDensity:
     tree's is, so y's route through it (split dimension, midpoint and
     side at each depth) depends on y alone. ``prepare`` computes the
     route once, and every tree with the same prior walks it. Trees with
-    the same prior also share its tables (``_TREE_PRIORS``).
+    the same prior also share its tables (``_PRIORS``).
 
     Nodes live in flat lists indexed by node id, root at 0: ``_n``
     (count), ``_lam`` (cached log value), ``_g`` and ``_h`` (the stop
@@ -577,25 +639,28 @@ class BayesTreeDensity:
     tens of thousands of small objects per model for the garbage
     collector to walk.
 
-    A snapshot (format 3) stores only counts and singleton points, as
-    two flat lists in preorder; ``_load`` checks their structure and
-    recomputes every value and pair.
+    The tree's state is a function of the points it holds, and the kd
+    cover buffers every point, so a snapshot stores the prior alone
+    (format 4; format 3 also stored counts and singleton points, which a
+    load ignores). A load rebuilds the tree from the buffered ys under
+    its context: ``prepare_block`` routes the buffered ys down the
+    partition once, each as deep as another y shares its cell, and
+    packs each y's sides into an int, the *route code*, and ``refill``
+    sorts a context's codes and lays the tree out in one pass over them
+    (``_layout``), then ``_fill_values`` sets every value and pair. The
+    rebuilt tree equals the saved one bit for bit; only node ids may
+    differ, which nothing reads.
     """
 
     def __init__(self, lower, upper, gamma=0.5, branch_pseudo=0.5, max_depth=12):
-        key = _tree_prior_key(lower, upper, gamma, branch_pseudo, max_depth)
-        prior = _TREE_PRIORS.get(key)
-        if prior is None:
-            prior = self._prior_tables(lower, upper, gamma, branch_pseudo, max_depth)
-            if key is not None:
-                if len(_TREE_PRIORS) >= _TREE_PRIORS_MAX:
-                    _TREE_PRIORS.clear()
-                _TREE_PRIORS[key] = prior
         (
             self.box, self.gamma, self.branch_pseudo, self.max_depth, self._log_vol,
             self._log_gamma, self._log_split, self._log_beta0, self._one, self._chain,
             self._pt_pair,
-        ) = prior
+        ) = _shared_prior(
+            _tree_prior_key(lower, upper, gamma, branch_pseudo, max_depth),
+            lambda: self._prior_tables(lower, upper, gamma, branch_pseudo, max_depth),
+        )
         self._dim = self.box.dim
         self._lg_a, self._lg_2a = _lgamma_tables(self.branch_pseudo, 2)
         self._n = [0]
@@ -739,8 +804,7 @@ class BayesTreeDensity:
         """Set each node's value, and a node with children's stop pair,
         at its depth in ``depths``, from its count and its children's
         values, which come first. Counts are taken as they are:
-        ``_insert`` keeps each the sum of its children's, and ``_load``
-        checks that of a snapshot's."""
+        ``_insert`` and ``_layout`` keep each the sum of its children's."""
         n, kid, lam, stop, go = self._n, self._kid, self._lam, self._g, self._h
         top, one, loglam = self.max_depth, self._one, self._loglam
         if len(self._lg_2a) <= n[0]:
@@ -882,97 +946,156 @@ class BayesTreeDensity:
         }
 
     def state_dict(self):
-        """The tree as two flat lists, both in preorder.
+        """The prior alone: a load rebuilds the tree with ``refill``."""
+        return self.prior()
 
-        ``counts`` holds every materialised node's count, negated for a
-        node that has children. The sign alone tells a node with
-        children from a leaf: a version-1 snapshot re-saved in this
-        format can hold one-point chains, whose nodes hold one point and
-        have children, unlike a singleton. ``points`` holds every
-        singleton's point, ``dim`` floats each. Node values are not
-        stored.
+    def prepare_block(self, ys, skip_outside=False):
+        """``refill``'s block for ``ys``, tuples of floats as a kd cover
+        buffers them: ``(keys, ys, top_bit, mask)``.
+
+        ``keys`` holds one sort key per y, its route code shifted left
+        past a field that holds y's index in ``ys``, or None for a y
+        outside the box. A route code holds y's side at depth k in bit
+        ``top_bit - k`` of its key, so keys sort as the partition's
+        leaves do, and ``key & mask`` is y's index. A code has one bit
+        per depth the walk below goes down, and keys are Python ints, so
+        any ``max_depth`` fits.
+
+        Each distinct y is routed once, in numpy, with ``cut``'s
+        operations: the largest side, the lowest dimension on ties, the
+        midpoint ``0.5 * (lo + hi)``, and y goes low when
+        ``y[d] < mid``. ``_layout`` reads y's side at a depth only while
+        another y shares its cell, so a y leaves the walk once it is
+        alone in its cell and its deeper bits stay 0; only a y held more
+        than once is routed down to ``max_depth``. The walk thus goes as
+        deep as the tree does, and keeps the sides of 64 depths in one
+        word per y still in it.
+
+        A y outside the box is skipped, as ``update`` skips it inside a
+        mixture, when ``skip_outside`` is set, and raises ``BadConfig``
+        otherwise, as does a y that is not ``dim`` long.
         """
-        counts, points = [], []
-        n, kid, pt, dim, top = self._n, self._kid, self._pt, self._dim, self.max_depth
-        stack, depths = [0], [0]
-        while stack:
-            node, depth = stack.pop(), depths.pop()
-            left = kid[node]
-            if left:
-                counts.append(-n[node])
-                stack += (left + 1, left)
-                depths += (depth + 1, depth + 1)
-            else:
-                counts.append(n[node])
-                if n[node] == 1 and depth < top:
-                    points += pt[node * dim:(node + 1) * dim]
-        return {**self.prior(), "counts": counts, "points": points}
+        dim, n = self._dim, len(ys)
+        pts = np.array(ys, dtype=float) if n else np.zeros((0, dim))
+        if pts.shape[1:] != (dim,):
+            raise BadConfig(f"buffered y {list(ys[0])} has length {len(ys[0])}, expected {dim}")
+        lower, upper = np.array(self.box.lower), np.array(self.box.upper)
+        inside = np.all((lower <= pts) & (pts <= upper), axis=1)
+        idx = np.flatnonzero(inside)
+        if not skip_outside and len(idx) < n:
+            y = ys[int(np.flatnonzero(~inside)[0])]
+            raise BadConfig(f"buffered y {list(y)} is outside the tree's y box")
+        # the distinct ys: sorted, a y unlike the one before starts a run
+        order = np.lexsort(pts[idx].T[::-1])
+        pts = pts[idx[order]]
+        first = np.ones(len(pts), dtype=bool)
+        first[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+        inv = np.empty(len(pts), dtype=np.intp)
+        inv[order] = np.cumsum(first) - 1  # each in-box y's distinct y
+        pts = pts[first]
+        rows = np.arange(len(pts) if len(idx) > 1 else 0)  # the distinct ys still walking
+        held = np.diff(np.flatnonzero(np.append(first, True)))[rows]  # how often each is held
+        lo, hi = np.tile(lower, (len(rows), 1)), np.tile(upper, (len(rows), 1))
+        cell = np.zeros(len(rows), dtype=np.intp)  # the cells, numbered from 0
+        chunks = []  # per 64 depths: the distinct ys walking at its first, and their words
+        chains = False  # whether each y still walking is alone in its cell
+        k = 0
+        while len(rows) and k < self.max_depth:
+            if k % 64 == 0:
+                word, at = np.zeros(len(rows), dtype=np.uint64), np.arange(len(rows))
+                chunks.append((rows, word))
+            i = np.arange(len(rows))
+            d = (hi - lo).argmax(axis=1)
+            a, b = lo[i, d], hi[i, d]
+            mid = 0.5 * (a + b)
+            up = ~(pts[rows, d] < mid)
+            word[at[up]] |= np.uint64(1 << (63 - k % 64))
+            lo[i, d] = np.where(up, mid, a)
+            hi[i, d] = np.where(up, b, mid)
+            k += 1
+            if chains:  # each is held more than once, so walks to max_depth
+                continue
+            cell = 2 * cell + up
+            if 1 << k < len(rows):
+                # fewer cells than ys walking: few can be alone, and they
+                # walk on, their deeper bits being their true route
+                continue
+            shared = np.bincount(cell, weights=held) > 1
+            keep = shared[cell]
+            if not keep.all():  # the ys alone in their cells leave
+                rows, held, at, lo, hi = rows[keep], held[keep], at[keep], lo[keep], hi[keep]
+                cell = cell[keep]
+            cell = (np.cumsum(shared) - 1)[cell]
+            chains = np.count_nonzero(shared) == len(rows)
+        shift = n.bit_length()  # a route code takes the k depths walked, above the index
+        if len(chunks) == 1 and k + shift <= 64:  # every key fits one word
+            code = chunks[0][1] >> np.uint64(64 - k)
+            keys = (code[inv] << np.uint64(shift) | idx.astype(np.uint64)).tolist()
+        else:
+            place = 64 * (len(chunks) - 1)  # where the first word goes
+            codes = [w << place for w in chunks[0][1].tolist()] if chunks else [0] * len(pts)
+            for routed, word in chunks[1:]:  # the deeper words of the ys still walking
+                place -= 64
+                for r, w in zip(routed.tolist(), word.tolist()):
+                    codes[r] |= w << place
+            drop = 64 * len(chunks) - k  # the bits below the depths walked
+            keys = [codes[r] >> drop << shift | i for i, r in zip(idx.tolist(), inv.tolist())]
+        if len(idx) < n:  # None for a y outside the box
+            keys, inside = [None] * n, keys
+            for i, key in zip(idx.tolist(), inside):
+                keys[i] = key
+        return keys, ys, shift + k - 1, (1 << shift) - 1
 
-    def _load(self, counts, points, max_seen=None):
-        """Fill the empty tree from ``state_dict``'s flat lists.
+    def refill(self, block, under):
+        """Lay the empty tree out from the ys of ``block`` under its
+        context, and return their sorted keys for the parent's refill.
+        ``under`` is a leaf's slice of the block, or the list of its
+        children's returns, whose sorted runs one sort merges."""
+        if type(under) is slice:
+            keys = [k for k in block[0][under] if k is not None]
+        else:
+            keys = [k for run in under for k in run]
+        keys.sort()
+        self._layout(keys, block)
+        return keys
 
-        One forward pass lays out the nodes, each pair of children
-        after their parent, and records their depths, so that
-        ``_fill_values`` computes every value after its children's.
-        Raises ``BadConfig`` on a list that is short or long, a count
-        that is not an int or exceeds the root's, a root count above
-        ``max_seen`` (checked before any table is sized by it), a split
-        at ``max_depth``, a childless node above ``max_depth`` with two
-        or more points, a singleton point that is not a float or lies
-        outside the box, or a node whose count is not the sum of its
-        children's. A singleton point is not checked against its own
-        cell below the root.
-        """
-        size = len(counts)
-        if not size or set(map(type, counts)) != {int}:
-            raise BadConfig("tree counts must be a nonempty list of ints")
-        dim, top = self._dim, self.max_depth
-        n, kid, depth = [0] * size, [0] * size, [0] * size
-        pt = [0.0] * (dim * size)
-        stack = [0]  # ids of the nodes whose counts come next
-        pop = stack.pop
-        sums = []  # the count of each node with children, in the order of their ids
-        free = 1
-        j = 0
-        for c in counts:
-            if not stack:
-                raise BadConfig("tree counts list is too long")
-            node = pop()
-            if c < 0:
-                if depth[node] >= top or free + 2 > size:
-                    raise BadConfig("tree counts describe a split that cannot exist")
-                sums.append(-c)
-                kid[node] = free
-                depth[free] = depth[free + 1] = depth[node] + 1
-                stack += (free + 1, free)
-                free += 2
-                c = -c
-            elif c and depth[node] < top:
-                if c > 1:
-                    raise BadConfig(f"childless tree node at depth {depth[node]} holds {c} points")
-                pt[node * dim:(node + 1) * dim] = points[j:j + dim]
-                j += dim
-            n[node] = c
-        if stack:
-            raise BadConfig("tree counts list is too short")
-        # the k-th pair of children has ids 2k + 1 and 2k + 2
-        if sums != list(map(operator.add, n[1::2], n[2::2])):
-            raise BadConfig("a tree node's count is not the sum of its children's")
-        if j != len(points):
-            raise BadConfig("tree points list does not hold one point per singleton")
-        if not set(map(type, points)) <= {float}:
-            raise BadConfig("tree points must be floats")
-        for d in range(dim):
-            col = points[d::dim]
-            if any(map(math.isnan, col)) or col and not (
-                self.box.lower[d] <= min(col) and max(col) <= self.box.upper[d]
-            ):
-                raise BadConfig(f"a tree point lies outside {self.box!r}")
-        root = n[0]
-        if max_seen is not None and root > max_seen:
-            raise BadConfig(f"tree root holds {root} points, more than {max_seen} observed")
-        if max(n) > root:
-            raise BadConfig("a tree node holds more points than the root")
+    def _layout(self, keys, block):
+        """Set the nodes from ``keys``, sorted: the points under a node
+        are one run of them, and the first of its high child's is where
+        the node's side bit turns 1 (``bisect``). A run of two or more
+        points above ``max_depth`` splits into a pair of children, a run
+        of one there is a singleton that keeps its point, and a run at
+        ``max_depth`` keeps none, as ``_insert`` leaves them."""
+        _, ys, top_bit, mask = block
+        top, dim, pair = self.max_depth, self._dim, self._pt_pair
+        size = len(keys)
+        n, kid, depth, pt = [size], [0], [0], [0.0] * dim
+        todo = []  # runs to split: node, depth, keys[i:j], the node's route bits
+        if size > 1 and top:
+            todo.append((0, 0, 0, size, 0))
+        elif size and top:
+            pt[:] = ys[keys[0] & mask]
+        pop, push = todo.pop, todo.append
+        while todo:
+            node, k, i, j, route = pop()
+            high = route | 1 << (top_bit - k)
+            m = bisect_left(keys, high, i, j)
+            left = len(n)
+            kid[node] = left
+            k += 1
+            n += (m - i, j - m)
+            kid += (0, 0)
+            depth += (k, k)
+            pt += pair
+            if k < top:
+                if j - m > 1:
+                    push((left + 1, k, m, j, high))
+                elif j > m:
+                    pt[(left + 1) * dim:(left + 2) * dim] = ys[keys[m] & mask]
+                if m - i > 1:
+                    push((left, k, i, m, route))
+                elif m > i:
+                    pt[left * dim:(left + 1) * dim] = ys[keys[i] & mask]
         self._n, self._kid, self._pt = n, kid, pt
         self._fill_values(depth)
 
@@ -1011,16 +1134,16 @@ class BayesTreeDensity:
         return -math.inf if skipped else self._lam[0]
 
     @classmethod
-    def from_state(cls, state, max_seen=None):
-        obj = cls(
+    def from_state(cls, state):
+        """An empty tree with the record's prior; ``refill`` lays it out.
+        A format-3 record's ``counts`` and ``points`` are ignored."""
+        return cls(
             state["lower"],
             state["upper"],
             gamma=state["gamma"],
             branch_pseudo=state["branch_pseudo"],
             max_depth=state["max_depth"],
         )
-        obj._load(state["counts"], state["points"], max_seen)
-        return obj
 
 
 class MixtureLocal:
@@ -1111,9 +1234,25 @@ class MixtureLocal:
             "components": [c.state_dict() for c in self.components],
         }
 
+    def prepare_block(self, ys, skip_outside=False):
+        """The components' blocks, each tree skipping a y outside its
+        box as ``update`` does; None when no component has one."""
+        blocks = [prepare_block(c, ys, skip_outside=True) for c in self.components]
+        return None if all(b is None for b in blocks) else blocks
+
+    def refill(self, block, under):
+        """Refill each component that has a block; returns their returns,
+        None for a component without one."""
+        out = []
+        for i, (comp, b) in enumerate(zip(self.components, block)):
+            if b is not None:
+                b = comp.refill(b, under if type(under) is slice else [u[i] for u in under])
+            out.append(b)
+        return out
+
     @classmethod
-    def from_state(cls, state, max_seen=None):
-        comps = [local_from_state(c, max_seen) for c in state["components"]]
+    def from_state(cls, state):
+        comps = [local_from_state(c) for c in state["components"]]
         obj = cls(comps)
         log_w = [float(v) for v in state["log_w"]]
         if len(log_w) != len(comps):
@@ -1136,31 +1275,30 @@ _LOCAL_KINDS = {
 }
 
 
-def local_from_state(state, max_seen=None):
-    """Rebuild a local model from ``state_dict``. ``max_seen``, when
-    given, bounds the observations the model can have been offered; a
-    tree density checks its root count against it before it sizes its
-    log-Beta tables by that count."""
+def local_from_state(state):
+    """Rebuild a local model from ``state_dict``."""
     kind = state.get("kind")
     if kind not in _LOCAL_KINDS:
         raise BadConfig(f"unknown local model kind {kind!r}")
-    if kind in ("bayes_tree", "mixture"):
-        return _LOCAL_KINDS[kind].from_state(state, max_seen)
     return _LOCAL_KINDS[kind].from_state(state)
 
 
+def prepare_block(local, ys, skip_outside=False):
+    """``local.prepare_block(ys, skip_outside)``, or None, nothing to
+    rebuild, for a local that has no such method."""
+    prepare = getattr(local, "prepare_block", None)
+    return None if prepare is None else prepare(ys, skip_outside)
+
+
 def check_seen(local, n):
-    """Raise ``BadConfig`` unless ``local`` can have been offered exactly
-    n observations: a tree density rejects y outside its box, so inside
-    a mixture it may have skipped some of them; every other model
-    absorbed all n."""
+    """Raise ``BadConfig`` unless ``local`` holds the n observations the
+    cover routed to its context. A tree density is not checked: a load
+    rebuilds it from those observations."""
     if isinstance(local, MixtureLocal):
         for comp in local.components:
             check_seen(comp, n)
-        return
-    seen = local.n_seen
-    if seen > n or (seen < n and not isinstance(local, BayesTreeDensity)):
-        raise BadConfig(f"a {type(local).__name__} local holds {seen} points, expected {n}")
+    elif not isinstance(local, BayesTreeDensity) and local.n_seen != n:
+        raise BadConfig(f"a {type(local).__name__} local holds {local.n_seen} points, expected {n}")
 
 
 def check_nested(parent, kids):

@@ -7,12 +7,15 @@ from hypothesis import settings
 from scipy.special import betaln
 
 from covermodels import (
+    BayesTreeDensity,
     Box,
     CoverModelPosterior,
     DirichletMultinomial,
     KdTreeCover,
     NormalWishart,
+    local_from_state,
 )
+from covermodels.local import prepare_block
 from oracle import ExactEnumerator, dirichlet_block_marginal, normal_wishart_block_marginal
 
 # Property tests draw the same examples on every run and are not timed
@@ -32,6 +35,47 @@ def score(local, y):
 def learn(local, y):
     """Absorb a raw y into a local model; returns its update's value."""
     return local.update(local.prepare(y))
+
+
+def refilled(local, ys):
+    """``local`` rebuilt as a snapshot load rebuilds it: from its record,
+    then refilled from ``ys``, which it absorbed, as one kd leaf buffers
+    them."""
+    clone = local_from_state(local.state_dict())
+    ys = [tuple(np.asarray(y, dtype=float).reshape(-1).tolist()) for y in ys]
+    block = prepare_block(clone, ys)
+    if block is not None:
+        clone.refill(block, slice(0, len(ys)))
+    return clone
+
+
+def tree_nodes(bt):
+    """A tree density's state whatever its node ids: per node in
+    preorder, its count, whether it has children, its point if it is a
+    singleton, its value and its stop pair."""
+    out, stack = [], [(0, 0)]
+    while stack:
+        node, depth = stack.pop()
+        left = bt._kid[node]
+        single = not left and bt._n[node] == 1 and depth < bt.max_depth
+        point = bt._point(node) if single else None
+        out.append((bt._n[node], bool(left), point, bt._lam[node], bt._g[node], bt._h[node]))
+        if left:
+            stack += [(left + 1, depth + 1), (left, depth + 1)]
+    return out
+
+
+def local_trees(local):
+    """``tree_nodes`` of each tree density in a local, a mixture's in
+    component order. A snapshot's tree records hold the prior alone, so
+    a test that a local is unchanged compares these as well."""
+    parts = getattr(local, "components", [local])
+    return [tree_nodes(c) for c in parts if isinstance(c, BayesTreeDensity)]
+
+
+def model_trees(model):
+    """``local_trees`` of every context of a CDE model, by context id."""
+    return {cid: local_trees(st.local) for cid, st in model.posterior.states.items()}
 
 
 def random_static_tree(rng, max_extra_splits=6, dim=None, depth_cap=3):

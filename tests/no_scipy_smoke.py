@@ -25,9 +25,18 @@ assert np.all(np.isfinite(kernel.log_density_batch(x[:5], y[:5])))
 assert math.isfinite(covermodels.ctw_logprob([0, 1, 1, 0, 1, 1], max_context=2))
 
 cde = covermodels.new_cde([-2.0], [2.0], [-2.0], [2.0])
-for xi, yi in zip(x[:10], y[:10]):
+for xi, yi in zip(x, y):
     cde.absorb(xi, yi)
 assert math.isfinite(cde.predict_logdensity([0.0], [0.0]))
+# a load rebuilds every context's tree density from the kd cover's
+# buffers, routing them in numpy: the reloaded model predicts bit for bit
+clone = covermodels.CdeModel.from_text(cde.to_text())
+assert clone.n_contexts == cde.n_contexts > 1
+assert clone.to_text() == cde.to_text()
+grid = np.linspace(-2.0, 2.0, 9)
+assert [clone.predict_logdensity([a], [b]) for a in grid for b in grid] == [
+    cde.predict_logdensity([a], [b]) for a in grid for b in grid
+]
 
 vmm = covermodels.VmmModel(2, 3)
 assert math.isfinite(vmm.fit_sequence([0, 1, 1, 0, 1]))

@@ -348,7 +348,10 @@ class TestSnapshot:
         xq = rng.uniform(0, 1, size=1)
         assert clone.predict_logdensity(xq, 0) == post.predict_logdensity(xq, 0)
 
-    def test_refuses_every_version_but_3(self):
+    def test_refuses_versions_1_2_5_and_a_missing_one(self):
+        """A save writes version 4; the same records labelled 3 load as
+        well, since version 3 differs only in the tree records, and
+        re-save as 4."""
         rng = np.random.default_rng(4)
         cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0, max_depth=6)
         factory = lambda: DirichletMultinomial(2, 0.5)
@@ -357,12 +360,14 @@ class TestSnapshot:
             post.absorb(rng.uniform(0, 1, size=1), int(rng.integers(2)))
         text = post.to_text()
         meta, _, rest = text.partition("\n")
-        assert json.loads(meta)["version"] == 3
-        clone = CoverModelPosterior.from_text(text, factory)
-        assert clone.to_text() == text
-        for cid, st in post.states.items():
-            assert clone.states[cid].log_lambda == st.log_lambda
-        for version in (1, 2, 4, None):
+        assert json.loads(meta)["version"] == 4
+        old = json.dumps({**json.loads(meta), "version": 3}, sort_keys=True) + "\n" + rest
+        for saved in (text, old):
+            clone = CoverModelPosterior.from_text(saved, factory)
+            assert clone.to_text() == text
+            for cid, st in post.states.items():
+                assert clone.states[cid].log_lambda == st.log_lambda
+        for version in (1, 2, 5, None):
             head = {**json.loads(meta), "version": version}
             if version is None:
                 del head["version"]

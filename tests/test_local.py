@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import enum_stopped_trees, learn, score
+from conftest import enum_stopped_trees, learn, local_trees, refilled, score, tree_nodes
 from covermodels import (
     BadConfig,
     BayesTreeDensity,
@@ -191,6 +191,25 @@ class TestNormalWishart:
         with pytest.raises(BadConfig):
             local_from_state(state)
 
+    def test_models_of_one_prior_share_its_values(self):
+        """A prior's numbers key the cache by their bits, so -0.0 keeps
+        its own entry, and a scale's form is part of the key: a 1 by 1
+        matrix for two dimensions is refused after the scalar 2.0 that
+        means 2 I was cached, and ragged rows after the matrix with the
+        same four numbers."""
+        a = NormalWishart([0.0, 1.0], kappa0=2.0, scale=2.0)
+        b = NormalWishart((0.0, 1.0), kappa0=2.0, scale=2.0)
+        assert b.mu0 is a.mu0 and b.T0 is a.T0 and a.T0 == [[2.0, 0.0], [0.0, 2.0]]
+        z = NormalWishart([-0.0, 1.0], kappa0=2.0, scale=2.0)
+        assert z.mu0 is not a.mu0 and math.copysign(1.0, z.prior()["mu0"][0]) == -1.0
+        c = NormalWishart(np.array([0.0, 1.0]), kappa0=2.0, scale=np.full((1, 1), 2.0) * np.eye(2))
+        assert c.T0 is not a.T0 and c.prior() == a.prior()
+        with pytest.raises(BadConfig):
+            NormalWishart([0.0, 1.0], kappa0=2.0, scale=[[2.0]])
+        NormalWishart([0.0, 1.0], kappa0=2.0, scale=[[2.0, 0.0], [0.0, 2.0]])
+        with pytest.raises((BadConfig, ValueError)):
+            NormalWishart([0.0, 1.0], kappa0=2.0, scale=[[2.0, 0.0, 0.0], [2.0]])
+
     def test_round_trip(self):
         nw = NormalWishart([0.0], kappa0=1.0, nu0=3.0, scale=[[1.0]])
         for y in [0.3, -0.2, 0.9]:
@@ -305,28 +324,19 @@ class TestBayesTree:
         assert math.exp(score(bt, [1.0])) == pytest.approx(0.25)
 
     def test_round_trip(self):
+        """The record is the prior; the points rebuild the rest."""
         bt = BayesTreeDensity([0.0, 0.0], [1.0, 1.0], max_depth=4)
         rng = np.random.default_rng(9)
-        for y in rng.uniform(0, 1, size=(20, 2)):
+        ys = rng.uniform(0, 1, size=(20, 2))
+        for y in ys:
             learn(bt, y)
-        bt2 = local_from_state(bt.state_dict())
+        assert bt.state_dict() == bt.prior()
+        bt2 = refilled(bt, ys)
         q = [0.3, 0.8]
         assert score(bt2, q) == score(bt, q)
         learn(bt, [0.5, 0.5])
         learn(bt2, [0.5, 0.5])
         assert score(bt2, q) == score(bt, q)
-
-    @pytest.mark.parametrize(
-        "counts",
-        [[-3, 1, 1], [-1, 1, 1], [-4, -2, 1, 2, -2, 1, 1], [-4, -2, 1, 1, -2, 1, 2]],
-    )
-    def test_a_count_that_is_not_its_childrens_sum_is_refused(self, counts):
-        """Counts within the root's that break one node's sum, at the
-        root or below it; ``[-4, -2, 1, 1, -2, 1, 1]`` loads."""
-        state = {**BayesTreeDensity([0.0], [1.0], max_depth=2).prior(), "points": []}
-        local_from_state({**state, "counts": [-4, -2, 1, 1, -2, 1, 1]})
-        with pytest.raises(BadConfig, match="not the sum of its children's"):
-            local_from_state({**state, "counts": counts})
 
     def test_samples_stay_in_box(self):
         bt = BayesTreeDensity([0.0], [1.0], max_depth=5)
@@ -401,9 +411,10 @@ class TestMixtureLocal:
                 BayesTreeDensity([-3.0], [3.0], max_depth=4),
             ]
         )
-        for y in [0.2, -0.4, 1.0]:
+        ys = [0.2, -0.4, 1.0]
+        for y in ys:
             learn(mix, y)
-        mix2 = local_from_state(mix.state_dict())
+        mix2 = refilled(mix, ys)
         assert score(mix2, 0.3) == score(mix, 0.3)
 
     def test_needs_components(self):
@@ -473,25 +484,40 @@ class TestFusedUpdate:
             warnings.simplefilter("ignore", RuntimeWarning)
             for _ in range(20):
                 learn(model, draw(rng))
-        before = model.state_dict()
+        before = model.state_dict(), local_trees(model)
         with pytest.raises(BadConfig):
             learn(model, float("nan"))
         if kind != "mixture":  # the normal component supports every y
             with pytest.raises(OutOfSupport):
                 learn(model, 50.0)
-        assert model.state_dict() == before
+        assert (model.state_dict(), local_trees(model)) == before
 
     @pytest.mark.parametrize("upper", [[2.0], [1.0, 2.0]])
     def test_tree_rebuilt_from_state_is_bit_identical(self, upper):
         lo = np.zeros(len(upper))
         bt = BayesTreeDensity(lo, upper, max_depth=10)
         rng = np.random.default_rng(13)
-        for u in rng.beta(2.0, 5.0, size=(200, len(upper))):
-            learn(bt, u * np.asarray(upper))
-        clone = BayesTreeDensity.from_state(bt.state_dict())
+        ys = rng.beta(2.0, 5.0, size=(200, len(upper))) * np.asarray(upper)
+        for y in ys:
+            learn(bt, y)
+        clone = refilled(bt, ys)
         assert clone.log_evidence == bt.log_evidence
         axes = [np.linspace(0.0, hi, 9) for hi in upper]
         for q in np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, len(upper)):
+            assert score(clone, q) == score(bt, q)
+
+
+    @pytest.mark.parametrize("max_depth", [70, 200])
+    def test_tree_rebuilt_where_ys_part_past_one_route_word(self, max_depth):
+        """ys that share their cells deeper than 64 levels, and ys held
+        more than once, whose routes the rebuild walks to ``max_depth``."""
+        bt = BayesTreeDensity([0.0], [1.0], max_depth=max_depth)
+        ys = [[0.0], [2.0**-66], [2.0**-67], [0.3], [2.0**-67], [2.0**-150], [1.0], [1.0]]
+        for y in ys:
+            learn(bt, y)
+        clone = refilled(bt, ys)
+        assert tree_nodes(clone) == tree_nodes(bt)
+        for q in [0.0, 2.0**-70, 2.0**-67, 2.0**-66, 0.3, 0.5, 1.0]:
             assert score(clone, q) == score(bt, q)
 
 
@@ -624,31 +650,6 @@ class MaterialisedTree:
         y = rng.uniform(lo, hi)
         return y if len(lo) > 1 else float(y[0])
 
-    def state_dict(self):
-        """The format-3 record: counts in preorder, negated where a node
-        has children. Every point's chain reaches ``max_depth``, so there
-        are no singletons and no points, and a node that holds one point
-        above ``max_depth`` has children."""
-        counts = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node["kids"]:
-                counts.append(-node["n"])
-                stack += reversed(node["kids"])
-            else:
-                counts.append(node["n"])
-        return {
-            "kind": "bayes_tree",
-            "lower": self.lower,
-            "upper": self.upper,
-            "gamma": self.gamma,
-            "branch_pseudo": self.a,
-            "max_depth": self.max_depth,
-            "counts": counts,
-            "points": [],
-        }
-
 
 def query_bound(bt):
     """How far a tree's query may lie from the log-difference form of
@@ -772,10 +773,12 @@ class TestTreeAgainstMaterialised:
     @pytest.mark.parametrize("dim,max_depth", DIFF_CASES)
     def test_state_round_trip_is_bit_identical(self, dim, max_depth):
         rng, lo, hi, ref, bt = tree_pair(dim, max_depth, 31 * dim + max_depth)
-        for y in tree_points(rng, lo, hi, 80):
+        ys = tree_points(rng, lo, hi, 80)
+        for y in ys:
             learn(bt, y)
-        clone = local_from_state(bt.state_dict())
+        clone = refilled(bt, ys)
         assert clone.state_dict() == bt.state_dict()
+        assert tree_nodes(clone) == tree_nodes(bt)
         assert clone.log_evidence == bt.log_evidence
         for y in tree_points(rng, lo, hi, 60):
             assert score(clone, y) == score(bt, y)
@@ -783,12 +786,13 @@ class TestTreeAgainstMaterialised:
 
     @pytest.mark.parametrize("dim,max_depth", DIFF_CASES)
     def test_materialised_snapshots_load_and_keep_updating(self, dim, max_depth):
-        """Counts with one-point chains, as a version-1 snapshot re-saved
-        in format 3 holds them, load and keep the reference's values."""
-        rng, lo, hi, ref, _ = tree_pair(dim, max_depth, 17 * dim + max_depth)
-        for y in tree_points(rng, lo, hi, 80):
+        """A tree a load lays out from the reference's points, with no
+        update of its own, has the reference's values and keeps them."""
+        rng, lo, hi, ref, fresh = tree_pair(dim, max_depth, 17 * dim + max_depth)
+        ys = tree_points(rng, lo, hi, 80)
+        for y in ys:
             ref.update(y)
-        bt = local_from_state(ref.state_dict())
+        bt = refilled(fresh, ys)
         assert bt.log_evidence == ref.log_evidence
         for y in tree_points(rng, lo, hi, 60):
             assert_query_close(bt, score(bt, y), ref.log_predictive(y))
@@ -846,11 +850,11 @@ class TestTreeAgainstMaterialised:
         assert len(bt._n) == 3
         learn(bt, [0.8])  # a duplicate shares every cell down to max_depth
         assert len(bt._n) == 3 + 2 * 11
-        # the root's count negated, as it has children, then the left
-        # child: a singleton whose point is the only one stored
-        sd = bt.state_dict()
-        assert sd["counts"][:2] == [-3, 1] and sd["points"] == [0.3]
-        assert len(sd["counts"]) == len(bt._n)
+        # the root, which has children, then the left child: a singleton
+        # whose point is the only one kept
+        nodes = tree_nodes(bt)
+        assert [node[:3] for node in nodes[:2]] == [(3, True, None), (1, False, [0.3])]
+        assert [node[2] for node in nodes] == [None, [0.3]] + [None] * 23
 
 
 def _buffered(y):
@@ -976,9 +980,9 @@ class TestAbsorbBlock:
 
     def test_an_empty_block_changes_nothing(self):
         mix = MixtureLocal([NormalWishart([0.0]), BayesTreeDensity([0.0], [1.0])], [0.1, 0.7])
-        before = mix.state_dict()
+        before = mix.state_dict(), local_trees(mix)
         assert mix.absorb_block([]) == 0.0
-        assert mix.state_dict() == before
+        assert (mix.state_dict(), local_trees(mix)) == before
 
     def test_a_local_that_has_seen_a_point_is_refused(self):
         for local, y in [
@@ -997,12 +1001,8 @@ class TestAbsorbBlock:
 
 
 def _trained_state(kind):
-    local = {
-        "dirichlet": lambda: DirichletMultinomial(2),
-        "nw": lambda: NormalWishart([0.0]),
-        "tree": lambda: BayesTreeDensity([0.0], [2.0], max_depth=4),
-    }[kind]()
-    ys = {"dirichlet": [0, 0, 1, 1, 1], "nw": np.linspace(-1.0, 1.0, 40), "tree": [1.0]}[kind]
+    local = {"dirichlet": lambda: DirichletMultinomial(2), "nw": lambda: NormalWishart([0.0])}[kind]()
+    ys = {"dirichlet": [0, 0, 1, 1, 1], "nw": np.linspace(-1.0, 1.0, 40)}[kind]
     for y in ys:
         learn(local, y)
     return local.state_dict()
@@ -1016,14 +1016,11 @@ def _trained_state(kind):
         ("nw", "n", 40.9),
         ("nw", "n", "40"),
         ("nw", "n", True),
-        ("tree", "points", [True]),
-        ("tree", "points", [1]),
     ],
 )
 def test_a_local_record_of_the_wrong_type_is_refused(kind, key, value):
-    """Counts that sum right but are not whole, a Normal-Wishart count
-    that ``int()`` once truncated, and a singleton point that is not a
-    float all used to load."""
+    """Counts that sum right but are not whole and a Normal-Wishart count
+    that ``int()`` once truncated used to load."""
     state = _trained_state(kind)
     local_from_state(state)  # the untouched record loads
     state[key] = value

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import model_trees
 from covermodels import BadConfig, CdeConfig, CdeModel, OutOfSupport, VmmModel, local
 
 COMPONENTS = [("tree",), ("nw", "tree")]
@@ -65,10 +66,10 @@ def test_rejected_rows_leave_the_snapshot_unchanged(components, stream):
     model = make(components)
     for kind, x, y in stream:
         if rejected(kind, components):
-            before = model.to_text()
+            before = model.to_text(), model_trees(model)
             with pytest.raises((BadConfig, OutOfSupport)):
                 model.absorb(*row(kind, x, y))
-            assert model.to_text() == before
+            assert (model.to_text(), model_trees(model)) == before
         else:
             assert feed(model, [(kind, x, y)]) != [None]
 
@@ -105,10 +106,7 @@ def saved_models():
 
 
 SAVED = saved_models()
-CDE_FIELDS = [
-    "tree_count", "tree_point", "split", "buffered_x", "buffer_length", "nw_count", "nw_sums",
-    "mixture_log_w",
-]
+CDE_FIELDS = ["split", "buffered_x", "buffer_length", "nw_count", "nw_sums", "mixture_log_w"]
 VMM_FIELDS = ["dirichlet_count", "suffix", "n_seen"]
 
 
@@ -118,11 +116,6 @@ def sites(field, lines):
     the cover, lines[2:] the context records."""
     cover = lines[1]["cover"]
     locals_ = [rec["local"] for rec in lines[2:]]
-    trees = [c["components"][1] for c in locals_ if c["kind"] == "mixture"]  # CDE only
-    if field == "tree_count":
-        return [(t["counts"], i) for t in trees for i in range(len(t["counts"]))]
-    if field == "tree_point":
-        return [(t["points"], i) for t in trees for i in range(len(t["points"]))]
     if field == "split":
         return [(rec, i) for rec in cover["splits"] for i in (1, 2)]
     if field == "buffered_x":
@@ -144,10 +137,6 @@ def sites(field, lines):
 
 
 def corrupt(field, value, pick, lines):
-    if field == "tree_count":
-        return value - 1 if value < 0 else value + 1
-    if field == "tree_point":
-        return 1.0 + (pick % 7 + 1) / 8  # outside the tree's box [0, 1]
     if field == "split":
         return value + 1 if isinstance(value, int) else value + 2.0**-20
     if field == "buffered_x":
@@ -236,11 +225,12 @@ def test_a_context_with_another_prior_is_refused(field):
             load(text)
 
 
-def test_a_huge_tree_count_is_refused_before_it_sizes_any_table(monkeypatch):
-    """A tree count raised to 10**9 along one root-to-leaf chain keeps
-    every node the sum of its children, so only the header's ``n_obs``
-    can refute it. It must do so before the count sizes the log-Beta
-    tables that every tree with the same pseudo-count shares."""
+def test_a_huge_version_3_tree_count_sizes_no_table(monkeypatch):
+    """A version-3 snapshot also stored each tree's counts, which a load
+    ignores and rebuilds from the buffers. A count raised to 10**9 along
+    one root-to-leaf chain, which only the header's ``n_obs`` refutes,
+    must not size the log-Beta tables that every tree with the same
+    pseudo-count shares, and the model loads as saved."""
     a = 0.4375  # a pseudo-count of its own, so its tables start unsized
     cfg = CdeConfig(
         x_lower=[0.0], x_upper=[1.0], y_lower=[0.0], y_upper=[1.0],
@@ -252,15 +242,12 @@ def test_a_huge_tree_count_is_refused_before_it_sizes_any_table(monkeypatch):
         model.absorb([x], [y])
     lines = [json.loads(line) for line in model.to_text().splitlines()]
     n_obs = lines[1]["n_obs"]
-    counts = lines[2]["local"]["components"][1]["counts"]  # the root context's tree
-    raise_by = 10**9 + counts[0]  # counts of split nodes are negated
-    # preorder: a split node's left child comes right after it
-    depth = 0
-    while counts[depth] < 0:
-        counts[depth] -= raise_by
-        depth += 1
-    counts[depth] += raise_by
-    assert counts[0] == -(10**9) and depth == cfg.tree_max_depth  # any count is legal there
+    lines[1]["version"] = 3
+    for rec in lines[2:]:
+        rec["local"]["components"][1].update(counts=[0], points=[])
+    # the root context's tree: a chain of split nodes, whose counts are
+    # negated, down to max_depth, where any count is legal
+    lines[2]["local"]["components"][1]["counts"] = [-(10**9), -(10**9), -(10**9), 10**9, 0, 0, 0]
     text = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
 
     real = local._lgamma_tables
@@ -272,6 +259,4 @@ def test_a_huge_tree_count_is_refused_before_it_sizes_any_table(monkeypatch):
 
     monkeypatch.setattr(local, "_lgamma_tables", guarded)
     del local._LGAMMA_TABLES[a]
-    with pytest.raises(BadConfig):
-        CdeModel.from_text(text)
-    assert all(len(t) <= n_obs + 1 for t in local._LGAMMA_TABLES.get(a, ()))
+    assert CdeModel.from_text(text).to_text() == model.to_text()

@@ -1,0 +1,269 @@
+"""Snapshot format 4: tree densities are rebuilt from the kd cover's
+buffers on load, and equal the saved model's trees bit for bit; format-3
+snapshots still load."""
+
+import json
+import math
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import tree_nodes
+from covermodels import (
+    BadConfig,
+    BayesTreeDensity,
+    Box,
+    CdeConfig,
+    CdeModel,
+    CoverModelPosterior,
+    KdTreeCover,
+    MixtureLocal,
+    NormalWishart,
+    SuffixTreeCover,
+    VmmModel,
+)
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def trees(local):
+    """The tree densities of a local, in component order."""
+    comps = local.components if isinstance(local, MixtureLocal) else [local]
+    return [c for c in comps if isinstance(c, BayesTreeDensity)]
+
+
+def assert_same_trees(post, other):
+    """Every context's trees hold the same nodes, values and pairs."""
+    assert other.states.keys() == post.states.keys()
+    for cid, st_ in post.states.items():
+        for mine, theirs in zip(trees(st_.local), trees(other.states[cid].local)):
+            assert theirs.state_dict() == mine.state_dict()
+            assert tree_nodes(theirs) == tree_nodes(mine), cid
+
+
+def stream_ys(rng, lo, hi, n, outside):
+    """n ys in the box [lo, hi]: uniform ones, repeats, ys on the cells'
+    dyadic midpoints and on the box's upper face; with ``outside``, some
+    beyond the box, which a mixture's tree skips."""
+    out = []
+    for _ in range(n):
+        kind = int(rng.integers(5 if outside else 4))
+        if kind == 1 and out:
+            y = out[int(rng.integers(len(out)))]
+        elif kind == 2:
+            levels = 2.0 ** rng.integers(1, 8, size=len(lo))
+            y = lo + (hi - lo) * rng.integers(0, levels + 1) / levels
+        elif kind == 3:
+            y = rng.uniform(lo, hi)
+            k = int(rng.integers(len(lo)))
+            y[k] = hi[k]
+        elif kind == 4:
+            y = hi + rng.uniform(0.1, 1.0, size=len(lo))
+        else:
+            y = rng.uniform(lo, hi)
+        out.append(np.array(y, dtype=float))
+    return out
+
+
+def absorb_all(model, xs, ys):
+    with warnings.catch_warnings():
+        # a mixture warns once when its tree skips a y outside its box
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return [model.absorb(x, y) for x, y in zip(xs, ys)]
+
+
+@given(
+    components=st.sampled_from([("tree",), ("nw", "tree")]),
+    y_dim=st.sampled_from([1, 2]),
+    max_depth=st.sampled_from([0, 1, 4, 12, 70]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 60),
+)
+def test_the_loads_rebuilt_trees_equal_the_saved_models(components, y_dim, max_depth, seed, n):
+    """Nodes, values and stop pairs by ``tree_nodes``, the records, and
+    then queries and seeded draws bit for bit. Depth 70 needs route codes
+    past 64 bits."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-2.0, 0.0, size=y_dim)
+    hi = lo + rng.uniform(0.5, 3.0, size=y_dim)
+    cfg = CdeConfig(
+        x_lower=[0.0], x_upper=[1.0], y_lower=lo.tolist(), y_upper=hi.tolist(),
+        components=components, alpha=1.5, tree_max_depth=max_depth,
+    )
+    model = CdeModel(cfg)
+    xs = rng.uniform(0.0, 1.0, size=(n, 1))
+    absorb_all(model, xs, stream_ys(rng, lo, hi, n, outside="nw" in components))
+    text = model.to_text()
+    loaded = CdeModel.from_text(text)
+    assert loaded.to_text() == text
+    assert_same_trees(model.posterior, loaded.posterior)
+    queries = zip(rng.uniform(0.0, 1.0, size=(12, 1)), stream_ys(rng, lo, hi, 12, False))
+    for x, y in queries:
+        assert loaded.predict_logdensity(x, y) == model.predict_logdensity(x, y)
+        a, b = np.random.default_rng(seed % 1000), np.random.default_rng(seed % 1000)
+        assert np.array_equal(loaded.sample_y(x, a), model.sample_y(x, b))
+
+
+@pytest.mark.parametrize("kind", ["tree", "mixture"])
+def test_an_engine_with_tree_locals_round_trips(kind):
+    """The rebuild belongs to the engine, so a posterior with any local
+    factory on a kd cover loads its trees, not only a ``CdeModel``."""
+
+    def factory():
+        tree = BayesTreeDensity([0.0, 0.0], [1.0, 1.0], gamma=0.3, max_depth=9)
+        if kind == "tree":
+            return tree
+        return MixtureLocal([NormalWishart([0.5, 0.5]), tree], [0.2, -0.2])
+
+    rng = np.random.default_rng(3)
+    post = CoverModelPosterior(KdTreeCover(Box([0.0], [1.0]), alpha=1.5), factory)
+    for x, y in zip(rng.uniform(size=(300, 1)), rng.beta(2.0, 5.0, size=(300, 2))):
+        post.absorb(x, y)
+    text = post.to_text()
+    loaded = CoverModelPosterior.from_text(text, factory)
+    assert loaded.to_text() == text
+    assert_same_trees(post, loaded)
+    for x, y in zip(rng.uniform(size=(20, 1)), rng.uniform(size=(20, 2))):
+        assert loaded.absorb(x, y) == post.absorb(x, y)
+    assert_same_trees(post, loaded)
+
+
+def test_tree_locals_need_a_cover_with_buffers(monkeypatch):
+    """A suffix cover buffers nothing, so a tree density on it cannot be
+    rebuilt: such a posterior neither saves nor loads."""
+    factory = lambda: BayesTreeDensity([0.0], [1.0])
+    post = CoverModelPosterior(SuffixTreeCover(2, 3), factory)
+    for h, y in [((), 0.3), ((0,), 0.6), ((0, 1), 0.9)]:
+        post.absorb(h, y)
+    with pytest.raises(BadConfig, match="kd cover"):
+        post.to_text()
+    monkeypatch.setattr(CoverModelPosterior, "_check_rebuildable", lambda self: None)
+    text = post.to_text()
+    monkeypatch.undo()
+    with pytest.raises(BadConfig, match="kd cover"):
+        CoverModelPosterior.from_text(text, factory)
+
+
+def test_a_mid_stream_resume_continues_exactly():
+    """A 2-d model saved halfway and loaded absorbs, predicts, samples
+    and saves as the model that never stopped."""
+    rng = np.random.default_rng(11)
+    n = 600
+    xs = rng.uniform(0.0, 1.0, size=(n, 2))
+    ys = np.stack([np.sin(4 * xs[:, 0]), xs[:, 1] ** 2], axis=1) + rng.normal(0, 0.2, (n, 2))
+    cfg = CdeConfig(
+        x_lower=[0.0, 0.0], x_upper=[1.0, 1.0], y_lower=[-1.5, -1.0], y_upper=[1.5, 2.0],
+        alpha=1.5,
+    )
+    whole, first = CdeModel(cfg), CdeModel(cfg)
+    went = absorb_all(whole, xs, ys)
+    assert absorb_all(first, xs[: n // 2], ys[: n // 2]) == went[: n // 2]
+    resumed = CdeModel.from_text(first.to_text())
+    assert absorb_all(resumed, xs[n // 2:], ys[n // 2:]) == went[n // 2:]
+    assert resumed.n_contexts == whole.n_contexts > first.n_contexts
+    for x, y in zip(rng.uniform(0.0, 1.0, size=(30, 2)), rng.normal(0.0, 1.0, size=(30, 2))):
+        assert resumed.predict_logdensity(x, y) == whole.predict_logdensity(x, y)
+    a, b = np.random.default_rng(2), np.random.default_rng(2)
+    for x in rng.uniform(0.0, 1.0, size=(20, 2)):
+        assert np.array_equal(resumed.sample_y(x, a), whole.sample_y(x, b))
+    assert resumed.to_text() == whole.to_text()
+    assert_same_trees(whole.posterior, resumed.posterior)
+
+
+def as_version_4(text):
+    """A version-3 text as version 4 writes it: the version, and no
+    tree ``counts`` or ``points``."""
+    out = []
+    for line in text.splitlines():
+        rec = json.loads(line)
+        if rec.get("format") == "covermodels-snapshot":
+            rec["version"] = 4
+        for tree in trees_of_record(rec.get("local")):
+            del tree["counts"], tree["points"]
+        out.append(json.dumps(rec, sort_keys=True))
+    return "\n".join(out) + "\n"
+
+
+def trees_of_record(local):
+    if local is None:
+        return []
+    comps = local["components"] if local["kind"] == "mixture" else [local]
+    return [c for c in comps if c["kind"] == "bayes_tree"]
+
+
+# Recorded with the version-3 code that wrote the fixtures: an nw+tree
+# model with 2-d y, one of whose buffered ys lies outside the tree's box.
+V3_CDE_QUERIES = [
+    ([0.1], [0.3, 0.9]), ([0.45], [0.9, 0.2]), ([0.8], [0.7, -0.8]), ([0.97], [-1.9, 1.99]),
+]
+V3_CDE = (
+    29,
+    ["-0.7715860654713428", "-0.5606778687178564", "-0.27313312643081084", "-11.353295529991232"],
+    [
+        "[0.34396951574533163, 1.8010651590183913]",
+        "[0.4151492633676859, 0.8389172106682763]",
+        "[-0.6295418448132106, 1.6183827418121117]",
+        "[0.7911610464261527, 1.0812725467844424]",
+        "[0.26548796014390785, -1.0616405362170056]",
+        "[-0.2557859310974088, -0.8757107341046848]",
+        "[0.5294109247527389, -1.0099960630475393]",
+        "[0.686223546278164, -0.45090017017443046]",
+    ],
+)
+V3_VMM = (
+    ["-0.91526859135563", "-0.5792700281435795", "-3.2369453767875025"],
+    "-11.581323174606384",
+    [0, 0, 1, 0, 1, 1, 2, 1, 0, 2, 1, 2],
+)
+
+
+def check_v3_cde(model):
+    n_contexts, logdens, draws = V3_CDE
+    assert model.n_contexts == n_contexts
+    assert [repr(model.predict_logdensity(x, y)) for x, y in V3_CDE_QUERIES] == logdens
+    rng = np.random.default_rng(13)
+    got = [repr(np.atleast_1d(model.sample_y(x, rng)).tolist()) for x, _ in V3_CDE_QUERIES for _ in "ab"]
+    assert got == draws
+
+
+def check_v3_vmm(model):
+    nexts, seq, draws = V3_VMM
+    assert [repr(v) for v in model.next_symbol_logprobs().tolist()] == nexts
+    assert repr(model.sequence_logprob([0, 1, 2, 2, 1, 0, 0])) == seq
+    assert model.generate(12, np.random.default_rng(13)) == draws
+
+
+@pytest.mark.parametrize(
+    "name,load,check",
+    [("cde", CdeModel.from_text, check_v3_cde), ("vmm", VmmModel.from_text, check_v3_vmm)],
+)
+def test_a_version_3_snapshot_loads_and_saves_as_version_4(name, load, check):
+    """It predicts and samples as the version-3 code did, ignoring its
+    tree counts and points, and saves as version 4, which loads to the
+    same model."""
+    text = (FIXTURES / f"snapshot_v3_{name}.txt").read_text()
+    assert json.loads(text.splitlines()[1])["version"] == 3
+    model = load(text)
+    check(model)
+    again = model.to_text()
+    assert json.loads(again.splitlines()[1])["version"] == 4
+    assert again == as_version_4(text)
+    check(load(again))
+    if name == "cde":
+        assert_same_trees(model.posterior, load(again).posterior)
+
+
+def test_version_3_tree_records_are_not_read():
+    """Tree counts that no data could give, in a version-3 snapshot,
+    change nothing: the trees come from the buffers."""
+    text = (FIXTURES / "snapshot_v3_cde.txt").read_text()
+    lines = [json.loads(line) for line in text.splitlines()]
+    for rec in lines[2:]:
+        for tree in trees_of_record(rec["local"]):
+            tree["counts"], tree["points"] = [-7, 1], [math.nan]
+    edited = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+    assert CdeModel.from_text(edited).to_text() == CdeModel.from_text(text).to_text()
