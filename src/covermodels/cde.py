@@ -112,7 +112,7 @@ class CdeModel:
     """Streaming conditional density estimator p(y | x)."""
 
     def __init__(self, config: CdeConfig):
-        self._configure(config)
+        self.config = config.validate()
         cover = KdTreeCover(
             Box(config.x_lower, config.x_upper),
             alpha=config.alpha,
@@ -123,20 +123,15 @@ class CdeModel:
             cover, self._make_local, depth_weight=config.depth_weight
         )
 
-    def _configure(self, config):
-        """Validate ``config`` and keep what every new context's local
-        reads: the Normal-Wishart prior mean, the y box's centre or 0."""
-        self.config = cfg = config.validate()
-        if cfg.y_lower is not None and cfg.y_upper is not None:
-            self._mu0 = Box(cfg.y_lower, cfg.y_upper).center
-        else:
-            self._mu0 = [0.0] * cfg.y_dim
-
     def _make_local(self):
-        """A new context's local. A tree density takes its prior's
-        tables from the cache the constructor keeps (``local.py``)."""
+        """The posterior's fresh local, whose ``spawn`` makes every
+        context's. The Normal-Wishart prior mean is the y box's centre,
+        or 0 without one."""
         cfg = self.config
-        mu0 = self._mu0
+        if cfg.y_lower is not None and cfg.y_upper is not None:
+            mu0 = Box(cfg.y_lower, cfg.y_upper).center
+        else:
+            mu0 = [0.0] * cfg.y_dim
         comps = []
         for name in cfg.components:
             if name == "nw":
@@ -227,7 +222,7 @@ class CdeModel:
         except (KeyError, TypeError, ValueError) as exc:
             raise BadConfig(f"malformed cde snapshot header: {exc!r}") from exc
         obj = cls.__new__(cls)
-        obj._configure(config)
+        obj.config = config.validate()
         obj.posterior = post = CoverModelPosterior.from_text(rest, obj._make_local)
         cover = post.cover
         if not isinstance(cover, KdTreeCover):
@@ -246,7 +241,7 @@ class CdeModel:
         y = next((ys[0] for _, ys in cover.leaf_ys() if ys), None)
         if y is not None and len(y) != y_dim:
             raise BadConfig(f"buffered y {list(y)} has length {len(y)}, expected {y_dim}")
-        prior = obj._make_local()
+        prior = post._fresh
         if isinstance(prior, MixtureLocal):
             for cid, st in post.states.items():
                 local = st.local

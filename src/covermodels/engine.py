@@ -49,11 +49,12 @@ so a replay prepares nothing. Covers that report ``truncate``
 the maximum depth leaves a truncation factor behind and predictions
 mix in a virtual continuation drawn from a fresh local model.
 
-One prior serves every context. The local factory takes no arguments;
-its first product is kept empty and serves as that fresh local, as
-the prior that every context of a loaded snapshot must have, and as
-the one place y is prepared (checked, and routed through a tree
-density's partition) for every local on the path.
+One prior serves every context. The local factory takes no arguments
+and is called once per posterior: its product is kept empty and serves
+as the fresh local, whose ``spawn`` makes every context's local and
+whose ``load`` every loaded context's, so they all share its checked
+prior. It is also the one place y is prepared (checked, and routed
+through a tree density's partition) for every local on the path.
 
 A snapshot (format version 4) holds only what the data do not give
 back: per context its stop weight, ``log_m``, ``log_trunc`` and local
@@ -172,14 +173,16 @@ class CoverModelPosterior:
     cover : CoverSequence
         Context structure. May grow while absorbing.
     local_factory : callable () -> local model
-        Called with no arguments, builds the local model of y for a new
-        context, every time with the same prior. A local offers
-        ``prepare(y)``, ``log_predictive(py)``, ``update(py)``,
-        ``sample(rng)`` and ``prior()``, and on a kd cover
-        ``absorb_block(ys)`` (see ``local.py``). The
-        factory's first product stays empty: it is the virtual
-        continuation past a truncated path and the reference prior a
-        snapshot is checked against on load. Its ``prepare`` checks y,
+        Called once, with no arguments, on construction and on
+        ``from_text``: builds the fresh local, the model's one prior. A
+        local offers ``prepare(y)``, ``log_predictive(py)``,
+        ``update(py)``, ``sample(rng)``, ``prior()`` and ``spawn()``, on
+        a kd cover ``absorb_block(ys)``, and for a snapshot
+        ``state_dict()`` and ``load(state)`` (see ``local.py``). The
+        fresh local stays empty: every context's local is its
+        ``spawn()``, and it is the virtual continuation past a
+        truncated path and the prior a snapshot's records are loaded
+        against (``local_from_state``). Its ``prepare`` checks y,
         and routes it through a tree density's partition, once per
         absorb and per queried y, and every local on the path reads that
         one prepared y. A kd cover's replayed block goes to a new
@@ -221,7 +224,7 @@ class CoverModelPosterior:
         w0 = float(self._w0_fn(ctx.depth))
         if not 0.0 < w0 <= 1.0:
             raise BadConfig(f"stop weight {w0} at depth {ctx.depth} not in (0, 1]")
-        st = ContextState(self.local_factory(), w0)
+        st = ContextState(self._fresh.spawn(), w0)
         st.set_stop()
         self.states[ctx.cid] = st
         return st
@@ -476,19 +479,19 @@ class CoverModelPosterior:
 
         Raises ``BadConfig`` on a snapshot of another version, or one
         whose structure does not hold together: the checks of the
-        cover's and the locals' ``from_state``, a state for each context
-        and for no other, and counts that agree with what the cover
-        routed. The root's local was offered every observation; on a kd
-        cover each context's local was offered the points buffered in
-        the leaves under it, those add up to ``n_obs``, every buffered y
-        is finite and, for a tree density, ``dim`` long and, unless a
-        mixture holds the tree, which skips it, in the tree's box;
-        elsewhere children hold no more points than their parent, and no
-        local is a tree density. ``log_evidence``, ``log_m`` and
+        cover's ``from_state`` and the locals' ``load``, among them that
+        every context's local has the prior of the factory's, a state
+        for each context and for no other, and counts that agree with
+        what the cover routed. The root's local was offered every
+        observation; on a kd cover each context's local was offered the
+        points buffered in the leaves under it, those add up to
+        ``n_obs``, every buffered y is finite and, for a tree density,
+        ``dim`` long and, unless a mixture holds the tree, which skips
+        it, in the tree's box; elsewhere children hold no more points
+        than their parent, and no local is a tree density. ``log_evidence``, ``log_m`` and
         ``log_trunc`` are finite. Not checked, because that would take a
         refit: their values, and the Normal-Wishart sums beyond their
-        shapes, finiteness and positive posterior scale. Every context's
-        local must have the prior of the factory's.
+        shapes, finiteness and positive posterior scale.
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
@@ -513,7 +516,7 @@ class CoverModelPosterior:
         obj.n_obs = int(meta["n_obs"])
         obj.log_evidence = float(meta["log_evidence"])
         logs = [obj.log_evidence]  # no model writes one that is not finite
-        obj._fresh = local_factory()
+        obj._fresh = fresh = local_factory()
         obj.states = states = {}
         contexts = obj.cover.contexts
         # one parse for every record is faster than one per line
@@ -524,7 +527,7 @@ class CoverModelPosterior:
             w0 = float(rec["w0"])
             if not 0.0 < w0 <= 1.0:
                 raise BadConfig(f"stop weight {w0} of context {cid} not in (0, 1]")
-            st = ContextState(local_from_state(rec["local"]), w0)
+            st = ContextState(local_from_state(rec["local"], fresh), w0)
             st.log_m = float(rec["log_m"])
             st.log_trunc = float(rec["log_trunc"])
             logs += (st.log_m, st.log_trunc)
@@ -534,10 +537,6 @@ class CoverModelPosterior:
         if len(states) != len(contexts):
             missing = sorted(set(contexts) - set(states))
             raise BadConfig(f"snapshot lacks state for contexts {missing}")
-        prior = obj._fresh.prior()
-        for cid, st in states.items():
-            if st.local.prior() != prior:
-                raise BadConfig(f"context {cid}'s local has another prior than the model's")
         obj._check_counts()
         obj._rebuild()
         obj._refresh_all()

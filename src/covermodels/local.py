@@ -34,13 +34,19 @@ already placed their x. The shared duck type:
   that is not finite is the caller's fault.
 * ``sample(rng)``: draw y from the posterior predictive.
 * ``prior()``: the model's kind and hyperparameters as plain data,
-  none of what it has learnt. Every context of one cover model has the
-  same prior, which a snapshot's loader checks.
-* ``state_dict()`` / ``local_from_state``: plain-data round trip. A
+  none of what it has learnt.
+* ``spawn()``: an empty local with the same prior, which shares this
+  one's checked prior values and tables. Every context of one cover
+  model has the same prior: the engine spawns each context's local
+  from its fresh local, so a model converts and checks its prior once.
+* ``state_dict()`` / ``load(state)``: plain-data round trip, which
+  ``local_from_state(state, like)`` runs as ``like.load(state)``. A
   leaf model's state extends its prior, except a tree density's, which
   is its prior alone: its state is a function of the points under its
-  context, which a kd cover keeps. Loading checks what it can check
-  cheaply and raises ``BadConfig`` on a malformed record.
+  context, which a kd cover keeps. ``load`` refuses a record of
+  another kind or prior, returns ``spawn()`` with the record's counts,
+  sums and weights set, checks what it can check cheaply and raises
+  ``BadConfig`` on a malformed record.
 * ``prepare_block(ys, skip_outside=False)`` / ``refill(block, under)``:
   how a snapshot load rebuilds what ``state_dict`` leaves out, through
   the module's ``prepare_block``. The fresh local prepares every
@@ -56,6 +62,10 @@ already placed their x. The shared duck type:
   independent copy, which ``CoverModelPosterior.copy`` takes of every
   context's local.
 
+``spawn`` and ``load`` build an instance with ``__new__`` and plain
+attribute stores in ``__init__``'s order: every instance of a class
+then shares one attribute layout, which keeps attribute reads fast.
+
 All are exchangeable in y, so sequential products of predictives equal
 batch marginal likelihoods, which the exact posterior engine relies on,
 and which ``absorb_block`` computes directly.
@@ -65,7 +75,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import struct
 import warnings
 from bisect import bisect_left
 
@@ -76,6 +85,7 @@ from .errors import BadConfig, OutOfSupport, UnknownSymbol
 from .logspace import LOG2, logsumexp
 
 LOG_2PI = math.log(2.0 * math.pi)
+_OTHER_PRIOR = "a local record has another kind or prior than the model's"
 
 
 def as_symbol(y, alphabet_size) -> int:
@@ -128,15 +138,12 @@ class DirichletMultinomial:
         alpha = np.asarray(concentration, dtype=float)
         if alpha.ndim == 0:
             alpha = np.full(alphabet_size, float(alpha))
-        if alpha.shape != (alphabet_size,) or not np.all(alpha > 0):
-            raise BadConfig("concentration must be positive, scalar or length n")
-        self._set(alpha.tolist(), [0.0] * alphabet_size)
-
-    def _set(self, alpha, counts):
-        self.alpha = alpha
-        self.counts = counts
-        self._alpha_sum = sum(alpha)
-        self._seen = sum(counts)
+        if alpha.shape != (alphabet_size,) or not np.all((alpha > 0) & (alpha < math.inf)):
+            raise BadConfig("concentration must be positive and finite, scalar or length n")
+        self.alpha = alpha.tolist()
+        self.counts = [0.0] * alphabet_size
+        self._alpha_sum = sum(self.alpha)
+        self._seen = 0.0
 
     @property
     def alphabet_size(self):
@@ -185,6 +192,15 @@ class DirichletMultinomial:
         obj._seen = self._seen
         return obj
 
+    def spawn(self) -> "DirichletMultinomial":
+        """An empty local that shares ``alpha``."""
+        obj = DirichletMultinomial.__new__(DirichletMultinomial)
+        obj.alpha = self.alpha
+        obj.counts = [0.0] * len(self.alpha)
+        obj._alpha_sum = self._alpha_sum
+        obj._seen = 0.0
+        return obj
+
     def sample(self, rng):
         a = np.array(self.alpha) + np.array(self.counts)
         return int(rng.choice(len(self.alpha), p=a / a.sum()))
@@ -195,77 +211,20 @@ class DirichletMultinomial:
     def state_dict(self):
         return {**self.prior(), "counts": list(self.counts)}
 
-    @classmethod
-    def from_state(cls, state):
-        # the constructor's checks, on plain floats
-        alpha, counts = state["alpha"], state["counts"]
-        if len(alpha) < 2 or not all(a > 0 for a in alpha):
-            raise BadConfig("concentration must be positive, one per symbol")
-        if len(counts) != len(alpha) or not all(
+    def load(self, state) -> "DirichletMultinomial":
+        """``spawn()`` with the counts of ``state``, a record of this
+        prior."""
+        if state.get("kind") != "dirichlet" or state["alpha"] != self.alpha:
+            raise BadConfig(_OTHER_PRIOR)
+        counts = state["counts"]
+        if len(counts) != len(self.alpha) or not all(
             type(c) in (int, float) and c >= 0 and float(c).is_integer() for c in counts
         ):
             raise BadConfig("Dirichlet counts must be nonnegative whole numbers, one per symbol")
-        obj = cls.__new__(cls)
-        obj._set([float(a) for a in alpha], [float(c) for c in counts])
+        obj = self.spawn()
+        obj.counts = [float(c) for c in counts]
+        obj._seen = sum(obj.counts)
         return obj
-
-
-# One entry of checked prior values per prior, shared by every model
-# built with it, so a new context's local and a loaded one skip the
-# prior's conversion and checks. An entry's key starts with the model's
-# kind; an entry is never changed once stored, and neither is any list
-# in it. A process that builds many priors drops them all now and then.
-_PRIORS: dict = {}
-_PRIORS_MAX = 64
-
-
-def _shared_prior(key, build):
-    """The prior values ``build()`` returns, from ``_PRIORS`` when a
-    model with the same ``key`` built them before. A key of None is
-    never cached."""
-    prior = _PRIORS.get(key) if key is not None else None
-    if prior is None:
-        prior = build()
-        if key is not None:
-            if len(_PRIORS) >= _PRIORS_MAX:
-                _PRIORS.clear()
-            _PRIORS[key] = prior
-    return prior
-
-
-def _float_bytes(*values):
-    """``values`` as the bytes of their floats, the part of a ``_PRIORS``
-    key that holds a prior's numbers: bytes tell -0.0 from 0.0, and two
-    priors whose numbers have the same floats have the same values.
-    Raises ``struct.error`` on a value that is not a real number."""
-    return struct.pack(f"{len(values)}d", *values)
-
-
-def _nw_prior_key(mu0, kappa0, nu0, scale):
-    """The ``_PRIORS`` key of a Normal-Wishart prior, or None unless
-    ``mu0`` is a list or tuple of numbers, ``kappa0`` a number, ``nu0``
-    None or a number and ``scale`` None, a number or a list or tuple of
-    such rows: a key must not equate arguments that the checks of
-    ``_nw_prior`` tell apart."""
-    if type(mu0) not in (list, tuple):
-        return None
-    if scale is None:
-        form, values = None, ()
-    elif type(scale) in (list, tuple):
-        if not all(type(row) in (list, tuple) and len(row) == len(scale) for row in scale):
-            return None
-        form, values = len(scale), [v for row in scale for v in row]
-    elif isinstance(scale, (int, float)):
-        form, values = -1, (scale,)
-    else:
-        return None
-    try:
-        return (
-            "normal_wishart", len(mu0), nu0 is None, form,
-            _float_bytes(*mu0, kappa0, *(() if nu0 is None else (nu0,)), *values),
-        )
-    except struct.error:
-        return None
 
 
 def _nw_prior(mu0, kappa0, nu0, scale):
@@ -281,10 +240,12 @@ def _nw_prior(mu0, kappa0, nu0, scale):
     scale = np.asarray(scale, dtype=float)
     if scale.ndim == 0:
         scale = float(scale) * np.eye(m)
-    if not kappa0 > 0:
-        raise BadConfig("kappa0 must be positive")
-    if not nu0 > m - 1:
-        raise BadConfig("nu0 must exceed dim - 1")
+    if not np.isfinite(mu0).all():
+        raise BadConfig("mu0 must be finite")
+    if not 0 < kappa0 < math.inf:
+        raise BadConfig("kappa0 must be positive and finite")
+    if not m - 1 < nu0 < math.inf:
+        raise BadConfig("nu0 must exceed dim - 1 and be finite")
     if scale.shape != (m, m):
         raise BadConfig("scale matrix has wrong shape")
     if not all(map(math.isfinite, scale.ravel().tolist())):
@@ -313,14 +274,26 @@ class NormalWishart:
     """
 
     def __init__(self, mu0, kappa0=1.0, nu0=None, scale=None):
-        self.mu0, self.kappa0, self.nu0, self.T0 = _shared_prior(
-            _nw_prior_key(mu0, kappa0, nu0, scale), lambda: _nw_prior(mu0, kappa0, nu0, scale)
-        )
+        self.mu0, self.kappa0, self.nu0, self.T0 = _nw_prior(mu0, kappa0, nu0, scale)
         self.dim = m = len(self.mu0)
         self.n = 0
         self.sum_y = [0.0] * m
         self.sum_yy = [[0.0] * m for _ in range(m)]
         self._cache = None
+
+    def spawn(self) -> "NormalWishart":
+        """An empty local that shares ``mu0`` and ``T0``."""
+        obj = NormalWishart.__new__(NormalWishart)
+        obj.mu0 = self.mu0
+        obj.kappa0 = self.kappa0
+        obj.nu0 = self.nu0
+        obj.T0 = self.T0
+        obj.dim = m = self.dim
+        obj.n = 0
+        obj.sum_y = [0.0] * m
+        obj.sum_yy = [[0.0] * m for _ in range(m)]
+        obj._cache = None
+        return obj
 
     def prepare(self, y):
         """y as a list of ``dim`` floats; a wrong shape or a value that
@@ -480,9 +453,18 @@ class NormalWishart:
             "sum_yy": [row[:] for row in self.sum_yy],
         }
 
-    @classmethod
-    def from_state(cls, state):
-        obj = cls(state["mu0"], kappa0=state["kappa0"], nu0=state["nu0"], scale=state["T0"])
+    def load(self, state) -> "NormalWishart":
+        """``spawn()`` with the count and sums of ``state``, a record of
+        this prior."""
+        if (
+            state.get("kind") != "normal_wishart"
+            or state["mu0"] != self.mu0
+            or state["kappa0"] != self.kappa0
+            or state["nu0"] != self.nu0
+            or state["T0"] != self.T0
+        ):
+            raise BadConfig(_OTHER_PRIOR)
+        obj = self.spawn()
         obj.n = state["n"]
         if type(obj.n) is not int or obj.n < 0:
             raise BadConfig("Normal-Wishart count must be a nonnegative int")
@@ -543,24 +525,6 @@ def _lgamma_tables(a, n):
 _BIG = 1e300
 _RESCALE = 2.0**-1000
 _LOG_RESCALE = 1000.0 * LOG2
-
-
-def _tree_prior_key(lower, upper, gamma, branch_pseudo, max_depth):
-    """The ``_PRIORS`` key of a tree prior. None, and no caching, unless
-    the bounds are lists or tuples of numbers, the two settings numbers
-    and ``max_depth`` an int: a key must not equate arguments that the
-    constructor's checks tell apart."""
-    if type(lower) not in (list, tuple) or type(upper) not in (list, tuple):
-        return None
-    if type(max_depth) is not int:
-        return None
-    try:
-        return (
-            "bayes_tree", len(lower), max_depth,
-            _float_bytes(*lower, *upper, gamma, branch_pseudo),
-        )
-    except struct.error:
-        return None
 
 
 class BayesTreeDensity:
@@ -627,8 +591,9 @@ class BayesTreeDensity:
     The partition is fixed by the box and ``max_depth``, as a Pólya
     tree's is, so y's route through it (split dimension, midpoint and
     side at each depth) depends on y alone. ``prepare`` computes the
-    route once, and every tree with the same prior walks it. Trees with
-    the same prior also share its tables (``_PRIORS``).
+    route once, and every tree with the same prior walks it. A model's
+    trees are spawned from one tree (``spawn``), so they also share its
+    box and tables.
 
     Nodes live in flat lists indexed by node id, root at 0: ``_n``
     (count), ``_lam`` (cached log value), ``_g`` and ``_h`` (the stop
@@ -653,31 +618,11 @@ class BayesTreeDensity:
     """
 
     def __init__(self, lower, upper, gamma=0.5, branch_pseudo=0.5, max_depth=12):
-        (
-            self.box, self.gamma, self.branch_pseudo, self.max_depth, self._log_vol,
-            self._log_gamma, self._log_split, self._log_beta0, self._one, self._chain,
-            self._pt_pair,
-        ) = _shared_prior(
-            _tree_prior_key(lower, upper, gamma, branch_pseudo, max_depth),
-            lambda: self._prior_tables(lower, upper, gamma, branch_pseudo, max_depth),
-        )
-        self._dim = self.box.dim
-        self._lg_a, self._lg_2a = _lgamma_tables(self.branch_pseudo, 2)
-        self._n = [0]
-        self._lam = [0.0]
-        self._g = [0.0]
-        self._h = [0.0]
-        self._kid = [0]
-        self._pt = [0.0] * self._dim
-
-    def _prior_tables(self, lower, upper, gamma, branch_pseudo, max_depth):
-        """Check the prior and return its tables, in ``__init__``'s
-        order; sets what ``_loglam`` reads on the way."""
         box = Box(lower, upper)
         if not 0 < gamma < 1:
             raise BadConfig("gamma must be strictly between 0 and 1")
-        if not branch_pseudo > 0:  # NaN too: it would key its own lgamma tables
-            raise BadConfig("branch_pseudo must be positive")
+        if not 0 < branch_pseudo < math.inf:  # NaN too: it would key its own lgamma tables
+            raise BadConfig("branch_pseudo must be positive and finite")
         # widths run from about 2^1024 down to 2^-1074, so no side of a
         # float box halves more than about 2100 times; checked before
         # max_depth sizes the tables below
@@ -685,12 +630,20 @@ class BayesTreeDensity:
             raise BadConfig(f"max_depth must be in [0, {2100 * box.dim}]")
         g = float(gamma)
         a = float(branch_pseudo)
+        try:
+            log_beta0 = 2.0 * math.lgamma(a) - math.lgamma(2.0 * a)
+        except OverflowError:
+            raise BadConfig("branch_pseudo is too large for lgamma(2 branch_pseudo)") from None
+        self.box = box
+        self.gamma = g
+        self.branch_pseudo = a
         self.max_depth = top = int(max_depth)
         log_vol0 = math.log(box.volume())
         self._log_vol = [log_vol0 - k * math.log(2.0) for k in range(top + 1)]
         self._log_gamma = math.log(g)
         self._log_split = math.log1p(-g)
-        self._log_beta0 = 2.0 * math.lgamma(a) - math.lgamma(2.0 * a)
+        self._log_beta0 = log_beta0
+        self._dim = box.dim
         self._lg_a, self._lg_2a = _lgamma_tables(a, 2)
         # the chain of one point: the same _loglam calls the recursion
         # makes, since x + 0.0 == 0.0 + x and the two lgamma terms commute
@@ -698,15 +651,43 @@ class BayesTreeDensity:
         for depth in range(top - 1, -1, -1):
             one.append(self._loglam(depth, 1, 1, one[-1], 0.0)[0])
         one.reverse()
+        self._one = one
         # the factors of the query's product on a one-point chain, whose
         # stop posterior is gamma, for a y that stays in the point's cell
         # or leaves it: 2 (1 - g) (a + 1) / (2a + 1) and 2 (1 - g) a / (2a + 1)
         split = 2.0 * (1.0 - g) / (2.0 * a + 1.0)
-        chain = (split * (a + 1.0), split * a)
-        return (
-            box, g, a, top, self._log_vol, self._log_gamma, self._log_split,
-            self._log_beta0, one, chain, (0.0,) * (2 * box.dim),
-        )
+        self._chain = (split * (a + 1.0), split * a)
+        self._pt_pair = (0.0,) * (2 * box.dim)
+        self._empty()
+
+    def _empty(self):
+        """Set the node lists of a tree that holds no point: the root."""
+        self._n = [0]
+        self._lam = [0.0]
+        self._g = [0.0]
+        self._h = [0.0]
+        self._kid = [0]
+        self._pt = [0.0] * self._dim
+
+    def spawn(self) -> "BayesTreeDensity":
+        """An empty tree that shares this one's box and tables."""
+        obj = BayesTreeDensity.__new__(BayesTreeDensity)
+        obj.box = self.box
+        obj.gamma = self.gamma
+        obj.branch_pseudo = self.branch_pseudo
+        obj.max_depth = self.max_depth
+        obj._log_vol = self._log_vol
+        obj._log_gamma = self._log_gamma
+        obj._log_split = self._log_split
+        obj._log_beta0 = self._log_beta0
+        obj._dim = self._dim
+        obj._lg_a = self._lg_a
+        obj._lg_2a = self._lg_2a
+        obj._one = self._one
+        obj._chain = self._chain
+        obj._pt_pair = self._pt_pair
+        obj._empty()
+        return obj
 
     def _loglam(self, depth, n, nl, left, right):
         """``(value, g, 1 - g)`` of a node at ``depth`` that holds n
@@ -1133,17 +1114,21 @@ class BayesTreeDensity:
         self._fill_values()
         return -math.inf if skipped else self._lam[0]
 
-    @classmethod
-    def from_state(cls, state):
-        """An empty tree with the record's prior; ``refill`` lays it out.
-        A format-3 record's ``counts`` and ``points`` are ignored."""
-        return cls(
-            state["lower"],
-            state["upper"],
-            gamma=state["gamma"],
-            branch_pseudo=state["branch_pseudo"],
-            max_depth=state["max_depth"],
-        )
+    def load(self, state) -> "BayesTreeDensity":
+        """``spawn()`` for ``state``, a record of this prior; ``refill``
+        lays it out. A format-3 record's ``counts`` and ``points`` are
+        ignored."""
+        box = self.box
+        if (
+            state.get("kind") != "bayes_tree"
+            or state["lower"] != list(box.lower)
+            or state["upper"] != list(box.upper)
+            or state["gamma"] != self.gamma
+            or state["branch_pseudo"] != self.branch_pseudo
+            or state["max_depth"] != self.max_depth
+        ):
+            raise BadConfig(_OTHER_PRIOR)
+        return self.spawn()
 
 
 class MixtureLocal:
@@ -1170,6 +1155,21 @@ class MixtureLocal:
             total = logsumexp(lw.tolist())
             self.log_w = [v - total for v in lw.tolist()]
         self._warned_skip = False
+
+    @staticmethod
+    def _with(components, log_w) -> "MixtureLocal":
+        """A mixture of ``components`` with the log weights ``log_w``,
+        taken as they are."""
+        obj = MixtureLocal.__new__(MixtureLocal)
+        obj.components = components
+        obj.log_w = log_w
+        obj._warned_skip = False
+        return obj
+
+    def spawn(self) -> "MixtureLocal":
+        """An empty mixture of the components' spawns, with the prior
+        weights, which no update changes in place."""
+        return self._with([c.spawn() for c in self.components], self.log_w)
 
     def prepare(self, y):
         """The components' prepared ys, in order."""
@@ -1250,10 +1250,12 @@ class MixtureLocal:
             out.append(b)
         return out
 
-    @classmethod
-    def from_state(cls, state):
-        comps = [local_from_state(c) for c in state["components"]]
-        obj = cls(comps)
+    def load(self, state) -> "MixtureLocal":
+        """A mixture of the components' ``load`` of their records in
+        ``state``, a record with as many, and the record's weights."""
+        if state.get("kind") != "mixture" or len(state["components"]) != len(self.components):
+            raise BadConfig(_OTHER_PRIOR)
+        comps = [c.load(r) for c, r in zip(self.components, state["components"])]
         log_w = [float(v) for v in state["log_w"]]
         if len(log_w) != len(comps):
             raise BadConfig("mixture log_w length must match components")
@@ -1263,24 +1265,19 @@ class MixtureLocal:
         # verbatim, not through __init__: renormalising an already
         # normalised vector can move it by an ulp and break bit-exact
         # snapshot resume
-        obj.log_w = log_w
-        return obj
+        return self._with(comps, log_w)
 
 
-_LOCAL_KINDS = {
-    "dirichlet": DirichletMultinomial,
-    "normal_wishart": NormalWishart,
-    "bayes_tree": BayesTreeDensity,
-    "mixture": MixtureLocal,
-}
-
-
-def local_from_state(state):
-    """Rebuild a local model from ``state_dict``."""
-    kind = state.get("kind")
-    if kind not in _LOCAL_KINDS:
-        raise BadConfig(f"unknown local model kind {kind!r}")
-    return _LOCAL_KINDS[kind].from_state(state)
+def local_from_state(state, like):
+    """``like.load(state)``: a local with the prior of ``like``, the
+    model's fresh local, and the learnt state of ``state``, a
+    ``state_dict`` record. Raises ``BadConfig`` on a record of another
+    kind or prior, or a malformed one, and for a ``like`` that does not
+    load."""
+    load = getattr(like, "load", None)
+    if load is None:
+        raise BadConfig(f"a {type(like).__name__} local does not load from a snapshot")
+    return load(state)
 
 
 def prepare_block(local, ys, skip_outside=False):

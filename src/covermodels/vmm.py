@@ -30,13 +30,13 @@ from .errors import BadConfig, TooLargeToEnumerate, UnknownSymbol
 from .local import DirichletMultinomial, as_symbol
 from .logspace import logsumexp
 
-_PRIORS = {"kt": 0.5, "laplace": 1.0}
+_NAMED_PRIORS = {"kt": 0.5, "laplace": 1.0}
 
 
 def _resolve_prior(prior) -> float:
     if isinstance(prior, str):
         try:
-            return _PRIORS[prior]
+            return _NAMED_PRIORS[prior]
         except KeyError:
             raise BadConfig(f"unknown prior {prior!r}, expected kt or laplace") from None
     conc = float(prior)

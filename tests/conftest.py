@@ -39,9 +39,9 @@ def learn(local, y):
 
 def refilled(local, ys):
     """``local`` rebuilt as a snapshot load rebuilds it: from its record,
-    then refilled from ``ys``, which it absorbed, as one kd leaf buffers
-    them."""
-    clone = local_from_state(local.state_dict())
+    loaded against an empty local with its prior, then refilled from
+    ``ys``, which it absorbed, as one kd leaf buffers them."""
+    clone = local_from_state(local.state_dict(), local.spawn())
     ys = [tuple(np.asarray(y, dtype=float).reshape(-1).tolist()) for y in ys]
     block = prepare_block(clone, ys)
     if block is not None:

@@ -40,4 +40,7 @@ assert [clone.predict_logdensity([a], [b]) for a in grid for b in grid] == [
 
 vmm = covermodels.VmmModel(2, 3)
 assert math.isfinite(vmm.fit_sequence([0, 1, 1, 0, 1]))
+# every context's Dirichlet record loads against the fresh local
+vmm_clone = covermodels.VmmModel.from_text(vmm.to_text())
+assert vmm_clone.next_symbol_logprobs().tolist() == vmm.next_symbol_logprobs().tolist()
 print("ok")

@@ -11,6 +11,7 @@ from conftest import model_trees
 from covermodels import local
 from covermodels import (
     BadConfig,
+    BayesTreeDensity,
     Box,
     CdeConfig,
     CdeModel,
@@ -30,8 +31,11 @@ _UNIT = dict(x_lower=[0.0], x_upper=[1.0], y_lower=[0.0], y_upper=[1.0])
 # Each builds an object or validates a config that must be refused: a
 # NaN passes a check written as `x <= bound`, an infinite box has no
 # midpoint to split at and no finite volume, a Normal-Wishart scale
-# that is not positive definite has no Student t predictive, and a y_dim
-# that is not a positive int sizes no Normal-Wishart.
+# that is not positive definite or not dim by dim has no Student t
+# predictive, a y_dim that is not a positive int sizes no
+# Normal-Wishart, and a prior number that is not finite made a model
+# that scored nan or raised a bare ValueError or OverflowError (`--set
+# tree_branch_pseudo=Infinity` parses as JSON inf).
 _UNUSABLE = {
     "kd-alpha-nan": lambda: KdTreeCover(Box([0.0], [1.0]), alpha=_NAN),
     "kd-max-depth-nan": lambda: KdTreeCover(Box([0.0], [1.0]), max_depth=_NAN),
@@ -49,8 +53,17 @@ _UNUSABLE = {
     ),
     "cde-nw-scale-zero": lambda: CdeModel(CdeConfig(nw_scale=0.0, components=("nw",), **_UNIT)),
     "nw-scale-indefinite": lambda: NormalWishart([0.0, 0.0], scale=[[1.0, 2.0], [2.0, 1.0]]),
+    "nw-scale-1x1-for-dim-2": lambda: NormalWishart([0.0, 1.0], scale=[[2.0]]),
+    "nw-mu0-nan": lambda: NormalWishart([_NAN]),
+    "nw-kappa0-inf": lambda: NormalWishart([0.0], kappa0=math.inf),
+    "nw-nu0-inf": lambda: NormalWishart([0.0], nu0=math.inf),
+    "tree-branch-pseudo-inf": lambda: BayesTreeDensity([0.0], [1.0], branch_pseudo=math.inf),
+    "tree-branch-pseudo-1e308": lambda: BayesTreeDensity([0.0], [1.0], branch_pseudo=1e308),
+    "cde-tree-branch-pseudo-inf": lambda: CdeModel(CdeConfig(tree_branch_pseudo=math.inf, **_UNIT)),
     "dirichlet-concentration-nan": lambda: DirichletMultinomial(3, _NAN),
+    "dirichlet-concentration-inf": lambda: DirichletMultinomial(2, math.inf),
     "vmm-prior-nan": lambda: VmmModel(3, 3, prior=_NAN),
+    "vmm-prior-inf": lambda: VmmModel(2, 3, prior=math.inf),
     "cde-mixture-weight-negative": lambda: CdeConfig(
         mixture_weights=[-1.0, 2.0], **_UNIT
     ).validate(),

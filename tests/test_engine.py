@@ -13,11 +13,13 @@ from scipy.stats import chisquare
 from covermodels import (
     BadConfig,
     Box,
+    CdeModel,
     CoverModelPosterior,
     DirichletMultinomial,
     KdTreeCover,
     NormalWishart,
     VmmModel,
+    new_cde,
     parse_depth_weight,
 )
 from covermodels.logspace import log1mexp
@@ -437,6 +439,64 @@ class TestSnapshot:
         text = post.to_text()
         assert text.startswith("{")
         assert "covermodels-snapshot" in text
+
+
+def _prior_objects(local):
+    """The prior values and tables a local reads, as the objects it
+    holds, a mixture's in component order."""
+    out = []
+    for c in getattr(local, "components", [local]):
+        if isinstance(c, DirichletMultinomial):
+            out.append(c.alpha)
+        elif isinstance(c, NormalWishart):
+            out += [c.mu0, c.T0]
+        else:
+            out += [c.box, c._one, c._chain, c._log_vol]
+    return out
+
+
+class TestOnePrior:
+    def test_every_local_shares_the_fresh_locals_prior(self, monkeypatch):
+        """Every context's local, after a CDE stream that splits, after a
+        VMM stream and after a load, holds the very prior objects of
+        the fresh local, and the local factory is called once per
+        posterior: on construction and on ``from_text``."""
+        calls = []
+        make_cde, make_vmm = CdeModel._make_local, VmmModel._factory
+
+        def cde_factory(self):
+            calls.append("cde")
+            return make_cde(self)
+
+        def vmm_factory(self):
+            make = make_vmm(self)
+
+            def counted():
+                calls.append("vmm")
+                return make()
+
+            return counted
+
+        monkeypatch.setattr(CdeModel, "_make_local", cde_factory)
+        monkeypatch.setattr(VmmModel, "_factory", vmm_factory)
+        rng = np.random.default_rng(7)
+        cde = new_cde([0.0], [1.0], [0.0], [1.0], tree_max_depth=6)
+        for x, y in rng.uniform(size=(80, 2)):
+            cde.absorb([x], [y])
+        vmm = VmmModel(2, 4)
+        vmm.fit_sequence(rng.integers(0, 2, size=200).tolist())
+        assert calls == ["cde", "vmm"]
+        assert cde.n_contexts > 3 and vmm.posterior.cover.n_contexts > 3
+        loaded = [CdeModel.from_text(cde.to_text()), VmmModel.from_text(vmm.to_text())]
+        assert calls == ["cde", "vmm", "cde", "vmm"]
+        for model in [cde, vmm, *loaded]:
+            fresh = model.posterior._fresh
+            want = _prior_objects(fresh)
+            assert len(want) in (1, 6)
+            for st in model.posterior.states.values():
+                got = _prior_objects(st.local)
+                assert st.local is not fresh and len(got) == len(want)
+                assert all(a is b for a, b in zip(got, want))
 
 
 class TestPsiTable:

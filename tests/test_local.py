@@ -70,7 +70,7 @@ class TestDirichletMultinomial:
         d = DirichletMultinomial(3, concentration=0.5)
         for s in [0, 1, 1, 2, 1]:
             learn(d, s)
-        d2 = local_from_state(d.state_dict())
+        d2 = local_from_state(d.state_dict(), DirichletMultinomial(3, concentration=0.5))
         for k in range(3):
             assert score(d2, k) == score(d, k)
 
@@ -180,28 +180,30 @@ class TestNormalWishart:
         for y in rng.normal(size=(3, len(mu0))):
             learn(nw, y)
         state = nw.state_dict()
-        assert score(local_from_state(state), mu0) == score(nw, mu0)
+        assert score(local_from_state(state, NormalWishart(mu0)), mu0) == score(nw, mu0)
         state[key] = value
         with pytest.raises(BadConfig):
-            local_from_state(state)
+            local_from_state(state, NormalWishart(mu0))
 
     def test_sums_before_any_observation_must_be_zero(self):
         state = NormalWishart([0.0]).state_dict()
         state["sum_yy"] = [[2.0]]
         with pytest.raises(BadConfig):
-            local_from_state(state)
+            local_from_state(state, NormalWishart([0.0]))
 
     def test_models_of_one_prior_share_its_values(self):
-        """A prior's numbers key the cache by their bits, so -0.0 keeps
-        its own entry, and a scale's form is part of the key: a 1 by 1
-        matrix for two dimensions is refused after the scalar 2.0 that
-        means 2 I was cached, and ragged rows after the matrix with the
-        same four numbers."""
+        """Models spawned or loaded from one prior hold its very mean and
+        scale, -0.0 included; a prior built again from equal numbers
+        holds equal ones, and a scale's form is checked: a 1 by 1 matrix
+        for two dimensions is refused, and so are ragged rows."""
         a = NormalWishart([0.0, 1.0], kappa0=2.0, scale=2.0)
-        b = NormalWishart((0.0, 1.0), kappa0=2.0, scale=2.0)
+        b = a.spawn()
+        learn(b, [0.5, 0.5])
         assert b.mu0 is a.mu0 and b.T0 is a.T0 and a.T0 == [[2.0, 0.0], [0.0, 2.0]]
+        loaded = local_from_state(b.state_dict(), a)
+        assert loaded.mu0 is a.mu0 and loaded.T0 is a.T0 and loaded.prior() == a.prior()
         z = NormalWishart([-0.0, 1.0], kappa0=2.0, scale=2.0)
-        assert z.mu0 is not a.mu0 and math.copysign(1.0, z.prior()["mu0"][0]) == -1.0
+        assert z.spawn().mu0 is z.mu0 and math.copysign(1.0, z.spawn().prior()["mu0"][0]) == -1.0
         c = NormalWishart(np.array([0.0, 1.0]), kappa0=2.0, scale=np.full((1, 1), 2.0) * np.eye(2))
         assert c.T0 is not a.T0 and c.prior() == a.prior()
         with pytest.raises(BadConfig):
@@ -214,7 +216,8 @@ class TestNormalWishart:
         nw = NormalWishart([0.0], kappa0=1.0, nu0=3.0, scale=[[1.0]])
         for y in [0.3, -0.2, 0.9]:
             learn(nw, [y])
-        nw2 = local_from_state(nw.state_dict())
+        fresh = NormalWishart([0.0], kappa0=1.0, nu0=3.0, scale=[[1.0]])
+        nw2 = local_from_state(nw.state_dict(), fresh)
         assert score(nw2, [0.1]) == score(nw, [0.1])
 
     def test_sampling_moments(self):
@@ -299,21 +302,24 @@ class TestBayesTree:
         for depth in (top + 1, 10**9, math.inf):
             with pytest.raises(BadConfig):
                 BayesTreeDensity([0.0] * dim, [1.0] * dim, max_depth=depth)
-        record = {**BayesTreeDensity([0.0] * dim, [1.0] * dim).state_dict(), "max_depth": 10**9}
+        fresh = BayesTreeDensity([0.0] * dim, [1.0] * dim)
         with pytest.raises(BadConfig):
-            local_from_state(record)
+            local_from_state({**fresh.state_dict(), "max_depth": 10**9}, fresh)
 
     def test_trees_of_one_prior_share_its_tables(self):
-        """Bounds that are lists of floats key the cache by their bits,
-        so a box with -0.0 keeps its own tables; an array builds its
-        own, with the same values."""
+        """Trees spawned or loaded from one prior hold its very box and
+        tables, a box with -0.0 included; a tree built again from equal
+        bounds builds its own tables, with the same values."""
         kw = dict(gamma=0.4, branch_pseudo=0.6, max_depth=7)
         a = BayesTreeDensity([0.0, -1.0], [1.0, 1.0], **kw)
-        b = BayesTreeDensity([0.0, -1.0], (1.0, 1.0), **kw)
-        assert b._one is a._one and b.box is a.box
+        b = a.spawn()
+        learn(b, [0.5, 0.5])
+        assert b._one is a._one and b.box is a.box and b._chain is a._chain
+        loaded = local_from_state(b.state_dict(), a)
+        assert loaded._one is a._one and loaded.box is a.box and loaded.prior() == a.prior()
         z = BayesTreeDensity([-0.0, -1.0], [1.0, 1.0], **kw)
-        assert z.box is not a.box and math.copysign(1.0, z.prior()["lower"][0]) == -1.0
-        c = BayesTreeDensity(np.array([0.0, -1.0]), [1.0, 1.0], **kw)
+        assert z.spawn().box is z.box and math.copysign(1.0, z.spawn().prior()["lower"][0]) == -1.0
+        c = BayesTreeDensity(np.array([0.0, -1.0]), (1.0, 1.0), **kw)
         assert c._one is not a._one
         assert (c._one, c._chain, c.prior()) == (a._one, a._chain, a.prior())
 
@@ -1001,11 +1007,13 @@ class TestAbsorbBlock:
 
 
 def _trained_state(kind):
-    local = {"dirichlet": lambda: DirichletMultinomial(2), "nw": lambda: NormalWishart([0.0])}[kind]()
+    """A trained local's record, and an empty local with its prior."""
+    make = {"dirichlet": lambda: DirichletMultinomial(2), "nw": lambda: NormalWishart([0.0])}[kind]
+    local = make()
     ys = {"dirichlet": [0, 0, 1, 1, 1], "nw": np.linspace(-1.0, 1.0, 40)}[kind]
     for y in ys:
         learn(local, y)
-    return local.state_dict()
+    return local.state_dict(), make()
 
 
 @pytest.mark.parametrize(
@@ -1021,8 +1029,63 @@ def _trained_state(kind):
 def test_a_local_record_of_the_wrong_type_is_refused(kind, key, value):
     """Counts that sum right but are not whole and a Normal-Wishart count
     that ``int()`` once truncated used to load."""
-    state = _trained_state(kind)
-    local_from_state(state)  # the untouched record loads
+    state, fresh = _trained_state(kind)
+    local_from_state(state, fresh)  # the untouched record loads
     state[key] = value
     with pytest.raises(BadConfig):
-        local_from_state(state)
+        local_from_state(state, fresh)
+
+
+# an empty local of each shipped kind, as a model's fresh local
+FRESH = {
+    "dirichlet": lambda: DirichletMultinomial(3, [0.5, 1.0, 1.5]),
+    "nw": lambda: NormalWishart([0.0, 1.0], kappa0=2.0, nu0=4.0, scale=[[2.0, 0.5], [0.5, 1.0]]),
+    "tree": lambda: BayesTreeDensity([0.0, -1.0], [1.0, 1.0], gamma=0.4, branch_pseudo=0.6, max_depth=7),
+    "mixture": lambda: MixtureLocal([NormalWishart([0.0]), BayesTreeDensity([0.0], [1.0])]),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,field,value",
+    [
+        ("dirichlet", "alpha", [0.5, 1.0, 1.25]),
+        ("dirichlet", "alpha", [0.5, 1.0]),
+        ("nw", "mu0", [0.0, 1.5]),
+        ("nw", "kappa0", 1.0),
+        ("nw", "nu0", 5.0),
+        ("nw", "T0", [[2.0, 0.5], [0.5, 1.5]]),
+        ("tree", "lower", [0.0, -2.0]),
+        ("tree", "upper", [1.0, 2.0]),
+        ("tree", "gamma", 0.5),
+        ("tree", "branch_pseudo", 0.5),
+        ("tree", "max_depth", 8),
+        ("mixture", "components", [BayesTreeDensity([0.0], [1.0]).state_dict(),
+                                   NormalWishart([0.0]).state_dict()]),
+    ],
+)
+def test_a_record_of_another_prior_is_refused(kind, field, value):
+    """A record loads only against a local with its prior: the model's
+    fresh local, whose checked values the loaded local shares."""
+    fresh = FRESH[kind]()
+    record = fresh.state_dict()
+    local_from_state(record, fresh)  # the untouched record loads
+    with pytest.raises(BadConfig, match="another kind or prior"):
+        local_from_state({**record, field: value}, fresh)
+
+
+@pytest.mark.parametrize("kind", list(FRESH))
+def test_a_record_of_another_kind_is_refused(kind):
+    fresh = FRESH[kind]()
+    for other in FRESH:
+        if other != kind:
+            with pytest.raises(BadConfig, match="another kind or prior"):
+                local_from_state(FRESH[other]().state_dict(), fresh)
+
+
+def test_a_mixture_record_with_another_component_count_is_refused():
+    fresh = FRESH["mixture"]()
+    nw, tree = fresh.state_dict()["components"]
+    for comps in ([nw], [nw, tree, tree]):
+        record = {"kind": "mixture", "log_w": [-math.log(len(comps))] * len(comps), "components": comps}
+        with pytest.raises(BadConfig, match="another kind or prior"):
+            local_from_state(record, fresh)
