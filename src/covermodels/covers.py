@@ -319,14 +319,6 @@ class KdTreeCover(CoverSequence):
         pairs, one leaf at a time."""
         return ((cid, [y for _, y in buf]) for cid, buf in self._buffer.items())
 
-    def points_under(self):
-        """Number of buffered points in the leaves under each context."""
-        under = {}
-        for cid in sorted(self.contexts, reverse=True):  # children first
-            sp = self._split.get(cid)
-            under[cid] = len(self._buffer[cid]) if sp is None else under[sp[2]] + under[sp[3]]
-        return under
-
     def state_dict(self):
         """Split records and flat leaf buffers; the contexts' boxes,
         depths and parents follow from the root box.

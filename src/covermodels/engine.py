@@ -59,12 +59,13 @@ through a tree density's partition) for every local on the path.
 A snapshot (format version 4) holds only what the data do not give
 back: per context its stop weight, ``log_m``, ``log_trunc`` and local
 counts and sums, plus the cover's split records and buffered points. A
-tree density stores its prior alone. On load each context's tree is
-rebuilt from the kd cover's buffered ys under it, which routes every
-buffered y once (the fresh local's ``prepare_block``) and lays each
-tree out from its children's (``refill``); ``log_lambda`` and the stop
-pair are recomputed bottom-up. All of it equals the saved model bit for
-bit, and the structure is checked (``from_text``). Version 3, which
+tree density stores its prior alone. A kd cover's load routes every
+buffered y once (the fresh local's ``prepare_block``), then visits each
+context once, children first (``_rebuild``): it checks the local's
+counts against the points under the context, lays its tree out from
+its children's (``refill``) and recomputes ``log_lambda`` and the stop
+pair. All of it equals the saved model bit for bit, and the structure
+is checked (``from_text``). Version 3, which
 also stored each tree's counts and singleton points, still loads, and
 those two fields are ignored; versions 1 and 2 are refused.
 """
@@ -473,9 +474,10 @@ class CoverModelPosterior:
         or 3.
 
         The local factory is not serialised and must be supplied again.
-        Each context's tree density is laid out from the ys buffered
-        under it, and ``log_lambda`` and the stop pairs are recomputed
-        bottom-up, all bit for bit.
+        On a kd cover one children-first pass over the contexts checks
+        each local's counts, lays its tree density out from the ys
+        buffered under it and recomputes ``log_lambda`` and the stop
+        pair, all bit for bit.
 
         Raises ``BadConfig`` on a snapshot of another version, or one
         whose structure does not hold together: the checks of the
@@ -537,9 +539,7 @@ class CoverModelPosterior:
         if len(states) != len(contexts):
             missing = sorted(set(contexts) - set(states))
             raise BadConfig(f"snapshot lacks state for contexts {missing}")
-        obj._check_counts()
         obj._rebuild()
-        obj._refresh_all()
         return obj
 
     def _check_rebuildable(self):
@@ -550,42 +550,43 @@ class CoverModelPosterior:
             raise BadConfig("a snapshot rebuilds tree densities from a kd cover's buffers")
 
     def _rebuild(self):
-        """Check the kd cover's buffered ys and rebuild from them what the
-        locals' records leave out. Every buffered y passed the fresh
-        local's ``prepare`` when it was absorbed, and the next split
-        replays it, so it must be finite. The fresh local prepares them
-        all at once, then each context's local refills, children first,
-        from its leaf's slice of that block or from its children's
-        returns."""
-        if self.cover.growth_mode != "replay":
+        """Check each local's counts against what the cover routed to
+        its context, then set what the records leave out.
+
+        A kd cover's leaf buffers must hold ``n_obs`` ys, each finite:
+        every one passed the fresh local's ``prepare`` when it was
+        absorbed, and the next split replays it. The fresh local
+        prepares them all at once; then one pass, children first, takes
+        each context's points (its leaf's slice of the block, or its
+        children's), checks its local's counts, refills it and refreshes
+        ``log_lambda``. Elsewhere the root's local was offered every
+        observation, and children hold no more than their parent."""
+        cover, states = self.cover, self.states
+        if cover.growth_mode != "replay":
+            check_seen(states[cover.root_id].local, self.n_obs)
+            for cid, ctx in cover.contexts.items():
+                if ctx.child_ids:
+                    check_nested(states[cid].local, [states[d].local for d in ctx.child_ids])
             self._check_rebuildable()
+            self._refresh_all()
             return
-        ys, runs = [], {}
-        for cid, buf in self.cover.leaf_ys():
+        ys, runs, seen = [], {}, {}
+        for cid, buf in cover.leaf_ys():
             runs[cid] = slice(len(ys), len(ys) + len(buf))
+            seen[cid] = len(buf)
             ys += buf
+        if len(ys) != self.n_obs:
+            raise BadConfig(f"leaf buffers hold {len(ys)} points, n_obs is {self.n_obs}")
         for y in ys:
             if not all(map(math.isfinite, y)):
                 raise BadConfig(f"buffered y {list(y)} is not finite")
         block = prepare_block(self._fresh, ys)
-        if block is None:
-            return
-        contexts, done = self.cover.contexts, {}
-        for cid in sorted(self.states, reverse=True):  # children first
-            kids = contexts[cid].child_ids
-            under = [done.pop(k) for k in kids] if kids else runs[cid]
-            done[cid] = self.states[cid].local.refill(block, under)
-
-    def _check_counts(self):
-        cover, states, root = self.cover, self.states, self.cover.root_id
-        if cover.growth_mode == "replay":
-            under = cover.points_under()
-            if under[root] != self.n_obs:
-                raise BadConfig(f"leaf buffers hold {under[root]} points, n_obs is {self.n_obs}")
-            for cid, n in under.items():
-                check_seen(states[cid].local, n)
-        else:
-            check_seen(states[root].local, self.n_obs)
-            for cid, ctx in cover.contexts.items():
-                if ctx.child_ids:
-                    check_nested(states[cid].local, [states[d].local for d in ctx.child_ids])
+        contexts, done = cover.contexts, {}
+        for cid in sorted(states, reverse=True):  # children first
+            kids, local = contexts[cid].child_ids, states[cid].local
+            if kids:
+                seen[cid] = sum(seen[k] for k in kids)
+            check_seen(local, seen[cid])
+            if block is not None:
+                done[cid] = local.refill(block, [done.pop(k) for k in kids] if kids else runs[cid])
+            self._refresh_lambda(cid)

@@ -586,7 +586,10 @@ class BayesTreeDensity:
     1e300, as it can over thousands of levels. Unlike the difference of
     two root values, each of size n |log vol|, this keeps the query's
     rounding near that of its last log; it equals the update's return
-    only up to that rounding.
+    only up to that rounding. ``sample`` reads the kept pairs too: it
+    stops at a node with children with probability g, and with gamma
+    on a singleton's chain or below an empty node, so ``_loglam`` is
+    the one place a node's stop posterior is computed.
 
     The partition is fixed by the box and ``max_depth``, as a Pólya
     tree's is, so y's route through it (split dimension, midpoint and
@@ -619,6 +622,8 @@ class BayesTreeDensity:
 
     def __init__(self, lower, upper, gamma=0.5, branch_pseudo=0.5, max_depth=12):
         box = Box(lower, upper)
+        if not 0.0 < box.volume() < math.inf:  # Box checks each bound, not their product
+            raise BadConfig("the tree's box volume must be positive and finite")
         if not 0 < gamma < 1:
             raise BadConfig("gamma must be strictly between 0 and 1")
         if not 0 < branch_pseudo < math.inf:  # NaN too: it would key its own lgamma tables
@@ -881,19 +886,19 @@ class BayesTreeDensity:
         hi = list(self.box.upper)
         node = 0  # None below the materialised tree: an empty node
         p = None  # a singleton's point, whose one-point chain the walk is on
-        a = self.branch_pseudo
-        for depth in range(self.max_depth):
+        a, gamma = self.branch_pseudo, self.gamma
+        for _ in range(self.max_depth):
             left = 0
             if p is not None:
-                n, lam = 1, self._one[depth]
+                n = 1
             elif node is None:
-                n, lam = 0, 0.0
+                n = 0
             else:
-                n, lam, left = self._n[node], self._lam[node], self._kid[node]
+                n, left = self._n[node], self._kid[node]
                 if n == 1 and not left:
                     p, node = self._point(node), None
-            stop = math.exp(self._log_gamma - n * self._log_vol[depth] - lam)
-            if rng.uniform() < min(stop, 1.0):
+            # the kept stop pair, or gamma on a one-point chain or when empty
+            if rng.uniform() < (self._g[node] if left else gamma):
                 break
             d, mid = cut(lo, hi)
             if left:
@@ -1008,19 +1013,15 @@ class BayesTreeDensity:
                 cell = cell[keep]
             cell = (np.cumsum(shared) - 1)[cell]
             chains = np.count_nonzero(shared) == len(rows)
+        place = 64 * (len(chunks) - 1)  # where the first word goes
+        codes = [w << place for w in chunks[0][1].tolist()] if chunks else [0] * len(pts)
+        for routed, word in chunks[1:]:  # the deeper words of the ys still walking
+            place -= 64
+            for r, w in zip(routed.tolist(), word.tolist()):
+                codes[r] |= w << place
+        drop = 64 * len(chunks) - k  # the bits below the depths walked
         shift = n.bit_length()  # a route code takes the k depths walked, above the index
-        if len(chunks) == 1 and k + shift <= 64:  # every key fits one word
-            code = chunks[0][1] >> np.uint64(64 - k)
-            keys = (code[inv] << np.uint64(shift) | idx.astype(np.uint64)).tolist()
-        else:
-            place = 64 * (len(chunks) - 1)  # where the first word goes
-            codes = [w << place for w in chunks[0][1].tolist()] if chunks else [0] * len(pts)
-            for routed, word in chunks[1:]:  # the deeper words of the ys still walking
-                place -= 64
-                for r, w in zip(routed.tolist(), word.tolist()):
-                    codes[r] |= w << place
-            drop = 64 * len(chunks) - k  # the bits below the depths walked
-            keys = [codes[r] >> drop << shift | i for i, r in zip(idx.tolist(), inv.tolist())]
+        keys = [codes[r] >> drop << shift | i for i, r in zip(idx.tolist(), inv.tolist())]
         if len(idx) < n:  # None for a y outside the box
             keys, inside = [None] * n, keys
             for i, key in zip(idx.tolist(), inside):
@@ -1153,6 +1154,8 @@ class MixtureLocal:
             if lw.shape != (k,):
                 raise BadConfig("log_weights length must match components")
             total = logsumexp(lw.tolist())
+            if not math.isfinite(total):  # a NaN or +inf weight, or only -inf ones
+                raise BadConfig("log_weights must hold no NaN or +inf and not all -inf")
             self.log_w = [v - total for v in lw.tolist()]
         self._warned_skip = False
 

@@ -37,6 +37,10 @@ grid = np.linspace(-2.0, 2.0, 9)
 assert [clone.predict_logdensity([a], [b]) for a in grid for b in grid] == [
     cde.predict_logdensity([a], [b]) for a in grid for b in grid
 ]
+# the sampler walks the reloaded trees' stop pairs: one seed, the same ys
+rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+draws = [cde.sample_y([0.5], rng_a) for _ in range(10)]
+assert [clone.sample_y([0.5], rng_b) for _ in range(10)] == draws
 
 vmm = covermodels.VmmModel(2, 3)
 assert math.isfinite(vmm.fit_sequence([0, 1, 1, 0, 1]))

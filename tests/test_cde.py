@@ -17,6 +17,7 @@ from covermodels import (
     CdeModel,
     DirichletMultinomial,
     KdTreeCover,
+    MixtureLocal,
     NormalWishart,
     OutOfSupport,
     VmmModel,
@@ -28,6 +29,11 @@ from covermodels import (
 _NAN = math.nan
 _UNIT = dict(x_lower=[0.0], x_upper=[1.0], y_lower=[0.0], y_upper=[1.0])
 
+
+def _two_normals(log_weights):
+    return MixtureLocal([NormalWishart([0.0]), NormalWishart([1.0])], log_weights)
+
+
 # Each builds an object or validates a config that must be refused: a
 # NaN passes a check written as `x <= bound`, an infinite box has no
 # midpoint to split at and no finite volume, a Normal-Wishart scale
@@ -35,7 +41,9 @@ _UNIT = dict(x_lower=[0.0], x_upper=[1.0], y_lower=[0.0], y_upper=[1.0])
 # predictive, a y_dim that is not a positive int sizes no
 # Normal-Wishart, and a prior number that is not finite made a model
 # that scored nan or raised a bare ValueError or OverflowError (`--set
-# tree_branch_pseudo=Infinity` parses as JSON inf).
+# tree_branch_pseudo=Infinity` parses as JSON inf). So did a tree box
+# of finite bounds whose volume over- or underflows, and mixture log
+# weights with a NaN, a +inf or nothing but -inf.
 _UNUSABLE = {
     "kd-alpha-nan": lambda: KdTreeCover(Box([0.0], [1.0]), alpha=_NAN),
     "kd-max-depth-nan": lambda: KdTreeCover(Box([0.0], [1.0]), max_depth=_NAN),
@@ -75,6 +83,17 @@ _UNUSABLE = {
     "cde-x-upper-inf": lambda: CdeConfig(
         x_lower=[0.0], x_upper=[math.inf], y_lower=[0.0], y_upper=[1.0]
     ).validate(),
+    "tree-volume-overflow": lambda: BayesTreeDensity([-1e308], [1e308]),
+    "cde-tree-volume-overflow": lambda: new_cde(
+        [0.0], [1.0], [-1e308], [1e308], components=("tree",)
+    ),
+    "tree-volume-underflow": lambda: BayesTreeDensity([0.0, 0.0], [1e-200, 1e-200]),
+    "cde-tree-volume-underflow": lambda: new_cde(
+        [0.0], [1.0], [0.0, 0.0], [1e-200, 1e-200], components=("tree",)
+    ),
+    "mixture-weight-nan": lambda: _two_normals([_NAN, 0.0]),
+    "mixture-weight-inf": lambda: _two_normals([math.inf, 0.0]),
+    "mixture-weights-all-zero": lambda: _two_normals([-math.inf, -math.inf]),
     "cde-y-dim-zero": lambda: CdeModel(
         CdeConfig([0.0], [1.0], y_dim=0, components=("nw",))
     ),

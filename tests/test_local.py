@@ -354,6 +354,52 @@ class TestBayesTree:
         # posterior mass concentrates where the data sat
         assert np.mean(draws < 0.25) > 0.55
 
+    @pytest.mark.parametrize("held", ["one", "seven"])
+    @pytest.mark.parametrize("max_depth", [0, 1, 4])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_samples_follow_the_predictive_density(self, dim, max_depth, held):
+        """Draws land in each finest cell of the partition as often as
+        the query's density, constant there, integrates to over it. One
+        point makes the root a singleton; seven leave a singleton's
+        chain, a point held twice and empty cells at max_depth 4."""
+        lo, hi = np.array([-1.0, 0.0][:dim]), np.array([1.0, 3.0][:dim])
+        unit = [[0.4, 0.9], [0.1, 0.1], [0.12, 0.11], [0.13, 0.4], [0.7, 0.3], [0.71, 0.31]]
+        unit = unit[:1] if held == "one" else unit + [unit[-1]]
+        bt = BayesTreeDensity(lo, hi, gamma=0.3, branch_pseudo=0.6, max_depth=max_depth)
+        for u in unit:
+            learn(bt, lo + (hi - lo) * np.array(u[:dim]))
+        singleton = [n == 1 and not k for n, k in zip(bt._n, bt._kid)]
+        if max_depth == 4 and held == "seven":
+            assert any(singleton) and 0 in bt._n and 2 in bt._n
+        elif max_depth and held == "one":
+            assert singleton == [True]
+        cells = [(list(lo), list(hi))]  # the finest cells, in route order
+        for _ in range(max_depth):
+            halves = []
+            for clo, chi in cells:
+                d, mid = cut(clo, chi)
+                low, high = (list(clo), list(chi)), (list(clo), list(chi))
+                low[1][d] = high[0][d] = mid
+                halves += [low, high]
+            cells = halves
+        mass = np.array([
+            math.exp(score(bt, [0.5 * (a + b) for a, b in zip(clo, chi)]))
+            * math.prod(b - a for a, b in zip(clo, chi))
+            for clo, chi in cells
+        ])
+        assert mass.sum() == pytest.approx(1.0, abs=1e-12)
+        draws = 10000
+        counts = np.zeros(len(cells))
+        rng = np.random.default_rng(11)
+        for _ in range(draws):
+            y = np.atleast_1d(bt.sample(rng))
+            _, inside, route = bt.prepare(y)
+            assert inside
+            counts[int("".join(str(side) for _, _, side in route) or "0", 2)] += 1
+        if len(cells) > 1:
+            chi2 = np.sum((counts - draws * mass) ** 2 / (draws * mass))
+            assert stats.chi2.sf(chi2, len(cells) - 1) > 1e-3
+
 
 class TestMixtureLocal:
     def test_posterior_weights_track_evidence(self):

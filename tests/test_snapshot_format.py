@@ -148,6 +148,23 @@ def test_tree_locals_need_a_cover_with_buffers(monkeypatch):
         CoverModelPosterior.from_text(text, factory)
 
 
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize("components", [("tree",), ("nw", "tree")])
+def test_an_n_obs_other_than_the_buffered_points_is_refused(components, delta):
+    """The leaf buffers hold every absorbed point, so a header ``n_obs``
+    off by one is refused, also where no local keeps a count to check."""
+    model = CdeModel(CdeConfig([0.0], [1.0], [0.0], [1.0], components=components, alpha=1.5))
+    rng = np.random.default_rng(4)
+    absorb_all(model, rng.uniform(size=(80, 1)), rng.uniform(size=(80, 1)))
+    assert model.n_contexts > 1
+    lines = model.to_text().splitlines()
+    meta = json.loads(lines[1])
+    meta["n_obs"] += delta
+    lines[1] = json.dumps(meta, sort_keys=True)
+    with pytest.raises(BadConfig, match="leaf buffers hold 80 points"):
+        CdeModel.from_text("\n".join(lines) + "\n")
+
+
 def test_a_mid_stream_resume_continues_exactly():
     """A 2-d model saved halfway and loaded absorbs, predicts, samples
     and saves as the model that never stopped."""
