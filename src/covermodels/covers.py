@@ -21,6 +21,10 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
+from functools import partial
+from itertools import chain, repeat
+from operator import ge, gt, le
 
 import numpy as np
 
@@ -401,20 +405,62 @@ class KdTreeCover(CoverSequence):
             if len(flat) % width:
                 raise BadConfig(f"buffer of leaf {key} does not hold whole points")
             box = cover.contexts[cid].region
-            buf = []
-            for i in range(0, len(flat), width):
-                x = flat[i:i + dim]
-                # half open, closed on the root box's upper faces
-                for lo, v, hi, t in zip(box.lower, x, box.upper, top):
-                    if not (lo <= v < hi or v == hi == t):
+            cols = [flat[j::width] for j in range(width)]
+            xcols, ycols = cols[:dim], cols[dim:]
+            if not _in_box(xcols, box, top) or not _FLOAT.issuperset(
+                map(type, chain.from_iterable(ycols))
+            ):
+                for i in range(0, len(flat), width):  # name the first misfit
+                    x, y = flat[i:i + dim], flat[i + dim:i + width]
+                    if not _in_box([[v] for v in x], box, top):
                         raise BadConfig(f"buffered x {x} outside its leaf {box!r}")
-                y = flat[i + dim:i + width]
-                for v in y:
-                    if type(v) is not float:
+                    if not _FLOAT.issuperset(map(type, y)):
                         raise BadConfig(f"buffered y {y} in leaf {key} is not all floats")
-                buf.append((tuple(x), tuple(y)))
-            cover._buffer[cid] = buf
+            n = len(flat) // width
+            cover._buffer[cid] = list(zip(_rows(xcols, n), _rows(ycols, n)))
         return cover
+
+
+_FLOAT = frozenset([float])
+
+
+def _in_box(cols, box, top):
+    """Whether every point of ``cols``, one column of values per
+    dimension, lies in ``box``: half open, closed on the root box's
+    upper faces ``top``. One pass over each column, in C."""
+    for col, lo, hi, t in zip(cols, box.lower, box.upper, top):
+        if not all(map(partial(le, lo), col)):
+            return False
+        if not all(map(partial(ge if hi == t else gt, hi), col)):
+            return False
+    return True
+
+
+def _rows(cols, n):
+    """The n points of ``cols``, one column per dimension, as tuples."""
+    return zip(*cols) if cols else repeat((), n)
+
+
+def as_symbol(y, alphabet_size) -> int:
+    """y as an int symbol of an alphabet of ``alphabet_size``. An
+    integer, an integral float such as 2.0 from a float data column, a
+    numpy scalar or size-1 array holding one, or the one-float tuple a
+    kd cover's replayed block holds, passes; anything else, or a symbol
+    outside the alphabet, raises ``UnknownSymbol`` with the plain value.
+    The one symbol rule: a Dirichlet local checks each y with it, and
+    the suffix cover each symbol of a history that a match reads."""
+    s = y
+    if type(s) is not int:
+        if isinstance(s, (np.ndarray, np.generic)) and s.size == 1:
+            s = s.item()
+        elif type(s) is tuple and len(s) == 1:
+            s = s[0]
+        if not (isinstance(s, numbers.Real) and float(s).is_integer()):
+            raise UnknownSymbol(s, alphabet_size)
+        s = int(s)
+    if not 0 <= s < alphabet_size:
+        raise UnknownSymbol(s, alphabet_size)
+    return s
 
 
 class SuffixTreeCover(CoverSequence):
@@ -429,6 +475,13 @@ class SuffixTreeCover(CoverSequence):
     A context's region is its suffix, a tuple of int symbols in
     chronological order, so the suffix (0, 1) matches any history ending
     ... 0, 1.
+
+    Contexts are found through one child index, ``_kids``: per context
+    id, a dict from a symbol to the child whose suffix is the context's
+    with that symbol prepended, so it holds one entry per context but
+    the root. A history's chain is read from the root by following
+    h[-1], h[-2], ..., one dict read per level; no suffix is sliced or
+    hashed to find a context.
     """
 
     growth_mode = "truncate"
@@ -441,22 +494,36 @@ class SuffixTreeCover(CoverSequence):
             raise BadConfig("max_depth must be at least 1")
         self.alphabet_size = int(alphabet_size)
         self.max_depth = int(max_depth)
-        root = self._new_context(1, ())
-        self.root_id = root.cid
-        self._by_suffix = {(): root.cid}
+        self._kids = []  # cid -> {older symbol: child cid}
+        self.root_id = self._new_context(1, ()).cid
+
+    def _new_context(self, depth, region, parent=None) -> Context:
+        ctx = super()._new_context(depth, region, parent)
+        self._kids.append({})
+        if parent is not None:
+            self._kids[parent][region[0]] = ctx.cid
+        return ctx
 
     def prepare_query(self, history):
-        h = tuple(int(s) for s in history)
-        # only the last max_depth-1 symbols are ever looked at
-        for s in h[len(h) - min(len(h), self.max_depth - 1):]:
-            if not 0 <= s < self.alphabet_size:
-                raise UnknownSymbol(s, self.alphabet_size)
+        """The last ``max_depth - 1`` symbols of ``history``, the only ones
+        a match reads, as a tuple of ints. Each must pass ``as_symbol``,
+        or ``UnknownSymbol`` is raised."""
+        h = history if type(history) is tuple else tuple(history)
+        m = self.max_depth - 1
+        if len(h) > m:
+            h = h[len(h) - m:]
+        n = self.alphabet_size
+        for s in h:
+            if type(s) is not int or not 0 <= s < n:
+                return tuple(as_symbol(s, n) for s in h)
         return h
 
     def match_levels(self, h):
-        path = [self.root_id]
+        kids = self._kids
+        cid = self.root_id
+        path = [cid]
         for k in range(1, min(len(h), self.max_depth - 1) + 1):
-            cid = self._by_suffix.get(h[len(h) - k:])
+            cid = kids[cid].get(h[-k])
             if cid is None:
                 break
             path.append(cid)
@@ -474,23 +541,24 @@ class SuffixTreeCover(CoverSequence):
         """
         path = path[:]
         new = []
+        kids = self._kids
+        cid = path[-1]
         for k in range(len(path), min(len(h), self.max_depth - 1) + 1):
-            suffix = h[len(h) - k:]
-            cid = self._by_suffix.get(suffix)
-            if cid is None:
-                cid = self._new_context(k + 1, suffix, path[-1]).cid
-                self._by_suffix[suffix] = cid
-                new.append(cid)
-            path.append(cid)
+            child = kids[cid].get(h[-k])
+            if child is None:
+                child = self._new_context(k + 1, h[len(h) - k:], cid).cid
+                new.append(child)
+            path.append(child)
+            cid = child
         return path, new
 
     def copy(self) -> "SuffixTreeCover":
         """An independent copy: new ``Context`` records, each with its
-        own ``child_ids``, and a new suffix index. The regions, which
+        own ``child_ids``, and a new child index. The regions, which
         never change, are shared."""
         obj = copy.copy(self)
         obj.contexts = {cid: ctx.copy() for cid, ctx in self.contexts.items()}
-        obj._by_suffix = self._by_suffix.copy()
+        obj._kids = list(map(dict.copy, self._kids))
         return obj
 
     def state_dict(self):
@@ -516,20 +584,25 @@ class SuffixTreeCover(CoverSequence):
         suffixes = state["suffixes"]
         if not suffixes or suffixes[0]:
             raise BadConfig("the first suffix context must be the root")
+        kids = cover._kids
         for suffix in suffixes[1:]:
             suffix = tuple(suffix)
             if not all(type(s) is int for s in suffix):
                 raise BadConfig(f"suffix context {list(suffix)} holds a symbol that is not an int")
-            parent = cover._by_suffix.get(suffix[1:])
+            parent = cover.root_id
+            for s in reversed(suffix[1:]):
+                parent = kids[parent].get(s)
+                if parent is None:
+                    break
             if (
                 parent is None
-                or suffix in cover._by_suffix
+                or not suffix
+                or suffix[0] in kids[parent]
                 or len(suffix) >= cover.max_depth
                 or not all(0 <= s < cover.alphabet_size for s in suffix)
             ):
                 raise BadConfig(f"suffix context {list(suffix)} cannot follow the ones before it")
-            ctx = cover._new_context(len(suffix) + 1, suffix, parent)
-            cover._by_suffix[suffix] = ctx.cid
+            cover._new_context(len(suffix) + 1, suffix, parent)
         return cover
 
 

@@ -27,9 +27,13 @@ closed form. Per context c three log quantities suffice:
   c's local predictive and psi its subtree predictive.
 
 Each context also keeps the pair (log g, log(1 - g)), which changes
-only with m or lambda. ``_refresh_lambda`` sets it right after lambda,
-and ``_init_state`` for a new context; every query, absorb and sample
-reads the kept pair and recomputes nothing.
+only with m or lambda. ``_refresh_lambda`` is the one statement of
+lambda and of the pair: one loop over a list of contexts, children
+first, which an absorb runs over its path and its new contexts, a load
+and ``_refresh_all`` over every context and ``set_w0`` over a chain to
+the root. A new context has log m = log lambda = 0, so its pair is
+(log w0, log(1 - w0)), which its ``ContextState`` starts with. Every
+query, absorb and sample reads the kept pair and recomputes nothing.
 
 One absorb scores every matched context once. A local's ``update``
 returns its predictive from before the update, which is the pi above,
@@ -62,12 +66,13 @@ counts and sums, plus the cover's split records and buffered points. A
 tree density stores its prior alone. A kd cover's load routes every
 buffered y once (the fresh local's ``prepare_block``), then visits each
 context once, children first (``_rebuild``): it checks the local's
-counts against the points under the context, lays its tree out from
-its children's (``refill``) and recomputes ``log_lambda`` and the stop
-pair. All of it equals the saved model bit for bit, and the structure
-is checked (``from_text``). Version 3, which
-also stored each tree's counts and singleton points, still loads, and
-those two fields are ignored; versions 1 and 2 are refused.
+counts against the points under the context and lays its tree out from
+its children's (``refill``); ``_refresh_lambda`` then recomputes
+``log_lambda`` and the stop pairs in the same order. All of it equals
+the saved model bit for bit, and the structure is checked
+(``from_text``). Version 3, which also stored each tree's counts and
+singleton points, still loads, and those two fields are ignored;
+versions 1 and 2 are refused.
 """
 
 from __future__ import annotations
@@ -75,11 +80,12 @@ from __future__ import annotations
 import copy
 import json
 import math
+from itertools import chain
 
 from .covers import cover_from_state
 from .errors import BadConfig
 from .local import check_nested, check_seen, local_from_state, prepare_block
-from .logspace import LOG2, log1mexp, logaddexp
+from .logspace import LOG2, log1mexp
 
 SNAPSHOT_FORMAT = "covermodels-snapshot"
 # Version 4 stores no derived state, no tree density state and flat
@@ -120,11 +126,12 @@ class ContextState:
     w0 by ``set_w0`` because every recursion step reads them.
 
     ``log_g`` and ``log1m_g`` are the stop posterior's log g =
-    min(0, log_w0 + log_m - log_lambda) and log(1 - g). The posterior
-    sets them (``set_stop``) in ``_refresh_lambda``, right after
-    ``log_lambda``, and in ``_init_state``; ``_phi``, ``stop_posterior``
-    and ``sample_y`` read them. The constructor leaves them unset, so a
-    load computes them once per context, in its bottom-up refresh.
+    min(0, log_w0 + log_m - log_lambda) and log(1 - g). A new state has
+    log_m = log_lambda = 0, so the constructor starts them at
+    (``log_w0``, ``log1m_w0``), the same bits the formula gives. After
+    that the posterior's ``_refresh_lambda`` sets them in the loop that
+    sets ``log_lambda``; ``_phi``, ``stop_posterior`` and ``sample_y``
+    read them.
     """
 
     __slots__ = (
@@ -138,18 +145,13 @@ class ContextState:
         self.log_m = 0.0
         self.log_trunc = 0.0
         self.log_lambda = 0.0
+        self.log_g = self.log_w0
+        self.log1m_g = self.log1m_w0
 
     def set_w0(self, w0):
         self.w0 = w0
         self.log_w0 = math.log(w0)
         self.log1m_w0 = log1mexp(self.log_w0)
-
-    def set_stop(self):
-        """Set the kept pair (log g, log(1 - g)) from ``log_w0``,
-        ``log_m`` and ``log_lambda``."""
-        lg = min(0.0, self.log_w0 + self.log_m - self.log_lambda)
-        self.log_g = lg
-        self.log1m_g = log1mexp(lg)
 
     def copy(self) -> "ContextState":
         """A copy holding ``local.copy()``."""
@@ -226,7 +228,6 @@ class CoverModelPosterior:
         if not 0.0 < w0 <= 1.0:
             raise BadConfig(f"stop weight {w0} at depth {ctx.depth} not in (0, 1]")
         st = ContextState(self._fresh.spawn(), w0)
-        st.set_stop()
         self.states[ctx.cid] = st
         return st
 
@@ -238,26 +239,59 @@ class CoverModelPosterior:
         if not 0.0 < w0 <= 1.0:
             raise BadConfig("stop weight must be in (0, 1]")
         self.states[cid].set_w0(float(w0))
+        up = []
         while cid is not None:
-            self._refresh_lambda(cid)
+            up.append(cid)
             cid = self.cover.contexts[cid].parent
+        self._refresh_lambda(up)
 
-    def _refresh_lambda(self, cid):
-        ctx = self.cover.contexts[cid]
-        st = self.states[cid]
-        if not ctx.child_ids:
-            st.log_lambda = st.log_m
-        else:
-            log_sub = 0.0
-            for d in ctx.child_ids:
-                log_sub += self.states[d].log_lambda
-            st.log_lambda = logaddexp(st.log_w0 + st.log_m, st.log1m_w0 + st.log_trunc + log_sub)
-        st.set_stop()
+    def _refresh_lambda(self, cids):
+        """Recompute ``log_lambda`` and then the kept stop pair of each
+        context of ``cids``, in order, so children must come first.
+
+        lambda = m without children, else w0 * m + (1 - w0) * trunc *
+        prod_d lambda_d over the children d; log g = min(0, log_w0 +
+        log_m - log_lambda). ``logaddexp`` and ``log1mexp`` are inline
+        to save two calls per context, with the same branches and
+        operations, so the same values.
+        """
+        contexts, states = self.cover.contexts, self.states
+        for cid in cids:
+            st = states[cid]
+            a = st.log_w0 + st.log_m
+            kids = contexts[cid].child_ids
+            if kids:
+                sub = 0.0
+                for c in kids:
+                    sub += states[c].log_lambda
+                b = st.log1m_w0 + st.log_trunc + sub
+                if a == b:
+                    lam = a + LOG2
+                else:
+                    d = a - b
+                    if d > 0:
+                        lam = a + math.log1p(math.exp(-d))
+                    elif d <= 0:
+                        lam = b + math.log1p(math.exp(d))
+                    else:
+                        lam = d  # a or b is nan
+            else:
+                lam = st.log_m
+            st.log_lambda = lam
+            lg = a - lam
+            if lg < 0.0:
+                st.log_g = lg
+                if lg > -LOG2:
+                    st.log1m_g = math.log(-math.expm1(lg))
+                else:
+                    st.log1m_g = math.log1p(-math.exp(lg))
+            else:  # min(0.0, nan) is 0.0 too
+                st.log_g = 0.0
+                st.log1m_g = -math.inf
 
     def _refresh_all(self):
         # a context is made after its parents, so children have larger ids
-        for cid in sorted(self.states, reverse=True):
-            self._refresh_lambda(cid)
+        self._refresh_lambda(sorted(self.states, reverse=True))
 
     def stop_posterior(self, cid) -> float:
         """Posterior probability that the walk stops at cid given reach.
@@ -383,37 +417,39 @@ class CoverModelPosterior:
         evidence. An observation that raises leaves the posterior as it
         was.
         """
-        xq = self.cover.prepare_query(x)
-        path = self.cover.match_levels(xq)
-        states = self.states
+        cover = self.cover
+        xq = cover.prepare_query(x)
+        path = cover.match_levels(xq)
+        states = [self.states[cid] for cid in path]
         py = self._fresh.prepare(y)
         # prepare checked y, and a local rejects a y outside its support
         # before it changes; the locals of one model share one support,
         # so only the first update can reject y, before anything changed
-        logpi = [states[cid].local.update(py) for cid in path]
-        if self.cover.growth_mode == "truncate":
+        logpi = [st.local.update(py) for st in states]
+        if cover.growth_mode == "truncate":
             # a new context's parent exists, so new ones extend the path
-            path, made = self.cover.extend(xq, path)
+            path, made = cover.extend(xq, path)
             for cid in made:
-                logpi.append(self._init_state(self.cover.contexts[cid]).local.update(py))
+                st = self._init_state(cover.contexts[cid])
+                states.append(st)
+                logpi.append(st.local.update(py))
         # the stop posteriors read here change only below
-        logmarg = self._phi([states[cid] for cid in path], logpi, self._virtual(path, py))[0]
+        logmarg = self._phi(states, logpi, self._virtual(path, py))[0]
 
-        for cid, lp in zip(path, logpi):
-            states[cid].log_m += lp
+        for st, lp in zip(states, logpi):
+            st.log_m += lp
         if self._truncated(path):
-            states[path[-1]].log_trunc += logpi[-1]
+            states[-1].log_trunc += logpi[-1]
         new = []
-        if self.cover.growth_mode == "replay":
-            for _, kids in self.cover.observe_and_refine(xq, y, path[-1]):
+        if cover.growth_mode == "replay":
+            for _, kids in cover.observe_and_refine(xq, y, path[-1]):
                 for cid, block in kids:
-                    st = self._init_state(self.cover.contexts[cid])
+                    st = self._init_state(cover.contexts[cid])
                     st.log_m = st.local.absorb_block([yb for _, yb in block])
                     new.append(cid)
         # a split makes its children after their parent, and every new
         # context lies below the path, so this refreshes children first
-        for cid in reversed(path + new):
-            self._refresh_lambda(cid)
+        self._refresh_lambda(reversed(path + new))
 
         self.n_obs += 1
         self.log_evidence += logmarg
@@ -558,9 +594,10 @@ class CoverModelPosterior:
         absorbed, and the next split replays it. The fresh local
         prepares them all at once; then one pass, children first, takes
         each context's points (its leaf's slice of the block, or its
-        children's), checks its local's counts, refills it and refreshes
-        ``log_lambda``. Elsewhere the root's local was offered every
-        observation, and children hold no more than their parent."""
+        children's), checks its local's counts and refills it, and
+        ``_refresh_lambda`` runs over the same order. Elsewhere the
+        root's local was offered every observation, and children hold no
+        more than their parent."""
         cover, states = self.cover, self.states
         if cover.growth_mode != "replay":
             check_seen(states[cover.root_id].local, self.n_obs)
@@ -577,16 +614,17 @@ class CoverModelPosterior:
             ys += buf
         if len(ys) != self.n_obs:
             raise BadConfig(f"leaf buffers hold {len(ys)} points, n_obs is {self.n_obs}")
-        for y in ys:
-            if not all(map(math.isfinite, y)):
-                raise BadConfig(f"buffered y {list(y)} is not finite")
+        if not all(map(math.isfinite, chain.from_iterable(ys))):
+            bad = next(y for y in ys if not all(map(math.isfinite, y)))
+            raise BadConfig(f"buffered y {list(bad)} is not finite")
         block = prepare_block(self._fresh, ys)
         contexts, done = cover.contexts, {}
-        for cid in sorted(states, reverse=True):  # children first
+        order = sorted(states, reverse=True)  # children first
+        for cid in order:
             kids, local = contexts[cid].child_ids, states[cid].local
             if kids:
                 seen[cid] = sum(seen[k] for k in kids)
             check_seen(local, seen[cid])
             if block is not None:
                 done[cid] = local.refill(block, [done.pop(k) for k in kids] if kids else runs[cid])
-            self._refresh_lambda(cid)
+        self._refresh_lambda(order)

@@ -74,38 +74,17 @@ and which ``absorb_block`` computes directly.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from bisect import bisect_left
 
 import numpy as np
 
-from .covers import Box, cut
-from .errors import BadConfig, OutOfSupport, UnknownSymbol
+from .covers import Box, as_symbol, cut
+from .errors import BadConfig, OutOfSupport
 from .logspace import LOG2, logsumexp
 
 LOG_2PI = math.log(2.0 * math.pi)
 _OTHER_PRIOR = "a local record has another kind or prior than the model's"
-
-
-def as_symbol(y, alphabet_size) -> int:
-    """y as an int symbol of an alphabet of ``alphabet_size``. An
-    integer, an integral float such as 2.0 from a float data column, a
-    numpy scalar or size-1 array holding one, or the one-float tuple a
-    kd cover's replayed block holds, passes; anything else, or a symbol
-    outside the alphabet, raises ``UnknownSymbol`` with the plain value."""
-    s = y
-    if type(s) is not int:
-        if isinstance(s, (np.ndarray, np.generic)) and s.size == 1:
-            s = s.item()
-        elif type(s) is tuple and len(s) == 1:
-            s = s[0]
-        if not (isinstance(s, numbers.Real) and float(s).is_integer()):
-            raise UnknownSymbol(s, alphabet_size)
-        s = int(s)
-    if not 0 <= s < alphabet_size:
-        raise UnknownSymbol(s, alphabet_size)
-    return s
 
 
 def _as_vector(y, dim):

@@ -24,10 +24,10 @@ from collections import deque
 
 import numpy as np
 
-from .covers import SuffixTreeCover
+from .covers import SuffixTreeCover, as_symbol
 from .engine import CoverModelPosterior
 from .errors import BadConfig, TooLargeToEnumerate, UnknownSymbol
-from .local import DirichletMultinomial, as_symbol
+from .local import DirichletMultinomial
 from .logspace import logsumexp
 
 _NAMED_PRIORS = {"kt": 0.5, "laplace": 1.0}
@@ -129,7 +129,7 @@ class VmmModel:
 
         It copies the header fields, the history (a new deque with the
         same ``maxlen``) and the posterior (``CoverModelPosterior.copy``:
-        new contexts, suffix index, stop posteriors and Dirichlet
+        new contexts, child index, stop posteriors and Dirichlet
         counts). It shares what nothing changes: the suffix regions, the
         Dirichlet priors, the local factory and the fresh local. It costs
         a few list and dict copies per context.

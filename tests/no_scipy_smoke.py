@@ -47,4 +47,8 @@ assert math.isfinite(vmm.fit_sequence([0, 1, 1, 0, 1]))
 # every context's Dirichlet record loads against the fresh local
 vmm_clone = covermodels.VmmModel.from_text(vmm.to_text())
 assert vmm_clone.next_symbol_logprobs().tolist() == vmm.next_symbol_logprobs().tolist()
+# scoring learns into a copy, whose child index is copied, and the
+# reload rebuilt its index from the suffixes: one held-out score
+held = [1, 1, 0, 1, 0, 0, 1]
+assert vmm_clone.sequence_logprob(held) == vmm.sequence_logprob(held)
 print("ok")

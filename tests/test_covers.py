@@ -1,7 +1,11 @@
 """Cover geometry and refinement bookkeeping."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from covermodels import (
     BadConfig,
@@ -10,6 +14,7 @@ from covermodels import (
     KdTreeCover,
     QueryOutOfRootRegion,
     SuffixTreeCover,
+    UnknownSymbol,
     cover_from_state,
 )
 
@@ -136,6 +141,55 @@ class TestKdTreeCover:
             clone.observe_and_refine(x, None)
         assert clone.n_contexts == cov.n_contexts
 
+    def test_buffered_points_are_checked_as_one_point_at_a_time_would(self):
+        """A load checks each leaf's buffer a column at a time; every
+        single-value edit of a buffer is refused, naming the point, or
+        accepted exactly as the point-by-point check decides."""
+        cov = KdTreeCover(Box([0.0, 0.0], [1.0, 1.0]), alpha=2.0, max_depth=4)
+        rng = np.random.default_rng(5)
+        for x in [*rng.uniform(0, 1, size=(30, 2)), [1.0, 1.0], [0.5, 1.0]]:
+            cov.observe_and_refine(cov.prepare_query(x), [float(rng.uniform())])
+        state = cov.state_dict()
+        for key, flat in state["buffers"].items():
+            for pos in range(len(flat)):
+                for value in [-0.5, 2.0, float("nan"), 1.0, 0.5, 0.0, 1, True, "0.5"]:
+                    edited = copy.deepcopy(state)
+                    edited["buffers"][key][pos] = value
+                    assert load_outcome(edited) == reference_outcome(edited, cov), (key, pos, value)
+
+
+def reference_outcome(state, cov):
+    """What a point-by-point check of every buffer makes of ``state``:
+    the message of the first point that does not fit, else the loaded
+    buffers; TypeError for a value that does not compare."""
+    dim, top = len(state["root_lower"]), state["root_upper"]
+    width = dim + state["y_dim"]
+    buffers = {}
+    try:
+        for key, flat in state["buffers"].items():
+            box, buf = cov.contexts[int(key)].region, []
+            for i in range(0, len(flat), width):
+                x, y = flat[i:i + dim], flat[i + dim:i + width]
+                for lo, v, hi, t in zip(box.lower, x, box.upper, top):
+                    if not (lo <= v < hi or v == hi == t):
+                        return f"buffered x {x} outside its leaf {box!r}"
+                if any(type(v) is not float for v in y):
+                    return f"buffered y {y} in leaf {key} is not all floats"
+                buf.append((tuple(x), tuple(y)))
+            buffers[int(key)] = buf
+    except TypeError:
+        return TypeError
+    return buffers
+
+
+def load_outcome(state):
+    try:
+        return cover_from_state(state)._buffer
+    except BadConfig as exc:
+        return str(exc)
+    except TypeError:
+        return TypeError
+
 
 def extend(cov, history):
     """Materialise a history's suffix chain, walking it from the root."""
@@ -202,3 +256,108 @@ class TestSuffixTreeCover:
         q = clone.prepare_query((1, 0))
         assert clone.match_levels(q) == cov.match_levels(q)
 
+    @pytest.mark.parametrize(
+        "history",
+        [
+            [0, 1.5, "2"],
+            [True, 2.9],
+            ["1"],
+            [np.float64(0.5)],
+            [2, 2, 1.5],
+            [None],
+            [float("nan")],
+            [float("inf")],
+            [0, 3],
+            [-1],
+        ],
+        ids=repr,
+    )
+    def test_a_symbol_that_as_symbol_refuses_is_refused(self, history):
+        """The cover once read int(s) for every symbol, so 1.5 and "2"
+        matched the contexts of 1 and 2."""
+        with pytest.raises(UnknownSymbol):
+            SuffixTreeCover(3, 4).prepare_query(history)
+
+    @pytest.mark.parametrize(
+        "history,want",
+        [
+            ((0, 1, 2), (0, 1, 2)),
+            ([2.0, np.int64(1), True], (2, 1, 1)),
+            (np.array([1, 0, 2, 2]), (0, 2, 2)),
+            ([1.5, "x", 0, 1, 2], (0, 1, 2)),  # never read: older than max_depth - 1
+        ],
+    )
+    def test_only_the_symbols_a_match_reads_are_kept(self, history, want):
+        got = SuffixTreeCover(3, 4).prepare_query(history)
+        assert got == want and all(type(s) is int for s in got)
+
+
+def reference_levels(cov, h):
+    """Ids of the contexts whose region is h[len(h)-k:], k = 0, 1, ...,
+    while such a context exists: the chain ``match_levels`` must find."""
+    by_region = {ctx.region: cid for cid, ctx in cov.contexts.items()}
+    out = []
+    for k in range(len(h) + 1):
+        cid = by_region.get(tuple(h[len(h) - k:]))
+        if cid is None:
+            break
+        out.append(cid)
+    return out
+
+
+def check_child_index(cov, histories):
+    """The child index holds one entry per context but the root, each
+    from a context's parent and oldest symbol to it, and every history
+    matches its reference chain."""
+    entries = {
+        (parent, sym): child for parent, kids in enumerate(cov._kids) for sym, child in kids.items()
+    }
+    assert sum(map(len, cov._kids)) == len(entries) == cov.n_contexts - 1
+    assert len(cov._kids) == cov.n_contexts
+    assert entries == {
+        (ctx.parent, ctx.region[0]): cid for cid, ctx in cov.contexts.items() if cid != cov.root_id
+    }
+    for h in histories:
+        assert cov.match_levels(tuple(h)) == reference_levels(cov, h)
+        assert cov.match_levels(cov.prepare_query(h)) == reference_levels(cov, h)
+
+
+def grow(cov, stream):
+    """Extend the cover along every prefix of stream, as an observe does."""
+    for t in range(len(stream) + 1):
+        h = cov.prepare_query(stream[:t])
+        cov.extend(h, cov.match_levels(h))
+
+
+STREAM = st.lists(st.integers(0, 3), max_size=40)
+
+
+@given(
+    alphabet=st.integers(2, 4),
+    max_depth=st.integers(1, 8),
+    first=STREAM,
+    second=STREAM,
+    probes=st.lists(STREAM, max_size=5),
+)
+def test_the_child_index_matches_the_suffix_regions(alphabet, max_depth, first, second, probes):
+    """Fresh, extended, copied-then-extended and reloaded covers all find
+    the chain of contexts whose regions are a history's suffixes."""
+    first, second = [s % alphabet for s in first], [s % alphabet for s in second]
+    probes = [[s % alphabet for s in p] for p in probes]
+    histories = [first[:t] for t in range(len(first) + 1)]
+    histories += [second[:t] for t in range(len(second) + 1)] + probes
+    cov = SuffixTreeCover(alphabet, max_depth)
+    check_child_index(cov, histories)
+    grow(cov, first)
+    check_child_index(cov, histories)
+    state = cov.state_dict()
+    clone = cov.copy()
+    grow(clone, second)
+    check_child_index(clone, histories)
+    assert cov.state_dict() == state  # the copy grew apart from its original
+    check_child_index(cov, histories)
+    loaded = cover_from_state(state)
+    assert loaded.state_dict() == state
+    check_child_index(loaded, histories)
+    for h in histories:
+        assert loaded.match_levels(tuple(h)) == cov.match_levels(tuple(h))

@@ -358,6 +358,36 @@ def test_snapshot_text_is_pinned():
     assert digest == "cc3842e3a1514257ff803b7b583bc56091722d1ae5dc8460320fc0752a7af904"
 
 
+HOT_PATH_DIGESTS = {
+    (2, 8): "37b4204174c0f8501ddaadafb6b5c4ea4f1304efd51c83fbfd70d113a081378b",
+    (3, 5): "eb889eeb73ea613dcd762a0e1d6289091e26b6d5e39a347a83971d91b80a6111",
+}
+
+
+@pytest.mark.parametrize("alphabet,depth", sorted(HOT_PATH_DIGESTS))
+def test_hot_path_outputs_are_pinned(alphabet, depth):
+    """Every value the VMM's hot path returns on a fixed stream, bit for
+    bit: each ``observe`` return, each ``next_symbol_logprobs`` row,
+    ``sequence_logprob`` of a held-out stream every 100 symbols and the
+    final log evidence. Halfway through, the model goes through
+    ``to_text``/``from_text`` and the stream continues on the reload."""
+    order = min(depth - 1, 3)
+    seq = gen_markov(1000, seed=43, alphabet_size=alphabet, order=order)
+    held = gen_markov(150, seed=44, alphabet_size=alphabet, order=order)
+    m = VmmModel(alphabet, depth)
+    out = []
+    for t, s in enumerate(seq):
+        if t == len(seq) // 2:
+            m = VmmModel.from_text(m.to_text())
+        out.append(m.observe(s))
+        out.append(m.next_symbol_logprobs().tolist())
+        if t % 100 == 99:
+            out.append(m.sequence_logprob(held))
+    out.append(m.posterior.log_marginal_likelihood())
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == HOT_PATH_DIGESTS[alphabet, depth]
+
+
 def deepcopy_scoring(m, held, n, seed):
     """The reference path of ``sequence_logprob``, ``holdout_loglik`` and
     ``generate``: the same steps, each on a ``copy.deepcopy`` of m."""
