@@ -154,7 +154,8 @@ class CdeModel:
             return comps[0]
         lw = None
         if cfg.mixture_weights is not None:
-            lw = np.log(np.asarray(cfg.mixture_weights, dtype=float))
+            with np.errstate(divide="ignore"):  # a zero weight's log is -inf
+                lw = np.log(np.asarray(cfg.mixture_weights, dtype=float))
         return MixtureLocal(comps, lw)
 
     # thin delegation; the engine owns all the state

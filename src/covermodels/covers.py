@@ -46,9 +46,9 @@ def cut(lo, hi):
 
 
 class Box:
-    """Axis aligned box with half open membership [lower, upper) and
-    finite bounds, which splits and volumes need. The bounds are tuples
-    of floats."""
+    """Axis aligned box with half open membership [lower, upper), at
+    least one dimension and finite bounds, which splits and volumes
+    need. The bounds are tuples of floats."""
 
     __slots__ = ("lower", "upper")
 
@@ -57,6 +57,8 @@ class Box:
         upper = np.asarray(upper, dtype=float)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise BadConfig("box bounds must be 1-d arrays of equal length")
+        if not lower.size:
+            raise BadConfig("a box needs at least one dimension")
         self.lower, self.upper = tuple(lower.tolist()), tuple(upper.tolist())
         if not all(map(math.isfinite, self.lower + self.upper)):
             raise BadConfig("box bounds must be finite")

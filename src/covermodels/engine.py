@@ -179,10 +179,10 @@ class CoverModelPosterior:
         Called once, with no arguments, on construction and on
         ``from_text``: builds the fresh local, the model's one prior. A
         local offers ``prepare(y)``, ``log_predictive(py)``,
-        ``update(py)``, ``sample(rng)``, ``prior()`` and ``spawn()``, on
-        a kd cover ``absorb_block(ys)``, and for a snapshot
-        ``state_dict()`` and ``load(state)`` (see ``local.py``). The
-        fresh local stays empty: every context's local is its
+        ``update(py)``, ``sample(rng)`` and ``spawn()``, on a kd cover
+        ``absorb_block(ys)``, and for a snapshot ``state_dict()`` and
+        ``load(state)`` (see ``local.py``). The fresh local stays
+        empty: every context's local is its
         ``spawn()``, and it is the virtual continuation past a
         truncated path and the prior a snapshot's records are loaded
         against (``local_from_state``). Its ``prepare`` checks y,

@@ -33,16 +33,15 @@ already placed their x. The shared duck type:
   again), so they are not checked here: a wrong length or a value
   that is not finite is the caller's fault.
 * ``sample(rng)``: draw y from the posterior predictive.
-* ``prior()``: the model's kind and hyperparameters as plain data,
-  none of what it has learnt.
 * ``spawn()``: an empty local with the same prior, which shares this
   one's checked prior values and tables. Every context of one cover
   model has the same prior: the engine spawns each context's local
   from its fresh local, so a model converts and checks its prior once.
 * ``state_dict()`` / ``load(state)``: plain-data round trip, which
   ``local_from_state(state, like)`` runs as ``like.load(state)``. A
-  leaf model's state extends its prior, except a tree density's, which
-  is its prior alone: its state is a function of the points under its
+  leaf model's state extends its ``prior()``, its kind and
+  hyperparameters as plain data, except a tree density's, which is its
+  prior alone: its state is a function of the points under its
   context, which a kd cover keeps. ``load`` refuses a record of
   another kind or prior, returns ``spawn()`` with the record's counts,
   sums and weights set, checks what it can check cheaply and raises
@@ -212,6 +211,8 @@ def _nw_prior(mu0, kappa0, nu0, scale):
     the scale matrix as a list of rows of floats."""
     mu0 = np.atleast_1d(np.asarray(mu0, dtype=float))
     m = mu0.shape[0]
+    if not m:
+        raise BadConfig("mu0 must have at least one dimension")
     if nu0 is None:
         nu0 = m + 2.0
     if scale is None:
@@ -475,28 +476,6 @@ class NormalWishart:
         return obj
 
 
-_LGAMMA_TABLES: dict = {}
-
-
-def _lgamma_tables(a, n):
-    """Lists of lgamma(a + k) and lgamma(2a + k) for k = 0 .. n at least.
-
-    One pair per branch pseudo-count a, shared by every tree that uses
-    it. A longer pair, twice as long as the last, replaces a pair that
-    is too short instead of extending it, so no tree ever reads a list
-    that another thread is filling.
-    """
-    tables = _LGAMMA_TABLES.get(a)
-    if tables is None or len(tables[0]) <= n:
-        size = max(n + 1, 2 * len(tables[0])) if tables else n + 1
-        tables = (
-            [math.lgamma(a + k) for k in range(size)],
-            [math.lgamma(2.0 * a + k) for k in range(size)],
-        )
-        _LGAMMA_TABLES[a] = tables
-    return tables
-
-
 # A query walk scales its running product and sum down by _RESCALE, a
 # power of two and so exact, whenever the product passes _BIG, and adds
 # _LOG_RESCALE per scaling to the result: a product grows by less than 2
@@ -523,7 +502,8 @@ class BayesTreeDensity:
     ``_loglam`` is the only statement of that recursion. Updating,
     absorbing a block and rebuilding from a snapshot all go through it
     with the same operands in the same order, so they agree bit for
-    bit. Its log-Beta terms come from ``_lgamma_tables``. It also
+    bit. Its log-Beta terms come from the tree's lists of lgamma(a + k)
+    and lgamma(2a + k), which ``_grow_tables`` extends. It also
     returns the node's *stop pair*: the posterior g that points at the
     node are uniform on its box, and 1 - g, each computed directly
     rather than as 1 minus the other.
@@ -605,7 +585,7 @@ class BayesTreeDensity:
             raise BadConfig("the tree's box volume must be positive and finite")
         if not 0 < gamma < 1:
             raise BadConfig("gamma must be strictly between 0 and 1")
-        if not 0 < branch_pseudo < math.inf:  # NaN too: it would key its own lgamma tables
+        if not 0 < branch_pseudo < math.inf:  # NaN too: every lgamma of it is NaN
             raise BadConfig("branch_pseudo must be positive and finite")
         # widths run from about 2^1024 down to 2^-1074, so no side of a
         # float box halves more than about 2100 times; checked before
@@ -628,7 +608,8 @@ class BayesTreeDensity:
         self._log_split = math.log1p(-g)
         self._log_beta0 = log_beta0
         self._dim = box.dim
-        self._lg_a, self._lg_2a = _lgamma_tables(a, 2)
+        self._lg_a, self._lg_2a = [], []
+        self._grow_tables(2)
         # the chain of one point: the same _loglam calls the recursion
         # makes, since x + 0.0 == 0.0 + x and the two lgamma terms commute
         one = [self._loglam(top, 1, 0, 0.0, 0.0)[0]]
@@ -672,6 +653,15 @@ class BayesTreeDensity:
         obj._pt_pair = self._pt_pair
         obj._empty()
         return obj
+
+    def _grow_tables(self, n):
+        """Extend the lists of lgamma(a + k) and lgamma(2a + k) in place
+        to k = 0 .. n at least, or to twice their length if that is more.
+        Every tree spawned from this one shares them."""
+        a, lg_a, lg_2a = self.branch_pseudo, self._lg_a, self._lg_2a
+        size = max(n + 1, 2 * len(lg_a))
+        lg_a += [math.lgamma(a + k) for k in range(len(lg_a), size)]
+        lg_2a += [math.lgamma(2.0 * a + k) for k in range(len(lg_2a), size)]
 
     def _loglam(self, depth, n, nl, left, right):
         """``(value, g, 1 - g)`` of a node at ``depth`` that holds n
@@ -773,7 +763,7 @@ class BayesTreeDensity:
         n, kid, lam, stop, go = self._n, self._kid, self._lam, self._g, self._h
         top, one, loglam = self.max_depth, self._one, self._loglam
         if len(self._lg_2a) <= n[0]:
-            self._lg_a, self._lg_2a = _lgamma_tables(self.branch_pseudo, n[0])
+            self._grow_tables(n[0])
         for node, depth in zip(nodes, depths):
             left = kid[node]
             if left:
@@ -926,15 +916,15 @@ class BayesTreeDensity:
         per depth the walk below goes down, and keys are Python ints, so
         any ``max_depth`` fits.
 
-        Each distinct y is routed once, in numpy, with ``cut``'s
-        operations: the largest side, the lowest dimension on ties, the
-        midpoint ``0.5 * (lo + hi)``, and y goes low when
+        Each y in the box is routed as a row of its own, in numpy, with
+        ``cut``'s operations: the largest side, the lowest dimension on
+        ties, the midpoint ``0.5 * (lo + hi)``, and y goes low when
         ``y[d] < mid``. ``_layout`` reads y's side at a depth only while
         another y shares its cell, so a y leaves the walk once it is
-        alone in its cell and its deeper bits stay 0; only a y held more
-        than once is routed down to ``max_depth``. The walk thus goes as
-        deep as the tree does, and keeps the sides of 64 depths in one
-        word per y still in it.
+        alone in its cell and its deeper bits stay 0; every copy of a y
+        held more than once is routed down to ``max_depth``. The walk
+        thus goes as deep as the tree does, and keeps the sides of 64
+        depths in one word per y still in it.
 
         A y outside the box is skipped, as ``update`` skips it inside a
         mixture, when ``skip_outside`` is set, and raises ``BadConfig``
@@ -950,20 +940,11 @@ class BayesTreeDensity:
         if not skip_outside and len(idx) < n:
             y = ys[int(np.flatnonzero(~inside)[0])]
             raise BadConfig(f"buffered y {list(y)} is outside the tree's y box")
-        # the distinct ys: sorted, a y unlike the one before starts a run
-        order = np.lexsort(pts[idx].T[::-1])
-        pts = pts[idx[order]]
-        first = np.ones(len(pts), dtype=bool)
-        first[1:] = np.any(pts[1:] != pts[:-1], axis=1)
-        inv = np.empty(len(pts), dtype=np.intp)
-        inv[order] = np.cumsum(first) - 1  # each in-box y's distinct y
-        pts = pts[first]
-        rows = np.arange(len(pts) if len(idx) > 1 else 0)  # the distinct ys still walking
-        held = np.diff(np.flatnonzero(np.append(first, True)))[rows]  # how often each is held
+        pts = pts[idx]
+        rows = np.arange(len(idx) if len(idx) > 1 else 0)  # the in-box ys still walking
         lo, hi = np.tile(lower, (len(rows), 1)), np.tile(upper, (len(rows), 1))
         cell = np.zeros(len(rows), dtype=np.intp)  # the cells, numbered from 0
-        chunks = []  # per 64 depths: the distinct ys walking at its first, and their words
-        chains = False  # whether each y still walking is alone in its cell
+        chunks = []  # per 64 depths: the ys walking at its first, and their words
         k = 0
         while len(rows) and k < self.max_depth:
             if k % 64 == 0:
@@ -978,33 +959,27 @@ class BayesTreeDensity:
             lo[i, d] = np.where(up, mid, a)
             hi[i, d] = np.where(up, b, mid)
             k += 1
-            if chains:  # each is held more than once, so walks to max_depth
-                continue
             cell = 2 * cell + up
             if 1 << k < len(rows):
                 # fewer cells than ys walking: few can be alone, and they
                 # walk on, their deeper bits being their true route
                 continue
-            shared = np.bincount(cell, weights=held) > 1
+            shared = np.bincount(cell) > 1
             keep = shared[cell]
             if not keep.all():  # the ys alone in their cells leave
-                rows, held, at, lo, hi = rows[keep], held[keep], at[keep], lo[keep], hi[keep]
-                cell = cell[keep]
+                rows, at, lo, hi, cell = rows[keep], at[keep], lo[keep], hi[keep], cell[keep]
             cell = (np.cumsum(shared) - 1)[cell]
-            chains = np.count_nonzero(shared) == len(rows)
         place = 64 * (len(chunks) - 1)  # where the first word goes
-        codes = [w << place for w in chunks[0][1].tolist()] if chunks else [0] * len(pts)
+        codes = [w << place for w in chunks[0][1].tolist()] if chunks else [0] * len(idx)
         for routed, word in chunks[1:]:  # the deeper words of the ys still walking
             place -= 64
             for r, w in zip(routed.tolist(), word.tolist()):
                 codes[r] |= w << place
         drop = 64 * len(chunks) - k  # the bits below the depths walked
         shift = n.bit_length()  # a route code takes the k depths walked, above the index
-        keys = [codes[r] >> drop << shift | i for i, r in zip(idx.tolist(), inv.tolist())]
-        if len(idx) < n:  # None for a y outside the box
-            keys, inside = [None] * n, keys
-            for i, key in zip(idx.tolist(), inside):
-                keys[i] = key
+        keys = [None] * n  # None for a y outside the box
+        for i, code in zip(idx.tolist(), codes):
+            keys[i] = code >> drop << shift | i
         return keys, ys, shift + k - 1, (1 << shift) - 1
 
     def refill(self, block, under):
@@ -1202,12 +1177,6 @@ class MixtureLocal:
     def sample(self, rng):
         k = rng.choice(len(self.components), p=np.exp(self.log_w))
         return self.components[k].sample(rng)
-
-    def prior(self):
-        """The components' priors in order. The weights are left out: a
-        context's weights are a posterior, whose prior a snapshot does
-        not keep."""
-        return {"kind": "mixture", "components": [c.prior() for c in self.components]}
 
     def state_dict(self):
         return {

@@ -8,6 +8,7 @@ with ``PYTHONPATH=src``; it prints ``ok`` and exits 0, or raises.
 
 import math
 import sys
+import warnings
 
 sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
 
@@ -41,6 +42,31 @@ assert [clone.predict_logdensity([a], [b]) for a in grid for b in grid] == [
 rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
 draws = [cde.sample_y([0.5], rng_a) for _ in range(10)]
 assert [clone.sample_y([0.5], rng_b) for _ in range(10)] == draws
+
+
+def grid_predictions(model):
+    return [model.predict_logdensity([a], [b]) for a in grid for b in grid]
+
+
+# a stream that repeats three ys: the load routes every copy of a y
+# down to the tree's max_depth, and the reloaded model predicts bit
+# for bit
+reps = covermodels.new_cde([-2.0], [2.0], [-2.0], [2.0])
+for xi, yi in zip(x, np.resize([[-1.0], [0.25], [1.5]], (50, 1))):
+    reps.absorb(xi, yi)
+clone = covermodels.CdeModel.from_text(reps.to_text())
+assert clone.to_text() == reps.to_text()
+assert grid_predictions(clone) == grid_predictions(reps)
+# a zero mixture weight is a log weight of -inf, taken without a
+# warning: the mixture predicts as its other component alone
+with warnings.catch_warnings():
+    warnings.simplefilter("error", RuntimeWarning)
+    nw = covermodels.new_cde([-2.0], [2.0], [-2.0], [2.0], components=("nw",))
+    mixed = covermodels.new_cde([-2.0], [2.0], [-2.0], [2.0], mixture_weights=[1.0, 0.0])
+    for xi, yi in zip(x, y):
+        nw.absorb(xi, yi)
+        mixed.absorb(xi, yi)
+    assert grid_predictions(mixed) == grid_predictions(nw)
 
 vmm = covermodels.VmmModel(2, 3)
 assert math.isfinite(vmm.fit_sequence([0, 1, 1, 0, 1]))

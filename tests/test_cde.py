@@ -103,6 +103,11 @@ _UNUSABLE = {
     "cde-y-dim-fractional": lambda: CdeModel(
         CdeConfig([0.0], [1.0], y_dim=1.5, components=("nw",))
     ),
+    "box-no-dims": lambda: Box([], []),
+    "cde-x-box-no-dims": lambda: CdeModel(CdeConfig([], [], [0.0], [1.0])),
+    "cde-y-box-no-dims": lambda: new_cde([0.0], [1.0], [], [], components=("nw",)),
+    "nw-no-dims": lambda: NormalWishart([]),
+    "tree-no-dims": lambda: BayesTreeDensity([], [], max_depth=0),
 }
 
 
@@ -395,6 +400,26 @@ class TestConfigPaths:
         for i in range(60, 120):
             assert clone.absorb(ds.x[i], ds.y[i]) == model.absorb(ds.x[i], ds.y[i])
         assert clone.to_text() == model.to_text()
+
+    @pytest.mark.parametrize(
+        "weights, alone", [([1.0, 0.0], ("nw",)), ([0.0, 1.0], ("tree",))]
+    )
+    def test_a_zero_mixture_weight_leaves_the_other_component_alone(self, weights, alone):
+        """A zero weight's log is -inf, taken without a warning: the
+        mixture absorbs, predicts, reloads and sums its evidence as the
+        other component alone does, bit for bit."""
+        mixed, ds = small_model(n=150, mixture_weights=weights)
+        single, _ = small_model(n=150, components=alone)
+        assert [mixed.absorb(x, y) for x, y in zip(ds.x[:100], ds.y[:100])] == [
+            single.absorb(x, y) for x, y in zip(ds.x[:100], ds.y[:100])
+        ]
+        held = list(zip(ds.x[100:], ds.y[100:]))
+        want = [single.predict_logdensity(x, y) for x, y in held]
+        assert [mixed.predict_logdensity(x, y) for x, y in held] == want
+        clone = CdeModel.from_text(mixed.to_text())
+        assert [clone.predict_logdensity(x, y) for x, y in held] == want
+        lml = single.posterior.log_marginal_likelihood()
+        assert mixed.posterior.log_marginal_likelihood() == lml
 
     @staticmethod
     def _swap_weights(text):

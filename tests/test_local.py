@@ -25,7 +25,6 @@ from covermodels import (
     local_from_state,
 )
 from covermodels.covers import cut
-from covermodels.local import _lgamma_tables
 from covermodels.logspace import LOG2, logaddexp
 from oracle import dirichlet_block_marginal
 
@@ -598,7 +597,7 @@ class TestLoglam:
     ):
         bt = BayesTreeDensity([0.0] * dim, [width] * dim, gamma=0.3, branch_pseudo=0.7,
                               max_depth=max_depth)
-        bt._lg_a, bt._lg_2a = _lgamma_tables(bt.branch_pseudo, n)
+        bt._grow_tables(n)
         depth, nl = int(depth_frac * max_depth), int(nl_frac * n)
         if equal and depth < max_depth:
             # the two terms equal: the split term's prefix cancels to 0.0
@@ -889,6 +888,26 @@ class TestTreeAgainstMaterialised:
                 assert math.isfinite(got)
                 assert_query_close(bt, got, ref.log_predictive(q))
                 want = decimal_log_predictive(held, q, lo, hi, kw["gamma"], kw["max_depth"])
+                # 1e-13, or an ulp or two of a result above 512
+                assert abs(got - want) <= 1e-13 + 2.0**-51 * abs(want)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_a_query_down_the_deepest_one_point_chain_is_rescaled(self):
+        """At max_depth 2100 * dim a singleton's one-point chain is 4200
+        levels long in 2-d. With gamma 0.01 the walk's product grows by
+        4 (1 - gamma) / 3, about 1.32, per level down it, and passes
+        1e300 after about 2490 levels, so it is rescaled."""
+        lo, hi, gamma, max_depth = [0.0, 0.0], [1.0, 1.0], 0.01, 4200
+        bt = BayesTreeDensity(lo, hi, gamma=gamma, branch_pseudo=1.0, max_depth=max_depth)
+        held = [[0.3, 0.3]]
+        learn(bt, held[0])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 10_000))  # the reference recurses per level
+        try:
+            for q in ([0.3, 0.3], [0.3, math.nextafter(0.3, 1.0)], [0.7, 0.3]):
+                got = score(bt, q)
+                want = decimal_log_predictive(held, q, lo, hi, gamma, max_depth)
                 # 1e-13, or an ulp or two of a result above 512
                 assert abs(got - want) <= 1e-13 + 2.0**-51 * abs(want)
         finally:

@@ -229,9 +229,9 @@ def test_a_huge_version_3_tree_count_sizes_no_table(monkeypatch):
     """A version-3 snapshot also stored each tree's counts, which a load
     ignores and rebuilds from the buffers. A count raised to 10**9 along
     one root-to-leaf chain, which only the header's ``n_obs`` refutes,
-    must not size the log-Beta tables that every tree with the same
-    pseudo-count shares, and the model loads as saved."""
-    a = 0.4375  # a pseudo-count of its own, so its tables start unsized
+    must not size the log-Beta tables that the model's trees share, and
+    the model loads as saved."""
+    a = 0.4375  # any pseudo-count: a model's tables start unsized
     cfg = CdeConfig(
         x_lower=[0.0], x_upper=[1.0], y_lower=[0.0], y_upper=[1.0],
         tree_max_depth=3, tree_branch_pseudo=a,
@@ -250,13 +250,12 @@ def test_a_huge_version_3_tree_count_sizes_no_table(monkeypatch):
     lines[2]["local"]["components"][1]["counts"] = [-(10**9), -(10**9), -(10**9), 10**9, 0, 0, 0]
     text = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
 
-    real = local._lgamma_tables
+    real = local.BayesTreeDensity._grow_tables
 
-    def guarded(pseudo, n):
+    def guarded(tree, n):
         if n > n_obs + 1:
             pytest.fail(f"log-Beta tables sized for {n} points, n_obs is {n_obs}")
-        return real(pseudo, n)
+        return real(tree, n)
 
-    monkeypatch.setattr(local, "_lgamma_tables", guarded)
-    del local._LGAMMA_TABLES[a]
+    monkeypatch.setattr(local.BayesTreeDensity, "_grow_tables", guarded)
     assert CdeModel.from_text(text).to_text() == model.to_text()
