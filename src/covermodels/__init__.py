@@ -25,7 +25,7 @@ from .data import (
     save_csv,
     save_symbols,
 )
-from .engine import ContextState, CoverModelPosterior, parse_depth_weight
+from .engine import CoverModelPosterior, parse_depth_weight
 from .errors import (
     BadConfig,
     CoverModelError,
@@ -65,7 +65,6 @@ __all__ = [
     "CdeConfig",
     "CdeModel",
     "Context",
-    "ContextState",
     "CoverModelError",
     "CoverModelPosterior",
     "CoverSequence",

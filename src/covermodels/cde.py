@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .covers import Box, KdTreeCover
+from .covers import Box, KdTreeCover, as_size
 from .engine import CoverModelPosterior, parse_depth_weight
 from .errors import BadConfig
 from .local import BayesTreeDensity, MixtureLocal, NormalWishart
@@ -85,8 +85,7 @@ class CdeConfig:
                 raise BadConfig("mixture_weights length must match components")
             if not (all(0.0 <= w < math.inf for w in weights) and sum(weights) > 0.0):
                 raise BadConfig("mixture_weights must be finite, nonnegative and not all zero")
-        if not self.max_depth_x >= 1:
-            raise BadConfig("max_depth_x must be at least 1")
+        as_size(self.max_depth_x, "max_depth_x", 1)
         return self
 
     @classmethod
@@ -244,8 +243,7 @@ class CdeModel:
             raise BadConfig(f"buffered y {list(y)} has length {len(y)}, expected {y_dim}")
         prior = post._fresh
         if isinstance(prior, MixtureLocal):
-            for cid, st in post.states.items():
-                local = st.local
+            for cid, local in enumerate(post.local):
                 if local.log_w != prior.log_w and not any(c.n_seen for c in local.components):
                     raise BadConfig(
                         f"context {cid} has seen no point but holds other mixture "

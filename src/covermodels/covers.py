@@ -31,6 +31,16 @@ import numpy as np
 from .errors import BadConfig, DepthLimitExceeded, QueryOutOfRootRegion, UnknownSymbol
 
 
+def as_size(value, name, least):
+    """A size such as a depth or an alphabet's, as an int: a whole number
+    of at least ``least``, which an integral float such as 3.0 is too.
+    Anything else, NaN, an infinity or 2.5 among them, raises
+    ``BadConfig``."""
+    if isinstance(value, numbers.Real) and value >= least and value % 1 == 0:
+        return int(value)
+    raise BadConfig(f"{name} must be a whole number of at least {least}, got {value!r}")
+
+
 def cut(lo, hi):
     """Split dimension and midpoint of the box [lo, hi], the one split
     rule of kd covers and tree densities: its largest side, the lowest
@@ -206,13 +216,12 @@ class KdTreeCover(CoverSequence):
         super().__init__()
         if not alpha > 1.0:  # NaN too: every leaf would split
             raise BadConfig("alpha must exceed 1")
-        if not max_depth >= 1:
-            raise BadConfig("max_depth must be at least 1")
+        max_depth = as_size(max_depth, "max_depth", 1)
         if on_outside not in ("clamp", "reject"):
             raise BadConfig("on_outside must be 'clamp' or 'reject'")
         self.root_box = root_box
         self.alpha = float(alpha)
-        self.max_depth = int(max_depth)
+        self.max_depth = max_depth
         self.on_outside = on_outside
         root = self._new_context(1, root_box)
         self.root_id = root.cid
@@ -273,22 +282,21 @@ class KdTreeCover(CoverSequence):
             leaf = self.descend(x)[-1]
         self._buffer[leaf].append((x, tuple(np.asarray(y, dtype=float).reshape(-1).tolist())))
         events = []
-        self._maybe_split(leaf, events)
+        # a cascade goes down the low child's side before the high
+        # child's, one stack entry per leaf to try, however deep
+        stack = [leaf]
+        while stack:
+            cid = stack.pop()
+            depth = self.contexts[cid].depth
+            if depth >= self.max_depth or len(self._buffer[cid]) <= self.threshold(depth):
+                continue
+            try:
+                lo, hi = self._split_leaf(cid)
+            except BadConfig:
+                continue  # float resolution exhausted, leaf keeps absorbing
+            events.append((cid, [(lo, list(self._buffer[lo])), (hi, list(self._buffer[hi]))]))
+            stack += (hi, lo)
         return events
-
-    def _maybe_split(self, cid, events):
-        ctx = self.contexts[cid]
-        if ctx.depth >= self.max_depth:
-            return
-        if len(self._buffer[cid]) <= self.threshold(ctx.depth):
-            return
-        try:
-            lo, hi = self._split_leaf(cid)
-        except BadConfig:
-            return  # float resolution exhausted, leaf keeps absorbing
-        events.append((cid, [(lo, list(self._buffer[lo])), (hi, list(self._buffer[hi]))]))
-        self._maybe_split(lo, events)
-        self._maybe_split(hi, events)
 
     def _split_leaf(self, cid):
         """Split leaf cid at ``Box.split_largest``: make both children,
@@ -373,7 +381,7 @@ class KdTreeCover(CoverSequence):
         cover = cls(
             Box(state["root_lower"], state["root_upper"]),
             alpha=float(state["alpha"]),
-            max_depth=int(state["max_depth"]),
+            max_depth=state["max_depth"],
             on_outside=state["on_outside"],
         )
         for rec in state["splits"]:
@@ -490,12 +498,8 @@ class SuffixTreeCover(CoverSequence):
 
     def __init__(self, alphabet_size, max_depth):
         super().__init__()
-        if alphabet_size < 2:
-            raise BadConfig("alphabet_size must be at least 2")
-        if max_depth < 1:
-            raise BadConfig("max_depth must be at least 1")
-        self.alphabet_size = int(alphabet_size)
-        self.max_depth = int(max_depth)
+        self.alphabet_size = as_size(alphabet_size, "alphabet_size", 2)
+        self.max_depth = as_size(max_depth, "max_depth", 1)
         self._kids = []  # cid -> {older symbol: child cid}
         self.root_id = self._new_context(1, ()).cid
 
@@ -582,7 +586,7 @@ class SuffixTreeCover(CoverSequence):
         symbol), is new, shorter than ``max_depth``, over the alphabet,
         and follows its parent (the suffix without its oldest symbol).
         """
-        cover = cls(int(state["alphabet_size"]), int(state["max_depth"]))
+        cover = cls(state["alphabet_size"], state["max_depth"])
         suffixes = state["suffixes"]
         if not suffixes or suffixes[0]:
             raise BadConfig("the first suffix context must be the root")

@@ -32,8 +32,15 @@ lambda and of the pair: one loop over a list of contexts, children
 first, which an absorb runs over its path and its new contexts, a load
 and ``_refresh_all`` over every context and ``set_w0`` over a chain to
 the root. A new context has log m = log lambda = 0, so its pair is
-(log w0, log(1 - w0)), which its ``ContextState`` starts with. Every
-query, absorb and sample reads the kept pair and recomputes nothing.
+(log w0, log(1 - w0)), which its state starts with. Every query,
+absorb and sample reads the kept pair and recomputes nothing.
+
+The state is kept in columns: one list per field (``local``, ``w0``,
+``log_w0``, ``log1m_w0``, ``log_m``, ``log_trunc``, ``log_lambda``,
+``log_g``, ``log1m_g``), indexed by context id. Both covers number
+their contexts 0, 1, 2, ... in the order they make them, and a
+context's parent is made before it, so a new context's state is
+appended and a walk over the ids downward visits children first.
 
 One absorb scores every matched context once. A local's ``update``
 returns its predictive from before the update, which is the pi above,
@@ -95,6 +102,12 @@ SNAPSHOT_VERSION = 4
 _LOADABLE_VERSIONS = (3, 4)
 
 
+# the per-context columns, each a list indexed by context id
+_COLUMNS = (
+    "local", "w0", "log_w0", "log1m_w0", "log_m", "log_trunc", "log_lambda", "log_g", "log1m_g",
+)
+
+
 def parse_depth_weight(spec):
     """Resolve a stop weight rule to (tag, callable on depth).
 
@@ -117,55 +130,6 @@ def parse_depth_weight(spec):
             raise BadConfig("constant stop weight must be in (0, 1]")
         return s, lambda k: c
     raise BadConfig(f"unknown depth weight rule {spec!r}")
-
-
-class ContextState:
-    """Per context posterior state.
-
-    ``log_w0`` and ``log1m_w0`` are log(w0) and log(1 - w0), kept with
-    w0 by ``set_w0`` because every recursion step reads them.
-
-    ``log_g`` and ``log1m_g`` are the stop posterior's log g =
-    min(0, log_w0 + log_m - log_lambda) and log(1 - g). A new state has
-    log_m = log_lambda = 0, so the constructor starts them at
-    (``log_w0``, ``log1m_w0``), the same bits the formula gives. After
-    that the posterior's ``_refresh_lambda`` sets them in the loop that
-    sets ``log_lambda``; ``_phi``, ``stop_posterior`` and ``sample_y``
-    read them.
-    """
-
-    __slots__ = (
-        "local", "w0", "log_w0", "log1m_w0", "log_m", "log_trunc", "log_lambda",
-        "log_g", "log1m_g",
-    )
-
-    def __init__(self, local, w0):
-        self.local = local
-        self.set_w0(w0)
-        self.log_m = 0.0
-        self.log_trunc = 0.0
-        self.log_lambda = 0.0
-        self.log_g = self.log_w0
-        self.log1m_g = self.log1m_w0
-
-    def set_w0(self, w0):
-        self.w0 = w0
-        self.log_w0 = math.log(w0)
-        self.log1m_w0 = log1mexp(self.log_w0)
-
-    def copy(self) -> "ContextState":
-        """A copy holding ``local.copy()``."""
-        st = ContextState.__new__(ContextState)
-        st.local = self.local.copy()
-        st.w0 = self.w0
-        st.log_w0 = self.log_w0
-        st.log1m_w0 = self.log1m_w0
-        st.log_m = self.log_m
-        st.log_trunc = self.log_trunc
-        st.log_lambda = self.log_lambda
-        st.log_g = self.log_g
-        st.log1m_g = self.log1m_g
-        return st
 
 
 class CoverModelPosterior:
@@ -191,19 +155,22 @@ class CoverModelPosterior:
         one prepared y. A kd cover's replayed block goes to a new
         context's ``absorb_block`` as buffered, unprepared.
     depth_weight : str
-        Prior stop weight rule, see ``parse_depth_weight``.
+        Prior stop weight rule, see ``parse_depth_weight``. Its weights
+        at depth 1 and at the cover's ``max_depth`` must lie in (0, 1];
+        both rules are monotone in depth, so every depth's does.
     """
 
     def __init__(self, cover, local_factory, depth_weight="const:0.5"):
         self.cover = cover
         self.local_factory = local_factory
-        self.depth_weight_spec, self._w0_fn = parse_depth_weight(depth_weight)
-        self.states: dict[int, ContextState] = {}
+        self._set_depth_weight(depth_weight)
+        for name in _COLUMNS:
+            setattr(self, name, [])
         self.n_obs = 0
         self.log_evidence = 0.0
         self._fresh = local_factory()
-        for ctx in sorted(cover.contexts.values(), key=lambda c: c.cid):
-            self._init_state(ctx)
+        for ctx in cover.contexts.values():  # in id order
+            self._append_state(self._fresh.spawn(), self._w0_fn(ctx.depth))
         self._refresh_all()
 
     def copy(self) -> "CoverModelPosterior":
@@ -211,34 +178,60 @@ class CoverModelPosterior:
         cover and locals (``SuffixTreeCover``, ``DirichletMultinomial``)
         offer ``copy``.
 
-        It holds ``cover.copy()`` and every context's state with
-        ``local.copy()``; ``n_obs`` and ``log_evidence`` are numbers. It
-        shares the local factory, the stop weight rule and the fresh
-        local, which nothing changes.
+        It holds ``cover.copy()``, a slice of each float column and
+        ``local.copy()`` of every context's local; ``n_obs`` and
+        ``log_evidence`` are numbers. It shares the local factory, the
+        stop weight rule and the fresh local, which nothing changes.
         """
         obj = copy.copy(self)
         obj.cover = self.cover.copy()
-        obj.states = {cid: st.copy() for cid, st in self.states.items()}
+        for name in _COLUMNS[1:]:
+            setattr(obj, name, getattr(self, name)[:])
+        obj.local = [local.copy() for local in self.local]
         return obj
 
     # ---- state management -------------------------------------------------
 
-    def _init_state(self, ctx):
-        w0 = float(self._w0_fn(ctx.depth))
-        if not 0.0 < w0 <= 1.0:
-            raise BadConfig(f"stop weight {w0} at depth {ctx.depth} not in (0, 1]")
-        st = ContextState(self._fresh.spawn(), w0)
-        self.states[ctx.cid] = st
-        return st
+    def _set_depth_weight(self, spec):
+        """Take the stop weight rule ``spec``, refusing one whose weight
+        at depth 1 or at the cover's ``max_depth`` is outside (0, 1], so
+        no context the cover can make gets such a weight."""
+        self.depth_weight_spec, self._w0_fn = parse_depth_weight(spec)
+        for depth in (1, self.cover.max_depth):
+            w0 = float(self._w0_fn(depth))
+            if not 0.0 < w0 <= 1.0:
+                raise BadConfig(f"stop weight {w0} at depth {depth} not in (0, 1]")
+
+    def _append_state(self, local, w0, log_m=0.0, log_trunc=0.0):
+        """Append the state of the context made next, the one whose id
+        is the columns' length. ``log_lambda`` and the stop pair start
+        at 0 and (log w0, log(1 - w0)), the values log_m = 0 gives;
+        ``_refresh_lambda`` sets them once ``log_m`` is not 0."""
+        log_w0 = math.log(w0)
+        log1m_w0 = log1mexp(log_w0)
+        self.local.append(local)
+        self.w0.append(w0)
+        self.log_w0.append(log_w0)
+        self.log1m_w0.append(log1m_w0)
+        self.log_m.append(log_m)
+        self.log_trunc.append(log_trunc)
+        self.log_lambda.append(0.0)
+        self.log_g.append(log_w0)
+        self.log1m_g.append(log1m_w0)
 
     def set_w0(self, cid, w0):
         """Override one context's prior stop weight.
 
-        Intended for fixtures, before any data is absorbed.
+        Intended for fixtures, before any data is absorbed. Raises
+        ``KeyError``, writing nothing, for an id the cover does not hold.
         """
         if not 0.0 < w0 <= 1.0:
             raise BadConfig("stop weight must be in (0, 1]")
-        self.states[cid].set_w0(float(w0))
+        if cid not in self.cover.contexts:  # a list would take -1 for the last context
+            raise KeyError(cid)
+        w0 = self.w0[cid] = float(w0)
+        self.log_w0[cid] = math.log(w0)
+        self.log1m_w0[cid] = log1mexp(self.log_w0[cid])
         up = []
         while cid is not None:
             up.append(cid)
@@ -253,18 +246,19 @@ class CoverModelPosterior:
         prod_d lambda_d over the children d; log g = min(0, log_w0 +
         log_m - log_lambda). ``logaddexp`` and ``log1mexp`` are inline
         to save two calls per context, with the same branches and
-        operations, so the same values.
+        operations, so the same values. Every column is read by id.
         """
-        contexts, states = self.cover.contexts, self.states
+        contexts = self.cover.contexts
+        log_w0, log1m_w0, log_m, log_trunc = self.log_w0, self.log1m_w0, self.log_m, self.log_trunc
+        log_lambda, log_g, log1m_g = self.log_lambda, self.log_g, self.log1m_g
         for cid in cids:
-            st = states[cid]
-            a = st.log_w0 + st.log_m
+            a = log_w0[cid] + log_m[cid]
             kids = contexts[cid].child_ids
             if kids:
                 sub = 0.0
                 for c in kids:
-                    sub += states[c].log_lambda
-                b = st.log1m_w0 + st.log_trunc + sub
+                    sub += log_lambda[c]
+                b = log1m_w0[cid] + log_trunc[cid] + sub
                 if a == b:
                     lam = a + LOG2
                 else:
@@ -276,22 +270,22 @@ class CoverModelPosterior:
                     else:
                         lam = d  # a or b is nan
             else:
-                lam = st.log_m
-            st.log_lambda = lam
+                lam = log_m[cid]
+            log_lambda[cid] = lam
             lg = a - lam
             if lg < 0.0:
-                st.log_g = lg
+                log_g[cid] = lg
                 if lg > -LOG2:
-                    st.log1m_g = math.log(-math.expm1(lg))
+                    log1m_g[cid] = math.log(-math.expm1(lg))
                 else:
-                    st.log1m_g = math.log1p(-math.exp(lg))
+                    log1m_g[cid] = math.log1p(-math.exp(lg))
             else:  # min(0.0, nan) is 0.0 too
-                st.log_g = 0.0
-                st.log1m_g = -math.inf
+                log_g[cid] = 0.0
+                log1m_g[cid] = -math.inf
 
     def _refresh_all(self):
         # a context is made after its parents, so children have larger ids
-        self._refresh_lambda(sorted(self.states, reverse=True))
+        self._refresh_lambda(range(len(self.log_m) - 1, -1, -1))
 
     def stop_posterior(self, cid) -> float:
         """Posterior probability that the walk stops at cid given reach.
@@ -306,7 +300,7 @@ class CoverModelPosterior:
             self.cover.growth_mode != "truncate" or ctx.depth >= self.cover.max_depth
         ):
             return 1.0
-        return math.exp(self.states[cid].log_g)
+        return math.exp(self.log_g[cid])
 
     # ---- prediction -------------------------------------------------------
 
@@ -322,29 +316,30 @@ class CoverModelPosterior:
             return self._fresh.log_predictive(py)
         return None
 
-    def _phi(self, states, logpi, virtual):
+    def _phi(self, path, logpi, virtual):
         """Subtree predictive of each context on a matched path.
 
-        ``states`` holds each context's state, whose kept stop pair
-        (``log_g``, ``log1m_g``) is read here, ``logpi`` its local log
-        predictive and ``virtual`` the virtual continuation's (see
+        ``path`` holds the contexts' ids, by which their kept stop pairs
+        (``log_g``, ``log1m_g``) are read, ``logpi`` their local log
+        predictives and ``virtual`` the virtual continuation's (see
         ``_virtual``). Returns log psi per context, root first, where
         psi is the subtree mixture value used by the walk; the root's is
         the log marginal. The stop posteriors must be those in force, so
         an absorb reads them before committing anything.
         """
+        log_g, log1m_g = self.log_g, self.log1m_g
         logpsi = [0.0] * len(logpi)
         psi = virtual  # what the deepest context continues to, if anything
         for k in range(len(logpi) - 1, -1, -1):
-            st, lp = states[k], logpi[k]
-            lg = st.log_g
+            cid, lp = path[k], logpi[k]
+            lg = log_g[cid]
             if psi is None or lg >= 0.0:
                 psi = lp
             else:
                 # logaddexp(a, b), inline to save a call per context: the
                 # same branches and operations, so the same values
                 a = lg + lp
-                b = st.log1m_g + psi
+                b = log1m_g[cid] + psi
                 if a == b:
                     psi = a + LOG2
                 else:
@@ -365,13 +360,12 @@ class CoverModelPosterior:
         and, per y, (log pi per context, log psi per context).
         """
         path = self.cover.match_levels(self.cover.prepare_query(x))
-        states = [self.states[cid] for cid in path]
-        locals_ = [st.local for st in states]
+        locals_ = [self.local[cid] for cid in path]
         out = []
         for y in ys:
             py = self._fresh.prepare(y)
             logpi = [local.log_predictive(py) for local in locals_]
-            out.append((logpi, self._phi(states, logpi, self._virtual(path, py))))
+            out.append((logpi, self._phi(path, logpi, self._virtual(path, py))))
         return path, out
 
     def log_predictives(self, x, ys):
@@ -405,7 +399,7 @@ class CoverModelPosterior:
         Equals the running sum of absorb() returns when the cover did
         not replay blocks.
         """
-        return self.states[self.cover.root_id].log_lambda
+        return self.log_lambda[self.cover.root_id]
 
     # ---- learning ---------------------------------------------------------
 
@@ -420,32 +414,33 @@ class CoverModelPosterior:
         cover = self.cover
         xq = cover.prepare_query(x)
         path = cover.match_levels(xq)
-        states = [self.states[cid] for cid in path]
+        locals_, log_m = self.local, self.log_m
         py = self._fresh.prepare(y)
         # prepare checked y, and a local rejects a y outside its support
         # before it changes; the locals of one model share one support,
         # so only the first update can reject y, before anything changed
-        logpi = [st.local.update(py) for st in states]
+        logpi = [locals_[cid].update(py) for cid in path]
         if cover.growth_mode == "truncate":
             # a new context's parent exists, so new ones extend the path
             path, made = cover.extend(xq, path)
             for cid in made:
-                st = self._init_state(cover.contexts[cid])
-                states.append(st)
-                logpi.append(st.local.update(py))
+                local = self._fresh.spawn()
+                self._append_state(local, self._w0_fn(cover.contexts[cid].depth))
+                logpi.append(local.update(py))
         # the stop posteriors read here change only below
-        logmarg = self._phi(states, logpi, self._virtual(path, py))[0]
+        logmarg = self._phi(path, logpi, self._virtual(path, py))[0]
 
-        for st, lp in zip(states, logpi):
-            st.log_m += lp
+        for cid, lp in zip(path, logpi):
+            log_m[cid] += lp
         if self._truncated(path):
-            states[-1].log_trunc += logpi[-1]
+            self.log_trunc[path[-1]] += logpi[-1]
         new = []
         if cover.growth_mode == "replay":
             for _, kids in cover.observe_and_refine(xq, y, path[-1]):
                 for cid, block in kids:
-                    st = self._init_state(cover.contexts[cid])
-                    st.log_m = st.local.absorb_block([yb for _, yb in block])
+                    local = self._fresh.spawn()
+                    w0 = self._w0_fn(cover.contexts[cid].depth)
+                    self._append_state(local, w0, local.absorb_block([yb for _, yb in block]))
                     new.append(cid)
         # a split makes its children after their parent, and every new
         # context lies below the path, so this refreshes children first
@@ -462,14 +457,14 @@ class CoverModelPosterior:
         matched path, stopping at each context with its stop posterior."""
         xq = self.cover.prepare_query(x)
         path = self.cover.match_levels(xq)
-        states = [self.states[cid] for cid in path]
-        for st in states[:-1]:
-            if rng.uniform() < math.exp(st.log_g):
-                return st.local.sample(rng)
-        st = states[-1]
-        if self._truncated(path) and rng.uniform() >= math.exp(st.log_g):
+        log_g, locals_ = self.log_g, self.local
+        for cid in path[:-1]:
+            if rng.uniform() < math.exp(log_g[cid]):
+                return locals_[cid].sample(rng)
+        cid = path[-1]
+        if self._truncated(path) and rng.uniform() >= math.exp(log_g[cid]):
             return self._fresh.sample(rng)
-        return st.local.sample(rng)
+        return locals_[cid].sample(rng)
 
     # ---- persistence ------------------------------------------------------
 
@@ -492,14 +487,13 @@ class CoverModelPosterior:
             "cover": self.cover.state_dict(),
         }
         lines = [json.dumps(meta, sort_keys=True)]
-        for cid in sorted(self.states):
-            st = self.states[cid]
+        for cid, local in enumerate(self.local):
             rec = {
                 "cid": cid,
-                "w0": st.w0,
-                "log_m": st.log_m,
-                "log_trunc": st.log_trunc,
-                "local": st.local.state_dict(),
+                "w0": self.w0[cid],
+                "log_m": self.log_m[cid],
+                "log_trunc": self.log_trunc[cid],
+                "local": local.state_dict(),
             }
             lines.append(json.dumps(rec, sort_keys=True))
         return "\n".join(lines) + "\n"
@@ -518,9 +512,11 @@ class CoverModelPosterior:
         Raises ``BadConfig`` on a snapshot of another version, or one
         whose structure does not hold together: the checks of the
         cover's ``from_state`` and the locals' ``load``, among them that
-        every context's local has the prior of the factory's, a state
-        for each context and for no other, and counts that agree with
-        what the cover routed. The root's local was offered every
+        every context's local has the prior of the factory's, one state
+        record for each context and for no other, in id order as
+        ``to_text`` writes them, a stop weight rule whose weights at
+        depth 1 and at the cover's ``max_depth`` lie in (0, 1], and
+        counts that agree with what the cover routed. The root's local was offered every
         observation; on a kd cover each context's local was offered the
         points buffered in the leaves under it, those add up to
         ``n_obs``, every buffered y is finite and, for a tree density,
@@ -550,31 +546,30 @@ class CoverModelPosterior:
         obj = cls.__new__(cls)
         obj.cover = cover_from_state(meta["cover"])
         obj.local_factory = local_factory
-        obj.depth_weight_spec, obj._w0_fn = parse_depth_weight(meta["depth_weight"])
+        obj._set_depth_weight(meta["depth_weight"])
         obj.n_obs = int(meta["n_obs"])
         obj.log_evidence = float(meta["log_evidence"])
-        logs = [obj.log_evidence]  # no model writes one that is not finite
         obj._fresh = fresh = local_factory()
-        obj.states = states = {}
-        contexts = obj.cover.contexts
+        for name in _COLUMNS:
+            setattr(obj, name, [])
+        n = len(obj.cover.contexts)  # numbered 0 .. n - 1
         # one parse for every record is faster than one per line
-        for rec in json.loads("[" + ",".join(records) + "]"):
-            cid = rec["cid"]
-            if cid not in contexts or cid in states:
-                raise BadConfig(f"state record for context {cid!r}, unknown or repeated")
+        for cid, rec in enumerate(json.loads("[" + ",".join(records) + "]")):
+            if cid >= n or rec["cid"] != cid:
+                raise BadConfig(
+                    f"state record {cid} names context {rec['cid']!r}, where records "
+                    f"name the contexts 0 to {n - 1} in id order"
+                )
             w0 = float(rec["w0"])
             if not 0.0 < w0 <= 1.0:
                 raise BadConfig(f"stop weight {w0} of context {cid} not in (0, 1]")
-            st = ContextState(local_from_state(rec["local"], fresh), w0)
-            st.log_m = float(rec["log_m"])
-            st.log_trunc = float(rec["log_trunc"])
-            logs += (st.log_m, st.log_trunc)
-            states[cid] = st
-        if not all(map(math.isfinite, logs)):
+            local = local_from_state(rec["local"], fresh)
+            obj._append_state(local, w0, float(rec["log_m"]), float(rec["log_trunc"]))
+        # no model writes a log_evidence that is not finite
+        if not all(map(math.isfinite, chain([obj.log_evidence], obj.log_m, obj.log_trunc))):
             raise BadConfig("snapshot log_evidence, log_m or log_trunc is not finite")
-        if len(states) != len(contexts):
-            missing = sorted(set(contexts) - set(states))
-            raise BadConfig(f"snapshot lacks state for contexts {missing}")
+        if len(obj.local) != n:
+            raise BadConfig(f"snapshot lacks state for contexts {list(range(len(obj.local), n))}")
         obj._rebuild()
         return obj
 
@@ -598,12 +593,12 @@ class CoverModelPosterior:
         ``_refresh_lambda`` runs over the same order. Elsewhere the
         root's local was offered every observation, and children hold no
         more than their parent."""
-        cover, states = self.cover, self.states
+        cover, locals_ = self.cover, self.local
         if cover.growth_mode != "replay":
-            check_seen(states[cover.root_id].local, self.n_obs)
+            check_seen(locals_[cover.root_id], self.n_obs)
             for cid, ctx in cover.contexts.items():
                 if ctx.child_ids:
-                    check_nested(states[cid].local, [states[d].local for d in ctx.child_ids])
+                    check_nested(locals_[cid], [locals_[d] for d in ctx.child_ids])
             self._check_rebuildable()
             self._refresh_all()
             return
@@ -619,9 +614,9 @@ class CoverModelPosterior:
             raise BadConfig(f"buffered y {list(bad)} is not finite")
         block = prepare_block(self._fresh, ys)
         contexts, done = cover.contexts, {}
-        order = sorted(states, reverse=True)  # children first
+        order = range(len(locals_) - 1, -1, -1)  # children first
         for cid in order:
-            kids, local = contexts[cid].child_ids, states[cid].local
+            kids, local = contexts[cid].child_ids, locals_[cid]
             if kids:
                 seen[cid] = sum(seen[k] for k in kids)
             check_seen(local, seen[cid])

@@ -78,7 +78,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .covers import Box, as_symbol, cut
+from .covers import Box, as_size, as_symbol, cut
 from .errors import BadConfig, OutOfSupport
 from .logspace import LOG2, logsumexp
 
@@ -590,7 +590,8 @@ class BayesTreeDensity:
         # widths run from about 2^1024 down to 2^-1074, so no side of a
         # float box halves more than about 2100 times; checked before
         # max_depth sizes the tables below
-        if not 0 <= max_depth <= 2100 * box.dim:
+        top = as_size(max_depth, "max_depth", 0)
+        if top > 2100 * box.dim:
             raise BadConfig(f"max_depth must be in [0, {2100 * box.dim}]")
         g = float(gamma)
         a = float(branch_pseudo)
@@ -601,7 +602,7 @@ class BayesTreeDensity:
         self.box = box
         self.gamma = g
         self.branch_pseudo = a
-        self.max_depth = top = int(max_depth)
+        self.max_depth = top
         log_vol0 = math.log(box.volume())
         self._log_vol = [log_vol0 - k * math.log(2.0) for k in range(top + 1)]
         self._log_gamma = math.log(g)

@@ -24,7 +24,7 @@ from collections import deque
 
 import numpy as np
 
-from .covers import SuffixTreeCover, as_symbol
+from .covers import SuffixTreeCover, as_size, as_symbol
 from .engine import CoverModelPosterior
 from .errors import BadConfig, TooLargeToEnumerate, UnknownSymbol
 from .local import DirichletMultinomial
@@ -62,8 +62,8 @@ class VmmModel:
     """
 
     def __init__(self, alphabet_size, depth, prior="kt", stop_weight=0.5):
-        self.alphabet_size = int(alphabet_size)
-        self.depth = int(depth)
+        self.alphabet_size = as_size(alphabet_size, "alphabet_size", 2)
+        self.depth = as_size(depth, "depth", 1)
         self.concentration = _resolve_prior(prior)
         self.stop_weight = float(stop_weight)
         self.posterior = CoverModelPosterior(
@@ -165,8 +165,8 @@ class VmmModel:
             meta = json.loads(head)
             if meta.get("kind") != "vmm":
                 raise BadConfig("not a vmm snapshot")
-            obj.alphabet_size = int(meta["alphabet_size"])
-            obj.depth = int(meta["depth"])
+            obj.alphabet_size = as_size(meta["alphabet_size"], "alphabet_size", 2)
+            obj.depth = as_size(meta["depth"], "depth", 1)
             obj.concentration = float(meta["concentration"])
             obj.stop_weight = float(meta["stop_weight"])
             history = [as_symbol(s, obj.alphabet_size) for s in meta["history_tail"]]

@@ -75,7 +75,7 @@ def local_trees(local):
 
 def model_trees(model):
     """``local_trees`` of every context of a CDE model, by context id."""
-    return {cid: local_trees(st.local) for cid, st in model.posterior.states.items()}
+    return {cid: local_trees(local) for cid, local in enumerate(model.posterior.local)}
 
 
 def random_static_tree(rng, max_extra_splits=6, dim=None, depth_cap=3):

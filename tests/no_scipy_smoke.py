@@ -77,4 +77,23 @@ assert vmm_clone.next_symbol_logprobs().tolist() == vmm.next_symbol_logprobs().t
 # reload rebuilt its index from the suffixes: one held-out score
 held = [1, 1, 0, 1, 0, 0, 1]
 assert vmm_clone.sequence_logprob(held) == vmm.sequence_logprob(held)
+# a copy holds its own state columns: a step on it leaves the original
+# as it was
+text, row = vmm.to_text(), vmm.next_symbol_logprobs().tolist()
+fork = vmm.copy()
+fork.fit_sequence([1, 1, 0])
+assert vmm.to_text() == text and vmm.next_symbol_logprobs().tolist() == row
+assert fork.to_text() != text
+
+# two equal xs split the kd cover down to float resolution, 1074 levels
+# in one absorb; the model predicts and reloads byte-identically
+deep = covermodels.new_cde(
+    [0.0], [1.0], [0.0], [1.0], alpha=1.0001, max_depth_x=2000, depth_weight="const:0.5"
+)
+deep.absorb([0.0], [0.5])
+deep.absorb([0.0], [0.5])
+assert deep.refinement_depth == 1074
+deep_clone = covermodels.CdeModel.from_text(deep.to_text())
+assert deep_clone.to_text() == deep.to_text()
+assert deep_clone.predict_logdensity([0.0], [0.4]) == deep.predict_logdensity([0.0], [0.4])
 print("ok")

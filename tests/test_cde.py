@@ -47,6 +47,13 @@ def _two_normals(log_weights):
 _UNUSABLE = {
     "kd-alpha-nan": lambda: KdTreeCover(Box([0.0], [1.0]), alpha=_NAN),
     "kd-max-depth-nan": lambda: KdTreeCover(Box([0.0], [1.0]), max_depth=_NAN),
+    "kd-max-depth-inf": lambda: KdTreeCover(Box([0.0], [1.0]), max_depth=math.inf),
+    "kd-max-depth-fractional": lambda: KdTreeCover(Box([0.0], [1.0]), max_depth=1.5),
+    "cde-max-depth-x-inf": lambda: CdeModel(CdeConfig(max_depth_x=math.inf, **_UNIT)),
+    "cde-max-depth-x-fractional": lambda: CdeConfig(max_depth_x=1.5, **_UNIT).validate(),
+    "cde-2^-k-zero-at-max-depth-x": lambda: new_cde(
+        [0.0], [1.0], [0.0], [1.0], max_depth_x=1075, components=("nw",)
+    ),
     "cde-alpha-nan": lambda: CdeConfig(alpha=_NAN, **_UNIT).validate(),
     "cde-tree-max-depth-nan": lambda: CdeModel(CdeConfig(tree_max_depth=_NAN, **_UNIT)),
     "cde-tree-max-depth-huge": lambda: CdeModel(CdeConfig(tree_max_depth=10**9, **_UNIT)),
@@ -72,6 +79,10 @@ _UNUSABLE = {
     "dirichlet-concentration-inf": lambda: DirichletMultinomial(2, math.inf),
     "vmm-prior-nan": lambda: VmmModel(3, 3, prior=_NAN),
     "vmm-prior-inf": lambda: VmmModel(2, 3, prior=math.inf),
+    "vmm-depth-inf": lambda: VmmModel(2, math.inf),
+    "vmm-depth-fractional": lambda: VmmModel(2, 2.5),
+    "vmm-alphabet-fractional": lambda: VmmModel(2.5, 3),
+    "tree-max-depth-fractional": lambda: BayesTreeDensity([0.0], [1.0], max_depth=1.5),
     "cde-mixture-weight-negative": lambda: CdeConfig(
         mixture_weights=[-1.0, 2.0], **_UNIT
     ).validate(),
@@ -156,6 +167,44 @@ class TestConfig:
 
     def test_infinite_alpha_is_accepted(self):
         assert CdeConfig(alpha=math.inf, **_UNIT).validate().alpha == math.inf
+
+
+def _cascade(**kw):
+    """A CDE whose kd cover splits down to float resolution at x = 0
+    once it holds two points: alpha barely above 1 lets two points
+    split every leaf, and equal xs share every leaf."""
+    model = new_cde([0.0], [1.0], [0.0], [1.0], alpha=1.0001, components=("nw",), **kw)
+    for _ in range(2):
+        model.absorb([0.0], [0.5])
+    return model
+
+
+class TestDeepCascade:
+    """A split cascade as deep as float resolution, far below Python's
+    recursion limit, leaves a whole model."""
+
+    def test_two_equal_xs_split_to_float_resolution(self):
+        model = _cascade(max_depth_x=2000, depth_weight="const:0.5")
+        # the unit interval halves 1074 times before a midpoint is no
+        # longer strictly inside its box
+        assert model.refinement_depth == 1074
+        assert model.n_contexts == 2 * 1074 + 1
+        lp = model.predict_logdensity([0.0], [0.4])
+        assert math.isfinite(lp)
+        text = model.to_text()
+        clone = CdeModel.from_text(text)
+        assert clone.to_text() == text
+        assert clone.predict_logdensity([0.0], [0.4]) == lp
+        assert clone.absorb([0.0], [0.6]) == model.absorb([0.0], [0.6])
+        assert clone.to_text() == model.to_text()
+
+    def test_the_deepest_depth_whose_halving_weight_is_positive_absorbs(self):
+        # 2**-1074 is the least positive float, and 2**-1075 is 0.0, which
+        # the construction refuses (see _UNUSABLE)
+        model = _cascade(max_depth_x=1074)
+        assert model.refinement_depth == 1073
+        assert math.isfinite(model.predict_logdensity([0.0], [0.4]))
+        assert CdeModel.from_text(model.to_text()).to_text() == model.to_text()
 
 
 class TestStreaming:
@@ -393,7 +442,7 @@ class TestSnapshot:
 class TestConfigPaths:
     def test_mixture_weights_set_the_prior_and_survive_a_snapshot(self):
         model, ds = small_model(n=120, mixture_weights=[3.0, 1.0])
-        root = model.posterior.states[model.posterior.cover.root_id].local
+        root = model.posterior.local[model.posterior.cover.root_id]
         np.testing.assert_allclose(np.exp(root.log_w), [0.75, 0.25], rtol=0, atol=1e-12)
         model.fit_stream(ds.x[:60], ds.y[:60])
         clone = CdeModel.from_text(model.to_text())
@@ -444,9 +493,9 @@ class TestConfigPaths:
         model = new_cde([0.0], [1.0], [0.0], [1.0], mixture_weights=[3.0, 1.0])
         rng = np.random.default_rng(6)
         model.fit_stream(rng.uniform(0.0, 0.4, size=(40, 1)), rng.uniform(size=(40, 1)))
-        states = model.posterior.states
-        empty = [c for c, st in states.items() if not st.local.components[0].n_seen]
-        assert empty and len(empty) < len(states)
+        locals_ = model.posterior.local
+        empty = [c for c, local in enumerate(locals_) if not local.components[0].n_seen]
+        assert empty and len(empty) < len(locals_)
         text = model.to_text()
         assert CdeModel.from_text(text).to_text() == text
         with pytest.raises(BadConfig):

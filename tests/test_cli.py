@@ -121,6 +121,15 @@ class TestFitEval:
                    "--holdout", hold, "--out", tmp_path / "x.csv",
                    "--set", "there_is_no_such_key=1") == 2
 
+    @pytest.mark.parametrize("depth", ["Infinity", "1.5"])
+    def test_a_kd_depth_that_is_not_a_whole_number_exits_2(self, depth, mix_files, tmp_path, capsys):
+        train, hold = mix_files
+        assert run("fit-eval", "--method", "cover-cde", "--train", train,
+                   "--holdout", hold, "--out", tmp_path / "x.csv",
+                   "--set", f"max_depth_x={depth}") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestCompare:
     def test_multiple_methods_one_csv(self, mix_files, tmp_path):

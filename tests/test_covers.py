@@ -1,6 +1,7 @@
 """Cover geometry and refinement bookkeeping."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -361,3 +362,21 @@ def test_the_child_index_matches_the_suffix_regions(alphabet, max_depth, first, 
     check_child_index(loaded, histories)
     for h in histories:
         assert loaded.match_levels(tuple(h)) == cov.match_levels(tuple(h))
+
+
+@pytest.mark.parametrize("value", [math.inf, 2.5])
+@pytest.mark.parametrize(
+    "kind,key", [("kd", "max_depth"), ("suffix", "max_depth"), ("suffix", "alphabet_size")]
+)
+def test_load_refuses_a_size_that_is_not_a_whole_number(kind, key, value):
+    """A size is checked as the constructor checks it: an infinite one
+    raised ``OverflowError`` and 2.5 loaded as 2."""
+    if kind == "kd":
+        cov = KdTreeCover(Box([0.0], [1.0]), max_depth=3)
+    else:
+        cov = SuffixTreeCover(alphabet_size=2, max_depth=3)
+        extend(cov, (0, 1))
+    state = cov.state_dict()
+    state[key] = value
+    with pytest.raises(BadConfig, match="whole number"):
+        cover_from_state(state)

@@ -145,12 +145,12 @@ class TestLocality:
             post.absorb(*random_xy(rng, cov))
         x, y = random_xy(rng, cov)
         on_path = set(cov.match_levels(x))
-        before = {c: post.states[c].log_m for c in cov.contexts}
+        before = {c: post.log_m[c] for c in cov.contexts}
         post.absorb(x, y)
         for c in cov.contexts:
             if c in on_path:
                 continue
-            assert post.states[c].log_m == before[c]
+            assert post.log_m[c] == before[c]
 
 
 class TestReplayGrowth:
@@ -167,7 +167,7 @@ class TestReplayGrowth:
             data.append((x, y))
             post.absorb(x, y)
             if i in (5, 15, 39):
-                w0 = {c: post.states[c].w0 for c in cov.contexts}
+                w0 = {c: post.w0[c] for c in cov.contexts}
                 oracle = ExactEnumerator(cov, w0, dirichlet_block_marginal(2, 0.5))
                 assert post.log_marginal_likelihood() == pytest.approx(
                     oracle.log_evidence(data), abs=1e-10
@@ -195,7 +195,7 @@ class TestReplayGrowth:
             data.append((x, y))
             post.absorb(x, y)
             if i in (4, 17, 39):
-                w0 = {c: post.states[c].w0 for c in cov.contexts}
+                w0 = {c: post.w0[c] for c in cov.contexts}
                 oracle = ExactEnumerator(cov, w0, normal_wishart_block_marginal(mu0, **prior))
                 assert post.log_marginal_likelihood() == pytest.approx(
                     oracle.log_evidence(data), abs=1e-10
@@ -225,8 +225,8 @@ class TestReplayGrowth:
 def _assert_lambdas_equal_a_full_refresh(post):
     fresh = copy.deepcopy(post)
     fresh._refresh_all()
-    for cid, st in post.states.items():
-        assert st.log_lambda == fresh.states[cid].log_lambda, cid
+    for cid, lam in enumerate(post.log_lambda):
+        assert lam == fresh.log_lambda[cid], cid
 
 
 class TestRefreshAfterAbsorb:
@@ -259,15 +259,15 @@ class TestRefreshAfterAbsorb:
 def _assert_stop_pairs_kept(post):
     """Every context keeps the (log g, log(1 - g)) recomputed from its
     log_w0, log_m and log_lambda, bit for bit."""
-    for cid, st in post.states.items():
-        lg = min(0.0, st.log_w0 + st.log_m - st.log_lambda)
-        assert (st.log_g, st.log1m_g) == (lg, log1mexp(lg)), cid
+    for cid in range(len(post.local)):
+        lg = min(0.0, post.log_w0[cid] + post.log_m[cid] - post.log_lambda[cid])
+        assert (post.log_g[cid], post.log1m_g[cid]) == (lg, log1mexp(lg)), cid
 
 
 def _assert_same_stop_pairs(post, other):
-    assert other.states.keys() == post.states.keys()
-    for cid, st in post.states.items():
-        assert (other.states[cid].log_g, other.states[cid].log1m_g) == (st.log_g, st.log1m_g)
+    assert len(other.local) == len(post.local)
+    for cid in range(len(post.local)):
+        assert (other.log_g[cid], other.log1m_g[cid]) == (post.log_g[cid], post.log1m_g[cid])
 
 
 class TestKeptStopPairs:
@@ -367,8 +367,8 @@ class TestSnapshot:
         for saved in (text, old):
             clone = CoverModelPosterior.from_text(saved, factory)
             assert clone.to_text() == text
-            for cid, st in post.states.items():
-                assert clone.states[cid].log_lambda == st.log_lambda
+            for cid, lam in enumerate(post.log_lambda):
+                assert clone.log_lambda[cid] == lam
         for version in (1, 2, 5, None):
             head = {**json.loads(meta), "version": version}
             if version is None:
@@ -390,8 +390,8 @@ class TestSnapshot:
         for _ in range(3):
             post.absorb([rng.uniform(0.0, 0.5)], int(rng.integers(2)))
         clone = CoverModelPosterior.from_text(post.to_text(), factory)
-        for cid, st in post.states.items():
-            assert clone.states[cid].log_lambda == st.log_lambda
+        for cid, lam in enumerate(post.log_lambda):
+            assert clone.log_lambda[cid] == lam
 
     def test_infinite_alpha_never_splits_and_round_trips(self):
         rng = np.random.default_rng(21)
@@ -424,8 +424,8 @@ class TestSnapshot:
         old = json.dumps({**json.loads(meta), "grow": True}, sort_keys=True) + "\n" + rest
         clone = CoverModelPosterior.from_text(old, factory)
         assert clone.to_text() == text
-        for cid, st in post.states.items():
-            assert clone.states[cid].log_lambda == st.log_lambda
+        for cid, lam in enumerate(post.log_lambda):
+            assert clone.log_lambda[cid] == lam
         for _ in range(30):
             x, y = rng.uniform(0, 1, size=1), int(rng.integers(2))
             assert clone.absorb(x, y) == post.absorb(x, y)
@@ -493,9 +493,9 @@ class TestOnePrior:
             fresh = model.posterior._fresh
             want = _prior_objects(fresh)
             assert len(want) in (1, 6)
-            for st in model.posterior.states.values():
-                got = _prior_objects(st.local)
-                assert st.local is not fresh and len(got) == len(want)
+            for local in model.posterior.local:
+                got = _prior_objects(local)
+                assert local is not fresh and len(got) == len(want)
                 assert all(a is b for a, b in zip(got, want))
 
 

@@ -92,8 +92,8 @@ def test_reload_recomputes_every_log_lambda_bit_for_bit(components, stream):
     text = model.to_text()
     loaded = CdeModel.from_text(text)
     assert loaded.to_text() == text
-    for cid, state in model.posterior.states.items():
-        assert loaded.posterior.states[cid].log_lambda == state.log_lambda
+    for cid, lam in enumerate(model.posterior.log_lambda):
+        assert loaded.posterior.log_lambda[cid] == lam
 
 
 def saved_models():

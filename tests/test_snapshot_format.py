@@ -25,6 +25,7 @@ from covermodels import (
     NormalWishart,
     SuffixTreeCover,
     VmmModel,
+    new_cde,
 )
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -38,9 +39,9 @@ def trees(local):
 
 def assert_same_trees(post, other):
     """Every context's trees hold the same nodes, values and pairs."""
-    assert other.states.keys() == post.states.keys()
-    for cid, st_ in post.states.items():
-        for mine, theirs in zip(trees(st_.local), trees(other.states[cid].local)):
+    assert len(other.local) == len(post.local)
+    for cid, local in enumerate(post.local):
+        for mine, theirs in zip(trees(local), trees(other.local[cid])):
             assert theirs.state_dict() == mine.state_dict()
             assert tree_nodes(theirs) == tree_nodes(mine), cid
 
@@ -284,3 +285,41 @@ def test_version_3_tree_records_are_not_read():
             tree["counts"], tree["points"] = [-7, 1], [math.nan]
     edited = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
     assert CdeModel.from_text(edited).to_text() == CdeModel.from_text(text).to_text()
+
+
+def _edit_records(records, case):
+    """The state records, one JSON line per context in id order, with
+    one fault."""
+    if case == "dropped":
+        return records[:-1]
+    if case == "repeated":
+        return records[:2] + records[1:]
+    if case == "unknown":
+        rec = json.loads(records[-1])
+        rec["cid"] = len(records)
+        return records[:-1] + [json.dumps(rec, sort_keys=True)]
+    return [records[0], records[2], records[1]] + records[3:]  # swapped
+
+
+@pytest.mark.parametrize("case", ["dropped", "repeated", "unknown", "swapped"])
+@pytest.mark.parametrize("kind", ["cde", "vmm"])
+def test_state_records_name_each_context_once_in_id_order(kind, case):
+    """A load reads the state records in id order, as ``to_text``
+    writes them, and refuses a record dropped, repeated, naming no
+    context or out of order."""
+    if kind == "cde":
+        model = new_cde([0.0], [1.0], [0.0], [1.0], alpha=1.5)
+        rng = np.random.default_rng(5)
+        absorb_all(model, rng.uniform(size=(60, 1)), rng.uniform(size=(60, 1)))
+        load = CdeModel.from_text
+    else:
+        model = VmmModel(2, 4)
+        model.fit_sequence([0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0])
+        load = VmmModel.from_text
+    text = model.to_text()
+    assert load(text).to_text() == text
+    lines = text.splitlines()
+    assert len(lines) - 2 == model.posterior.cover.n_contexts > 3
+    edited = lines[:2] + _edit_records(lines[2:], case)
+    with pytest.raises(BadConfig):
+        load("\n".join(edited) + "\n")

@@ -1,0 +1,99 @@
+"""Stateful tests of the public API: operations in any order, checked
+against the invariants the exact posterior promises after every step.
+
+The VMM machine observes symbols, forks copies and steps them, reloads
+through ``to_text``/``from_text``, scores sequences and feeds symbols
+outside the alphabet. It leaves out ``history.clear()``: after a clear
+the returns and the evidence disagree (the strict xfail
+``test_vmm.py::test_returns_after_a_cleared_history_sum_to_the_evidence_delta``).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+
+from covermodels import CoverModelError, VmmModel
+
+# a symbol drawn for an alphabet of 2 or 3, taken modulo the alphabet
+_SYMBOL = st.integers(0, 2)
+_NOT_A_SYMBOL = st.sampled_from([3, -1, 0.5, "a", None, float("nan")])
+
+
+class VmmMachine(RuleBasedStateMachine):
+    """One live model and the sum of every return it gave since it was
+    made, along whichever copy or reload it continued as."""
+
+    @initialize(alphabet=st.integers(2, 3), depth=st.integers(1, 5))
+    def build(self, alphabet, depth):
+        self.alphabet = alphabet
+        self.model = VmmModel(alphabet, depth)
+        self.total = 0.0
+
+    def step(self, model, symbol):
+        return model.observe(symbol % self.alphabet)
+
+    @rule(symbol=_SYMBOL)
+    def observe(self, symbol):
+        self.total += self.step(self.model, symbol)
+
+    @rule(first=_SYMBOL, second=_SYMBOL, go_on_with_copy=st.booleans())
+    def fork(self, first, second, go_on_with_copy):
+        """A copy and its original share no state: a step on either
+        leaves the other's snapshot, and predictions, as they were."""
+        model = self.model
+        text, row = model.to_text(), model.next_symbol_logprobs().tolist()
+        clone = model.copy()
+        on_copy = self.step(clone, first)
+        assert model.to_text() == text
+        assert model.next_symbol_logprobs().tolist() == row
+        clone_text = clone.to_text()
+        on_original = self.step(model, second)
+        assert clone.to_text() == clone_text
+        if go_on_with_copy:
+            self.model, self.total = clone, self.total + on_copy
+        else:
+            self.total += on_original
+
+    @rule(symbol=_SYMBOL)
+    def reload(self, symbol):
+        """A reload continues byte-identically."""
+        text = self.model.to_text()
+        loaded = VmmModel.from_text(text)
+        assert loaded.to_text() == text
+        went = self.step(self.model, symbol)
+        assert self.step(loaded, symbol) == went
+        assert loaded.to_text() == self.model.to_text()
+        self.model, self.total = loaded, self.total + went
+
+    @rule(seq=st.lists(_SYMBOL, max_size=6))
+    def score(self, seq):
+        """Scoring and predicting change nothing."""
+        text = self.model.to_text()
+        assert np.isfinite(self.model.sequence_logprob([s % self.alphabet for s in seq]))
+        assert np.all(np.isfinite(self.model.next_symbol_logprobs()))
+        assert self.model.to_text() == text
+
+    @rule(bad=_NOT_A_SYMBOL, seq=st.lists(_SYMBOL, max_size=3))
+    def refuse(self, bad, seq):
+        """A symbol outside the alphabet raises and changes nothing,
+        whether observed or met part-way through a scored sequence."""
+        text = self.model.to_text()
+        with pytest.raises(CoverModelError):
+            self.model.observe(bad)
+        with pytest.raises(CoverModelError):
+            self.model.sequence_logprob([s % self.alphabet for s in seq] + [bad])
+        assert self.model.to_text() == text
+
+    @invariant()
+    def returns_are_the_evidence(self):
+        post = self.model.posterior
+        assert post.log_evidence == self.total
+        assert post.log_marginal_likelihood() == pytest.approx(self.total, rel=1e-9, abs=0.0)
+
+
+TestVmmMachine = VmmMachine.TestCase
+TestVmmMachine.settings = settings(
+    max_examples=60, stateful_step_count=30, derandomize=True, database=None, deadline=None
+)

@@ -264,6 +264,17 @@ class TestSnapshot:
         with pytest.raises(BadConfig):
             VmmModel.from_text(json.dumps(meta) + "\n" + rest)
 
+    @pytest.mark.parametrize("key", ["depth", "alphabet_size"])
+    def test_an_infinite_header_size_is_refused(self, key):
+        """It raised ``OverflowError``, which no caller expects."""
+        m = VmmModel(alphabet_size=2, depth=3)
+        m.fit_sequence([0, 1, 1, 0])
+        head, _, rest = m.to_text().partition("\n")
+        meta = json.loads(head)
+        meta[key] = math.inf
+        with pytest.raises(BadConfig, match="whole number"):
+            VmmModel.from_text(json.dumps(meta) + "\n" + rest)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("key", ["log_m", "log_trunc", "log_evidence"])
     def test_a_log_number_that_is_not_finite_is_refused(self, key, value):
