@@ -119,13 +119,13 @@ class CdeModel:
             on_outside=config.on_outside,
         )
         self.posterior = CoverModelPosterior(
-            cover, self._make_local, depth_weight=config.depth_weight
+            cover, self._make_local(), depth_weight=config.depth_weight
         )
 
     def _make_local(self):
-        """The posterior's fresh local, whose ``spawn`` makes every
-        context's. The Normal-Wishart prior mean is the y box's centre,
-        or 0 without one."""
+        """The posterior's prior, an empty local whose ``spawn`` makes
+        every context's. The Normal-Wishart prior mean is the y box's
+        centre, or 0 without one."""
         cfg = self.config
         if cfg.y_lower is not None and cfg.y_upper is not None:
             mu0 = Box(cfg.y_lower, cfg.y_upper).center
@@ -223,7 +223,7 @@ class CdeModel:
             raise BadConfig(f"malformed cde snapshot header: {exc!r}") from exc
         obj = cls.__new__(cls)
         obj.config = config.validate()
-        obj.posterior = post = CoverModelPosterior.from_text(rest, obj._make_local)
+        obj.posterior = post = CoverModelPosterior.from_text(rest, obj._make_local())
         cover = post.cover
         if not isinstance(cover, KdTreeCover):
             raise BadConfig("a cde snapshot must hold a kd cover")
@@ -241,7 +241,7 @@ class CdeModel:
         y = next((ys[0] for _, ys in cover.leaf_ys() if ys), None)
         if y is not None and len(y) != y_dim:
             raise BadConfig(f"buffered y {list(y)} has length {len(y)}, expected {y_dim}")
-        prior = post._fresh
+        prior = post.prior
         if isinstance(prior, MixtureLocal):
             for cid, local in enumerate(post.local):
                 if local.log_w != prior.log_w and not any(c.n_seen for c in local.components):

@@ -172,11 +172,9 @@ class CoverSequence:
 
     def __init__(self):
         self.contexts: dict[int, Context] = {}
-        self._next_cid = 0
 
     def _new_context(self, depth, region, parent=None) -> Context:
-        cid = self._next_cid
-        self._next_cid += 1
+        cid = len(self.contexts)  # no context is ever removed
         ctx = Context(cid, depth, region, parent)
         self.contexts[cid] = ctx
         if parent is not None:

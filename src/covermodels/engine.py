@@ -50,7 +50,7 @@ still in force, and only after that are m, trunc and lambda committed.
 
 Growth comes in two flavours. Covers that report ``replay`` (kd trees)
 hand back the buffered block of each new child so its state is rebuilt
-as if the child had always existed: the child's fresh local absorbs
+as if the child had always existed: the child's new local absorbs
 the block in one ``absorb_block`` call, whose closed-form block
 marginal is the child's ``log_m``. Every local is exchangeable, so
 that is the product of the block's sequential predictives, up to
@@ -58,20 +58,20 @@ rounding. The buffered ys passed ``prepare`` when they were absorbed,
 so a replay prepares nothing. Covers that report ``truncate``
 (suffix trees) materialise contexts lazily; a chain that ends above
 the maximum depth leaves a truncation factor behind and predictions
-mix in a virtual continuation drawn from a fresh local model.
+mix in a virtual continuation drawn from the prior.
 
-One prior serves every context. The local factory takes no arguments
-and is called once per posterior: its product is kept empty and serves
-as the fresh local, whose ``spawn`` makes every context's local and
-whose ``load`` every loaded context's, so they all share its checked
-prior. It is also the one place y is prepared (checked, and routed
-through a tree density's partition) for every local on the path.
+One prior serves every context. The posterior is given an empty local,
+its ``prior``, and never changes it, so one prior may serve several
+posteriors. Every context's local is the prior's ``spawn`` and every
+loaded context's its ``load``, so they all share its checked prior. It
+is also the one place y is prepared (checked, and routed through a
+tree density's partition) for every local on the path.
 
 A snapshot (format version 4) holds only what the data do not give
 back: per context its stop weight, ``log_m``, ``log_trunc`` and local
 counts and sums, plus the cover's split records and buffered points. A
 tree density stores its prior alone. A kd cover's load routes every
-buffered y once (the fresh local's ``prepare_block``), then visits each
+buffered y once (the prior's ``prepare_block``), then visits each
 context once, children first (``_rebuild``): it checks the local's
 counts against the points under the context and lays its tree out from
 its children's (``refill``); ``_refresh_lambda`` then recomputes
@@ -139,38 +139,30 @@ class CoverModelPosterior:
     ----------
     cover : CoverSequence
         Context structure. May grow while absorbing.
-    local_factory : callable () -> local model
-        Called once, with no arguments, on construction and on
-        ``from_text``: builds the fresh local, the model's one prior. A
-        local offers ``prepare(y)``, ``log_predictive(py)``,
-        ``update(py)``, ``sample(rng)`` and ``spawn()``, on a kd cover
-        ``absorb_block(ys)``, and for a snapshot ``state_dict()`` and
-        ``load(state)`` (see ``local.py``). The fresh local stays
-        empty: every context's local is its
-        ``spawn()``, and it is the virtual continuation past a
-        truncated path and the prior a snapshot's records are loaded
-        against (``local_from_state``). Its ``prepare`` checks y,
-        and routes it through a tree density's partition, once per
-        absorb and per queried y, and every local on the path reads that
-        one prepared y. A kd cover's replayed block goes to a new
-        context's ``absorb_block`` as buffered, unprepared.
+    prior : local model
+        An empty local, the model's one prior, kept as ``prior`` and
+        never changed. A local offers ``prepare(y)``,
+        ``log_predictive(py)``, ``update(py)``, ``sample(rng)`` and
+        ``spawn()``, on a kd cover ``absorb_block(ys)``, and for a
+        snapshot ``state_dict()`` and ``load(state)`` (see
+        ``local.py``). Every context's local is its ``spawn()``, and it
+        is the virtual continuation past a truncated path and the prior
+        a snapshot's records are loaded against (``local_from_state``).
+        Its ``prepare`` checks y, and routes it through a tree
+        density's partition, once per absorb and per queried y, and
+        every local on the path reads that one prepared y. A kd cover's
+        replayed block goes to a new context's ``absorb_block`` as
+        buffered, unprepared.
     depth_weight : str
         Prior stop weight rule, see ``parse_depth_weight``. Its weights
         at depth 1 and at the cover's ``max_depth`` must lie in (0, 1];
         both rules are monotone in depth, so every depth's does.
     """
 
-    def __init__(self, cover, local_factory, depth_weight="const:0.5"):
-        self.cover = cover
-        self.local_factory = local_factory
-        self._set_depth_weight(depth_weight)
-        for name in _COLUMNS:
-            setattr(self, name, [])
-        self.n_obs = 0
-        self.log_evidence = 0.0
-        self._fresh = local_factory()
+    def __init__(self, cover, prior, depth_weight="const:0.5"):
+        self._setup(cover, prior, depth_weight)
         for ctx in cover.contexts.values():  # in id order
-            self._append_state(self._fresh.spawn(), self._w0_fn(ctx.depth))
+            self._append_state(prior.spawn(), self._w0_fn(ctx.depth))
         self._refresh_all()
 
     def copy(self) -> "CoverModelPosterior":
@@ -180,8 +172,8 @@ class CoverModelPosterior:
 
         It holds ``cover.copy()``, a slice of each float column and
         ``local.copy()`` of every context's local; ``n_obs`` and
-        ``log_evidence`` are numbers. It shares the local factory, the
-        stop weight rule and the fresh local, which nothing changes.
+        ``log_evidence`` are numbers. It shares the prior and the stop
+        weight rule, which nothing changes.
         """
         obj = copy.copy(self)
         obj.cover = self.cover.copy()
@@ -192,15 +184,23 @@ class CoverModelPosterior:
 
     # ---- state management -------------------------------------------------
 
-    def _set_depth_weight(self, spec):
-        """Take the stop weight rule ``spec``, refusing one whose weight
-        at depth 1 or at the cover's ``max_depth`` is outside (0, 1], so
-        no context the cover can make gets such a weight."""
-        self.depth_weight_spec, self._w0_fn = parse_depth_weight(spec)
-        for depth in (1, self.cover.max_depth):
+    def _setup(self, cover, prior, depth_weight, n_obs=0, log_evidence=0.0):
+        """Set what construction and a load share: the cover, the prior,
+        the stop weight rule, empty columns and the counters. Refuses a
+        rule whose weight at depth 1 or at the cover's ``max_depth`` is
+        outside (0, 1], so no context the cover can make gets such a
+        weight."""
+        self.cover = cover
+        self.prior = prior
+        self.depth_weight_spec, self._w0_fn = parse_depth_weight(depth_weight)
+        for depth in (1, cover.max_depth):
             w0 = float(self._w0_fn(depth))
             if not 0.0 < w0 <= 1.0:
                 raise BadConfig(f"stop weight {w0} at depth {depth} not in (0, 1]")
+        for name in _COLUMNS:
+            setattr(self, name, [])
+        self.n_obs = n_obs
+        self.log_evidence = log_evidence
 
     def _append_state(self, local, w0, log_m=0.0, log_trunc=0.0):
         """Append the state of the context made next, the one whose id
@@ -313,7 +313,7 @@ class CoverModelPosterior:
         """Log predictive of the virtual continuation past a truncated
         path (see ``_truncated``) at the prepared y ``py``, else None."""
         if self._truncated(path):
-            return self._fresh.log_predictive(py)
+            return self.prior.log_predictive(py)
         return None
 
     def _phi(self, path, logpi, virtual):
@@ -363,7 +363,7 @@ class CoverModelPosterior:
         locals_ = [self.local[cid] for cid in path]
         out = []
         for y in ys:
-            py = self._fresh.prepare(y)
+            py = self.prior.prepare(y)
             logpi = [local.log_predictive(py) for local in locals_]
             out.append((logpi, self._phi(path, logpi, self._virtual(path, py))))
         return path, out
@@ -415,7 +415,7 @@ class CoverModelPosterior:
         xq = cover.prepare_query(x)
         path = cover.match_levels(xq)
         locals_, log_m = self.local, self.log_m
-        py = self._fresh.prepare(y)
+        py = self.prior.prepare(y)
         # prepare checked y, and a local rejects a y outside its support
         # before it changes; the locals of one model share one support,
         # so only the first update can reject y, before anything changed
@@ -424,7 +424,7 @@ class CoverModelPosterior:
             # a new context's parent exists, so new ones extend the path
             path, made = cover.extend(xq, path)
             for cid in made:
-                local = self._fresh.spawn()
+                local = self.prior.spawn()
                 self._append_state(local, self._w0_fn(cover.contexts[cid].depth))
                 logpi.append(local.update(py))
         # the stop posteriors read here change only below
@@ -438,7 +438,7 @@ class CoverModelPosterior:
         if cover.growth_mode == "replay":
             for _, kids in cover.observe_and_refine(xq, y, path[-1]):
                 for cid, block in kids:
-                    local = self._fresh.spawn()
+                    local = self.prior.spawn()
                     w0 = self._w0_fn(cover.contexts[cid].depth)
                     self._append_state(local, w0, local.absorb_block([yb for _, yb in block]))
                     new.append(cid)
@@ -463,7 +463,7 @@ class CoverModelPosterior:
                 return locals_[cid].sample(rng)
         cid = path[-1]
         if self._truncated(path) and rng.uniform() >= math.exp(log_g[cid]):
-            return self._fresh.sample(rng)
+            return self.prior.sample(rng)
         return locals_[cid].sample(rng)
 
     # ---- persistence ------------------------------------------------------
@@ -499,12 +499,12 @@ class CoverModelPosterior:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text, local_factory):
+    def from_text(cls, text, prior):
         """Rebuild a posterior from ``to_text`` output, format version 4
         or 3.
 
-        The local factory is not serialised and must be supplied again.
-        On a kd cover one children-first pass over the contexts checks
+        The prior is not serialised and must be supplied again: an
+        empty local, which the posterior keeps as ``prior``. On a kd cover one children-first pass over the contexts checks
         each local's counts, lays its tree density out from the ys
         buffered under it and recomputes ``log_lambda`` and the stop
         pair, all bit for bit.
@@ -512,7 +512,7 @@ class CoverModelPosterior:
         Raises ``BadConfig`` on a snapshot of another version, or one
         whose structure does not hold together: the checks of the
         cover's ``from_state`` and the locals' ``load``, among them that
-        every context's local has the prior of the factory's, one state
+        every context's local has the prior of ``prior``, one state
         record for each context and for no other, in id order as
         ``to_text`` writes them, a stop weight rule whose weights at
         depth 1 and at the cover's ``max_depth`` lie in (0, 1], and
@@ -537,21 +537,20 @@ class CoverModelPosterior:
             version = meta.get("version")
             if version not in _LOADABLE_VERSIONS:
                 raise BadConfig(f"unsupported snapshot version {version!r}")
-            return cls._load(meta, lines[1:], local_factory)
+            return cls._load(meta, lines[1:], prior)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BadConfig(f"malformed snapshot: {exc!r}") from exc
 
     @classmethod
-    def _load(cls, meta, records, local_factory):
+    def _load(cls, meta, records, prior):
         obj = cls.__new__(cls)
-        obj.cover = cover_from_state(meta["cover"])
-        obj.local_factory = local_factory
-        obj._set_depth_weight(meta["depth_weight"])
-        obj.n_obs = int(meta["n_obs"])
-        obj.log_evidence = float(meta["log_evidence"])
-        obj._fresh = fresh = local_factory()
-        for name in _COLUMNS:
-            setattr(obj, name, [])
+        obj._setup(
+            cover_from_state(meta["cover"]),
+            prior,
+            meta["depth_weight"],
+            int(meta["n_obs"]),
+            float(meta["log_evidence"]),
+        )
         n = len(obj.cover.contexts)  # numbered 0 .. n - 1
         # one parse for every record is faster than one per line
         for cid, rec in enumerate(json.loads("[" + ",".join(records) + "]")):
@@ -563,7 +562,7 @@ class CoverModelPosterior:
             w0 = float(rec["w0"])
             if not 0.0 < w0 <= 1.0:
                 raise BadConfig(f"stop weight {w0} of context {cid} not in (0, 1]")
-            local = local_from_state(rec["local"], fresh)
+            local = local_from_state(rec["local"], prior)
             obj._append_state(local, w0, float(rec["log_m"]), float(rec["log_trunc"]))
         # no model writes a log_evidence that is not finite
         if not all(map(math.isfinite, chain([obj.log_evidence], obj.log_m, obj.log_trunc))):
@@ -577,7 +576,7 @@ class CoverModelPosterior:
         """Raise ``BadConfig`` if a local holds state that a snapshot
         leaves out, a tree density's, and the cover keeps no buffers to
         rebuild it from."""
-        if self.cover.growth_mode != "replay" and prepare_block(self._fresh, []) is not None:
+        if self.cover.growth_mode != "replay" and prepare_block(self.prior, []) is not None:
             raise BadConfig("a snapshot rebuilds tree densities from a kd cover's buffers")
 
     def _rebuild(self):
@@ -585,9 +584,9 @@ class CoverModelPosterior:
         its context, then set what the records leave out.
 
         A kd cover's leaf buffers must hold ``n_obs`` ys, each finite:
-        every one passed the fresh local's ``prepare`` when it was
-        absorbed, and the next split replays it. The fresh local
-        prepares them all at once; then one pass, children first, takes
+        every one passed the prior's ``prepare`` when it was absorbed,
+        and the next split replays it. The prior prepares them all at
+        once; then one pass, children first, takes
         each context's points (its leaf's slice of the block, or its
         children's), checks its local's counts and refills it, and
         ``_refresh_lambda`` runs over the same order. Elsewhere the
@@ -612,7 +611,7 @@ class CoverModelPosterior:
         if not all(map(math.isfinite, chain.from_iterable(ys))):
             bad = next(y for y in ys if not all(map(math.isfinite, y)))
             raise BadConfig(f"buffered y {list(bad)} is not finite")
-        block = prepare_block(self._fresh, ys)
+        block = prepare_block(self.prior, ys)
         contexts, done = cover.contexts, {}
         order = range(len(locals_) - 1, -1, -1)  # children first
         for cid in order:

@@ -26,18 +26,21 @@ class EvalRecord:
     seed: int
 
 
-def default_checkpoints(n, start_exp=2.0, step=0.5):
+_CHECKPOINT_START_EXP, _CHECKPOINT_STEP = 2.0, 0.5  # 10**2, 10**2.5, ...
+
+
+def default_checkpoints(n):
     """10**2, 10**2.5, ... capped at n; always ends with n."""
     if n < 1:
         raise BadConfig("need at least one training point")
     out = []
-    e = start_exp
+    e = _CHECKPOINT_START_EXP
     while True:
         t = int(round(10.0**e))
         if t > n:
             break
         out.append(t)
-        e += step
+        e += _CHECKPOINT_STEP
     if not out or out[-1] != n:
         out.append(n)
     return out

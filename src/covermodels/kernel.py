@@ -18,6 +18,8 @@ import numpy as np
 from .errors import BadConfig, DegenerateData, ZeroDenominator
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# the bandwidth grid's ends, as multiples of each space's rms deviation
+_GRID_LO, _GRID_HI = 0.01, 10.0
 
 
 def _sqdist(a, b):
@@ -121,13 +123,11 @@ def fit_cv(
     y,
     n_folds=10,
     grid_size=9,
-    grid_lo=0.01,
-    grid_hi=10.0,
     subsample_cap=2000,
 ):
     """Pick bandwidths by cross validation, fit on everything.
 
-    The grid is geometric on [grid_lo, grid_hi] times the rms standard
+    The grid is geometric on [0.01, 10] times the rms standard
     deviation of each space. For selection the data is capped to
     ``subsample_cap`` evenly spaced rows, deterministically; folds are
     assigned round robin by row index. Returns (model, CvReport).
@@ -155,8 +155,8 @@ def fit_cv(
     folds = min(n_folds, m)
     fold_id = np.arange(m) % folds
 
-    grid_hx = np.geomspace(grid_lo, grid_hi, grid_size) * scale_x
-    grid_hy = np.geomspace(grid_lo, grid_hi, grid_size) * scale_y
+    grid_hx = np.geomspace(_GRID_LO, _GRID_HI, grid_size) * scale_x
+    grid_hy = np.geomspace(_GRID_LO, _GRID_HI, grid_size) * scale_y
     dy = ys.shape[1]
 
     dx2 = _sqdist(xs, xs)

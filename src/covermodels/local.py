@@ -36,7 +36,8 @@ already placed their x. The shared duck type:
 * ``spawn()``: an empty local with the same prior, which shares this
   one's checked prior values and tables. Every context of one cover
   model has the same prior: the engine spawns each context's local
-  from its fresh local, so a model converts and checks its prior once.
+  from the posterior's ``prior``, so a model converts and checks its
+  prior once.
 * ``state_dict()`` / ``load(state)``: plain-data round trip, which
   ``local_from_state(state, like)`` runs as ``like.load(state)``. A
   leaf model's state extends its ``prior()``, its kind and
@@ -48,7 +49,7 @@ already placed their x. The shared duck type:
   ``BadConfig`` on a malformed record.
 * ``prepare_block(ys, skip_outside=False)`` / ``refill(block, under)``:
   how a snapshot load rebuilds what ``state_dict`` leaves out, through
-  the module's ``prepare_block``. The fresh local prepares every
+  the module's ``prepare_block``. The posterior's prior prepares every
   buffered y of the cover once; a model with nothing to rebuild
   (Normal-Wishart, Dirichlet) has no such method, or returns None, and
   then no ``refill`` is called. Each context's local then refills from
@@ -122,10 +123,6 @@ class DirichletMultinomial:
         self.counts = [0.0] * alphabet_size
         self._alpha_sum = sum(self.alpha)
         self._seen = 0.0
-
-    @property
-    def alphabet_size(self):
-        return len(self.alpha)
 
     def prepare(self, y) -> int:
         return as_symbol(y, len(self.alpha))
@@ -932,6 +929,8 @@ class BayesTreeDensity:
         otherwise, as does a y that is not ``dim`` long.
         """
         dim, n = self._dim, len(ys)
+        if len(self._lg_2a) <= n:  # sized once: no refill count exceeds n
+            self._grow_tables(n)
         pts = np.array(ys, dtype=float) if n else np.zeros((0, dim))
         if pts.shape[1:] != (dim,):
             raise BadConfig(f"buffered y {list(ys[0])} has length {len(ys[0])}, expected {dim}")
@@ -1222,7 +1221,7 @@ class MixtureLocal:
 
 def local_from_state(state, like):
     """``like.load(state)``: a local with the prior of ``like``, the
-    model's fresh local, and the learnt state of ``state``, a
+    posterior's prior, and the learnt state of ``state``, a
     ``state_dict`` record. Raises ``BadConfig`` on a record of another
     kind or prior, or a malformed one, and for a ``like`` that does not
     load."""

@@ -31,6 +31,8 @@ from .local import DirichletMultinomial
 from .logspace import logsumexp
 
 _NAMED_PRIORS = {"kt": 0.5, "laplace": 1.0}
+# the most prunings CtwOracle enumerates
+_MAX_PRUNINGS = 100000
 
 
 def _resolve_prior(prior) -> float:
@@ -68,15 +70,20 @@ class VmmModel:
         self.stop_weight = float(stop_weight)
         self.posterior = CoverModelPosterior(
             SuffixTreeCover(self.alphabet_size, self.depth),
-            self._factory(),
+            self._prior(),
             depth_weight=f"const:{self.stop_weight!r}",
         )
         # only the last depth-1 symbols are ever read
         self.history: deque = deque(maxlen=self.depth - 1)
-        self.n_seen = 0
 
-    def _factory(self):
-        return functools.partial(DirichletMultinomial, self.alphabet_size, self.concentration)
+    def _prior(self):
+        """The posterior's prior: an empty Dirichlet local."""
+        return DirichletMultinomial(self.alphabet_size, self.concentration)
+
+    @property
+    def n_seen(self) -> int:
+        """The number of symbols observed, the posterior's ``n_obs``."""
+        return self.posterior.n_obs
 
     @property
     def context(self):
@@ -89,7 +96,6 @@ class VmmModel:
         s = as_symbol(symbol, self.alphabet_size)
         lp = self.posterior.absorb(self.context, s)
         self.history.append(s)
-        self.n_seen += 1
         return lp
 
     def fit_sequence(self, seq) -> float:
@@ -131,8 +137,8 @@ class VmmModel:
         same ``maxlen``) and the posterior (``CoverModelPosterior.copy``:
         new contexts, child index, stop posteriors and Dirichlet
         counts). It shares what nothing changes: the suffix regions, the
-        Dirichlet priors, the local factory and the fresh local. It costs
-        a few list and dict copies per context.
+        Dirichlet priors and the posterior's prior. It costs a few list
+        and dict copies per context.
         """
         obj = copy.copy(self)
         obj.posterior = self.posterior.copy()
@@ -170,17 +176,17 @@ class VmmModel:
             obj.concentration = float(meta["concentration"])
             obj.stop_weight = float(meta["stop_weight"])
             history = [as_symbol(s, obj.alphabet_size) for s in meta["history_tail"]]
-            obj.n_seen = int(meta["n_seen"])
+            n_seen = int(meta["n_seen"])
         except (KeyError, TypeError, ValueError, UnknownSymbol) as exc:
             raise BadConfig(f"malformed vmm snapshot header: {exc!r}") from exc
         # the posterior checks every context's prior against the header's
-        obj.posterior = post = CoverModelPosterior.from_text(rest, obj._factory())
+        obj.posterior = post = CoverModelPosterior.from_text(rest, obj._prior())
         cover = post.cover
         if (
             not isinstance(cover, SuffixTreeCover)
             or (cover.alphabet_size, cover.max_depth) != (obj.alphabet_size, obj.depth)
-            or obj.n_seen != post.n_obs
-            or len(history) > min(obj.n_seen, obj.depth - 1)
+            or n_seen != post.n_obs
+            or len(history) > min(n_seen, obj.depth - 1)
             or post.depth_weight_spec != f"const:{obj.stop_weight!r}"
         ):
             raise BadConfig("vmm snapshot header disagrees with its posterior")
@@ -197,27 +203,22 @@ class CtwOracle:
     symbol is emitted from the deepest node the history can reach.
     """
 
-    def __init__(
-        self,
-        alphabet_size=2,
-        depth=1,
-        concentration=0.5,
-        stop_weight=0.5,
-        max_prunings=100000,
-    ):
-        if alphabet_size < 2:
-            raise BadConfig("alphabet_size must be at least 2")
-        if depth < 0:
-            raise BadConfig("depth must be nonnegative")
+    def __init__(self, alphabet_size=2, depth=1, concentration=0.5, stop_weight=0.5):
+        self.n = as_size(alphabet_size, "alphabet_size", 2)
+        self.depth = as_size(depth, "depth", 0)
         if not 0.0 < stop_weight <= 1.0:
             raise BadConfig("stop_weight must be in (0, 1]")
-        self.n = int(alphabet_size)
-        self.depth = int(depth)
         self.conc = float(concentration)
         self.w = float(stop_weight)
-        count = self._count(self.depth)
-        if count > max_prunings:
-            raise TooLargeToEnumerate(f"{count} prunings exceed cap {max_prunings}")
+        # the prunings of the tree of each depth; the count's digits double
+        # with each, so it stops at the first depth over the cap
+        count = 1
+        for k in range(1, self.depth + 1):
+            count = 1 + count**self.n
+            if count > _MAX_PRUNINGS:
+                raise TooLargeToEnumerate(
+                    f"{count} prunings at depth {k} of {self.depth} exceed cap {_MAX_PRUNINGS}"
+                )
         self.prunings = self._enumerate(())
         # the same cut sets over small ints, which hash faster than tuples
         self._ids = {}
@@ -227,11 +228,6 @@ class CtwOracle:
         self._cut_ids = [
             (frozenset(self._ids[suffix] for suffix in cut), lp) for cut, lp in self.prunings
         ]
-
-    def _count(self, remaining) -> int:
-        if remaining == 0:
-            return 1
-        return 1 + self._count(remaining - 1) ** self.n
 
     def _enumerate(self, suffix):
         """All prunings of the subtree rooted at ``suffix``.

@@ -106,12 +106,12 @@ def attach_random_engine(rng, cov, kind="dirichlet", alphabet=3, concentration=0
     ``kind`` is "dirichlet" (symbols) or "nw" (scalar y under a
     Normal-Wishart)."""
     if kind == "dirichlet":
-        factory = lambda: DirichletMultinomial(alphabet, concentration)
+        prior = DirichletMultinomial(alphabet, concentration)
         marginal = dirichlet_block_marginal(alphabet, concentration)
     else:
-        factory = lambda: NormalWishart([0.0])
+        prior = NormalWishart([0.0])
         marginal = normal_wishart_block_marginal([0.0])
-    post = CoverModelPosterior(cov, factory, depth_weight="const:0.5")
+    post = CoverModelPosterior(cov, prior, depth_weight="const:0.5")
     w0 = {}
     for cid in cov.contexts:
         w = float(rng.uniform(0.05, 0.95))

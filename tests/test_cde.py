@@ -15,6 +15,7 @@ from covermodels import (
     Box,
     CdeConfig,
     CdeModel,
+    CtwOracle,
     DirichletMultinomial,
     KdTreeCover,
     MixtureLocal,
@@ -82,6 +83,9 @@ _UNUSABLE = {
     "vmm-depth-inf": lambda: VmmModel(2, math.inf),
     "vmm-depth-fractional": lambda: VmmModel(2, 2.5),
     "vmm-alphabet-fractional": lambda: VmmModel(2.5, 3),
+    "ctw-alphabet-fractional": lambda: CtwOracle(2.5, 1),
+    "ctw-depth-fractional": lambda: CtwOracle(2, 1.5),
+    "ctw-depth-inf": lambda: CtwOracle(2, math.inf),
     "tree-max-depth-fractional": lambda: BayesTreeDensity([0.0], [1.0], max_depth=1.5),
     "cde-mixture-weight-negative": lambda: CdeConfig(
         mixture_weights=[-1.0, 2.0], **_UNIT
@@ -440,6 +444,22 @@ class TestSnapshot:
 
 
 class TestConfigPaths:
+    def test_stop_weight_one_predicts_the_root_local(self):
+        """At stop weight 1 every walk stops at the root, whose log(1 -
+        w0) is log1mexp(0) = -inf: a prediction is the root local's
+        predictive, bit for bit, before and after a reload."""
+        model, ds = small_model(n=200, depth_weight="const:1.0")
+        model.fit_stream(ds.x[:150], ds.y[:150])
+        assert model.n_contexts > 1
+        loaded = CdeModel.from_text(model.to_text())
+        assert loaded.to_text() == model.to_text()
+        post = model.posterior
+        root = post.local[post.cover.root_id]
+        for x, y in zip(ds.x[150:], ds.y[150:]):
+            want = root.log_predictive(post.prior.prepare(y))
+            assert model.predict_logdensity(x, y) == want
+            assert loaded.predict_logdensity(x, y) == want
+
     def test_mixture_weights_set_the_prior_and_survive_a_snapshot(self):
         model, ds = small_model(n=120, mixture_weights=[3.0, 1.0])
         root = model.posterior.local[model.posterior.cover.root_id]

@@ -131,7 +131,34 @@ class TestFitEval:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+    def test_kernel_cde(self, mix_files, tmp_path):
+        train, hold = mix_files
+        out = tmp_path / "k.csv"
+        assert run("fit-eval", "--method", "kernel-cde", "--train", train,
+                   "--holdout", hold, "--out", out, "--set", "n_folds=3",
+                   "--checkpoints", "100,200", "--no-timing") == 0
+        recs = read_records_csv(out)
+        assert [r.t for r in recs] == [100, 200]
+        assert all(np.isfinite(r.loss) for r in recs)
+
+    def test_an_unknown_kernel_cde_option_exits_2(self, mix_files, tmp_path, capsys):
+        train, hold = mix_files
+        assert run("fit-eval", "--method", "kernel-cde", "--train", train,
+                   "--holdout", hold, "--out", tmp_path / "k.csv",
+                   "--set", "grid_lo=0.1") == 2
+        assert capsys.readouterr().err == "error: unknown kernel-cde option(s): ['grid_lo']\n"
+
+
 class TestCompare:
+    def test_default_methods(self, mix_files, tmp_path):
+        train, hold = mix_files
+        out = tmp_path / "cmp.csv"
+        assert run("compare", "--train", train, "--holdout", hold, "--out", out,
+                   "--checkpoints", "200", "--no-timing") == 0
+        recs = read_records_csv(out)
+        assert [r.method for r in recs] == ["cover-cde", "kernel-cde", "global-nw"]
+        assert all(np.isfinite(r.loss) for r in recs)
+
     def test_multiple_methods_one_csv(self, mix_files, tmp_path):
         train, hold = mix_files
         out = tmp_path / "cmp.csv"
@@ -153,6 +180,13 @@ class TestScore:
         text = capsys.readouterr().out
         diff = [l for l in text.splitlines() if l.startswith("difference=")]
         assert diff and abs(float(diff[0].split("=")[1])) < 1e-9
+
+    def test_an_oracle_too_large_to_enumerate_exits_1(self, tmp_path, capsys):
+        seq = tmp_path / "seq.txt"
+        seq.write_text("0 1 1 0\n")
+        assert run("score", "--file", seq, "--depth", 7, "--oracle") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "at depth 5 of 6 exceed cap 100000" in err
 
     @pytest.mark.parametrize("flag", [None, "--train", "--holdout"])
     def test_a_symbol_outside_the_alphabet_exits_2(self, flag, tmp_path, capsys):

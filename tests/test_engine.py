@@ -158,8 +158,8 @@ class TestReplayGrowth:
         """Splits triggered by data must look as if they always existed."""
         rng = np.random.default_rng(3)
         cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0, max_depth=5)
-        factory = lambda: DirichletMultinomial(2, 0.5)
-        post = CoverModelPosterior(cov, factory, depth_weight="2^-k")
+        prior = DirichletMultinomial(2, 0.5)
+        post = CoverModelPosterior(cov, prior, depth_weight="2^-k")
         data = []
         for i in range(40):
             x = rng.uniform(0, 1, size=1)
@@ -187,7 +187,7 @@ class TestReplayGrowth:
         prior = dict(kappa0=0.7, nu0=y_dim + 1.5, scale=0.3 * np.eye(y_dim) + 0.1)
         mu0 = [0.2] * y_dim
         cov = KdTreeCover(Box([0.0, 0.0], [1.0, 1.0]), alpha=1.5, max_depth=5)
-        post = CoverModelPosterior(cov, lambda: NormalWishart(mu0, **prior), depth_weight="2^-k")
+        post = CoverModelPosterior(cov, NormalWishart(mu0, **prior), depth_weight="2^-k")
         data = []
         for i in range(40):
             x = rng.uniform(0, 1, size=2)
@@ -215,7 +215,7 @@ class TestReplayGrowth:
         )
         rng = np.random.default_rng(8)
         cov = KdTreeCover(Box([0.0, 0.0], [1.0, 1.0]), alpha=2.0, max_depth=6)
-        post = CoverModelPosterior(cov, lambda: DirichletMultinomial(2, 0.5))
+        post = CoverModelPosterior(cov, DirichletMultinomial(2, 0.5))
         for _ in range(50):
             post.absorb(rng.uniform(0, 1, size=2), int(rng.integers(2)))
         assert len(calls) == 50
@@ -237,7 +237,7 @@ class TestRefreshAfterAbsorb:
         rng = np.random.default_rng(6)
         cov = KdTreeCover(Box([0.0, 0.0], [1.0, 1.0]), alpha=1.2, max_depth=12)
         post = CoverModelPosterior(
-            cov, lambda: DirichletMultinomial(2, 0.5), depth_weight="2^-k"
+            cov, DirichletMultinomial(2, 0.5), depth_weight="2^-k"
         )
         jumps = []
         for _ in range(60):
@@ -279,18 +279,18 @@ class TestKeptStopPairs:
     def test_kd_replay_splits_and_load(self, seed, n, cut):
         rng = np.random.default_rng(seed)
         cov = KdTreeCover(Box([0.0, 0.0], [1.0, 1.0]), alpha=1.5, max_depth=8)
-        factory = lambda: DirichletMultinomial(2, 0.5)
-        post = CoverModelPosterior(cov, factory, depth_weight="2^-k")
+        prior = DirichletMultinomial(2, 0.5)
+        post = CoverModelPosterior(cov, prior, depth_weight="2^-k")
         _assert_stop_pairs_kept(post)
         stream = [(rng.uniform(0.0, 1.0, size=2), int(rng.integers(2))) for _ in range(n)]
         for i, (x, y) in enumerate(stream):
             if i == cut:
                 # a loaded copy keeps the same pairs, and continues to
-                post = CoverModelPosterior.from_text(post.to_text(), factory)
+                post = CoverModelPosterior.from_text(post.to_text(), prior)
                 _assert_stop_pairs_kept(post)
             post.absorb(x, y)
             _assert_stop_pairs_kept(post)
-        loaded = CoverModelPosterior.from_text(post.to_text(), factory)
+        loaded = CoverModelPosterior.from_text(post.to_text(), prior)
         _assert_same_stop_pairs(post, loaded)
 
     @given(
@@ -335,12 +335,12 @@ class TestSnapshot:
     def test_text_round_trip_continues_exactly(self):
         rng = np.random.default_rng(31)
         cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0, max_depth=6)
-        factory = lambda: DirichletMultinomial(2, 0.5)
-        post = CoverModelPosterior(cov, factory, depth_weight="2^-k")
+        prior = DirichletMultinomial(2, 0.5)
+        post = CoverModelPosterior(cov, prior, depth_weight="2^-k")
         for _ in range(30):
             post.absorb(rng.uniform(0, 1, size=1), int(rng.integers(2)))
         text = post.to_text()
-        clone = CoverModelPosterior.from_text(text, factory)
+        clone = CoverModelPosterior.from_text(text, prior)
         assert clone.n_obs == post.n_obs
         assert clone.log_evidence == post.log_evidence
         for _ in range(15):
@@ -356,8 +356,8 @@ class TestSnapshot:
         re-save as 4."""
         rng = np.random.default_rng(4)
         cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0, max_depth=6)
-        factory = lambda: DirichletMultinomial(2, 0.5)
-        post = CoverModelPosterior(cov, factory, depth_weight="2^-k")
+        prior = DirichletMultinomial(2, 0.5)
+        post = CoverModelPosterior(cov, prior, depth_weight="2^-k")
         for _ in range(20):
             post.absorb(rng.uniform(0, 1, size=1), int(rng.integers(2)))
         text = post.to_text()
@@ -365,7 +365,7 @@ class TestSnapshot:
         assert json.loads(meta)["version"] == 4
         old = json.dumps({**json.loads(meta), "version": 3}, sort_keys=True) + "\n" + rest
         for saved in (text, old):
-            clone = CoverModelPosterior.from_text(saved, factory)
+            clone = CoverModelPosterior.from_text(saved, prior)
             assert clone.to_text() == text
             for cid, lam in enumerate(post.log_lambda):
                 assert clone.log_lambda[cid] == lam
@@ -375,7 +375,7 @@ class TestSnapshot:
                 del head["version"]
             other = json.dumps(head, sort_keys=True) + "\n" + rest
             with pytest.raises(BadConfig, match="unsupported snapshot version"):
-                CoverModelPosterior.from_text(other, factory)
+                CoverModelPosterior.from_text(other, prior)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_static_tree_reloads_every_log_lambda_bit_for_bit(self, seed):
@@ -384,25 +384,25 @@ class TestSnapshot:
         rng = np.random.default_rng(seed)
         cov = KdTreeCover(Box([0.0], [1.0]), alpha=math.inf, max_depth=6)
         cov.split_leaf(cov.split_leaf(cov.root_id)[1])
-        factory = lambda: DirichletMultinomial(2, 0.5)
+        prior = DirichletMultinomial(2, 0.5)
         w0 = float(rng.uniform(0.05, 0.95))
-        post = CoverModelPosterior(cov, factory, depth_weight=f"const:{w0!r}")
+        post = CoverModelPosterior(cov, prior, depth_weight=f"const:{w0!r}")
         for _ in range(3):
             post.absorb([rng.uniform(0.0, 0.5)], int(rng.integers(2)))
-        clone = CoverModelPosterior.from_text(post.to_text(), factory)
+        clone = CoverModelPosterior.from_text(post.to_text(), prior)
         for cid, lam in enumerate(post.log_lambda):
             assert clone.log_lambda[cid] == lam
 
     def test_infinite_alpha_never_splits_and_round_trips(self):
         rng = np.random.default_rng(21)
         cov = KdTreeCover(Box([0.0], [1.0]), alpha=math.inf, max_depth=6)
-        factory = lambda: DirichletMultinomial(2, 0.5)
-        post = CoverModelPosterior(cov, factory, depth_weight="2^-k")
+        prior = DirichletMultinomial(2, 0.5)
+        post = CoverModelPosterior(cov, prior, depth_weight="2^-k")
         for _ in range(50):
             post.absorb(rng.uniform(0, 1, size=1), int(rng.integers(2)))
         assert cov.n_contexts == 1 and cov.occupancy(cov.root_id) == 50
         text = post.to_text()
-        clone = CoverModelPosterior.from_text(text, factory)
+        clone = CoverModelPosterior.from_text(text, prior)
         assert clone.to_text() == text
         for _ in range(10):
             x, y = rng.uniform(0, 1, size=1), int(rng.integers(2))
@@ -414,15 +414,15 @@ class TestSnapshot:
         carry it in their header; it is ignored."""
         rng = np.random.default_rng(22)
         cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0, max_depth=6)
-        factory = lambda: DirichletMultinomial(2, 0.5)
-        post = CoverModelPosterior(cov, factory, depth_weight="2^-k")
+        prior = DirichletMultinomial(2, 0.5)
+        post = CoverModelPosterior(cov, prior, depth_weight="2^-k")
         for _ in range(30):
             post.absorb(rng.uniform(0, 1, size=1), int(rng.integers(2)))
         text = post.to_text()
         meta, _, rest = text.partition("\n")
         assert "grow" not in json.loads(meta)
         old = json.dumps({**json.loads(meta), "grow": True}, sort_keys=True) + "\n" + rest
-        clone = CoverModelPosterior.from_text(old, factory)
+        clone = CoverModelPosterior.from_text(old, prior)
         assert clone.to_text() == text
         for cid, lam in enumerate(post.log_lambda):
             assert clone.log_lambda[cid] == lam
@@ -459,26 +459,21 @@ class TestOnePrior:
     def test_every_local_shares_the_fresh_locals_prior(self, monkeypatch):
         """Every context's local, after a CDE stream that splits, after a
         VMM stream and after a load, holds the very prior objects of
-        the fresh local, and the local factory is called once per
+        the posterior's ``prior``, and a model builds its prior once per
         posterior: on construction and on ``from_text``."""
         calls = []
-        make_cde, make_vmm = CdeModel._make_local, VmmModel._factory
+        make_cde, make_vmm = CdeModel._make_local, VmmModel._prior
 
-        def cde_factory(self):
+        def cde_prior(self):
             calls.append("cde")
             return make_cde(self)
 
-        def vmm_factory(self):
-            make = make_vmm(self)
+        def vmm_prior(self):
+            calls.append("vmm")
+            return make_vmm(self)
 
-            def counted():
-                calls.append("vmm")
-                return make()
-
-            return counted
-
-        monkeypatch.setattr(CdeModel, "_make_local", cde_factory)
-        monkeypatch.setattr(VmmModel, "_factory", vmm_factory)
+        monkeypatch.setattr(CdeModel, "_make_local", cde_prior)
+        monkeypatch.setattr(VmmModel, "_prior", vmm_prior)
         rng = np.random.default_rng(7)
         cde = new_cde([0.0], [1.0], [0.0], [1.0], tree_max_depth=6)
         for x, y in rng.uniform(size=(80, 2)):
@@ -490,12 +485,13 @@ class TestOnePrior:
         loaded = [CdeModel.from_text(cde.to_text()), VmmModel.from_text(vmm.to_text())]
         assert calls == ["cde", "vmm", "cde", "vmm"]
         for model in [cde, vmm, *loaded]:
-            fresh = model.posterior._fresh
-            want = _prior_objects(fresh)
+            prior = model.posterior.prior
+            assert not any(c.n_seen for c in getattr(prior, "components", [prior]))
+            want = _prior_objects(prior)
             assert len(want) in (1, 6)
             for local in model.posterior.local:
                 got = _prior_objects(local)
-                assert local is not fresh and len(got) == len(want)
+                assert local is not prior and len(got) == len(want)
                 assert all(a is b for a, b in zip(got, want))
 
 

@@ -111,21 +111,17 @@ def test_the_loads_rebuilt_trees_equal_the_saved_models(components, y_dim, max_d
 
 @pytest.mark.parametrize("kind", ["tree", "mixture"])
 def test_an_engine_with_tree_locals_round_trips(kind):
-    """The rebuild belongs to the engine, so a posterior with any local
-    factory on a kd cover loads its trees, not only a ``CdeModel``."""
-
-    def factory():
-        tree = BayesTreeDensity([0.0, 0.0], [1.0, 1.0], gamma=0.3, max_depth=9)
-        if kind == "tree":
-            return tree
-        return MixtureLocal([NormalWishart([0.5, 0.5]), tree], [0.2, -0.2])
-
+    """The rebuild belongs to the engine, so a posterior with any prior
+    on a kd cover loads its trees, not only a ``CdeModel``."""
+    prior = BayesTreeDensity([0.0, 0.0], [1.0, 1.0], gamma=0.3, max_depth=9)
+    if kind == "mixture":
+        prior = MixtureLocal([NormalWishart([0.5, 0.5]), prior], [0.2, -0.2])
     rng = np.random.default_rng(3)
-    post = CoverModelPosterior(KdTreeCover(Box([0.0], [1.0]), alpha=1.5), factory)
+    post = CoverModelPosterior(KdTreeCover(Box([0.0], [1.0]), alpha=1.5), prior)
     for x, y in zip(rng.uniform(size=(300, 1)), rng.beta(2.0, 5.0, size=(300, 2))):
         post.absorb(x, y)
     text = post.to_text()
-    loaded = CoverModelPosterior.from_text(text, factory)
+    loaded = CoverModelPosterior.from_text(text, prior)
     assert loaded.to_text() == text
     assert_same_trees(post, loaded)
     for x, y in zip(rng.uniform(size=(20, 1)), rng.uniform(size=(20, 2))):
@@ -136,8 +132,8 @@ def test_an_engine_with_tree_locals_round_trips(kind):
 def test_tree_locals_need_a_cover_with_buffers(monkeypatch):
     """A suffix cover buffers nothing, so a tree density on it cannot be
     rebuilt: such a posterior neither saves nor loads."""
-    factory = lambda: BayesTreeDensity([0.0], [1.0])
-    post = CoverModelPosterior(SuffixTreeCover(2, 3), factory)
+    prior = BayesTreeDensity([0.0], [1.0])
+    post = CoverModelPosterior(SuffixTreeCover(2, 3), prior)
     for h, y in [((), 0.3), ((0,), 0.6), ((0, 1), 0.9)]:
         post.absorb(h, y)
     with pytest.raises(BadConfig, match="kd cover"):
@@ -146,7 +142,7 @@ def test_tree_locals_need_a_cover_with_buffers(monkeypatch):
     text = post.to_text()
     monkeypatch.undo()
     with pytest.raises(BadConfig, match="kd cover"):
-        CoverModelPosterior.from_text(text, factory)
+        CoverModelPosterior.from_text(text, prior)
 
 
 @pytest.mark.parametrize("delta", [-1, 1])

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from covermodels import (
     BadConfig,
     CtwOracle,
+    DirichletMultinomial,
     SuffixTreeCover,
+    TooLargeToEnumerate,
     UnknownSymbol,
     VmmModel,
     ctw_logprob,
@@ -116,6 +118,28 @@ class TestReferenceMixer:
             seq = [(code >> k) & 1 for k in range(6)]
             total += math.exp(ctw_logprob(seq, alphabet_size=2, max_context=2))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+    @pytest.mark.parametrize("depth", [5, 16, 1000])
+    def test_an_oracle_with_too_many_prunings_is_refused(self, depth):
+        """A binary suffix tree of depth 5 has 1 + 677**2 prunings, over
+        the cap; the count is not taken deeper, where its digits double
+        with each depth (at depth 16 they are too many to print)."""
+        want = f"^458330 prunings at depth 5 of {depth} exceed cap 100000$"
+        with pytest.raises(TooLargeToEnumerate, match=want):
+            CtwOracle(2, depth)
+
+    def test_stop_weight_one_is_a_lone_kt_estimator(self):
+        """At stop weight 1 every walk stops at the root, whose log(1 -
+        w0) is log1mexp(0) = -inf: the returns are a lone KT local's
+        updates, bit for bit, and the mixer's one pruning agrees."""
+        seq = gen_markov(300, seed=1)
+        model, kt = VmmModel(2, 5, stop_weight=1.0), DirichletMultinomial(2, 0.5)
+        got = [model.observe(s) for s in seq]
+        assert got == [kt.update(s) for s in seq]
+        assert sum(got) == model.posterior.log_evidence == -189.60114798505322
+        want = ctw_logprob(seq, alphabet_size=2, max_context=4, stop_weight=1.0)
+        assert sum(got) == pytest.approx(want, abs=1e-9)
 
 
 class TestStreamingApi:
