@@ -67,19 +67,22 @@ loaded context's its ``load``, so they all share its checked prior. It
 is also the one place y is prepared (checked, and routed through a
 tree density's partition) for every local on the path.
 
-A snapshot (format version 4) holds only what the data do not give
-back: per context its stop weight, ``log_m``, ``log_trunc`` and local
-counts and sums, plus the cover's split records and buffered points. A
-tree density stores its prior alone. A kd cover's load routes every
-buffered y once (the prior's ``prepare_block``), then visits each
-context once, children first (``_rebuild``): it checks the local's
-counts against the points under the context and lays its tree out from
-its children's (``refill``); ``_refresh_lambda`` then recomputes
-``log_lambda`` and the stop pairs in the same order. All of it equals
-the saved model bit for bit, and the structure is checked
-(``from_text``). Version 3, which also stored each tree's counts and
-singleton points, still loads, and those two fields are ignored;
-versions 1 and 2 are refused.
+A snapshot (format version 5) holds only what the data do not give
+back: the prior once, in its header, and per context its stop weight,
+``log_m``, ``log_trunc`` and what its local learnt (counts, sums and
+mixture weights), plus the cover's split records and buffered points.
+A tree density learns nothing a snapshot keeps. A load refuses a
+snapshot whose prior is not the one it is given, once, from the
+header. A kd cover's load routes every buffered y once (the prior's
+``prepare_block``), then visits each context once, children first
+(``_rebuild``): it checks the local's counts against the points under
+the context and lays its tree out from its children's (``refill``);
+``_refresh_lambda`` then recomputes ``log_lambda`` and the stop pairs
+in the same order. All of it equals the saved model bit for bit, and
+the structure is checked (``from_text``). Versions 3 and 4, which
+repeat the prior in every record, still load (``upgrade_state``), and
+so do version 3's tree counts and points, which are ignored; versions
+1 and 2 are refused.
 """
 
 from __future__ import annotations
@@ -89,17 +92,25 @@ import json
 import math
 from itertools import chain
 
-from .covers import cover_from_state
+from .covers import as_size, cover_from_state
 from .errors import BadConfig
-from .local import check_nested, check_seen, local_from_state, prepare_block
+from .local import (
+    check_nested,
+    check_prior,
+    check_seen,
+    local_from_state,
+    prepare_block,
+    upgrade_state,
+)
 from .logspace import LOG2, log1mexp
 
 SNAPSHOT_FORMAT = "covermodels-snapshot"
-# Version 4 stores no derived state, no tree density state and flat
-# buffers and cover records. Version 3 holds the same plus tree counts
-# and points, which a load ignores; both load, and a save writes 4.
-SNAPSHOT_VERSION = 4
-_LOADABLE_VERSIONS = (3, 4)
+# Version 5 writes the prior once, in the header, and per record only
+# what a local learnt. Versions 3 and 4 repeat the prior in every
+# record, and version 3 also holds tree counts and points, which a load
+# ignores; all three load, and a save writes 5.
+SNAPSHOT_VERSION = 5
+_LOADABLE_VERSIONS = (3, 4, 5)
 
 
 # the per-context columns, each a list indexed by context id
@@ -144,7 +155,7 @@ class CoverModelPosterior:
         never changed. A local offers ``prepare(y)``,
         ``log_predictive(py)``, ``update(py)``, ``sample(rng)`` and
         ``spawn()``, on a kd cover ``absorb_block(ys)``, and for a
-        snapshot ``state_dict()`` and ``load(state)`` (see
+        snapshot ``prior()``, ``state_dict()`` and ``load(state)`` (see
         ``local.py``). Every context's local is its ``spawn()``, and it
         is the virtual continuation past a truncated path and the prior
         a snapshot's records are loaded against (``local_from_state``).
@@ -471,11 +482,12 @@ class CoverModelPosterior:
     def to_text(self) -> str:
         """Serialise to a line oriented text snapshot (JSON records).
 
-        A context's record holds its stop weight, ``log_m``,
-        ``log_trunc`` and local model. ``log_lambda`` is derived from
-        those and recomputed on load, and a tree density is rebuilt
-        from the kd cover's buffers, so raises ``BadConfig`` for a tree
-        density on a cover that keeps none.
+        The header holds the prior (its ``prior()``) and the cover. A
+        context's record holds its stop weight, ``log_m``, ``log_trunc``
+        and what its local learnt (``state_dict()``). ``log_lambda`` is
+        derived from those and recomputed on load, and a tree density is
+        rebuilt from the kd cover's buffers, so raises ``BadConfig`` for
+        a tree density on a cover that keeps none.
         """
         self._check_rebuildable()
         meta = {
@@ -484,6 +496,7 @@ class CoverModelPosterior:
             "depth_weight": self.depth_weight_spec,
             "n_obs": self.n_obs,
             "log_evidence": self.log_evidence,
+            "prior": self.prior.prior(),
             "cover": self.cover.state_dict(),
         }
         lines = [json.dumps(meta, sort_keys=True)]
@@ -500,23 +513,26 @@ class CoverModelPosterior:
 
     @classmethod
     def from_text(cls, text, prior):
-        """Rebuild a posterior from ``to_text`` output, format version 4
-        or 3.
+        """Rebuild a posterior from ``to_text`` output, format version 5,
+        4 or 3.
 
-        The prior is not serialised and must be supplied again: an
-        empty local, which the posterior keeps as ``prior``. On a kd cover one children-first pass over the contexts checks
-        each local's counts, lays its tree density out from the ys
-        buffered under it and recomputes ``log_lambda`` and the stop
-        pair, all bit for bit.
+        The prior must be supplied again: an empty local, which the
+        posterior keeps as ``prior``, and whose ``prior()`` must equal
+        the snapshot's (version 5: the header's, checked once; versions
+        3 and 4: each record's, by ``upgrade_state``). Every context's
+        local is the prior's ``load`` of its record. On a kd cover one
+        children-first pass over the contexts checks each local's
+        counts, lays its tree density out from the ys buffered under it
+        and recomputes ``log_lambda`` and the stop pair, all bit for bit.
 
-        Raises ``BadConfig`` on a snapshot of another version, or one
-        whose structure does not hold together: the checks of the
-        cover's ``from_state`` and the locals' ``load``, among them that
-        every context's local has the prior of ``prior``, one state
-        record for each context and for no other, in id order as
-        ``to_text`` writes them, a stop weight rule whose weights at
-        depth 1 and at the cover's ``max_depth`` lie in (0, 1], and
-        counts that agree with what the cover routed. The root's local was offered every
+        Raises ``BadConfig`` on a snapshot of another version or another
+        prior, or one whose structure does not hold together: the checks
+        of the cover's ``from_state`` and the locals' ``load``, among
+        them whole-number ``n_obs``, one state record for each context
+        and for no other, in id order as ``to_text`` writes them, a stop
+        weight rule whose weights at depth 1 and at the cover's
+        ``max_depth`` lie in (0, 1], and counts that agree with what the
+        cover routed. The root's local was offered every
         observation; on a kd cover each context's local was offered the
         points buffered in the leaves under it, those add up to
         ``n_obs``, every buffered y is finite and, for a tree density,
@@ -548,9 +564,12 @@ class CoverModelPosterior:
             cover_from_state(meta["cover"]),
             prior,
             meta["depth_weight"],
-            int(meta["n_obs"]),
+            as_size(meta["n_obs"], "n_obs", 0),
             float(meta["log_evidence"]),
         )
+        old = meta["version"] < 5  # every record repeats the prior
+        if not old:
+            check_prior(meta["prior"], prior)
         n = len(obj.cover.contexts)  # numbered 0 .. n - 1
         # one parse for every record is faster than one per line
         for cid, rec in enumerate(json.loads("[" + ",".join(records) + "]")):
@@ -562,7 +581,8 @@ class CoverModelPosterior:
             w0 = float(rec["w0"])
             if not 0.0 < w0 <= 1.0:
                 raise BadConfig(f"stop weight {w0} of context {cid} not in (0, 1]")
-            local = local_from_state(rec["local"], prior)
+            state = upgrade_state(rec["local"], prior) if old else rec["local"]
+            local = local_from_state(state, prior)
             obj._append_state(local, w0, float(rec["log_m"]), float(rec["log_trunc"]))
         # no model writes a log_evidence that is not finite
         if not all(map(math.isfinite, chain([obj.log_evidence], obj.log_m, obj.log_trunc))):

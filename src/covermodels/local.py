@@ -38,15 +38,21 @@ already placed their x. The shared duck type:
   model has the same prior: the engine spawns each context's local
   from the posterior's ``prior``, so a model converts and checks its
   prior once.
-* ``state_dict()`` / ``load(state)``: plain-data round trip, which
-  ``local_from_state(state, like)`` runs as ``like.load(state)``. A
-  leaf model's state extends its ``prior()``, its kind and
-  hyperparameters as plain data, except a tree density's, which is its
-  prior alone: its state is a function of the points under its
-  context, which a kd cover keeps. ``load`` refuses a record of
-  another kind or prior, returns ``spawn()`` with the record's counts,
-  sums and weights set, checks what it can check cheaply and raises
-  ``BadConfig`` on a malformed record.
+* ``prior()``: the prior as plain data, its kind and hyperparameters;
+  a mixture's holds its prior weights and its components' priors. A
+  snapshot writes it once, in its header, and a load refuses a
+  snapshot whose prior is not the model's (``check_prior``).
+* ``state_dict()`` / ``load(state)``: the plain-data round trip of what
+  the local learnt, which ``local_from_state(state, like)`` runs as
+  ``like.load(state)``: a Normal-Wishart's count and sums, a
+  Dirichlet's counts, a mixture's weights and its components' states,
+  and nothing for a tree density, whose state is a function of the
+  points under its context, which a kd cover keeps. ``load`` returns
+  ``spawn()`` with the record's counts, sums and weights set, checks
+  what it can check cheaply and raises ``BadConfig`` on a malformed
+  record. It does not see the prior: every record of a snapshot has
+  the header's. Snapshot formats 3 and 4 repeated the prior in every
+  record, and ``upgrade_state`` checks and strips it.
 * ``prepare_block(ys, skip_outside=False)`` / ``refill(block, under)``:
   how a snapshot load rebuilds what ``state_dict`` leaves out, through
   the module's ``prepare_block``. The posterior's prior prepares every
@@ -184,13 +190,10 @@ class DirichletMultinomial:
         return {"kind": "dirichlet", "alpha": list(self.alpha)}
 
     def state_dict(self):
-        return {**self.prior(), "counts": list(self.counts)}
+        return {"counts": self.counts[:]}
 
     def load(self, state) -> "DirichletMultinomial":
-        """``spawn()`` with the counts of ``state``, a record of this
-        prior."""
-        if state.get("kind") != "dirichlet" or state["alpha"] != self.alpha:
-            raise BadConfig(_OTHER_PRIOR)
+        """``spawn()`` with the counts of ``state``."""
         counts = state["counts"]
         if len(counts) != len(self.alpha) or not all(
             type(c) in (int, float) and c >= 0 and float(c).is_integer() for c in counts
@@ -423,24 +426,10 @@ class NormalWishart:
         }
 
     def state_dict(self):
-        return {
-            **self.prior(),
-            "n": self.n,
-            "sum_y": self.sum_y[:],
-            "sum_yy": [row[:] for row in self.sum_yy],
-        }
+        return {"n": self.n, "sum_y": self.sum_y[:], "sum_yy": [row[:] for row in self.sum_yy]}
 
     def load(self, state) -> "NormalWishart":
-        """``spawn()`` with the count and sums of ``state``, a record of
-        this prior."""
-        if (
-            state.get("kind") != "normal_wishart"
-            or state["mu0"] != self.mu0
-            or state["kappa0"] != self.kappa0
-            or state["nu0"] != self.nu0
-            or state["T0"] != self.T0
-        ):
-            raise BadConfig(_OTHER_PRIOR)
+        """``spawn()`` with the count and sums of ``state``."""
         obj = self.spawn()
         obj.n = state["n"]
         if type(obj.n) is not int or obj.n < 0:
@@ -564,9 +553,9 @@ class BayesTreeDensity:
     collector to walk.
 
     The tree's state is a function of the points it holds, and the kd
-    cover buffers every point, so a snapshot stores the prior alone
-    (format 4; format 3 also stored counts and singleton points, which a
-    load ignores). A load rebuilds the tree from the buffered ys under
+    cover buffers every point, so a snapshot stores no state of its own
+    (format 3 also stored counts and singleton points, which a load
+    ignores). A load rebuilds the tree from the buffered ys under
     its context: ``prepare_block`` routes the buffered ys down the
     partition once, each as deep as another y shares its cell, and
     packs each y's sides into an int, the *route code*, and ``refill``
@@ -899,8 +888,8 @@ class BayesTreeDensity:
         }
 
     def state_dict(self):
-        """The prior alone: a load rebuilds the tree with ``refill``."""
-        return self.prior()
+        """Nothing: a load rebuilds the tree with ``refill``."""
+        return {}
 
     def prepare_block(self, ys, skip_outside=False):
         """``refill``'s block for ``ys``, tuples of floats as a kd cover
@@ -1070,19 +1059,7 @@ class BayesTreeDensity:
         return -math.inf if skipped else self._lam[0]
 
     def load(self, state) -> "BayesTreeDensity":
-        """``spawn()`` for ``state``, a record of this prior; ``refill``
-        lays it out. A format-3 record's ``counts`` and ``points`` are
-        ignored."""
-        box = self.box
-        if (
-            state.get("kind") != "bayes_tree"
-            or state["lower"] != list(box.lower)
-            or state["upper"] != list(box.upper)
-            or state["gamma"] != self.gamma
-            or state["branch_pseudo"] != self.branch_pseudo
-            or state["max_depth"] != self.max_depth
-        ):
-            raise BadConfig(_OTHER_PRIOR)
+        """``spawn()``, which ``refill`` lays out: ``state`` is empty."""
         return self.spawn()
 
 
@@ -1093,7 +1070,8 @@ class MixtureLocal:
     each component's predictive for the incoming observation, then the
     components update. A component that rejects the observation as
     outside its support keeps its state and loses all weight on that
-    point. ``log_w`` holds the log weights as a list of floats.
+    point. ``log_w`` holds the log weights as a list of floats, and
+    ``prior_log_w`` the prior's, which every spawn shares.
     """
 
     def __init__(self, components, log_weights=None):
@@ -1111,22 +1089,23 @@ class MixtureLocal:
             if not math.isfinite(total):  # a NaN or +inf weight, or only -inf ones
                 raise BadConfig("log_weights must hold no NaN or +inf and not all -inf")
             self.log_w = [v - total for v in lw.tolist()]
+        self.prior_log_w = self.log_w
         self._warned_skip = False
 
-    @staticmethod
-    def _with(components, log_w) -> "MixtureLocal":
+    def _with(self, components, log_w) -> "MixtureLocal":
         """A mixture of ``components`` with the log weights ``log_w``,
-        taken as they are."""
+        taken as they are, and this one's prior weights."""
         obj = MixtureLocal.__new__(MixtureLocal)
         obj.components = components
         obj.log_w = log_w
+        obj.prior_log_w = self.prior_log_w
         obj._warned_skip = False
         return obj
 
     def spawn(self) -> "MixtureLocal":
         """An empty mixture of the components' spawns, with the prior
         weights, which no update changes in place."""
-        return self._with([c.spawn() for c in self.components], self.log_w)
+        return self._with([c.spawn() for c in self.components], self.prior_log_w)
 
     def prepare(self, y):
         """The components' prepared ys, in order."""
@@ -1178,12 +1157,15 @@ class MixtureLocal:
         k = rng.choice(len(self.components), p=np.exp(self.log_w))
         return self.components[k].sample(rng)
 
-    def state_dict(self):
+    def prior(self):
         return {
             "kind": "mixture",
-            "log_w": list(self.log_w),
-            "components": [c.state_dict() for c in self.components],
+            "log_w": list(self.prior_log_w),
+            "components": [c.prior() for c in self.components],
         }
+
+    def state_dict(self):
+        return {"log_w": list(self.log_w), "components": [c.state_dict() for c in self.components]}
 
     def prepare_block(self, ys, skip_outside=False):
         """The components' blocks, each tree skipping a y outside its
@@ -1202,14 +1184,12 @@ class MixtureLocal:
         return out
 
     def load(self, state) -> "MixtureLocal":
-        """A mixture of the components' ``load`` of their records in
-        ``state``, a record with as many, and the record's weights."""
-        if state.get("kind") != "mixture" or len(state["components"]) != len(self.components):
-            raise BadConfig(_OTHER_PRIOR)
-        comps = [c.load(r) for c, r in zip(self.components, state["components"])]
-        log_w = [float(v) for v in state["log_w"]]
-        if len(log_w) != len(comps):
-            raise BadConfig("mixture log_w length must match components")
+        """A mixture of the components' ``load`` of their states in
+        ``state``, one per component, and the record's weights."""
+        states, log_w = state["components"], [float(v) for v in state["log_w"]]
+        if not len(states) == len(log_w) == len(self.components):
+            raise BadConfig(f"a mixture record needs {len(self.components)} components and weights")
+        comps = [c.load(r) for c, r in zip(self.components, states)]
         # a NaN or +inf weight makes the log-sum-exp NaN or +inf
         if not abs(logsumexp(log_w)) <= 1e-9:
             raise BadConfig("mixture log_w must be normalised, with no NaN or +inf")
@@ -1222,13 +1202,42 @@ class MixtureLocal:
 def local_from_state(state, like):
     """``like.load(state)``: a local with the prior of ``like``, the
     posterior's prior, and the learnt state of ``state``, a
-    ``state_dict`` record. Raises ``BadConfig`` on a record of another
-    kind or prior, or a malformed one, and for a ``like`` that does not
-    load."""
+    ``state_dict`` record. Raises ``BadConfig`` on a malformed record,
+    and for a ``like`` that does not load."""
     load = getattr(like, "load", None)
     if load is None:
         raise BadConfig(f"a {type(like).__name__} local does not load from a snapshot")
     return load(state)
+
+
+def check_prior(record, like):
+    """Raise ``BadConfig`` unless ``record``, a prior as plain data, is
+    ``like.prior()``: a snapshot's records load only against the prior
+    they were learnt under."""
+    if record != like.prior():
+        raise BadConfig(_OTHER_PRIOR)
+
+
+def upgrade_state(record, like):
+    """A format-3 or format-4 state record as format 5 holds it: the
+    learnt part alone, for ``local_from_state``.
+
+    Those formats repeat the local's prior in every record, so this
+    checks it against ``like.prior()`` and raises ``BadConfig`` on a
+    record of another kind or prior, or a mixture record with another
+    number of components. A mixture's record holds its posterior
+    weights, which are learnt, and its components' records, upgraded in
+    turn. What a record holds beyond its prior and the keys of ``like``'s
+    ``state_dict`` (a format-3 tree's counts and points) is dropped.
+    """
+    if isinstance(like, MixtureLocal):
+        comps = record.get("components")
+        if record.get("kind") != "mixture" or len(comps) != len(like.components):
+            raise BadConfig(_OTHER_PRIOR)
+        parts = [upgrade_state(r, c) for r, c in zip(comps, like.components)]
+        return {"log_w": record["log_w"], "components": parts}
+    check_prior({key: record.get(key) for key in like.prior()}, like)
+    return {key: record[key] for key in like.state_dict()}
 
 
 def prepare_block(local, ys, skip_outside=False):

@@ -36,14 +36,17 @@ _MAX_PRUNINGS = 100000
 
 
 def _resolve_prior(prior) -> float:
+    """A Dirichlet concentration: ``"kt"`` (0.5), ``"laplace"`` (1.0) or
+    a positive finite number, as a float; anything else raises
+    ``BadConfig``."""
     if isinstance(prior, str):
         try:
             return _NAMED_PRIORS[prior]
         except KeyError:
             raise BadConfig(f"unknown prior {prior!r}, expected kt or laplace") from None
     conc = float(prior)
-    if not conc > 0:
-        raise BadConfig("prior concentration must be positive")
+    if not 0 < conc < math.inf:  # NaN too
+        raise BadConfig(f"prior concentration must be positive and finite, got {conc!r}")
     return conc
 
 
@@ -176,10 +179,10 @@ class VmmModel:
             obj.concentration = float(meta["concentration"])
             obj.stop_weight = float(meta["stop_weight"])
             history = [as_symbol(s, obj.alphabet_size) for s in meta["history_tail"]]
-            n_seen = int(meta["n_seen"])
+            n_seen = as_size(meta["n_seen"], "n_seen", 0)
         except (KeyError, TypeError, ValueError, UnknownSymbol) as exc:
             raise BadConfig(f"malformed vmm snapshot header: {exc!r}") from exc
-        # the posterior checks every context's prior against the header's
+        # the posterior refuses a prior other than the one these settings give
         obj.posterior = post = CoverModelPosterior.from_text(rest, obj._prior())
         cover = post.cover
         if (
@@ -208,7 +211,7 @@ class CtwOracle:
         self.depth = as_size(depth, "depth", 0)
         if not 0.0 < stop_weight <= 1.0:
             raise BadConfig("stop_weight must be in (0, 1]")
-        self.conc = float(concentration)
+        self.conc = _resolve_prior(concentration)
         self.w = float(stop_weight)
         # the prunings of the tree of each depth; the count's digits double
         # with each, so it stops at the first depth over the cap

@@ -1,5 +1,6 @@
 """Shared builders for randomized partition-tree fixtures."""
 
+import json
 import math
 
 import numpy as np
@@ -49,6 +50,34 @@ def refilled(local, ys):
     return clone
 
 
+def old_record(prior, state):
+    """A local's record as snapshot formats 3 and 4 wrote it, from its
+    ``prior()`` and ``state_dict()``: the prior and what the local
+    learnt in one dict; a mixture's holds its kind, its posterior
+    weights and its components' records."""
+    if prior["kind"] == "mixture":
+        comps = [old_record(p, s) for p, s in zip(prior["components"], state["components"])]
+        return {"kind": "mixture", "log_w": state["log_w"], "components": comps}
+    return {**prior, **state}
+
+
+def as_version(text, version):
+    """A version-5 snapshot text, a model's or a bare posterior's, as
+    version 3 or 4 wrote it: no prior in the posterior's header, and
+    every record's local an ``old_record``. Version 3 also held tree
+    counts and points, which a load ignores and this leaves out."""
+    out, prior = [], None
+    for line in text.splitlines():
+        rec = json.loads(line)
+        if rec.get("format") == "covermodels-snapshot":
+            rec["version"] = version
+            prior = rec.pop("prior")
+        elif "cid" in rec:
+            rec["local"] = old_record(prior, rec["local"])
+        out.append(json.dumps(rec, sort_keys=True))
+    return "\n".join(out) + "\n"
+
+
 def tree_nodes(bt):
     """A tree density's state whatever its node ids: per node in
     preorder, its count, whether it has children, its point if it is a
@@ -67,8 +96,7 @@ def tree_nodes(bt):
 
 def local_trees(local):
     """``tree_nodes`` of each tree density in a local, a mixture's in
-    component order. A snapshot's tree records hold the prior alone, so
-    a test that a local is unchanged compares these as well."""
+    component order. A snapshot holds no tree state, so a test that a local is unchanged compares these as well."""
     parts = getattr(local, "components", [local])
     return [tree_nodes(c) for c in parts if isinstance(c, BayesTreeDensity)]
 

@@ -6,9 +6,11 @@ and the kernel baseline must import and run on numpy alone. Run it as
 with ``PYTHONPATH=src``; it prints ``ok`` and exits 0, or raises.
 """
 
+import json
 import math
 import sys
 import warnings
+from pathlib import Path
 
 sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
 
@@ -96,4 +98,12 @@ assert deep.refinement_depth == 1074
 deep_clone = covermodels.CdeModel.from_text(deep.to_text())
 assert deep_clone.to_text() == deep.to_text()
 assert deep_clone.predict_logdensity([0.0], [0.4]) == deep.predict_logdensity([0.0], [0.4])
+
+# every committed version-3 and version-4 snapshot loads, and its
+# version-5 re-save loads and saves to the same text
+for path in sorted(Path(__file__).resolve().parent.glob("fixtures/snapshot_v[34]_*.txt")):
+    load = {"cde": covermodels.CdeModel, "vmm": covermodels.VmmModel}[path.stem[-3:]].from_text
+    again = load(path.read_text()).to_text()
+    assert json.loads(again.splitlines()[1])["version"] == 5, path.name
+    assert load(again).to_text() == again, path.name
 print("ok")

@@ -594,7 +594,7 @@ def _pinned_model(name):
 
 _PINNED = {
     "nw+tree, 1-d y": (
-        "47cf2cdc0ce440ad31ea6564ff377256f50f523d2013c05c492dc5d75f312e6d",
+        "c91defd1134cb85da7b23e2457440640612b9264cfada78c0acce80d77f3d1ad",
         33,
         ["-5.6890460757638515", "-0.793800166458537", "-1.7797129424723723"],
         [
@@ -607,7 +607,7 @@ _PINNED = {
         ],
     ),
     "nw+tree, 2-d y": (
-        "dc43b28c93094ed5728a0bc2a60289fcc28deee08d2d0519f333445ec13ff4a7",
+        "c70870af906327c8c4cead4d14aa9ca0eb87db601c9b3d5c9bdbfc5482d58c28",
         29,
         ["1.1737811607264101", "0.24622690863987864", "-1.720304757066877"],
         [
@@ -620,7 +620,7 @@ _PINNED = {
         ],
     ),
     "nw only, y_dim 2": (
-        "255b94abd3179cbc9d7189c25ddf2f65d07cc10a4bb0814332d39958fd504ef5",
+        "230bfe883797aefedb1fd8d8b6db4ad6f684147fb8b9b744e09d1fce5c9e99ee",
         25,
         ["0.5094509230271824", "0.2579278161191463", "-9.711184695970617"],
         [
@@ -648,7 +648,9 @@ def test_outputs_are_pinned(name):
     tree's query became a walk over kept stop pairs, which moved them by
     at most 3.7e-14; digests and draws stayed. The digests were recorded
     again for snapshot format 4, whose text is format 3's with version
-    4 and no tree ``counts`` or ``points``; nothing else moved."""
+    4 and no tree ``counts`` or ``points``, and for snapshot format 5,
+    whose text is format 4's with version 5, the prior once in the
+    header and none in the records; nothing else moved."""
     model, queries = _pinned_model(name)
     digest, n_contexts, logdens, draws = _PINNED[name]
     assert model.n_contexts == n_contexts

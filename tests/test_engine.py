@@ -18,12 +18,13 @@ from covermodels import (
     DirichletMultinomial,
     KdTreeCover,
     NormalWishart,
+    SuffixTreeCover,
     VmmModel,
     new_cde,
     parse_depth_weight,
 )
 from covermodels.logspace import log1mexp
-from conftest import attach_random_engine, random_static_tree, random_xy
+from conftest import as_version, attach_random_engine, random_static_tree, random_xy
 from oracle import ExactEnumerator, dirichlet_block_marginal, normal_wishart_block_marginal
 
 
@@ -350,10 +351,10 @@ class TestSnapshot:
         xq = rng.uniform(0, 1, size=1)
         assert clone.predict_logdensity(xq, 0) == post.predict_logdensity(xq, 0)
 
-    def test_refuses_versions_1_2_5_and_a_missing_one(self):
-        """A save writes version 4; the same records labelled 3 load as
-        well, since version 3 differs only in the tree records, and
-        re-save as 4."""
+    def test_refuses_versions_1_2_6_and_a_missing_one(self):
+        """A save writes version 5; the same records as versions 3 and 4
+        wrote them, each repeating the prior, load as well and re-save
+        as 5."""
         rng = np.random.default_rng(4)
         cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0, max_depth=6)
         prior = DirichletMultinomial(2, 0.5)
@@ -362,20 +363,34 @@ class TestSnapshot:
             post.absorb(rng.uniform(0, 1, size=1), int(rng.integers(2)))
         text = post.to_text()
         meta, _, rest = text.partition("\n")
-        assert json.loads(meta)["version"] == 4
-        old = json.dumps({**json.loads(meta), "version": 3}, sort_keys=True) + "\n" + rest
-        for saved in (text, old):
+        assert json.loads(meta)["version"] == 5
+        for saved in (text, as_version(text, 4), as_version(text, 3)):
             clone = CoverModelPosterior.from_text(saved, prior)
             assert clone.to_text() == text
             for cid, lam in enumerate(post.log_lambda):
                 assert clone.log_lambda[cid] == lam
-        for version in (1, 2, 5, None):
+        for version in (1, 2, 6, None):
             head = {**json.loads(meta), "version": version}
             if version is None:
                 del head["version"]
             other = json.dumps(head, sort_keys=True) + "\n" + rest
             with pytest.raises(BadConfig, match="unsupported snapshot version"):
                 CoverModelPosterior.from_text(other, prior)
+
+    @pytest.mark.parametrize("n_obs", [20.9, 19.5, math.inf, -1])
+    def test_a_count_that_is_not_a_whole_number_is_refused(self, n_obs):
+        """``n_obs`` 20.9 once loaded as 20; 20.0 loads as 20."""
+        rng = np.random.default_rng(4)
+        prior = DirichletMultinomial(2, 0.5)
+        post = CoverModelPosterior(SuffixTreeCover(2, 3), prior)
+        for _ in range(20):
+            post.absorb(tuple(rng.integers(2, size=2).tolist()), int(rng.integers(2)))
+        meta, _, rest = post.to_text().partition("\n")
+        whole = json.dumps({**json.loads(meta), "n_obs": 20.0}, sort_keys=True)
+        assert CoverModelPosterior.from_text(whole + "\n" + rest, prior).n_obs == 20
+        head = json.dumps({**json.loads(meta), "n_obs": n_obs}, sort_keys=True)
+        with pytest.raises(BadConfig, match="n_obs must be a whole number"):
+            CoverModelPosterior.from_text(head + "\n" + rest, prior)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_static_tree_reloads_every_log_lambda_bit_for_bit(self, seed):

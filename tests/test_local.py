@@ -1,6 +1,7 @@
 """Conjugate local models against closed forms and quadrature."""
 
 import gc
+import json
 import math
 import sys
 import warnings
@@ -12,12 +13,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import enum_stopped_trees, learn, local_trees, refilled, score, tree_nodes
+from conftest import (
+    enum_stopped_trees,
+    learn,
+    local_trees,
+    old_record,
+    refilled,
+    score,
+    tree_nodes,
+)
 from covermodels import (
     BadConfig,
     BayesTreeDensity,
     Box,
+    CoverModelPosterior,
     DirichletMultinomial,
+    KdTreeCover,
     MixtureLocal,
     NormalWishart,
     OutOfSupport,
@@ -25,6 +36,7 @@ from covermodels import (
     local_from_state,
 )
 from covermodels.covers import cut
+from covermodels.local import upgrade_state
 from covermodels.logspace import LOG2, logaddexp
 from oracle import dirichlet_block_marginal
 
@@ -303,7 +315,9 @@ class TestBayesTree:
                 BayesTreeDensity([0.0] * dim, [1.0] * dim, max_depth=depth)
         fresh = BayesTreeDensity([0.0] * dim, [1.0] * dim)
         with pytest.raises(BadConfig):
-            local_from_state({**fresh.state_dict(), "max_depth": 10**9}, fresh)
+            upgrade_state({**fresh.prior(), "max_depth": 10**9}, fresh)
+        with pytest.raises(BadConfig):
+            load_with_prior(fresh, {**fresh.prior(), "max_depth": 10**9})
 
     def test_trees_of_one_prior_share_its_tables(self):
         """Trees spawned or loaded from one prior hold its very box and
@@ -329,13 +343,13 @@ class TestBayesTree:
         assert math.exp(score(bt, [1.0])) == pytest.approx(0.25)
 
     def test_round_trip(self):
-        """The record is the prior; the points rebuild the rest."""
+        """The record is empty; the points rebuild the tree."""
         bt = BayesTreeDensity([0.0, 0.0], [1.0, 1.0], max_depth=4)
         rng = np.random.default_rng(9)
         ys = rng.uniform(0, 1, size=(20, 2))
         for y in ys:
             learn(bt, y)
-        assert bt.state_dict() == bt.prior()
+        assert bt.state_dict() == {}
         bt2 = refilled(bt, ys)
         q = [0.3, 0.8]
         assert score(bt2, q) == score(bt, q)
@@ -1110,6 +1124,31 @@ FRESH = {
 }
 
 
+def old_load(record, fresh):
+    """A version-3 or version-4 record loaded as a snapshot load takes it."""
+    return local_from_state(upgrade_state(record, fresh), fresh)
+
+
+def load_with_prior(fresh, prior):
+    """Load a version-5 snapshot of an empty posterior whose prior is
+    ``fresh`` against ``fresh``, with ``prior`` in its header."""
+    text = CoverModelPosterior(KdTreeCover(Box([0.0], [1.0])), fresh).to_text()
+    head, _, rest = text.partition("\n")
+    meta = json.loads(head)
+    meta["prior"] = prior
+    return CoverModelPosterior.from_text(json.dumps(meta, sort_keys=True) + "\n" + rest, fresh)
+
+
+def assert_refused_both_ways(fresh, record, prior):
+    """A record of another prior is refused in both of the forms it
+    can come in: as a version-4 record, which repeats its prior, and as
+    the prior in a version-5 header."""
+    with pytest.raises(BadConfig, match="another kind or prior"):
+        old_load(record, fresh)
+    with pytest.raises(BadConfig, match="another kind or prior"):
+        load_with_prior(fresh, prior)
+
+
 @pytest.mark.parametrize(
     "kind,field,value",
     [
@@ -1124,18 +1163,20 @@ FRESH = {
         ("tree", "gamma", 0.5),
         ("tree", "branch_pseudo", 0.5),
         ("tree", "max_depth", 8),
-        ("mixture", "components", [BayesTreeDensity([0.0], [1.0]).state_dict(),
-                                   NormalWishart([0.0]).state_dict()]),
+        ("mixture", "components", [BayesTreeDensity([0.0], [1.0]).prior(),
+                                   NormalWishart([0.0]).prior()]),
     ],
 )
 def test_a_record_of_another_prior_is_refused(kind, field, value):
     """A record loads only against a local with its prior: the model's
-    fresh local, whose checked values the loaded local shares."""
+    fresh local, whose checked values the loaded local shares. A
+    version-4 record repeats the prior, a version-5 snapshot holds it
+    once, in its header; each is refused with one field edited."""
     fresh = FRESH[kind]()
-    record = fresh.state_dict()
-    local_from_state(record, fresh)  # the untouched record loads
-    with pytest.raises(BadConfig, match="another kind or prior"):
-        local_from_state({**record, field: value}, fresh)
+    record = old_record(fresh.prior(), fresh.state_dict())
+    old_load(record, fresh)  # the untouched record loads
+    load_with_prior(fresh, fresh.prior())  # and so does the untouched header
+    assert_refused_both_ways(fresh, {**record, field: value}, {**fresh.prior(), field: value})
 
 
 @pytest.mark.parametrize("kind", list(FRESH))
@@ -1143,14 +1184,24 @@ def test_a_record_of_another_kind_is_refused(kind):
     fresh = FRESH[kind]()
     for other in FRESH:
         if other != kind:
-            with pytest.raises(BadConfig, match="another kind or prior"):
-                local_from_state(FRESH[other]().state_dict(), fresh)
+            theirs = FRESH[other]()
+            record = old_record(theirs.prior(), theirs.state_dict())
+            assert_refused_both_ways(fresh, record, theirs.prior())
 
 
 def test_a_mixture_record_with_another_component_count_is_refused():
+    """As a version-4 record or a version-5 header's prior; a version-5
+    record, which holds one state and one weight per component, is
+    malformed."""
     fresh = FRESH["mixture"]()
-    nw, tree = fresh.state_dict()["components"]
-    for comps in ([nw], [nw, tree, tree]):
-        record = {"kind": "mixture", "log_w": [-math.log(len(comps))] * len(comps), "components": comps}
-        with pytest.raises(BadConfig, match="another kind or prior"):
-            local_from_state(record, fresh)
+    nw, tree = old_record(fresh.prior(), fresh.state_dict())["components"]
+    nw_prior, tree_prior = fresh.prior()["components"]
+    nw_state, tree_state = fresh.state_dict()["components"]
+    for n in (1, 3):
+        log_w = [-math.log(n)] * n
+        record = {"kind": "mixture", "log_w": log_w, "components": [nw, tree, tree][:n]}
+        prior = {"kind": "mixture", "log_w": log_w, "components": [nw_prior, tree_prior, tree_prior][:n]}
+        assert_refused_both_ways(fresh, record, prior)
+        state = {"log_w": log_w, "components": [nw_state, tree_state, tree_state][:n]}
+        with pytest.raises(BadConfig, match="needs 2 components"):
+            local_from_state(state, fresh)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import model_trees
+from conftest import as_version, model_trees
 from covermodels import BadConfig, CdeConfig, CdeModel, OutOfSupport, VmmModel, local
 
 COMPONENTS = [("tree",), ("nw", "tree")]
@@ -128,7 +128,7 @@ def sites(field, lines):
     if field == "nw_sums":
         return [(c["components"][0], key) for c in locals_ for key in ("sum_y", "sum_yy")]
     if field == "mixture_log_w":
-        return [(c, "log_w") for c in locals_ if c["kind"] == "mixture"]
+        return [(c, "log_w") for c in locals_]  # every context's local is a mixture
     if field == "dirichlet_count":
         return [(c["counts"], i) for c in locals_ for i in range(len(c["counts"]))]
     if field == "n_seen":
@@ -180,7 +180,8 @@ def test_a_corrupted_structural_field_is_refused(field, pick):
 
 
 def edit_prior(field, local):
-    """Change one prior field of a context's local record in place."""
+    """Change one prior field in place: of a prior, or of a version-4
+    local record, which repeats its prior."""
     if field == "dirichlet_alpha":
         local["alpha"][0] += 0.5
         return
@@ -208,21 +209,29 @@ PRIOR_FIELDS = [
 
 @pytest.mark.parametrize("field", PRIOR_FIELDS + ["dirichlet_alpha"])
 def test_a_context_with_another_prior_is_refused(field):
-    """Every context has the model's one prior, so a snapshot in which
-    one context below the root has another does not load, whichever
-    context it is."""
+    """Every context has the model's one prior, so a version-4 snapshot
+    in which one context below the root has another does not load,
+    whichever context it is, and neither does a version-5 snapshot whose
+    header holds another prior."""
     if field == "dirichlet_alpha":
         kind, load = "vmm", VmmModel.from_text
     else:
         kind, load = "cde", CdeModel.from_text
-    records = SAVED[kind].splitlines()[2:]
+    old = as_version(SAVED[kind], 4)
+    assert load(old).to_text() == SAVED[kind]
+    records = old.splitlines()[2:]
     assert json.loads(records[0])["cid"] == 0  # the root; each record after it is edited in turn
     for i in range(1, len(records)):
-        lines = [json.loads(line) for line in SAVED[kind].splitlines()]
+        lines = [json.loads(line) for line in old.splitlines()]
         edit_prior(field, lines[2 + i]["local"])
         text = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
         with pytest.raises(BadConfig):
             load(text)
+    lines = [json.loads(line) for line in SAVED[kind].splitlines()]
+    edit_prior(field, lines[1]["prior"])
+    text = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+    with pytest.raises(BadConfig, match="another kind or prior"):
+        load(text)
 
 
 def test_a_huge_version_3_tree_count_sizes_no_table(monkeypatch):
@@ -240,9 +249,8 @@ def test_a_huge_version_3_tree_count_sizes_no_table(monkeypatch):
     rng = np.random.default_rng(2)
     for x, y in rng.uniform(0.0, 0.1, size=(30, 2)):
         model.absorb([x], [y])
-    lines = [json.loads(line) for line in model.to_text().splitlines()]
+    lines = [json.loads(line) for line in as_version(model.to_text(), 3).splitlines()]
     n_obs = lines[1]["n_obs"]
-    lines[1]["version"] = 3
     for rec in lines[2:]:
         rec["local"]["components"][1].update(counts=[0], points=[])
     # the root context's tree: a chain of split nodes, whose counts are

@@ -1,6 +1,7 @@
-"""Snapshot format 4: tree densities are rebuilt from the kd cover's
-buffers on load, and equal the saved model's trees bit for bit; format-3
-snapshots still load."""
+"""Snapshot format 5: the prior is written once, in the header, and
+each context's record holds only what its local learnt; tree densities
+are rebuilt from the kd cover's buffers on load, and equal the saved
+model's trees bit for bit. Format-3 and format-4 snapshots still load."""
 
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import tree_nodes
+from conftest import as_version, tree_nodes
 from covermodels import (
     BadConfig,
     BayesTreeDensity,
@@ -188,16 +189,31 @@ def test_a_mid_stream_resume_continues_exactly():
     assert_same_trees(whole.posterior, resumed.posterior)
 
 
-def as_version_4(text):
-    """A version-3 text as version 4 writes it: the version, and no
-    tree ``counts`` or ``points``."""
+# what a local of each kind learnt: the part of its record that
+# version 5 keeps
+LEARNT = {"dirichlet": ("counts",), "normal_wishart": ("n", "sum_y", "sum_yy"), "bayes_tree": ()}
+
+
+def learnt(local):
+    """A version-3 or version-4 record's local as version 5 writes it."""
+    if local["kind"] == "mixture":
+        return {"log_w": local["log_w"], "components": [learnt(c) for c in local["components"]]}
+    return {key: local[key] for key in LEARNT[local["kind"]]}
+
+
+def as_version_5(text, prior):
+    """A version-3 or version-4 text as version 5 writes it: the
+    version, ``prior`` in the posterior's header, and each record's local
+    as what it learnt (``learnt``), with no tree ``counts`` or
+    ``points``."""
     out = []
     for line in text.splitlines():
         rec = json.loads(line)
         if rec.get("format") == "covermodels-snapshot":
-            rec["version"] = 4
-        for tree in trees_of_record(rec.get("local")):
-            del tree["counts"], tree["points"]
+            rec["version"] = 5
+            rec["prior"] = prior
+        elif "cid" in rec:
+            rec["local"] = learnt(rec["local"])
         out.append(json.dumps(rec, sort_keys=True))
     return "\n".join(out) + "\n"
 
@@ -235,40 +251,135 @@ V3_VMM = (
 )
 
 
-def check_v3_cde(model):
-    n_contexts, logdens, draws = V3_CDE
+# Recorded with the version-4 code that wrote the fixtures: an nw+tree
+# model with 2-d y and mixture weights 2:1, one of whose buffered ys lies
+# outside the tree's box, and a Laplace VMM with stop weight 0.4.
+V4_CDE_QUERIES = [
+    ([0.05], [0.9, -0.4]), ([0.5], [-0.8, 0.1]), ([0.75], [0.2, 0.3]), ([0.99], [1.9, -1.95]),
+]
+V4_CDE = (
+    45,
+    ["-0.4702650535404268", "-0.07931667221489562", "-1.1642020527386605", "-9.101935330744348"],
+    [
+        "[1.2433377557004042, -0.3437743810251285]",
+        "[0.5474053192835873, -0.18659388039008962]",
+        "[-0.33411381102645366, 0.005072550842251833]",
+        "[-1.4225634668898168, 0.7988010268972339]",
+        "[-0.572798898466229, 0.8193978844465195]",
+        "[-1.188034256912724, 0.3096591476608732]",
+        "[-0.11789326250816062, 0.10447779143955621]",
+        "[0.1950010653276576, 0.643740315248007]",
+    ],
+)
+V4_VMM = (
+    ["-2.1138836795398754", "-0.5078860708803173", "-1.2820581614604654"],
+    "-8.90463915168881",
+    [1, 0, 1, 2, 0, 0, 1, 1, 1, 1, 1, 2],
+)
+
+
+def check_cde(pinned, queries, model):
+    n_contexts, logdens, draws = pinned
     assert model.n_contexts == n_contexts
-    assert [repr(model.predict_logdensity(x, y)) for x, y in V3_CDE_QUERIES] == logdens
+    assert [repr(model.predict_logdensity(x, y)) for x, y in queries] == logdens
     rng = np.random.default_rng(13)
-    got = [repr(np.atleast_1d(model.sample_y(x, rng)).tolist()) for x, _ in V3_CDE_QUERIES for _ in "ab"]
+    got = [repr(np.atleast_1d(model.sample_y(x, rng)).tolist()) for x, _ in queries for _ in "ab"]
     assert got == draws
 
 
-def check_v3_vmm(model):
-    nexts, seq, draws = V3_VMM
+def check_vmm(pinned, model):
+    nexts, seq, draws = pinned
     assert [repr(v) for v in model.next_symbol_logprobs().tolist()] == nexts
     assert repr(model.sequence_logprob([0, 1, 2, 2, 1, 0, 0])) == seq
     assert model.generate(12, np.random.default_rng(13)) == draws
+
+
+def check_v3_cde(model):
+    check_cde(V3_CDE, V3_CDE_QUERIES, model)
+
+
+def check_v3_vmm(model):
+    check_vmm(V3_VMM, model)
+
+
+def check_v4_cde(model):
+    check_cde(V4_CDE, V4_CDE_QUERIES, model)
+
+
+def check_v4_vmm(model):
+    check_vmm(V4_VMM, model)
+
+
+def loads_and_saves_as_version_5(version, name, load, check):
+    """The fixture predicts and samples as the code that wrote it did,
+    and saves as version 5 (its records' learnt parts, its prior once),
+    which loads to the same model."""
+    text = (FIXTURES / f"snapshot_v{version}_{name}.txt").read_text()
+    assert json.loads(text.splitlines()[1])["version"] == version
+    model = load(text)
+    check(model)
+    again = model.to_text()
+    assert json.loads(again.splitlines()[1])["version"] == 5
+    assert again == as_version_5(text, model.posterior.prior.prior())
+    check(load(again))
+    assert load(again).to_text() == again
+    if name == "cde":
+        assert_same_trees(model.posterior, load(again).posterior)
+    return text, again
 
 
 @pytest.mark.parametrize(
     "name,load,check",
     [("cde", CdeModel.from_text, check_v3_cde), ("vmm", VmmModel.from_text, check_v3_vmm)],
 )
-def test_a_version_3_snapshot_loads_and_saves_as_version_4(name, load, check):
-    """It predicts and samples as the version-3 code did, ignoring its
-    tree counts and points, and saves as version 4, which loads to the
-    same model."""
-    text = (FIXTURES / f"snapshot_v3_{name}.txt").read_text()
-    assert json.loads(text.splitlines()[1])["version"] == 3
-    model = load(text)
-    check(model)
-    again = model.to_text()
-    assert json.loads(again.splitlines()[1])["version"] == 4
-    assert again == as_version_4(text)
-    check(load(again))
-    if name == "cde":
-        assert_same_trees(model.posterior, load(again).posterior)
+def test_a_version_3_snapshot_loads_and_saves_as_version_5(name, load, check):
+    """Its tree counts and points are ignored."""
+    loads_and_saves_as_version_5(3, name, load, check)
+
+
+@pytest.mark.parametrize(
+    "name,load,check",
+    [("cde", CdeModel.from_text, check_v4_cde), ("vmm", VmmModel.from_text, check_v4_vmm)],
+)
+def test_a_version_4_snapshot_loads_and_saves_as_version_5(name, load, check):
+    """Written back as version 4, the version-5 text is the fixture
+    byte for byte: the two hold the same information."""
+    text, again = loads_and_saves_as_version_5(4, name, load, check)
+    assert as_version(again, 4) == text
+
+
+def leaf_paths(obj, path=()):
+    """The key path of every number and string in a JSON value."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from leaf_paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+@pytest.mark.parametrize("name,load", [("cde", CdeModel.from_text), ("vmm", VmmModel.from_text)])
+def test_a_version_5_header_with_any_prior_field_changed_is_refused(name, load):
+    """Each number and string of the header's prior, changed alone."""
+    text = load((FIXTURES / f"snapshot_v4_{name}.txt").read_text()).to_text()
+    lines = text.splitlines()
+    paths = list(leaf_paths(json.loads(lines[1])["prior"]))
+    assert len(paths) > 2
+    for path in paths:
+        meta = json.loads(lines[1])
+        parent = meta["prior"]
+        for key in path[:-1]:
+            parent = parent[key]
+        value = parent[path[-1]]
+        if isinstance(value, str):
+            parent[path[-1]] = value + "x"
+        else:
+            parent[path[-1]] = 2.0 * value + 1.0 if math.isfinite(value) else 0.0
+        edited = "\n".join([lines[0], json.dumps(meta, sort_keys=True)] + lines[2:]) + "\n"
+        with pytest.raises(BadConfig, match="another kind or prior"):
+            load(edited)
 
 
 def test_version_3_tree_records_are_not_read():

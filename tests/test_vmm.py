@@ -22,6 +22,7 @@ from covermodels import (
     gen_markov,
 )
 from covermodels.methods import VmmMethod
+from covermodels.vmm import _resolve_prior
 
 
 def kt_steps(symbols, assignments):
@@ -128,6 +129,19 @@ class TestReferenceMixer:
         want = f"^458330 prunings at depth 5 of {depth} exceed cap 100000$"
         with pytest.raises(TooLargeToEnumerate, match=want):
             CtwOracle(2, depth)
+
+    @pytest.mark.parametrize("concentration", [0.0, -0.5, math.nan, math.inf])
+    def test_a_concentration_the_model_refuses_the_oracle_refuses(self, concentration):
+        """The oracle raised ``ZeroDivisionError`` at 0 and -0.5 and
+        returned NaN at NaN and inf; it now takes the model's rule."""
+        with pytest.raises(BadConfig, match="concentration"):
+            ctw_logprob([0, 1, 1], 2, 1, concentration)
+        with pytest.raises(BadConfig, match="concentration"):
+            CtwOracle(2, 1, concentration)
+        with pytest.raises(BadConfig, match="concentration"):
+            VmmModel(2, 2, prior=concentration)
+        with pytest.raises(BadConfig, match="concentration"):
+            _resolve_prior(concentration)
 
     def test_stop_weight_one_is_a_lone_kt_estimator(self):
         """At stop weight 1 every walk stops at the root, whose log(1 -
@@ -288,6 +302,25 @@ class TestSnapshot:
         with pytest.raises(BadConfig):
             VmmModel.from_text(json.dumps(meta) + "\n" + rest)
 
+    @pytest.mark.parametrize("n_seen,n_obs", [(5.9, 5.9), (5.9, 5), (5, 5.9), (5.0, 5.9)])
+    def test_a_symbol_count_that_is_not_a_whole_number_is_refused(self, n_seen, n_obs):
+        """Counts of 5.9 once loaded as 5; 5.0 in both loads as 5."""
+        m = VmmModel(alphabet_size=2, depth=3)
+        m.fit_sequence([0, 1, 1, 0, 1])
+        text = m.to_text()
+
+        def edited(n_seen, n_obs):
+            head, posterior, rest = text.split("\n", 2)
+            head = json.dumps({**json.loads(head), "n_seen": n_seen}, sort_keys=True)
+            posterior = json.dumps({**json.loads(posterior), "n_obs": n_obs}, sort_keys=True)
+            return "\n".join([head, posterior, rest])
+
+        whole = VmmModel.from_text(edited(5.0, 5.0))
+        assert whole.n_seen == 5 and type(whole.n_seen) is int
+        assert whole.to_text() == text
+        with pytest.raises(BadConfig, match="must be a whole number"):
+            VmmModel.from_text(edited(n_seen, n_obs))
+
     @pytest.mark.parametrize("key", ["depth", "alphabet_size"])
     def test_an_infinite_header_size_is_refused(self, key):
         """It raised ``OverflowError``, which no caller expects."""
@@ -385,12 +418,14 @@ def test_load_refuses_a_float_suffix_symbol():
 
 def test_snapshot_text_is_pinned():
     """The snapshot text of a fixed stream, recorded before the Dirichlet
-    locals kept plain float counts and the engine cached log w0, and
-    again for snapshot format 4, which changed only its version field."""
+    locals kept plain float counts and the engine cached log w0, again
+    for snapshot format 4, which changed only its version field, and
+    again for snapshot format 5, which writes the Dirichlet prior once
+    in the header instead of in every record; nothing else moved."""
     m = VmmModel(3, 5)
     m.fit_sequence(gen_markov(500, seed=41, alphabet_size=3, order=2))
     digest = hashlib.sha256(m.to_text().encode()).hexdigest()
-    assert digest == "cc3842e3a1514257ff803b7b583bc56091722d1ae5dc8460320fc0752a7af904"
+    assert digest == "fcb9bb799dc54ddc11c06cf62d6a3b2ae201f0743d628313a56fe8867d5e9f2f"
 
 
 HOT_PATH_DIGESTS = {
