@@ -32,6 +32,7 @@ import sys
 import numpy as np
 
 from .cde import CdeConfig, CdeModel
+from .covers import as_size
 from .data import (
     GENERATORS,
     Dataset,
@@ -346,7 +347,7 @@ def cmd_sample(args) -> int:
         except ValueError:
             raise BadConfig(f"bad --x {args.x!r}: expected comma separated numbers") from None
         model = CdeModel.from_text(text)
-        for _ in range(args.n):
+        for _ in range(as_size(args.n, "--n", 0)):
             y = np.atleast_1d(model.sample_y(x, rng))
             print(",".join(repr(float(v)) for v in y))
         return 0

@@ -156,10 +156,12 @@ class CoverSequence:
     matches one chain of contexts. The engine's closed form posterior
     relies on exactly that.
 
-    A subclass sets ``growth_mode`` to "replay" (it hands back the
-    buffered block of each new child, ``observe_and_refine``) or
-    "truncate" (it materialises contexts lazily, ``extend``), and
-    implements:
+    A subclass grows its own way by overriding the defaults below, which
+    grow nothing: ``KdTreeCover`` splits leaves and replays their points
+    (``observe_and_refine``, ``leaf_ys``), ``SuffixTreeCover`` makes
+    contexts lazily (``extend``, ``truncates``). ``growth_mode`` is a
+    label kept for ``bench/workload.py``; the package does not read it.
+    A subclass also implements:
 
     * ``prepare_query(query)``: validate and normalise a raw query.
       ``match_levels``, ``extend`` and ``observe_and_refine`` take its
@@ -188,6 +190,22 @@ class CoverSequence:
     @property
     def deepest_depth(self) -> int:
         return max(c.depth for c in self.contexts.values())
+
+    def truncates(self, depth) -> bool:
+        """Whether a chain that ends at ``depth`` could have gone deeper."""
+        return False
+
+    def extend(self, query, path):
+        """Make the contexts a chain lacks: ``(path, new ids)``."""
+        return path, []
+
+    def observe_and_refine(self, query, y, leaf=None):
+        """Keep an observation: the split events it causes, in order."""
+        return []
+
+    def leaf_ys(self):
+        """Each leaf's kept ys, or None: the cover keeps no points."""
+        return None
 
 
 class KdTreeCover(CoverSequence):
@@ -521,6 +539,9 @@ class SuffixTreeCover(CoverSequence):
             if type(s) is not int or not 0 <= s < n:
                 return tuple(as_symbol(s, n) for s in h)
         return h
+
+    def truncates(self, depth) -> bool:
+        return depth < self.max_depth
 
     def match_levels(self, h):
         kids = self._kids

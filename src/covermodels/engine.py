@@ -13,8 +13,8 @@ closed form. Per context c three log quantities suffice:
 * ``log_m``: joint marginal of every observation whose chain passed
   through or ended at c, under c's local model.
 * ``log_trunc``: marginal of the observations whose chain ended at c
-  while the cover sequence could still refine past c. Only covers with
-  ``growth_mode == "truncate"`` produce these events.
+  while the cover sequence could still refine past c, which the cover's
+  ``truncates`` at c's depth says.
 * ``log_lambda``: the subtree evidence
 
       lambda_c = m_c                               if c has no children
@@ -48,17 +48,18 @@ so the pass that updates the locals also supplies every pi. The
 subtree predictives psi are then computed from the stop posteriors
 still in force, and only after that are m, trunc and lambda committed.
 
-Growth comes in two flavours. Covers that report ``replay`` (kd trees)
-hand back the buffered block of each new child so its state is rebuilt
-as if the child had always existed: the child's new local absorbs
-the block in one ``absorb_block`` call, whose closed-form block
-marginal is the child's ``log_m``. Every local is exchangeable, so
-that is the product of the block's sequential predictives, up to
-rounding. The buffered ys passed ``prepare`` when they were absorbed,
-so a replay prepares nothing. Covers that report ``truncate``
-(suffix trees) materialise contexts lazily; a chain that ends above
-the maximum depth leaves a truncation factor behind and predictions
-mix in a virtual continuation drawn from the prior.
+Growth belongs to the cover, which an absorb asks the same things
+whatever its kind. ``extend`` makes the contexts a chain lacks (a
+suffix tree's), each with a fresh local that takes the observation.
+``observe_and_refine`` hands back each new split child's buffered
+block (a kd tree's), which its new local absorbs in one
+``absorb_block`` call, as if it had always existed: every local is
+exchangeable, so the closed-form block marginal, its ``log_m``, is the
+product of the block's sequential predictives, up to rounding. The ys
+passed ``prepare`` when absorbed, so a replay prepares nothing. Where
+``truncates`` says a chain could have gone deeper, it leaves a
+truncation factor and predictions mix in a virtual continuation drawn
+from the prior.
 
 One prior serves every context. The posterior is given an empty local,
 its ``prior``, and never changes it, so one prior may serve several
@@ -301,46 +302,33 @@ class CoverModelPosterior:
     def stop_posterior(self, cid) -> float:
         """Posterior probability that the walk stops at cid given reach.
 
-        A childless context in a replayed cover is a forced terminal, so
-        its value is 1; under truncation growth the cover can still
-        refine past it, above its maximum depth, and the unforced
-        posterior applies.
+        A childless context is a forced terminal, so its value is 1,
+        unless the cover ``truncates`` at its depth: then the walk could
+        go on past it, and the unforced posterior applies.
         """
         ctx = self.cover.contexts[cid]
-        if not ctx.child_ids and (
-            self.cover.growth_mode != "truncate" or ctx.depth >= self.cover.max_depth
-        ):
+        if not ctx.child_ids and not self.cover.truncates(ctx.depth):
             return 1.0
         return math.exp(self.log_g[cid])
 
     # ---- prediction -------------------------------------------------------
 
-    def _truncated(self, path) -> bool:
-        """Whether a matched path ends above the maximum depth of a
-        truncating cover, which can still refine past its end."""
-        return self.cover.growth_mode == "truncate" and len(path) < self.cover.max_depth
-
-    def _virtual(self, path, py):
-        """Log predictive of the virtual continuation past a truncated
-        path (see ``_truncated``) at the prepared y ``py``, else None."""
-        if self._truncated(path):
-            return self.prior.log_predictive(py)
-        return None
-
-    def _phi(self, path, logpi, virtual):
+    def _phi(self, path, logpi, py):
         """Subtree predictive of each context on a matched path.
 
         ``path`` holds the contexts' ids, by which their kept stop pairs
         (``log_g``, ``log1m_g``) are read, ``logpi`` their local log
-        predictives and ``virtual`` the virtual continuation's (see
-        ``_virtual``). Returns log psi per context, root first, where
-        psi is the subtree mixture value used by the walk; the root's is
-        the log marginal. The stop posteriors must be those in force, so
-        an absorb reads them before committing anything.
+        predictives at the prepared y ``py``. Where the cover
+        ``truncates`` the path, the deepest context continues to the
+        virtual one, whose predictive is the prior's. Returns log psi
+        per context, root first, where psi is the subtree mixture value
+        used by the walk; the root's is the log marginal. The stop
+        posteriors must be those in force, so an absorb reads them
+        before committing anything.
         """
         log_g, log1m_g = self.log_g, self.log1m_g
         logpsi = [0.0] * len(logpi)
-        psi = virtual  # what the deepest context continues to, if anything
+        psi = self.prior.log_predictive(py) if self.cover.truncates(len(path)) else None
         for k in range(len(logpi) - 1, -1, -1):
             cid, lp = path[k], logpi[k]
             lg = log_g[cid]
@@ -376,7 +364,7 @@ class CoverModelPosterior:
         for y in ys:
             py = self.prior.prepare(y)
             logpi = [local.log_predictive(py) for local in locals_]
-            out.append((logpi, self._phi(path, logpi, self._virtual(path, py))))
+            out.append((logpi, self._phi(path, logpi, py)))
         return path, out
 
     def log_predictives(self, x, ys):
@@ -431,28 +419,26 @@ class CoverModelPosterior:
         # before it changes; the locals of one model share one support,
         # so only the first update can reject y, before anything changed
         logpi = [locals_[cid].update(py) for cid in path]
-        if cover.growth_mode == "truncate":
-            # a new context's parent exists, so new ones extend the path
-            path, made = cover.extend(xq, path)
-            for cid in made:
-                local = self.prior.spawn()
-                self._append_state(local, self._w0_fn(cover.contexts[cid].depth))
-                logpi.append(local.update(py))
+        # a new context's parent exists, so new ones extend the path
+        path, made = cover.extend(xq, path)
+        for cid in made:
+            local = self.prior.spawn()
+            self._append_state(local, self._w0_fn(cover.contexts[cid].depth))
+            logpi.append(local.update(py))
         # the stop posteriors read here change only below
-        logmarg = self._phi(path, logpi, self._virtual(path, py))[0]
+        logmarg = self._phi(path, logpi, py)[0]
 
         for cid, lp in zip(path, logpi):
             log_m[cid] += lp
-        if self._truncated(path):
+        if cover.truncates(len(path)):
             self.log_trunc[path[-1]] += logpi[-1]
         new = []
-        if cover.growth_mode == "replay":
-            for _, kids in cover.observe_and_refine(xq, y, path[-1]):
-                for cid, block in kids:
-                    local = self.prior.spawn()
-                    w0 = self._w0_fn(cover.contexts[cid].depth)
-                    self._append_state(local, w0, local.absorb_block([yb for _, yb in block]))
-                    new.append(cid)
+        for _, kids in cover.observe_and_refine(xq, y, path[-1]):
+            for cid, block in kids:
+                local = self.prior.spawn()
+                w0 = self._w0_fn(cover.contexts[cid].depth)
+                self._append_state(local, w0, local.absorb_block([yb for _, yb in block]))
+                new.append(cid)
         # a split makes its children after their parent, and every new
         # context lies below the path, so this refreshes children first
         self._refresh_lambda(reversed(path + new))
@@ -473,7 +459,7 @@ class CoverModelPosterior:
             if rng.uniform() < math.exp(log_g[cid]):
                 return locals_[cid].sample(rng)
         cid = path[-1]
-        if self._truncated(path) and rng.uniform() >= math.exp(log_g[cid]):
+        if self.cover.truncates(len(path)) and rng.uniform() >= math.exp(log_g[cid]):
             return self.prior.sample(rng)
         return locals_[cid].sample(rng)
 
@@ -596,24 +582,25 @@ class CoverModelPosterior:
         """Raise ``BadConfig`` if a local holds state that a snapshot
         leaves out, a tree density's, and the cover keeps no buffers to
         rebuild it from."""
-        if self.cover.growth_mode != "replay" and prepare_block(self.prior, []) is not None:
+        if self.cover.leaf_ys() is None and prepare_block(self.prior, []) is not None:
             raise BadConfig("a snapshot rebuilds tree densities from a kd cover's buffers")
 
     def _rebuild(self):
         """Check each local's counts against what the cover routed to
         its context, then set what the records leave out.
 
-        A kd cover's leaf buffers must hold ``n_obs`` ys, each finite:
-        every one passed the prior's ``prepare`` when it was absorbed,
-        and the next split replays it. The prior prepares them all at
-        once; then one pass, children first, takes
-        each context's points (its leaf's slice of the block, or its
-        children's), checks its local's counts and refills it, and
-        ``_refresh_lambda`` runs over the same order. Elsewhere the
-        root's local was offered every observation, and children hold no
-        more than their parent."""
+        The leaf buffers of a cover that keeps points (``leaf_ys``, a kd
+        cover's) must hold ``n_obs`` ys, each finite: every one passed
+        the prior's ``prepare`` when it was absorbed, and the next split
+        replays it. The prior prepares them all at once; then one pass,
+        children first, takes each context's points (its leaf's slice of
+        the block, or its children's), checks its local's counts and
+        refills it, and ``_refresh_lambda`` runs over the same order. On
+        a cover that keeps none the root's local was offered every
+        observation, and children hold no more than their parent."""
         cover, locals_ = self.cover, self.local
-        if cover.growth_mode != "replay":
+        leaves = cover.leaf_ys()
+        if leaves is None:
             check_seen(locals_[cover.root_id], self.n_obs)
             for cid, ctx in cover.contexts.items():
                 if ctx.child_ids:
@@ -622,7 +609,7 @@ class CoverModelPosterior:
             self._refresh_all()
             return
         ys, runs, seen = [], {}, {}
-        for cid, buf in cover.leaf_ys():
+        for cid, buf in leaves:
             runs[cid] = slice(len(ys), len(ys) + len(buf))
             seen[cid] = len(buf)
             ys += buf

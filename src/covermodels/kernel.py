@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .covers import as_size
 from .errors import BadConfig, DegenerateData, ZeroDenominator
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -132,6 +133,8 @@ def fit_cv(
     ``subsample_cap`` evenly spaced rows, deterministically; folds are
     assigned round robin by row index. Returns (model, CvReport).
     """
+    n_folds, grid_size = as_size(n_folds, "n_folds", 2), as_size(grid_size, "grid_size", 1)
+    subsample_cap = as_size(subsample_cap, "subsample_cap", 2)
     x = _as_matrix(x, "x")
     y = _as_matrix(y, "y")
     n = x.shape[0]

@@ -127,7 +127,7 @@ class VmmModel:
         """
         clone = self.copy()
         out = []
-        for _ in range(int(n)):
+        for _ in range(as_size(n, "n", 0)):
             s = clone.posterior.sample_y(clone.context, rng)
             clone.observe(int(s))
             out.append(int(s))
@@ -252,10 +252,7 @@ class CtwOracle:
         return out
 
     def sequence_logprob(self, seq) -> float:
-        seq = [int(s) for s in seq]
-        for s in seq:
-            if not 0 <= s < self.n:
-                raise UnknownSymbol(s, self.n)
+        seq = [as_symbol(s, self.n) for s in seq]
         if not seq:
             return 0.0
         # each symbol's candidate contexts, shortest first, are the same

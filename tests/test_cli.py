@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from covermodels import new_cde
+from covermodels import VmmModel, new_cde
 from covermodels.cli import main, parse_config_file
 from covermodels.evaluate import read_records_csv
 
@@ -148,6 +148,19 @@ class TestFitEval:
                    "--set", "grid_lo=0.1") == 2
         assert capsys.readouterr().err == "error: unknown kernel-cde option(s): ['grid_lo']\n"
 
+    @pytest.mark.parametrize(
+        "setting", ["n_folds=1", "n_folds=0", "n_folds=-2", "grid_size=0", "subsample_cap=1"]
+    )
+    def test_a_kernel_cde_size_out_of_range_exits_2(self, setting, mix_files, tmp_path, capsys):
+        """``n_folds=1`` and ``grid_size=0`` ended in a numpy traceback;
+        ``n_folds`` 0 and -2 ran no fold and fitted the grid's first pair."""
+        train, hold = mix_files
+        assert run("fit-eval", "--method", "kernel-cde", "--train", train,
+                   "--holdout", hold, "--out", tmp_path / "k.csv", "--set", setting,
+                   "--checkpoints", "100", "--no-timing") == 2
+        key = setting.partition("=")[0]
+        assert capsys.readouterr().err.startswith(f"error: {key} must be a whole number")
+
 
 class TestCompare:
     def test_default_methods(self, mix_files, tmp_path):
@@ -237,6 +250,22 @@ class TestSample:
         rows = capsys.readouterr().out.strip().splitlines()
         assert len(rows) == 3
         float(rows[0])  # parses as a number
+
+    @pytest.mark.parametrize("kind", ["cde", "vmm"])
+    def test_a_negative_count_exits_2(self, kind, tmp_path, capsys):
+        """``--n -3`` printed an empty line and exited 0."""
+        if kind == "cde":
+            model, x = new_cde([0.0], [1.0], [0.0], [1.0]), ["--x", "0.5"]
+            model.absorb([0.5], [0.5])
+        else:
+            model, x = VmmModel(2, 3), []
+            model.fit_sequence([0, 1, 1])
+        snap = tmp_path / "m.snap"
+        snap.write_text(model.to_text())
+        assert run("sample", "--snapshot", snap, *x, "--n", -3) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "whole number" in err
+        assert run("sample", "--snapshot", snap, *x, "--n", 0) == 0
 
     @pytest.mark.parametrize("case", ["x-not-a-number", "snapshot-not-json", "snapshot-empty"])
     def test_bad_input_exits_2(self, case, tmp_path, capsys):

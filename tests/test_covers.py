@@ -380,3 +380,45 @@ def test_load_refuses_a_size_that_is_not_a_whole_number(kind, key, value):
     state[key] = value
     with pytest.raises(BadConfig, match="whole number"):
         cover_from_state(state)
+
+
+class TestGrowthProtocol:
+    """Each cover answers the engine's growth questions itself: the
+    suffix cover makes contexts and truncates, the kd cover keeps points
+    and splits, and each inherits a default that grows nothing for the
+    other way."""
+
+    @pytest.mark.parametrize("max_depth", [1, 2, 5])
+    def test_a_suffix_cover_truncates_only_above_max_depth(self, max_depth):
+        cov = SuffixTreeCover(alphabet_size=2, max_depth=max_depth)
+        got = [cov.truncates(depth) for depth in range(1, max_depth + 1)]
+        assert got == [True] * (max_depth - 1) + [False]
+
+    @pytest.mark.parametrize("max_depth", [1, 2, 5])
+    def test_a_kd_cover_never_truncates(self, max_depth):
+        cov = KdTreeCover(Box([0.0], [1.0]), max_depth=max_depth)
+        assert not any(cov.truncates(depth) for depth in range(1, max_depth + 1))
+
+    def test_a_kd_cover_extends_nothing(self):
+        cov = KdTreeCover(Box([0.0, 0.0], [1.0, 1.0]), alpha=1.5, max_depth=6)
+        rng = np.random.default_rng(3)
+        for x in rng.uniform(0, 1, size=(20, 2)):
+            cov.observe_and_refine(cov.prepare_query(x), [0.5])
+        assert cov.n_contexts > 1
+        state = cov.state_dict()
+        x = cov.prepare_query([0.3, 0.7])
+        path = cov.match_levels(x)
+        given = path[:]
+        out, made = cov.extend(x, path)
+        assert out == given and path == given and made == []
+        assert cov.state_dict() == state
+
+    def test_a_suffix_cover_keeps_no_points_and_never_splits(self):
+        cov = SuffixTreeCover(alphabet_size=3, max_depth=4)
+        extend(cov, (0, 2, 1))
+        state = cov.state_dict()
+        h = cov.prepare_query((1, 0, 2, 1))
+        assert cov.observe_and_refine(h, 2) == []
+        assert cov.observe_and_refine(h, 2, cov.match_levels(h)[-1]) == []
+        assert cov.leaf_ys() is None
+        assert cov.state_dict() == state

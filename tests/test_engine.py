@@ -552,6 +552,38 @@ class TestSampling:
         assert pval > 1e-4
 
 
+class TestStopPosterior:
+    """A childless context is a forced terminal unless its cover
+    ``truncates`` at its depth."""
+
+    def test_a_kd_leaf_above_max_depth_is_a_forced_terminal(self):
+        rng = np.random.default_rng(6)
+        cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0, max_depth=8)
+        post = CoverModelPosterior(cov, DirichletMultinomial(2, 0.5))
+        for _ in range(30):
+            post.absorb(rng.uniform(0, 1, size=1), int(rng.integers(2)))
+        leaves = [c for c in cov.contexts.values() if not c.child_ids]
+        assert len(leaves) > 1 and max(c.depth for c in leaves) < cov.max_depth
+        for ctx in leaves:
+            assert post.stop_posterior(ctx.cid) == 1.0
+            assert math.exp(post.log_g[ctx.cid]) < 1.0
+
+    def test_a_childless_suffix_context_is_forced_only_at_max_depth(self):
+        model = VmmModel(alphabet_size=2, depth=4)
+        model.fit_sequence([1, 1, 1, 1])  # the chain (1,), (1, 1), (1, 1, 1)
+        model.history.clear()
+        model.fit_sequence([0, 0])  # (0,), at depth 2, and no child of it
+        post = model.posterior
+        childless = [c for c in post.cover.contexts.values() if not c.child_ids]
+        assert {c.depth for c in childless} == {2, 4}
+        for ctx in childless:
+            got = post.stop_posterior(ctx.cid)
+            if ctx.depth == post.cover.max_depth:
+                assert got == 1.0
+            else:
+                assert got == math.exp(post.log_g[ctx.cid]) < 1.0
+
+
 class TestValidation:
     def test_set_w0_range(self):
         rng = np.random.default_rng(0)

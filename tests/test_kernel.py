@@ -156,6 +156,38 @@ class TestCrossValidation:
         # the final model still carries every training point
         assert model.x.shape[0] == 500
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("n_folds", 1),
+            ("n_folds", 0),
+            ("n_folds", -2),
+            ("n_folds", 2.5),
+            ("n_folds", math.nan),
+            ("grid_size", 0),
+            ("grid_size", 1.5),
+            ("subsample_cap", 1),
+            ("subsample_cap", math.inf),
+        ],
+        ids=repr,
+    )
+    def test_a_size_out_of_range_is_refused(self, key, value):
+        """``n_folds=1`` and ``grid_size=0`` raised a numpy ``ValueError``;
+        ``n_folds`` 0 and -2 ran no fold and picked the grid's first pair."""
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(40, 1))
+        y = x + rng.normal(0, 0.2, size=(40, 1))
+        with pytest.raises(BadConfig, match=f"{key} must be a whole number"):
+            fit_cv(x, y, **{key: value})
+
+    def test_the_smallest_sizes_fit(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(40, 1))
+        y = x + rng.normal(0, 0.2, size=(40, 1))
+        model, rep = fit_cv(x, y, n_folds=2.0, grid_size=1, subsample_cap=2)
+        assert rep.n_folds == 2 and rep.n_used == 2 and len(rep.scores) == 1
+        assert model.x.shape[0] == 40
+
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateData):
             fit_cv(np.zeros((1, 1)), np.zeros((1, 1)))

@@ -143,6 +143,19 @@ class TestReferenceMixer:
         with pytest.raises(BadConfig, match="concentration"):
             _resolve_prior(concentration)
 
+    @pytest.mark.parametrize("bad", [1.5, "1", 2], ids=repr)
+    def test_the_oracle_refuses_a_symbol_the_model_refuses(self, bad):
+        """The oracle read every symbol through ``int()``, so 1.5 and
+        "1" scored as 1; it now takes the model's ``as_symbol``."""
+        with pytest.raises(UnknownSymbol):
+            ctw_logprob([0, bad, 1], 2, 1)
+        with pytest.raises(UnknownSymbol):
+            VmmModel(2, 2).observe(bad)
+
+    @pytest.mark.parametrize("one", [1.0, np.int64(1)], ids=repr)
+    def test_the_oracle_takes_a_symbol_the_model_takes(self, one):
+        assert ctw_logprob([0, one, 1], 2, 1) == ctw_logprob([0, 1, 1], 2, 1)
+
     def test_stop_weight_one_is_a_lone_kt_estimator(self):
         """At stop weight 1 every walk stops at the root, whose log(1 -
         w0) is log1mexp(0) = -inf: the returns are a lone KT local's
@@ -261,6 +274,26 @@ class TestSampling:
         counts = np.bincount(draws, minlength=3)
         _, pval = chisquare(counts, probs * n)
         assert pval > 1e-4
+
+
+class TestGenerate:
+    @pytest.mark.parametrize("n", [2.5, -3, math.nan, math.inf, "3"], ids=repr)
+    def test_a_count_that_is_not_a_size_is_refused(self, n):
+        """``generate(2.5)`` drew 2 symbols, ``generate(-3)`` none and
+        ``generate(nan)`` raised a bare ``ValueError``."""
+        m = VmmModel(2, 3)
+        m.fit_sequence([0, 1, 1, 0])
+        with pytest.raises(BadConfig, match="whole number"):
+            m.generate(n, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n,want", [(0, 0), (3.0, 3), (np.int64(4), 4)], ids=repr)
+    def test_a_whole_count_draws_that_many(self, n, want):
+        m = VmmModel(2, 3)
+        m.fit_sequence([0, 1, 1, 0])
+        before = m.to_text()
+        out = m.generate(n, np.random.default_rng(0))
+        assert len(out) == want and set(out) <= {0, 1}
+        assert m.to_text() == before
 
 
 class TestSnapshot:
