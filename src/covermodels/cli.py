@@ -25,9 +25,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -60,7 +62,12 @@ from .methods import (
 )
 from .vmm import CtwOracle, VmmModel
 
-METHODS = ("cover-cde", "kernel-cde", "global-nw", "constant", "vmm")
+# each method's adapter, under the adapter's name
+_ADAPTERS = {
+    m.name: m
+    for m in (CoverCdeMethod, KernelCdeMethod, GlobalNormalWishartMethod, ConstantMethod, VmmMethod)
+}
+METHODS = tuple(_ADAPTERS)
 
 
 def _out_path(path):
@@ -105,10 +112,6 @@ def _collect_config(args) -> dict:
 
 
 def _cde_config(cfg: dict, train: Dataset) -> CdeConfig:
-    fields = {f.name for f in dataclasses.fields(CdeConfig)}
-    unknown = set(cfg) - fields
-    if unknown:
-        raise BadConfig(f"unknown cover-cde option(s): {sorted(unknown)}")
     kw = dict(cfg)
     if "components" in kw:
         kw["components"] = tuple(kw["components"])
@@ -118,36 +121,32 @@ def _cde_config(cfg: dict, train: Dataset) -> CdeConfig:
     return CdeConfig.from_data(train.x, train.y, **kw).validate()
 
 
+def _options(name):
+    """The constructor parameters of method ``name``'s adapter."""
+    return inspect.signature(_ADAPTERS[name]).parameters
+
+
 def _build_method(name, cfg, train, resume_text=None):
-    if name == "cover-cde":
-        return CoverCdeMethod(_cde_config(cfg, train), resume_text=resume_text)
-    if name == "kernel-cde":
-        allowed = {"n_folds", "grid_size", "subsample_cap"}
-        unknown = set(cfg) - allowed
-        if unknown:
-            raise BadConfig(f"unknown kernel-cde option(s): {sorted(unknown)}")
-        return KernelCdeMethod(**cfg)
-    if name == "global-nw":
-        if cfg:
-            raise BadConfig(f"global-nw takes no options, got {sorted(cfg)}")
-        return GlobalNormalWishartMethod()
-    if name == "constant":
-        allowed = {"density"}
-        if set(cfg) - allowed:
-            raise BadConfig(f"unknown constant option(s): {sorted(set(cfg) - allowed)}")
-        return ConstantMethod(**cfg)
-    if name == "vmm":
-        allowed = {"alphabet_size", "depth", "prior", "stop_weight"}
-        unknown = set(cfg) - allowed
-        if unknown:
-            raise BadConfig(f"unknown vmm option(s): {sorted(unknown)}")
-        if resume_text is None and "alphabet_size" not in cfg:
-            raise BadConfig("vmm needs alphabet_size (via --set or config file)")
-        kw = dict(cfg)
-        kw.setdefault("alphabet_size", 2)
-        kw.setdefault("depth", 3)
-        return VmmMethod(resume_text=resume_text, **kw)
-    raise BadConfig(f"unknown method {name!r}, expected one of {METHODS}")
+    """Method ``name``'s adapter, with the options its constructor takes
+    from ``cfg``. A resumed adapter takes its settings from the
+    snapshot, so it needs none."""
+    if name not in _ADAPTERS:
+        raise BadConfig(f"unknown method {name!r}, expected one of {METHODS}")
+    params = _options(name)
+    cde = _ADAPTERS[name] is CoverCdeMethod
+    # cover-cde's options are the fields of the CdeConfig it takes
+    options = {f.name for f in dataclasses.fields(CdeConfig)} if cde else set(params)
+    unknown = set(cfg) - options.difference(["resume_text"])
+    if unknown:
+        raise BadConfig(f"unknown {name} option(s): {sorted(unknown)}")
+    kw = {"config": _cde_config(cfg, train)} if cde else dict(cfg)
+    missing = [k for k, p in params.items() if p.default is p.empty and k not in kw]
+    if missing and resume_text is None:
+        raise BadConfig(f"{name} needs {', '.join(missing)} (via --set or config file)")
+    kw.update(dict.fromkeys(missing))
+    if resume_text is not None:
+        kw["resume_text"] = resume_text
+    return _ADAPTERS[name](**kw)
 
 
 def _load_train_holdout(args, method_name, cfg):
@@ -229,37 +228,36 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_fit_eval(args) -> int:
-    cfg = _collect_config(args)
-    resume_text = None
-    start_at = 0
-    if args.resume:
-        resume_text = read_text(args.resume, "snapshot")
-    train, holdout = _load_train_holdout(args, args.method, cfg)
-    method = _build_method(args.method, cfg, train, resume_text=resume_text)
-    if resume_text is not None:
-        method.begin(args.seed)  # peek at how far the snapshot got
-        start_at = method.n_absorbed
-    snapshot_at = args.snapshot_at
-    snapshot_out = _out_path(args.snapshot_out) if args.snapshot_out else None
-    if (snapshot_at is None) != (snapshot_out is None):
-        raise BadConfig("--snapshot-at and --snapshot-out go together")
-
-    def snap_cb(m, t):
-        with open(snapshot_out, "w") as fh:
-            fh.write(m.snapshot_text())
-
+def _run_method(args, name, cfg, resume_text=None, snapshot_at=None, snapshot_cb=None):
+    """Stream method ``name`` over the run's data and print its records."""
+    train, holdout = _load_train_holdout(args, name, cfg)
     records = run_eval(
-        method,
+        _build_method(name, cfg, train, resume_text),
         train,
         holdout,
         checkpoints=_checkpoints(args.checkpoints),
         record_timing=not args.no_timing,
         seed=args.seed,
-        start_at=start_at,
         snapshot_at=snapshot_at,
-        snapshot_cb=snap_cb if snapshot_out else None,
+        snapshot_cb=snapshot_cb,
     )
+    for r in records:
+        print(f"t={r.t:<8d} {r.method:<12s} loss={r.loss:.6f}")
+    return records
+
+
+def cmd_fit_eval(args) -> int:
+    cfg = _collect_config(args)
+    if (args.snapshot_at is None) != (args.snapshot_out is None):
+        raise BadConfig("--snapshot-at and --snapshot-out go together")
+    if (args.resume or args.snapshot_out) and "resume_text" not in _options(args.method):
+        raise BadConfig(f"{args.method} cannot resume or write a snapshot")
+    resume_text = read_text(args.resume, "snapshot") if args.resume else None
+    snapshot_cb = None
+    if args.snapshot_out:
+        snapshot_out = Path(_out_path(args.snapshot_out))
+        snapshot_cb = lambda m, t: snapshot_out.write_text(m.snapshot_text())
+    records = _run_method(args, args.method, cfg, resume_text, args.snapshot_at, snapshot_cb)
     out = _out_path(args.out)
     write_records_csv(out, records)
     _write_meta(
@@ -270,11 +268,9 @@ def cmd_fit_eval(args) -> int:
             command="fit-eval",
             method=args.method,
             resume=args.resume,
-            snapshot_at=snapshot_at,
+            snapshot_at=args.snapshot_at,
         ),
     )
-    for r in records:
-        print(f"t={r.t:<8d} {r.method:<12s} loss={r.loss:.6f}")
     print(f"wrote {out}")
     return 0
 
@@ -283,23 +279,9 @@ def cmd_compare(args) -> int:
     cfg = _collect_config(args)
     names = [m.strip() for m in args.methods.split(",") if m.strip()]
     all_records = []
-    finals = {}
     for name in names:
-        method_cfg = dict(cfg.get(name, {})) if name in cfg else {}
-        train, holdout = _load_train_holdout(args, name, method_cfg)
-        method = _build_method(name, method_cfg, train)
-        records = run_eval(
-            method,
-            train,
-            holdout,
-            checkpoints=_checkpoints(args.checkpoints),
-            record_timing=not args.no_timing,
-            seed=args.seed,
-        )
-        all_records.extend(records)
-        finals[name] = records[-1].loss
-        for r in records:
-            print(f"t={r.t:<8d} {r.method:<12s} loss={r.loss:.6f}")
+        all_records += _run_method(args, name, dict(cfg.get(name, {})))
+    finals = {r.method: r.loss for r in all_records}  # each method's last record
     out = _out_path(args.out)
     write_records_csv(out, all_records)
     _write_meta(out, _eval_meta(args, cfg, command="compare", methods=names))
@@ -429,10 +411,7 @@ def main(argv=None) -> int:
     except (BadConfig, ParseError, MissingColumn, UnknownSymbol) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CoverModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CoverModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

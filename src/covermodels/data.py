@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .covers import as_size
 from .errors import BadConfig, MissingColumn, ParseError
 
 
@@ -52,8 +53,7 @@ def gen_gaussian_ring(n, seed=0, angle_sd=0.5, noise_sd=0.1) -> Dataset:
     tight two dimensional blob that moves with x while the marginal of
     y is spread around the whole ring.
     """
-    if n <= 0:
-        raise BadConfig("n must be positive")
+    n = as_size(n, "n", 1)
     rng = _rng(seed)
     centers = np.array([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi])
     theta = centers[rng.integers(0, 4, size=n)] + rng.normal(0.0, angle_sd, size=n)
@@ -74,8 +74,7 @@ def gen_mixture(n, kind="gaussian", seed=0) -> Dataset:
     boxes, with shared means, spreads and weights so the two stress
     smooth and hard edged conditionals on identical geometry.
     """
-    if n <= 0:
-        raise BadConfig("n must be positive")
+    n = as_size(n, "n", 1)
     if kind not in ("gaussian", "uniform"):
         raise BadConfig(f"unknown mixture kind {kind!r}")
     rng = _rng(seed)
@@ -93,10 +92,9 @@ def gen_markov(n, seed=0, alphabet_size=2, order=2) -> list:
     The transition table is drawn once from its own fixed generator,
     so different seeds give different paths through the same source.
     """
-    if n <= 0:
-        raise BadConfig("n must be positive")
-    if alphabet_size < 2 or order < 1:
-        raise BadConfig("need alphabet_size >= 2 and order >= 1")
+    n = as_size(n, "n", 1)
+    alphabet_size = as_size(alphabet_size, "alphabet_size", 2)
+    order = as_size(order, "order", 1)
     table_rng = np.random.default_rng(12345)
     n_ctx = alphabet_size**order
     table = table_rng.dirichlet(np.full(alphabet_size, 0.3), size=n_ctx)

@@ -53,7 +53,7 @@ def run_eval(
     checkpoints=None,
     record_timing=True,
     seed=0,
-    start_at=0,
+    start_at=None,
     snapshot_at=None,
     snapshot_cb=None,
 ):
@@ -63,28 +63,38 @@ def run_eval(
     column is zero and the output is a pure function of (method
     configuration, data, seed).
 
-    ``start_at`` skips the first rows (the method must already carry
-    them, e.g. restored from a snapshot); checkpoints at or before it
-    are dropped. ``snapshot_cb(method, t)`` fires once, right after
-    ``snapshot_at`` rows total have been absorbed.
+    The method decides where the run starts: after ``begin(seed)`` it
+    holds ``n_absorbed`` rows (a resumed snapshot's, else 0), and the
+    stream goes on from the next. ``start_at`` must equal that count
+    when given; a method with no ``n_absorbed`` starts at ``start_at``
+    or 0. Checkpoints up to the start are dropped and one must remain.
+    ``snapshot_cb(method, t)`` fires once, right after ``snapshot_at``
+    rows in total are absorbed, a row between the start and the last
+    checkpoint. Each ``BadConfig`` comes before any row is absorbed.
     """
     n = len(train)
     cps = sorted(set(checkpoints)) if checkpoints else default_checkpoints(n)
     if cps[-1] > n:
         raise BadConfig(f"checkpoint {cps[-1]} exceeds stream length {n}")
-    cps = [t for t in cps if t > start_at]
     method.begin(seed)
+    i = getattr(method, "n_absorbed", start_at or 0)
+    if start_at is not None and start_at != i:
+        raise BadConfig(f"start_at {start_at} disagrees with the {i} rows the method holds")
+    cps = [t for t in cps if t > i]
+    if not cps:
+        raise BadConfig(f"no checkpoint lies after row {i}, where the run starts")
+    if snapshot_at is not None and not i <= snapshot_at <= cps[-1]:
+        raise BadConfig(f"snapshot row {snapshot_at} lies outside the run's rows {i} to {cps[-1]}")
     records = []
     spent = 0.0
-    i = start_at
-    if snapshot_at is not None and snapshot_cb is not None and i == snapshot_at:
+    if snapshot_cb is not None and i == snapshot_at:
         snapshot_cb(method, i)
     for t in cps:
         t0 = time.perf_counter()
         while i < t:
             method.observe(train.x[i], train.y[i])
             i += 1
-            if snapshot_at is not None and snapshot_cb is not None and i == snapshot_at:
+            if snapshot_cb is not None and i == snapshot_at:
                 snapshot_cb(method, i)
         method.prepare(t)
         spent += time.perf_counter() - t0

@@ -118,8 +118,7 @@ class DirichletMultinomial:
     __slots__ = ("alpha", "counts", "_alpha_sum", "_seen")
 
     def __init__(self, alphabet_size: int, concentration=0.5):
-        if alphabet_size < 2:
-            raise BadConfig("alphabet_size must be at least 2")
+        alphabet_size = as_size(alphabet_size, "alphabet_size", 2)
         alpha = np.asarray(concentration, dtype=float)
         if alpha.ndim == 0:
             alpha = np.full(alphabet_size, float(alpha))

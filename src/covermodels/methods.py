@@ -1,8 +1,17 @@
 """Method adapters for the evaluation harness.
 
-Each adapter exposes begin/observe/prepare/holdout_loglik. ``observe``
-feeds one training pair; ``prepare(t)`` is where batch methods refit;
-``holdout_loglik`` must not mutate the method.
+An adapter has a ``name``, which the CLI selects it by, and four steps,
+which ``run_eval`` calls in this order: ``begin(seed)`` readies it for a
+run, ``observe(x, y)`` feeds one training pair, ``prepare(t)`` is where
+batch methods refit once t pairs are in, and ``holdout_loglik(x, y)``
+scores held-out rows without changing the method. Its constructor's
+parameters are its options.
+
+``CoverCdeMethod`` and ``VmmMethod`` wrap an incremental model, and only
+they can resume. Built with ``resume_text``, a snapshot, their ``begin``
+loads it instead of starting fresh; ``n_absorbed`` is the number of rows
+their model holds, where ``run_eval`` starts the stream; and
+``snapshot_text()`` saves the model.
 """
 
 from __future__ import annotations
@@ -18,34 +27,50 @@ from .local import NormalWishart
 from .vmm import VmmModel
 
 
-class CoverCdeMethod:
-    """Incremental cover model estimator; never refits."""
+class _Adapter:
+    """No-op ``begin`` and ``prepare``, for adapters that need neither."""
 
-    name = "cover-cde"
+    def begin(self, seed):
+        pass
 
-    def __init__(self, config: CdeConfig, resume_text=None):
-        self.config = config
+    def prepare(self, t):
+        pass
+
+
+class _Resumable(_Adapter):
+    """An adapter over one incremental ``model_class`` model, built from
+    ``settings`` or loaded from ``resume_text``; it never refits."""
+
+    def __init__(self, resume_text, **settings):
+        self.settings = settings
         self.resume_text = resume_text
         self.model = None
 
     def begin(self, seed):
-        if self.resume_text is not None:
-            self.model = CdeModel.from_text(self.resume_text)
+        if self.resume_text is None:
+            self.model = self.model_class(**self.settings)
         else:
-            self.model = CdeModel(self.config)
+            self.model = self.model_class.from_text(self.resume_text)
 
     def snapshot_text(self) -> str:
         return self.model.to_text()
 
     @property
     def n_absorbed(self) -> int:
-        return 0 if self.model is None else self.model.n_obs
+        return 0 if self.model is None else self.model.posterior.n_obs
+
+
+class CoverCdeMethod(_Resumable):
+    """Incremental cover model estimator."""
+
+    name = "cover-cde"
+    model_class = CdeModel
+
+    def __init__(self, config: CdeConfig, resume_text=None):
+        super().__init__(resume_text, config=config)
 
     def observe(self, x, y):
         self.model.absorb(x, y)
-
-    def prepare(self, t):
-        pass
 
     def holdout_loglik(self, x, y):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -55,7 +80,7 @@ class CoverCdeMethod:
         )
 
 
-class KernelCdeMethod:
+class KernelCdeMethod(_Adapter):
     """Double kernel baseline, refit with fresh CV at every checkpoint."""
 
     name = "kernel-cde"
@@ -93,7 +118,7 @@ class KernelCdeMethod:
         return self.model.log_density_batch(x, y)
 
 
-class GlobalNormalWishartMethod:
+class GlobalNormalWishartMethod(_Adapter):
     """One Normal-Wishart for y, ignoring x entirely."""
 
     name = "global-nw"
@@ -110,9 +135,6 @@ class GlobalNormalWishartMethod:
             self.local = NormalWishart(np.zeros(y.shape[0]))
         self.local.update(self.local.prepare(y))
 
-    def prepare(self, t):
-        pass
-
     def holdout_loglik(self, x, y):
         if self.local is None:
             raise BadConfig("no data observed")
@@ -121,7 +143,7 @@ class GlobalNormalWishartMethod:
         return np.array([local.log_predictive(local.prepare(y[i])) for i in range(y.shape[0])])
 
 
-class ConstantMethod:
+class ConstantMethod(_Adapter):
     """Fixed density everywhere; anchors harness tests."""
 
     name = "constant"
@@ -131,13 +153,7 @@ class ConstantMethod:
             raise BadConfig("density must be positive")
         self.log_density = math.log(density)
 
-    def begin(self, seed):
-        pass
-
     def observe(self, x, y):
-        pass
-
-    def prepare(self, t):
         pass
 
     def holdout_loglik(self, x, y):
@@ -145,48 +161,29 @@ class ConstantMethod:
         return np.full(n, self.log_density)
 
 
-class VmmMethod:
+class VmmMethod(_Resumable):
     """Symbol stream model; x columns are ignored.
 
-    Held out sequences are scored from an empty conditioning history
-    on a throwaway ``VmmModel.copy``, so evaluation never perturbs
-    training state. The copy is structural, linear in the number of
-    contexts, and the scoring itself is one observe per held-out symbol.
+    Held out sequences are scored by ``VmmModel.sequence_logprobs``, from
+    an empty conditioning history on a throwaway copy, so evaluation
+    never perturbs training state.
     """
 
     name = "vmm"
+    model_class = VmmModel
 
-    def __init__(self, alphabet_size, depth, prior="kt", stop_weight=0.5, resume_text=None):
-        self.kw = dict(
+    def __init__(self, alphabet_size, depth=3, prior="kt", stop_weight=0.5, resume_text=None):
+        super().__init__(
+            resume_text,
             alphabet_size=alphabet_size,
             depth=depth,
             prior=prior,
             stop_weight=stop_weight,
         )
-        self.resume_text = resume_text
-        self.model = None
-
-    def begin(self, seed):
-        if self.resume_text is not None:
-            self.model = VmmModel.from_text(self.resume_text)
-        else:
-            self.model = VmmModel(**self.kw)
-
-    def snapshot_text(self) -> str:
-        return self.model.to_text()
-
-    @property
-    def n_absorbed(self) -> int:
-        return 0 if self.model is None else self.model.posterior.n_obs
 
     def observe(self, x, y):
         self.model.observe(np.asarray(y).reshape(-1)[0])
 
-    def prepare(self, t):
-        pass
-
     def holdout_loglik(self, x, y):
         seq = np.asarray(y, dtype=float).reshape(-1).tolist()
-        clone = self.model.copy()
-        clone.history.clear()
-        return np.array([clone.observe(s) for s in seq])
+        return np.array(self.model.sequence_logprobs(seq))

@@ -109,14 +109,18 @@ class VmmModel:
         the current context."""
         return np.array(self.posterior.log_predictives(self.context, range(self.alphabet_size)))
 
-    def sequence_logprob(self, seq) -> float:
-        """Log probability of a separate sequence under the learned
-        posterior, starting from an empty conditioning history. Does
-        not mutate the model: it learns the sequence into a ``copy``,
-        the exact sequential update that training runs."""
+    def sequence_logprobs(self, seq) -> list:
+        """Log probability of each symbol of a separate sequence under
+        the learned posterior, starting from an empty conditioning
+        history. Does not mutate the model: it learns the sequence into
+        a ``copy``, the exact sequential update that training runs."""
         clone = self.copy()
         clone.history.clear()
-        return clone.fit_sequence(seq)
+        return [clone.observe(s) for s in seq]
+
+    def sequence_logprob(self, seq) -> float:
+        """The sum of ``sequence_logprobs``: the sequence's log probability."""
+        return float(sum(self.sequence_logprobs(seq)))
 
     def generate(self, n, rng) -> list:
         """Sample a continuation of the current history.

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from covermodels import (
     OutOfSupport,
     VmmModel,
     gen_gaussian_ring,
+    gen_markov,
     gen_mixture,
     new_cde,
 )
@@ -123,6 +125,19 @@ _UNUSABLE = {
     "cde-y-box-no-dims": lambda: new_cde([0.0], [1.0], [], [], components=("nw",)),
     "nw-no-dims": lambda: NormalWishart([]),
     "tree-no-dims": lambda: BayesTreeDensity([], [], max_depth=0),
+    # sizes go through covers.as_size; each of these raised a bare
+    # numpy TypeError
+    "dirichlet-alphabet-fractional": lambda: DirichletMultinomial(2.5),
+    "dirichlet-alphabet-inf": lambda: DirichletMultinomial(math.inf),
+    "dirichlet-alphabet-nan": lambda: DirichletMultinomial(_NAN),
+    "dirichlet-alphabet-one": lambda: DirichletMultinomial(1),
+    "markov-n-fractional": lambda: gen_markov(2.5),
+    "markov-order-fractional": lambda: gen_markov(10, order=1.5),
+    "markov-alphabet-fractional": lambda: gen_markov(10, alphabet_size=2.5),
+    "markov-n-zero": lambda: gen_markov(0),
+    "mixture-n-fractional": lambda: gen_mixture(2.5),
+    "mixture-n-nan": lambda: gen_mixture(_NAN),
+    "ring-n-inf": lambda: gen_gaussian_ring(math.inf),
 }
 
 
@@ -168,6 +183,21 @@ class TestConfig:
     def test_unusable_settings_are_rejected(self, build):
         with pytest.raises(BadConfig):
             build()
+
+    def test_a_nan_size_is_refused_before_numpy_sees_it(self):
+        # gen_mixture(nan) warned from numpy, then raised a TypeError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadConfig):
+                gen_mixture(_NAN)
+
+    def test_an_integral_float_size_is_its_int(self):
+        assert gen_markov(3.0) == gen_markov(3)
+        assert gen_markov(40, 0, 3.0, 2.0) == gen_markov(40, 0, 3, 2)
+        for gen in (gen_mixture, gen_gaussian_ring):
+            a, b = gen(5.0), gen(5)
+            assert a.x.tolist() == b.x.tolist() and a.y.tolist() == b.y.tolist()
+        assert DirichletMultinomial(3.0).state_dict() == DirichletMultinomial(3).state_dict()
 
     def test_infinite_alpha_is_accepted(self):
         assert CdeConfig(alpha=math.inf, **_UNIT).validate().alpha == math.inf

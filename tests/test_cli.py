@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from covermodels import VmmModel, new_cde
+from covermodels import CdeModel, VmmModel, new_cde
 from covermodels.cli import main, parse_config_file
 from covermodels.evaluate import read_records_csv
 
@@ -160,6 +160,116 @@ class TestFitEval:
                    "--checkpoints", "100", "--no-timing") == 2
         key = setting.partition("=")[0]
         assert capsys.readouterr().err.startswith(f"error: {key} must be a whole number")
+
+
+class TestResumeAndSnapshot:
+    """Where a fit-eval run starts and snapshots is ``run_eval``'s to
+    decide, and only a method that can resume may ask for either."""
+
+    @pytest.fixture
+    def snap(self, mix_files, tmp_path):
+        train, hold = mix_files
+        path = tmp_path / "at100.snap"
+        assert run("fit-eval", "--method", "cover-cde", "--train", train, "--holdout", hold,
+                   "--checkpoints", "100", "--snapshot-at", 100, "--snapshot-out", path,
+                   "--out", tmp_path / "first.csv") == 0
+        return path
+
+    def test_a_resume_parses_the_snapshot_once(self, mix_files, snap, tmp_path, monkeypatch):
+        train, hold = mix_files
+        calls = []
+        load = CdeModel.from_text.__func__
+
+        def counted(cls, text):
+            calls.append(text)
+            return load(cls, text)
+
+        monkeypatch.setattr(CdeModel, "from_text", classmethod(counted))
+        assert run("fit-eval", "--method", "cover-cde", "--train", train, "--holdout", hold,
+                   "--checkpoints", "200", "--resume", snap, "--out", tmp_path / "r.csv") == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("method, data", [("cover-cde", "gauss-mix"), ("vmm", "markov")])
+    def test_a_resumed_run_writes_the_uninterrupted_records(self, method, data, tmp_path):
+        """The resumed run's records CSV holds the uninterrupted run's
+        lines after the snapshot, byte for byte; a resumed vmm needs no
+        option, since the snapshot brings its settings."""
+        train, hold = tmp_path / "train", tmp_path / "hold"
+        assert run("gen", "--dataset", data, "--n", 200, "--seed", 1, "--out", train) == 0
+        assert run("gen", "--dataset", data, "--n", 60, "--seed", 2, "--out", hold) == 0
+        base = ("fit-eval", "--method", method, "--train", train, "--holdout", hold,
+                "--no-timing", "--checkpoints", "50,100,150,200")
+        opts = ("--set", "alphabet_size=2") if method == "vmm" else ()
+        full, part, rest = tmp_path / "full.csv", tmp_path / "part.csv", tmp_path / "rest.csv"
+        snap = tmp_path / "m.snap"
+        assert run(*base, *opts, "--out", full) == 0
+        assert run(*base, *opts, "--snapshot-at", 120, "--snapshot-out", snap, "--out", part) == 0
+        assert run(*base, "--resume", snap, "--out", rest) == 0
+        assert part.read_bytes() == full.read_bytes()
+        lines = full.read_bytes().splitlines(keepends=True)
+        assert rest.read_bytes() == b"".join(lines[:1] + lines[-2:])
+
+    @pytest.mark.parametrize(
+        "at, checkpoints", [(150, "100"), (201, None), (-3, "100,200")],
+        ids=["past-the-last-checkpoint", "past-the-stream", "negative"],
+    )
+    def test_a_snapshot_row_the_run_never_reaches_exits_2(
+        self, at, checkpoints, mix_files, tmp_path, capsys
+    ):
+        """Each exited 0 and wrote no snapshot."""
+        train, hold = mix_files
+        out, snap = tmp_path / "x.csv", tmp_path / "m.snap"
+        cps = ("--checkpoints", checkpoints) if checkpoints else ()
+        assert run("fit-eval", "--method", "cover-cde", "--train", train, "--holdout", hold,
+                   *cps, "--snapshot-at", at, "--snapshot-out", snap, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"error: snapshot row {at} ")
+        assert not snap.exists() and not out.exists()
+
+    def test_a_resume_with_no_checkpoint_after_its_row_exits_2(
+        self, mix_files, snap, tmp_path, capsys
+    ):
+        """It exited 0 and wrote a CSV that held only the header."""
+        train, hold = mix_files
+        out = tmp_path / "r.csv"
+        assert run("fit-eval", "--method", "cover-cde", "--train", train, "--holdout", hold,
+                   "--checkpoints", "50,100", "--resume", snap, "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error: no checkpoint lies after row 100")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["kernel-cde", "global-nw", "constant"])
+    @pytest.mark.parametrize(
+        "flags", [("--resume",), ("--snapshot-at", "--snapshot-out"), ("--snapshot-at",),
+                  ("--snapshot-out",)]
+    )
+    def test_a_method_that_cannot_resume_refuses_the_snapshot_flags(
+        self, method, flags, mix_files, snap, tmp_path, capsys
+    ):
+        """``--resume`` ended in an uncaught AttributeError for each, and
+        ``--snapshot-at`` with global-nw did so after training, leaving an
+        empty snapshot file."""
+        train, hold = mix_files
+        out, new_snap = tmp_path / "x.csv", tmp_path / "new.snap"
+        values = {"--resume": snap, "--snapshot-at": 100, "--snapshot-out": new_snap}
+        args = [a for flag in flags for a in (flag, values[flag])]
+        assert run("fit-eval", "--method", method, "--train", train, "--holdout", hold,
+                   "--checkpoints", "200", *args, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        if len(flags) == 2 or flags == ("--resume",):
+            assert err == f"error: {method} cannot resume or write a snapshot\n"
+        assert not out.exists() and not new_snap.exists()
+
+    @pytest.mark.parametrize("method", ["cover-cde", "kernel-cde", "global-nw", "constant", "vmm"])
+    def test_resume_text_is_not_an_option(self, method, mix_files, tmp_path, capsys):
+        train, hold = mix_files
+        opts = ("--set", "alphabet_size=2") if method == "vmm" else ()
+        if method == "vmm":
+            train = hold = tmp_path / "seq.txt"
+            assert run("gen", "--dataset", "markov", "--n", 100, "--out", train) == 0
+        assert run("fit-eval", "--method", method, "--train", train, "--holdout", hold,
+                   *opts, "--set", "resume_text=x", "--out", tmp_path / "x.csv") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: unknown {method} option(s): ['resume_text']\n"
 
 
 class TestCompare:

@@ -124,6 +124,65 @@ class TestRunEval:
         assert hits == [20]
 
 
+    @pytest.mark.parametrize(
+        "checkpoints, kw",
+        [
+            ([10, 20], {"start_at": 20}),  # no checkpoint after the start
+            ([10, 40], {"snapshot_at": -1}),
+            ([10, 40], {"snapshot_at": 41}),  # past the stream
+            ([10, 20], {"snapshot_at": 30}),  # past the last checkpoint
+            ([40], {"start_at": 20, "snapshot_at": 10}),  # before the start
+        ],
+    )
+    def test_a_run_that_cannot_reach_its_rows_is_refused_before_it_starts(self, checkpoints, kw):
+        ds = tiny_dataset()
+        m = CountingMethod()
+        hits = []
+        cb = lambda m, t: hits.append(t)
+        with pytest.raises(BadConfig):
+            run_eval(m, ds, ds, checkpoints=checkpoints, snapshot_cb=cb, **kw)
+        assert m.seen == 0 and hits == []
+
+
+def _resumable_runs():
+    """(adapter factory, train, holdout) for each adapter that resumes."""
+    ds = tiny_dataset(60, seed=1)
+    cfg = CdeConfig.from_data(ds.x, ds.y)
+    seq = gen_markov(60, seed=4)
+    sym = Dataset(np.zeros(len(seq)), np.asarray(seq, dtype=float))
+    return [
+        (lambda text=None: CoverCdeMethod(cfg, resume_text=text), ds, ds.take(10)),
+        (lambda text=None: VmmMethod(2, 3, resume_text=text), sym, sym.take(20)),
+    ]
+
+
+@pytest.mark.parametrize("make, train, hold", _resumable_runs(), ids=["cover-cde", "vmm"])
+class TestResume:
+    def _snapshot(self, make, train, hold, at):
+        grabbed = []
+        run_eval(
+            make(), train, hold, checkpoints=[at], snapshot_at=at,
+            snapshot_cb=lambda m, t: grabbed.append(m.snapshot_text()),
+        )
+        return grabbed[0]
+
+    def test_a_resumed_adapter_starts_at_its_own_row(self, make, train, hold):
+        """With no ``start_at`` a resumed adapter absorbed the whole stream
+        again on top of its snapshot's rows."""
+        kw = dict(checkpoints=[20, 40, 60], record_timing=False, seed=2)
+        full = run_eval(make(), train, hold, **kw)
+        resumed = make(self._snapshot(make, train, hold, 30))
+        assert run_eval(resumed, train, hold, **kw) == full[1:]
+        assert resumed.n_absorbed == 60
+
+    @pytest.mark.parametrize("start_at", [0, 20, 40])
+    def test_a_start_at_other_than_the_adapters_count_is_refused(self, make, train, hold, start_at):
+        resumed = make(self._snapshot(make, train, hold, 30))
+        with pytest.raises(BadConfig, match="30 rows"):
+            run_eval(resumed, train, hold, checkpoints=[60], start_at=start_at)
+        assert resumed.n_absorbed == 30
+
+
 class TestRecordsCsv:
     def test_round_trip_is_exact(self, tmp_path):
         recs = [
