@@ -214,7 +214,7 @@ class CdeModel:
         head, _, rest = text.partition("\n")
         try:
             meta = json.loads(head)
-            if meta.get("kind") != "cde":
+            if not isinstance(meta, dict) or meta.get("kind") != "cde":
                 raise BadConfig("not a cde snapshot")
             cfg = dict(meta["config"])
             cfg["components"] = tuple(cfg["components"])

@@ -278,6 +278,14 @@ def cmd_fit_eval(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _collect_config(args)
     names = [m.strip() for m in args.methods.split(",") if m.strip()]
+    # each method's options go under its name, as one JSON object
+    for key, opts in cfg.items():
+        if key not in _ADAPTERS:
+            raise BadConfig(
+                f"compare takes options under a method's name, one of {METHODS}, got {key!r}"
+            )
+        if not isinstance(opts, dict):
+            raise BadConfig(f"{key} options must be a JSON object of option: value, got {opts!r}")
     all_records = []
     for name in names:
         all_records += _run_method(args, name, dict(cfg.get(name, {})))

@@ -23,7 +23,7 @@ import copy
 import math
 import numbers
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import ge, gt, le
 
 import numpy as np
@@ -587,52 +587,76 @@ class SuffixTreeCover(CoverSequence):
         return obj
 
     def state_dict(self):
-        """The suffix of every context in id order, root first; depths
-        and parents follow from the suffixes."""
+        """Every context but the root as a link ``[parent id, symbol]``,
+        in id order: its suffix is the parent's with the symbol
+        prepended, so suffixes and depths follow from the links."""
+        contexts = self.contexts.values()
         return {
             "kind": "suffix",
             "alphabet_size": self.alphabet_size,
             "max_depth": self.max_depth,
-            "suffixes": [list(c.region) for c in self.contexts.values()],
+            "links": [[c.parent, c.region[0]] for c in islice(contexts, 1, None)],
         }
 
     @classmethod
     def from_state(cls, state):
-        """Rebuild from ``state_dict``.
+        """Rebuild from ``state_dict``, making each context from its link.
 
-        Raises ``BadConfig`` unless the root comes first, and every
-        other suffix holds only ints (no float or bool stands in for a
-        symbol), is new, shorter than ``max_depth``, over the alphabet,
-        and follows its parent (the suffix without its oldest symbol).
+        Raises ``BadConfig`` unless each link is a pair of ints (no float
+        or bool stands in for one) whose parent is an earlier context
+        above ``max_depth``, whose symbol is in the alphabet, and which
+        no earlier link holds.
         """
         cover = cls(state["alphabet_size"], state["max_depth"])
-        suffixes = state["suffixes"]
-        if not suffixes or suffixes[0]:
-            raise BadConfig("the first suffix context must be the root")
-        kids = cover._kids
-        for suffix in suffixes[1:]:
-            suffix = tuple(suffix)
-            if not all(type(s) is int for s in suffix):
-                raise BadConfig(f"suffix context {list(suffix)} holds a symbol that is not an int")
-            parent = cover.root_id
-            for s in reversed(suffix[1:]):
-                parent = kids[parent].get(s)
-                if parent is None:
-                    break
+        contexts, kids = cover.contexts, cover._kids
+        for link in state["links"]:
+            if type(link) is not list or len(link) != 2:
+                raise BadConfig(f"suffix link {link!r} is not a pair [parent, symbol]")
+            if not all(type(v) is int for v in link):
+                raise BadConfig(f"suffix link {link} holds a parent or symbol that is not an int")
+            parent, s = link
             if (
-                parent is None
-                or not suffix
-                or suffix[0] in kids[parent]
-                or len(suffix) >= cover.max_depth
-                or not all(0 <= s < cover.alphabet_size for s in suffix)
+                not 0 <= parent < len(contexts)
+                or contexts[parent].depth >= cover.max_depth
+                or not 0 <= s < cover.alphabet_size
+                or s in kids[parent]
             ):
-                raise BadConfig(f"suffix context {list(suffix)} cannot follow the ones before it")
-            cover._new_context(len(suffix) + 1, suffix, parent)
+                raise BadConfig(f"suffix link {link} cannot follow the ones before it")
+            ctx = contexts[parent]
+            cover._new_context(ctx.depth + 1, (s,) + ctx.region, parent)
         return cover
 
 
+def upgrade_cover_state(state):
+    """A cover's state as snapshot versions 3 to 5 wrote it, as version
+    6 holds it: a suffix cover's ``suffixes`` become ``links``, and any
+    other state is returned as it is.
+
+    Raises ``BadConfig`` unless the root's empty suffix comes first and
+    every other suffix holds only ints and follows its parent (the
+    suffix without its oldest symbol); ``from_state`` checks the rest.
+    """
+    if not isinstance(state, dict) or state.get("kind") != "suffix":
+        return state
+    suffixes = state["suffixes"]
+    if not suffixes or suffixes[0]:
+        raise BadConfig("the first suffix context must be the root")
+    ids, links = {(): 0}, []
+    for cid, suffix in enumerate(suffixes[1:], 1):
+        suffix = tuple(suffix)
+        if not all(type(s) is int for s in suffix):
+            raise BadConfig(f"suffix context {list(suffix)} holds a symbol that is not an int")
+        parent = ids.get(suffix[1:])
+        if not suffix or parent is None:
+            raise BadConfig(f"suffix context {list(suffix)} cannot follow the ones before it")
+        ids[suffix] = cid
+        links.append([parent, suffix[0]])
+    rest = {key: value for key, value in state.items() if key != "suffixes"}
+    return {**rest, "links": links}
+
+
 def cover_from_state(state):
-    kind = state.get("kind")
+    kind = state.get("kind") if isinstance(state, dict) else None
     if kind == "kdtree":
         return KdTreeCover.from_state(state)
     if kind == "suffix":

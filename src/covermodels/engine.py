@@ -68,22 +68,25 @@ loaded context's its ``load``, so they all share its checked prior. It
 is also the one place y is prepared (checked, and routed through a
 tree density's partition) for every local on the path.
 
-A snapshot (format version 5) holds only what the data do not give
-back: the prior once, in its header, and per context its stop weight,
-``log_m``, ``log_trunc`` and what its local learnt (counts, sums and
-mixture weights), plus the cover's split records and buffered points.
-A tree density learns nothing a snapshot keeps. A load refuses a
-snapshot whose prior is not the one it is given, once, from the
-header. A kd cover's load routes every buffered y once (the prior's
-``prepare_block``), then visits each context once, children first
-(``_rebuild``): it checks the local's counts against the points under
-the context and lays its tree out from its children's (``refill``);
-``_refresh_lambda`` then recomputes ``log_lambda`` and the stop pairs
-in the same order. All of it equals the saved model bit for bit, and
-the structure is checked (``from_text``). Versions 3 and 4, which
-repeat the prior in every record, still load (``upgrade_state``), and
-so do version 3's tree counts and points, which are ignored; versions
-1 and 2 are refused.
+A snapshot (format version 6) holds only what the data do not give
+back: the prior once, in its header, and per context one row, its id,
+stop weight, ``log_m``, ``log_trunc`` and what its local learnt
+(counts, sums and mixture weights), plus the cover's split records and
+buffered points or suffix links. A tree density learns nothing a
+snapshot keeps. A load refuses a snapshot whose prior is not the one
+it is given, once, from the header. A kd cover's load routes every
+buffered y once (the prior's ``prepare_block``), then visits each
+context once, children first (``_rebuild``): it checks the local's
+counts against the points under the context and lays its tree out
+from its children's (``refill``); ``_refresh_lambda`` then recomputes
+``log_lambda`` and the stop pairs in the same order. All of it equals
+the saved model bit for bit, and the structure is checked
+(``from_text``). Versions 3 to 5, which write a keyed record per
+context and a suffix cover's suffixes, still load: one adapter turns
+each record into a row (``_as_row``) and the suffixes into links
+(``upgrade_cover_state``). Versions 3 and 4 also repeat the prior in
+every record (``upgrade_state``), and version 3 holds tree counts and
+points, which are ignored; versions 1 and 2 are refused.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ import json
 import math
 from itertools import chain
 
-from .covers import as_size, cover_from_state
+from .covers import as_size, cover_from_state, upgrade_cover_state
 from .errors import BadConfig
 from .local import (
     check_nested,
@@ -106,18 +109,31 @@ from .local import (
 from .logspace import LOG2, log1mexp
 
 SNAPSHOT_FORMAT = "covermodels-snapshot"
-# Version 5 writes the prior once, in the header, and per record only
-# what a local learnt. Versions 3 and 4 repeat the prior in every
-# record, and version 3 also holds tree counts and points, which a load
-# ignores; all three load, and a save writes 5.
-SNAPSHOT_VERSION = 5
-_LOADABLE_VERSIONS = (3, 4, 5)
+# Version 6 writes the prior once, in the header, and per context a
+# row [cid, w0, log_m, log_trunc, local state] holding only what a
+# local learnt; a suffix cover writes each context as a link to its
+# parent. Version 5 writes a keyed record per context and a suffix
+# cover's suffixes, versions 3 and 4 also repeat the prior in every
+# record, and version 3 holds tree counts and points, which a load
+# ignores; all four load, and a save writes 6.
+SNAPSHOT_VERSION = 6
+_LOADABLE_VERSIONS = (3, 4, 5, 6)
+# one encoder for every line, rather than one built per json.dumps call
+_dumps = json.JSONEncoder(sort_keys=True).encode
 
 
 # the per-context columns, each a list indexed by context id
 _COLUMNS = (
     "local", "w0", "log_w0", "log1m_w0", "log_m", "log_trunc", "log_lambda", "log_g", "log1m_g",
 )
+
+
+def _as_row(rec, prior, version):
+    """A version-3, -4 or -5 keyed record as a version-6 row. Versions 3
+    and 4 repeat the prior in the record's local, which ``upgrade_state``
+    checks and drops."""
+    local = rec["local"] if version == 5 else upgrade_state(rec["local"], prior)
+    return [rec["cid"], rec["w0"], rec["log_m"], rec["log_trunc"], local]
 
 
 def parse_depth_weight(spec):
@@ -466,14 +482,15 @@ class CoverModelPosterior:
     # ---- persistence ------------------------------------------------------
 
     def to_text(self) -> str:
-        """Serialise to a line oriented text snapshot (JSON records).
+        """Serialise to a line oriented text snapshot (JSON lines).
 
-        The header holds the prior (its ``prior()``) and the cover. A
-        context's record holds its stop weight, ``log_m``, ``log_trunc``
-        and what its local learnt (``state_dict()``). ``log_lambda`` is
-        derived from those and recomputed on load, and a tree density is
-        rebuilt from the kd cover's buffers, so raises ``BadConfig`` for
-        a tree density on a cover that keeps none.
+        The header holds the prior (its ``prior()``) and the cover. Each
+        context's row, in id order, is ``[cid, w0, log_m, log_trunc,
+        state]``: its id, stop weight, ``log_m``, ``log_trunc`` and what
+        its local learnt (``state_dict()``). ``log_lambda`` is derived
+        from those and recomputed on load, and a tree density is rebuilt
+        from the kd cover's buffers, so raises ``BadConfig`` for a tree
+        density on a cover that keeps none.
         """
         self._check_rebuildable()
         meta = {
@@ -485,66 +502,67 @@ class CoverModelPosterior:
             "prior": self.prior.prior(),
             "cover": self.cover.state_dict(),
         }
-        lines = [json.dumps(meta, sort_keys=True)]
+        lines = [_dumps(meta)]
+        w0, log_m, log_trunc = self.w0, self.log_m, self.log_trunc
         for cid, local in enumerate(self.local):
-            rec = {
-                "cid": cid,
-                "w0": self.w0[cid],
-                "log_m": self.log_m[cid],
-                "log_trunc": self.log_trunc[cid],
-                "local": local.state_dict(),
-            }
-            lines.append(json.dumps(rec, sort_keys=True))
+            lines.append(_dumps([cid, w0[cid], log_m[cid], log_trunc[cid], local.state_dict()]))
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text, prior):
-        """Rebuild a posterior from ``to_text`` output, format version 5,
-        4 or 3.
+        """Rebuild a posterior from ``to_text`` output, format version 6,
+        5, 4 or 3.
 
         The prior must be supplied again: an empty local, which the
         posterior keeps as ``prior``, and whose ``prior()`` must equal
-        the snapshot's (version 5: the header's, checked once; versions
-        3 and 4: each record's, by ``upgrade_state``). Every context's
-        local is the prior's ``load`` of its record. On a kd cover one
-        children-first pass over the contexts checks each local's
-        counts, lays its tree density out from the ys buffered under it
-        and recomputes ``log_lambda`` and the stop pair, all bit for bit.
+        the snapshot's (versions 5 and 6: the header's, checked once;
+        versions 3 and 4: each record's, by ``upgrade_state``). Every
+        context's local is the prior's ``load`` of its row's state. On a
+        kd cover one children-first pass over the contexts checks each
+        local's counts, lays its tree density out from the ys buffered
+        under it and recomputes ``log_lambda`` and the stop pair, all
+        bit for bit.
 
         Raises ``BadConfig`` on a snapshot of another version or another
-        prior, or one whose structure does not hold together: the checks
-        of the cover's ``from_state`` and the locals' ``load``, among
-        them whole-number ``n_obs``, one state record for each context
-        and for no other, in id order as ``to_text`` writes them, a stop
-        weight rule whose weights at depth 1 and at the cover's
-        ``max_depth`` lie in (0, 1], and counts that agree with what the
-        cover routed. The root's local was offered every
-        observation; on a kd cover each context's local was offered the
-        points buffered in the leaves under it, those add up to
-        ``n_obs``, every buffered y is finite and, for a tree density,
-        ``dim`` long and, unless a mixture holds the tree, which skips
-        it, in the tree's box; elsewhere children hold no more points
-        than their parent, and no local is a tree density. ``log_evidence``, ``log_m`` and
-        ``log_trunc`` are finite. Not checked, because that would take a
-        refit: their values, and the Normal-Wishart sums beyond their
-        shapes, finiteness and positive posterior scale.
+        prior, or one whose structure does not hold together: a header
+        that is not a JSON object, the checks of the cover's
+        ``from_state`` and the locals' ``load``, among them whole-number
+        ``n_obs``, one five-element row for each context and for no
+        other, in id order as ``to_text`` writes them, a stop weight rule
+        whose weights at depth 1 and at the cover's ``max_depth`` lie in
+        (0, 1], and counts that agree with what the cover routed. The
+        root's local was offered every observation; on a kd cover each
+        context's local was offered the points buffered in the leaves
+        under it, those add up to ``n_obs``, every buffered y is finite
+        and, for a tree density, ``dim`` long and, unless a mixture holds
+        the tree, which skips it, in the tree's box; elsewhere children
+        hold no more points than their parent, and no local is a tree
+        density. ``log_evidence``, ``log_m`` and ``log_trunc`` are
+        finite. Not checked, because that would take a refit: their
+        values, and the Normal-Wishart sums beyond their shapes,
+        finiteness and positive posterior scale.
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise BadConfig("empty snapshot")
         try:
             meta = json.loads(lines[0])
-            if meta.get("format") != SNAPSHOT_FORMAT:
+            if not isinstance(meta, dict) or meta.get("format") != SNAPSHOT_FORMAT:
                 raise BadConfig("not a covermodels snapshot")
             version = meta.get("version")
             if version not in _LOADABLE_VERSIONS:
                 raise BadConfig(f"unsupported snapshot version {version!r}")
-            return cls._load(meta, lines[1:], prior)
+            # one parse for every row is faster than one per line
+            rows = json.loads("[" + ",".join(lines[1:]) + "]")
+            if version < 6:
+                meta["cover"] = upgrade_cover_state(meta["cover"])
+                rows = [_as_row(rec, prior, version) for rec in rows]
+            return cls._load(meta, rows, prior)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BadConfig(f"malformed snapshot: {exc!r}") from exc
 
     @classmethod
-    def _load(cls, meta, records, prior):
+    def _load(cls, meta, rows, prior):
         obj = cls.__new__(cls)
         obj._setup(
             cover_from_state(meta["cover"]),
@@ -553,23 +571,22 @@ class CoverModelPosterior:
             as_size(meta["n_obs"], "n_obs", 0),
             float(meta["log_evidence"]),
         )
-        old = meta["version"] < 5  # every record repeats the prior
-        if not old:
+        if meta["version"] >= 5:  # the header holds the prior
             check_prior(meta["prior"], prior)
         n = len(obj.cover.contexts)  # numbered 0 .. n - 1
-        # one parse for every record is faster than one per line
-        for cid, rec in enumerate(json.loads("[" + ",".join(records) + "]")):
-            if cid >= n or rec["cid"] != cid:
+        for cid, row in enumerate(rows):
+            if type(row) is not list or len(row) != 5:
+                raise BadConfig(f"state row {cid} is not a list [cid, w0, log_m, log_trunc, state]")
+            rid, w0, log_m, log_trunc, state = row
+            if cid >= n or rid != cid:
                 raise BadConfig(
-                    f"state record {cid} names context {rec['cid']!r}, where records "
+                    f"state row {cid} names context {rid!r}, where rows "
                     f"name the contexts 0 to {n - 1} in id order"
                 )
-            w0 = float(rec["w0"])
+            w0 = float(w0)
             if not 0.0 < w0 <= 1.0:
                 raise BadConfig(f"stop weight {w0} of context {cid} not in (0, 1]")
-            state = upgrade_state(rec["local"], prior) if old else rec["local"]
-            local = local_from_state(state, prior)
-            obj._append_state(local, w0, float(rec["log_m"]), float(rec["log_trunc"]))
+            obj._append_state(local_from_state(state, prior), w0, float(log_m), float(log_trunc))
         # no model writes a log_evidence that is not finite
         if not all(map(math.isfinite, chain([obj.log_evidence], obj.log_m, obj.log_trunc))):
             raise BadConfig("snapshot log_evidence, log_m or log_trunc is not finite")

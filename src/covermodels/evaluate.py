@@ -86,7 +86,7 @@ def run_eval(
     if snapshot_at is not None and not i <= snapshot_at <= cps[-1]:
         raise BadConfig(f"snapshot row {snapshot_at} lies outside the run's rows {i} to {cps[-1]}")
     records = []
-    spent = 0.0
+    spent, start = 0.0, i
     if snapshot_cb is not None and i == snapshot_at:
         snapshot_cb(method, i)
     for t in cps:
@@ -100,7 +100,8 @@ def run_eval(
         spent += time.perf_counter() - t0
         lps = np.asarray(method.holdout_loglik(holdout.x, holdout.y), dtype=float)
         loss = float(-np.mean(lps))
-        us = spent / t * 1e6 if record_timing else 0.0
+        # the time per row streamed in this run, not per row the method holds
+        us = spent / (t - start) * 1e6 if record_timing else 0.0
         records.append(EvalRecord(t, method.name, loss, us, seed))
     return records
 

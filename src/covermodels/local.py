@@ -80,6 +80,7 @@ and which ``absorb_block`` computes directly.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from bisect import bisect_left
 
@@ -90,6 +91,8 @@ from .errors import BadConfig, OutOfSupport
 from .logspace import LOG2, logsumexp
 
 LOG_2PI = math.log(2.0 * math.pi)
+# the largest count a load takes: a larger JSON int has no float
+_FLOAT_MAX = sys.float_info.max
 _OTHER_PRIOR = "a local record has another kind or prior than the model's"
 
 
@@ -189,13 +192,16 @@ class DirichletMultinomial:
         return {"kind": "dirichlet", "alpha": list(self.alpha)}
 
     def state_dict(self):
-        return {"counts": self.counts[:]}
+        """The counts, whole numbers, as ints: ``637``, not ``637.0``."""
+        return {"counts": list(map(int, self.counts))}
 
     def load(self, state) -> "DirichletMultinomial":
-        """``spawn()`` with the counts of ``state``."""
+        """``spawn()`` with the counts of ``state``, ints or integral
+        floats."""
         counts = state["counts"]
         if len(counts) != len(self.alpha) or not all(
-            type(c) in (int, float) and c >= 0 and float(c).is_integer() for c in counts
+            type(c) in (int, float) and 0 <= c <= _FLOAT_MAX and float(c).is_integer()
+            for c in counts
         ):
             raise BadConfig("Dirichlet counts must be nonnegative whole numbers, one per symbol")
         obj = self.spawn()
@@ -1218,7 +1224,7 @@ def check_prior(record, like):
 
 
 def upgrade_state(record, like):
-    """A format-3 or format-4 state record as format 5 holds it: the
+    """A format-3 or format-4 state record as formats 5 and 6 hold it: the
     learnt part alone, for ``local_from_state``.
 
     Those formats repeat the local's prior in every record, so this

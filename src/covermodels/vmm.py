@@ -176,7 +176,7 @@ class VmmModel:
         obj = cls.__new__(cls)
         try:
             meta = json.loads(head)
-            if meta.get("kind") != "vmm":
+            if not isinstance(meta, dict) or meta.get("kind") != "vmm":
                 raise BadConfig("not a vmm snapshot")
             obj.alphabet_size = as_size(meta["alphabet_size"], "alphabet_size", 2)
             obj.depth = as_size(meta["depth"], "depth", 1)

@@ -61,19 +61,50 @@ def old_record(prior, state):
     return {**prior, **state}
 
 
+def v5_state(prior, state):
+    """A local's state as snapshot format 5 wrote it, from its
+    ``prior()`` and its format-6 state: the Dirichlet counts as floats,
+    ``637.0`` for ``637``, a mixture's components' in turn."""
+    if prior["kind"] == "mixture":
+        comps = [v5_state(p, s) for p, s in zip(prior["components"], state["components"])]
+        return {**state, "components": comps}
+    if prior["kind"] == "dirichlet":
+        return {"counts": [float(c) for c in state["counts"]]}
+    return state
+
+
+def suffixes(links):
+    """A suffix cover's format-6 links as the suffixes formats 3 to 5
+    wrote, root first: each the parent's with the link's symbol
+    prepended."""
+    out = [[]]
+    for parent, symbol in links:
+        out.append([symbol] + out[parent])
+    return out
+
+
 def as_version(text, version):
-    """A version-5 snapshot text, a model's or a bare posterior's, as
-    version 3 or 4 wrote it: no prior in the posterior's header, and
-    every record's local an ``old_record``. Version 3 also held tree
-    counts and points, which a load ignores and this leaves out."""
+    """A version-6 snapshot text, a model's or a bare posterior's, as
+    version 3, 4 or 5 wrote it: each row a keyed record whose local is
+    a ``v5_state``, and a suffix cover's links as ``suffixes``. Versions
+    3 and 4 also have no prior in the posterior's header, and every
+    record's local an ``old_record``. Version 3 also held tree counts
+    and points, which a load ignores and this leaves out."""
     out, prior = [], None
     for line in text.splitlines():
         rec = json.loads(line)
-        if rec.get("format") == "covermodels-snapshot":
+        if isinstance(rec, list):
+            cid, w0, log_m, log_trunc, state = rec
+            local = v5_state(prior, state)
+            if version < 5:
+                local = old_record(prior, local)
+            rec = {"cid": cid, "w0": w0, "log_m": log_m, "log_trunc": log_trunc, "local": local}
+        elif rec.get("format") == "covermodels-snapshot":
             rec["version"] = version
-            prior = rec.pop("prior")
-        elif "cid" in rec:
-            rec["local"] = old_record(prior, rec["local"])
+            prior = rec["prior"] if version == 5 else rec.pop("prior")
+            cover = rec["cover"]
+            if cover["kind"] == "suffix":
+                cover["suffixes"] = suffixes(cover.pop("links"))
         out.append(json.dumps(rec, sort_keys=True))
     return "\n".join(out) + "\n"
 

@@ -79,7 +79,7 @@ assert math.isfinite(vmm.fit_sequence([0, 1, 1, 0, 1]))
 vmm_clone = covermodels.VmmModel.from_text(vmm.to_text())
 assert vmm_clone.next_symbol_logprobs().tolist() == vmm.next_symbol_logprobs().tolist()
 # scoring learns into a copy, whose child index is copied, and the
-# reload rebuilt its index from the suffixes: one held-out score
+# reload rebuilt its index from the links: one held-out score
 held = [1, 1, 0, 1, 0, 0, 1]
 assert vmm_clone.sequence_logprob(held) == vmm.sequence_logprob(held)
 # a copy holds its own state columns: a step on it leaves the original
@@ -102,12 +102,12 @@ deep_clone = covermodels.CdeModel.from_text(deep.to_text())
 assert deep_clone.to_text() == deep.to_text()
 assert deep_clone.predict_logdensity([0.0], [0.4]) == deep.predict_logdensity([0.0], [0.4])
 
-# every committed version-3 and version-4 snapshot loads, and its
-# version-5 re-save loads and saves to the same text
-for path in sorted(Path(__file__).resolve().parent.glob("fixtures/snapshot_v[34]_*.txt")):
+# every committed version-3, version-4 and version-5 snapshot loads,
+# and its version-6 re-save loads and saves to the same text
+for path in sorted(Path(__file__).resolve().parent.glob("fixtures/snapshot_v[345]_*.txt")):
     load = {"cde": covermodels.CdeModel, "vmm": covermodels.VmmModel}[path.stem[-3:]].from_text
     again = load(path.read_text()).to_text()
-    assert json.loads(again.splitlines()[1])["version"] == 5, path.name
+    assert json.loads(again.splitlines()[1])["version"] == 6, path.name
     assert load(again).to_text() == again, path.name
 
 

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import model_trees
+from conftest import as_version, model_trees
 from covermodels import local
 from covermodels import (
     BadConfig,
@@ -622,6 +622,13 @@ def _pinned_model(name):
     return model, queries
 
 
+# the digests of the same snapshots in format 6
+_PINNED_V6 = {
+    "nw+tree, 1-d y": "1e2d08b542319f7e6c89908a9aa30b4bf9b6ab4ecb8b2b727db722f9c361b06b",
+    "nw+tree, 2-d y": "c50edcd90bc7c7bcb491b3d03ca04dfc197a9c3be956692cac6674ef21c84ab1",
+    "nw only, y_dim 2": "f6ecc292a97e9289c1944e75d2df96cfc325f609df33e44c82a9a62615d97fa8",
+}
+
 _PINNED = {
     "nw+tree, 1-d y": (
         "c91defd1134cb85da7b23e2457440640612b9264cfada78c0acce80d77f3d1ad",
@@ -680,11 +687,16 @@ def test_outputs_are_pinned(name):
     again for snapshot format 4, whose text is format 3's with version
     4 and no tree ``counts`` or ``points``, and for snapshot format 5,
     whose text is format 4's with version 5, the prior once in the
-    header and none in the records; nothing else moved."""
+    header and none in the records; nothing else moved. Snapshot
+    format 6 writes each record as a row: written back as format 5
+    (``as_version``), its text still has the recorded digest, and its
+    own digest was recorded too."""
     model, queries = _pinned_model(name)
     digest, n_contexts, logdens, draws = _PINNED[name]
     assert model.n_contexts == n_contexts
-    assert hashlib.sha256(model.to_text().encode()).hexdigest() == digest
+    text = model.to_text()
+    assert hashlib.sha256(as_version(text, 5).encode()).hexdigest() == digest
+    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_V6[name]
     assert [repr(model.predict_logdensity(x, y)) for x, y in queries] == logdens
     rng = np.random.default_rng(13)
     got = [repr(np.atleast_1d(model.sample_y(x, rng)).tolist()) for x, _ in queries for _ in "ab"]

@@ -293,6 +293,26 @@ class TestCompare:
         assert {r.method for r in recs} == {"cover-cde", "global-nw", "constant"}
         assert len(recs) == 6
 
+    @pytest.mark.parametrize(
+        "item,message",
+        [
+            ("cover-cde=3", "cover-cde options must be a JSON object"),
+            ("no_such_option=3", "compare takes options under a method's name"),
+        ],
+    )
+    def test_an_option_not_in_an_object_under_a_method_is_refused(
+        self, mix_files, tmp_path, capsys, item, message
+    ):
+        """The first ended in a ``TypeError`` traceback, and the second
+        was ignored."""
+        train, hold = mix_files
+        out = tmp_path / "cmp.csv"
+        code = run("compare", "--train", train, "--holdout", hold, "--set", item,
+                   "--out", out, "--checkpoints", "200", "--no-timing")
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"error: {message}") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestScore:
     def test_matches_reference_mixer(self, tmp_path, capsys):

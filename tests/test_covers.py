@@ -18,6 +18,7 @@ from covermodels import (
     UnknownSymbol,
     cover_from_state,
 )
+from covermodels.covers import upgrade_cover_state
 
 
 class TestBox:
@@ -239,14 +240,70 @@ class TestSuffixTreeCover:
 
     @pytest.mark.parametrize("symbol", [1.0, True])
     def test_load_refuses_a_suffix_symbol_that_is_not_an_int(self, symbol):
+        """In a link, the parent or the symbol; in a suffix of snapshot
+        versions 3 to 5, any symbol."""
         cov = SuffixTreeCover(alphabet_size=2, max_depth=3)
         extend(cov, (0, 1))
         state = cov.state_dict()
-        assert state["suffixes"] == [[], [1], [0, 1]]
-        state["suffixes"][1] = [symbol]
-        state["suffixes"][2] = [0, symbol]
+        assert state["links"] == [[0, 1], [1, 0]]
+        for link in ([0, symbol], [symbol, 0]):
+            with pytest.raises(BadConfig, match="not an int"):
+                cover_from_state({**state, "links": [[0, 1], link]})
+        old = {key: value for key, value in state.items() if key != "links"}
+        old["suffixes"] = [[], [symbol], [0, symbol]]
         with pytest.raises(BadConfig, match="not an int"):
-            cover_from_state(state)
+            upgrade_cover_state(old)
+
+    @pytest.mark.parametrize(
+        "link",
+        [
+            [2, 0],  # the parent is no earlier context
+            [-1, 0],
+            [2, 1],  # the parent is at max_depth
+            [0, 2],  # the symbol is outside the alphabet
+            [0, -1],
+            [0, 1],  # the pair is taken
+            [0],
+            [0, 1, 0],
+            "01",
+        ],
+    )
+    def test_load_refuses_a_link_that_cannot_follow_the_ones_before_it(self, link):
+        cov = SuffixTreeCover(alphabet_size=2, max_depth=3)
+        extend(cov, (0, 1))
+        state = cov.state_dict()
+        assert cover_from_state(state).state_dict() == state
+        with pytest.raises(BadConfig, match="suffix link"):
+            cover_from_state({**state, "links": state["links"] + [link]})
+
+    @pytest.mark.parametrize(
+        "suffixes",
+        [
+            [],
+            [[0]],  # the root must come first
+            [[], [0, 1]],  # a suffix before its parent
+            [[], [1], [], [0, 1]],
+        ],
+    )
+    def test_old_suffixes_must_each_follow_their_parent(self, suffixes):
+        state = {"kind": "suffix", "alphabet_size": 2, "max_depth": 3, "suffixes": suffixes}
+        with pytest.raises(BadConfig):
+            upgrade_cover_state(state)
+
+    def test_old_suffixes_become_links(self):
+        """Versions 3 to 5 wrote each context's suffix; a repeated or
+        too deep one or a symbol outside the alphabet passes the
+        adapter and is refused by the link reader."""
+        cov = SuffixTreeCover(alphabet_size=2, max_depth=3)
+        extend(cov, (0, 1))
+        extend(cov, (1, 0))
+        state = cov.state_dict()
+        old = {key: value for key, value in state.items() if key != "links"}
+        old["suffixes"] = [list(c.region) for c in cov.contexts.values()]
+        assert upgrade_cover_state(old) == state
+        for bad in ([0, 1], [1, 0, 1], [2]):
+            with pytest.raises(BadConfig, match="cannot follow"):
+                cover_from_state(upgrade_cover_state({**old, "suffixes": old["suffixes"] + [bad]}))
 
     def test_state_round_trip(self):
         cov = SuffixTreeCover(alphabet_size=2, max_depth=3)

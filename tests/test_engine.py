@@ -351,10 +351,10 @@ class TestSnapshot:
         xq = rng.uniform(0, 1, size=1)
         assert clone.predict_logdensity(xq, 0) == post.predict_logdensity(xq, 0)
 
-    def test_refuses_versions_1_2_6_and_a_missing_one(self):
-        """A save writes version 5; the same records as versions 3 and 4
-        wrote them, each repeating the prior, load as well and re-save
-        as 5."""
+    def test_refuses_versions_1_2_7_and_a_missing_one(self):
+        """A save writes version 6; the same state as version 5 wrote it,
+        in keyed records, and as versions 3 and 4 wrote it, each record
+        repeating the prior, loads as well and re-saves as 6."""
         rng = np.random.default_rng(4)
         cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0, max_depth=6)
         prior = DirichletMultinomial(2, 0.5)
@@ -363,13 +363,13 @@ class TestSnapshot:
             post.absorb(rng.uniform(0, 1, size=1), int(rng.integers(2)))
         text = post.to_text()
         meta, _, rest = text.partition("\n")
-        assert json.loads(meta)["version"] == 5
-        for saved in (text, as_version(text, 4), as_version(text, 3)):
+        assert json.loads(meta)["version"] == 6
+        for saved in (text, as_version(text, 5), as_version(text, 4), as_version(text, 3)):
             clone = CoverModelPosterior.from_text(saved, prior)
             assert clone.to_text() == text
             for cid, lam in enumerate(post.log_lambda):
                 assert clone.log_lambda[cid] == lam
-        for version in (1, 2, 6, None):
+        for version in (1, 2, 7, None):
             head = {**json.loads(meta), "version": version}
             if version is None:
                 del head["version"]

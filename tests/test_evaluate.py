@@ -1,8 +1,11 @@
 """Streaming evaluation harness and the method adapters."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from covermodels import evaluate
 from covermodels import (
     BadConfig,
     CdeConfig,
@@ -174,6 +177,30 @@ class TestResume:
         resumed = make(self._snapshot(make, train, hold, 30))
         assert run_eval(resumed, train, hold, **kw) == full[1:]
         assert resumed.n_absorbed == 60
+
+    def test_a_resumed_run_times_only_the_rows_it_streams(self, make, train, hold, monkeypatch):
+        """With a clock that moves 2**-20 s per row absorbed, a fresh run
+        and one resumed at row 30 report the same µs per row at row 60:
+        this run's time over this run's rows, not over all the rows the
+        method holds."""
+        clock = [0.0]
+        monkeypatch.setattr(evaluate, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+
+        def ticking(method):
+            observe = method.observe
+
+            def step(x, y):
+                clock[0] += 2.0**-20
+                observe(x, y)
+
+            method.observe = step
+            return method
+
+        kw = dict(checkpoints=[60], seed=2)
+        fresh = run_eval(ticking(make()), train, hold, **kw)
+        resumed = make(self._snapshot(make, train, hold, 30))
+        again = run_eval(ticking(resumed), train, hold, **kw)
+        assert again[0].us_per_update == fresh[0].us_per_update == 2.0**-20 * 1e6
 
     @pytest.mark.parametrize("start_at", [0, 20, 40])
     def test_a_start_at_other_than_the_adapters_count_is_refused(self, make, train, hold, start_at):

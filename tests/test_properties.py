@@ -107,15 +107,16 @@ def saved_models():
 
 SAVED = saved_models()
 CDE_FIELDS = ["split", "buffered_x", "buffer_length", "nw_count", "nw_sums", "mixture_log_w"]
-VMM_FIELDS = ["dirichlet_count", "suffix", "n_seen"]
+VMM_FIELDS = ["dirichlet_count", "link", "n_seen"]
 
 
 def sites(field, lines):
     """(container, key) of every value of one kind of structural field
     in a parsed snapshot: lines[0] is the model's header, lines[1] holds
-    the cover, lines[2:] the context records."""
+    the cover, lines[2:] the context rows, each [cid, w0, log_m,
+    log_trunc, local state]."""
     cover = lines[1]["cover"]
-    locals_ = [rec["local"] for rec in lines[2:]]
+    locals_ = [row[4] for row in lines[2:]]
     if field == "split":
         return [(rec, i) for rec in cover["splits"] for i in (1, 2)]
     if field == "buffered_x":
@@ -133,7 +134,7 @@ def sites(field, lines):
         return [(c["counts"], i) for c in locals_ for i in range(len(c["counts"]))]
     if field == "n_seen":
         return [(lines[0], "n_seen")]
-    return [(cover["suffixes"], i) for i in range(1, len(cover["suffixes"]))]
+    return [(link, i) for link in cover["links"] for i in (0, 1)]
 
 
 def corrupt(field, value, pick, lines):
@@ -164,7 +165,9 @@ def corrupt(field, value, pick, lines):
         return bad[pick % 4]
     if field == "dirichlet_count":
         return value + lines[1]["n_obs"] + 1  # more than any parent holds
-    return value + [3]  # a symbol outside the alphabet
+    # pick's parity chose the link's parent or its symbol: a parent that
+    # is no earlier context, or a symbol outside the alphabet
+    return value + (3 if pick % 2 else len(lines[1]["cover"]["links"]))
 
 
 @given(st.sampled_from(CDE_FIELDS + VMM_FIELDS), st.integers(0, 10**6))

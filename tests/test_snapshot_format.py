@@ -1,7 +1,9 @@
-"""Snapshot format 5: the prior is written once, in the header, and
-each context's record holds only what its local learnt; tree densities
-are rebuilt from the kd cover's buffers on load, and equal the saved
-model's trees bit for bit. Format-3 and format-4 snapshots still load."""
+"""Snapshot format 6: the prior is written once, in the header, each
+context's row holds its id, stop weight, ``log_m``, ``log_trunc`` and
+only what its local learnt, and a suffix cover writes each context as
+a link to its parent; tree densities are rebuilt from the kd cover's
+buffers on load, and equal the saved model's trees bit for bit.
+Format-3, format-4 and format-5 snapshots still load."""
 
 import json
 import math
@@ -310,17 +312,19 @@ def check_v4_vmm(model):
     check_vmm(V4_VMM, model)
 
 
-def loads_and_saves_as_version_5(version, name, load, check):
+def loads_and_saves_as_version_6(version, name, load, check):
     """The fixture predicts and samples as the code that wrote it did,
-    and saves as version 5 (its records' learnt parts, its prior once),
-    which loads to the same model."""
+    and saves as version 6 (one row per context holding what it learnt,
+    its prior once), which loads to the same model and, written back as
+    version 5, is the version-5 text of the fixture."""
     text = (FIXTURES / f"snapshot_v{version}_{name}.txt").read_text()
     assert json.loads(text.splitlines()[1])["version"] == version
     model = load(text)
     check(model)
     again = model.to_text()
-    assert json.loads(again.splitlines()[1])["version"] == 5
-    assert again == as_version_5(text, model.posterior.prior.prior())
+    assert json.loads(again.splitlines()[1])["version"] == 6
+    v5 = text if version == 5 else as_version_5(text, model.posterior.prior.prior())
+    assert as_version(again, 5) == v5
     check(load(again))
     assert load(again).to_text() == again
     if name == "cde":
@@ -332,20 +336,31 @@ def loads_and_saves_as_version_5(version, name, load, check):
     "name,load,check",
     [("cde", CdeModel.from_text, check_v3_cde), ("vmm", VmmModel.from_text, check_v3_vmm)],
 )
-def test_a_version_3_snapshot_loads_and_saves_as_version_5(name, load, check):
+def test_a_version_3_snapshot_loads_and_saves_as_version_6(name, load, check):
     """Its tree counts and points are ignored."""
-    loads_and_saves_as_version_5(3, name, load, check)
+    loads_and_saves_as_version_6(3, name, load, check)
 
 
 @pytest.mark.parametrize(
     "name,load,check",
     [("cde", CdeModel.from_text, check_v4_cde), ("vmm", VmmModel.from_text, check_v4_vmm)],
 )
-def test_a_version_4_snapshot_loads_and_saves_as_version_5(name, load, check):
-    """Written back as version 4, the version-5 text is the fixture
+def test_a_version_4_snapshot_loads_and_saves_as_version_6(name, load, check):
+    """Written back as version 4, the version-6 text is the fixture
     byte for byte: the two hold the same information."""
-    text, again = loads_and_saves_as_version_5(4, name, load, check)
+    text, again = loads_and_saves_as_version_6(4, name, load, check)
     assert as_version(again, 4) == text
+
+
+@pytest.mark.parametrize(
+    "name,load,check",
+    [("cde", CdeModel.from_text, check_v4_cde), ("vmm", VmmModel.from_text, check_v4_vmm)],
+)
+def test_a_version_5_snapshot_loads_and_saves_as_version_6(name, load, check):
+    """The version-5 fixtures are the version-4 ones saved by the
+    version-5 code, so they hold the same models. Written back as
+    version 5, the version-6 text is the fixture byte for byte."""
+    loads_and_saves_as_version_6(5, name, load, check)
 
 
 def leaf_paths(obj, path=()):
@@ -394,26 +409,26 @@ def test_version_3_tree_records_are_not_read():
     assert CdeModel.from_text(edited).to_text() == CdeModel.from_text(text).to_text()
 
 
-def _edit_records(records, case):
-    """The state records, one JSON line per context in id order, with
-    one fault."""
+def _edit_rows(rows, case):
+    """The state rows, one JSON line per context in id order, with one
+    fault."""
     if case == "dropped":
-        return records[:-1]
+        return rows[:-1]
     if case == "repeated":
-        return records[:2] + records[1:]
+        return rows[:2] + rows[1:]
     if case == "unknown":
-        rec = json.loads(records[-1])
-        rec["cid"] = len(records)
-        return records[:-1] + [json.dumps(rec, sort_keys=True)]
-    return [records[0], records[2], records[1]] + records[3:]  # swapped
+        row = json.loads(rows[-1])
+        row[0] = len(rows)
+        return rows[:-1] + [json.dumps(row, sort_keys=True)]
+    return [rows[0], rows[2], rows[1]] + rows[3:]  # swapped
 
 
 @pytest.mark.parametrize("case", ["dropped", "repeated", "unknown", "swapped"])
 @pytest.mark.parametrize("kind", ["cde", "vmm"])
 def test_state_records_name_each_context_once_in_id_order(kind, case):
-    """A load reads the state records in id order, as ``to_text``
-    writes them, and refuses a record dropped, repeated, naming no
-    context or out of order."""
+    """A load reads the state rows in id order, as ``to_text`` writes
+    them, and refuses a row dropped, repeated, naming no context or out
+    of order."""
     if kind == "cde":
         model = new_cde([0.0], [1.0], [0.0], [1.0], alpha=1.5)
         rng = np.random.default_rng(5)
@@ -427,6 +442,85 @@ def test_state_records_name_each_context_once_in_id_order(kind, case):
     assert load(text).to_text() == text
     lines = text.splitlines()
     assert len(lines) - 2 == model.posterior.cover.n_contexts > 3
-    edited = lines[:2] + _edit_records(lines[2:], case)
+    edited = lines[:2] + _edit_rows(lines[2:], case)
     with pytest.raises(BadConfig):
         load("\n".join(edited) + "\n")
+
+
+def saved_vmm():
+    """A version-6 text of the version-5 VMM fixture's model."""
+    return VmmModel.from_text((FIXTURES / "snapshot_v5_vmm.txt").read_text()).to_text()
+
+
+def test_a_version_6_row_is_a_list_and_a_dirichlet_count_an_int():
+    """Each context's line is ``[cid, w0, log_m, log_trunc, state]``,
+    in id order, and a suffix cover writes one link per context but the
+    root."""
+    lines = [json.loads(line) for line in saved_vmm().splitlines()]
+    rows, cover = lines[2:], lines[1]["cover"]
+    assert [row[0] for row in rows] == list(range(len(rows)))
+    assert all(len(row) == 5 and type(row[4]["counts"][0]) is int for row in rows)
+    assert "suffixes" not in cover and len(cover["links"]) == len(rows) - 1
+
+
+@pytest.mark.parametrize("header", ["3", "[]", "null", '"x"'])
+@pytest.mark.parametrize("line", ["model", "posterior", "cover"])
+@pytest.mark.parametrize("name,load", [("cde", CdeModel.from_text), ("vmm", VmmModel.from_text)])
+def test_a_header_that_is_not_a_json_object_is_refused(name, load, line, header):
+    """A header of valid JSON that is not an object raised
+    ``AttributeError`` from ``meta.get``: the model's header, the
+    posterior's, or the cover's state in it."""
+    lines = load((FIXTURES / f"snapshot_v5_{name}.txt").read_text()).to_text().splitlines()
+    if line == "cover":
+        meta = json.loads(lines[1])
+        meta["cover"] = json.loads(header)
+        lines[1] = json.dumps(meta, sort_keys=True)
+    else:
+        lines[0 if line == "model" else 1] = header
+    with pytest.raises(BadConfig):
+        load("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        '{"cid": 1}',
+        "[1, 0.5, 0.0, 0.0]",
+        '[1, 0.5, 0.0, 0.0, {"counts": [0, 0, 0]}, 0]',
+        '"x"',
+        "3",
+    ],
+)
+def test_a_row_that_is_not_a_five_element_list_is_refused(row):
+    lines = saved_vmm().splitlines()
+    lines[3] = row
+    with pytest.raises(BadConfig):
+        VmmModel.from_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("w0", [0.0, -0.25, 1.5, math.nan])
+def test_a_stop_weight_outside_0_1_is_refused(w0):
+    lines = saved_vmm().splitlines()
+    row = json.loads(lines[3])
+    row[1] = w0
+    lines[3] = json.dumps(row)
+    with pytest.raises(BadConfig, match=r"not in \(0, 1\]"):
+        VmmModel.from_text("\n".join(lines) + "\n")
+
+
+def test_dirichlet_counts_load_as_ints_or_integral_floats_and_no_larger_than_a_float():
+    """Version 5 wrote ``637.0``, version 6 writes ``637``; both load to
+    the same model. A count past the largest float raised
+    ``OverflowError``."""
+    text = saved_vmm()
+    lines = [json.loads(line) for line in text.splitlines()]
+    for row in lines[2:]:
+        row[4]["counts"] = [float(c) for c in row[4]["counts"]]
+    as_floats = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+    assert as_floats != text and VmmModel.from_text(as_floats).to_text() == text
+    edited = text.splitlines()
+    row = json.loads(edited[2])
+    row[4]["counts"][0] = 10**400
+    edited[2] = json.dumps(row)
+    with pytest.raises(BadConfig, match="whole numbers"):
+        VmmModel.from_text("\n".join(edited) + "\n")

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import as_version
 from covermodels import (
     BadConfig,
     CtwOracle,
@@ -379,9 +380,9 @@ class TestSnapshot:
             meta[key] = value
             posterior = json.dumps(meta, sort_keys=True)
         else:
-            rec = json.loads(records[1])
-            rec[key] = value
-            records[1] = json.dumps(rec, sort_keys=True)
+            row = json.loads(records[1])  # [cid, w0, log_m, log_trunc, state]
+            row[2 if key == "log_m" else 3] = value
+            records[1] = json.dumps(row, sort_keys=True)
         with pytest.raises(BadConfig, match="not finite"):
             VmmModel.from_text("\n".join([head, posterior, *records]) + "\n")
 
@@ -435,15 +436,18 @@ def test_next_symbol_logprobs_are_the_one_symbol_predictives(alphabet, depth, pr
             assert got[a] == m.posterior.predict_logdensity(m.context, a)
 
 
-def test_load_refuses_a_float_suffix_symbol():
+@pytest.mark.parametrize("version", [5, 6])
+def test_load_refuses_a_float_suffix_symbol(version):
     """A suffix symbol 1.9 once loaded as 1, truncated, and the model
-    predicted as if nothing had been edited."""
+    predicted as if nothing had been edited: in a version-5 suffix or a
+    version-6 link."""
     m = VmmModel(2, 3)
     m.fit_sequence([0, 1, 1, 0, 1])
-    head, posterior, rest = m.to_text().split("\n", 2)
+    text = m.to_text() if version == 6 else as_version(m.to_text(), 5)
+    head, posterior, rest = text.split("\n", 2)
     meta = json.loads(posterior)
-    suffixes = meta["cover"]["suffixes"]
-    meta["cover"]["suffixes"] = [[1.9 if s == 1 else s for s in suf] for suf in suffixes]
+    key = "links" if version == 6 else "suffixes"
+    meta["cover"][key] = [[1.9 if s == 1 else s for s in suf] for suf in meta["cover"][key]]
     edited = "\n".join([head, json.dumps(meta, sort_keys=True), rest])
     with pytest.raises(BadConfig, match="not an int"):
         VmmModel.from_text(edited)
@@ -454,11 +458,17 @@ def test_snapshot_text_is_pinned():
     locals kept plain float counts and the engine cached log w0, again
     for snapshot format 4, which changed only its version field, and
     again for snapshot format 5, which writes the Dirichlet prior once
-    in the header instead of in every record; nothing else moved."""
+    in the header instead of in every record; nothing else moved.
+    Snapshot format 6 writes rows, links and int counts: written back as
+    format 5 (``as_version``), its text still has the recorded digest,
+    and its own digest was recorded too."""
     m = VmmModel(3, 5)
     m.fit_sequence(gen_markov(500, seed=41, alphabet_size=3, order=2))
-    digest = hashlib.sha256(m.to_text().encode()).hexdigest()
+    text = m.to_text()
+    digest = hashlib.sha256(as_version(text, 5).encode()).hexdigest()
     assert digest == "fcb9bb799dc54ddc11c06cf62d6a3b2ae201f0743d628313a56fe8867d5e9f2f"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "1ce11cba8803d4ee3ce9a46e6c398311f7076a8a55e5d17df8815f10cb03e040"
 
 
 HOT_PATH_DIGESTS = {
