@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -22,6 +23,17 @@ from .errors import BadConfig
 from .local import BayesTreeDensity, MixtureLocal, NormalWishart
 
 _COMPONENTS = ("nw", "tree")
+_BOUNDS = ("x_lower", "x_upper", "y_lower", "y_upper")
+# the fields that take a number; nw_nu0 may also be None
+_NUMBERS = ("alpha", "tree_gamma", "tree_branch_pseudo", "nw_kappa0", "nw_nu0", "nw_scale")
+
+
+def _is_number(value):
+    """The config's one float rule: a float, or an int within a float's
+    range, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
 @dataclass
@@ -52,17 +64,38 @@ class CdeConfig:
     mixture_weights: list | None = None
 
     def __post_init__(self):
-        # bounds given as arrays or tuples become the plain lists that a
-        # snapshot's JSON header can hold
-        for name in ("x_lower", "x_upper", "y_lower", "y_upper"):
+        self._bounds_as_lists()
+
+    def _bounds_as_lists(self):
+        """Make each bound given the plain list of floats that a
+        snapshot's JSON header can hold, from a list, a tuple or an
+        array of finite numbers; anything else raises ``BadConfig``."""
+        for name in _BOUNDS:
             value = getattr(self, name)
-            if value is not None and not isinstance(value, list):
-                setattr(self, name, [float(v) for v in value])
+            if value is None and name.startswith("y"):
+                continue
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            if not isinstance(value, (list, tuple)) or not all(
+                _is_number(v) and math.isfinite(v) for v in value
+            ):
+                raise BadConfig(f"{name} must be a list of finite numbers, got {value!r}")
+            setattr(self, name, [float(v) for v in value])
 
     def validate(self):
+        """Check the type and the value of every field, raising
+        ``BadConfig``; sizes go through ``as_size``. Returns the config,
+        its bounds as lists of floats and its components as a tuple."""
+        self._bounds_as_lists()
+        for name in _NUMBERS:
+            value = getattr(self, name)
+            if not (_is_number(value) or value is None and name == "nw_nu0"):
+                raise BadConfig(f"{name} must be a number, got {value!r}")
         if not self.alpha > 1.0:  # NaN too: every leaf would split
             raise BadConfig("alpha must exceed 1")
-        comps = tuple(self.components)
+        if not isinstance(self.components, (list, tuple)):
+            raise BadConfig(f"components must be a list of names, got {self.components!r}")
+        comps = self.components = tuple(self.components)
         if not comps or any(c not in _COMPONENTS for c in comps):
             raise BadConfig(f"components must be a nonempty subset of {_COMPONENTS}")
         if len(set(comps)) != len(comps):
@@ -79,13 +112,17 @@ class CdeConfig:
             if self.y_dim is not None and self.y_dim != ybox.dim:
                 raise BadConfig("y_dim disagrees with y bounds")
         Box(self.x_lower, self.x_upper)
+        parse_depth_weight(self.depth_weight)
         weights = self.mixture_weights
         if weights is not None:
+            if not isinstance(weights, (list, tuple)) or not all(map(_is_number, weights)):
+                raise BadConfig(f"mixture_weights must be a list of numbers, got {weights!r}")
             if len(weights) != len(comps):
                 raise BadConfig("mixture_weights length must match components")
             if not (all(0.0 <= w < math.inf for w in weights) and sum(weights) > 0.0):
                 raise BadConfig("mixture_weights must be finite, nonnegative and not all zero")
         as_size(self.max_depth_x, "max_depth_x", 1)
+        as_size(self.tree_max_depth, "tree_max_depth", 0)
         return self
 
     @classmethod
@@ -216,14 +253,12 @@ class CdeModel:
             meta = json.loads(head)
             if not isinstance(meta, dict) or meta.get("kind") != "cde":
                 raise BadConfig("not a cde snapshot")
-            cfg = dict(meta["config"])
-            cfg["components"] = tuple(cfg["components"])
-            config = CdeConfig(**cfg)
-        except (KeyError, TypeError, ValueError) as exc:
+            obj = cls.__new__(cls)
+            config = obj.config = CdeConfig(**meta["config"]).validate()
+            prior = obj._make_local()
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BadConfig(f"malformed cde snapshot header: {exc!r}") from exc
-        obj = cls.__new__(cls)
-        obj.config = config.validate()
-        obj.posterior = post = CoverModelPosterior.from_text(rest, obj._make_local())
+        obj.posterior = post = CoverModelPosterior.from_text(rest, prior)
         cover = post.cover
         if not isinstance(cover, KdTreeCover):
             raise BadConfig("a cde snapshot must hold a kd cover")

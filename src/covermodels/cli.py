@@ -113,8 +113,6 @@ def _collect_config(args) -> dict:
 
 def _cde_config(cfg: dict, train: Dataset) -> CdeConfig:
     kw = dict(cfg)
-    if "components" in kw:
-        kw["components"] = tuple(kw["components"])
     have_bounds = {"x_lower", "x_upper", "y_lower", "y_upper"} <= set(kw)
     if have_bounds:
         return CdeConfig(**kw).validate()

@@ -34,9 +34,10 @@ from .errors import BadConfig, DepthLimitExceeded, QueryOutOfRootRegion, Unknown
 def as_size(value, name, least):
     """A size such as a depth or an alphabet's, as an int: a whole number
     of at least ``least``, which an integral float such as 3.0 is too.
-    Anything else, NaN, an infinity or 2.5 among them, raises
+    Anything else, NaN, an infinity, 2.5 or a bool among them, raises
     ``BadConfig``."""
-    if isinstance(value, numbers.Real) and value >= least and value % 1 == 0:
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if real and value >= least and value % 1 == 0:
         return int(value)
     raise BadConfig(f"{name} must be a whole number of at least {least}, got {value!r}")
 

@@ -22,18 +22,30 @@ closed form. Per context c three log quantities suffice:
                + (1 - w0) * trunc_c * prod_d lambda_d   otherwise,
 
   over materialised children d. The posterior probability that the
-  walk stops at c given it got there is g_c = w0 * m_c / lambda_c, and
-  it obeys the per observation update g' = g * pi / psi where pi is
-  c's local predictive and psi its subtree predictive.
+  walk stops at c given it got there is g_c = w0 * m_c / lambda_c.
 
-Each context also keeps the pair (log g, log(1 - g)), which changes
-only with m or lambda. ``_refresh_lambda`` is the one statement of
-lambda and of the pair: one loop over a list of contexts, children
-first, which an absorb runs over its path and its new contexts, a load
-and ``_refresh_all`` over every context and ``set_w0`` over a chain to
-the root. A new context has log m = log lambda = 0, so its pair is
-(log w0, log(1 - w0)), which its state starts with. Every query,
-absorb and sample reads the kept pair and recomputes nothing.
+g does not depend on y, so the predictive at x, the nested recursion
+psi_k = g_k pi_k + (1 - g_k) psi_{k+1} over the path's contexts, root
+first, with local predictives pi_k, unrolls to a mixture whose
+weights, the law of where the walk stops, are fixed per x:
+
+      psi(y | x) = sum_k w_k * pi_k(y),   w_k = g_k * prod_{j<k} (1 - g_j).
+
+The deepest context takes the rest of the mass, unless the cover
+``truncates`` the path: then it takes its share g, and a virtual
+continuation, whose pi is the prior's, the remainder. Every query,
+absorb and sample reads the weights from ``stop_weights``, and an
+update moves each g_k to g_k pi_k / psi_k. ``psi_table`` lists the
+terms, a row per context and one for a virtual continuation;
+``sample_y`` draws where the walk stops with one uniform.
+
+Each context keeps the pair (log g, log(1 - g)), which changes only
+with m or lambda. ``_refresh_lambda`` is the one statement of lambda
+and of the pair: one loop over a list of contexts, children first,
+which an absorb runs over its path and its new contexts, a load and
+``_refresh_all`` over every context and ``set_w0`` over a chain to the
+root. A new context has log m = log lambda = 0, so its pair is
+(log w0, log(1 - w0)), which its state starts with.
 
 The state is kept in columns: one list per field (``local``, ``w0``,
 ``log_w0``, ``log1m_w0``, ``log_m``, ``log_trunc``, ``log_lambda``,
@@ -44,9 +56,9 @@ appended and a walk over the ids downward visits children first.
 
 One absorb scores every matched context once. A local's ``update``
 returns its predictive from before the update, which is the pi above,
-so the pass that updates the locals also supplies every pi. The
-subtree predictives psi are then computed from the stop posteriors
-still in force, and only after that are m, trunc and lambda committed.
+so the pass that updates the locals also supplies every pi. They are
+mixed by the stop weights still in force, and only after that are m,
+trunc and lambda committed.
 
 Growth belongs to the cover, which an absorb asks the same things
 whatever its kind. ``extend`` makes the contexts a chain lacks (a
@@ -58,30 +70,20 @@ exchangeable, so the closed-form block marginal, its ``log_m``, is the
 product of the block's sequential predictives, up to rounding. The ys
 passed ``prepare`` when absorbed, so a replay prepares nothing. Where
 ``truncates`` says a chain could have gone deeper, it leaves a
-truncation factor and predictions mix in a virtual continuation drawn
-from the prior.
+truncation factor.
 
-One prior serves every context. The posterior is given an empty local,
-its ``prior``, and never changes it, so one prior may serve several
-posteriors. Every context's local is the prior's ``spawn`` and every
-loaded context's its ``load``, so they all share its checked prior. It
-is also the one place y is prepared (checked, and routed through a
-tree density's partition) for every local on the path.
+One prior serves every context, and several posteriors (the class's
+``prior``). Every context's local is its ``spawn`` and every loaded
+context's its ``load``, so they all share its checked prior.
 
 A snapshot (format version 6) holds only what the data do not give
 back: the prior once, in its header, and per context one row, its id,
 stop weight, ``log_m``, ``log_trunc`` and what its local learnt
 (counts, sums and mixture weights), plus the cover's split records and
 buffered points or suffix links. A tree density learns nothing a
-snapshot keeps. A load refuses a snapshot whose prior is not the one
-it is given, once, from the header. A kd cover's load routes every
-buffered y once (the prior's ``prepare_block``), then visits each
-context once, children first (``_rebuild``): it checks the local's
-counts against the points under the context and lays its tree out
-from its children's (``refill``); ``_refresh_lambda`` then recomputes
-``log_lambda`` and the stop pairs in the same order. All of it equals
-the saved model bit for bit, and the structure is checked
-(``from_text``). Versions 3 to 5, which write a keyed record per
+snapshot keeps: a kd cover's load lays each tree out from the buffered
+ys, children first (``_rebuild``), and all of it equals the saved
+model bit for bit. Versions 3 to 5, which write a keyed record per
 context and a suffix cover's suffixes, still load: one adapter turns
 each record into a row (``_as_row``) and the suffixes into links
 (``upgrade_cover_state``). Versions 3 and 4 also repeat the prior in
@@ -94,7 +96,8 @@ from __future__ import annotations
 import copy
 import json
 import math
-from itertools import chain
+from itertools import accumulate, chain
+from operator import add
 
 from .covers import as_size, cover_from_state, upgrade_cover_state
 from .errors import BadConfig
@@ -109,13 +112,6 @@ from .local import (
 from .logspace import LOG2, log1mexp
 
 SNAPSHOT_FORMAT = "covermodels-snapshot"
-# Version 6 writes the prior once, in the header, and per context a
-# row [cid, w0, log_m, log_trunc, local state] holding only what a
-# local learnt; a suffix cover writes each context as a link to its
-# parent. Version 5 writes a keyed record per context and a suffix
-# cover's suffixes, versions 3 and 4 also repeat the prior in every
-# record, and version 3 holds tree counts and points, which a load
-# ignores; all four load, and a save writes 6.
 SNAPSHOT_VERSION = 6
 _LOADABLE_VERSIONS = (3, 4, 5, 6)
 # one encoder for every line, rather than one built per json.dumps call
@@ -134,6 +130,22 @@ def _as_row(rec, prior, version):
     checks and drops."""
     local = rec["local"] if version == 5 else upgrade_state(rec["local"], prior)
     return [rec["cid"], rec["w0"], rec["log_m"], rec["log_trunc"], local]
+
+
+def _log_mix(log_weights, log_pis):
+    """log sum_k exp(log_weights[k] + log_pis[k]), the mixture over where
+    the walk stops: the largest term is shifted out and the rest finish
+    with ``log1p``. -inf where every term is -inf, and NaN where any term
+    is NaN, which ``max`` alone sees only in some positions."""
+    terms = list(map(add, log_weights, log_pis))
+    top = max(terms)
+    if not top > -math.inf:  # every term is -inf, or max met a NaN first
+        return sum(terms)
+    del terms[terms.index(top)]
+    exp, rest = math.exp, 0.0
+    for t in terms:
+        rest += exp(t - top)
+    return top + math.log1p(rest)
 
 
 def parse_depth_weight(spec):
@@ -327,86 +339,66 @@ class CoverModelPosterior:
             return 1.0
         return math.exp(self.log_g[cid])
 
+    def stop_weights(self, path):
+        """Log posterior probability that the walk stops at each context
+        of ``path``, a matched chain of ids, root first: log w_k = log g_k
+        + sum_{j<k} log(1 - g_j), from the kept stop pairs. Where the
+        cover ``truncates`` the path, one more weight goes to the virtual
+        continuation past it; otherwise the deepest context takes the
+        rest, the mass that reached it. The weights sum to 1."""
+        log_g, log1m_g = self.log_g, self.log1m_g
+        lw, reach = [], 0.0
+        for cid in path[:-1]:
+            lw.append(reach + log_g[cid])
+            reach += log1m_g[cid]
+        # reach is taken before the deepest context's log(1 - g): with
+        # g = 1 it is -inf, and the difference would be NaN
+        if self.cover.truncates(len(path)):
+            lw += (reach + log_g[path[-1]], reach + log1m_g[path[-1]])
+        else:
+            lw.append(reach)
+        return lw
+
     # ---- prediction -------------------------------------------------------
 
-    def _phi(self, path, logpi, py):
-        """Subtree predictive of each context on a matched path.
-
-        ``path`` holds the contexts' ids, by which their kept stop pairs
-        (``log_g``, ``log1m_g``) are read, ``logpi`` their local log
-        predictives at the prepared y ``py``. Where the cover
-        ``truncates`` the path, the deepest context continues to the
-        virtual one, whose predictive is the prior's. Returns log psi
-        per context, root first, where psi is the subtree mixture value
-        used by the walk; the root's is the log marginal. The stop
-        posteriors must be those in force, so an absorb reads them
-        before committing anything.
-        """
-        log_g, log1m_g = self.log_g, self.log1m_g
-        logpsi = [0.0] * len(logpi)
-        psi = self.prior.log_predictive(py) if self.cover.truncates(len(path)) else None
-        for k in range(len(logpi) - 1, -1, -1):
-            cid, lp = path[k], logpi[k]
-            lg = log_g[cid]
-            if psi is None or lg >= 0.0:
-                psi = lp
-            else:
-                # logaddexp(a, b), inline to save a call per context: the
-                # same branches and operations, so the same values
-                a = lg + lp
-                b = log1m_g[cid] + psi
-                if a == b:
-                    psi = a + LOG2
-                else:
-                    d = a - b
-                    if d > 0:
-                        psi = a + math.log1p(math.exp(-d))
-                    elif d <= 0:
-                        psi = b + math.log1p(math.exp(d))
-                    else:
-                        psi = d  # a or b is nan
-            logpsi[k] = psi
-        return logpsi
-
     def _query(self, x, ys):
-        """Score every y of ys at x without changing anything.
-
-        x is prepared and matched once for all of ys. Returns the path
-        and, per y, (log pi per context, log psi per context).
-        """
+        """Score every y of ys at x without changing anything: x is
+        prepared and matched once. Returns the path, its ``stop_weights``
+        and, per y, the log predictive of each place the walk can stop:
+        the path's locals, then the prior where the path truncates."""
         path = self.cover.match_levels(self.cover.prepare_query(x))
+        lw = self.stop_weights(path)
         locals_ = [self.local[cid] for cid in path]
-        out = []
-        for y in ys:
-            py = self.prior.prepare(y)
-            logpi = [local.log_predictive(py) for local in locals_]
-            out.append((logpi, self._phi(path, logpi, py)))
-        return path, out
+        if len(lw) > len(path):
+            locals_.append(self.prior)
+        pys = map(self.prior.prepare, ys)
+        return path, lw, [[local.log_predictive(py) for local in locals_] for py in pys]
 
     def log_predictives(self, x, ys):
         """Log predictive density (or mass) of each y of ys at x, as a
-        list. Does not mutate. One call costs one match however many ys
-        it scores, and reads each context's kept stop posterior."""
-        return [logpsi[0] for _, logpsi in self._query(x, ys)[1]]
+        list. Does not mutate. One call costs one match and one read of
+        the stop weights however many ys it scores."""
+        _, lw, logpis = self._query(x, ys)
+        return [_log_mix(lw, logpi) for logpi in logpis]
 
     def predict_logdensity(self, x, y) -> float:
         """Log predictive density (or mass) of y at x. Does not mutate."""
         return self.log_predictives(x, (y,))[0]
 
     def psi_table(self, x, y):
-        """Introspection: per matched context predictive decomposition.
-
-        Returns (rows, log_marginal). Each row is a dict with cid,
-        depth, log_local and log_psi, ordered coarse to fine. At a
-        terminal context log_psi equals log_local unless a virtual
-        continuation applies.
-        """
-        path, [(logpi, logpsi)] = self._query(x, (y,))
+        """Introspection: the predictive of y at x as a mixture over
+        where the walk stops. Returns (rows, log_marginal): coarse to
+        fine, one row per context, a dict of cid, depth, log_local (its
+        local's log predictive) and log_weight (``stop_weights``); a
+        truncated path adds a row of cid None at depth len(path) + 1, the
+        virtual continuation, whose log_local is the prior's. The
+        marginal is log sum exp(log_weight + log_local) over the rows."""
+        path, lw, [logpi] = self._query(x, (y,))
         rows = [
-            {"cid": cid, "depth": k + 1, "log_local": logpi[k], "log_psi": logpsi[k]}
-            for k, cid in enumerate(path)
+            {"cid": cid, "depth": k + 1, "log_local": lp, "log_weight": w}
+            for k, (cid, w, lp) in enumerate(zip(path + [None], lw, logpi))
         ]
-        return rows, logpsi[0]
+        return rows, _log_mix(lw, logpi)
 
     def log_marginal_likelihood(self) -> float:
         """Exact log evidence of everything absorbed so far.
@@ -441,12 +433,14 @@ class CoverModelPosterior:
             local = self.prior.spawn()
             self._append_state(local, self._w0_fn(cover.contexts[cid].depth))
             logpi.append(local.update(py))
-        # the stop posteriors read here change only below
-        logmarg = self._phi(path, logpi, py)[0]
+        # the stop weights read here change only below
+        lw = self.stop_weights(path)
+        virtual = [self.prior.log_predictive(py)] if len(lw) > len(path) else []
+        logmarg = _log_mix(lw, logpi + virtual)
 
         for cid, lp in zip(path, logpi):
             log_m[cid] += lp
-        if cover.truncates(len(path)):
+        if virtual:  # the path truncates
             self.log_trunc[path[-1]] += logpi[-1]
         new = []
         for _, kids in cover.observe_and_refine(xq, y, path[-1]):
@@ -466,18 +460,15 @@ class CoverModelPosterior:
     # ---- sampling ---------------------------------------------------------
 
     def sample_y(self, x, rng):
-        """Draw y from the posterior predictive at x: walk down the
-        matched path, stopping at each context with its stop posterior."""
-        xq = self.cover.prepare_query(x)
-        path = self.cover.match_levels(xq)
-        log_g, locals_ = self.log_g, self.local
-        for cid in path[:-1]:
-            if rng.uniform() < math.exp(log_g[cid]):
-                return locals_[cid].sample(rng)
-        cid = path[-1]
-        if self.cover.truncates(len(path)) and rng.uniform() >= math.exp(log_g[cid]):
-            return self.prior.sample(rng)
-        return locals_[cid].sample(rng)
+        """Draw y from the posterior predictive at x: one uniform picks
+        where the walk stops by the cumulative ``stop_weights``, the last
+        place taking any rounding remainder, and that place's local, or
+        the prior past a truncated path, draws y."""
+        path = self.cover.match_levels(self.cover.prepare_query(x))
+        lw = self.stop_weights(path)
+        u, cum = rng.uniform(), accumulate(map(math.exp, lw[:-1]))
+        k = next((k for k, c in enumerate(cum) if u < c), len(lw) - 1)
+        return (self.local[path[k]] if k < len(path) else self.prior).sample(rng)
 
     # ---- persistence ------------------------------------------------------
 
@@ -537,7 +528,8 @@ class CoverModelPosterior:
         and, for a tree density, ``dim`` long and, unless a mixture holds
         the tree, which skips it, in the tree's box; elsewhere children
         hold no more points than their parent, and no local is a tree
-        density. ``log_evidence``, ``log_m`` and ``log_trunc`` are
+        density. ``log_evidence``, ``w0``, ``log_m`` and ``log_trunc``
+        are JSON numbers, ints or floats and not bools or strings, and
         finite. Not checked, because that would take a refit: their
         values, and the Normal-Wishart sums beyond their shapes,
         finiteness and positive posterior scale.
@@ -558,7 +550,7 @@ class CoverModelPosterior:
                 meta["cover"] = upgrade_cover_state(meta["cover"])
                 rows = [_as_row(rec, prior, version) for rec in rows]
             return cls._load(meta, rows, prior)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise BadConfig(f"malformed snapshot: {exc!r}") from exc
 
     @classmethod
@@ -569,7 +561,7 @@ class CoverModelPosterior:
             prior,
             meta["depth_weight"],
             as_size(meta["n_obs"], "n_obs", 0),
-            float(meta["log_evidence"]),
+            meta["log_evidence"],
         )
         if meta["version"] >= 5:  # the header holds the prior
             check_prior(meta["prior"], prior)
@@ -583,12 +575,15 @@ class CoverModelPosterior:
                     f"state row {cid} names context {rid!r}, where rows "
                     f"name the contexts 0 to {n - 1} in id order"
                 )
-            w0 = float(w0)
             if not 0.0 < w0 <= 1.0:
                 raise BadConfig(f"stop weight {w0} of context {cid} not in (0, 1]")
-            obj._append_state(local_from_state(state, prior), w0, float(log_m), float(log_trunc))
+            obj._append_state(local_from_state(state, prior), w0, log_m, log_trunc)
+        values = [obj.log_evidence, *obj.w0, *obj.log_m, *obj.log_trunc]
+        # JSON's numbers are ints and floats; float() would take a bool or a str
+        if not {int, float}.issuperset(map(type, values)):
+            raise BadConfig("snapshot log_evidence, w0, log_m or log_trunc is not a number")
         # no model writes a log_evidence that is not finite
-        if not all(map(math.isfinite, chain([obj.log_evidence], obj.log_m, obj.log_trunc))):
+        if not all(map(math.isfinite, values)):
             raise BadConfig("snapshot log_evidence, log_m or log_trunc is not finite")
         if len(obj.local) != n:
             raise BadConfig(f"snapshot lacks state for contexts {list(range(len(obj.local), n))}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, multigammaln
@@ -131,6 +132,39 @@ class ExactEnumerator:
         if not at:
             return 0.0
         return float(math.exp(logsumexp(at) - logsumexp(reach)))
+
+
+# ---- the walk's predictive in 50 digits -------------------------------------
+
+
+def decimal_walk_predictive(log_g, log_pi, log_prior_pi=None):
+    """log psi_1 by the nested recursion of ``engine.py``'s docstring,
+
+        psi_k = g_k pi_k + (1 - g_k) psi_{k+1},
+
+    in 50-digit ``Decimal`` from float inputs: per context of a path,
+    root first, its stop posterior's log g and its local's log pi. Where
+    the path truncates, ``log_prior_pi`` is the log predictive of the
+    virtual continuation, psi past the deepest context; otherwise the
+    deepest context stops, psi_n = pi_n. Nothing is shared with the
+    engine's weights or its log-sum-exp."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        n = len(log_g)
+        if log_prior_pi is None:
+            n -= 1
+            psi = Decimal(log_pi[n]).exp()
+        else:
+            psi = Decimal(log_prior_pi).exp()
+        for lg, lp in zip(reversed(log_g[:n]), reversed(log_pi[:n])):
+            g = Decimal(lg)
+            with localcontext() as near_one:
+                # 1 - g to 50 digits however close g is to 1
+                near_one.prec = 50 + max(0, -g.adjusted()) if g else 50
+                g = g.exp()
+                rest = 1 - g
+            psi = g * Decimal(lp).exp() + rest * psi
+        return float(psi.ln())
 
 
 # ---- closed form block marginals -------------------------------------------

@@ -138,6 +138,24 @@ _UNUSABLE = {
     "mixture-n-fractional": lambda: gen_mixture(2.5),
     "mixture-n-nan": lambda: gen_mixture(_NAN),
     "ring-n-inf": lambda: gen_gaussian_ring(math.inf),
+    # a CdeConfig field of the wrong type raised a bare TypeError from a
+    # comparison or a constructor
+    "cde-alpha-list": lambda: CdeModel(CdeConfig(alpha=[2.0], **_UNIT)),
+    "cde-tree-gamma-string": lambda: CdeModel(CdeConfig(tree_gamma="a", **_UNIT)),
+    "cde-x-lower-number": lambda: CdeModel(CdeConfig(0.0, [1.0], [0.0], [1.0])),
+    "cde-nw-kappa0-list": lambda: CdeModel(CdeConfig(nw_kappa0=[1.0], **_UNIT)),
+    "cde-components-int": lambda: CdeModel(CdeConfig(components=3, **_UNIT)),
+    "cde-mixture-weights-number": lambda: CdeModel(CdeConfig(mixture_weights=1.0, **_UNIT)),
+    "cde-mixture-weight-string": lambda: CdeModel(
+        CdeConfig(mixture_weights=["1", 1.0], **_UNIT)
+    ),
+    "cde-x-upper-bool": lambda: CdeModel(CdeConfig([0.0], [True], [0.0], [1.0])),
+    "cde-x-upper-huge-int": lambda: CdeModel(CdeConfig([0.0], [10**400], [0.0], [1.0])),
+    "cde-alpha-huge-int": lambda: CdeModel(CdeConfig(alpha=10**400, **_UNIT)),
+    # a bool passed as_size as 1 and was written to the header as true
+    "cde-max-depth-x-bool": lambda: CdeModel(CdeConfig(max_depth_x=True, **_UNIT)),
+    "vmm-depth-bool": lambda: VmmModel(2, True),
+    "cde-nw-kappa0-huge-int": lambda: CdeModel(CdeConfig(nw_kappa0=10**400, **_UNIT)),
 }
 
 
@@ -380,6 +398,19 @@ class TestSnapshot:
         with pytest.raises(BadConfig):
             CdeModel.from_text('{"kind": "vmm"}\n')
 
+    def test_the_message_names_the_buffered_y_that_is_not_finite(self):
+        """The NaN sits in the second buffered point, so a check that
+        named the first point, or any finite one, would name 0.1."""
+        model = CdeModel(CdeConfig(**_UNIT))
+        model.absorb([0.2], [0.1])
+        model.absorb([0.7], [0.9])
+        head, posterior, rest = model.to_text().split("\n", 2)
+        meta = json.loads(posterior)
+        meta["cover"]["buffers"]["0"][3] = math.nan
+        edited = "\n".join([head, json.dumps(meta, sort_keys=True), rest])
+        with pytest.raises(BadConfig, match=r"buffered y \[nan\] is not finite"):
+            CdeModel.from_text(edited)
+
     @pytest.mark.parametrize("value", [math.nan, "0.5"], ids=["nan", "string"])
     def test_a_buffered_y_that_is_not_a_finite_float_is_refused(self, value):
         """A buffered NaN once loaded, and the absorb that split its leaf
@@ -468,6 +499,22 @@ class TestSnapshot:
         head, _, rest = model.to_text().partition("\n")
         meta = json.loads(head)
         assert meta["config"][key] != value
+        meta["config"][key] = value
+        with pytest.raises(BadConfig):
+            CdeModel.from_text(json.dumps(meta, sort_keys=True) + "\n" + rest)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("nw_kappa0", [1.0]), ("alpha", "2.0"), ("tree_gamma", None), ("components", 3)],
+    )
+    def test_a_header_field_of_the_wrong_type_is_refused(self, key, value):
+        """``"nw_kappa0": [1.0]`` raised ``TypeError``: the header's config
+        was checked and turned into a prior outside the ``BadConfig``
+        wrapper."""
+        model, ds = small_model(n=40)
+        model.fit_stream(ds.x, ds.y)
+        head, _, rest = model.to_text().partition("\n")
+        meta = json.loads(head)
         meta["config"][key] = value
         with pytest.raises(BadConfig):
             CdeModel.from_text(json.dumps(meta, sort_keys=True) + "\n" + rest)
@@ -635,38 +682,38 @@ _PINNED = {
         33,
         ["-5.6890460757638515", "-0.793800166458537", "-1.7797129424723723"],
         [
-            "[2.4715626412188967]",
-            "[1.8305881329342828]",
-            "[-2.157337859966203]",
-            "[-2.305968958958263]",
-            "[-1.7495466158782937]",
-            "[-2.26174897790969]",
+            "[2.3045470192430235]",
+            "[1.492784329970837]",
+            "[-2.8277487787804385]",
+            "[-2.4634958590330913]",
+            "[-0.6312342527635306]",
+            "[-0.9570388828253289]",
         ],
     ),
     "nw+tree, 2-d y": (
         "c70870af906327c8c4cead4d14aa9ca0eb87db601c9b3d5c9bdbfc5482d58c28",
         29,
-        ["1.1737811607264101", "0.24622690863987864", "-1.720304757066877"],
+        ["1.17378116072641", "0.24622690863987867", "-1.720304757066877"],
         [
-            "[0.9793848079067666, 0.08918797403611559]",
-            "[0.9415735019014586, 0.12295814083158876]",
-            "[-0.8909831906717536, 0.09742307454511445]",
-            "[-0.679535168555693, 0.13899691920528465]",
-            "[0.8296686092417022, -1.15640444885526]",
-            "[1.2925520862174362, 1.0631459848578486]",
+            "[0.5358907068461037, 0.711297838373921]",
+            "[0.4042966491942458, 0.09113820072713219]",
+            "[-1.0809212068104785, -0.2366826785415143]",
+            "[-1.4464340636813993, 0.1889276779942626]",
+            "[-0.6061628181832602, -0.22604436194717048]",
+            "[-0.2545873256291238, 1.2655065240924794]",
         ],
     ),
     "nw only, y_dim 2": (
         "230bfe883797aefedb1fd8d8b6db4ad6f684147fb8b9b744e09d1fce5c9e99ee",
         25,
-        ["0.5094509230271824", "0.2579278161191463", "-9.711184695970617"],
+        ["0.5094509230271822", "0.2579278161191463", "-9.711184695970617"],
         [
-            "[1.2415892377290454, 0.07870709825205312]",
-            "[0.8622818806461101, 0.15872851588379802]",
-            "[0.202359036143761, -0.9362120232889223]",
-            "[-0.5345498660597983, -0.4010300782148639]",
-            "[-0.48933187422520114, -0.20823149683501524]",
-            "[-1.9742234169289201, -0.7228395223401541]",
+            "[0.008585215991469108, 0.21054404484534522]",
+            "[1.527008619278022, 0.017427701388166357]",
+            "[-0.2765106309343297, -0.9909976607268185]",
+            "[-0.26736021796848736, -1.383280333549298]",
+            "[0.21589416600627126, 1.0053288898551105]",
+            "[-2.1976036521880884, 2.9111413040864247]",
         ],
     ),
 }
@@ -690,7 +737,11 @@ def test_outputs_are_pinned(name):
     header and none in the records; nothing else moved. Snapshot
     format 6 writes each record as a row: written back as format 5
     (``as_version``), its text still has the recorded digest, and its
-    own digest was recorded too."""
+    own digest was recorded too. The draws and three log densities were
+    recorded again when the predictive became one mixture over the
+    path's stop weights, summed in another order, and sampling drew the
+    stopping depth with one uniform: the densities moved by at most
+    2.2e-16 and the digests stayed."""
     model, queries = _pinned_model(name)
     digest, n_contexts, logdens, draws = _PINNED[name]
     assert model.n_contexts == n_contexts

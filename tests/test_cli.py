@@ -131,6 +131,20 @@ class TestFitEval:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "setting", ["alpha=[1]", "alpha=abc", "tree_gamma=true", "components=3", "x_lower=0.5"]
+    )
+    def test_a_cover_cde_option_of_the_wrong_type_exits_2(self, setting, mix_files, tmp_path, capsys):
+        """``alpha=[1]`` and ``alpha=abc`` printed a ``TypeError``
+        traceback and exited 1."""
+        train, hold = mix_files
+        assert run("fit-eval", "--method", "cover-cde", "--train", train,
+                   "--holdout", hold, "--out", tmp_path / "x.csv",
+                   "--set", setting) == 2
+        err = capsys.readouterr().err
+        key = setting.partition("=")[0]
+        assert err.startswith(f"error: {key} must be ") and "Traceback" not in err
+
     def test_kernel_cde(self, mix_files, tmp_path):
         train, hold = mix_files
         out = tmp_path / "k.csv"

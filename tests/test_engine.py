@@ -13,19 +13,28 @@ from scipy.stats import chisquare
 from covermodels import (
     BadConfig,
     Box,
+    CdeConfig,
     CdeModel,
     CoverModelPosterior,
     DirichletMultinomial,
     KdTreeCover,
+    MixtureLocal,
     NormalWishart,
     SuffixTreeCover,
     VmmModel,
+    gen_markov,
+    gen_mixture,
     new_cde,
     parse_depth_weight,
 )
-from covermodels.logspace import log1mexp
+from covermodels.logspace import log1mexp, logsumexp
 from conftest import as_version, attach_random_engine, random_static_tree, random_xy
-from oracle import ExactEnumerator, dirichlet_block_marginal, normal_wishart_block_marginal
+from oracle import (
+    ExactEnumerator,
+    decimal_walk_predictive,
+    dirichlet_block_marginal,
+    normal_wishart_block_marginal,
+)
 
 
 class TestDepthWeight:
@@ -521,18 +530,207 @@ class TestPsiTable:
         rows, log_marginal = post.psi_table(x, y)
         assert log_marginal == pytest.approx(post.predict_logdensity(x, y), abs=1e-12)
         assert [r["cid"] for r in rows] == cov.match_levels(x)
-        # psi is the subtree mixture value: the root row carries the
-        # marginal, the terminal row its own local, and every level in
-        # between mixes stop against continue at the posterior stop mass
-        assert rows[0]["log_psi"] == pytest.approx(log_marginal, abs=1e-12)
-        assert rows[-1]["log_psi"] == rows[-1]["log_local"]
-        rebuilt = rows[-1]["log_psi"]
-        for row in rows[-2::-1]:
+        assert [r["depth"] for r in rows] == [cov.contexts[r["cid"]].depth for r in rows]
+        # a row's weight is the mass that stops there: its stop
+        # posterior times the mass that reached it, and the terminal row
+        # takes all that reached it
+        reach = 1.0
+        for row in rows:
             g = post.stop_posterior(row["cid"])
-            rebuilt = np.logaddexp(
-                math.log(g) + row["log_local"], math.log1p(-g) + rebuilt
-            )
-            assert row["log_psi"] == pytest.approx(rebuilt, abs=1e-10)
+            assert row["log_weight"] == pytest.approx(math.log(reach * g), abs=1e-10)
+            reach *= 1.0 - g
+        mixed = logsumexp([row["log_weight"] + row["log_local"] for row in rows])
+        assert mixed == pytest.approx(log_marginal, abs=1e-12)
+
+    def test_a_truncated_path_ends_in_the_virtual_row(self):
+        """Past a suffix path that stops short of ``max_depth`` the walk
+        can go on to the prior: a row of cid None one level down, whose
+        weight is the mass that passed the deepest context."""
+        model = VmmModel(3, 5)
+        model.fit_sequence([0, 1, 2, 1, 0, 1])
+        post, y = model.posterior, 2
+        history = (0, 2, 2, 1)  # 2 2 1 was never seen, so the path stops at 2 1
+        path = post.cover.match_levels(post.cover.prepare_query(history))
+        assert len(path) == 3 < post.cover.max_depth
+        rows, log_marginal = post.psi_table(history, y)
+        assert [r["cid"] for r in rows] == path + [None]
+        assert [r["depth"] for r in rows] == [1, 2, 3, 4]
+        assert rows[-1]["log_local"] == post.prior.log_predictive(post.prior.prepare(y))
+        reach = sum(post.log1m_g[cid] for cid in path)
+        assert rows[-1]["log_weight"] == pytest.approx(reach, abs=1e-12)
+        mixed = logsumexp([row["log_weight"] + row["log_local"] for row in rows])
+        assert mixed == pytest.approx(log_marginal, abs=1e-12)
+        assert log_marginal == post.predict_logdensity(history, y)
+
+
+def mixture_bound(log_g, log_pi, log_prior_pi, psi):
+    """How far the engine's mixture may lie from
+    ``decimal_walk_predictive``. A weight sums up to L logs, each the
+    float log(1 - g_j) with an error of u (1 + |log(1 - g_j)|), and its
+    term adds log pi_k, so a term of size at most T, the sum of every
+    finite |log(1 - g_j)| and the largest finite |log g_k| and |log
+    pi_k|, is off by at most (L + 1) u (T + 1), and a log-sum-exp moves
+    no more than its largest input. Its exps, the sum of L terms and
+    the log1p add at most 4 L u, and the last addition and the
+    reference's rounding u |psi| each, for u = 2**-53 and L terms."""
+    finite = [v for v in log_pi + [log_prior_pi] if v is not None and v > -math.inf]
+    size = sum(abs(log1mexp(v)) for v in log_g if v < 0.0)
+    size += max(map(abs, log_g)) + max(map(abs, finite), default=0.0)
+    terms = len(log_g) + (log_prior_pi is not None)
+    return 2.0**-53 * ((terms + 3) * (size + 1) + 2 * abs(psi) + 4 * terms)
+
+
+class _Chain:
+    """A cover that matches every query to the chain 0, 1, ..., n - 1."""
+
+    def __init__(self, n, truncated):
+        self.n, self.truncated = n, truncated
+
+    def prepare_query(self, x):
+        return x
+
+    def match_levels(self, x):
+        return list(range(self.n))
+
+    def truncates(self, depth):
+        return self.truncated
+
+
+class _Fixed:
+    """A local, or the prior, whose log predictive is fixed."""
+
+    def __init__(self, log_pi):
+        self.log_pi = log_pi
+
+    def prepare(self, y):
+        return y
+
+    def log_predictive(self, y):
+        return self.log_pi
+
+
+def chain_posterior(log_g, log_pi, log_prior_pi):
+    """A posterior over one chain with the given stop pairs and local
+    predictives, truncated where ``log_prior_pi`` is given."""
+    post = CoverModelPosterior.__new__(CoverModelPosterior)
+    post.cover = _Chain(len(log_g), log_prior_pi is not None)
+    post.log_g, post.log1m_g = list(log_g), [log1mexp(v) for v in log_g]
+    post.local, post.prior = [_Fixed(v) for v in log_pi], _Fixed(log_prior_pi)
+    return post
+
+
+# log g: exactly 0 (g = 1), next to 0, ordinary, tiny g, and the least
+_LOG_G = st.one_of(
+    st.just(0.0),
+    st.floats(-1e-12, -5e-324),
+    st.floats(-20.0, -1e-12),
+    st.floats(-745.0, -20.0),
+)
+_LOG_PI = st.one_of(st.just(-math.inf), st.floats(-60.0, 6.0))
+
+
+class TestStopWeights:
+    """The predictive is one mixture over where the walk stops, and the
+    weights are the law of that stop."""
+
+    @given(
+        log_g=st.lists(_LOG_G, min_size=1, max_size=40),
+        pis=st.lists(_LOG_PI, min_size=41, max_size=41),
+        truncated=st.booleans(),
+    )
+    def test_the_mixture_matches_the_decimal_recursion(self, log_g, pis, truncated):
+        """Against the nested recursion in 50 digits, to
+        ``mixture_bound``; -inf where every term is; and the weights sum
+        to 1 to within 1e-12."""
+        log_pi, log_prior_pi = pis[: len(log_g)], (pis[-1] if truncated else None)
+        post = chain_posterior(log_g, log_pi, log_prior_pi)
+        got = post.predict_logdensity(None, None)
+        want = decimal_walk_predictive(log_g, log_pi, log_prior_pi)
+        if want == -math.inf:
+            assert got == -math.inf
+        else:
+            assert abs(got - want) <= mixture_bound(log_g, log_pi, log_prior_pi, want)
+        weights = post.stop_weights(list(range(len(log_g))))
+        assert len(weights) == len(log_g) + truncated
+        assert abs(math.fsum(map(math.exp, weights)) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("terms", [[-math.inf, math.nan], [math.nan, -1.0], [-1.0, math.nan]])
+    def test_a_nan_predictive_gives_nan_wherever_it_sits(self, terms):
+        """``max`` sees a NaN only in first place, so the sum checks every
+        term."""
+        post = chain_posterior([-0.5, -0.5], terms, None)
+        assert math.isnan(post.predict_logdensity(None, None))
+
+    def test_a_root_stop_weight_of_one_predicts_the_root_local(self):
+        """``set_w0(root, 1.0)`` is a stop weight like any other: every
+        walk stops at the root, so the weights are [0, -inf, ...], the
+        predictive is the root local's bit for bit, and the evidence is
+        enumeration's."""
+        rng = np.random.default_rng(31)
+        cov = random_static_tree(rng, dim=1, max_extra_splits=5)
+        post, _ = attach_random_engine(rng, cov)
+        post.set_w0(cov.root_id, 1.0)
+        oracle = ExactEnumerator(cov, dict(enumerate(post.w0)), dirichlet_block_marginal(3))
+        data = [random_xy(rng, cov) for _ in range(12)]
+        for x, y in data:
+            post.absorb(x, y)
+        assert post.log_marginal_likelihood() == pytest.approx(oracle.log_evidence(data), abs=1e-10)
+        root = post.local[cov.root_id]
+        for x, y in [random_xy(rng, cov) for _ in range(10)]:
+            path = cov.match_levels(cov.prepare_query(x))
+            assert len(path) > 1
+            assert post.stop_weights(path) == [0.0] + [-math.inf] * (len(path) - 1)
+            assert post.predict_logdensity(x, y) == root.log_predictive(post.prior.prepare(y))
+
+    @staticmethod
+    def check_returns(post, local_cls, stream, monkeypatch):
+        """Every absorb return of ``stream`` against the recursion, from
+        the stop posteriors in force and the locals' update returns."""
+        pis = []
+        update = local_cls.update
+
+        def spy(local, py):
+            pis.append(update(local, py))
+            return pis[-1]
+
+        monkeypatch.setattr(local_cls, "update", spy)
+        cover, worst = post.cover, 0.0
+        for x, y in stream:
+            before = cover.match_levels(cover.prepare_query(x))
+            log_g = [post.log_g[cid] for cid in before]
+            pis.clear()
+            got = post.absorb(x, y)
+            # a suffix cover extends the path before scoring, a kd cover
+            # splits after it
+            path = cover.match_levels(cover.prepare_query(x))[: len(pis)]
+            log_g += [post.log_w0[cid] for cid in path[len(before):]]
+            virtual = None
+            if cover.truncates(len(path)):
+                virtual = post.prior.log_predictive(post.prior.prepare(y))
+            want = decimal_walk_predictive(log_g, pis, virtual)
+            assert abs(got - want) <= mixture_bound(log_g, pis, virtual, want)
+            worst = max(worst, abs(got - want))
+        return worst
+
+    def test_vmm_returns_match_the_decimal_recursion(self, monkeypatch):
+        model = VmmModel(2, 8)
+        seq = gen_markov(10_000, seed=5, alphabet_size=2, order=3)
+        history = []
+
+        def stream():
+            for s in seq:
+                yield tuple(history), s
+                history.append(s)
+
+        worst = self.check_returns(model.posterior, DirichletMultinomial, stream(), monkeypatch)
+        assert worst <= 1e-15
+
+    def test_cde_returns_match_the_decimal_recursion(self, monkeypatch):
+        data = gen_mixture(2000, "uniform", seed=9)
+        model = CdeModel(CdeConfig.from_data(data.x, data.y, alpha=1.5))
+        stream = zip(data.x.tolist(), data.y.tolist())
+        worst = self.check_returns(model.posterior, MixtureLocal, stream, monkeypatch)
+        assert worst <= 1e-15
 
 
 class TestSampling:

@@ -5,6 +5,7 @@ a link to its parent; tree densities are rebuilt from the kd cover's
 buffers on load, and equal the saved model's trees bit for bit.
 Format-3, format-4 and format-5 snapshots still load."""
 
+import itertools
 import json
 import math
 import warnings
@@ -229,27 +230,31 @@ def trees_of_record(local):
 
 # Recorded with the version-3 code that wrote the fixtures: an nw+tree
 # model with 2-d y, one of whose buffered ys lies outside the tree's box.
+# The predictives and draws here and below were recorded again when the
+# predictive became one mixture over the path's stop weights, summed in
+# another order (each moved by 1 or 2 ulp, at most 1.8e-15), and
+# sampling drew the stopping depth with one uniform.
 V3_CDE_QUERIES = [
     ([0.1], [0.3, 0.9]), ([0.45], [0.9, 0.2]), ([0.8], [0.7, -0.8]), ([0.97], [-1.9, 1.99]),
 ]
 V3_CDE = (
     29,
-    ["-0.7715860654713428", "-0.5606778687178564", "-0.27313312643081084", "-11.353295529991232"],
+    ["-0.7715860654713427", "-0.5606778687178565", "-0.2731331264308108", "-11.35329552999123"],
     [
-        "[0.34396951574533163, 1.8010651590183913]",
-        "[0.4151492633676859, 0.8389172106682763]",
-        "[-0.6295418448132106, 1.6183827418121117]",
-        "[0.7911610464261527, 1.0812725467844424]",
-        "[0.26548796014390785, -1.0616405362170056]",
-        "[-0.2557859310974088, -0.8757107341046848]",
-        "[0.5294109247527389, -1.0099960630475393]",
-        "[0.686223546278164, -0.45090017017443046]",
+        "[0.8612617409402228, 0.5936423343900596]",
+        "[0.24718498804479389, 0.859329194753276]",
+        "[1.0328360351154389, 0.17443896963088934]",
+        "[1.3666578381110048, 0.20180247105411941]",
+        "[0.5823489809004345, -0.058256600119304]",
+        "[0.8951593383074501, -0.7225195454262431]",
+        "[0.8806277799474939, -0.43989744888118704]",
+        "[0.23217277477025475, -0.9738398324433877]",
     ],
 )
 V3_VMM = (
-    ["-0.91526859135563", "-0.5792700281435795", "-3.2369453767875025"],
+    ["-0.9152685913556302", "-0.5792700281435794", "-3.236945376787502"],
     "-11.581323174606384",
-    [0, 0, 1, 0, 1, 1, 2, 1, 0, 2, 1, 2],
+    [1, 0, 2, 0, 2, 1, 0, 1, 1, 2, 1, 0],
 )
 
 
@@ -261,22 +266,22 @@ V4_CDE_QUERIES = [
 ]
 V4_CDE = (
     45,
-    ["-0.4702650535404268", "-0.07931667221489562", "-1.1642020527386605", "-9.101935330744348"],
+    ["-0.4702650535404268", "-0.07931667221489563", "-1.1642020527386605", "-9.101935330744347"],
     [
-        "[1.2433377557004042, -0.3437743810251285]",
-        "[0.5474053192835873, -0.18659388039008962]",
+        "[1.1085649275510832, -0.4541661024632125]",
+        "[0.40794967729201564, -0.23413896478650076]",
+        "[-0.6172918939172753, -0.10161425110886896]",
         "[-0.33411381102645366, 0.005072550842251833]",
-        "[-1.4225634668898168, 0.7988010268972339]",
-        "[-0.572798898466229, 0.8193978844465195]",
-        "[-1.188034256912724, 0.3096591476608732]",
-        "[-0.11789326250816062, 0.10447779143955621]",
-        "[0.1950010653276576, 0.643740315248007]",
+        "[0.10159780560223608, 1.248795024996681]",
+        "[0.5973390666722482, 0.328798121273835]",
+        "[0.6013096534920083, 0.8536010296100722]",
+        "[-0.22440730440164253, 0.24645461797035972]",
     ],
 )
 V4_VMM = (
-    ["-2.1138836795398754", "-0.5078860708803173", "-1.2820581614604654"],
+    ["-2.1138836795398754", "-0.5078860708803175", "-1.2820581614604654"],
     "-8.90463915168881",
-    [1, 0, 1, 2, 0, 0, 1, 1, 1, 1, 1, 2],
+    [2, 0, 2, 0, 2, 2, 2, 1, 0, 0, 1, 1],
 )
 
 
@@ -377,12 +382,13 @@ def leaf_paths(obj, path=()):
 
 @pytest.mark.parametrize("name,load", [("cde", CdeModel.from_text), ("vmm", VmmModel.from_text)])
 def test_a_version_5_header_with_any_prior_field_changed_is_refused(name, load):
-    """Each number and string of the header's prior, changed alone."""
+    """Each number and string of the header's prior, changed alone, in
+    a version-6 text and in the same text written as version 5."""
     text = load((FIXTURES / f"snapshot_v4_{name}.txt").read_text()).to_text()
-    lines = text.splitlines()
-    paths = list(leaf_paths(json.loads(lines[1])["prior"]))
+    paths = list(leaf_paths(json.loads(text.splitlines()[1])["prior"]))
     assert len(paths) > 2
-    for path in paths:
+    versions = [text.splitlines(), as_version(text, 5).splitlines()]
+    for lines, path in itertools.product(versions, paths):
         meta = json.loads(lines[1])
         parent = meta["prior"]
         for key in path[:-1]:
@@ -505,6 +511,27 @@ def test_a_stop_weight_outside_0_1_is_refused(w0):
     row[1] = w0
     lines[3] = json.dumps(row)
     with pytest.raises(BadConfig, match=r"not in \(0, 1\]"):
+        VmmModel.from_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("value", ["0.5", True, 10**400], ids=["string", "bool", "huge"])
+@pytest.mark.parametrize("field", ["log_evidence", "w0", "log_m", "log_trunc"])
+def test_a_snapshot_number_must_be_a_json_number(field, value):
+    """The header's ``log_evidence`` and a row's ``w0``, ``log_m`` and
+    ``log_trunc`` went through ``float``, so ``"0.5"`` and ``true``
+    loaded and an int past the largest float raised ``OverflowError``.
+    A string stop weight fails its range check, and a huge one is out of
+    range."""
+    lines = saved_vmm().splitlines()
+    if field == "log_evidence":
+        meta = json.loads(lines[1])
+        meta[field] = value
+        lines[1] = json.dumps(meta, sort_keys=True)
+    else:
+        row = json.loads(lines[3])
+        row[["cid", "w0", "log_m", "log_trunc"].index(field)] = value
+        lines[3] = json.dumps(row)
+    with pytest.raises(BadConfig, match=r"is not a number|malformed|not in \(0, 1\]"):
         VmmModel.from_text("\n".join(lines) + "\n")
 
 

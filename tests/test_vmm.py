@@ -262,7 +262,7 @@ class TestSampling:
         m.history.clear()
         m.history.extend(tail)
         post = m.posterior
-        path = [row["cid"] for row in post.psi_table(m.context, 0)[0]]
+        path = [row["cid"] for row in post.psi_table(m.context, 0)[0] if row["cid"] is not None]
         if n_history == 1:
             # the virtual continuation takes a fair share of the mass
             assert len(path) < post.cover.max_depth
@@ -472,8 +472,8 @@ def test_snapshot_text_is_pinned():
 
 
 HOT_PATH_DIGESTS = {
-    (2, 8): "37b4204174c0f8501ddaadafb6b5c4ea4f1304efd51c83fbfd70d113a081378b",
-    (3, 5): "eb889eeb73ea613dcd762a0e1d6289091e26b6d5e39a347a83971d91b80a6111",
+    (2, 8): "7d4a083c9901b333b2a7e30592873b34478542474f08f0545169ef95b517f450",
+    (3, 5): "31d36925452891f02a2ad71ae87b595e93fa0072d5da68e3e5f0f211dbbd9525",
 }
 
 
@@ -483,7 +483,10 @@ def test_hot_path_outputs_are_pinned(alphabet, depth):
     bit: each ``observe`` return, each ``next_symbol_logprobs`` row,
     ``sequence_logprob`` of a held-out stream every 100 symbols and the
     final log evidence. Halfway through, the model goes through
-    ``to_text``/``from_text`` and the stream continues on the reload."""
+    ``to_text``/``from_text`` and the stream continues on the reload.
+    Recorded again when the predictive became one mixture over the
+    path's stop weights, summed in another order: returns and rows moved
+    by at most 8.9e-16, and the sums of 150 or more by at most 2.9e-14."""
     order = min(depth - 1, 3)
     seq = gen_markov(1000, seed=43, alphabet_size=alphabet, order=order)
     held = gen_markov(150, seed=44, alphabet_size=alphabet, order=order)
