@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .covers import Box, KdTreeCover, as_size
+from .covers import Box, KdTreeCover, as_size, is_number
 from .engine import CoverModelPosterior, parse_depth_weight
 from .errors import BadConfig
 from .local import BayesTreeDensity, MixtureLocal, NormalWishart
@@ -26,14 +25,6 @@ _COMPONENTS = ("nw", "tree")
 _BOUNDS = ("x_lower", "x_upper", "y_lower", "y_upper")
 # the fields that take a number; nw_nu0 may also be None
 _NUMBERS = ("alpha", "tree_gamma", "tree_branch_pseudo", "nw_kappa0", "nw_nu0", "nw_scale")
-
-
-def _is_number(value):
-    """The config's one float rule: a float, or an int within a float's
-    range, and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
 @dataclass
@@ -77,7 +68,7 @@ class CdeConfig:
             if isinstance(value, np.ndarray):
                 value = value.tolist()
             if not isinstance(value, (list, tuple)) or not all(
-                _is_number(v) and math.isfinite(v) for v in value
+                is_number(v) and math.isfinite(v) for v in value
             ):
                 raise BadConfig(f"{name} must be a list of finite numbers, got {value!r}")
             setattr(self, name, [float(v) for v in value])
@@ -89,7 +80,7 @@ class CdeConfig:
         self._bounds_as_lists()
         for name in _NUMBERS:
             value = getattr(self, name)
-            if not (_is_number(value) or value is None and name == "nw_nu0"):
+            if not (is_number(value) or value is None and name == "nw_nu0"):
                 raise BadConfig(f"{name} must be a number, got {value!r}")
         if not self.alpha > 1.0:  # NaN too: every leaf would split
             raise BadConfig("alpha must exceed 1")
@@ -115,7 +106,7 @@ class CdeConfig:
         parse_depth_weight(self.depth_weight)
         weights = self.mixture_weights
         if weights is not None:
-            if not isinstance(weights, (list, tuple)) or not all(map(_is_number, weights)):
+            if not isinstance(weights, (list, tuple)) or not all(map(is_number, weights)):
                 raise BadConfig(f"mixture_weights must be a list of numbers, got {weights!r}")
             if len(weights) != len(comps):
                 raise BadConfig("mixture_weights length must match components")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import copy
 import math
 import numbers
+import sys
 from functools import partial
 from itertools import chain, islice, repeat
 from operator import ge, gt, le
@@ -29,6 +30,40 @@ from operator import ge, gt, le
 import numpy as np
 
 from .errors import BadConfig, DepthLimitExceeded, QueryOutOfRootRegion, UnknownSymbol
+
+
+def is_number(value):
+    """The one float rule for a number that enters the package: a float,
+    or an int within a float's range, and never a bool or a str."""
+    if isinstance(value, float):
+        return True
+    return isinstance(value, int) and type(value) is not bool and abs(value) <= sys.float_info.max
+
+
+def as_float(value, name):
+    """``value`` as a float if it is a number by ``is_number``; anything
+    else raises ``BadConfig``."""
+    if is_number(value):
+        return float(value)
+    raise BadConfig(f"{name} must be a number, got {value!r}")
+
+
+def as_floats(value, name):
+    """``value`` as a float array: a number by ``is_number``, or a list,
+    tuple or array of them, nested for a matrix; anything else raises
+    ``BadConfig``."""
+
+    def numbers(v):
+        if isinstance(v, np.ndarray):
+            return v.dtype.kind in "iuf"
+        return all(map(numbers, v)) if isinstance(v, (list, tuple)) else is_number(v)
+
+    try:
+        if numbers(value):
+            return np.asarray(value, dtype=float)
+    except ValueError:  # a ragged nesting
+        pass
+    raise BadConfig(f"{name} must be a number or an array of numbers, got {value!r}")
 
 
 def as_size(value, name, least):
@@ -231,8 +266,8 @@ class KdTreeCover(CoverSequence):
 
     def __init__(self, root_box: Box, alpha=2.0, max_depth=24, on_outside="clamp"):
         super().__init__()
-        if not alpha > 1.0:  # NaN too: every leaf would split
-            raise BadConfig("alpha must exceed 1")
+        if not (is_number(alpha) and alpha > 1.0):  # NaN too: every leaf would split
+            raise BadConfig(f"alpha must be a number above 1, got {alpha!r}")
         max_depth = as_size(max_depth, "max_depth", 1)
         if on_outside not in ("clamp", "reject"):
             raise BadConfig("on_outside must be 'clamp' or 'reject'")
@@ -396,8 +431,8 @@ class KdTreeCover(CoverSequence):
         used alone buffers whatever y it is given.
         """
         cover = cls(
-            Box(state["root_lower"], state["root_upper"]),
-            alpha=float(state["alpha"]),
+            Box(*(as_floats(state[k], k) for k in ("root_lower", "root_upper"))),
+            alpha=state["alpha"],
             max_depth=state["max_depth"],
             on_outside=state["on_outside"],
         )
@@ -417,9 +452,7 @@ class KdTreeCover(CoverSequence):
                 raise BadConfig(f"split record {rec} differs from its box's {[cid, d0, mid0]}")
         top = cover.root_box.upper
         dim = len(top)
-        y_dim = int(state["y_dim"])
-        if y_dim < 0:
-            raise BadConfig("y_dim must be nonnegative")
+        y_dim = as_size(state["y_dim"], "y_dim", 0)
         width = dim + y_dim
         buffers = state["buffers"]
         if len(buffers) != len(cover.contexts) - len(cover._split):

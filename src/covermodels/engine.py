@@ -99,7 +99,7 @@ import math
 from itertools import accumulate, chain
 from operator import add
 
-from .covers import as_size, cover_from_state, upgrade_cover_state
+from .covers import as_size, cover_from_state, is_number, upgrade_cover_state
 from .errors import BadConfig
 from .local import (
     check_nested,
@@ -154,7 +154,7 @@ def parse_depth_weight(spec):
     Accepted: ``"const:c"`` for a constant c in (0, 1], ``"2^-k"`` for
     weight 2**-depth, or a bare number treated as a constant.
     """
-    if isinstance(spec, (int, float)):
+    if is_number(spec):
         spec = f"const:{float(spec)!r}"
     if not isinstance(spec, str):
         raise BadConfig(f"depth weight spec must be a string, got {type(spec)}")

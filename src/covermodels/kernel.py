@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covers import as_size
+from .covers import as_size, is_number
 from .errors import BadConfig, DegenerateData, ZeroDenominator
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -74,8 +74,8 @@ class DoubleKernelCde:
             raise BadConfig("x and y row counts differ")
         if self.x.shape[0] == 0:
             raise DegenerateData("no training points")
-        if hx <= 0 or hy <= 0:
-            raise BadConfig("bandwidths must be positive")
+        if not (is_number(hx) and is_number(hy) and hx > 0 and hy > 0):  # NaN too
+            raise BadConfig(f"bandwidths must be positive numbers, got {hx!r} and {hy!r}")
         self.hx = float(hx)
         self.hy = float(hy)
 

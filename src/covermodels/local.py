@@ -86,11 +86,10 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .covers import Box, as_size, as_symbol, cut
+from .covers import Box, as_floats, as_size, as_symbol, cut, is_number
 from .errors import BadConfig, OutOfSupport
 from .logspace import LOG2, logsumexp
 
-LOG_2PI = math.log(2.0 * math.pi)
 # the largest count a load takes: a larger JSON int has no float
 _FLOAT_MAX = sys.float_info.max
 _OTHER_PRIOR = "a local record has another kind or prior than the model's"
@@ -122,9 +121,12 @@ class DirichletMultinomial:
 
     def __init__(self, alphabet_size: int, concentration=0.5):
         alphabet_size = as_size(alphabet_size, "alphabet_size", 2)
-        alpha = np.asarray(concentration, dtype=float)
+        alpha = as_floats(concentration, "concentration")
         if alpha.ndim == 0:
-            alpha = np.full(alphabet_size, float(alpha))
+            try:
+                alpha = np.full(alphabet_size, float(alpha))
+            except (ValueError, MemoryError):  # numpy refuses the size before allocating
+                raise BadConfig(f"an alphabet of {alphabet_size} symbols is too large") from None
         if alpha.shape != (alphabet_size,) or not np.all((alpha > 0) & (alpha < math.inf)):
             raise BadConfig("concentration must be positive and finite, scalar or length n")
         self.alpha = alpha.tolist()
@@ -214,7 +216,7 @@ def _nw_prior(mu0, kappa0, nu0, scale):
     """Check a Normal-Wishart prior and return ``(mu0, kappa0, nu0,
     T0)``: the mean as a list of floats, the two settings as floats and
     the scale matrix as a list of rows of floats."""
-    mu0 = np.atleast_1d(np.asarray(mu0, dtype=float))
+    mu0 = np.atleast_1d(as_floats(mu0, "mu0"))
     m = mu0.shape[0]
     if not m:
         raise BadConfig("mu0 must have at least one dimension")
@@ -222,14 +224,14 @@ def _nw_prior(mu0, kappa0, nu0, scale):
         nu0 = m + 2.0
     if scale is None:
         scale = np.eye(m)
-    scale = np.asarray(scale, dtype=float)
+    scale = as_floats(scale, "scale")
     if scale.ndim == 0:
         scale = float(scale) * np.eye(m)
     if not np.isfinite(mu0).all():
         raise BadConfig("mu0 must be finite")
-    if not 0 < kappa0 < math.inf:
+    if not (is_number(kappa0) and 0 < kappa0 < math.inf):
         raise BadConfig("kappa0 must be positive and finite")
-    if not m - 1 < nu0 < math.inf:
+    if not (is_number(nu0) and m - 1 < nu0 < math.inf):
         raise BadConfig("nu0 must exceed dim - 1 and be finite")
     if scale.shape != (m, m):
         raise BadConfig("scale matrix has wrong shape")
@@ -560,23 +562,23 @@ class BayesTreeDensity:
     The tree's state is a function of the points it holds, and the kd
     cover buffers every point, so a snapshot stores no state of its own
     (format 3 also stored counts and singleton points, which a load
-    ignores). A load rebuilds the tree from the buffered ys under
-    its context: ``prepare_block`` routes the buffered ys down the
-    partition once, each as deep as another y shares its cell, and
-    packs each y's sides into an int, the *route code*, and ``refill``
-    sorts a context's codes and lays the tree out in one pass over them
-    (``_layout``), then ``_fill_values`` sets every value and pair. The
-    rebuilt tree equals the saved one bit for bit; only node ids may
-    differ, which nothing reads.
+    ignores). A load rebuilds the tree from the buffered ys under its
+    context: ``prepare_block`` routes every buffered y down the
+    partition once, to ``max_depth``, and packs its sides into an int,
+    the *route code*; ``refill`` sorts a context's codes and lays the
+    tree out in one pass over them (``_layout``), then ``_fill_values``
+    sets every value and pair. The rebuilt tree equals the saved one bit
+    for bit; only node ids may differ, which nothing reads.
     """
 
     def __init__(self, lower, upper, gamma=0.5, branch_pseudo=0.5, max_depth=12):
-        box = Box(lower, upper)
+        box = Box(as_floats(lower, "lower"), as_floats(upper, "upper"))
         if not 0.0 < box.volume() < math.inf:  # Box checks each bound, not their product
             raise BadConfig("the tree's box volume must be positive and finite")
-        if not 0 < gamma < 1:
+        if not (is_number(gamma) and 0 < gamma < 1):
             raise BadConfig("gamma must be strictly between 0 and 1")
-        if not 0 < branch_pseudo < math.inf:  # NaN too: every lgamma of it is NaN
+        # NaN too: every lgamma of it is NaN
+        if not (is_number(branch_pseudo) and 0 < branch_pseudo < math.inf):
             raise BadConfig("branch_pseudo must be positive and finite")
         # widths run from about 2^1024 down to 2^-1074, so no side of a
         # float box halves more than about 2100 times; checked before
@@ -904,25 +906,18 @@ class BayesTreeDensity:
         past a field that holds y's index in ``ys``, or None for a y
         outside the box. A route code holds y's side at depth k in bit
         ``top_bit - k`` of its key, so keys sort as the partition's
-        leaves do, and ``key & mask`` is y's index. A code has one bit
-        per depth the walk below goes down, and keys are Python ints, so
-        any ``max_depth`` fits.
+        leaves do, and ``key & mask`` is y's index.
 
-        Each y in the box is routed as a row of its own, in numpy, with
-        ``cut``'s operations: the largest side, the lowest dimension on
-        ties, the midpoint ``0.5 * (lo + hi)``, and y goes low when
-        ``y[d] < mid``. ``_layout`` reads y's side at a depth only while
-        another y shares its cell, so a y leaves the walk once it is
-        alone in its cell and its deeper bits stay 0; every copy of a y
-        held more than once is routed down to ``max_depth``. The walk
-        thus goes as deep as the tree does, and keeps the sides of 64
-        depths in one word per y still in it.
+        When two or more ys lie in the box, each is routed to
+        ``max_depth`` in numpy with ``cut``'s operations, so its code is
+        ``prepare``'s route. A lone y is not routed and its code is 0:
+        ``_layout`` reads no side of a y alone in its cell.
 
         A y outside the box is skipped, as ``update`` skips it inside a
         mixture, when ``skip_outside`` is set, and raises ``BadConfig``
         otherwise, as does a y that is not ``dim`` long.
         """
-        dim, n = self._dim, len(ys)
+        dim, n, top = self._dim, len(ys), self.max_depth
         if len(self._lg_2a) <= n:  # sized once: no refill count exceeds n
             self._grow_tables(n)
         pts = np.array(ys, dtype=float) if n else np.zeros((0, dim))
@@ -934,47 +929,25 @@ class BayesTreeDensity:
         if not skip_outside and len(idx) < n:
             y = ys[int(np.flatnonzero(~inside)[0])]
             raise BadConfig(f"buffered y {list(y)} is outside the tree's y box")
-        pts = pts[idx]
-        rows = np.arange(len(idx) if len(idx) > 1 else 0)  # the in-box ys still walking
-        lo, hi = np.tile(lower, (len(rows), 1)), np.tile(upper, (len(rows), 1))
-        cell = np.zeros(len(rows), dtype=np.intp)  # the cells, numbered from 0
-        chunks = []  # per 64 depths: the ys walking at its first, and their words
-        k = 0
-        while len(rows) and k < self.max_depth:
-            if k % 64 == 0:
-                word, at = np.zeros(len(rows), dtype=np.uint64), np.arange(len(rows))
-                chunks.append((rows, word))
-            i = np.arange(len(rows))
+        m = len(idx)
+        pts, r = pts[idx], np.arange(m)
+        lo, hi = np.tile(lower, (m, 1)), np.tile(upper, (m, 1))
+        sides = np.zeros((m, top), dtype=bool)
+        for k in range(top if m > 1 else 0):
             d = (hi - lo).argmax(axis=1)
-            a, b = lo[i, d], hi[i, d]
+            a, b = lo[r, d], hi[r, d]
             mid = 0.5 * (a + b)
-            up = ~(pts[rows, d] < mid)
-            word[at[up]] |= np.uint64(1 << (63 - k % 64))
-            lo[i, d] = np.where(up, mid, a)
-            hi[i, d] = np.where(up, b, mid)
-            k += 1
-            cell = 2 * cell + up
-            if 1 << k < len(rows):
-                # fewer cells than ys walking: few can be alone, and they
-                # walk on, their deeper bits being their true route
-                continue
-            shared = np.bincount(cell) > 1
-            keep = shared[cell]
-            if not keep.all():  # the ys alone in their cells leave
-                rows, at, lo, hi, cell = rows[keep], at[keep], lo[keep], hi[keep], cell[keep]
-            cell = (np.cumsum(shared) - 1)[cell]
-        place = 64 * (len(chunks) - 1)  # where the first word goes
-        codes = [w << place for w in chunks[0][1].tolist()] if chunks else [0] * len(idx)
-        for routed, word in chunks[1:]:  # the deeper words of the ys still walking
-            place -= 64
-            for r, w in zip(routed.tolist(), word.tolist()):
-                codes[r] |= w << place
-        drop = 64 * len(chunks) - k  # the bits below the depths walked
-        shift = n.bit_length()  # a route code takes the k depths walked, above the index
+            up = sides[:, k] = ~(pts[r, d] < mid)
+            lo[r, d] = np.where(up, mid, a)
+            hi[r, d] = np.where(up, b, mid)
+        packed = np.packbits(sides, axis=1)
+        width, pad = packed.shape[1], -top % 8  # bytes per code, and their zero bits past it
+        codes = packed.tobytes()
+        shift = n.bit_length()  # a code goes above the index field
         keys = [None] * n  # None for a y outside the box
-        for i, code in zip(idx.tolist(), codes):
-            keys[i] = code >> drop << shift | i
-        return keys, ys, shift + k - 1, (1 << shift) - 1
+        for j, i in enumerate(idx.tolist()):
+            keys[i] = int.from_bytes(codes[j * width:(j + 1) * width], "big") >> pad << shift | i
+        return keys, ys, shift + top - 1, (1 << shift) - 1
 
     def refill(self, block, under):
         """Lay the empty tree out from the ys of ``block`` under its
@@ -1087,7 +1060,7 @@ class MixtureLocal:
         if log_weights is None:
             self.log_w = [-math.log(k)] * k
         else:
-            lw = np.asarray(log_weights, dtype=float)
+            lw = as_floats(log_weights, "log_weights")
             if lw.shape != (k,):
                 raise BadConfig("log_weights length must match components")
             total = logsumexp(lw.tolist())

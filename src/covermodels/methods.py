@@ -21,6 +21,7 @@ import math
 import numpy as np
 
 from .cde import CdeConfig, CdeModel
+from .covers import is_number
 from .errors import BadConfig
 from .kernel import fit_cv
 from .local import NormalWishart
@@ -149,8 +150,8 @@ class ConstantMethod(_Adapter):
     name = "constant"
 
     def __init__(self, density=1.0):
-        if density <= 0:
-            raise BadConfig("density must be positive")
+        if not (is_number(density) and density > 0):
+            raise BadConfig(f"density must be a positive number, got {density!r}")
         self.log_density = math.log(density)
 
     def observe(self, x, y):

@@ -24,7 +24,7 @@ from collections import deque
 
 import numpy as np
 
-from .covers import SuffixTreeCover, as_size, as_symbol
+from .covers import SuffixTreeCover, as_float, as_size, as_symbol, is_number
 from .engine import CoverModelPosterior
 from .errors import BadConfig, TooLargeToEnumerate, UnknownSymbol
 from .local import DirichletMultinomial
@@ -44,10 +44,9 @@ def _resolve_prior(prior) -> float:
             return _NAMED_PRIORS[prior]
         except KeyError:
             raise BadConfig(f"unknown prior {prior!r}, expected kt or laplace") from None
-    conc = float(prior)
-    if not 0 < conc < math.inf:  # NaN too
-        raise BadConfig(f"prior concentration must be positive and finite, got {conc!r}")
-    return conc
+    if not (is_number(prior) and 0 < prior < math.inf):  # NaN too
+        raise BadConfig(f"prior concentration must be positive and finite, got {prior!r}")
+    return float(prior)
 
 
 class VmmModel:
@@ -70,7 +69,7 @@ class VmmModel:
         self.alphabet_size = as_size(alphabet_size, "alphabet_size", 2)
         self.depth = as_size(depth, "depth", 1)
         self.concentration = _resolve_prior(prior)
-        self.stop_weight = float(stop_weight)
+        self.stop_weight = as_float(stop_weight, "stop_weight")
         self.posterior = CoverModelPosterior(
             SuffixTreeCover(self.alphabet_size, self.depth),
             self._prior(),
@@ -180,8 +179,8 @@ class VmmModel:
                 raise BadConfig("not a vmm snapshot")
             obj.alphabet_size = as_size(meta["alphabet_size"], "alphabet_size", 2)
             obj.depth = as_size(meta["depth"], "depth", 1)
-            obj.concentration = float(meta["concentration"])
-            obj.stop_weight = float(meta["stop_weight"])
+            obj.concentration = as_float(meta["concentration"], "concentration")
+            obj.stop_weight = as_float(meta["stop_weight"], "stop_weight")
             history = [as_symbol(s, obj.alphabet_size) for s in meta["history_tail"]]
             n_seen = as_size(meta["n_seen"], "n_seen", 0)
         except (KeyError, TypeError, ValueError, UnknownSymbol) as exc:
@@ -213,7 +212,7 @@ class CtwOracle:
     def __init__(self, alphabet_size=2, depth=1, concentration=0.5, stop_weight=0.5):
         self.n = as_size(alphabet_size, "alphabet_size", 2)
         self.depth = as_size(depth, "depth", 0)
-        if not 0.0 < stop_weight <= 1.0:
+        if not (is_number(stop_weight) and 0.0 < stop_weight <= 1.0):
             raise BadConfig("stop_weight must be in (0, 1]")
         self.conc = _resolve_prior(concentration)
         self.w = float(stop_weight)

@@ -9,6 +9,11 @@ rewritten, so ``src/`` is never written. The fast subset runs with
 ``-x`` and a timeout against the copy. A mutant the subset passes
 survived: either a test gap or a change no output can show.
 
+``mutation_equivalent.json``, beside this script, lists the survivors
+known to change no output, each by its module, its function, its
+source line, its operator and a one-line reason. They are reported apart, as
+``equivalent``, and the script exits 1 only on an unlisted survivor.
+
     python tests/mutation.py src/covermodels/engine.py --sample 60 --seed 0
 
 Not a test module: pytest does not collect it.
@@ -16,6 +21,7 @@ Not a test module: pytest does not collect it.
 
 import argparse
 import ast
+import json
 import os
 import random
 import shutil
@@ -33,48 +39,70 @@ COMPARE = {
     ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.In: ast.NotIn, ast.NotIn: ast.In,
 }
 ARITH = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
+SYMBOL = {
+    ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
+    ast.Is: "is", ast.IsNot: "is not", ast.In: "in", ast.NotIn: "not in",
+    ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
+}
+EQUIVALENT = Path(__file__).with_name("mutation_equivalent.json")
 
 
 class Mutator(ast.NodeTransformer):
-    """Numbers the sites in visiting order, in ``sites`` as (kind,
-    line), and mutates the one numbered ``target``."""
+    """Numbers the sites in visiting order, in ``sites`` as (line,
+    function, operator), and mutates the one numbered ``target``. The
+    function is the innermost enclosing ``def``, "-" at module level. The
+    operator says what the mutant does: ``< -> <=``, ``0.0 -> 1.0``,
+    ``drop not``, with ``#2`` for the second such site on its line."""
 
     def __init__(self, target=-1):
-        self.target, self.sites = target, []
+        self.target, self.sites, self.seen, self.function = target, [], {}, "-"
 
-    def hit(self, node, kind):
-        self.sites.append((kind, node.lineno))
+    def hit(self, node, operator):
+        key = (node.lineno, operator)
+        self.seen[key] = count = self.seen.get(key, 0) + 1
+        operator = operator if count == 1 else f"{operator} #{count}"
+        self.sites.append((node.lineno, self.function, operator))
         return len(self.sites) - 1 == self.target
+
+    def visit_FunctionDef(self, node):
+        outer, self.function = self.function, node.name
+        self.generic_visit(node)
+        self.function = outer
+        return node
 
     def visit_Compare(self, node):
         self.generic_visit(node)
         for i, op in enumerate(node.ops):
-            if type(op) in COMPARE and self.hit(node, "compare"):
-                node.ops[i] = COMPARE[type(op)]()
+            new = COMPARE.get(type(op))
+            if new and self.hit(node, f"{SYMBOL[type(op)]} -> {SYMBOL[new]}"):
+                node.ops[i] = new()
         return node
 
     def visit_BinOp(self, node):
         self.generic_visit(node)
-        if type(node.op) in ARITH and self.hit(node, "arith"):
-            node.op = ARITH[type(node.op)]()
+        new = ARITH.get(type(node.op))
+        if new and self.hit(node, f"{SYMBOL[type(node.op)]} -> {SYMBOL[new]}"):
+            node.op = new()
         return node
 
     visit_AugAssign = visit_BinOp
 
     def visit_UnaryOp(self, node):
         self.generic_visit(node)
-        if isinstance(node.op, ast.Not) and self.hit(node, "not"):
+        if isinstance(node.op, ast.Not) and self.hit(node, "drop not"):
             return node.operand
         return node
 
     def visit_BoolOp(self, node):
         self.generic_visit(node)
-        if self.hit(node, "and/or"):
-            node.op = ast.Or() if isinstance(node.op, ast.And) else ast.And()
+        old, new = ("and", "or") if isinstance(node.op, ast.And) else ("or", "and")
+        if self.hit(node, f"{old} -> {new}"):
+            node.op = ast.Or() if new == "or" else ast.And()
         return node
 
     def visit_Constant(self, node):
-        if type(node.value) in (int, float) and self.hit(node, "constant"):
+        value = node.value
+        if type(value) in (int, float) and self.hit(node, f"{value} -> {value + 1}"):
             node.value += 1
         return node
 
@@ -103,21 +131,33 @@ def main(argv=None):
     parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant")
     args = parser.parse_args(argv)
     module = args.module.resolve()
+    name = module.relative_to(ROOT).as_posix()
+    listed = {
+        (e["function"], e["line"], e["operator"])
+        for e in json.loads(EQUIVALENT.read_text())
+        if e["module"] == name
+    }
     mutator = Mutator()
     mutator.visit(ast.parse(module.read_text()))
     picked = range(len(mutator.sites))
     if 0 < args.sample < len(picked):
         picked = sorted(random.Random(args.seed).sample(picked, args.sample))
     lines = module.read_text().splitlines()
+    sites = {(function, lines[n - 1].strip(), op) for n, function, op in mutator.sites}
+    for function, source, operator in listed - sites:
+        print(f"listed but no such site: {operator} in {function}: {source}")
     tally = {}
     for target in picked:
-        kind, line = mutator.sites[target]
-        outcome = run_mutant(module, target, args.timeout)
-        tally[outcome] = tally.get(outcome, 0) + 1
+        line, function, operator = mutator.sites[target]
         source = lines[line - 1].strip()
-        print(f"{target:4d} {kind:8s} line {line:4d} {outcome:8s} {source}", flush=True)
+        outcome = run_mutant(module, target, args.timeout)
+        if outcome == "survived" and (function, source, operator) in listed:
+            outcome = "equivalent"
+        tally[outcome] = tally.get(outcome, 0) + 1
+        print(f"{target:4d} line {line:4d} {outcome:10s} {operator:12s} {source}", flush=True)
     print(f"{len(mutator.sites)} sites, {len(picked)} run: {tally}")
+    return 1 if tally.get("survived") else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -18,6 +18,7 @@ from covermodels import (
     CdeModel,
     CtwOracle,
     DirichletMultinomial,
+    DoubleKernelCde,
     KdTreeCover,
     MixtureLocal,
     NormalWishart,
@@ -156,6 +157,32 @@ _UNUSABLE = {
     "cde-max-depth-x-bool": lambda: CdeModel(CdeConfig(max_depth_x=True, **_UNIT)),
     "vmm-depth-bool": lambda: VmmModel(2, True),
     "cde-nw-kappa0-huge-int": lambda: CdeModel(CdeConfig(nw_kappa0=10**400, **_UNIT)),
+    # every number a constructor takes goes through the float rule; each
+    # of these built through float() or raised a bare TypeError
+    "dirichlet-concentration-bool": lambda: DirichletMultinomial(2, True),
+    "dirichlet-concentration-string": lambda: DirichletMultinomial(2, "0.5"),
+    "vmm-stop-weight-bool": lambda: VmmModel(2, 3, stop_weight=True),
+    "vmm-stop-weight-string": lambda: VmmModel(2, 3, stop_weight="0.5"),
+    "oracle-stop-weight-string": lambda: CtwOracle(stop_weight="0.5"),
+    "tree-branch-pseudo-bool": lambda: BayesTreeDensity([0.0], [1.0], branch_pseudo=True),
+    # past the check, 0 would end in lgamma(0)'s bare ValueError
+    "tree-branch-pseudo-zero": lambda: BayesTreeDensity([0.0], [1.0], branch_pseudo=0.0),
+    "tree-gamma-string": lambda: BayesTreeDensity([0.0], [1.0], gamma="0.5"),
+    "tree-bounds-strings": lambda: BayesTreeDensity(["0"], ["1"]),
+    "nw-kappa0-bool": lambda: NormalWishart([0.0], kappa0=True),
+    "nw-kappa0-string": lambda: NormalWishart([0.0], kappa0="1"),
+    "nw-nu0-string": lambda: NormalWishart([0.0], nu0="3"),
+    "nw-scale-string": lambda: NormalWishart([0.0], scale="2"),
+    "nw-scale-bool": lambda: NormalWishart([0.0], scale=True),
+    "mixture-weights-strings": lambda: _two_normals(["0", "0"]),
+    "kd-alpha-string": lambda: KdTreeCover(Box([0.0], [1.0]), alpha="3"),
+    "kernel-bandwidth-string": lambda: DoubleKernelCde([[0.0]], [[0.0]], "1", 1.0),
+    "kernel-bandwidth-bool": lambda: DoubleKernelCde([[0.0]], [[0.0]], 1.0, True),
+    "kernel-bandwidth-nan": lambda: DoubleKernelCde([[0.0]], [[0.0]], _NAN, 1.0),
+    # numpy refused these alphabets with a bare ValueError, before it
+    # allocated anything
+    "dirichlet-alphabet-huge": lambda: DirichletMultinomial(10**30),
+    "vmm-alphabet-huge": lambda: VmmModel(10**30, 3),
 }
 
 

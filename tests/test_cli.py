@@ -145,6 +145,18 @@ class TestFitEval:
         key = setting.partition("=")[0]
         assert err.startswith(f"error: {key} must be ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("setting", ['density="2"', "density=true"])
+    def test_a_constant_density_that_is_not_a_number_exits_2(
+        self, setting, mix_files, tmp_path, capsys
+    ):
+        """``density="2"`` printed a ``TypeError`` traceback and exited 1."""
+        train, hold = mix_files
+        assert run("fit-eval", "--method", "constant", "--train", train,
+                   "--holdout", hold, "--out", tmp_path / "x.csv",
+                   "--set", setting) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: density must be ") and "Traceback" not in err
+
     def test_kernel_cde(self, mix_files, tmp_path):
         train, hold = mix_files
         out = tmp_path / "k.csv"

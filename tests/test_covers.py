@@ -49,8 +49,25 @@ class TestBox:
         with pytest.raises(BadConfig):
             Box([0.0], [0.0])
 
+    @pytest.mark.parametrize("lower,upper", [(1.0, math.nextafter(1.0, 2.0)),
+                                             (math.nextafter(1.0, 0.0), 1.0)])
+    def test_a_box_one_ulp_wide_is_too_thin_to_split(self, lower, upper):
+        """Its midpoint rounds onto its lower or its upper bound; a split
+        there would make an empty box, which ``Box`` refuses with another
+        message."""
+        with pytest.raises(BadConfig, match="box too thin to split"):
+            Box([lower], [upper]).split_largest()
+
+    def test_clamp_to_an_upper_bound_of_zero_gives_plus_zero(self):
+        """As ``np.clip`` gives: the bound, not the -0.0 it equals."""
+        assert math.copysign(1.0, Box([-1.0], [0.0]).clamp([-0.0])[0]) == 1.0
+
 
 class TestKdTreeCover:
+    def test_the_public_defaults(self):
+        cov = KdTreeCover(Box([0.0], [1.0]))
+        assert (cov.alpha, cov.max_depth, cov.on_outside) == (2.0, 24, "clamp")
+
     def test_threshold_schedule(self):
         cov = KdTreeCover(Box([0.0], [1.0]), alpha=2.0)
         assert cov.threshold(1) == 2.0
@@ -423,7 +440,8 @@ def test_the_child_index_matches_the_suffix_regions(alphabet, max_depth, first, 
 
 @pytest.mark.parametrize("value", [math.inf, 2.5])
 @pytest.mark.parametrize(
-    "kind,key", [("kd", "max_depth"), ("suffix", "max_depth"), ("suffix", "alphabet_size")]
+    "kind,key",
+    [("kd", "max_depth"), ("kd", "y_dim"), ("suffix", "max_depth"), ("suffix", "alphabet_size")],
 )
 def test_load_refuses_a_size_that_is_not_a_whole_number(kind, key, value):
     """A size is checked as the constructor checks it: an infinite one
@@ -436,6 +454,39 @@ def test_load_refuses_a_size_that_is_not_a_whole_number(kind, key, value):
     state = cov.state_dict()
     state[key] = value
     with pytest.raises(BadConfig, match="whole number"):
+        cover_from_state(state)
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("y_dim", 1.7, "whole number"),
+        ("y_dim", "1", "whole number"),
+        ("alpha", "2.0", "number"),
+        ("root_lower", ["0"], "number"),
+        ("root_upper", ["1"], "number"),
+    ],
+)
+def test_a_kd_header_number_of_the_wrong_type_is_refused(key, value, message):
+    """``y_dim`` went through ``int()``, so 1.7 loaded as 1 and "1" as 1,
+    ``alpha`` through ``float()``, so "2.0" loaded as 2.0, and the root
+    bounds through numpy's float conversion, so ["0"] loaded as [0.0]."""
+    cov = KdTreeCover(Box([0.0], [1.0]), max_depth=3)
+    for x in (0.1, 0.2, 0.7):
+        cov.observe_and_refine((x,), [x])
+    state = cov.state_dict()
+    assert state["y_dim"] == 1
+    state[key] = value
+    with pytest.raises(BadConfig, match=message):
+        cover_from_state(state)
+
+
+def test_a_split_record_of_a_leaf_at_max_depth_is_refused():
+    """The leaf would split past ``max_depth``; the buffer check after
+    the splits refuses the state too, with another message."""
+    state = KdTreeCover(Box([0.0], [1.0]), max_depth=1).state_dict()
+    state["splits"] = [[0, 0, 0.5]]
+    with pytest.raises(BadConfig, match="names no splittable leaf"):
         cover_from_state(state)
 
 

@@ -55,6 +55,8 @@ class TestDepthWeight:
             parse_depth_weight("linear")
         with pytest.raises(BadConfig):
             parse_depth_weight("const:1.5")
+        with pytest.raises(BadConfig):  # True was read as the constant 1.0
+            parse_depth_weight(True)
 
 
 class TestAgainstEnumeration:

@@ -586,6 +586,70 @@ class TestFusedUpdate:
             assert score(clone, q) == score(bt, q)
 
 
+def test_numbers_and_numeric_arrays_build_as_before():
+    assert DirichletMultinomial(3, np.array([0.5, 1.0, 2.0])).alpha == [0.5, 1.0, 2.0]
+    assert DirichletMultinomial(2, 1).alpha == [1.0, 1.0]
+    nw = NormalWishart(np.zeros(2), kappa0=np.float64(2.0), nu0=4, scale=[[1, 0], [0, 1]])
+    assert nw.prior() == NormalWishart([0.0, 0.0], 2.0, 4.0, np.eye(2)).prior()
+    mix = MixtureLocal([NormalWishart([0.0]), NormalWishart([1.0])], np.log([0.25, 0.75]))
+    assert mix.log_w == pytest.approx([math.log(0.25), math.log(0.75)])
+
+
+def test_the_default_concentration_is_krichevsky_trofimov():
+    assert DirichletMultinomial(3).alpha == [0.5] * 3
+
+
+def route_code(route):
+    """The integer whose bits, highest first, are the sides of a route
+    from ``prepare``."""
+    code = 0
+    for _, _, side in route:
+        code = 2 * code + side
+    return code
+
+
+# a y's coordinates as fractions of its box's widths: dyadic ones that
+# land on the partition's cell edges and faces, others, and ones outside
+fractions = st.one_of(
+    st.integers(0, 16).map(lambda k: k / 16),
+    st.floats(0.0, 1.0),
+    st.sampled_from([-0.25, 1.5]),
+)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("max_depth", [0, 1, 4, 12, 70])
+@given(
+    picks=st.lists(st.lists(fractions, min_size=3, max_size=3), max_size=12),
+    copies=st.lists(st.integers(0, 11), max_size=4),
+    skip_outside=st.booleans(),
+)
+def test_a_block_key_holds_the_route_of_its_y(dim, max_depth, picks, copies, skip_outside):
+    """Past the index field, the key of each in-box y of a block is the
+    code of ``prepare``'s route, to ``max_depth``, copies included; a y
+    outside the box has no key, or is refused. A lone y in the box is not
+    routed: its key is its index."""
+    lo, hi = [-1.0, 0.0, 2.0][:dim], [2.0, 0.5, 6.0][:dim]
+    ys = [tuple(a + f * (b - a) for a, b, f in zip(lo, hi, pick)) for pick in picks]
+    ys += [ys[i] for i in copies if i < len(ys)]
+    bt = BayesTreeDensity(lo, hi, max_depth=max_depth)
+    prepared = [bt.prepare(y) for y in ys]
+    inside = sum(p[1] for p in prepared)
+    if not skip_outside and inside < len(ys):
+        with pytest.raises(BadConfig, match="outside the tree's y box"):
+            bt.prepare_block(ys)
+        return
+    keys, block_ys, top_bit, mask = bt.prepare_block(ys, skip_outside)
+    shift = len(ys).bit_length()
+    assert block_ys is ys and top_bit == shift + max_depth - 1 and mask == (1 << shift) - 1
+    for i, (key, (_, held, route)) in enumerate(zip(keys, prepared)):
+        if not held:
+            assert key is None
+            continue
+        assert key & mask == i
+        assert key >> shift == (route_code(route) if inside > 1 else 0)
+
+
 def reference_terms(bt, depth, n, nl, left, right):
     """The stop and split terms of ``BayesTreeDensity._loglam``, in log
     space, as the recursion states them; below ``max_depth``."""

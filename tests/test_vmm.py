@@ -131,10 +131,11 @@ class TestReferenceMixer:
         with pytest.raises(TooLargeToEnumerate, match=want):
             CtwOracle(2, depth)
 
-    @pytest.mark.parametrize("concentration", [0.0, -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("concentration", [0.0, -0.5, math.nan, math.inf, True])
     def test_a_concentration_the_model_refuses_the_oracle_refuses(self, concentration):
         """The oracle raised ``ZeroDivisionError`` at 0 and -0.5 and
-        returned NaN at NaN and inf; it now takes the model's rule."""
+        returned NaN at NaN and inf; it now takes the model's rule. Both
+        took ``True`` as 1.0."""
         with pytest.raises(BadConfig, match="concentration"):
             ctw_logprob([0, 1, 1], 2, 1, concentration)
         with pytest.raises(BadConfig, match="concentration"):
@@ -354,6 +355,25 @@ class TestSnapshot:
         assert whole.to_text() == text
         with pytest.raises(BadConfig, match="must be a whole number"):
             VmmModel.from_text(edited(n_seen, n_obs))
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("concentration", "0.5", "must be a number"),
+            ("stop_weight", "0.5", "must be a number"),
+            ("alphabet_size", 10**30, "too large"),
+        ],
+    )
+    def test_a_header_number_of_the_wrong_type_or_size_is_refused(self, key, value, message):
+        """The two strings loaded through ``float()``; an alphabet of 10**30
+        raised numpy's ``ValueError`` from the prior's ``np.full``."""
+        m = VmmModel(alphabet_size=2, depth=3)
+        m.fit_sequence([0, 1, 1, 0])
+        head, _, rest = m.to_text().partition("\n")
+        meta = json.loads(head)
+        meta[key] = value
+        with pytest.raises(BadConfig, match=message):
+            VmmModel.from_text(json.dumps(meta) + "\n" + rest)
 
     @pytest.mark.parametrize("key", ["depth", "alphabet_size"])
     def test_an_infinite_header_size_is_refused(self, key):
