@@ -26,8 +26,8 @@ already placed their x. The shared duck type:
   seen no point, and return the block's log marginal in closed form.
   The state equals that of ``update`` on each y in turn, bit for bit;
   the marginal equals the sum of ``update``'s returns up to rounding.
-  A tree density inserts with ``update``'s ``_insert``, then sets
-  every node value once with ``_refit``.
+  A tree density inserts each y with ``_insert``, then sets every
+  node value once with ``_refit``, whose rule ``update`` writes out.
   ``ys`` are y tuples as a kd cover buffers them, each of which passed
   ``prepare`` when it was absorbed (and which a snapshot load checks
   again), so they are not checked here: a wrong length or a value
@@ -492,31 +492,32 @@ class BayesTreeDensity:
     is cached in log space. Nodes at ``max_depth`` are forced uniform.
     Volumes halve per level, so vol at depth k is vol(root) / 2^k.
 
-    ``_loglam`` is the only statement of that recursion. Updating,
-    absorbing a block and rebuilding from a snapshot all go through it
-    with the same operands in the same order, so they agree bit for
-    bit. Its log-Beta terms come from the tree's lists of lgamma(a + k)
-    and lgamma(2a + k), which ``_grow_tables`` extends. It also
-    returns the node's *stop pair*: the posterior g that points at the
-    node are uniform on its box, and 1 - g, each computed directly
-    rather than as 1 minus the other.
+    ``_refit`` states that recursion for a list of nodes, and
+    ``update`` writes it out for its path, with the same operands in
+    the same order, so updating, absorbing a block and rebuilding from
+    a snapshot agree bit for bit. Its log-Beta terms come from the
+    tree's lists of lgamma(a + k) and lgamma(2a + k), which
+    ``_grow_tables`` extends. It also sets the node's *stop pair*: the
+    posterior g that points at the node are uniform on its box, and
+    1 - g, each computed directly rather than as 1 minus the other.
 
     The tree stores only the nodes its points distinguish:
 
     * An empty node has no children; its value is 0.
     * A *singleton* is a childless node above ``max_depth`` that holds
       one point and keeps that point rather than a chain of one-point
-      nodes below it. ``_one[k]``, built from ``_loglam`` at
-      construction, is the value of any depth-k node that holds one
-      point: a singleton, or the empty node a new point lands in.
+      nodes below it. ``_one[k]``, which ``_refit`` sets on a chain of
+      one point at construction, is the value of any depth-k node that
+      holds one point: a singleton, or the empty node a new point lands
+      in.
     * A second point pushes a singleton's point down one level at a
       time while the two share a cell, so the chain ends where they
       part or at ``max_depth``. No point is stored at ``max_depth``.
 
-    ``_insert``, which ``update`` and ``absorb_block`` share, is the one
-    insertion, pushes included. ``_refit`` is the one rule for a node's
-    value and stop pair: ``update`` applies it up the path,
-    ``_fill_values`` to every node after a block or a load.
+    ``update`` walks y's route down and back up, with no call per level
+    but ``_push``, the one push of a singleton's point. A split's block
+    goes in through ``_insert``, which cuts y's cells as it goes, and
+    ``_fill_values`` then refits every node, as after a load.
 
     ``log_predictive`` reads the kept stop pairs and never a value or a
     log-Beta term. The predictive density of y at a node is
@@ -540,8 +541,8 @@ class BayesTreeDensity:
     rounding near that of its last log; it equals the update's return
     only up to that rounding. ``sample`` reads the kept pairs too: it
     stops at a node with children with probability g, and with gamma
-    on a singleton's chain or below an empty node, so ``_loglam`` is
-    the one place a node's stop posterior is computed.
+    on a singleton's chain or below an empty node, so a node's stop
+    posterior is computed only with its value.
 
     The partition is fixed by the box and ``max_depth``, as a Pólya
     tree's is, so y's route through it (split dimension, midpoint and
@@ -604,13 +605,15 @@ class BayesTreeDensity:
         self._dim = box.dim
         self._lg_a, self._lg_2a = [], []
         self._grow_tables(2)
-        # the chain of one point: the same _loglam calls the recursion
-        # makes, since x + 0.0 == 0.0 + x and the two lgamma terms commute
-        one = [self._loglam(top, 1, 0, 0.0, 0.0)[0]]
-        for depth in range(top - 1, -1, -1):
-            one.append(self._loglam(depth, 1, 1, one[-1], 0.0)[0])
-        one.reverse()
-        self._one = one
+        # the chain of one point down to max_depth, refit as a tree: node
+        # 2k, at depth k, holds the point and has children 2k + 1, empty,
+        # and 2k + 2. Its one leaf with a point is at max_depth, so
+        # _refit reads no _one on it.
+        self._one = ()
+        self._n = [1, 0] * top + [1]
+        self._kid = [i for k in range(top) for i in (2 * k + 1, 0)] + [0]
+        self._fill_values()
+        self._one = self._lam[::2]
         # the factors of the query's product on a one-point chain, whose
         # stop posterior is gamma, for a y that stays in the point's cell
         # or leaves it: 2 (1 - g) (a + 1) / (2a + 1) and 2 (1 - g) a / (2a + 1)
@@ -657,41 +660,17 @@ class BayesTreeDensity:
         lg_a += [math.lgamma(a + k) for k in range(len(lg_a), size)]
         lg_2a += [math.lgamma(2.0 * a + k) for k in range(len(lg_2a), size)]
 
-    def _loglam(self, depth, n, nl, left, right):
-        """``(value, g, 1 - g)`` of a node at ``depth`` that holds n
-        points, nl of them in its left child: its log mixture value and
-        its stop pair. ``left`` and ``right`` are the children's log
-        values."""
-        uniform = -n * self._log_vol[depth]
-        if depth == self.max_depth:
-            return uniform, 1.0, 0.0
-        lg_a = self._lg_a
-        log_beta = lg_a[nl] + lg_a[n - nl] - self._lg_2a[n]
-        # logaddexp(a, b), inline to save a call per level: the same
-        # branches and operations, so the same values. The stop pair is
-        # exp(a - value) and exp(b - value), from the same exp.
-        a = self._log_gamma + uniform
-        b = self._log_split + log_beta - self._log_beta0 + left + right
-        if a == b:
-            return a + LOG2, 0.5, 0.5
-        d = a - b
-        if d > 0:
-            e = math.exp(-d)
-            s = 1.0 / (1.0 + e)
-            return a + math.log1p(e), s, e * s
-        if d <= 0:
-            e = math.exp(d)
-            s = 1.0 / (1.0 + e)
-            return b + math.log1p(e), e * s, s
-        return d, d, d  # a or b is nan
-
     @property
     def log_evidence(self) -> float:
         """Log marginal density of the points absorbed so far."""
         return self._lam[0]
 
-    def _split(self, node):
-        """Materialise two empty children of ``node``; returns the left id."""
+    def _push(self, node, depth, d, mid):
+        """Push the point of the singleton ``node`` one level down, to
+        ``depth``: materialise two children and count the point into the
+        one on its side of ``mid`` on dimension ``d``, of value
+        ``_one[depth]``, which keeps it above ``max_depth``. Returns the
+        left child's id."""
         left = len(self._n)
         self._n += (0, 0)
         self._kid += (0, 0)
@@ -700,6 +679,12 @@ class BayesTreeDensity:
         self._h += (0.0, 0.0)
         self._pt += self._pt_pair
         self._kid[node] = left
+        p = self._point(node)
+        q = left if p[d] < mid else left + 1
+        self._n[q] = 1
+        self._lam[q] = self._one[depth]
+        if depth < self.max_depth:
+            self._put(q, p)
         return left
 
     def _point(self, node):
@@ -710,63 +695,66 @@ class BayesTreeDensity:
         dim = self._dim
         self._pt[node * dim:(node + 1) * dim] = y
 
-    def _insert(self, y, route=None):
-        """Count y in and return its path, root first, whose values are
-        left to ``_refit``. A singleton on the way pushes its point one
-        level down, into a child of value ``_one``. y ends at
-        ``max_depth`` or at an empty node, which turns singleton.
-        ``route`` is y's from ``prepare``; without one, y's cells are cut
-        only as deep as the walk goes."""
+    def _insert(self, y):
+        """Count y in, for ``absorb_block``, whose ``_fill_values`` sets the
+        values after. y's cells are cut only as deep as the walk goes: a
+        split's block has no routes. A singleton on the way pushes its
+        point one level down. y ends at ``max_depth`` or at an empty
+        node, which turns singleton."""
         counts, kid, top = self._n, self._kid, self.max_depth
-        if route is None:
-            lo, hi = list(self.box.lower), list(self.box.upper)
+        lo, hi = list(self.box.lower), list(self.box.upper)
         node = depth = 0
-        path = [0]
         while counts[node] and depth < top:
-            if route is None:
-                d, mid = cut(lo, hi)
-                if y[d] < mid:
-                    hi[d], side = mid, 0
-                else:
-                    lo[d], side = mid, 1
+            d, mid = cut(lo, hi)
+            if y[d] < mid:
+                hi[d], side = mid, 0
             else:
-                d, mid, side = route[depth]
+                lo[d], side = mid, 1
             counts[node] += 1
             depth += 1
-            left = kid[node]
-            if not left:  # a singleton: push its point one level down
-                left = self._split(node)
-                p = self._point(node)
-                q = left if p[d] < mid else left + 1
-                counts[q] = 1
-                self._lam[q] = self._one[depth]
-                if depth < top:
-                    self._put(q, p)
-            node = left + side
-            path.append(node)
+            node = (kid[node] or self._push(node, depth, d, mid)) + side
         counts[node] += 1
-        if counts[node] == 1 and depth < top:  # an empty node turned singleton
+        if depth < top:  # an empty node turned singleton
             self._put(node, y)
-        return path
 
     def _refit(self, nodes, depths):
         """Set each node's value, and a node with children's stop pair,
         at its depth in ``depths``, from its count and its children's
         values, which come first. Counts are taken as they are:
-        ``_insert`` and ``_layout`` keep each the sum of its children's."""
+        ``_insert`` and ``_layout`` keep each the sum of its children's.
+        A node with children takes the class docstring's recursion, with
+        ``update``'s operands in ``update``'s order; a leaf that holds
+        points is uniform at ``max_depth`` and a singleton above it."""
         n, kid, lam, stop, go = self._n, self._kid, self._lam, self._g, self._h
-        top, one, loglam = self.max_depth, self._one, self._loglam
-        if len(self._lg_2a) <= n[0]:
+        lg_a, lg_2a = self._lg_a, self._lg_2a
+        if len(lg_2a) <= n[0]:
             self._grow_tables(n[0])
+        top, one, log_vol = self.max_depth, self._one, self._log_vol
+        log_gamma, log_split, log_beta0 = self._log_gamma, self._log_split, self._log_beta0
+        exp, log1p = math.exp, math.log1p
         for node, depth in zip(nodes, depths):
             left = kid[node]
             if left:
-                lam[node], stop[node], go[node] = loglam(
-                    depth, n[node], n[left], lam[left], lam[left + 1]
-                )
+                count, nl = n[node], n[left]
+                a = log_gamma + -count * log_vol[depth]
+                log_beta = lg_a[nl] + lg_a[count - nl] - lg_2a[count]
+                b = log_split + log_beta - log_beta0 + lam[left] + lam[left + 1]
+                # logaddexp(a, b), and the stop pair from the same exp
+                d = a - b
+                if a == b:
+                    lam[node], stop[node], go[node] = a + LOG2, 0.5, 0.5
+                elif d > 0:
+                    e = exp(-d)
+                    s = 1.0 / (1.0 + e)
+                    lam[node], stop[node], go[node] = a + log1p(e), s, e * s
+                elif d <= 0:
+                    e = exp(d)
+                    s = 1.0 / (1.0 + e)
+                    lam[node], stop[node], go[node] = b + log1p(e), e * s, s
+                else:  # a or b is nan
+                    lam[node] = stop[node] = go[node] = d
             elif n[node]:
-                # _loglam's value at max_depth, or a singleton's
-                lam[node] = -n[node] * self._log_vol[top] if depth == top else one[depth]
+                lam[node] = -n[node] * log_vol[top] if depth == top else one[depth]
 
     def prepare(self, y):
         """``(floats, inside, route)`` for y: its checked floats, whether
@@ -836,13 +824,55 @@ class BayesTreeDensity:
         return math.log(total) + shift * _LOG_RESCALE - self._log_vol[0]
 
     def update(self, y) -> float:
+        """Count y in down its route, as ``_insert`` does without one, then
+        set the value and stop pair of every node above its end, back up
+        the path, by ``_refit``'s rule with its operands in its order."""
         y, inside, route = y
         if not inside:
             raise OutOfSupport(f"{y!r} outside {self.box!r}")
-        old = self._lam[0]
-        path = self._insert(y, route)
-        self._refit(reversed(path), range(len(path) - 1, -1, -1))
-        return self._lam[0] - old
+        counts, kid, lam, top = self._n, self._kid, self._lam, self.max_depth
+        old = lam[0]
+        node = depth = 0
+        path = []  # the nodes above y's end: path[k] is at depth k
+        while counts[node] and depth < top:
+            d, mid, side = route[depth]
+            counts[node] += 1
+            path.append(node)
+            depth += 1
+            node = (kid[node] or self._push(node, depth, d, mid)) + side
+        counts[node] += 1
+        if depth < top:  # an empty node turned singleton
+            self._put(node, y)
+            lam[node] = self._one[depth]
+        else:
+            lam[node] = -counts[node] * self._log_vol[top]
+        stop, go, lg_a, lg_2a = self._g, self._h, self._lg_a, self._lg_2a
+        if len(lg_2a) <= counts[0]:
+            self._grow_tables(counts[0])
+        log_vol, log_gamma = self._log_vol, self._log_gamma
+        log_split, log_beta0 = self._log_split, self._log_beta0
+        exp, log1p = math.exp, math.log1p
+        for depth in range(depth - 1, -1, -1):
+            node = path[depth]
+            left, n = kid[node], counts[node]
+            nl = counts[left]
+            a = log_gamma + -n * log_vol[depth]
+            log_beta = lg_a[nl] + lg_a[n - nl] - lg_2a[n]
+            b = log_split + log_beta - log_beta0 + lam[left] + lam[left + 1]
+            d = a - b
+            if a == b:
+                lam[node], stop[node], go[node] = a + LOG2, 0.5, 0.5
+            elif d > 0:
+                e = exp(-d)
+                s = 1.0 / (1.0 + e)
+                lam[node], stop[node], go[node] = a + log1p(e), s, e * s
+            elif d <= 0:
+                e = exp(d)
+                s = 1.0 / (1.0 + e)
+                lam[node], stop[node], go[node] = b + log1p(e), e * s, s
+            else:  # a or b is nan
+                lam[node] = stop[node] = go[node] = d
+        return lam[0] - old
 
     def sample(self, rng):
         lo = list(self.box.lower)

@@ -25,6 +25,7 @@ import json
 import os
 import random
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -107,6 +108,32 @@ class Mutator(ast.NodeTransformer):
         return node
 
 
+def find_sites(module):
+    """``(line, function, operator, source)`` of every site of
+    ``module``, a path, in ``Mutator``'s order; ``source`` is the
+    site's line, stripped."""
+    text = module.read_text()
+    mutator = Mutator()
+    mutator.visit(ast.parse(text))
+    lines = text.splitlines()
+    return [(line, function, op, lines[line - 1].strip()) for line, function, op in mutator.sites]
+
+
+def listed_equivalent():
+    """The known equivalent mutants, as ``(module, function, source,
+    operator)``."""
+    return {
+        (e["module"], e["function"], e["line"], e["operator"])
+        for e in json.loads(EQUIVALENT.read_text())
+    }
+
+
+def stop(signum, frame):
+    """Leave by SystemExit on SIGTERM or SIGINT, so that the temporary
+    copy is removed and ``subprocess.run`` kills a running pytest."""
+    raise SystemExit(128 + signum)
+
+
 def run_mutant(module, target, timeout):
     """'killed', 'survived' or 'timeout' for mutant ``target`` of ``module``."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -130,32 +157,26 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant")
     args = parser.parse_args(argv)
+    signal.signal(signal.SIGTERM, stop)
+    signal.signal(signal.SIGINT, stop)
     module = args.module.resolve()
     name = module.relative_to(ROOT).as_posix()
-    listed = {
-        (e["function"], e["line"], e["operator"])
-        for e in json.loads(EQUIVALENT.read_text())
-        if e["module"] == name
-    }
-    mutator = Mutator()
-    mutator.visit(ast.parse(module.read_text()))
-    picked = range(len(mutator.sites))
+    listed = {(f, source, op) for m, f, source, op in listed_equivalent() if m == name}
+    sites = find_sites(module)
+    picked = range(len(sites))
     if 0 < args.sample < len(picked):
         picked = sorted(random.Random(args.seed).sample(picked, args.sample))
-    lines = module.read_text().splitlines()
-    sites = {(function, lines[n - 1].strip(), op) for n, function, op in mutator.sites}
-    for function, source, operator in listed - sites:
+    for function, source, operator in listed - {(f, src, op) for _, f, op, src in sites}:
         print(f"listed but no such site: {operator} in {function}: {source}")
     tally = {}
     for target in picked:
-        line, function, operator = mutator.sites[target]
-        source = lines[line - 1].strip()
+        line, function, operator, source = sites[target]
         outcome = run_mutant(module, target, args.timeout)
         if outcome == "survived" and (function, source, operator) in listed:
             outcome = "equivalent"
         tally[outcome] = tally.get(outcome, 0) + 1
         print(f"{target:4d} line {line:4d} {outcome:10s} {operator:12s} {source}", flush=True)
-    print(f"{len(mutator.sites)} sites, {len(picked)} run: {tally}")
+    print(f"{len(sites)} sites, {len(picked)} run: {tally}")
     return 1 if tally.get("survived") else 0
 
 

@@ -779,3 +779,42 @@ def test_outputs_are_pinned(name):
     rng = np.random.default_rng(13)
     got = [repr(np.atleast_1d(model.sample_y(x, rng)).tolist()) for x, _ in queries for _ in "ab"]
     assert got == draws
+
+
+def _hot_path_outputs(name):
+    """Every value a CdeModel's hot path returns on a fixed stream: each
+    ``absorb`` return, split calls included, the held-out
+    ``predict_logdensity`` values every 100 points and the final log
+    evidence. Halfway through, the model goes through
+    ``to_text``/``from_text`` and the stream continues on the reload."""
+    if name == "nw+tree, 1-d y":
+        data, held = gen_mixture(800, "uniform", seed=21), gen_mixture(40, "uniform", seed=22)
+    else:
+        data, held = gen_gaussian_ring(800, seed=23), gen_gaussian_ring(40, seed=24)
+    model = CdeModel(CdeConfig.from_data(data.x, data.y))
+    out = []
+    for t in range(len(data.x)):
+        if t == len(data.x) // 2:
+            model = CdeModel.from_text(model.to_text())
+        out.append(model.absorb(data.x[t], data.y[t]))
+        if t % 100 == 99:
+            out.append([model.predict_logdensity(x, y) for x, y in zip(held.x, held.y)])
+    out.append(model.posterior.log_marginal_likelihood())
+    return model, out
+
+
+_HOT_PATH_DIGESTS = {
+    "nw+tree, 1-d y": "ab8d5c61a6534bdd85c3dc6302130ba8124a6c9203cf997a05fd3c8c96814e4e",
+    "nw+tree, 2-d y": "08d51226dce801a537dda714640f88ae706bb1cce23ce9e2b9a0b7d64612af13",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HOT_PATH_DIGESTS))
+def test_hot_path_outputs_are_pinned(name):
+    """The outputs of ``_hot_path_outputs``, bit for bit, on a stream
+    long enough that its kd cover splits many times, so absorb returns
+    include split replay."""
+    model, out = _hot_path_outputs(name)
+    assert model.n_contexts > 20
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == _HOT_PATH_DIGESTS[name]

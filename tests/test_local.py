@@ -651,14 +651,31 @@ def test_a_block_key_holds_the_route_of_its_y(dim, max_depth, picks, copies, ski
 
 
 def reference_terms(bt, depth, n, nl, left, right):
-    """The stop and split terms of ``BayesTreeDensity._loglam``, in log
-    space, as the recursion states them; below ``max_depth``."""
+    """The stop and split terms of a tree node's value, in log space, as
+    the recursion states them; below ``max_depth``."""
     uniform = -n * bt._log_vol[depth]
     log_beta = bt._lg_a[nl] + bt._lg_a[n - nl] - bt._lg_2a[n]
     return bt._log_gamma + uniform, bt._log_split + log_beta - bt._log_beta0 + left + right
 
 
-class TestLoglam:
+def refit_one(bt, depth, n, kids=None):
+    """``_refit`` of the root of a tree whose lists hold only it, at
+    ``depth``, and its children, if any: ``kids`` is (nl, left, right),
+    the left child's count and the two children's log values. Returns
+    the root's value and stop pair."""
+    if kids is None:
+        bt._n, bt._kid, bt._lam = [n], [0], [0.0]
+    else:
+        nl, left, right = kids
+        bt._n, bt._kid, bt._lam = [n, nl, n - nl], [1, 0, 0], [0.0, left, right]
+    bt._g, bt._h = [0.0] * len(bt._n), [0.0] * len(bt._n)
+    bt._refit([0], [depth])
+    return bt._lam[0], bt._g[0], bt._h[0]
+
+
+class TestRefit:
+    """The node rule that ``_refit`` and ``update`` write out inline."""
+
     @given(
         dim=st.integers(1, 3),
         width=st.floats(0.01, 100.0),
@@ -681,11 +698,13 @@ class TestLoglam:
             # the two terms equal: the split term's prefix cancels to 0.0
             stop, prefix = reference_terms(bt, depth, n, nl, 0.0, 0.0)
             left, right = -prefix, stop
-            assert bt._loglam(depth, n, nl, left, right) == (right + LOG2, 0.5, 0.5)
-        value, g, h = bt._loglam(depth, n, nl, left, right)
+            assert refit_one(bt, depth, n, (nl, left, right)) == (right + LOG2, 0.5, 0.5)
         if depth == max_depth:
-            assert (value, g, h) == (-n * bt._log_vol[depth], 1.0, 0.0)
+            # a leaf, uniform on its box; it keeps no stop pair, since
+            # a query's walk ends there with the whole weight
+            assert refit_one(bt, depth, n) == (-n * bt._log_vol[depth], 0.0, 0.0)
             return
+        value, g, h = refit_one(bt, depth, n, (nl, left, right))
         a, b = reference_terms(bt, depth, n, nl, left, right)
         assert value == logaddexp(a, b)
         # The pair to a relative 1e-14 beyond the rounding of the
@@ -695,6 +714,33 @@ class TestLoglam:
         assert math.isclose(g, math.exp(a - value), rel_tol=rel, abs_tol=1e-300)
         assert math.isclose(h, math.exp(b - value), rel_tol=rel, abs_tol=1e-300)
         assert math.isclose(g + h, 1.0, rel_tol=1e-15)
+
+    @given(
+        nl=st.integers(0, 50),
+        c=st.integers(1, 50),
+        left=st.floats(-1e4, 1e4),
+        equal=st.booleans(),
+    )
+    def test_update_writes_out_the_same_rule(self, nl, c, left, equal):
+        """``update``'s copy of the rule gives the root of a depth-1 tree
+        the value and stop pair ``_refit`` gives it, for any value of
+        the child y does not land in, the a == b case included: on the
+        unit box the stop term is log gamma itself, which the test sets
+        to the split term."""
+        bt = BayesTreeDensity([0.0], [1.0], max_depth=1)
+        n = nl + c + 1
+        bt._grow_tables(n)
+        right = -(c + 1) * bt._log_vol[1]  # the right child's value once y is in
+        if equal:
+            left = -reference_terms(bt, 0, n, nl, 0.0, 0.0)[1]
+            bt._log_gamma = right
+        want = refit_one(bt.spawn(), 0, n, (nl, left, right))
+        bt._n, bt._kid, bt._lam = [nl + c, nl, c], [1, 0, 0], [0.0, left, 0.0]
+        bt._g, bt._h, bt._pt = [0.0] * 3, [0.0] * 3, [0.0] * 3
+        bt.update(bt.prepare([0.75]))
+        assert (bt._lam[0], bt._g[0], bt._h[0]) == want
+        if equal:
+            assert want == (right + LOG2, 0.5, 0.5)
 
 
 class MaterialisedTree:
@@ -1080,8 +1126,9 @@ class TestAbsorbBlock:
     )
     def test_tree(self, dim, max_depth, seed, n):
         """Repeated and dyadic-rounded points, and points on cell edges
-        (``tree_points``). The block and the updates share ``_insert``,
-        so both are also held to the independent ``MaterialisedTree``."""
+        (``tree_points``). The block inserts with ``_insert`` and the
+        updates walk their routes, so both are also held to the
+        independent ``MaterialisedTree``."""
         rng, lo, hi, ref, seq = tree_pair(dim, max_depth, seed)
         block = BayesTreeDensity(
             lo, hi, gamma=seq.gamma, branch_pseudo=seq.branch_pseudo, max_depth=max_depth
