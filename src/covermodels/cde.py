@@ -230,9 +230,9 @@ class CdeModel:
         contexts made after the restore take their locals from it.
 
         Every buffered y must have ``y_dim`` values, and for a tree-only
-        model lie in the y box (the engine's load checks that as it
-        rebuilds the trees): a split hands the buffered ys to the new
-        contexts' ``absorb_block`` without checking them again.
+        model lie in the y box: the engine's load checks both with the
+        prior's ``prepare_block``, since a split hands the buffered ys to
+        the new contexts' ``absorb_block`` without checking them again.
 
         A mixture's weights are a posterior, so only a context whose
         components have all seen no point still holds the prior weights
@@ -261,12 +261,6 @@ class CdeModel:
             or parse_depth_weight(config.depth_weight)[0] != post.depth_weight_spec
         ):
             raise BadConfig("cde snapshot header disagrees with its posterior")
-        # the cover's record gives every buffered y one length, so one
-        # value checks them all
-        y_dim = config.y_dim if config.y_dim is not None else len(config.y_lower)
-        y = next((ys[0] for _, ys in cover.leaf_ys() if ys), None)
-        if y is not None and len(y) != y_dim:
-            raise BadConfig(f"buffered y {list(y)} has length {len(y)}, expected {y_dim}")
         prior = post.prior
         if isinstance(prior, MixtureLocal):
             for cid, local in enumerate(post.local):

@@ -99,8 +99,7 @@ class Box:
     __slots__ = ("lower", "upper")
 
     def __init__(self, lower, upper):
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
+        lower, upper = as_floats(lower, "lower"), as_floats(upper, "upper")
         if lower.shape != upper.shape or lower.ndim != 1:
             raise BadConfig("box bounds must be 1-d arrays of equal length")
         if not lower.size:
@@ -110,6 +109,14 @@ class Box:
             raise BadConfig("box bounds must be finite")
         if not all(lo < hi for lo, hi in zip(self.lower, self.upper)):
             raise BadConfig("box must have positive width in every dimension")
+
+    @classmethod
+    def _of(cls, lower, upper):
+        """The box of ``lower`` and ``upper``, tuples of floats taken as
+        they are: ``split_largest``'s halves of a checked box."""
+        box = cls.__new__(cls)
+        box.lower, box.upper = lower, upper
+        return box
 
     @property
     def dim(self) -> int:
@@ -151,7 +158,7 @@ class Box:
             raise BadConfig("box too thin to split")
         lo_upper = upper[:d] + (mid,) + upper[d + 1:]
         hi_lower = lower[:d] + (mid,) + lower[d + 1:]
-        return d, mid, (Box(lower, lo_upper), Box(hi_lower, upper))
+        return d, mid, (Box._of(lower, lo_upper), Box._of(hi_lower, upper))
 
     def __repr__(self):
         return f"Box({list(self.lower)}, {list(self.upper)})"

@@ -106,7 +106,6 @@ from .local import (
     check_prior,
     check_seen,
     local_from_state,
-    prepare_block,
     upgrade_state,
 )
 from .logspace import LOG2, log1mexp
@@ -594,7 +593,7 @@ class CoverModelPosterior:
         """Raise ``BadConfig`` if a local holds state that a snapshot
         leaves out, a tree density's, and the cover keeps no buffers to
         rebuild it from."""
-        if self.cover.leaf_ys() is None and prepare_block(self.prior, []) is not None:
+        if self.cover.leaf_ys() is None and self.prior.prepare_block([]) is not None:
             raise BadConfig("a snapshot rebuilds tree densities from a kd cover's buffers")
 
     def _rebuild(self):
@@ -604,12 +603,14 @@ class CoverModelPosterior:
         The leaf buffers of a cover that keeps points (``leaf_ys``, a kd
         cover's) must hold ``n_obs`` ys, each finite: every one passed
         the prior's ``prepare`` when it was absorbed, and the next split
-        replays it. The prior prepares them all at once; then one pass,
-        children first, takes each context's points (its leaf's slice of
-        the block, or its children's), checks its local's counts and
-        refills it, and ``_refresh_lambda`` runs over the same order. On
-        a cover that keeps none the root's local was offered every
-        observation, and children hold no more than their parent."""
+        replays it. The prior prepares them all at once
+        (``prepare_block``), which refuses a y it would not take; then
+        one pass, children first, takes each context's points (its
+        leaf's slice of the block, or its children's), checks its
+        local's counts and refills it, and ``_refresh_lambda`` runs over
+        the same order. On a cover that keeps none the root's local was
+        offered every observation, and children hold no more than their
+        parent."""
         cover, locals_ = self.cover, self.local
         leaves = cover.leaf_ys()
         if leaves is None:
@@ -630,7 +631,7 @@ class CoverModelPosterior:
         if not all(map(math.isfinite, chain.from_iterable(ys))):
             bad = next(y for y in ys if not all(map(math.isfinite, y)))
             raise BadConfig(f"buffered y {list(bad)} is not finite")
-        block = prepare_block(self.prior, ys)
+        block = self.prior.prepare_block(ys)
         contexts, done = cover.contexts, {}
         order = range(len(locals_) - 1, -1, -1)  # children first
         for cid in order:

@@ -24,9 +24,10 @@ already placed their x. The shared duck type:
   A caller with a raw y writes ``local.update(local.prepare(y))``.
 * ``absorb_block(ys)``: absorb a whole block into a local that has
   seen no point, and return the block's log marginal in closed form.
-  The state equals that of ``update`` on each y in turn, bit for bit;
-  the marginal equals the sum of ``update``'s returns up to rounding.
-  A tree density inserts each y with ``_insert``, then sets every
+  The state equals that of ``update`` on each y in turn, bit for bit
+  (a tree density's up to node ids); the marginal equals the sum of
+  ``update``'s returns up to rounding. A tree density splits the block
+  at each cell's cut, as a load lays out its runs, then sets every
   node value once with ``_refit``, whose rule ``update`` writes out.
   ``ys`` are y tuples as a kd cover buffers them, each of which passed
   ``prepare`` when it was absorbed (and which a snapshot load checks
@@ -54,11 +55,14 @@ already placed their x. The shared duck type:
   the header's. Snapshot formats 3 and 4 repeated the prior in every
   record, and ``upgrade_state`` checks and strips it.
 * ``prepare_block(ys, skip_outside=False)`` / ``refill(block, under)``:
-  how a snapshot load rebuilds what ``state_dict`` leaves out, through
-  the module's ``prepare_block``. The posterior's prior prepares every
-  buffered y of the cover once; a model with nothing to rebuild
-  (Normal-Wishart, Dirichlet) has no such method, or returns None, and
-  then no ``refill`` is called. Each context's local then refills from
+  how a snapshot load checks the buffered ys and rebuilds what
+  ``state_dict`` leaves out. Every local has ``prepare_block``: the
+  posterior's prior prepares every buffered y of the cover once, and
+  raises ``BadConfig`` on a y it would not take, one of the wrong
+  length, a Dirichlet's non-symbol, or a y outside a tree's box, which
+  a mixture's tree skips instead, as its ``update`` does. A model with
+  nothing to rebuild (Normal-Wishart, Dirichlet) returns None and has
+  no ``refill``. With a block, each context's local refills from
   ``under``: for a leaf, the slice of the block that its buffer holds;
   otherwise, what its children's ``refill`` returned.
 * ``n_seen`` (leaf models): the number of observations absorbed.
@@ -87,7 +91,7 @@ from bisect import bisect_left
 import numpy as np
 
 from .covers import Box, as_floats, as_size, as_symbol, cut, is_number
-from .errors import BadConfig, OutOfSupport
+from .errors import BadConfig, OutOfSupport, UnknownSymbol
 from .logspace import LOG2, logsumexp
 
 # the largest count a load takes: a larger JSON int has no float
@@ -166,6 +170,18 @@ class DirichletMultinomial:
     @property
     def n_seen(self) -> float:
         return self._seen
+
+    def prepare_block(self, ys, skip_outside=False):
+        """None, nothing to rebuild, once every y of ``ys`` is a symbol
+        of the alphabet (``as_symbol``); ``BadConfig`` names the first
+        that is not."""
+        size = len(self.alpha)
+        for y in ys:
+            try:
+                as_symbol(y, size)
+            except UnknownSymbol:
+                raise BadConfig(f"buffered y {list(y)} is not one of the {size} symbols") from None
+        return None
 
     def copy(self) -> "DirichletMultinomial":
         """An independent copy: a new count list. ``alpha``, which no
@@ -415,6 +431,15 @@ class NormalWishart:
     def n_seen(self) -> int:
         return self.n
 
+    def prepare_block(self, ys, skip_outside=False):
+        """None, nothing to rebuild, once every y of ``ys`` is ``dim``
+        long; ``BadConfig`` names the first that is not."""
+        m = self.dim
+        bad = next((y for y in ys if len(y) != m), None)
+        if bad is not None:
+            raise BadConfig(f"buffered y {list(bad)} has length {len(bad)}, expected {m}")
+        return None
+
     def sample(self, rng):
         mun, df, scale, _ = self._refresh()
         z = rng.standard_normal(self.dim)
@@ -514,10 +539,11 @@ class BayesTreeDensity:
       time while the two share a cell, so the chain ends where they
       part or at ``max_depth``. No point is stored at ``max_depth``.
 
-    ``update`` walks y's route down and back up, with no call per level
-    but ``_push``, the one push of a singleton's point. A split's block
-    goes in through ``_insert``, which cuts y's cells as it goes, and
-    ``_fill_values`` then refits every node, as after a load.
+    ``update``, the one per-point descent, walks y's route down and back
+    up with no call per level but ``_push``, the one push of a
+    singleton's point. ``absorb_block`` splits a block's runs at each
+    cell's ``cut``, as ``_layout`` splits a load's at their route bits,
+    and ``_fill_values`` then refits every node.
 
     ``log_predictive`` reads the kept stop pairs and never a value or a
     log-Beta term. The predictive density of y at a node is
@@ -573,7 +599,7 @@ class BayesTreeDensity:
     """
 
     def __init__(self, lower, upper, gamma=0.5, branch_pseudo=0.5, max_depth=12):
-        box = Box(as_floats(lower, "lower"), as_floats(upper, "upper"))
+        box = Box(lower, upper)
         if not 0.0 < box.volume() < math.inf:  # Box checks each bound, not their product
             raise BadConfig("the tree's box volume must be positive and finite")
         if not (is_number(gamma) and 0 < gamma < 1):
@@ -612,7 +638,7 @@ class BayesTreeDensity:
         self._one = ()
         self._n = [1, 0] * top + [1]
         self._kid = [i for k in range(top) for i in (2 * k + 1, 0)] + [0]
-        self._fill_values()
+        self._fill_values([(i + 1) // 2 for i in range(2 * top + 1)])
         self._one = self._lam[::2]
         # the factors of the query's product on a one-point chain, whose
         # stop posterior is gamma, for a y that stays in the point's cell
@@ -666,11 +692,12 @@ class BayesTreeDensity:
         return self._lam[0]
 
     def _push(self, node, depth, d, mid):
-        """Push the point of the singleton ``node`` one level down, to
-        ``depth``: materialise two children and count the point into the
-        one on its side of ``mid`` on dimension ``d``, of value
-        ``_one[depth]``, which keeps it above ``max_depth``. Returns the
-        left child's id."""
+        """``update``'s step past a singleton on its path, which a laid
+        out block never takes: push the point of the singleton ``node``
+        one level down, to ``depth``. Materialise two children and count
+        the point into the one on its side of ``mid`` on dimension
+        ``d``, of value ``_one[depth]``, which keeps it above
+        ``max_depth``. Returns the left child's id."""
         left = len(self._n)
         self._n += (0, 0)
         self._kid += (0, 0)
@@ -695,33 +722,11 @@ class BayesTreeDensity:
         dim = self._dim
         self._pt[node * dim:(node + 1) * dim] = y
 
-    def _insert(self, y):
-        """Count y in, for ``absorb_block``, whose ``_fill_values`` sets the
-        values after. y's cells are cut only as deep as the walk goes: a
-        split's block has no routes. A singleton on the way pushes its
-        point one level down. y ends at ``max_depth`` or at an empty
-        node, which turns singleton."""
-        counts, kid, top = self._n, self._kid, self.max_depth
-        lo, hi = list(self.box.lower), list(self.box.upper)
-        node = depth = 0
-        while counts[node] and depth < top:
-            d, mid = cut(lo, hi)
-            if y[d] < mid:
-                hi[d], side = mid, 0
-            else:
-                lo[d], side = mid, 1
-            counts[node] += 1
-            depth += 1
-            node = (kid[node] or self._push(node, depth, d, mid)) + side
-        counts[node] += 1
-        if depth < top:  # an empty node turned singleton
-            self._put(node, y)
-
     def _refit(self, nodes, depths):
         """Set each node's value, and a node with children's stop pair,
         at its depth in ``depths``, from its count and its children's
-        values, which come first. Counts are taken as they are:
-        ``_insert`` and ``_layout`` keep each the sum of its children's.
+        values, which come first. Counts are taken as they are, each
+        the sum of its children's.
         A node with children takes the class docstring's recursion, with
         ``update``'s operands in ``update``'s order; a leaf that holds
         points is uniform at ``max_depth`` and a singleton above it."""
@@ -824,9 +829,10 @@ class BayesTreeDensity:
         return math.log(total) + shift * _LOG_RESCALE - self._log_vol[0]
 
     def update(self, y) -> float:
-        """Count y in down its route, as ``_insert`` does without one, then
-        set the value and stop pair of every node above its end, back up
-        the path, by ``_refit``'s rule with its operands in its order."""
+        """Count y in down its route, pushing a singleton on the way one
+        level down, then set the value and stop pair of every node above
+        its end, back up the path, by ``_refit``'s rule with its operands
+        in its order."""
         y, inside, route = y
         if not inside:
             raise OutOfSupport(f"{y!r} outside {self.box!r}")
@@ -998,7 +1004,7 @@ class BayesTreeDensity:
         the node's side bit turns 1 (``bisect``). A run of two or more
         points above ``max_depth`` splits into a pair of children, a run
         of one there is a singleton that keeps its point, and a run at
-        ``max_depth`` keeps none, as ``_insert`` leaves them."""
+        ``max_depth`` keeps none, as ``update`` leaves them."""
         _, ys, top_bit, mask = block
         top, dim, pair = self.max_depth, self._dim, self._pt_pair
         size = len(keys)
@@ -1032,39 +1038,56 @@ class BayesTreeDensity:
         self._n, self._kid, self._pt = n, kid, pt
         self._fill_values(depth)
 
-    def _fill_values(self, depth=None):
-        """``_refit`` every node, children (larger ids) first. ``depth``
-        holds each node's depth; without it, a forward pass finds them."""
-        kid = self._kid
-        if depth is None:
-            depth = [0] * len(kid)
-            for node, left in enumerate(kid):
-                if left:
-                    depth[left] = depth[left + 1] = depth[node] + 1
-        size = len(kid)
+    def _fill_values(self, depth):
+        """``_refit`` every node, children (larger ids) first; ``depth``
+        holds each node's depth."""
+        size = len(depth)
         self._lam, self._g, self._h = [0.0] * size, [0.0] * size, [0.0] * size
         self._refit(range(size - 1, -1, -1), reversed(depth))
 
     def absorb_block(self, ys) -> float:
         """Absorb a block into the empty tree and return its log marginal,
-        the root's value (a Pólya tree marginal).
-
-        Each y inside the box goes in through ``_insert`` with no route;
-        ``_fill_values`` then sets every value once. The state equals
-        that of ``update`` on each y in turn, bit for bit. A y outside
-        the box is skipped, and the marginal is -inf.
-        """
+        the root's value (a Pólya tree marginal): lay out the ys inside
+        the box by ``_layout``'s rule, each run split at its cell's
+        ``cut``. The state equals that of ``update`` on each y in turn,
+        bit for bit, up to node ids. A y outside the box is skipped, and
+        the marginal is -inf."""
         if self._n[0]:
             raise BadConfig("absorb_block needs a local that has seen no point")
-        box = self.box
-        skipped = False
-        for y in ys:
-            if box.contains(y, closed=True):
-                self._insert(y)
-            else:
-                skipped = True
-        self._fill_values()
-        return -math.inf if skipped else self._lam[0]
+        box, top, dim, pair = self.box, self.max_depth, self._dim, self._pt_pair
+        block = [y for y in ys if box.contains(y, closed=True)]
+        size = len(block)
+        n, kid, depth, pt = [size], [0], [0], [0.0] * dim
+        todo = []  # runs to split: node, depth, its ys, its cell's bounds
+        if size > 1 and top:
+            todo.append((0, 0, block, box.lower, box.upper))
+        elif size and top:
+            pt[:] = block[0]
+        pop, push = todo.pop, todo.append
+        while todo:
+            node, k, run, lo, hi = pop()
+            d, mid = cut(lo, hi)
+            low = [y for y in run if y[d] < mid]
+            high = [y for y in run if not y[d] < mid]
+            left = len(n)
+            kid[node] = left
+            k += 1
+            n += (len(low), len(high))
+            kid += (0, 0)
+            depth += (k, k)
+            pt += pair
+            if k < top:
+                if len(high) > 1:
+                    push((left + 1, k, high, lo[:d] + (mid,) + lo[d + 1:], hi))
+                elif high:
+                    pt[(left + 1) * dim:(left + 2) * dim] = high[0]
+                if len(low) > 1:
+                    push((left, k, low, lo, hi[:d] + (mid,) + hi[d + 1:]))
+                elif low:
+                    pt[left * dim:(left + 1) * dim] = low[0]
+        self._n, self._kid, self._pt = n, kid, pt
+        self._fill_values(depth)
+        return -math.inf if size < len(ys) else self._lam[0]
 
     def load(self, state) -> "BayesTreeDensity":
         """``spawn()``, which ``refill`` lays out: ``state`` is empty."""
@@ -1178,7 +1201,7 @@ class MixtureLocal:
     def prepare_block(self, ys, skip_outside=False):
         """The components' blocks, each tree skipping a y outside its
         box as ``update`` does; None when no component has one."""
-        blocks = [prepare_block(c, ys, skip_outside=True) for c in self.components]
+        blocks = [c.prepare_block(ys, skip_outside=True) for c in self.components]
         return None if all(b is None for b in blocks) else blocks
 
     def refill(self, block, under):
@@ -1246,13 +1269,6 @@ def upgrade_state(record, like):
         return {"log_w": record["log_w"], "components": parts}
     check_prior({key: record.get(key) for key in like.prior()}, like)
     return {key: record[key] for key in like.state_dict()}
-
-
-def prepare_block(local, ys, skip_outside=False):
-    """``local.prepare_block(ys, skip_outside)``, or None, nothing to
-    rebuild, for a local that has no such method."""
-    prepare = getattr(local, "prepare_block", None)
-    return None if prepare is None else prepare(ys, skip_outside)
 
 
 def check_seen(local, n):

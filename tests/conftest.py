@@ -16,7 +16,6 @@ from covermodels import (
     NormalWishart,
     local_from_state,
 )
-from covermodels.local import prepare_block
 from oracle import ExactEnumerator, dirichlet_block_marginal, normal_wishart_block_marginal
 
 # Property tests draw the same examples on every run and are not timed
@@ -44,7 +43,7 @@ def refilled(local, ys):
     ``ys``, which it absorbed, as one kd leaf buffers them."""
     clone = local_from_state(local.state_dict(), local.spawn())
     ys = [tuple(np.asarray(y, dtype=float).reshape(-1).tolist()) for y in ys]
-    block = prepare_block(clone, ys)
+    block = clone.prepare_block(ys)
     if block is not None:
         clone.refill(block, slice(0, len(ys)))
     return clone

@@ -6,7 +6,8 @@ arithmetic operator (``+`` and ``-``, ``*`` and ``/``), drops a
 ``not``, bumps a number constant by 1, or swaps ``and`` and ``or``.
 The package is copied to a temporary directory and the copy's module is
 rewritten, so ``src/`` is never written. The fast subset runs with
-``-x`` and a timeout against the copy. A mutant the subset passes
+``-x`` and a timeout against the copy, the module's own test file
+first when it is in the subset. A mutant the subset passes
 survived: either a test gap or a change no output can show.
 
 ``mutation_equivalent.json``, beside this script, lists the survivors
@@ -134,6 +135,14 @@ def stop(signum, frame):
     raise SystemExit(128 + signum)
 
 
+def subset(module):
+    """The fast subset with ``module``'s own test file, if it is one of
+    them, first: a mutant that only that file kills then dies in seconds
+    rather than after the rest of the subset."""
+    own = f"tests/test_{module.stem}.py"
+    return [own] + [path for path in FAST if path != own] if own in FAST else FAST
+
+
 def run_mutant(module, target, timeout):
     """'killed', 'survived' or 'timeout' for mutant ``target`` of ``module``."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -141,7 +150,8 @@ def run_mutant(module, target, timeout):
         shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
         path = Path(tmp) / module.relative_to(ROOT)
         path.write_text(ast.unparse(Mutator(target).visit(ast.parse(path.read_text()))))
-        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *FAST]
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        cmd += subset(module)
         env = dict(os.environ, PYTHONPATH=str(copy))
         try:
             proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, timeout=timeout)

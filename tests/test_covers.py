@@ -58,6 +58,21 @@ class TestBox:
         with pytest.raises(BadConfig, match="box too thin to split"):
             Box([lower], [upper]).split_largest()
 
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: Box(["0"], ["1"]), "lower"),
+            (lambda: KdTreeCover(Box([0.0], ["1"])), "upper"),
+        ],
+        ids=["box", "kd-cover"],
+    )
+    def test_a_bound_that_is_not_a_number_is_refused(self, build, name):
+        """Bounds go through ``as_floats``, the one float rule: string
+        bounds once built a box, and a kd cover on it, with bounds 0.0
+        and 1.0."""
+        with pytest.raises(BadConfig, match=f"{name} must be a number"):
+            build()
+
     def test_clamp_to_an_upper_bound_of_zero_gives_plus_zero(self):
         """As ``np.clip`` gives: the bound, not the -0.0 it equals."""
         assert math.copysign(1.0, Box([-1.0], [0.0]).clamp([-0.0])[0]) == 1.0

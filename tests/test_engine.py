@@ -457,6 +457,29 @@ class TestSnapshot:
             assert clone.absorb(x, y) == post.absorb(x, y)
         assert clone.to_text() == post.to_text()
 
+    @pytest.mark.parametrize(
+        "prior, ys, y_dim, buffer, message",
+        [
+            (NormalWishart([0.0]), [0.1, 0.9], 2, [0.2, 0.1, 0.5, 0.7, 0.9, 0.5], "has length 2"),
+            (DirichletMultinomial(3), [1, 2], 1, [0.2, 1.0, 0.7, 7.0], "not one of the 3"),
+        ],
+        ids=["nw-length", "dirichlet-symbol"],
+    )
+    def test_a_buffered_y_the_prior_refuses_is_refused(self, prior, ys, y_dim, buffer, message):
+        """A buffered y that the prior would not take once loaded, and the
+        next split raised from the replay after the path's locals had
+        changed: ``IndexError`` for a y of the wrong length,
+        ``UnknownSymbol`` for a y outside the alphabet."""
+        post = CoverModelPosterior(KdTreeCover(Box([0.0], [1.0])), prior)
+        post.absorb([0.2], ys[0])
+        post.absorb([0.7], ys[1])
+        meta, _, rest = post.to_text().partition("\n")
+        head = json.loads(meta)
+        head["cover"]["y_dim"] = y_dim
+        head["cover"]["buffers"]["0"] = buffer
+        with pytest.raises(BadConfig, match=f"buffered y .* {message}"):
+            CoverModelPosterior.from_text(json.dumps(head, sort_keys=True) + "\n" + rest, prior)
+
     def test_snapshot_is_plain_text(self):
         rng = np.random.default_rng(1)
         cov = random_static_tree(rng)

@@ -9,7 +9,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -1061,10 +1061,6 @@ def _assert_marginal_close(block, sequential):
     assert block == pytest.approx(sum(sequential), rel=1e-12, abs=1e-12)
 
 
-def _tree_state(bt):
-    return bt._n, bt._kid, bt._pt, bt._lam, bt._g, bt._h
-
-
 def _nw_tree_mixture(log_weights=None):
     return MixtureLocal(
         [
@@ -1120,25 +1116,33 @@ class TestAbsorbBlock:
 
     @given(
         dim=st.integers(1, 3),
-        max_depth=st.sampled_from([0, 1, 4, 12]),
+        max_depth=st.sampled_from([0, 1, 4, 12, 70]),
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(0, 60),
+        copies=st.booleans(),
     )
-    def test_tree(self, dim, max_depth, seed, n):
+    @example(dim=1, max_depth=12, seed=1, n=2000, copies=False)
+    @example(dim=2, max_depth=12, seed=2, n=2000, copies=False)
+    @example(dim=1, max_depth=70, seed=3, n=40, copies=True)
+    @example(dim=2, max_depth=70, seed=4, n=500, copies=True)
+    def test_tree(self, dim, max_depth, seed, n, copies):
         """Repeated and dyadic-rounded points, and points on cell edges
-        (``tree_points``). The block inserts with ``_insert`` and the
-        updates walk their routes, so both are also held to the
-        independent ``MaterialisedTree``."""
+        (``tree_points``), or with ``copies`` n copies of one y, whose
+        cells run to ``max_depth``. The block is split at each cell's
+        cut and the updates walk their routes, so both are also held to
+        the independent ``MaterialisedTree``; node ids may differ."""
         rng, lo, hi, ref, seq = tree_pair(dim, max_depth, seed)
         block = BayesTreeDensity(
             lo, hi, gamma=seq.gamma, branch_pseudo=seq.branch_pseudo, max_depth=max_depth
         )
         ys = tree_points(rng, lo, hi, n)
+        if copies:
+            ys = ys[:1] * n
         lps = [learn(seq, y) for y in ys]
         assert [ref.update(y) for y in ys] == lps
         _assert_marginal_close(block.absorb_block([_buffered(y) for y in ys]), lps)
         assert block.log_evidence == seq.log_evidence == ref.log_evidence
-        assert _tree_state(block) == _tree_state(seq)
+        assert tree_nodes(block) == tree_nodes(seq)
         for q in tree_points(rng, lo, hi, 5):
             assert score(block, q) == score(seq, q)
             assert_query_close(seq, score(seq, q), ref.log_predictive(q))
@@ -1165,7 +1169,7 @@ class TestAbsorbBlock:
         assert block.log_w[0] == seq.log_w[0] == 0.0
         (nw, tree), (seq_nw, seq_tree) = block.components, seq.components
         assert (nw.n, nw.sum_y, nw.sum_yy) == (seq_nw.n, seq_nw.sum_y, seq_nw.sum_yy)
-        assert _tree_state(tree) == _tree_state(seq_tree)
+        assert tree_nodes(tree) == tree_nodes(seq_tree)
 
     def test_mixture_weights_follow_the_block_marginals(self):
         ys = [_buffered(y) for y in np.random.default_rng(2).normal(0.0, 0.8, size=15)]
